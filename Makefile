@@ -5,7 +5,7 @@ PKGS := ./...
 # The RPC hot path: host byte streams and the IPC coordination framework.
 HOT_PKGS := ./internal/host/... ./internal/ipc/...
 
-.PHONY: build test race vet bench bench-fig5 chaos chaos-shard chaos-ring chaos-fleet chaos-elastic cover fuzz all
+.PHONY: build test race vet bench bench-fig5 benchmark chaos chaos-shard chaos-ring chaos-fleet cover fuzz all
 
 all: build vet test
 
@@ -50,26 +50,20 @@ chaos-shard:
 chaos-ring:
 	$(GO) test -race -count=3 -run 'Ring' ./internal/ipc/ ./internal/host/
 
-# Self-healing prefork fleet under chaos: worker kills mid-request,
-# network partitions around quarantined workers, sandbox secession, and
-# the SLO acceptance run (sustained open-loop load with a worker killed
-# every 250 ms), on all three personalities, under the race detector.
-# The fleet master is threads + pipes + signals all the way down, so
-# -count=3 reruns the same scenarios against fresh interleavings.
+# The prefork fleet, one target: the virtual-clock supervisor sim (the same
+# fleetCore handlers the live master calls — backoff/breaker/quarantine
+# timing, p2c placement properties, credit-before-pass and
+# exit-before-spawned orderings, scaler determinism under fault plans, zero
+# real sleeps), the live fleet on all three personalities (worker kills
+# mid-request, partitions around quarantined workers, sandbox secession,
+# elastic scale-up/down, a master killed at a fault point with standby
+# takeover, the SLO run with a worker killed every 250 ms), and the
+# listener-handover conformance contract. -count=3 because the sim is
+# deterministic by construction — a run-to-run diff is a real bug — and the
+# live master is threads + pipes + signals all the way down, so each rerun
+# meets fresh interleavings.
 chaos-fleet:
-	$(GO) test -race -count=3 -run 'TestFleet' ./internal/apps/
-
-# Elastic fleet + hot-standby master: the fake-clock supervisor sim
-# (backoff/breaker/quarantine timing policy, p2c placement properties,
-# drain-before-retire, scaler decision determinism under fault plans —
-# zero real sleeps), the live elastic/standby integration tests
-# (scale-up/down on a real fleet, master killed at a fault point mid-load,
-# takeover inside the election window), and the listener-handover
-# conformance contract on all three personalities. -count=3 because the
-# sim is deterministic by construction — any run-to-run diff is a real
-# nondeterminism bug — and the live tests are interleaving-heavy.
-chaos-elastic:
-	$(GO) test -race -count=3 -run 'TestSim|TestFleetElastic|TestFleetStandby|TestFleetTakeover' ./internal/apps/
+	$(GO) test -race -count=3 -run 'TestFleet|TestSim' ./internal/apps/
 	$(GO) test -race -count=3 -run 'TestConformanceListener' ./internal/baseline/conformance/
 
 # Coverage profile over every package; CI uploads coverage.out as an
@@ -91,3 +85,9 @@ bench:
 # The paper's Figure 5 RPC ping-pong and related end-to-end benchmarks.
 bench-fig5:
 	$(GO) test -run XXX -bench 'BenchmarkFig5' -benchmem .
+
+# The repo's one declared benchmark (BENCHMARK.json): five workloads on the
+# Graphene personality, end-to-end and per-layer metrics. See
+# benchmark/README.md; `-compare a.json b.json` judges two result files.
+benchmark:
+	$(GO) run ./benchmark

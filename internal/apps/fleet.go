@@ -68,6 +68,10 @@ type fleetConfig struct {
 	scoreboard string // scoreboard path; stop file is scoreboard+".stop"
 	drainUS    int64  // drain deadline
 
+	// knobs is argv[4:] as given: a standby is spawned with it verbatim, so
+	// a knob cannot be lost on handover.
+	knobs []string
+
 	// Standby-role plumbing (set by the primary on the standby's argv).
 	role      string // "" = primary, "standby" = hot standby
 	hbFD      int    // standby: heartbeat pipe read end
@@ -113,6 +117,7 @@ func fleetConfigFrom(argv []string) (fleetConfig, bool) {
 		ctlFD:          kvInt(kv, "ctl", -1),
 		takeovers:      kvInt(kv, "takeover", 0),
 		maxFDHint:      kvInt(kv, "maxfd", 0),
+		knobs:          argv[4:],
 	}
 	if cfg.scoreboard == "" {
 		cfg.scoreboard = "/run/httpd-scoreboard"
@@ -123,72 +128,41 @@ func fleetConfigFrom(argv []string) (fleetConfig, bool) {
 	return cfg, true
 }
 
-// fleetSlot is one worker position in the fleet.
-type fleetSlot struct {
-	id  int
-	pid int
-
-	alive     bool
-	dispatchW int // master's write end of the dispatch pipe
-	statusR   int // master's read end of the status pipe
-
-	inflight       int
-	startedUS      int64
-	lastProgressUS int64
-
-	quarantined     bool
-	quarantinedAtUS int64
-	nextKillUS      int64
-
-	// retiring marks a worker draining toward a scale-down SIGTERM: no
-	// new dispatch, terminated once its in-flight requests complete.
-	retiring bool
-
-	fastCrashes    int
-	breakerOpen    bool
-	breakerUntilUS int64
-	probing        bool
-	nextSpawnUS    int64
-}
-
 // connItem is one accepted connection waiting for dispatch.
 type connItem struct {
 	fd        int
 	arrivalUS int64
 }
 
+// fleetMaster is the I/O shell around fleetCore: one thread per blocking
+// syscall (accept, dispatch, wait, kill, maintenance, one status read per
+// worker), each doing lock → one core handler → unlock → the I/O it asked
+// for. It writes no slot or core field itself.
 type fleetMaster struct {
 	p        api.OS
 	passer   api.ConnPasser
 	threader api.Threader
-	clock    appClock
+	sleep    *pollSleeper
 	cfg      fleetConfig
 
 	queue  chan connItem
 	killCh chan killReq
 
-	mu       sync.Mutex
-	core     *fleetCore
-	maxFD    int
-	draining bool
-	stopped  bool
-	gen      int
+	mu    sync.Mutex
+	core  *fleetCore
+	maxFD int
+	sbMu  sync.Mutex // one scoreboard publish at a time, see writeScoreboard
 
-	// Standby wiring: the primary's heartbeat pipe write end (-1 = no
-	// standby), and the takeover lineage this master carries — epoch is
-	// the election fence a takeover ran under, takeovers counts handovers.
-	hbW       int
-	epoch     int64
-	takeovers int
+	// Standby wiring: the heartbeat pipe write end (-1 = none; owned by the
+	// maintenance thread once it starts), the standby's PID so its reap is
+	// not taken for a worker's, and this master's takeover lineage — the
+	// election epoch its takeover ran under and the handover count.
+	hbW        int
+	standbyPID int
+	epoch      int64
+	takeovers  int
 
-	supDone chan struct{}
-	done    chan struct{}
-}
-
-type killReq struct {
-	pid  int
-	sig  api.Signal
-	slot *fleetSlot
+	done chan struct{} // closed when the master stops, drained or killed
 }
 
 // FleetWorkerMain is /bin/httpd-worker. It is spawned (not forked) by the
@@ -225,6 +199,8 @@ func FleetWorkerMain(p api.OS, argv []string) int {
 	if _, err := p.Stat(docroot + "/.poison-" + strconv.Itoa(slot)); err == nil {
 		return 3
 	}
+	// A client that hung up before its response is not a reason to die.
+	_ = p.Sigaction(api.SIGPIPE, nil, api.SigIgn)
 	// The sleeper backs /__work_<us> synthetic service time; allocated
 	// after fd hygiene so its pipe survives the close sweep.
 	sleep := newPollSleeper(p)
@@ -338,43 +314,40 @@ func FleetMain(p api.OS, argv []string) int {
 // listener it bound, or by a promoted standby with the listener it
 // adopted (and the election epoch fencing its takeover).
 func runFleet(p api.OS, cfg fleetConfig, lfd int, epoch int64, takeovers int) int {
+	var fault func(string) int
+	if fp, ok := p.(api.FaultPointer); ok {
+		fault = fp.FaultPoint
+	}
+	startUS := nowUS(p)
 	m := &fleetMaster{
 		p:         p,
 		passer:    p.(api.ConnPasser),
 		threader:  p.(api.Threader),
-		clock:     newOSClock(p),
+		sleep:     newPollSleeper(p),
 		cfg:       cfg,
 		queue:     make(chan connItem, cfg.queueDepth),
 		killCh:    make(chan killReq, 64),
+		core:      newFleetCore(cfg, startUS, fault),
+		maxFD:     lfd,
 		hbW:       -1,
 		epoch:     epoch,
 		takeovers: takeovers,
-		supDone:   make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	startUS := m.now()
-	m.core = newFleetCore(cfg, startUS)
-	if fp, ok := p.(api.FaultPointer); ok {
-		m.core.fault = fp.FaultPoint
-	}
-	m.noteFD(lfd)
+	// A heartbeat to a standby that has exited (one told 'q' exits at once,
+	// mid-drain) or a 503 to a client that has hung up is an EPIPE to
+	// handle, not a SIGPIPE to die of.
+	_ = p.Sigaction(api.SIGPIPE, nil, api.SigIgn)
 	// Parent configuration and module state, shared COW with workers.
 	touchHeap(p, 4<<20)
 
 	if cfg.standby {
 		m.spawnStandby(lfd)
 	}
-	if err := m.threader.SpawnThread(m.supervisor); err != nil {
-		return 1
-	}
-	if err := m.threader.SpawnThread(m.dispatcher); err != nil {
-		return 1
-	}
-	if err := m.threader.SpawnThread(m.killer); err != nil {
-		return 1
-	}
-	if err := m.threader.SpawnThread(func() { m.maintenance(startUS) }); err != nil {
-		return 1
+	for _, thread := range []func(){m.supervisor, m.dispatcher, m.killer, func() { m.maintenance(startUS) }} {
+		if err := m.threader.SpawnThread(thread); err != nil {
+			return 1
+		}
 	}
 
 	// Accept loop. Every accepted connection is timestamped at arrival so
@@ -384,16 +357,23 @@ func runFleet(p api.OS, cfg fleetConfig, lfd int, epoch int64, takeovers int) in
 		if err != nil {
 			break
 		}
-		if m.isDraining() {
+		m.mu.Lock()
+		draining := m.core.draining
+		if conn > m.maxFD {
+			m.maxFD = conn
+		}
+		m.mu.Unlock()
+		if draining {
 			_ = p.Close(conn) // the self-connect (or a late client) during drain
 			break
 		}
-		m.noteFD(conn)
-		item := connItem{fd: conn, arrivalUS: nowUS(p)}
 		select {
-		case m.queue <- item:
+		case m.queue <- connItem{fd: conn, arrivalUS: nowUS(p)}:
 		default:
-			m.shed503(item.fd)
+			m.mu.Lock()
+			m.core.overflow()
+			m.mu.Unlock()
+			m.send503(conn)
 		}
 	}
 	close(m.queue)
@@ -408,8 +388,6 @@ func runFleet(p api.OS, cfg fleetConfig, lfd int, epoch int64, takeovers int) in
 	return 0
 }
 
-func (m *fleetMaster) now() int64 { return m.clock.nowUS() }
-
 // alive reports whether the master's process can still enter the host
 // kernel. A master killed at a fault point keeps its guest threads; they
 // must notice and stand down rather than spin on instantly-failing calls.
@@ -418,43 +396,32 @@ func (m *fleetMaster) alive() bool {
 	return err == nil
 }
 
-func (m *fleetMaster) isDraining() bool {
+// noteFDs tracks the highest descriptor number the master has seen and
+// returns it, so a spawned child knows how far its hygiene sweep must reach.
+func (m *fleetMaster) noteFDs(fds ...int) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.draining
-}
-
-func (m *fleetMaster) isStopped() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stopped
-}
-
-// noteFD tracks the highest descriptor number the master has seen, so a
-// spawned worker knows how far its hygiene sweep must reach.
-func (m *fleetMaster) noteFD(fd int) {
-	m.mu.Lock()
-	if fd > m.maxFD {
-		m.maxFD = fd
+	for _, fd := range fds {
+		if fd > m.maxFD {
+			m.maxFD = fd
+		}
 	}
-	m.mu.Unlock()
+	return m.maxFD
 }
 
-// shed503 answers a connection the fleet will not serve: a fast, explicit
-// rejection instead of unbounded queueing.
-func (m *fleetMaster) shed503(fd int) {
+func (m *fleetMaster) closeFDs(fds ...int) {
+	for _, fd := range fds {
+		if fd >= 0 {
+			_ = m.p.Close(fd)
+		}
+	}
+}
+
+// send503 answers a connection the fleet will not serve: a fast, explicit
+// rejection instead of unbounded queueing. The core has already counted it.
+func (m *fleetMaster) send503(fd int) {
 	_ = writeAll(m.p, fd, []byte("ERR 503\n"))
 	_ = m.p.Close(fd)
-	m.mu.Lock()
-	m.core.shed++
-	m.mu.Unlock()
-}
-
-// pickSlot picks a dispatch target by power-of-two-choices (fleetCore.pick).
-func (m *fleetMaster) pickSlot() *fleetSlot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.core.pick()
 }
 
 // dispatcher moves connections from the accept queue to workers,
@@ -467,50 +434,37 @@ func (m *fleetMaster) dispatcher() {
 
 func (m *fleetMaster) dispatchOne(item connItem) {
 	for {
-		if !m.alive() {
-			_ = m.p.Close(item.fd)
+		now, err := m.p.Gettimeofday()
+		if err != nil {
+			_ = m.p.Close(item.fd) // master killed
 			return
 		}
-		if m.now()-item.arrivalUS > m.cfg.shedUS {
-			m.shed503(item.fd)
-			return
-		}
-		s := m.pickSlot()
-		if s == nil {
-			m.clock.sleepUS(1000)
-			continue
-		}
-		err := m.passer.PassConnection(s.dispatchW, item.fd)
-		if err == nil {
+		m.mu.Lock()
+		pl, next := m.core.place(now, item.arrivalUS)
+		m.mu.Unlock()
+		if next == dispatchPass {
+			err := m.passer.PassConnection(pl.fd, item.fd)
+			if err == nil {
+				_ = m.p.Close(item.fd)
+				return
+			}
 			m.mu.Lock()
-			s.inflight++
-			m.core.dispatched++
+			next = m.core.passFailed(pl, api.ToErrno(err))
 			m.mu.Unlock()
-			_ = m.p.Close(item.fd)
-			return
 		}
-		switch api.ToErrno(err) {
-		case api.EPIPE, api.EBADF, api.ECONNRESET:
-			// The worker died under us before the supervisor noticed.
-			// Take the slot out of rotation and dispatch to the next one
-			// instead of dropping the connection; the supervisor's reap
-			// does the respawn bookkeeping.
-			m.mu.Lock()
-			s.alive = false
-			m.core.passErr++
-			m.mu.Unlock()
-		case api.EAGAIN:
-			// Dispatch pipe momentarily full: bounded backoff, then retry
-			// (possibly on another worker).
-			m.clock.sleepUS(1000)
-		default:
-			m.shed503(item.fd)
+		switch next {
+		case dispatchShed:
+			m.send503(item.fd)
 			return
+		case dispatchBackoff:
+			m.sleep.sleepUS(1000)
 		}
 	}
 }
 
-// supervisor reaps dead workers and runs the respawn-budget bookkeeping.
+// supervisor reaps dead children and hands each to the core's exit
+// bookkeeping. The standby master is a child too; its exit is not a
+// worker's.
 func (m *fleetMaster) supervisor() {
 	for {
 		wr, err := m.p.Wait(-1)
@@ -519,72 +473,31 @@ func (m *fleetMaster) supervisor() {
 				return // master killed: nothing left to supervise
 			}
 			// ECHILD: no children right now (all reaped, respawns pending).
-			m.mu.Lock()
-			stopping := m.stopped || (m.draining && m.aliveLocked() == 0)
-			m.mu.Unlock()
-			if stopping {
-				close(m.supDone)
+			select {
+			case <-m.done:
 				return
+			default:
 			}
-			m.clock.sleepUS(5000)
+			m.sleep.sleepUS(5000)
 			continue
 		}
-		m.onChildExit(wr.PID)
-	}
-}
-
-func (m *fleetMaster) aliveLocked() int {
-	n := 0
-	for _, s := range m.core.slots {
-		if s.alive {
-			n++
+		if wr.PID == m.standbyPID {
+			continue
 		}
-	}
-	return n
-}
-
-// onChildExit updates the slot whose worker just died, delegating the
-// backoff/breaker/retire bookkeeping to the core. Crash accounting happens
-// exactly here (the dispatcher only marks slots dead), so each death is
-// counted once. A reaped PID with no slot is the standby master exiting —
-// nothing to do.
-func (m *fleetMaster) onChildExit(pid int) {
-	now := m.now()
-	m.mu.Lock()
-	var s *fleetSlot
-	for _, sl := range m.core.slots {
-		if sl.pid == pid {
-			s = sl
-			break
-		}
-	}
-	if s == nil {
+		now := nowUS(m.p)
+		m.mu.Lock()
+		wfd, sfd := m.core.exited(wr.PID, now)
 		m.mu.Unlock()
-		return
-	}
-	wfd, sfd := s.dispatchW, s.statusR
-	s.dispatchW, s.statusR = -1, -1
-	m.core.onExit(s, now)
-	m.mu.Unlock()
-	m.closeFDs(wfd, sfd)
-}
-
-func (m *fleetMaster) closeFDs(fds ...int) {
-	for _, fd := range fds {
-		if fd >= 0 {
-			_ = m.p.Close(fd)
-		}
+		m.closeFDs(wfd, sfd)
 	}
 }
 
-// readStatus consumes one worker's liveness bytes: 'r' on ready, 'd' per
-// completed request. Progress timestamps feed the wedge detector;
-// completions return dispatch credits. One thread per worker, because a
-// read through a network partition parks until the partition heals — a
-// single shared reader would let one wedged link starve every healthy
-// worker's bookkeeping. The thread ends at EOF (worker death or sandbox
-// secession: the supervisor handles the slot) or when the slot's pipe is
-// closed under it by a respawn.
+// readStatus feeds one worker's liveness bytes to the core. One thread per
+// worker, because a read through a network partition parks until the
+// partition heals — a single shared reader would let one wedged link
+// starve every healthy worker's bookkeeping. The thread ends at EOF (worker
+// death or sandbox secession: the supervisor handles the slot), when the
+// pipe is closed under it, or when the core says the slot has moved on.
 func (m *fleetMaster) readStatus(s *fleetSlot, pid, fd int) {
 	buf := make([]byte, 64)
 	for {
@@ -592,25 +505,13 @@ func (m *fleetMaster) readStatus(s *fleetSlot, pid, fd int) {
 		if n <= 0 || err != nil {
 			return
 		}
-		now := m.now()
+		now := nowUS(m.p)
 		m.mu.Lock()
-		if s.pid != pid {
-			m.mu.Unlock()
+		current := m.core.status(s, pid, buf[:n], now)
+		m.mu.Unlock()
+		if !current {
 			return
 		}
-		for _, b := range buf[:n] {
-			switch b {
-			case 'r':
-				s.lastProgressUS = now
-			case 'd':
-				if s.inflight > 0 {
-					s.inflight--
-				}
-				m.core.completed++
-				s.lastProgressUS = now
-			}
-		}
-		m.mu.Unlock()
 	}
 }
 
@@ -626,103 +527,90 @@ func (m *fleetMaster) killer() {
 			return
 		}
 		m.mu.Lock()
-		skip := false
-		if req.slot != nil {
-			if !req.slot.alive || req.slot.pid != req.pid {
-				skip = true // the worker already died and was replaced
-			}
-			if req.sig == api.SIGKILL && !req.slot.quarantined {
-				skip = true // quarantine lifted before the kill fired
-			}
-		}
+		due := m.core.killDue(req)
 		m.mu.Unlock()
-		if skip {
-			continue
+		if due {
+			_ = m.p.Kill(req.pid, req.sig)
 		}
-		_ = m.p.Kill(req.pid, req.sig)
 	}
 }
 
 // spawnSlot starts a worker for s. Runs outside the master lock (Spawn is
-// a checkpoint round trip).
+// a checkpoint round trip), so the worker can exit and be reaped before
+// spawned reports its PID; the core reconciles that.
 func (m *fleetMaster) spawnSlot(s *fleetSlot) {
+	pid, w, sr, err := m.spawnWorker(s.id)
+	now := nowUS(m.p)
+	m.mu.Lock()
+	live := false
+	if err != nil {
+		m.core.spawnFailed(s, now)
+	} else {
+		live = m.core.spawned(s, pid, w, sr, now)
+	}
+	m.mu.Unlock()
+	if !live {
+		m.closeFDs(w, sr)
+		return
+	}
+	_ = m.threader.SpawnThread(func() { m.readStatus(s, pid, sr) })
+}
+
+// spawnWorker creates the dispatch and status pipes and the worker process,
+// returning the master's ends (-1 on error).
+func (m *fleetMaster) spawnWorker(slot int) (pid, dispatchW, statusR int, err error) {
 	r, w, err := m.p.Pipe()
 	if err != nil {
-		return
+		return 0, -1, -1, err
 	}
 	sr, sw, err := m.p.Pipe()
 	if err != nil {
 		m.closeFDs(r, w)
-		return
+		return 0, -1, -1, err
 	}
-	for _, fd := range []int{r, w, sr, sw} {
-		m.noteFD(fd)
-	}
-	m.mu.Lock()
-	maxfd := m.maxFD + 16 // slack for descriptors raced in before checkpoint
-	m.mu.Unlock()
-	pid, err := m.p.Spawn("/bin/httpd-worker", []string{
+	maxfd := m.noteFDs(r, w, sr, sw) + 16 // slack for descriptors raced in before checkpoint
+	pid, err = m.p.Spawn("/bin/httpd-worker", []string{
 		"httpd-worker", strconv.Itoa(r), strconv.Itoa(sw), strconv.Itoa(maxfd),
-		strconv.Itoa(s.id), m.cfg.docroot,
+		strconv.Itoa(slot), m.cfg.docroot,
 	})
-	_ = m.p.Close(r)
-	_ = m.p.Close(sw)
+	m.closeFDs(r, sw)
 	if err != nil {
 		m.closeFDs(w, sr)
-		m.mu.Lock()
-		s.nextSpawnUS = m.now() + m.cfg.backoffMax
-		m.mu.Unlock()
-		return
+		return 0, -1, -1, err
 	}
-	now := m.now()
-	m.mu.Lock()
-	s.pid = pid
-	s.alive = true
-	s.dispatchW = w
-	s.statusR = sr
-	s.inflight = 0
-	s.startedUS = now
-	s.lastProgressUS = now
-	s.quarantined = false
-	s.retiring = false
-	s.nextKillUS = 0
-	m.core.spawns++
-	m.mu.Unlock()
-	_ = m.threader.SpawnThread(func() { m.readStatus(s, pid, sr) })
+	return pid, w, sr, nil
 }
 
-// maintenance is the master's periodic brain: it evaluates the
-// "fleet.master.kill" fault point, feeds the core one tick (scaler,
-// breaker probes, wedge quarantine, spawn/kill scheduling), applies the
-// returned actions, heartbeats the standby, and publishes the scoreboard.
+// maintenance is the master's periodic thread: it evaluates the
+// "fleet.master.kill" fault point, checks the drain triggers, feeds the
+// core one tick (scaler, breaker probes, wedge quarantine, spawn/kill
+// scheduling), applies the returned actions, heartbeats the standby, and
+// publishes the scoreboard.
 func (m *fleetMaster) maintenance(startUS int64) {
 	stopFile := m.cfg.scoreboard + ".stop"
-	tick := 0
-	hbEvery := int(m.cfg.hbUS / 5000)
-	if hbEvery < 1 {
-		hbEvery = 1
-	}
-	for !m.isStopped() {
-		if !m.alive() {
-			return // killed by chaos or a fault point: the standby takes over
+	hbEvery := max(1, int(m.cfg.hbUS/5000))
+	draining := false
+	for tick := 0; ; tick++ {
+		select {
+		case <-m.done:
+			return
+		default:
 		}
 		// The handover fault point: a Kill rule here crashes the master at
 		// a deterministic maintenance tick, mid-load.
-		m.faultPoint("fleet.master.kill")
-		now := m.now()
-
+		m.core.faultAt("fleet.master.kill")
+		now, err := m.p.Gettimeofday()
+		if err != nil {
+			return // killed by chaos or a fault point: the standby takes over
+		}
 		// Drain trigger: fixed duration or operator stop file.
-		if !m.isDraining() {
-			expired := m.cfg.runUS > 0 && now-startUS > m.cfg.runUS
-			stopped := false
-			if _, err := m.p.Stat(stopFile); err == nil {
-				stopped = true
-			}
-			if expired || stopped {
-				m.initiateDrain()
+		if !draining {
+			_, statErr := m.p.Stat(stopFile)
+			if statErr == nil || (m.cfg.runUS > 0 && now-startUS > m.cfg.runUS) {
+				draining = true
+				m.beginDrain()
 			}
 		}
-
 		m.mu.Lock()
 		acts := m.core.tick(now, len(m.queue))
 		m.mu.Unlock()
@@ -741,37 +629,20 @@ func (m *fleetMaster) maintenance(startUS int64) {
 		if tick%4 == 0 {
 			m.writeScoreboard()
 		}
-		tick++
-		m.clock.sleepUS(5000)
+		m.sleep.sleepUS(5000)
 	}
 }
 
-// faultPoint routes a named decision point through the personality's
-// fault surface (no-op off-Graphene or without a plan).
-func (m *fleetMaster) faultPoint(name string) {
-	if fp, ok := m.p.(api.FaultPointer); ok {
-		fp.FaultPoint(name)
-	}
-}
-
-// initiateDrain flips the fleet into drain mode and wakes the accept loop
-// with a self-connect (there is no way to interrupt a blocked accept).
-func (m *fleetMaster) initiateDrain() {
+// beginDrain flips the fleet into drain mode, tells the standby this is a
+// planned shutdown rather than a death to take over from, and wakes the
+// accept loop with a self-connect (there is no way to interrupt a blocked
+// accept). Maintenance thread only.
+func (m *fleetMaster) beginDrain() {
 	m.mu.Lock()
-	if m.draining {
-		m.mu.Unlock()
-		return
-	}
-	m.draining = true
-	m.core.draining = true
+	m.core.beginDrain()
 	m.mu.Unlock()
-	// Tell the standby this is a planned shutdown, not a death to take
-	// over from.
-	m.mu.Lock()
-	hbW := m.hbW
-	m.mu.Unlock()
-	if hbW >= 0 {
-		_ = writeAll(m.p, hbW, []byte{'q'})
+	if m.hbW >= 0 {
+		_ = writeAll(m.p, m.hbW, []byte{'q'})
 	}
 	if fd, err := m.p.Connect(m.cfg.addr); err == nil {
 		_ = m.p.Close(fd)
@@ -782,117 +653,53 @@ func (m *fleetMaster) initiateDrain() {
 // sheds or places everything left), wait for in-flight requests, then
 // terminate and reap the fleet.
 func (m *fleetMaster) drain() {
-	deadline := m.now() + m.cfg.drainUS
-	for m.now() < deadline {
-		m.mu.Lock()
-		busy := len(m.queue) > 0
-		for _, s := range m.core.slots {
-			if s.alive && s.inflight > 0 {
-				busy = true
-			}
-		}
-		m.mu.Unlock()
-		if !busy {
-			break
-		}
-		m.clock.sleepUS(5000)
-	}
+	m.await(func() bool { return len(m.queue) == 0 && m.core.inflightTotal() == 0 })
 	// Terminate idle workers; SIGTERM's default disposition is fatal.
 	m.mu.Lock()
-	var live []killReq
-	for _, s := range m.core.slots {
-		if s.alive && s.pid > 0 {
-			live = append(live, killReq{pid: s.pid, sig: api.SIGTERM, slot: s})
-		}
-	}
+	live := m.core.terminateAll()
 	m.mu.Unlock()
 	for _, req := range live {
 		m.killCh <- req
 	}
-	// The supervisor reaps every death and closes supDone once no
-	// children remain; cap the wait so a kill lost to a partition cannot
-	// wedge shutdown.
-	waitUntil := m.now() + m.cfg.drainUS
-	for {
-		select {
-		case <-m.supDone:
-		default:
-			if m.now() < waitUntil {
-				m.clock.sleepUS(5000)
-				continue
-			}
-		}
-		break
-	}
-	m.mu.Lock()
-	m.stopped = true
-	m.mu.Unlock()
+	// Wait for the supervisor to reap every death.
+	m.await(m.core.drained)
 	close(m.done) // killCh stays open: racing senders must never panic
 	m.writeScoreboard()
 }
 
-// writeScoreboard publishes fleet state as a single rename-swapped line:
-//
-//	gen=… draining=… workers=… alive=… healthy=… quarantined=… breaker=…
-//	spawns=… respawns=… crashes=… dispatched=… completed=… shed=…
-//	passerr=… target=… scaleups=… scaledowns=… epoch=… takeovers=… pids=…
-//
-// The rename swap is what lets a promoted standby adopt the scoreboard:
-// its first publish atomically replaces the dead primary's last line, so
-// readers never see a torn or stale-generation mix.
+// await polls cond under the master lock every 5 ms until it holds, drain_ms
+// pass (a kill lost to a partition must not wedge shutdown) or the clock
+// fails (a killed master's threads must not spin).
+func (m *fleetMaster) await(cond func() bool) {
+	deadline := nowUS(m.p) + m.cfg.drainUS
+	for {
+		if now, err := m.p.Gettimeofday(); err != nil || now >= deadline {
+			return
+		}
+		m.mu.Lock()
+		ok := cond()
+		m.mu.Unlock()
+		if ok {
+			return
+		}
+		m.sleep.sleepUS(5000)
+	}
+}
+
+// writeScoreboard publishes the core's scoreboard line by rename swap,
+// which is what lets a promoted standby adopt the scoreboard: its first
+// publish atomically replaces the dead primary's last line. Render, write
+// and rename are one critical section: the periodic publish and drain's
+// final one share the temp file, and an older line must not land last.
 func (m *fleetMaster) writeScoreboard() {
+	m.sbMu.Lock()
+	defer m.sbMu.Unlock()
 	m.mu.Lock()
-	m.gen++
-	alive, healthy, quarantined, breaker := 0, 0, 0, 0
-	var pids []string
-	for _, s := range m.core.slots {
-		if s.alive {
-			alive++
-			pids = append(pids, strconv.Itoa(s.pid))
-		}
-		if s.alive && !s.quarantined && !s.breakerOpen {
-			healthy++
-		}
-		if s.quarantined {
-			quarantined++
-		}
-		if s.breakerOpen {
-			breaker++
-		}
-	}
-	respawns := m.core.spawns - m.cfg.nworkers
-	if respawns < 0 {
-		respawns = 0
-	}
-	draining := 0
-	if m.draining {
-		draining = 1
-	}
-	line := "gen=" + strconv.Itoa(m.gen) +
-		" draining=" + strconv.Itoa(draining) +
-		" workers=" + strconv.Itoa(m.cfg.nworkers) +
-		" alive=" + strconv.Itoa(alive) +
-		" healthy=" + strconv.Itoa(healthy) +
-		" quarantined=" + strconv.Itoa(quarantined) +
-		" breaker=" + strconv.Itoa(breaker) +
-		" spawns=" + strconv.Itoa(m.core.spawns) +
-		" respawns=" + strconv.Itoa(respawns) +
-		" crashes=" + strconv.Itoa(m.core.crashes) +
-		" dispatched=" + strconv.Itoa(m.core.dispatched) +
-		" completed=" + strconv.Itoa(m.core.completed) +
-		" shed=" + strconv.Itoa(m.core.shed) +
-		" passerr=" + strconv.Itoa(m.core.passErr) +
-		" target=" + strconv.Itoa(m.core.target) +
-		" scaleups=" + strconv.Itoa(m.core.scaleUps) +
-		" scaledowns=" + strconv.Itoa(m.core.scaleDowns) +
-		" epoch=" + strconv.FormatInt(m.epoch, 10) +
-		" takeovers=" + strconv.Itoa(m.takeovers) +
-		" pids=" + strings.Join(pids, ",") + "\n"
-	sb := m.cfg.scoreboard
+	line := m.core.scoreboard(m.epoch, m.takeovers)
 	m.mu.Unlock()
-	tmp := sb + ".tmp"
+	tmp := m.cfg.scoreboard + ".tmp"
 	if err := writeFile(m.p, tmp, []byte(line)); err != nil {
 		return
 	}
-	_ = m.p.Rename(tmp, sb)
+	_ = m.p.Rename(tmp, m.cfg.scoreboard)
 }

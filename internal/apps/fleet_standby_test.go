@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,7 +13,7 @@ import (
 // Live tests for the elastic scaler and the hot-standby master, on the
 // Graphene personality (the fault plane that kills a master at a named
 // point is host-level, so only picoprocesses can run the kill scenario).
-// Timing *policy* is pinned by the fake-clock sim (fleet_sim_test.go);
+// Timing *policy* is pinned by the virtual-clock sim (fleet_sim_test.go);
 // these tests pin the wiring: real spawns, real listener handover, a real
 // election round, real scoreboard adoption.
 
@@ -198,4 +200,104 @@ func TestFleetTakeoverWithinElectionWindow(t *testing.T) {
 	waitBoard(t, e, 10*time.Second, "drained", func(l string) bool {
 		return scoreboardField(l, "draining") == 1 && scoreboardField(l, "alive") == 0
 	})
+}
+
+// TestFleetStandbyDrainOutlivesHeartbeat: a planned drain tells the standby
+// 'q', the standby exits at once, and the drain itself may take far longer
+// than one heartbeat interval (here a wedged worker holds its request for
+// the whole drain_ms). The heartbeat into the exited standby's pipe is an
+// EPIPE the master shrugs off; it used to be a fatal SIGPIPE that killed
+// the master mid-drain, leaving a stale scoreboard as the fleet's last word.
+func TestFleetStandbyDrainOutlivesHeartbeat(t *testing.T) {
+	e, _ := grapheneFleet(t)
+	seedDocroot(t, e)
+	wait, _, err := e.startMaster(fleetArgs("127.0.0.1:8214", 1,
+		"standby=1", "hb_ms=5", "wedge_ms=10000", "drain_ms=300"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitBoard(t, e, 5*time.Second, "alive=1", func(l string) bool {
+		return scoreboardField(l, "alive") == 1
+	})
+	if _, err := e.launch("/bin/get1", []string{"get1", "127.0.0.1:8214", "/__wedge"}); err != nil {
+		t.Fatal(err)
+	}
+	waitBoard(t, e, 5*time.Second, "wedge request placed", func(l string) bool {
+		return scoreboardField(l, "dispatched") == 1
+	})
+	drainFleet(t, e, wait)
+	waitBoard(t, e, 2*time.Second, "final scoreboard", func(l string) bool {
+		return scoreboardField(l, "draining") == 1 && scoreboardField(l, "alive") == 0
+	})
+}
+
+// TestFleetStandbyInheritsEveryKnob: a standby runs under the primary's
+// exact tuning. The handover is the primary's argv verbatim plus the role
+// plumbing, so for every key fleetConfigFrom reads, the standby's parsed
+// config must equal the primary's — and the table must cover every
+// fleetConfig field, so a knob added later cannot be left out of it.
+func TestFleetStandbyInheritsEveryKnob(t *testing.T) {
+	knobs := []string{
+		"queue=7", "cap=3", "shed_ms=41", "wedge_ms=42", "kill_grace_ms=43", "kill_retry_ms=44",
+		"min_healthy_ms=45", "breaker=5", "cooldown_ms=46", "backoff_ms=47", "backoff_max_ms=48",
+		"max=9", "scale_up_queue=6", "up_cooldown_ms=49", "idle_ms=50", "down_cooldown_ms=51",
+		"seed=99", "standby=1", "hb_ms=52", "run_ms=53", "sb=/elsewhere", "drain_ms=54",
+	}
+	plumbing := map[string]bool{"knobs": true, "role": true, "hbFD": true, "ctlFD": true,
+		"takeovers": true, "maxFDHint": true}
+	base := []string{"httpd-fleet", "10.0.0.1:80", "3", "/docroot"}
+	defaults, _ := fleetConfigFrom([]string{"httpd-fleet", "", "4", ""})
+	fields := func(cfg fleetConfig) map[string]string {
+		out := map[string]string{}
+		v := reflect.ValueOf(cfg)
+		for i := 0; i < v.NumField(); i++ {
+			if name := v.Type().Field(i).Name; !plumbing[name] {
+				out[name] = fmt.Sprint(v.Field(i))
+			}
+		}
+		return out
+	}
+	defaultFields := fields(defaults)
+	covered := map[string]bool{}
+	check := func(name string, argv []string) {
+		primary, ok := fleetConfigFrom(argv)
+		if !ok {
+			t.Fatalf("%s: primary argv rejected", name)
+		}
+		standby, ok := fleetConfigFrom(standbyArgv(primary, 11, 12, 1, 40))
+		if !ok || standby.role != "standby" || standby.hbFD != 11 || standby.ctlFD != 12 ||
+			standby.takeovers != 1 || standby.maxFDHint != 40 {
+			t.Fatalf("%s: standby plumbing wrong: %+v", name, standby)
+		}
+		// A promoted standby spawns its own: the plumbing is last-wins.
+		chained, _ := fleetConfigFrom(standbyArgv(standby, 21, 22, 2, 50))
+		if chained.hbFD != 21 || chained.ctlFD != 22 || chained.takeovers != 2 || chained.maxFDHint != 50 {
+			t.Fatalf("%s: chained standby plumbing wrong: %+v", name, chained)
+		}
+		want := fields(primary)
+		for _, got := range []map[string]string{fields(standby), fields(chained)} {
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: standby config diverged:\n got %v\nwant %v", name, got, want)
+			}
+		}
+		changed := false
+		for f, v := range want {
+			if v != defaultFields[f] {
+				covered[f], changed = true, true
+			}
+		}
+		if !changed {
+			t.Fatalf("%s: changed nothing fleetConfigFrom reads", name)
+		}
+	}
+	check("positional", base)
+	for _, kv := range knobs {
+		check(kv, append(append([]string{}, base...), kv))
+	}
+	check("all", append(append([]string{}, base...), knobs...))
+	for f := range defaultFields {
+		if !covered[f] {
+			t.Errorf("fleetConfig.%s is set by no key in this table", f)
+		}
+	}
 }

@@ -492,7 +492,7 @@ func TestFleetShedsOverload(t *testing.T) {
 
 // The wedge-quarantine lifecycle (quarantine after wedge_ms, kill after
 // kill_grace_ms, replacement) is timing policy, and timing policy is
-// tested on the fake clock: TestSimWedgeQuarantineKillReplace asserts the
+// tested on the virtual clock: TestSimWedgeQuarantineKillReplace asserts the
 // exact virtual timestamps of every transition with zero real sleeps. The
 // end-to-end /__wedge path stays covered by TestFleetShedsOverload and
 // TestFleetQuarantinePartitionHeals, which wait on events, not timers.
@@ -710,5 +710,47 @@ func TestFleetSLOUnderChaos(t *testing.T) {
 			}
 			drainFleet(t, e, wait)
 		})
+	}
+}
+
+// TestFleetLoadgenSurvivesPeerClose: a request written to a connection the far
+// side has already closed (a worker killed between the pass and the
+// client's write) is one "err" sample. It used to be a fatal SIGPIPE: the
+// generator's process died under its threads, which then span forever on a
+// clock that only returned errors — the test that launched it hung, and
+// the samples it kept emitting landed in every later test's sink.
+func TestFleetLoadgenSurvivesPeerClose(t *testing.T) {
+	e, g := grapheneFleet(t)
+	slamDoor := func(p api.OS, argv []string) int {
+		lfd, err := p.Listen("127.0.0.1:8213")
+		if err != nil {
+			return 1
+		}
+		for {
+			conn, err := p.Accept(lfd)
+			if err != nil {
+				return 0
+			}
+			_ = p.Close(conn)
+		}
+	}
+	if err := g.rt.RegisterProgram("/bin/slamdoor", slamDoor); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.launch("/bin/slamdoor", []string{"slamdoor"}); err != nil {
+		t.Fatal(err)
+	}
+	c := installSink(t, nil)
+	for c.errs.Load() == 0 { // until the listener is up and slamming
+		lg, err := e.launch("/bin/loadgen", []string{"loadgen", "127.0.0.1:8213", "/x", "0", "100", "2"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := lg(t); code != 0 {
+			t.Fatalf("loadgen exit = %d", code)
+		}
+	}
+	if c.ok.Load() != 0 || c.shed.Load() != 0 {
+		t.Fatalf("closed connections classified ok=%d shed=%d", c.ok.Load(), c.shed.Load())
 	}
 }

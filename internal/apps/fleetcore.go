@@ -2,24 +2,27 @@ package apps
 
 import (
 	"strconv"
+	"strings"
 
 	"graphene/internal/api"
 	"graphene/internal/host"
 )
 
-// fleetCore is the fleet supervisor's decision core: every timing- and
-// placement-sensitive choice (respawn backoff, circuit breakers, wedge
-// quarantine, power-of-two dispatch, elastic scaling) lives here as a
-// deterministic state machine over slot records, an explicit clock value,
-// and a seeded RNG. The live master (fleet.go) is an I/O shell around it:
-// it feeds real time and real child exits in and applies the returned
-// actions with real spawns and kills. The test harness (fleet_sim_test.go)
-// drives the same core single-threaded on a fake clock, which is what
-// makes the supervisor's timing behavior testable without real sleeps and
-// the scaler's decision sequence reproducible from (FaultPlan, seed) alone.
+// fleetCore is the fleet supervisor's whole state machine. Every event the
+// master observes — a connection to place, a failed pass, status bytes, a
+// spawn completing or failing, a child exiting, a kill coming due, the
+// maintenance tick, drain, the scoreboard publish — is one handler here,
+// and the handlers are the only code that writes a fleetSlot or fleetCore
+// field. The live master (fleet.go) keeps one thread per blocking syscall
+// and does lock → one handler → unlock → the I/O it returned; the simulator
+// (fleet_sim_test.go) calls the identical handlers single-threaded on a
+// virtual clock, so an ordering the shell can produce is one the simulator
+// can replay at exact timestamps. The core takes no lock and reads no
+// clock: the shell guards it with the master mutex and passes the time in.
 //
-// Locking: the core does not lock. The live shell guards it with the
-// master mutex; the simulation is single-threaded.
+// Two ordering rules live in the handlers because the shell's threads
+// cannot enforce them: credit before pass (place, passFailed) and exit may
+// precede spawned (exited, spawned).
 
 // xorshift is the seeded RNG behind power-of-two-choices sampling. A
 // local generator (not math/rand) so the dispatch decision sequence is
@@ -42,6 +45,42 @@ func (x *xorshift) next() uint64 {
 
 func (x *xorshift) intn(n int) int { return int(x.next() % uint64(n)) }
 
+// fleetSlot is one worker position in the fleet.
+type fleetSlot struct {
+	id  int
+	pid int
+
+	alive     bool
+	spawning  bool // a spawn action is out; spawned/spawnFailed clears it
+	hasExited bool // a worker of this slot has exited before
+	dispatchW int  // master's write end of the dispatch pipe
+	statusR   int  // master's read end of the status pipe
+
+	inflight       int
+	startedUS      int64
+	lastProgressUS int64
+
+	quarantined     bool
+	quarantinedAtUS int64
+	nextKillUS      int64
+
+	// retiring marks a worker draining toward a scale-down SIGTERM: no
+	// new dispatch, terminated once its in-flight requests complete.
+	retiring bool
+
+	fastCrashes    int
+	breakerOpen    bool
+	breakerUntilUS int64
+	probing        bool
+	nextSpawnUS    int64
+}
+
+type killReq struct {
+	pid  int
+	sig  api.Signal
+	slot *fleetSlot
+}
+
 // fleetEvent is one scaler/handover decision in the core's flight log.
 type fleetEvent struct {
 	atUS int64
@@ -54,6 +93,25 @@ type coreActions struct {
 	kill  []killReq
 }
 
+// placement is one reserved dispatch credit: the slot it was taken on, the
+// worker incarnation (so a credit outliving its worker is not returned to
+// the replacement), and the dispatch pipe to pass the connection down.
+type placement struct {
+	slot *fleetSlot
+	pid  int
+	fd   int
+}
+
+// dispatchNext is what the dispatcher does with a connection next.
+type dispatchNext int
+
+const (
+	dispatchPass    dispatchNext = iota // pass it down placement.fd
+	dispatchRetry                       // place it again now
+	dispatchBackoff                     // place it again after a short sleep
+	dispatchShed                        // answer ERR 503 and close it
+)
+
 type fleetCore struct {
 	cfg   fleetConfig
 	slots []*fleetSlot
@@ -63,8 +121,10 @@ type fleetCore struct {
 	// id < target are kept alive, slots at or above it drain and retire.
 	target   int
 	draining bool
+	gen      int // scoreboard generation
 
 	spawns     int
+	respawns   int
 	crashes    int
 	dispatched int
 	completed  int
@@ -72,6 +132,15 @@ type fleetCore struct {
 	passErr    int
 	scaleUps   int
 	scaleDowns int
+
+	// creditUnderflow counts 'd' bytes that found no credit to return. The
+	// credit-before-pass rule makes that unreachable; the simulator asserts
+	// it stays 0.
+	creditUnderflow int
+
+	// earlyExits holds reaped PIDs no slot owned at reap time, at most one
+	// per spawn in flight; spawned consumes them.
+	earlyExits map[int]bool
 
 	scaleShedMark int   // shed count already attributed to a scaler look
 	idleSinceUS   int64 // when the fleet last went fully idle
@@ -87,16 +156,18 @@ type fleetCore struct {
 	fault func(point string) int
 }
 
-func newFleetCore(cfg fleetConfig, startUS int64) *fleetCore {
+func newFleetCore(cfg fleetConfig, startUS int64, fault func(point string) int) *fleetCore {
 	c := &fleetCore{
 		cfg:         cfg,
 		rng:         newXorshift(cfg.seed),
 		target:      cfg.nworkers,
 		idleSinceUS: startUS,
+		fault:       fault,
 	}
 	// All slot records exist up front (identity = position): the scaler
 	// moves the target prefix, it never reshapes the slice, so slot
 	// pointers held by dispatch/status threads stay valid across scaling.
+	c.earlyExits = map[int]bool{}
 	for i := 0; i < cfg.maxWorkers; i++ {
 		c.slots = append(c.slots, &fleetSlot{id: i, dispatchW: -1, statusR: -1})
 	}
@@ -133,12 +204,11 @@ func (s *fleetSlot) eligible(cap int) bool {
 		s.inflight < cap
 }
 
-// pick places one connection by power-of-two-choices over dispatch
-// credits: sample two distinct eligible workers, dispatch to the less
-// loaded (ties to the lower id). O(1) sampling beats the previous
-// least-loaded full scan at 64+ workers while keeping max load within
-// O(log log n) of optimal; with ≤2 eligible workers it degenerates to the
-// exact least-loaded choice.
+// pick chooses a worker by power-of-two-choices over dispatch credits:
+// sample two distinct eligible workers, take the less loaded (ties to the
+// lower id). O(1) sampling beats a least-loaded full scan at 64+ workers
+// while keeping max load within O(log log n) of optimal; with ≤2 eligible
+// workers it degenerates to the exact least-loaded choice.
 func (c *fleetCore) pick() *fleetSlot {
 	elig := c.eligBuf[:0]
 	for _, s := range c.slots {
@@ -171,12 +241,153 @@ func lessLoaded(a, b *fleetSlot) *fleetSlot {
 	return a
 }
 
-// onExit runs the crash bookkeeping when s's worker is reaped: respawn
-// backoff per consecutive fast crash, breaker trip on a crash loop, and
-// the planned-exit cases (drain, retire) that must not count as crashes.
+// place decides one queued connection: shed it if it has waited past its
+// deadline, otherwise pick a worker and reserve the credit in this same
+// step. dispatched counts the reservation; passFailed takes it back, so at
+// rest it counts successful passes only.
+func (c *fleetCore) place(now, arrivalUS int64) (placement, dispatchNext) {
+	if now-arrivalUS > c.cfg.shedUS {
+		c.shed++
+		return placement{}, dispatchShed
+	}
+	s := c.pick()
+	if s == nil {
+		return placement{}, dispatchBackoff
+	}
+	if s.inflight == 0 {
+		// The no-progress window of an idle worker starts when it is handed
+		// work, not when it last finished some.
+		s.lastProgressUS = now
+	}
+	s.inflight++
+	c.dispatched++
+	return placement{slot: s, pid: s.pid, fd: s.dispatchW}, dispatchPass
+}
+
+// passFailed returns the credit of a connection that never reached its
+// worker. EPIPE/EBADF/ECONNRESET mean the worker died (or seceded) before
+// the supervisor noticed: the slot leaves rotation and the connection goes
+// to another worker; the reap does the crash bookkeeping. EAGAIN is a
+// momentarily full dispatch pipe.
+func (c *fleetCore) passFailed(pl placement, errno api.Errno) dispatchNext {
+	s := pl.slot
+	same := s.pid == pl.pid // else exited already cleared the credit
+	c.dispatched--
+	if same && s.inflight > 0 {
+		s.inflight--
+	}
+	switch errno {
+	case api.EPIPE, api.EBADF, api.ECONNRESET:
+		if same {
+			s.alive = false
+		}
+		c.passErr++
+		return dispatchRetry
+	case api.EAGAIN:
+		return dispatchBackoff
+	}
+	c.shed++
+	return dispatchShed
+}
+
+// overflow books a connection shed at accept because the queue was full.
+func (c *fleetCore) overflow() { c.shed++ }
+
+// status consumes liveness bytes read from worker pid's status pipe: 'r'
+// on ready, 'd' per completed request. Progress timestamps feed the wedge
+// detector; completions return dispatch credits. False means the slot has
+// moved on to another worker and the reader should stop.
+func (c *fleetCore) status(s *fleetSlot, pid int, bytes []byte, now int64) bool {
+	if s.pid != pid {
+		return false
+	}
+	for _, b := range bytes {
+		switch b {
+		case 'd':
+			if s.inflight > 0 {
+				s.inflight--
+			} else {
+				c.creditUnderflow++
+			}
+			c.completed++
+			s.lastProgressUS = now
+		case 'r':
+			s.lastProgressUS = now
+		}
+	}
+	return true
+}
+
+func (c *fleetCore) spawnsInFlight() int {
+	n := 0
+	for _, s := range c.slots {
+		if s.spawning {
+			n++
+		}
+	}
+	return n
+}
+
+// spawned installs worker pid in s. False means pid was already reaped
+// (exit preceded spawned): the death is booked here, once, the slot is
+// dead with pid 0, and the caller closes the pipes it still holds.
+func (c *fleetCore) spawned(s *fleetSlot, pid, dispatchW, statusR int, now int64) bool {
+	// Credits, quarantine and retirement were cleared by the previous
+	// worker's onExit; a slot is never spawned before that ran.
+	s.spawning = false
+	s.pid = pid
+	s.alive = true
+	s.startedUS = now
+	s.lastProgressUS = now
+	c.spawns++
+	if s.hasExited {
+		c.respawns++
+	}
+	early := c.earlyExits[pid]
+	delete(c.earlyExits, pid)
+	if c.spawnsInFlight() == 0 {
+		clear(c.earlyExits) // whatever is left was never a worker
+	}
+	if early {
+		c.onExit(s, now)
+		return false
+	}
+	s.dispatchW, s.statusR = dispatchW, statusR
+	return true
+}
+
+// spawnFailed backs the slot off after a spawn that produced no worker.
+func (c *fleetCore) spawnFailed(s *fleetSlot, now int64) {
+	s.spawning = false
+	s.nextSpawnUS = now + c.cfg.backoffMax
+}
+
+// exited books the reaped child pid and returns the slot's pipe ends for
+// the shell to close (-1 = none). Crash accounting happens exactly here,
+// so each death is counted once. A PID no slot owns is remembered while a
+// spawn is in flight (it may be that spawn's worker) and dropped otherwise.
+func (c *fleetCore) exited(pid int, now int64) (dispatchW, statusR int) {
+	for _, s := range c.slots {
+		if s.pid == pid {
+			dispatchW, statusR = s.dispatchW, s.statusR
+			s.dispatchW, s.statusR = -1, -1
+			c.onExit(s, now)
+			return dispatchW, statusR
+		}
+	}
+	if len(c.earlyExits) < c.spawnsInFlight() {
+		c.earlyExits[pid] = true
+	}
+	return -1, -1
+}
+
+// onExit is the crash bookkeeping: respawn backoff per consecutive fast
+// crash, breaker trip on a crash loop, and the planned-exit cases (drain,
+// retire) that must not count as crashes.
 func (c *fleetCore) onExit(s *fleetSlot, now int64) {
 	retiring := s.retiring
 	s.alive = false
+	s.hasExited = true
 	s.pid = 0
 	s.inflight = 0
 	s.quarantined = false
@@ -212,6 +423,19 @@ func (c *fleetCore) onExit(s *fleetSlot, now int64) {
 	}
 }
 
+// killDue reports whether a kill the tick scheduled should still be sent
+// by the time the killer thread gets to it.
+func (c *fleetCore) killDue(req killReq) bool {
+	s := req.slot
+	if !s.alive || s.pid != req.pid {
+		return false // the worker already died and was replaced
+	}
+	if req.sig == api.SIGKILL {
+		return s.quarantined // else quarantine lifted before the kill fired
+	}
+	return s.retiring || c.draining // else a scale-up reclaimed the worker
+}
+
 // inflightTotal sums live dispatch credits in use.
 func (c *fleetCore) inflightTotal() int {
 	n := 0
@@ -222,6 +446,36 @@ func (c *fleetCore) inflightTotal() int {
 	}
 	return n
 }
+
+func (c *fleetCore) aliveCount() int {
+	n := 0
+	for _, s := range c.slots {
+		if s.alive {
+			n++
+		}
+	}
+	return n
+}
+
+// beginDrain flips the fleet into drain mode: ticks stop acting and exits
+// stop counting as crashes.
+func (c *fleetCore) beginDrain() { c.draining = true }
+
+// terminateAll lists a SIGTERM for every live worker, for the end of drain
+// (entering drain mode if a failed accept got here without the trigger).
+func (c *fleetCore) terminateAll() []killReq {
+	c.draining = true
+	var out []killReq
+	for _, s := range c.slots {
+		if s.alive && s.pid > 0 {
+			out = append(out, killReq{pid: s.pid, sig: api.SIGTERM, slot: s})
+		}
+	}
+	return out
+}
+
+// drained reports that a draining fleet has no worker left to reap.
+func (c *fleetCore) drained() bool { return c.draining && c.aliveCount() == 0 }
 
 // scale is the elastic policy, evaluated once per maintenance tick:
 //   - up on pressure (queue depth at the accept side, or sheds since the
@@ -304,8 +558,11 @@ func (c *fleetCore) tick(now int64, queueLen int) coreActions {
 		} else if s.retiring && s.id < c.target {
 			s.retiring = false
 		}
-		// Spawn-due: dead slot inside the target prefix, backoff elapsed.
-		if s.id < c.target && !s.alive && !s.breakerOpen && s.pid == 0 && now >= s.nextSpawnUS {
+		// Spawn-due: dead slot inside the target prefix, backoff elapsed,
+		// the previous worker reaped and no spawn already out.
+		if s.id < c.target && !s.alive && !s.breakerOpen && s.pid == 0 && !s.spawning &&
+			now >= s.nextSpawnUS {
+			s.spawning = true
 			acts.spawn = append(acts.spawn, s)
 		}
 		// Retiring worker fully drained: terminate it (retried, in case
@@ -334,4 +591,50 @@ func (c *fleetCore) tick(now int64, queueLen int) coreActions {
 		}
 	}
 	return acts
+}
+
+// scoreboard renders the next generation of the published fleet state, a
+// single "key=value ..." line that tests, internal/bench and benchmark/
+// parse by key. respawns counts spawns into a slot whose earlier worker
+// exited; epoch and takeovers are the master's takeover lineage.
+func (c *fleetCore) scoreboard(epoch int64, takeovers int) string {
+	c.gen++
+	var alive, healthy, quarantined, breaker, draining int64
+	var pids []string
+	for _, s := range c.slots {
+		if s.alive {
+			alive++
+			pids = append(pids, strconv.Itoa(s.pid))
+			if !s.quarantined && !s.breakerOpen {
+				healthy++
+			}
+		}
+		if s.quarantined {
+			quarantined++
+		}
+		if s.breakerOpen {
+			breaker++
+		}
+	}
+	if c.draining {
+		draining = 1
+	}
+	fields := []struct {
+		key string
+		v   int64
+	}{
+		{"gen", int64(c.gen)}, {"draining", draining}, {"workers", int64(c.cfg.nworkers)},
+		{"alive", alive}, {"healthy", healthy}, {"quarantined", quarantined},
+		{"breaker", breaker}, {"spawns", int64(c.spawns)}, {"respawns", int64(c.respawns)},
+		{"crashes", int64(c.crashes)}, {"dispatched", int64(c.dispatched)},
+		{"completed", int64(c.completed)}, {"shed", int64(c.shed)}, {"passerr", int64(c.passErr)},
+		{"target", int64(c.target)}, {"scaleups", int64(c.scaleUps)},
+		{"scaledowns", int64(c.scaleDowns)}, {"epoch", epoch}, {"takeovers", int64(takeovers)},
+	}
+	var line strings.Builder
+	for _, f := range fields {
+		line.WriteString(f.key + "=" + strconv.FormatInt(f.v, 10) + " ")
+	}
+	line.WriteString("pids=" + strings.Join(pids, ",") + "\n")
+	return line.String()
 }

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"bytes"
 	"strconv"
 
 	"graphene/internal/api"
@@ -27,44 +28,20 @@ import (
 // cache. Handover cost is therefore one election window plus nworkers
 // sub-millisecond spawns.
 
-// knobArgs re-encodes the parsed config as key=value argv entries so a
-// spawned standby runs under the primary's exact tuning (including the
-// p2c seed, which the determinism gate depends on).
-func (cfg fleetConfig) knobArgs() []string {
-	msArg := func(key string, us int64) string {
-		return key + "=" + strconv.FormatInt(us/1000, 10)
-	}
-	intArg := func(key string, v int) string {
-		return key + "=" + strconv.Itoa(v)
-	}
-	standby := 0
-	if cfg.standby {
-		standby = 1
-	}
-	return []string{
-		intArg("queue", cfg.queueDepth),
-		intArg("cap", cfg.perWorkerCap),
-		msArg("shed_ms", cfg.shedUS),
-		msArg("wedge_ms", cfg.wedgeUS),
-		msArg("kill_grace_ms", cfg.killGraceUS),
-		msArg("kill_retry_ms", cfg.killRetryUS),
-		msArg("min_healthy_ms", cfg.minHealthyUS),
-		intArg("breaker", cfg.breakerTrips),
-		msArg("cooldown_ms", cfg.cooldownUS),
-		msArg("backoff_ms", cfg.backoffBase),
-		msArg("backoff_max_ms", cfg.backoffMax),
-		intArg("max", cfg.maxWorkers),
-		intArg("scale_up_queue", cfg.scaleUpQueue),
-		msArg("up_cooldown_ms", cfg.upCooldownUS),
-		msArg("idle_ms", cfg.idleUS),
-		msArg("down_cooldown_ms", cfg.downCooldownUS),
-		intArg("seed", int(cfg.seed)),
-		intArg("standby", standby),
-		msArg("hb_ms", cfg.hbUS),
-		msArg("run_ms", cfg.runUS),
-		"sb=" + cfg.scoreboard,
-		msArg("drain_ms", cfg.drainUS),
-	}
+// standbyArgv is the standby's command line: the primary's own arguments
+// verbatim — every knob, whatever gets added later — followed by the role
+// plumbing. parseKV is last-wins, so a promoted standby's own standby,
+// whose inherited knobs already carry a role= set, still parses right.
+func standbyArgv(cfg fleetConfig, hbR, ctlR, takeovers, maxfd int) []string {
+	argv := []string{"httpd-fleet", string(cfg.addr), strconv.Itoa(cfg.nworkers), cfg.docroot}
+	argv = append(argv, cfg.knobs...)
+	return append(argv,
+		"role=standby",
+		"hb="+strconv.Itoa(hbR),
+		"ctl="+strconv.Itoa(ctlR),
+		"takeover="+strconv.Itoa(takeovers),
+		"maxfd="+strconv.Itoa(maxfd),
+	)
 }
 
 // spawnStandby starts the hot standby and hands it the listen socket.
@@ -79,27 +56,13 @@ func (m *fleetMaster) spawnStandby(lfd int) {
 		m.closeFDs(hbR, hbW)
 		return
 	}
-	for _, fd := range []int{hbR, hbW, ctlR, ctlW} {
-		m.noteFD(fd)
-	}
-	m.mu.Lock()
-	maxfd := m.maxFD + 16
-	m.mu.Unlock()
-	argv := []string{
-		"httpd-fleet", string(m.cfg.addr), strconv.Itoa(m.cfg.nworkers), m.cfg.docroot,
-	}
-	argv = append(argv, m.cfg.knobArgs()...)
-	argv = append(argv,
-		"role=standby",
-		"hb="+strconv.Itoa(hbR),
-		"ctl="+strconv.Itoa(ctlR),
-		"takeover="+strconv.Itoa(m.takeovers+1),
-		"maxfd="+strconv.Itoa(maxfd),
-	)
-	if _, err := m.p.Spawn("/bin/httpd-fleet", argv); err != nil {
+	maxfd := m.noteFDs(hbR, hbW, ctlR, ctlW) + 16
+	pid, err := m.p.Spawn("/bin/httpd-fleet", standbyArgv(m.cfg, hbR, ctlR, m.takeovers+1, maxfd))
+	if err != nil {
 		m.closeFDs(hbR, hbW, ctlR, ctlW)
 		return
 	}
+	m.standbyPID = pid
 	// Listener handover, eagerly: once this completes the standby co-holds
 	// the listen socket at the host and the primary's death cannot tear it
 	// down.
@@ -108,27 +71,20 @@ func (m *fleetMaster) spawnStandby(lfd int) {
 		return
 	}
 	m.closeFDs(hbR, ctlR, ctlW)
-	m.mu.Lock()
 	m.hbW = hbW
-	m.mu.Unlock()
 }
 
 // heartbeatStandby sends one liveness byte. A failed write means the
 // standby died; the primary keeps serving without one (it does not
 // respawn standbys — a fleet that lost both masters in one run is a
-// chaos scenario the error budget owns).
+// chaos scenario the error budget owns). Maintenance thread only.
 func (m *fleetMaster) heartbeatStandby() {
-	m.mu.Lock()
-	hbW := m.hbW
-	m.mu.Unlock()
-	if hbW < 0 {
+	if m.hbW < 0 {
 		return
 	}
-	if err := writeAll(m.p, hbW, []byte{'h'}); err != nil {
-		m.mu.Lock()
+	if err := writeAll(m.p, m.hbW, []byte{'h'}); err != nil {
+		_ = m.p.Close(m.hbW)
 		m.hbW = -1
-		m.mu.Unlock()
-		_ = m.p.Close(hbW)
 	}
 }
 
@@ -159,13 +115,7 @@ func standbyMain(p api.OS, cfg fleetConfig) int {
 		if err != nil || n <= 0 {
 			break // EOF: the primary is gone
 		}
-		quit := false
-		for _, b := range buf[:n] {
-			if b == 'q' {
-				quit = true
-			}
-		}
-		if quit {
+		if bytes.IndexByte(buf[:n], 'q') >= 0 {
 			return 0 // planned drain: the fleet is shutting down
 		}
 	}

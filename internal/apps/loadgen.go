@@ -198,6 +198,9 @@ func LoadgenMain(p api.OS, argv []string) int {
 	}
 	poller, _ := p.(api.Poller)
 	sleep := newPollSleeper(p)
+	// A request written to a connection whose worker was just killed gets
+	// EPIPE; that is an "err" sample, not a reason to die of SIGPIPE.
+	_ = p.Sigaction(api.SIGPIPE, nil, api.SigIgn)
 
 	type tally struct{ sent, ok, shed, err int }
 	results := make(chan tally, conc)
@@ -217,9 +220,9 @@ func LoadgenMain(p api.OS, argv []string) int {
 			offsetUS = gapUS * int64(w) / int64(conc)
 		}
 		for i := int64(0); ; i++ {
-			now := nowUS(p)
-			if now-start >= durUS {
-				break
+			now, err := p.Gettimeofday()
+			if err != nil || now-start >= durUS {
+				break // done, or this process was killed under its threads
 			}
 			if gapUS > 0 {
 				due := start + offsetUS + i*gapUS
