@@ -2,8 +2,10 @@
 
 GO ?= go
 PKGS := ./...
-# The RPC hot path: host byte streams and the IPC coordination framework.
-HOT_PKGS := ./internal/host/... ./internal/ipc/...
+# The concurrency-heavy packages: host byte streams and kernel tables, the
+# IPC coordination framework, and libLinux's fork/checkpoint pipeline over
+# both. `make race` and CI's race step run exactly this list.
+HOT_PKGS := ./internal/host/... ./internal/ipc/... ./internal/liblinux/...
 
 .PHONY: build test race vet bench bench-fig5 benchmark chaos chaos-shard chaos-ring chaos-fleet cover fuzz all
 
@@ -19,7 +21,8 @@ test:
 	$(GO) test -shuffle=on $(PKGS)
 
 # Race-detect the concurrency-heavy packages (ring buffers, flush
-# combining, sharded caches, SysV migration).
+# combining, sharded caches, SysV migration, the chaos failover suite, the
+# helper join race, and the fork/exit leak oracle).
 race:
 	$(GO) test -race -count=1 $(HOT_PKGS)
 

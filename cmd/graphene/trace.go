@@ -54,7 +54,8 @@ func traceCmd(args []string) int {
 		}
 		argv = append([]string{program}, rest[1:]...)
 	}
-	// Gauges sampled at dump time: host memory and picoprocess count.
+	// Gauges sampled at dump time: host memory and the kernel's census
+	// (live picoprocesses, streams, stores, segments, recorder memory).
 	metrics.Default.RegisterGauge("host.resident_bytes", func() int64 {
 		var total int64
 		for _, p := range k.Processes() {
@@ -62,9 +63,7 @@ func traceCmd(args []string) int {
 		}
 		return total
 	})
-	metrics.Default.RegisterGauge("host.picoprocesses", func() int64 {
-		return int64(len(k.Processes()))
-	})
+	k.RegisterGauges()
 
 	res, err := rt.Launch(man, program, argv)
 	if err != nil {

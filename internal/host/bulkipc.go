@@ -19,6 +19,10 @@ type IPCStore struct {
 	// monitor only permits mapping within the creator's sandbox.
 	CreatorPID int
 
+	// kernel is the registry the store leaves on Close (nil for a store
+	// built outside a kernel).
+	kernel *Kernel
+
 	mu      sync.Mutex
 	batches []pageBatch
 	avail   *Event
@@ -72,6 +76,7 @@ func (st *IPCStore) Map(as *AddressSpace, target uint64) (int, error) {
 		return 0, api.EAGAIN
 	}
 	b := st.batches[0]
+	st.batches[0] = pageBatch{} // the backing array must not keep the pages
 	st.batches = st.batches[1:]
 	if len(st.batches) == 0 && !st.closed {
 		st.avail.Reset()
@@ -133,11 +138,14 @@ func (st *IPCStore) Pending() int {
 // AvailEvent is signaled while batches are queued.
 func (st *IPCStore) AvailEvent() *Event { return st.avail }
 
-// Close discards queued batches and fails future commits.
+// Close discards queued batches, fails future commits and maps, and takes
+// the store out of its kernel's registry. Sender and receiver share the
+// store, and whichever is done with it first — the receiver after mapping
+// the last batch, either side on failure — closes it for both.
 func (st *IPCStore) Close() {
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	if st.closed {
+		st.mu.Unlock()
 		return
 	}
 	st.closed = true
@@ -149,4 +157,10 @@ func (st *IPCStore) Close() {
 	st.batches = nil
 	// Wake any MapNext waiter so it observes the closed store.
 	st.avail.Set()
+	st.mu.Unlock()
+	if k := st.kernel; k != nil {
+		k.mu.Lock()
+		delete(k.stores, st.ID)
+		k.mu.Unlock()
+	}
 }

@@ -191,13 +191,7 @@ func (p *Picoprocess) HasFaultPlan() bool { return p.faults.Load() != nil }
 // already registered to the picoprocess pick the plan up immediately.
 func (p *Picoprocess) SetFaultPlan(fp *FaultPlan) {
 	p.faults.Store(fp)
-	p.mu.Lock()
-	streams := make([]*Stream, 0, len(p.streams))
-	for s := range p.streams {
-		streams = append(streams, s)
-	}
-	p.mu.Unlock()
-	for _, s := range streams {
-		s.faultOwner.Store(p)
+	for _, s := range p.OpenStreams() {
+		p.registerStream(s) // re-registering makes p the fault owner again
 	}
 }

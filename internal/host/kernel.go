@@ -289,11 +289,10 @@ func (k *Kernel) CreateProcess(parent *Picoprocess, newSandbox bool) (*Picoproce
 	}
 	k.procs[p.ID] = p
 	k.mu.Unlock()
-	if ring := k.newProcRing(parent); ring > 0 {
-		p.traceRing.Store(int64(ring))
+	ring := k.newProcRing(parent)
+	p.traceRing.Store(int64(ring))
+	if ring > 0 {
 		p.rec.Store(NewFlightRecorder(ring))
-	} else {
-		p.traceRing.Store(int64(ring))
 	}
 	k.Policy().OnProcessCreate(parent, p, newSandbox)
 	return p, nil
@@ -453,9 +452,11 @@ func (k *Kernel) StreamPair(a, b *Picoprocess) (*Stream, *Stream) {
 	return sa, sb
 }
 
-// StreamClose closes s and untracks it from p.
+// StreamClose gives up p's hold on s: s leaves p's table and loses one
+// reference. Co-holders keep the endpoint open; the last one's close (this
+// call or a bare Stream.Close) really closes it.
 func (k *Kernel) StreamClose(p *Picoprocess, s *Stream) {
-	p.unregisterStream(s)
+	s.dropHolder(p)
 	s.Close()
 }
 
@@ -523,6 +524,7 @@ func (k *Kernel) CreateIPCStore(p *Picoprocess) (*IPCStore, error) {
 	k.nextSID++
 	st := newIPCStore(k.nextSID)
 	st.CreatorPID = p.ID
+	st.kernel = k
 	k.stores[st.ID] = st
 	return st, nil
 }
@@ -541,13 +543,6 @@ func (k *Kernel) StreamConnectNet(p *Picoprocess, name string) (*Stream, error) 
 	}
 	p.registerStream(s)
 	return s, nil
-}
-
-// IPCStoreByID resolves a store id (sent over the control stream).
-func (k *Kernel) IPCStoreByID(id int) *IPCStore {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.stores[id]
 }
 
 // --- kernel-bypass SysV rings ---

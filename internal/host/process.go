@@ -38,13 +38,11 @@ type Picoprocess struct {
 	// faults is the installed fault-injection plan (nil almost always).
 	faults atomic.Pointer[FaultPlan]
 
-	// rec is the flight recorder (nil when the sandbox disabled tracing);
-	// traceRing remembers the configured capacity so children inherit it.
+	// rec is the flight recorder (nil when the sandbox disabled tracing and
+	// after exit, when the kernel's retired list owns it); traceRing
+	// remembers the configured capacity so children inherit it.
 	rec       atomic.Pointer[FlightRecorder]
 	traceRing atomic.Int64
-
-	// Exec-time metadata consumed by the libOS layer.
-	Entry interface{} // opaque payload (checkpoint blob / program spec)
 }
 
 // SyscallAction is a filter verdict.
@@ -84,17 +82,17 @@ func (p *Picoprocess) Filter() SyscallFilter {
 	return p.filter
 }
 
-// registerStream tracks an open stream endpoint for sandbox-split severing.
-// The endpoint also inherits the picoprocess as its fault-plan owner so
-// stream-level fault points fire for writes through it.
-func (p *Picoprocess) registerStream(s *Stream) {
-	s.faultOwner.Store(p)
-	p.mu.Lock()
-	p.streams[s] = struct{}{}
-	p.mu.Unlock()
-}
+// registerStream tracks an open stream endpoint for sandbox-split severing
+// and exit-time close. The endpoint also inherits the picoprocess as its
+// fault-plan owner so stream-level fault points fire for writes through it.
+// There is no unregister to forget: the endpoint's real close removes it
+// (Stream.closeRef), and a holder giving up a co-held endpoint goes through
+// Kernel.StreamClose.
+func (p *Picoprocess) registerStream(s *Stream) { s.addHolder(p) }
 
-func (p *Picoprocess) unregisterStream(s *Stream) {
+// forgetStream drops s from the table; only Stream's holder bookkeeping
+// calls it.
+func (p *Picoprocess) forgetStream(s *Stream) {
 	p.mu.Lock()
 	delete(p.streams, s)
 	p.mu.Unlock()
@@ -159,7 +157,6 @@ func (p *Picoprocess) Exit(code int) {
 	for s := range p.streams {
 		streams = append(streams, s)
 	}
-	p.streams = make(map[*Stream]struct{})
 	listeners := make([]*Listener, 0, len(p.listeners))
 	for l := range p.listeners {
 		listeners = append(listeners, l)
@@ -177,7 +174,7 @@ func (p *Picoprocess) Exit(code int) {
 		}
 	}
 	for _, s := range streams {
-		s.Close()
+		p.kernel.StreamClose(p, s)
 	}
 	p.AS.Release()
 	p.exited.Set()

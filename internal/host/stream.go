@@ -2,6 +2,7 @@ package host
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,11 +13,18 @@ import (
 // pipe's default 64 KiB capacity so backpressure behaves similarly.
 const streamBufCap = 64 * 1024
 
+// streamMinBuf is the ring a queue's first write allocates: most streams
+// carry a few small frames (an RPC connection, a status pipe) and never
+// need more.
+const streamMinBuf = 4 * 1024
+
 // byteQueue is one direction of a byte stream: a bounded FIFO of bytes with
-// blocking reads and writes and half-close semantics. The buffer is a
-// fixed-capacity ring (head index + fill count): bytes are copied in and
-// out in place, so steady-state traffic performs no allocation and never
-// retains a grown append-slice the way the old reslicing queue did.
+// blocking reads and writes and half-close semantics. The buffer is a ring
+// (head index + fill count) that costs what the stream carries: nothing
+// until the first write, then a power-of-two size that grows to fit the
+// bytes in flight up to streamBufCap, where back-pressure begins. Bytes are
+// copied in and out in place, so a ring that has reached its working size
+// performs no allocation. The reading endpoint's close releases the ring.
 //
 // Wakeups are edge-triggered on buffer-state transitions (empty→nonempty
 // wakes readers and readability pollers, full→not-full wakes writers and
@@ -26,21 +34,56 @@ type byteQueue struct {
 	mu       sync.Mutex
 	notEmpty *sync.Cond
 	notFull  *sync.Cond
-	buf      []byte // ring storage, fixed at streamBufCap
+	buf      []byte // ring storage: nil, or streamMinBuf..streamBufCap bytes
 	head     int    // index of the first unread byte
 	n        int    // bytes currently buffered
 	closed   bool
-	waiters  map[chan struct{}]struct{}
+	waiters  map[chan struct{}]struct{} // allocated by the first poller
 }
 
 func newByteQueue() *byteQueue {
-	q := &byteQueue{
-		buf:     make([]byte, streamBufCap),
-		waiters: make(map[chan struct{}]struct{}),
-	}
+	q := &byteQueue{}
 	q.notEmpty = sync.NewCond(&q.mu)
 	q.notFull = sync.NewCond(&q.mu)
 	return q
+}
+
+// grow re-homes the buffered bytes in a ring of at least need bytes (need
+// <= streamBufCap): double the current size, or the power of two that fits
+// need when doubling falls short, so one large write grows the ring once.
+func (q *byteQueue) grow(need int) {
+	size := max(2*len(q.buf), streamMinBuf)
+	for size < need {
+		size *= 2
+	}
+	nb := make([]byte, size)
+	if q.n > 0 {
+		c := copy(nb[:q.n], q.buf[q.head:])
+		copy(nb[c:q.n], q.buf)
+	}
+	q.buf, q.head = nb, 0
+}
+
+// ringBytes is the memory the ring holds right now.
+func (q *byteQueue) ringBytes() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.buf)
+}
+
+func (q *byteQueue) addWaiter(ch chan struct{}) {
+	q.mu.Lock()
+	if q.waiters == nil {
+		q.waiters = make(map[chan struct{}]struct{})
+	}
+	q.waiters[ch] = struct{}{}
+	q.mu.Unlock()
+}
+
+func (q *byteQueue) removeWaiter(ch chan struct{}) {
+	q.mu.Lock()
+	delete(q.waiters, ch)
+	q.mu.Unlock()
 }
 
 func (q *byteQueue) pokeWaitersLocked() {
@@ -57,7 +100,7 @@ func (q *byteQueue) write(p []byte) (int, error) {
 	defer q.mu.Unlock()
 	total := 0
 	for len(p) > 0 {
-		for q.n == len(q.buf) && !q.closed {
+		for q.n == streamBufCap && !q.closed {
 			q.notFull.Wait()
 		}
 		if q.closed {
@@ -66,9 +109,9 @@ func (q *byteQueue) write(p []byte) (int, error) {
 			}
 			return 0, api.EPIPE
 		}
-		n := len(q.buf) - q.n
-		if n > len(p) {
-			n = len(p)
+		n := min(streamBufCap-q.n, len(p))
+		if q.n+n > len(q.buf) {
+			q.grow(q.n + n)
 		}
 		wasEmpty := q.n == 0
 		tail := q.head + q.n
@@ -117,7 +160,7 @@ func (q *byteQueue) read(p []byte, pt *partitionTable, from, to int) (int, error
 	if n > len(p) {
 		n = len(p)
 	}
-	wasFull := q.n == len(q.buf)
+	wasFull := q.n == streamBufCap
 	end := q.head + n
 	if end <= len(q.buf) {
 		copy(p, q.buf[q.head:end])
@@ -161,12 +204,18 @@ func (q *byteQueue) readable() bool {
 func (q *byteQueue) writable() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.n < len(q.buf) || q.closed
+	return q.n < streamBufCap || q.closed
 }
 
-func (q *byteQueue) close() {
+// close ends the queue: blocked readers see EOF after the buffered bytes,
+// writers EPIPE. discard is set by the reading endpoint's own close — no
+// one can read the buffered bytes any more, so the ring goes with them.
+func (q *byteQueue) close(discard bool) {
 	q.mu.Lock()
 	q.closed = true
+	if discard {
+		q.buf, q.head, q.n = nil, 0, 0
+	}
 	q.notEmpty.Broadcast()
 	q.notFull.Broadcast()
 	q.pokeWaitersLocked()
@@ -198,7 +247,8 @@ type Stream struct {
 	closed atomic.Bool
 
 	// faultOwner is the picoprocess whose fault plan governs this
-	// endpoint (set by registerStream; nil for unowned endpoints).
+	// endpoint: the latest holder to register it that still holds it (nil
+	// for unowned and for closed endpoints).
 	faultOwner atomic.Pointer[Picoprocess]
 
 	// part is the kernel's partition graph (nil for standalone pairs built
@@ -212,6 +262,11 @@ type Stream struct {
 	// when the last holder closes it (POSIX file description semantics,
 	// implemented in the libOS layer but refcounted here).
 	refs int
+	// holders are the picoprocesses whose stream tables list this endpoint.
+	// The endpoint's real close takes it out of every one of them, whoever
+	// makes that close and through whichever call, so a closed endpoint is
+	// reachable only from the variables still naming it.
+	holders []*Picoprocess
 	// oob carries passed handles (SendHandle/ReceiveHandle ABI).
 	oob chan *Handle
 	// closedCh is closed exactly once when the endpoint closes. Receivers
@@ -351,18 +406,10 @@ func (s *Stream) Writable() bool { return s.out.writable() }
 func (s *Stream) TryAcquire() bool { return s.in.readable() }
 
 // Register implements Waitable.
-func (s *Stream) Register(ch chan struct{}) {
-	s.in.mu.Lock()
-	s.in.waiters[ch] = struct{}{}
-	s.in.mu.Unlock()
-}
+func (s *Stream) Register(ch chan struct{}) { s.in.addWaiter(ch) }
 
 // Unregister implements Waitable.
-func (s *Stream) Unregister(ch chan struct{}) {
-	s.in.mu.Lock()
-	delete(s.in.waiters, ch)
-	s.in.mu.Unlock()
-}
+func (s *Stream) Unregister(ch chan struct{}) { s.in.removeWaiter(ch) }
 
 // WriteWaitable returns a Waitable signaled when a Write on this stream
 // would not block — the POLLOUT side of the poll ABI. It is level-checked
@@ -377,62 +424,84 @@ type writeReady struct{ q *byteQueue }
 func (w writeReady) TryAcquire() bool { return w.q.writable() }
 
 // Register implements Waitable.
-func (w writeReady) Register(ch chan struct{}) {
-	w.q.mu.Lock()
-	w.q.waiters[ch] = struct{}{}
-	w.q.mu.Unlock()
-}
+func (w writeReady) Register(ch chan struct{}) { w.q.addWaiter(ch) }
 
 // Unregister implements Waitable.
-func (w writeReady) Unregister(ch chan struct{}) {
-	w.q.mu.Lock()
-	delete(w.q.waiters, ch)
-	w.q.mu.Unlock()
-}
+func (w writeReady) Unregister(ch chan struct{}) { w.q.removeWaiter(ch) }
 
 // Close drops one holder's reference; the endpoint really closes (peer
 // observes EOF on read, EPIPE on write) when the last holder closes.
 // Close after the real close is a no-op.
-func (s *Stream) Close() {
+func (s *Stream) Close() { s.closeRef(false) }
+
+// ForceClose closes the endpoint regardless of reference count — the
+// reference monitor's sandbox-split sever path, which must cut streams
+// even when multiple picoprocesses hold them.
+func (s *Stream) ForceClose() { s.closeRef(true) }
+
+func (s *Stream) closeRef(force bool) {
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
 		return
 	}
 	s.refs--
-	if s.refs > 0 {
-		s.mu.Unlock()
-		return
-	}
-	s.closed.Store(true)
-	close(s.oob)
-	close(s.closedCh)
-	s.mu.Unlock()
-	s.drainOOB()
-	s.out.close()
-	s.in.close()
-	// Wake readers stalled behind a partition so they observe the close.
-	s.part.poke()
-}
-
-// ForceClose closes the endpoint regardless of reference count — the
-// reference monitor's sandbox-split sever path, which must cut streams
-// even when multiple picoprocesses hold them.
-func (s *Stream) ForceClose() {
-	s.mu.Lock()
-	if s.closed.Load() {
+	if s.refs > 0 && !force {
 		s.mu.Unlock()
 		return
 	}
 	s.refs = 0
 	s.closed.Store(true)
+	holders := s.holders
+	s.holders = nil
+	s.faultOwner.Store(nil)
 	close(s.oob)
 	close(s.closedCh)
 	s.mu.Unlock()
+	for _, p := range holders {
+		p.forgetStream(s)
+	}
 	s.drainOOB()
-	s.out.close()
-	s.in.close()
+	s.out.close(false)
+	s.in.close(true)
+	// Wake readers stalled behind a partition so they observe the close.
 	s.part.poke()
+}
+
+// addHolder lists the endpoint in p's stream table and makes p its fault
+// owner. A closed endpoint is listed nowhere. The table insert happens
+// under s.mu so that it is ordered against the real close's sweep.
+func (s *Stream) addHolder(p *Picoprocess) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
+		return
+	}
+	if !slices.Contains(s.holders, p) {
+		s.holders = append(s.holders, p)
+	}
+	s.faultOwner.Store(p)
+	p.mu.Lock()
+	p.streams[s] = struct{}{}
+	p.mu.Unlock()
+}
+
+// dropHolder undoes addHolder for one picoprocess that gives the endpoint
+// up while others keep it; the fault owner moves to a remaining holder.
+func (s *Stream) dropHolder(p *Picoprocess) {
+	p.forgetStream(s)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if i := slices.Index(s.holders, p); i >= 0 {
+		s.holders = slices.Delete(s.holders, i, i+1)
+	}
+	if s.faultOwner.Load() == p {
+		var next *Picoprocess
+		if n := len(s.holders); n > 0 {
+			next = s.holders[n-1]
+		}
+		s.faultOwner.Store(next)
+	}
 }
 
 // drainOOB disposes of handles that were passed to this endpoint but never

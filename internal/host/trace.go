@@ -5,20 +5,22 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Flight recorder: a per-picoprocess ring buffer of recent host and guest
 // events — syscall entry/exit, RPC spans, fault-point fires, partition
 // stalls — kept always-on so a chaos failure or invariant violation can be
 // diagnosed from the recorded interleaving instead of reverse-engineered
-// from counters. The ring is fixed-size (oldest events overwritten), so
-// recording never allocates and memory per picoprocess is bounded by the
-// ring capacity, which the monitor caps per sandbox via the manifest's
-// trace_buffer directive.
+// from counters. The ring is fixed-size (oldest events overwritten) and
+// allocated on the first event: a picoprocess that records nothing holds no
+// ring, one that records holds exactly the ring capacity, which the monitor
+// caps per sandbox via the manifest's trace_buffer directive, and recording
+// after the first event never allocates.
 //
 // Overhead budget: one recorded event is a level check (atomic load), a
 // monotonic clock read, and a short critical section copying ~9 words into
-// a pre-allocated slot. The per-recorder mutex is deliberate — an
+// an allocated slot. The per-recorder mutex is deliberate — an
 // uncontended Lock/Unlock is a single CAS pair (~20 ns measured), cheaper
 // than publishing nine fields with atomic stores, and unlike a seqlock it
 // stays visible to the race detector. Layers above keep hot-path cost down
@@ -152,8 +154,9 @@ const DefaultTraceRing = 2048
 // mutex is fine).
 type FlightRecorder struct {
 	mu       sync.Mutex
-	slots    []TraceEvent
-	next     uint64 // total events ever recorded
+	capacity int
+	slots    []TraceEvent // nil until the first Record, then capacity long
+	next     uint64       // total events ever recorded
 	points   []string
 	pointIdx map[string]uint64
 }
@@ -164,21 +167,31 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultTraceRing
 	}
-	return &FlightRecorder{slots: make([]TraceEvent, capacity)}
+	return &FlightRecorder{capacity: capacity}
 }
 
-// Record appends ev to the ring, assigning its sequence number. Never
-// allocates; the oldest event is overwritten when the ring is full. Safe
-// to call on a nil recorder (no-op).
+// Record appends ev to the ring, assigning its sequence number. The first
+// event allocates the ring, later ones never allocate; the oldest event is
+// overwritten when the ring is full. Safe to call on a nil recorder (no-op).
 func (r *FlightRecorder) Record(ev TraceEvent) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
+	if r.slots == nil {
+		r.slots = make([]TraceEvent, r.capacity)
+	}
 	r.next++
 	ev.Seq = r.next
-	r.slots[(r.next-1)%uint64(len(r.slots))] = ev
+	r.slots[(r.next-1)%uint64(r.capacity)] = ev
 	r.mu.Unlock()
+}
+
+// ringBytes is the memory the ring holds: 0 until the first event.
+func (r *FlightRecorder) ringBytes() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.slots) * int(unsafe.Sizeof(TraceEvent{}))
 }
 
 // internPoint maps a fault-point name to a stable index for EvFault's Arg.
@@ -217,7 +230,7 @@ func (r *FlightRecorder) Events() []TraceEvent {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := uint64(len(r.slots))
+	n := uint64(r.capacity)
 	lo := uint64(0)
 	if r.next > n {
 		lo = r.next - n
@@ -236,7 +249,7 @@ func (r *FlightRecorder) Dropped() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if n := uint64(len(r.slots)); r.next > n {
+	if n := uint64(r.capacity); r.next > n {
 		return r.next - n
 	}
 	return 0
@@ -247,7 +260,7 @@ func (r *FlightRecorder) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.slots)
+	return r.capacity
 }
 
 // --- Picoprocess integration ---
@@ -315,16 +328,23 @@ type retiredRec struct {
 	rec     *FlightRecorder
 }
 
-// retireRecorder stashes a dead picoprocess's recorder (bounded FIFO).
+// retireRecorder moves a dead picoprocess's recorder to the kernel's
+// bounded FIFO — the picoprocess lets go of it, so a stale *Picoprocess
+// pins no ring — or drops it when it never recorded an event.
 func (k *Kernel) retireRecorder(p *Picoprocess) {
-	r := p.rec.Load()
-	if r == nil {
+	r := p.rec.Swap(nil)
+	if r == nil || r.ringBytes() == 0 {
 		return
 	}
+	rr := retiredRec{pid: p.ID, sandbox: p.SandboxID, rec: r}
 	k.mu.Lock()
-	k.retired = append(k.retired, retiredRec{pid: p.ID, sandbox: p.SandboxID, rec: r})
-	if len(k.retired) > retiredTraceCap {
-		k.retired = k.retired[len(k.retired)-retiredTraceCap:]
+	if len(k.retired) < retiredTraceCap {
+		k.retired = append(k.retired, rr)
+	} else {
+		// Shift down in place: re-slicing past the head would keep every
+		// recorder ever retired reachable from the backing array.
+		copy(k.retired, k.retired[1:])
+		k.retired[retiredTraceCap-1] = rr
 	}
 	k.mu.Unlock()
 }

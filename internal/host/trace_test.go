@@ -162,13 +162,26 @@ func TestTraceSnapshotsOrderAndRetirementBound(t *testing.T) {
 	live, _ := k.CreateProcess(nil, false)
 	live.TraceRecord(TraceEvent{TS: TraceNow(), Kind: EvSyscall, Code: uint32(SysGetpid)})
 
-	// Retire more than the cap; only the newest retiredTraceCap remain.
+	// Retire more than the cap; only the newest retiredTraceCap that
+	// recorded anything remain. A picoprocess that recorded nothing is not
+	// retired and evicts nobody.
+	ev := TraceEvent{Kind: EvSyscall, Code: uint32(SysGetpid)}
 	firstDead, _ := k.CreateProcess(nil, false)
 	firstDeadPID := firstDead.ID
+	firstDead.TraceRecord(ev)
 	firstDead.Exit(0)
 	for i := 0; i < retiredTraceCap; i++ {
 		p, _ := k.CreateProcess(nil, false)
+		p.TraceRecord(ev)
 		p.Exit(0)
+		silent, _ := k.CreateProcess(nil, false)
+		silent.Exit(0)
+		if p.TraceRecorder() != nil || silent.TraceRecorder() != nil {
+			t.Fatal("an exited picoprocess must let go of its recorder")
+		}
+	}
+	if got := cap(k.retired); got > 2*retiredTraceCap {
+		t.Fatalf("retired list's backing array holds %d slots, cap is %d", got, retiredTraceCap)
 	}
 	snaps := k.TraceSnapshots()
 	retired := 0

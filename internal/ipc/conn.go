@@ -226,6 +226,10 @@ func init() {
 	}
 }
 
+// teardown ends the connection, from Close or from the read loop when the
+// peer hangs up: a dead conn keeps no open stream (the stream's close is
+// what takes it out of the picoprocess's table), fails pending calls with
+// EPIPE, and tells the owner.
 func (c *Conn) teardown() {
 	c.mu.Lock()
 	if c.closed {
@@ -236,6 +240,7 @@ func (c *Conn) teardown() {
 	pend := c.pending
 	c.pending = make(map[uint64]chan Frame)
 	c.mu.Unlock()
+	c.stream.Close()
 	for _, ch := range pend {
 		ch <- Frame{Err: api.EPIPE, isResponse: true}
 	}
@@ -281,6 +286,12 @@ func (c *Conn) flushLocked() error {
 		_, err := c.stream.Write(buf)
 		c.wmu.Lock()
 		c.wspare = buf[:0]
+		if err == api.EBADF {
+			// teardown closed the stream under this flush — the peer hung
+			// up, or Close was called: to a sender the connection is gone
+			// either way, and EPIPE is what its retry paths key on.
+			err = errClosed
+		}
 		if err != nil {
 			c.werr = err
 		}
@@ -407,10 +418,7 @@ func (c *Conn) Notify(f Frame) error {
 }
 
 // Close shuts the connection down.
-func (c *Conn) Close() {
-	c.stream.Close()
-	c.teardown()
-}
+func (c *Conn) Close() { c.teardown() }
 
 // Alive reports whether the connection is usable.
 func (c *Conn) Alive() bool {

@@ -139,6 +139,30 @@ func TestConnCallFailsOnPeerClose(t *testing.T) {
 	}
 }
 
+// TestConnHangUpClosesStreamAndSendsSeeEPIPE: when the peer hangs up, the
+// surviving conn closes its own end — a dead conn must not pin an open
+// stream — and a sender that raced the teardown sees EPIPE, the error the
+// retry and failover paths key on, not the closed stream's EBADF.
+func TestConnHangUpClosesStreamAndSendsSeeEPIPE(t *testing.T) {
+	sa, sb := host.NewStreamPair("pipe:hangup", 1, 2)
+	dropped := make(chan *Conn, 1)
+	ca := NewConn(sa, "ipc.A", func(Frame, func(Frame)) {}, func(c *Conn) { dropped <- c })
+	sb.Close()
+	if c := <-dropped; c != ca {
+		t.Fatal("onClose ran for the wrong conn")
+	}
+	if !sa.Closed() {
+		t.Fatal("the peer hung up and the conn is dead, yet its stream is still open")
+	}
+	// Notify does not look at the conn's state first: it reaches the stream.
+	if err := ca.Notify(Frame{Type: MsgPing}); err != api.EPIPE {
+		t.Fatalf("send on a torn-down conn: %v, want EPIPE", err)
+	}
+	if _, err := ca.Call(Frame{Type: MsgPing}); err != api.EPIPE {
+		t.Fatalf("call on a torn-down conn: %v, want EPIPE", err)
+	}
+}
+
 // TestChownEpochGuard pins the migration-race fix: a chown carrying a
 // stale epoch must not regress the leader's owner map, while an
 // epoch-zero claim (queue adoption) always lands.

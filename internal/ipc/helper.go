@@ -141,7 +141,9 @@ type Helper struct {
 	conns    *shardedMap[*Conn]
 	pidOwner *shardedIntMap[string] // cache: guest PID -> final helper address
 
-	incoming []*Conn
+	// incoming holds the live accepted connections, for Shutdown to close;
+	// dropConn removes a conn when its peer hangs up.
+	incoming map[*Conn]struct{}
 
 	localPIDs map[int64]string // PIDs allocated here -> their helper address
 	pidBatch  idBatch
@@ -224,6 +226,7 @@ func NewLeader(p *pal.PAL, svc Service, guestPID int64) (*Helper, error) {
 	lo, hi := h.leader.allocRange(NSPid, PIDBatchSize, h.Addr)
 	h.pidBatch = idBatch{next: lo, hi: hi}
 	h.localPIDs[guestPID] = h.Addr
+	h.start()
 	h.mu.Lock()
 	h.startHeartbeatLocked(&h.shardGroup)
 	h.mu.Unlock()
@@ -257,16 +260,19 @@ func NewShardLeader(p *pal.PAL, svc Service, guestPID int64, shard, nshards int,
 	h.localPIDs[guestPID] = h.Addr
 	// Claim this process's PID at the shard owning its slab; seed the PID
 	// batch eagerly only when the home shard is the one led here.
-	if shardOfID(guestPID, nshards) == shard {
+	ownsPID := shardOfID(guestPID, nshards) == shard
+	if ownsPID {
 		g.leader.claimRange(NSPid, guestPID, h.Addr)
-	} else if guestPID != 0 {
-		if _, err := h.callLeader(Frame{Type: MsgNSClaim, A: NSPid, B: guestPID}); err != nil {
-			log.Printf("ipc: %s: pid claim for %d failed: %v", h.Addr, guestPID, err)
-		}
 	}
 	if h.homeShard == shard {
 		lo, hi := g.leader.allocRange(NSPid, PIDBatchSize, h.Addr)
 		h.pidBatch = idBatch{next: lo, hi: hi, shard: shard}
+	}
+	h.start()
+	if !ownsPID && guestPID != 0 {
+		if _, err := h.callLeader(Frame{Type: MsgNSClaim, A: NSPid, B: guestPID}); err != nil {
+			log.Printf("ipc: %s: pid claim for %d failed: %v", h.Addr, guestPID, err)
+		}
 	}
 	h.mu.Lock()
 	h.startHeartbeatLocked(g)
@@ -304,6 +310,7 @@ func NewShardMember(p *pal.PAL, svc Service, guestPID int64, shardAddrs []string
 		h.groups[i].reportedTo = addr
 	}
 	h.localPIDs[guestPID] = h.Addr
+	h.start()
 	// Reserve this process's PID in its owning shard's allocator. A forked
 	// child's PID was already drawn from the parent's batch, but an
 	// adopted, restored, or externally assigned PID is unknown to the
@@ -318,6 +325,10 @@ func NewShardMember(p *pal.PAL, svc Service, guestPID int64, shardAddrs []string
 	return h, nil
 }
 
+// newHelper builds a helper with its listener bound and its broadcast
+// subscription open but no goroutine running: the constructor seeds the
+// leader fields it knows without the lock, then calls start. Seeding after
+// the loops run would race a MsgNewLeader heartbeat arriving on them.
 func newHelper(p *pal.PAL, svc Service, guestPID int64, nshards int) (*Helper, error) {
 	h := &Helper{
 		pal:         p,
@@ -326,6 +337,7 @@ func newHelper(p *pal.PAL, svc Service, guestPID int64, nshards int) (*Helper, e
 		GuestPID:    guestPID,
 		conns:       newShardedMap[*Conn](),
 		pidOwner:    newShardedIntMap[string](),
+		incoming:    make(map[*Conn]struct{}),
 		localPIDs:   make(map[int64]string),
 		pidSkip:     make(map[int64]struct{}),
 		nsHwm:       make(map[idbKey]int64),
@@ -365,13 +377,20 @@ func newHelper(p *pal.PAL, svc Service, guestPID int64, nshards int) (*Helper, e
 		return nil, err
 	}
 	h.listener = l
-	sub, err := p.BroadcastSubscribe()
-	if err == nil {
+	if sub, err := p.BroadcastSubscribe(); err == nil {
 		h.bsub = sub
+	}
+	return h, nil
+}
+
+// start launches the helper's receive loops; connections and broadcasts
+// that arrived since newHelper wait in the listener's backlog and the
+// subscription's buffer.
+func (h *Helper) start() {
+	if h.bsub != nil {
 		go h.broadcastLoop()
 	}
 	go h.acceptLoop()
-	return h, nil
 }
 
 func (h *Helper) acceptLoop() {
@@ -390,7 +409,11 @@ func (h *Helper) acceptLoop() {
 			c.Close()
 			return
 		}
-		h.incoming = append(h.incoming, c)
+		// A peer that already hung up has been through dropConn (the conn
+		// is marked dead before dropConn runs): do not list it again.
+		if c.Alive() {
+			h.incoming[c] = struct{}{}
+		}
 		h.mu.Unlock()
 	}
 }
@@ -534,12 +557,15 @@ func (h *Helper) clearLeaderLocked(g *shardGroup) {
 	g.leaderAddr = ""
 }
 
-// dropConn runs when a peer stream dies: the conn leaves the dial cache,
-// and — when we lead a shard — a peer that never said MsgBye is treated
-// as crashed and reaped (the RPC-disconnection failure detector of §4.2,
-// pointed at members instead of the leader).
+// dropConn runs when a peer stream dies: the conn leaves the dial cache
+// and the accepted set, and — when we lead a shard — a peer that never
+// said MsgBye is treated as crashed and reaped (the RPC-disconnection
+// failure detector of §4.2, pointed at members instead of the leader).
 func (h *Helper) dropConn(c *Conn) {
 	h.conns.deleteValue(func(cc *Conn) bool { return cc == c })
+	h.mu.Lock()
+	delete(h.incoming, c)
+	h.mu.Unlock()
 	addr := c.remote()
 	if addr == "" || addr == h.Addr || !h.leadsAny() {
 		return
@@ -866,7 +892,9 @@ func (h *Helper) Shutdown() {
 
 	conns := h.conns.values()
 	h.mu.Lock()
-	conns = append(conns, h.incoming...)
+	for c := range h.incoming {
+		conns = append(conns, c)
+	}
 	h.mu.Unlock()
 	for _, c := range conns {
 		c.Close()

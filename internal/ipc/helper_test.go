@@ -2,6 +2,7 @@ package ipc
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -122,7 +123,7 @@ func (g *testGroup) forkPAL(parent *pal.PAL) *pal.PAL {
 func (g *testGroup) member(parent *pal.PAL, leaderAddr string, guestPID int64, svc Service) (*Helper, *pal.PAL) {
 	done := make(chan struct{})
 	var childPAL *pal.PAL
-	_, _, err := parent.DkProcessCreate(func(c *pal.PAL, initial *host.Stream) {
+	_, initial, err := parent.DkProcessCreate(func(c *pal.PAL, initial *host.Stream) {
 		childPAL = c
 		close(done)
 		// Keep the picoprocess thread alive for the test duration.
@@ -132,6 +133,7 @@ func (g *testGroup) member(parent *pal.PAL, leaderAddr string, guestPID int64, s
 		g.t.Fatal(err)
 	}
 	<-done
+	initial.Close() // nothing travels on the creation stream in these tests
 	h, err := NewMember(childPAL, svc, guestPID, leaderAddr)
 	if err != nil {
 		g.t.Fatal(err)
@@ -798,4 +800,54 @@ func TestConcurrentPidAllocationsUnique(t *testing.T) {
 		}(i, h)
 	}
 	wg.Wait()
+}
+
+// TestJoinRacesLeaderHeartbeat joins 200 members while the leader's
+// MsgNewLeader heartbeat floods the broadcast channel. A constructor that
+// seeds leaderAddr / reportedTo / localPIDs after the helper's receive
+// loops are running races handleNewLeaderBroadcast on them (ROADMAP item
+// 1(b)); under -race this test is the detector. Every member then leaves,
+// and the leader must end up listing none of them.
+func TestJoinRacesLeaderHeartbeat(t *testing.T) {
+	g := newTestGroup(t)
+	lh, lp := g.leader(newFakeService())
+	before := g.k.Census()
+
+	stop := make(chan struct{})
+	flooded := make(chan struct{})
+	go func() {
+		defer close(flooded)
+		hb := Frame{Type: MsgNewLeader, A: lh.ShardEpoch(0), From: lh.Addr, S: lh.Addr}
+		msg := EncodeFrame(&hb)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if lp.BroadcastSend(msg) != nil {
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		mh, mp := g.member(lp, lh.Addr, int64(100+i), newFakeService())
+		if got := mh.LeaderAddr(); got != lh.Addr {
+			t.Fatalf("member %d: leader address %q, want %q", i, got, lh.Addr)
+		}
+		mh.Shutdown()
+		mp.DkProcessExit(0)
+	}
+	close(stop)
+	<-flooded
+
+	// Each member dialled the leader (PID claim, goodbye) and hung up: the
+	// leader's accepted set and the kernel's tables are back where they
+	// started, but for the recorders the kernel keeps of the last 64 exits.
+	waitFor(t, 5*time.Second, "the leader to drop every departed member's conn", func() bool {
+		after := g.k.Census()
+		after.RetiredRecorders, after.RecorderBytes = before.RetiredRecorders, before.RecorderBytes
+		return lh.AcceptedConns() == 0 && after == before
+	})
 }

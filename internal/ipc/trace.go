@@ -159,11 +159,20 @@ func (h *Helper) traceElection(trace, parent uint64, epoch int64) {
 	})
 }
 
+// AcceptedConns counts the live connections peers have dialled to this
+// helper. A peer that hung up is gone from the count: on a leader it tracks
+// the live members that ever called it, not every member that ever lived.
+func (h *Helper) AcceptedConns() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.incoming)
+}
+
 // RegisterGauges installs this helper's live-state gauges — accepted
 // election epoch (shard 0, plus one gauge per extra shard), held
-// key-block leases, live shard count, and the leader-routing cache hit
-// rate — into the default metrics registry under the helper's guest PID,
-// returning an unregister func for test teardown.
+// key-block leases, live accepted connections, live shard count, and the
+// leader-routing cache hit rate — into the default metrics registry under
+// the helper's guest PID, returning an unregister func for test teardown.
 func (h *Helper) RegisterGauges() func() {
 	var names []string
 	reg := func(name string, fn func() int64) {
@@ -177,6 +186,9 @@ func (h *Helper) RegisterGauges() func() {
 	})
 	reg(gaugeName("ipc.live_leases.pid", h.GuestPID), func() int64 {
 		return int64(h.leaseCount.Load())
+	})
+	reg(gaugeName("ipc.accepted_conns.pid", h.GuestPID), func() int64 {
+		return int64(h.AcceptedConns())
 	})
 	reg(gaugeName("ipc.live_shards.pid", h.GuestPID), func() int64 {
 		return int64(h.LiveShards())

@@ -382,10 +382,13 @@ func restoreChild(rt *Runtime, c *pal.PAL, initial *host.Stream, store *host.Han
 		}
 	}
 	if mapStarted {
-		if err := <-mapDone; err != nil {
-			// Batches the parent committed past the failure point hold page
-			// references nobody will map; close the store to release them.
-			_ = c.DkObjectClose(store)
+		err := <-mapDone
+		// The image is mapped, so the store has served its purpose: closing
+		// it takes it out of the kernel's registry. On failure the same
+		// close releases the batches the parent committed past the failure
+		// point, whose page references nobody will map.
+		_ = c.DkObjectClose(store)
+		if err != nil {
 			return nil, err
 		}
 	}

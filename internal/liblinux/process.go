@@ -360,6 +360,9 @@ func (p *Process) shipCheckpoint(store *host.Handle, ck *Checkpoint, handles []*
 		child, err := restoreChild(p.rt, c, initial, store, childMain)
 		if err != nil {
 			childErr <- err
+			// No libOS will ever run here: retire the picoprocess, or its
+			// address space and the creation stream outlive the failed fork.
+			c.DkProcessExit(127)
 			return
 		}
 		childReady <- child.pid
@@ -456,12 +459,26 @@ func (p *Process) shipCheckpoint(store *host.Handle, ck *Checkpoint, handles []*
 	p.mu.Unlock()
 	go p.watchChild(cs)
 
+	// Stopped on the way out: a bare time.After would leave one pending
+	// 10 s timer (and its channel) behind every fork.
+	timeout := time.NewTimer(10 * time.Second)
+	defer timeout.Stop()
+	// A fork that fails has no child: untrack it, so wait() never returns
+	// a PID the caller was not given and watchChild raises no SIGCHLD.
+	failChild := func(err error) (int, error) {
+		p.mu.Lock()
+		cs.exited = true
+		delete(p.children, childPID)
+		p.childCV.Broadcast()
+		p.mu.Unlock()
+		return fail(err)
+	}
 	select {
 	case <-childReady:
 	case err := <-childErr:
-		return fail(err)
-	case <-time.After(10 * time.Second):
-		return fail(api.EAGAIN)
+		return failChild(err)
+	case <-timeout.C:
+		return failChild(api.EAGAIN)
 	}
 	parentStream.Close()
 	return int(childPID), nil

@@ -1,7 +1,7 @@
 package graphene_test
 
 import (
-	"sort"
+	"math"
 	"testing"
 
 	"graphene/internal/host"
@@ -30,14 +30,15 @@ func BenchmarkTraceOverhead(b *testing.B) {
 
 // TestTraceOverheadBudget asserts the acceptance bound: tracing at the
 // default ring size may cost at most 5% on the Figure 5 RPC ping-pong.
-// A measurement round is a discarded warmup pair plus five interleaved
-// off/on pairs; each pair's runs are adjacent in time, so machine-wide
-// drift (frequency scaling, cache state, background load) hits both arms
-// of a pair roughly equally and the median pairwise delta isolates the
-// tracing cost from single outlier runs. The true cost is ~1–2%, well
-// inside budget, but the per-pair noise on a busy machine can exceed the
-// margin, so an over-budget round is re-measured; the gate fails only if
-// every round lands over.
+// A measurement round is a discarded warm-up run plus six pairs of runs
+// whose order alternates (off/on, on/off, ...), so drift within a pair —
+// frequency scaling, a neighbour taking a core — lands on each arm equally
+// often instead of always on the second. The round compares each arm's
+// minimum ns/op: interference only ever adds time, so the minimum over six
+// runs is the arm's cost on a quiet machine, where a median of pairwise
+// deltas moves with whichever arm a neighbour happened to hit. The true
+// cost is ~1–2%, well inside budget; an over-budget round is re-measured
+// and the gate fails only if every round lands over.
 func TestTraceOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overhead measurement needs full benchmark runs")
@@ -48,30 +49,30 @@ func TestTraceOverheadBudget(t *testing.T) {
 		return float64(testing.Benchmark(BenchmarkFig5RPCPingPong).NsPerOp())
 	}
 	round := func() float64 {
-		runOnce(host.TraceOff)
 		runOnce(host.TraceOn)
-		const pairs = 5
-		deltas := make([]float64, 0, pairs)
-		var lastOn, lastOff float64
+		const pairs = 6
+		best := map[int32]float64{host.TraceOff: math.Inf(1), host.TraceOn: math.Inf(1)}
+		order := []int32{host.TraceOff, host.TraceOn}
 		for i := 0; i < pairs; i++ {
-			lastOff = runOnce(host.TraceOff)
-			lastOn = runOnce(host.TraceOn)
-			deltas = append(deltas, (lastOn-lastOff)/lastOff*100)
+			for _, level := range order {
+				best[level] = math.Min(best[level], runOnce(level))
+			}
+			order[0], order[1] = order[1], order[0]
 		}
-		sort.Float64s(deltas)
-		median := deltas[pairs/2]
-		t.Logf("fig5 rpc ping-pong: recorder on %.0f ns/op, off %.0f ns/op; pairwise deltas %.1f%% (median %+.1f%%)",
-			lastOn, lastOff, deltas, median)
-		return median
+		on, off := best[host.TraceOn], best[host.TraceOff]
+		delta := (on - off) / off * 100
+		t.Logf("fig5 rpc ping-pong, minimum of %d runs per arm: recorder on %.0f ns/op, off %.0f ns/op (%+.1f%%)",
+			pairs, on, off, delta)
+		return delta
 	}
 	const rounds = 3
-	var median float64
+	var delta float64
 	for i := 0; i < rounds; i++ {
-		median = round()
-		if median <= 5 {
+		delta = round()
+		if delta <= 5 {
 			return
 		}
-		t.Logf("round %d over budget (%.1f%% > 5%%), re-measuring", i+1, median)
+		t.Logf("round %d over budget (%.1f%% > 5%%), re-measuring", i+1, delta)
 	}
-	t.Errorf("tracing costs %.1f%% on the RPC hot path across %d rounds, budget is 5%%", median, rounds)
+	t.Errorf("tracing costs %.1f%% on the RPC hot path across %d rounds, budget is 5%%", delta, rounds)
 }
