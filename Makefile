@@ -7,7 +7,7 @@ PKGS := ./...
 # both. `make race` and CI's race step run exactly this list.
 HOT_PKGS := ./internal/host/... ./internal/ipc/... ./internal/liblinux/...
 
-.PHONY: build test race vet bench bench-fig5 benchmark chaos chaos-shard chaos-ring chaos-fleet cover fuzz all
+.PHONY: build test race vet bench bench-fig5 benchmark benchmark-smoke chaos chaos-shard chaos-ring chaos-fleet cover fuzz all
 
 all: build vet test
 
@@ -26,8 +26,12 @@ test:
 race:
 	$(GO) test -race -count=1 $(HOT_PKGS)
 
+# The checkpoint codec is hand-written (DESIGN.md "Fast fork"); reflection-
+# driven encoding/gob on the fork path cost a fifth of proc_tree's CPU and
+# must not come back through any package.
 vet:
 	$(GO) vet $(PKGS)
+	@if grep -rn 'encoding/gob' --include='*.go' .; then echo 'encoding/gob is imported again' >&2; exit 1; fi
 
 # Chaos + invariant suites: leader-crash failover (chaos_test.go),
 # partition/heal fencing (chaos_partition_test.go), and the host partition
@@ -75,11 +79,17 @@ cover:
 	$(GO) test -shuffle=on -covermode=atomic -coverprofile=coverage.out $(PKGS)
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-# Short smoke run of the frame-codec fuzzers (the checked-in corpus under
-# internal/ipc/testdata/fuzz always runs as part of `make test`).
+# Short smoke run of the frame-codec and checkpoint-codec fuzzers (the
+# checked-in corpora under internal/{ipc,liblinux}/testdata/fuzz always run
+# as part of `make test`). FuzzResumeImage boots a sandbox for every image
+# it accepts, so coverage differs from run to run with thread scheduling
+# and the engine takes almost every input for new; -fuzzminimizetime keeps
+# it from spending its default minute minimizing each.
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzFrameCodec -fuzztime 30s ./internal/ipc/
 	$(GO) test -run XXX -fuzz FuzzFrameDecode -fuzztime 30s ./internal/ipc/
+	$(GO) test -run XXX -fuzz FuzzCheckpointSection -fuzztime 30s ./internal/liblinux/
+	$(GO) test -run XXX -fuzz FuzzResumeImage -fuzztime 30s -fuzzminimizetime 1s ./internal/liblinux/
 
 # Microbenchmarks with allocation accounting for the hot path.
 bench:
@@ -94,3 +104,10 @@ bench-fig5:
 # benchmark/README.md; `-compare a.json b.json` judges two result files.
 benchmark:
 	$(GO) run ./benchmark
+
+# Three seconds each of the fork-heavy and the single-process workload: the
+# benchmark verifies every unit's output, so its exit status is a
+# correctness gate for the fork pipeline end to end. No timing assertion.
+benchmark-smoke:
+	$(GO) run ./benchmark --workload proc_tree --seconds 3 --trace 0
+	$(GO) run ./benchmark --workload syscall_mix --seconds 3 --trace 0

@@ -83,15 +83,10 @@ func (st *IPCStore) Map(as *AddressSpace, target uint64) (int, error) {
 	}
 	st.mu.Unlock()
 
-	// Remap sender indices to the receiver's target base, then install the
-	// whole batch under one address-space lock acquisition.
-	targetBase := pageAlignDown(target)
-	recvIdxs := make([]uint64, len(b.idxs))
-	for i, idx := range b.idxs {
-		senderAddr := idx << PageShift
-		recvIdxs[i] = (targetBase + (senderAddr - b.base)) >> PageShift
-	}
-	installed := as.InstallPages(recvIdxs, b.pages)
+	// Install the whole batch under one address-space lock acquisition,
+	// each sender index moved by the distance from the sender's region base
+	// to the receiver's target base.
+	installed := as.installPages(b.idxs, b.pages, pageAlignDown(target)>>PageShift-b.base>>PageShift)
 	for _, pg := range b.pages {
 		pg.Unref() // drop the store's reference (InstallPages took its own)
 	}

@@ -7,8 +7,10 @@ package host
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"graphene/internal/api"
 )
@@ -23,8 +25,10 @@ const PageShift = 12
 // between address spaces (fork, bulk IPC); Data is allocated lazily on
 // first write so untouched mappings cost no memory.
 type Page struct {
+	// refs is atomic so that sharing a page (fork, bulk-IPC commit and map,
+	// exit) takes no lock; mu guards only the contents.
+	refs atomic.Int32
 	mu   sync.Mutex
-	refs int32
 	data []byte
 	// zeroFill marks a page that is resident but has no private backing
 	// yet: reads see zeros and the first write allocates. Loading a large
@@ -35,29 +39,21 @@ type Page struct {
 }
 
 // NewPage returns a private page with a single reference.
-func NewPage() *Page { return &Page{refs: 1} }
+func NewPage() *Page {
+	p := new(Page)
+	p.refs.Store(1)
+	return p
+}
 
 // Ref increments the reference count (sharing the page COW).
-func (p *Page) Ref() {
-	p.mu.Lock()
-	p.refs++
-	p.mu.Unlock()
-}
+func (p *Page) Ref() { p.refs.Add(1) }
 
 // Unref drops one reference. The page memory is reclaimed by GC when the
 // last reference and all mappings are gone.
-func (p *Page) Unref() {
-	p.mu.Lock()
-	p.refs--
-	p.mu.Unlock()
-}
+func (p *Page) Unref() { p.refs.Add(-1) }
 
 // Shared reports whether more than one address space references the page.
-func (p *Page) Shared() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.refs > 1
-}
+func (p *Page) Shared() bool { return p.refs.Load() > 1 }
 
 // Resident reports whether the page has been touched (has backing
 // storage, or was materialized as a zero-fill page).
@@ -77,7 +73,7 @@ func (p *Page) copyForWrite() *Page {
 		copy(n.data, p.data)
 	}
 	n.zeroFill = p.zeroFill
-	p.refs--
+	p.refs.Add(-1)
 	return n
 }
 
@@ -102,19 +98,163 @@ func (p *Page) write(off int, data []byte) {
 	copy(p.data[off:], data)
 }
 
+// Page-table geometry. A leaf maps leafPages consecutive page indices
+// (2 MiB of address space) and is aligned to absolute addresses, not to its
+// VMA's start, so splitting a VMA never moves a page to a different slot.
+const (
+	leafShift = 9
+	leafPages = 1 << leafShift
+	// maxPageIdx bounds a page index whose address still fits in 64 bits.
+	maxPageIdx = 1 << (64 - PageShift)
+)
+
+// ptLeaf is one page-table leaf: the backing pages of a 2 MiB window, the
+// bitmap of slots written since the last ResetDirty, and the number of
+// occupied slots. A dirty bit is only ever set on an occupied slot.
+type ptLeaf struct {
+	pages [leafPages]*Page
+	dirty [leafPages / 64]uint64
+	live  int
+}
+
+func (l *ptLeaf) markDirty(slot int) { l.dirty[slot>>6] |= 1 << (slot & 63) }
+
+func (l *ptLeaf) dirtyCount() int {
+	n := 0
+	for _, w := range l.dirty {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// unrefSlots drops the page table's reference on every page in slots
+// [from, to) of l (a leaves / walkLocked visitor).
+func unrefSlots(l *ptLeaf, _ uint64, from, to int) {
+	for _, pg := range l.pages[from:to] {
+		if pg != nil {
+			pg.Unref()
+		}
+	}
+}
+
 // VMA is one virtual memory area: a contiguous, page-aligned mapping.
 type VMA struct {
 	Start uint64
 	End   uint64 // exclusive
 	Prot  int
-	// pages maps page index (addr >> PageShift) to the backing page.
-	pages map[uint64]*Page
+	// top is the VMA's page table: top[i] is the leaf for absolute leaf
+	// index topLo+i (page index >> leafShift), nil until a page in it is
+	// touched. The window itself grows on first touch to span only the
+	// touched leaves, so an untouched mapping of any size costs nothing and
+	// one touched page costs one leaf.
+	top   []*ptLeaf
+	topLo uint64
 }
 
 // Len returns the VMA length in bytes.
 func (v *VMA) Len() uint64 { return v.End - v.Start }
 
+// page returns the page backing index idx, or nil if none is installed.
+func (v *VMA) page(idx uint64) *Page {
+	li := idx>>leafShift - v.topLo // wraps below the window, failing the bound
+	if li >= uint64(len(v.top)) || v.top[li] == nil {
+		return nil
+	}
+	return v.top[li].pages[idx&(leafPages-1)]
+}
+
+// leafRef returns the window entry of absolute leaf index li (which must
+// overlap the VMA), growing the window to reach it.
+func (v *VMA) leafRef(li uint64) **ptLeaf {
+	switch n := uint64(len(v.top)); {
+	case n == 0:
+		v.top, v.topLo = make([]*ptLeaf, 1), li
+	case li < v.topLo:
+		grown := make([]*ptLeaf, v.topLo-li+n)
+		copy(grown[v.topLo-li:], v.top)
+		v.top, v.topLo = grown, li
+	case li-v.topLo >= n:
+		v.top = append(v.top, make([]*ptLeaf, li-v.topLo+1-n)...)
+	}
+	return &v.top[li-v.topLo]
+}
+
+// leafFor returns the leaf and slot of page index idx (which must lie inside
+// the VMA), allocating the leaf on first touch.
+func (v *VMA) leafFor(idx uint64) (*ptLeaf, int) {
+	ref := v.leafRef(idx >> leafShift)
+	if *ref == nil {
+		*ref = new(ptLeaf)
+	}
+	return *ref, int(idx & (leafPages - 1))
+}
+
+// leaves calls fn, in ascending address order, for every allocated leaf
+// that overlaps page indices [lo, hi): base is the leaf's first page index
+// and [from, to) the slots of it inside the range.
+func (v *VMA) leaves(lo, hi uint64, fn func(l *ptLeaf, base uint64, from, to int)) {
+	first := uint64(0)
+	if lo>>leafShift > v.topLo {
+		first = lo>>leafShift - v.topLo
+	}
+	for i := first; i < uint64(len(v.top)); i++ {
+		base := (v.topLo + i) << leafShift
+		if base >= hi {
+			return
+		}
+		l := v.top[i]
+		if l == nil {
+			continue
+		}
+		from, to := 0, leafPages
+		if lo > base {
+			from = int(lo - base)
+		}
+		if hi < base+leafPages {
+			to = int(hi - base)
+		}
+		fn(l, base, from, to)
+	}
+}
+
+// piece carves [start, end) out of v as a new VMA with protection prot,
+// taking over the pages and dirty bits of that range. v is being replaced by
+// disjoint pieces, so a leaf that lies wholly inside one piece moves there;
+// a leaf the cut goes through is copied slot by slot to the side it is on.
+func (v *VMA) piece(start, end uint64, prot int) *VMA {
+	nv := &VMA{Start: start, End: end, Prot: prot}
+	v.leaves(start>>PageShift, end>>PageShift, func(l *ptLeaf, base uint64, from, to int) {
+		inside := 0
+		for _, pg := range l.pages[from:to] {
+			if pg != nil {
+				inside++
+			}
+		}
+		if inside == 0 {
+			return
+		}
+		ref := nv.leafRef(base >> leafShift)
+		if inside == l.live {
+			*ref = l
+			return
+		}
+		dst := &ptLeaf{live: inside}
+		for s := from; s < to; s++ {
+			dst.pages[s] = l.pages[s]
+			dst.dirty[s>>6] |= l.dirty[s>>6] & (1 << (s & 63))
+		}
+		*ref = dst
+	})
+	return nv
+}
+
 // AddressSpace is one picoprocess's virtual address space.
+//
+// Dirty tracking: every store (including COW breaks) and every installed or
+// slab-touched page sets its slot's bit in the leaf's dirty bitmap.
+// Incremental checkpoints ship exactly the set bits instead of every
+// resident page, so checkpoint cost scales with the write working set.
+// Freeing a page drops its bit; ResetDirty clears them all.
 type AddressSpace struct {
 	mu   sync.Mutex
 	vmas []*VMA // sorted by Start, non-overlapping
@@ -125,13 +265,6 @@ type AddressSpace struct {
 	// committed counts bytes of mapped (reserved) memory; resident counts
 	// bytes of touched pages, the basis of the Figure 4 footprint numbers.
 	committed uint64
-
-	// dirty records page indices written since the last ResetDirty: every
-	// store (including COW breaks) and every installed or slab-touched page
-	// lands here. Incremental checkpoints ship exactly this set instead of
-	// every resident page, so checkpoint cost scales with the write working
-	// set. Allocated lazily; freed pages are dropped from the set.
-	dirty map[uint64]struct{}
 }
 
 // Address space layout constants for kernel-chosen placements.
@@ -140,16 +273,15 @@ const (
 	mmapTop  = 0x7fff_ffff_f000
 )
 
+// maxVMABytes bounds one mapping, at the size of the whole kernel-placement
+// window. A VMA's leaf window spans its lowest to its highest touched leaf
+// at 8 bytes per 2 MiB, so this also bounds the window — 4 MiB — however
+// sparsely a mapping is touched.
+const maxVMABytes = 1 << 40
+
 // NewAddressSpace returns an empty address space.
 func NewAddressSpace() *AddressSpace {
 	return &AddressSpace{next: mmapBase}
-}
-
-func (as *AddressSpace) markDirtyLocked(idx uint64) {
-	if as.dirty == nil {
-		as.dirty = make(map[uint64]struct{})
-	}
-	as.dirty[idx] = struct{}{}
 }
 
 func pageAlignUp(v uint64) uint64 {
@@ -160,11 +292,25 @@ func pageAlignDown(v uint64) uint64 {
 	return v &^ (PageSize - 1)
 }
 
+// walkLocked visits, in ascending address order, every allocated leaf that
+// overlaps page indices [lo, hi) in any VMA (see VMA.leaves).
+func (as *AddressSpace) walkLocked(lo, hi uint64, fn func(l *ptLeaf, base uint64, from, to int)) {
+	for _, v := range as.vmas {
+		vlo, vhi := max(lo, v.Start>>PageShift), min(hi, v.End>>PageShift)
+		if vlo < vhi {
+			v.leaves(vlo, vhi, fn)
+		}
+	}
+}
+
 // Alloc maps length bytes at addr (or a kernel-chosen address if addr == 0)
 // with the given protection, returning the start address.
 func (as *AddressSpace) Alloc(addr uint64, length uint64, prot int) (uint64, error) {
 	if length == 0 {
 		return 0, api.EINVAL
+	}
+	if length > maxVMABytes || addr+length < addr {
+		return 0, api.ENOMEM
 	}
 	length = pageAlignUp(length)
 	as.mu.Lock()
@@ -180,8 +326,7 @@ func (as *AddressSpace) Alloc(addr uint64, length uint64, prot int) (uint64, err
 			return 0, api.ENOMEM
 		}
 	}
-	v := &VMA{Start: addr, End: addr + length, Prot: prot, pages: make(map[uint64]*Page)}
-	as.insertLocked(v)
+	as.insertLocked(&VMA{Start: addr, End: addr + length, Prot: prot})
 	as.committed += length
 	return addr, nil
 }
@@ -195,47 +340,25 @@ func (as *AddressSpace) Free(addr uint64, length uint64) error {
 	end := pageAlignUp(addr + length)
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	var kept []*VMA
+	// A VMA cut in the middle becomes two, so the list grows by at most one.
+	kept := make([]*VMA, 0, len(as.vmas)+1)
 	for _, v := range as.vmas {
 		if v.End <= start || v.Start >= end {
 			kept = append(kept, v)
 			continue
 		}
-		// Overlap: keep the non-overlapping head and tail.
+		// Overlap: release the pages in the freed range, keep the
+		// non-overlapping head and tail.
+		lo, hi := max(v.Start, start), min(v.End, end)
+		v.leaves(lo>>PageShift, hi>>PageShift, unrefSlots)
 		if v.Start < start {
-			head := &VMA{Start: v.Start, End: start, Prot: v.Prot, pages: make(map[uint64]*Page)}
-			for idx, pg := range v.pages {
-				if idx < start>>PageShift {
-					head.pages[idx] = pg
-				}
-			}
-			kept = append(kept, head)
+			kept = append(kept, v.piece(v.Start, start, v.Prot))
 		}
 		if v.End > end {
-			tail := &VMA{Start: end, End: v.End, Prot: v.Prot, pages: make(map[uint64]*Page)}
-			for idx, pg := range v.pages {
-				if idx >= end>>PageShift {
-					tail.pages[idx] = pg
-				}
-			}
-			kept = append(kept, tail)
+			kept = append(kept, v.piece(end, v.End, v.Prot))
 		}
-		// Release pages in the freed range.
-		lo, hi := maxU64(v.Start, start)>>PageShift, minU64(v.End, end)>>PageShift
-		for idx, pg := range v.pages {
-			if idx >= lo && idx < hi {
-				pg.Unref()
-			}
-		}
-		freed := minU64(v.End, end) - maxU64(v.Start, start)
-		as.committed -= freed
+		as.committed -= hi - lo
 	}
-	for idx := range as.dirty {
-		if idx >= start>>PageShift && idx < end>>PageShift {
-			delete(as.dirty, idx)
-		}
-	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Start < kept[j].Start })
 	as.vmas = kept
 	return nil
 }
@@ -261,29 +384,26 @@ func (as *AddressSpace) Protect(addr uint64, length uint64, prot int) error {
 	if cover < end {
 		return api.ENOMEM
 	}
-	var out []*VMA
+	// Only the first and last VMA of the range can be cut, each once.
+	out := make([]*VMA, 0, len(as.vmas)+2)
 	for _, v := range as.vmas {
-		if v.End <= start || v.Start >= end {
+		switch {
+		case v.End <= start || v.Start >= end:
 			out = append(out, v)
-			continue
-		}
-		split := func(lo, hi uint64, p int) {
-			if lo >= hi {
-				return
+		case v.Start >= start && v.End <= end:
+			v.Prot = prot
+			out = append(out, v)
+		default:
+			lo, hi := max(v.Start, start), min(v.End, end)
+			if v.Start < lo {
+				out = append(out, v.piece(v.Start, lo, v.Prot))
 			}
-			nv := &VMA{Start: lo, End: hi, Prot: p, pages: make(map[uint64]*Page)}
-			for idx, pg := range v.pages {
-				if idx >= lo>>PageShift && idx < hi>>PageShift {
-					nv.pages[idx] = pg
-				}
+			out = append(out, v.piece(lo, hi, prot))
+			if hi < v.End {
+				out = append(out, v.piece(hi, v.End, v.Prot))
 			}
-			out = append(out, nv)
 		}
-		split(v.Start, maxU64(v.Start, start), v.Prot)
-		split(maxU64(v.Start, start), minU64(v.End, end), prot)
-		split(minU64(v.End, end), v.End, v.Prot)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	as.vmas = out
 	return nil
 }
@@ -293,30 +413,33 @@ func (as *AddressSpace) Protect(addr uint64, length uint64, prot int) error {
 func (as *AddressSpace) Write(addr uint64, data []byte) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
+	var v *VMA
 	for len(data) > 0 {
-		v := as.findLocked(addr)
-		if v == nil {
-			return api.EFAULT
+		if v == nil || addr >= v.End {
+			if v = as.findLocked(addr); v == nil {
+				return api.EFAULT
+			}
+			if v.Prot&api.ProtWrite == 0 {
+				return api.EACCES
+			}
 		}
-		if v.Prot&api.ProtWrite == 0 {
-			return api.EACCES
-		}
-		idx := addr >> PageShift
 		off := int(addr & (PageSize - 1))
 		n := PageSize - off
 		if n > len(data) {
 			n = len(data)
 		}
-		pg := v.pages[idx]
+		l, slot := v.leafFor(addr >> PageShift)
+		pg := l.pages[slot]
 		if pg == nil {
 			pg = NewPage()
-			v.pages[idx] = pg
+			l.pages[slot] = pg
+			l.live++
 		} else if pg.Shared() {
 			pg = pg.copyForWrite()
-			v.pages[idx] = pg
+			l.pages[slot] = pg
 		}
 		pg.write(off, data[:n])
-		as.markDirtyLocked(idx)
+		l.markDirty(slot)
 		data = data[n:]
 		addr += uint64(n)
 	}
@@ -328,21 +451,22 @@ func (as *AddressSpace) Write(addr uint64, data []byte) error {
 func (as *AddressSpace) Read(addr uint64, buf []byte) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
+	var v *VMA
 	for len(buf) > 0 {
-		v := as.findLocked(addr)
-		if v == nil {
-			return api.EFAULT
+		if v == nil || addr >= v.End {
+			if v = as.findLocked(addr); v == nil {
+				return api.EFAULT
+			}
+			if v.Prot&api.ProtRead == 0 {
+				return api.EACCES
+			}
 		}
-		if v.Prot&api.ProtRead == 0 {
-			return api.EACCES
-		}
-		idx := addr >> PageShift
 		off := int(addr & (PageSize - 1))
 		n := PageSize - off
 		if n > len(buf) {
 			n = len(buf)
 		}
-		if pg := v.pages[idx]; pg != nil {
+		if pg := v.page(addr >> PageShift); pg != nil {
 			pg.read(off, buf[:n])
 		} else {
 			for i := 0; i < n; i++ {
@@ -378,20 +502,18 @@ func (as *AddressSpace) ResidentBytes() uint64 {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	var total float64
-	for _, v := range as.vmas {
-		for _, pg := range v.pages {
-			if !pg.Resident() {
+	as.walkLocked(0, maxPageIdx, func(l *ptLeaf, _ uint64, from, to int) {
+		for _, pg := range l.pages[from:to] {
+			if pg == nil || !pg.Resident() {
 				continue
 			}
-			pg.mu.Lock()
-			refs := pg.refs
-			pg.mu.Unlock()
+			refs := pg.refs.Load()
 			if refs < 1 {
 				refs = 1
 			}
 			total += float64(PageSize) / float64(refs)
 		}
-	}
+	})
 	return uint64(total)
 }
 
@@ -406,84 +528,85 @@ func (as *AddressSpace) SnapshotRegions() []VMA {
 	return out
 }
 
-// TouchedPages returns the indices of resident pages within [start, end),
-// along with their backing pages, for bulk IPC.
-func (as *AddressSpace) TouchedPages(start, end uint64) (idxs []uint64, pages []*Page) {
+// collect gathers, in ascending address order, the resident pages with
+// index in [lo, hi) — all of them, or only those with their dirty bit set.
+func (as *AddressSpace) collect(lo, hi uint64, dirtyOnly bool) (idxs []uint64, pages []*Page) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	for _, v := range as.vmas {
-		if v.End <= start || v.Start >= end {
-			continue
+	// Size both slices once: occupied (or dirty) slots bound the result.
+	n := 0
+	as.walkLocked(lo, hi, func(l *ptLeaf, _ uint64, from, to int) {
+		c := l.live
+		if dirtyOnly {
+			c = l.dirtyCount()
 		}
-		for idx, pg := range v.pages {
-			a := idx << PageShift
-			if a >= start && a < end && pg.Resident() {
-				idxs = append(idxs, idx)
+		n += min(c, to-from)
+	})
+	if n == 0 {
+		return nil, nil
+	}
+	idxs, pages = make([]uint64, 0, n), make([]*Page, 0, n)
+	as.walkLocked(lo, hi, func(l *ptLeaf, base uint64, from, to int) {
+		for s := from; s < to; s++ {
+			if dirtyOnly {
+				// Jump to the next set bit of this word, or to the next word.
+				w := l.dirty[s>>6] >> (s & 63)
+				if w == 0 {
+					s |= 63
+					continue
+				}
+				if s += bits.TrailingZeros64(w); s >= to {
+					return
+				}
+			}
+			if pg := l.pages[s]; pg != nil && pg.Resident() {
+				idxs = append(idxs, base+uint64(s))
 				pages = append(pages, pg)
 			}
 		}
-	}
+	})
 	return idxs, pages
 }
 
+// TouchedPages returns the indices of resident pages within [start, end),
+// along with their backing pages, for bulk IPC. Indices ascend: a bulk-IPC
+// batch and a migration image list their pages in address order, the same
+// order on every run.
+func (as *AddressSpace) TouchedPages(start, end uint64) (idxs []uint64, pages []*Page) {
+	return as.collect(pageAlignUp(start)>>PageShift, pageAlignUp(end)>>PageShift, false)
+}
+
 // DirtyPages returns the indices (and backing pages) of resident pages
-// within [start, end) written since the last ResetDirty. This is what an
-// incremental checkpoint ships: the write working set, not the full
-// resident set.
+// within [start, end) written since the last ResetDirty, in ascending
+// address order. This is what an incremental checkpoint ships: the write
+// working set, not the full resident set.
 func (as *AddressSpace) DirtyPages(start, end uint64) (idxs []uint64, pages []*Page) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	lo, hi := start>>PageShift, (end+PageSize-1)>>PageShift
-	for idx := range as.dirty {
-		if idx < lo || idx >= hi {
-			continue
-		}
-		v := as.findLocked(idx << PageShift)
-		if v == nil {
-			continue
-		}
-		if pg := v.pages[idx]; pg != nil && pg.Resident() {
-			idxs = append(idxs, idx)
-			pages = append(pages, pg)
-		}
-	}
-	return idxs, pages
+	return as.collect(start>>PageShift, pageAlignUp(end)>>PageShift, true)
 }
 
 // ResetDirty clears the dirty set — called after a checkpoint snapshot so
 // the next one ships only pages touched since.
 func (as *AddressSpace) ResetDirty() {
 	as.mu.Lock()
-	as.dirty = nil
-	as.mu.Unlock()
+	defer as.mu.Unlock()
+	as.walkLocked(0, maxPageIdx, func(l *ptLeaf, _ uint64, _, _ int) { l.dirty = [leafPages / 64]uint64{} })
 }
 
 // DirtyPageCount returns the number of pages in the dirty set.
 func (as *AddressSpace) DirtyPageCount() int {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	return len(as.dirty)
+	n := 0
+	as.walkLocked(0, maxPageIdx, func(l *ptLeaf, _ uint64, _, _ int) { n += l.dirtyCount() })
+	return n
 }
 
 // InstallPage maps pg (shared, COW) at page index idx. The target range
 // must already be mapped. Used by bulk IPC on the receive side.
 func (as *AddressSpace) InstallPage(idx uint64, pg *Page) error {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	return as.installPageLocked(idx, pg)
-}
-
-func (as *AddressSpace) installPageLocked(idx uint64, pg *Page) error {
-	v := as.findLocked(idx << PageShift)
-	if v == nil {
+	if as.installPages([]uint64{idx}, []*Page{pg}, 0) == 0 {
 		return api.EFAULT
 	}
-	if old := v.pages[idx]; old != nil {
-		old.Unref()
-	}
-	pg.Ref()
-	v.pages[idx] = pg
-	as.markDirtyLocked(idx)
 	return nil
 }
 
@@ -492,13 +615,38 @@ func (as *AddressSpace) installPageLocked(idx uint64, pg *Page) error {
 // instead of one per page. Pages whose target index is unmapped are
 // skipped. Returns the number installed.
 func (as *AddressSpace) InstallPages(idxs []uint64, pages []*Page) int {
+	return as.installPages(idxs, pages, 0)
+}
+
+// installPages installs pages[i] at index idxs[i]+rebase (modulo 2^64, so a
+// receiver may sit below the sender). Ascending batches stay in one VMA and
+// one leaf for long runs, so the VMA is looked up only when an index leaves
+// the current one.
+func (as *AddressSpace) installPages(idxs []uint64, pages []*Page, rebase uint64) int {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	installed := 0
+	var v *VMA
 	for i, idx := range idxs {
-		if as.installPageLocked(idx, pages[i]) == nil {
-			installed++
+		idx += rebase
+		if v == nil || idx < v.Start>>PageShift || idx >= v.End>>PageShift {
+			if idx >= maxPageIdx {
+				continue
+			}
+			if v = as.findLocked(idx << PageShift); v == nil {
+				continue
+			}
 		}
+		l, slot := v.leafFor(idx)
+		if old := l.pages[slot]; old != nil {
+			old.Unref()
+		} else {
+			l.live++
+		}
+		pages[i].Ref()
+		l.pages[slot] = pages[i]
+		l.markDirty(slot)
+		installed++
 	}
 	return installed
 }
@@ -522,29 +670,28 @@ func (as *AddressSpace) TouchRange(addr, length uint64) error {
 	// zeroed per fork for the libOS image), and one allocation for the
 	// whole range's bookkeeping.
 	slab := make([]Page, (end-start)>>PageShift)
-	si := 0
+	var v *VMA
 	for a := start; a < end; a += PageSize {
-		v := as.findLocked(a)
-		if v == nil {
-			return api.EFAULT
+		if v == nil || a >= v.End {
+			if v = as.findLocked(a); v == nil {
+				return api.EFAULT
+			}
+			if v.Prot&api.ProtWrite == 0 {
+				return api.EACCES
+			}
 		}
-		if v.Prot&api.ProtWrite == 0 {
-			return api.EACCES
-		}
-		idx := a >> PageShift
-		pg := v.pages[idx]
-		switch {
+		l, slot := v.leafFor(a >> PageShift)
+		switch pg := l.pages[slot]; {
 		case pg == nil:
-			fresh := &slab[si]
-			fresh.refs = 1
+			fresh := &slab[(a-start)>>PageShift]
+			fresh.refs.Store(1)
 			fresh.zeroFill = true
-			v.pages[idx] = fresh
+			l.pages[slot] = fresh
+			l.live++
 		case pg.Shared():
-			pg = pg.copyForWrite()
-			v.pages[idx] = pg
+			l.pages[slot] = pg.copyForWrite()
 		}
-		as.markDirtyLocked(idx)
-		si++
+		l.markDirty(slot)
 	}
 	return nil
 }
@@ -558,11 +705,24 @@ func (as *AddressSpace) ForkCOW() *AddressSpace {
 	child := NewAddressSpace()
 	child.next = as.next
 	child.committed = as.committed
+	child.vmas = make([]*VMA, 0, len(as.vmas))
 	for _, v := range as.vmas {
-		nv := &VMA{Start: v.Start, End: v.End, Prot: v.Prot, pages: make(map[uint64]*Page, len(v.pages))}
-		for idx, pg := range v.pages {
-			pg.Ref()
-			nv.pages[idx] = pg
+		nv := &VMA{Start: v.Start, End: v.End, Prot: v.Prot, topLo: v.topLo}
+		if len(v.top) > 0 {
+			nv.top = make([]*ptLeaf, len(v.top))
+		}
+		for i, l := range v.top {
+			if l == nil {
+				continue
+			}
+			// The child starts with a clean dirty bitmap.
+			nl := &ptLeaf{pages: l.pages, live: l.live}
+			for _, pg := range nl.pages {
+				if pg != nil {
+					pg.Ref()
+				}
+			}
+			nv.top[i] = nl
 		}
 		child.vmas = append(child.vmas, nv)
 	}
@@ -573,14 +733,9 @@ func (as *AddressSpace) ForkCOW() *AddressSpace {
 func (as *AddressSpace) Release() {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	for _, v := range as.vmas {
-		for _, pg := range v.pages {
-			pg.Unref()
-		}
-	}
+	as.walkLocked(0, maxPageIdx, unrefSlots)
 	as.vmas = nil
 	as.committed = 0
-	as.dirty = nil
 }
 
 func (as *AddressSpace) insertLocked(v *VMA) {
@@ -629,18 +784,4 @@ func (as *AddressSpace) String() string {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	return fmt.Sprintf("AddressSpace{%d vmas, %d committed}", len(as.vmas), as.committed)
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -175,15 +175,14 @@ func TestCrashedChildSynthesizedExit(t *testing.T) {
 // Property: checkpoint encode/decode round-trips arbitrary metadata.
 func TestPropertyCheckpointRoundTrip(t *testing.T) {
 	f := func(pid, ppid, pgid int64, argv []string, cwd string, brk uint64, fds []int16) bool {
-		ck := &Checkpoint{
-			PID: pid, PPID: ppid, PGID: pgid,
-			Argv: argv, Cwd: cwd, Brk: brk,
-			Env: map[string]string{"K": cwd},
-		}
+		ck := new(Checkpoint)
+		ck.PID, ck.PPID, ck.PGID = pid, ppid, pgid
+		ck.Argv, ck.Cwd, ck.Brk = argv, cwd, brk
+		ck.Env = map[string]string{"K": cwd}
 		for i, fd := range fds {
 			ck.FDs = append(ck.FDs, FDCheckpoint{FD: int(fd), Kind: i % 4, Pos: int64(i), HandleIndex: -1})
 		}
-		out, err := decodeCheckpoint(encodeCheckpoint(ck))
+		out, err := decodeImage(encodeImage(t, ck))
 		if err != nil {
 			return false
 		}

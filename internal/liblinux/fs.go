@@ -1,6 +1,7 @@
 package liblinux
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -97,13 +98,22 @@ func (t *fdTable) refs(d *fdesc) int {
 	return n
 }
 
-func (t *fdTable) snapshot() map[int]*fdesc {
+// openFD is one entry of a descriptor-table snapshot.
+type openFD struct {
+	fd int
+	d  *fdesc
+}
+
+// snapshot lists the open descriptors in ascending fd order, so that a
+// checkpoint of equal state is equal bytes.
+func (t *fdTable) snapshot() []openFD {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[int]*fdesc, len(t.fds))
+	out := make([]openFD, 0, len(t.fds))
 	for fd, d := range t.fds {
-		out[fd] = d
+		out = append(out, openFD{fd, d})
 	}
+	t.mu.Unlock()
+	slices.SortFunc(out, func(a, b openFD) int { return a.fd - b.fd })
 	return out
 }
 

@@ -89,20 +89,24 @@ func (r *Runtime) lookupProgram(path string) (api.Program, bool) {
 	return prog, ok
 }
 
-// zygoteFor returns the cached spawn template for path, building it on
-// first use. The template pins the program's post-exec memory layout
-// (fresh break, no mappings), letting spawn skip memory serialization and
+// zygoteFor returns the cached spawn template for path — the framed
+// secZygote section, ready to write to the child — building it on first
+// use. The template pins the program's post-exec memory layout (fresh
+// break, no mappings), letting spawn skip memory serialization and
 // bulk-IPC transfer entirely.
-func (r *Runtime) zygoteFor(path string) []byte {
+func (r *Runtime) zygoteFor(path string) ([]byte, error) {
 	path = host.CleanPath(path)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if b, ok := r.zygotes[path]; ok {
-		return b
+		return b, nil
 	}
-	b := gobBytes(&zygoteTemplate{ProgramPath: path, Brk: brkBase, BrkEnd: brkBase})
+	b, err := appendSection(nil, secZygote, &zygoteTemplate{ProgramPath: path, Brk: brkBase, BrkEnd: brkBase})
+	if err != nil {
+		return nil, err
+	}
 	r.zygotes[path] = b
-	return b
+	return b, nil
 }
 
 // LaunchResult describes a launched root process.

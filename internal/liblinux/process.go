@@ -311,7 +311,10 @@ func (p *Process) Spawn(path string, argv []string) (int, error) {
 	// which is also what the template is validated against.
 	ck.ProgramPath = host.CleanPath(path)
 	ck.Argv = append([]string(nil), argv...)
-	tmpl := p.rt.zygoteFor(path)
+	tmpl, err := p.rt.zygoteFor(path)
+	if err != nil {
+		return 0, err
+	}
 	return p.shipCheckpoint(nil, ck, handles, tmpl, func(child *Process) int {
 		child.resetForExec(path, argv)
 		return child.runProgram(prog, path, argv)
@@ -334,7 +337,7 @@ func (p *Process) forkInternal(childMain func(*Process) int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	regions := regionsOf(ckptMeta)
+	regions := ckptMeta.memRegions()
 	go func() {
 		for _, r := range regions {
 			if _, err := p.pal.DkPhysicalMemoryCommit(store, r.Start, r.End-r.Start); err != nil {
@@ -348,8 +351,8 @@ func (p *Process) forkInternal(childMain func(*Process) int) (int, error) {
 
 // shipCheckpoint creates the child picoprocess and streams the checkpoint
 // sections to it. With a store, the memory section is included and batches
-// travel out-of-band (fork); with a zygote template, memory is skipped
-// entirely (spawn).
+// travel out-of-band (fork); with a zygote template (a framed secZygote
+// section, see Runtime.zygoteFor), memory is skipped entirely (spawn).
 func (p *Process) shipCheckpoint(store *host.Handle, ck *Checkpoint, handles []*host.Handle, zygote []byte, childMain func(*Process) int) (int, error) {
 	childReady := make(chan int64, 1)
 	childErr := make(chan error, 1)
@@ -399,25 +402,20 @@ func (p *Process) shipCheckpoint(store *host.Handle, ck *Checkpoint, handles []*
 
 	// Stream the checkpoint sections; the child restores each as it lands.
 	if zygote != nil {
-		if err := writeSection(parentStream, secZygote, zygote); err != nil {
+		if _, err := parentStream.Write(zygote); err != nil {
 			return fail(err)
 		}
 	}
-	meta := ckMetaSection{
-		PID: childPID, PPID: p.pid, PGID: ck.PGID,
-		ParentAddr: ck.ParentAddr, LeaderAddr: ck.LeaderAddr, ShardAddrs: ck.ShardAddrs,
-		ProgramPath: ck.ProgramPath, Argv: ck.Argv, Cwd: ck.Cwd, Env: ck.Env,
-	}
-	if err := writeSection(parentStream, secMeta, gobBytes(&meta)); err != nil {
+	ck.PID, ck.PPID = childPID, p.pid
+	if err := writeSection(parentStream, secMeta, &ck.ckMetaSection); err != nil {
 		return fail(err)
 	}
 	if zygote == nil {
-		mem := ckMemSection{Brk: ck.Brk, BrkEnd: ck.BrkEnd, Regions: ck.Regions}
-		if err := writeSection(parentStream, secMemory, gobBytes(&mem)); err != nil {
+		if err := writeSection(parentStream, secMemory, &ck.ckMemSection); err != nil {
 			return fail(err)
 		}
 	}
-	if err := writeSection(parentStream, secFDs, gobBytes(&ckFDSection{FDs: ck.FDs})); err != nil {
+	if err := writeSection(parentStream, secFDs, &ck.ckFDSection); err != nil {
 		return fail(err)
 	}
 	// The initial stream's out-of-band buffer is bounded (64 slots) and
@@ -442,8 +440,7 @@ func (p *Process) shipCheckpoint(store *host.Handle, ck *Checkpoint, handles []*
 	}
 	if zygote == nil {
 		// Spawned children reset dispositions on exec; only fork ships them.
-		sig := ckSigSection{Dispositions: ck.Dispositions}
-		if err := writeSection(parentStream, secSig, gobBytes(&sig)); err != nil {
+		if err := writeSection(parentStream, secSig, &ck.ckSigSection); err != nil {
 			return fail(err)
 		}
 	}
