@@ -38,8 +38,10 @@ vet:
 # primitives, under the race detector. The randomized schedules use fixed
 # seeds, so -count=3 repeats the same fault plans against fresh thread
 # interleavings — flakes here mean a real ordering bug, not test noise.
+# TestForkedChildMakesNoLeaderTraffic (libLinux) rides along: 400 children
+# of a non-leader parent must reach the leader's dispatcher zero times.
 chaos:
-	$(GO) test -race -count=3 -run 'Chaos|Partition' ./internal/ipc/ ./internal/host/
+	$(GO) test -race -count=3 -run 'Chaos|Partition|TestForkedChildMakesNoLeaderTraffic' ./internal/ipc/ ./internal/host/ ./internal/liblinux/
 
 # Sharded namespace plane under fault: the 4-shard chaos suites (kill
 # one shard's coordinator, partition a shard subset, leader flap during
@@ -91,7 +93,9 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzCheckpointSection -fuzztime 30s ./internal/liblinux/
 	$(GO) test -run XXX -fuzz FuzzResumeImage -fuzztime 30s -fuzzminimizetime 1s ./internal/liblinux/
 
-# Microbenchmarks with allocation accounting for the hot path.
+# Microbenchmarks with allocation accounting for the hot path, among them
+# BenchmarkForkExitWait's per-stage split of a fork (create / sections /
+# child-restore / image-map / helper-join / wait-ready / exit, in µs).
 bench:
 	$(GO) test -run XXX -bench . -benchmem $(HOT_PKGS)
 

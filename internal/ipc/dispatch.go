@@ -92,8 +92,9 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 
 	case MsgBye:
 		// Graceful departure: never reap this member when its streams die.
-		// The member says goodbye to every shard leader it knows; each led
-		// group here marks it departed.
+		// The member says goodbye to every shard leader it shares a stream
+		// with; each led group here that holds something of it marks it
+		// departed.
 		h.mu.Lock()
 		var led []*leaderState
 		for _, g := range h.groups {
@@ -161,13 +162,16 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 			respond(f.ErrResponse(api.EPERM))
 			return
 		}
-		leader.claimRange(int(f.A), f.B, f.From)
-		h.broadcastNSHwm(int(f.A), int(f.Shard), f.B+1)
+		// Failover needs to hear the cursor only when it moved: a claim of
+		// an ID some range already covers wakes no subscriber.
+		if leader.claimRange(int(f.A), f.B, f.From) {
+			h.broadcastNSHwm(int(f.A), int(f.Shard), f.B+1)
+		}
 		if int(f.A) == NSPid {
 			// The claimed PID may sit inside the leader's own already-held
 			// batch; fence it off from local minting too.
 			h.mu.Lock()
-			h.pidSkip[f.B] = struct{}{}
+			mapSet(&h.pidSkip, f.B, struct{}{})
 			h.mu.Unlock()
 		}
 		respond(f.Response(Frame{}))
@@ -177,11 +181,17 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 
 	case MsgNSRegister:
 		h.mu.Lock()
-		h.localPIDs[f.B] = f.S
+		mapSet(&h.localPIDs, f.B, f.S)
 		h.mu.Unlock()
 		respond(f.Response(Frame{}))
 
 	case MsgSignal:
+		// Tracked until the reply is on the stream: a fatal signal starts
+		// the exit whose Shutdown closes this very connection, and a signal
+		// that was delivered must not read as ESRCH (EPIPE) at the sender.
+		if h.bgEnter() {
+			defer h.bg.Done()
+		}
 		errno := h.svc.DeliverSignal(f.A, api.Signal(f.B))
 		if errno != 0 {
 			respond(f.ErrResponse(errno))
@@ -358,7 +368,7 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 				}
 				existing.drainWaitersLocked()
 				existing.mu.Unlock()
-				h.qOwnerCache[f.A] = h.Addr
+				mapSet(&h.qOwnerCache, f.A, h.Addr)
 				h.mu.Unlock()
 				respond(f.Response(Frame{}))
 				return
@@ -368,8 +378,8 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		q := newMsgQueue(f.A, key)
 		q.msgs = msgs
 		q.epoch = f.D
-		h.queues[f.A] = q
-		h.qOwnerCache[f.A] = h.Addr
+		mapSet(&h.queues, f.A, q)
+		mapSet(&h.qOwnerCache, f.A, h.Addr)
 		h.mu.Unlock()
 		respond(f.Response(Frame{}))
 
@@ -452,7 +462,7 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 				}
 				existing.wakeWaitersLocked()
 				existing.mu.Unlock()
-				h.semOwner[f.A] = h.Addr
+				mapSet(&h.semOwner, f.A, h.Addr)
 				h.mu.Unlock()
 				respond(f.Response(Frame{}))
 				return
@@ -462,8 +472,8 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		s := newSemSet(f.A, key, len(vals))
 		s.vals = vals
 		s.epoch = f.D
-		h.sems[f.A] = s
-		h.semOwner[f.A] = h.Addr
+		mapSet(&h.sems, f.A, s)
+		mapSet(&h.semOwner, f.A, h.Addr)
 		h.mu.Unlock()
 		respond(f.Response(Frame{}))
 
@@ -606,7 +616,7 @@ func (h *Helper) keyGetFromHeldLease(f Frame, kind int, key int64, flags int, re
 		respond(f.ErrResponse(api.ENOENT))
 		return true
 	}
-	h.keyCache[kind][key] = keyEntry{id: f.D, owner: requester}
+	kindSet(&h.keyCache, kind, key, keyEntry{id: f.D, owner: requester})
 	h.mu.Unlock()
 	respond(f.Response(Frame{A: f.D, S: requester}))
 	h.registerKeyLazily(kind, key, f.D, requester)

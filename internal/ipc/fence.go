@@ -100,7 +100,7 @@ func (h *Helper) stepDownShard(g *shardGroup, epoch int64, newAddr string) {
 	for _, kind := range []int{NSPid, NSSysVMsg, NSSysVSem} {
 		k := idbKey{kind: kind, shard: g.shard}
 		if next := g.leader.cursor(kind); next > h.nsHwm[k] {
-			h.nsHwm[k] = next
+			mapSet(&h.nsHwm, k, next)
 		}
 	}
 	g.leader = nil

@@ -2,6 +2,7 @@ package ipc
 
 import (
 	"log"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -138,8 +139,8 @@ type Helper struct {
 	// stream cache and the PID owner cache. They live outside h.mu in
 	// lock-sharded maps so concurrent RPCs from many guest threads don't
 	// serialize on the helper's global mutex (Fig. 5 at 48 processes).
-	conns    *shardedMap[*Conn]
-	pidOwner *shardedIntMap[string] // cache: guest PID -> final helper address
+	conns    shardedMap[*Conn]
+	pidOwner shardedIntMap[string] // cache: guest PID -> final helper address
 
 	// incoming holds the live accepted connections, for Shutdown to close;
 	// dropConn removes a conn when its peer hangs up.
@@ -225,7 +226,6 @@ func NewLeader(p *pal.PAL, svc Service, guestPID int64) (*Helper, error) {
 	h.leader.claimRange(NSPid, guestPID, h.Addr)
 	lo, hi := h.leader.allocRange(NSPid, PIDBatchSize, h.Addr)
 	h.pidBatch = idBatch{next: lo, hi: hi}
-	h.localPIDs[guestPID] = h.Addr
 	h.start()
 	h.mu.Lock()
 	h.startHeartbeatLocked(&h.shardGroup)
@@ -257,7 +257,6 @@ func NewShardLeader(p *pal.PAL, svc Service, guestPID int64, shard, nshards int,
 			h.groups[i].reportedTo = addr
 		}
 	}
-	h.localPIDs[guestPID] = h.Addr
 	// Claim this process's PID at the shard owning its slab; seed the PID
 	// batch eagerly only when the home shard is the one led here.
 	ownsPID := shardOfID(guestPID, nshards) == shard
@@ -281,47 +280,55 @@ func NewShardLeader(p *pal.PAL, svc Service, guestPID int64, shard, nshards int,
 }
 
 // NewMember creates a helper that joins an existing sandbox coordination
-// group, with the leader's address learned from the parent's checkpoint.
+// group under a PID the leader did not grant (see NewShardMember).
 func NewMember(p *pal.PAL, svc Service, guestPID int64, leaderAddr string) (*Helper, error) {
 	return NewShardMember(p, svc, guestPID, []string{leaderAddr})
 }
 
-// NewShardMember creates a helper that joins a sharded sandbox;
-// shardAddrs[i] is the believed leader address of shard i (the topology's
-// shard count is len(shardAddrs); entries may be "" and are then found by
-// discovery). A single-entry slice is the classic single-leader join.
+// NewShardMember creates a helper that joins a sharded sandbox under an
+// assigned PID — adopted, restored, or picked by the caller — that no
+// leader granted; shardAddrs is as for NewForkedMember. The PID is
+// reserved in its owning shard's allocator before the helper is returned:
+// without the claim, AllocPID could mint it a second time. Best-effort: a
+// member joining without a reachable leader is covered later by the
+// recover-state report, which reserves every local PID.
 func NewShardMember(p *pal.PAL, svc Service, guestPID int64, shardAddrs []string) (*Helper, error) {
-	nshards := len(shardAddrs)
-	if nshards < 1 {
-		nshards = 1
+	h, err := newMember(p, svc, guestPID, shardAddrs)
+	if err == nil && guestPID != 0 && h.shardLeaderAddr(shardOfID(guestPID, h.shards)) != "" {
+		if _, err := h.callLeader(Frame{Type: MsgNSClaim, A: NSPid, B: guestPID}); err != nil {
+			log.Printf("ipc: %s: pid claim for %d failed: %v", h.Addr, guestPID, err)
+		}
 	}
-	h, err := newHelper(p, svc, guestPID, nshards)
+	return h, err
+}
+
+// NewForkedMember creates the helper of a forked or spawned child, whose
+// PID its parent minted with AllocPID out of a leader-granted batch: the
+// allocator already stands past it, so the child joins without contacting
+// anyone. It dials a shard leader on first need (§4.3, lazy discovery), and
+// one that never coordinates never does. shardAddrs[i] is the believed
+// leader address of shard i (the topology's shard count is
+// len(shardAddrs); entries may be "" and are then found by discovery); a
+// single-entry slice is the classic single-leader sandbox.
+func NewForkedMember(p *pal.PAL, svc Service, guestPID int64, shardAddrs []string) (*Helper, error) {
+	return newMember(p, svc, guestPID, shardAddrs)
+}
+
+func newMember(p *pal.PAL, svc Service, guestPID int64, shardAddrs []string) (*Helper, error) {
+	h, err := newHelper(p, svc, guestPID, max(len(shardAddrs), 1))
 	if err != nil {
 		return nil, err
 	}
 	for i, addr := range shardAddrs {
 		// A fresh member has no distributed state the shard leaders could
-		// be missing — its PID is claimed explicitly below. Marking each
-		// known leader as already reported-to keeps the heartbeat path from
-		// shipping a pointless recover report on the first re-assert after
-		// every join; a later *leader change* resets this and triggers the
-		// real reconcile.
+		// be missing. Marking each known leader as already reported-to keeps
+		// the heartbeat path from shipping a pointless recover report on the
+		// first re-assert after every join; a later *leader change* resets
+		// this and triggers the real reconcile.
 		h.groups[i].leaderAddr = addr
 		h.groups[i].reportedTo = addr
 	}
-	h.localPIDs[guestPID] = h.Addr
 	h.start()
-	// Reserve this process's PID in its owning shard's allocator. A forked
-	// child's PID was already drawn from the parent's batch, but an
-	// adopted, restored, or externally assigned PID is unknown to the
-	// leader — without the claim, AllocPID could mint it a second time.
-	// Best-effort: a member joining without a reachable leader is covered
-	// later by the recover-state report, which reserves every local PID.
-	if guestPID != 0 && shardAddrs[shardOfID(guestPID, nshards)] != "" {
-		if _, err := h.callLeader(Frame{Type: MsgNSClaim, A: NSPid, B: guestPID}); err != nil {
-			log.Printf("ipc: %s: pid claim for %d failed: %v", h.Addr, guestPID, err)
-		}
-	}
 	return h, nil
 }
 
@@ -330,27 +337,16 @@ func NewShardMember(p *pal.PAL, svc Service, guestPID int64, shardAddrs []string
 // leader fields it knows without the lock, then calls start. Seeding after
 // the loops run would race a MsgNewLeader heartbeat arriving on them.
 func newHelper(p *pal.PAL, svc Service, guestPID int64, nshards int) (*Helper, error) {
+	addr := AddrForHostPID(p.Proc().ID)
 	h := &Helper{
-		pal:         p,
-		svc:         svc,
-		Addr:        AddrForHostPID(p.Proc().ID),
-		GuestPID:    guestPID,
-		conns:       newShardedMap[*Conn](),
-		pidOwner:    newShardedIntMap[string](),
-		incoming:    make(map[*Conn]struct{}),
-		localPIDs:   make(map[int64]string),
-		pidSkip:     make(map[int64]struct{}),
-		nsHwm:       make(map[idbKey]int64),
-		idBatches:   make(map[idbKey]*idBatch),
-		queues:      make(map[int64]*msgQueue),
-		qOwnerCache: make(map[int64]string),
-		sems:        make(map[int64]*semSet),
-		semOwner:    make(map[int64]string),
-		keyLeases:   map[int]map[int64]struct{}{NSSysVMsg: {}, NSSysVSem: {}},
-		keyCache:    map[int]map[int64]keyEntry{NSSysVMsg: {}, NSSysVSem: {}},
-		shards:      nshards,
-		ring:        newShardRing(nshards),
-		shutdownCh:  make(chan struct{}),
+		pal:        p,
+		svc:        svc,
+		Addr:       addr,
+		GuestPID:   guestPID,
+		localPIDs:  map[int64]string{guestPID: addr},
+		shards:     nshards,
+		ring:       newShardRing(nshards),
+		shutdownCh: make(chan struct{}),
 	}
 	h.groups = make([]*shardGroup, nshards)
 	h.groups[0] = &h.shardGroup
@@ -412,7 +408,7 @@ func (h *Helper) acceptLoop() {
 		// A peer that already hung up has been through dropConn (the conn
 		// is marked dead before dropConn runs): do not list it again.
 		if c.Alive() {
-			h.incoming[c] = struct{}{}
+			mapSet(&h.incoming, c, struct{}{})
 		}
 		h.mu.Unlock()
 	}
@@ -477,7 +473,7 @@ func (h *Helper) noteNSHwm(kind, shard int, next int64) {
 	k := idbKey{kind: kind, shard: shard}
 	h.mu.Lock()
 	if next > h.nsHwm[k] {
-		h.nsHwm[k] = next
+		mapSet(&h.nsHwm, k, next)
 	}
 	h.mu.Unlock()
 }
@@ -620,7 +616,7 @@ func (h *Helper) AllocPID(childAddr string) (int64, error) {
 		if _, taken := h.pidSkip[pid]; taken {
 			continue
 		}
-		h.localPIDs[pid] = childAddr
+		mapSet(&h.localPIDs, pid, childAddr)
 		h.mu.Unlock()
 		return pid, nil
 	}
@@ -630,7 +626,16 @@ func (h *Helper) AllocPID(childAddr string) (int64, error) {
 // (used when adopting a migrated or restored process).
 func (h *Helper) RegisterPID(pid int64, addr string) {
 	h.mu.Lock()
-	h.localPIDs[pid] = addr
+	mapSet(&h.localPIDs, pid, addr)
+	h.mu.Unlock()
+}
+
+// ForgetPID drops a PID from the local table once its process has been
+// reaped (or never came to be): the table holds live children only, and a
+// later kill(pid) answers ESRCH instead of dialing a dead address.
+func (h *Helper) ForgetPID(pid int64) {
+	h.mu.Lock()
+	delete(h.localPIDs, pid)
 	h.mu.Unlock()
 }
 
@@ -659,6 +664,9 @@ func (h *Helper) ResolvePID(pid int64) (string, error) {
 	// deadline as leader RPCs — a partitioned range owner must surface
 	// ETIMEDOUT to the caller, not hang it.
 	for hop := 0; resp.A == 1 && hop < 3; hop++ {
+		if addr == h.Addr {
+			return "", api.ESRCH // our own range, and the table above had no such child
+		}
 		c, err := h.dial(addr)
 		if err != nil {
 			return "", err
@@ -787,19 +795,27 @@ func (h *Helper) shardLeaderAddr(shard int) string {
 	return ""
 }
 
-// bgGo runs fn as a tracked background task unless shutdown has begun.
-// The shutdown check and the WaitGroup Add happen under the helper lock
-// that also orders Shutdown's flag write, so Add can never race the
-// counter-at-zero Wait; a task refused here (false) is one the shutdown
-// path's own persist/evict/reap machinery makes redundant.
-func (h *Helper) bgGo(fn func()) bool {
+// bgEnter opens a tracked background task unless shutdown has begun; the
+// caller ends it with h.bg.Done(). The shutdown check and the WaitGroup Add
+// happen under the helper lock that also orders Shutdown's flag write, so
+// Add can never race the counter-at-zero Wait.
+func (h *Helper) bgEnter() bool {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if h.shutdown {
-		h.mu.Unlock()
 		return false
 	}
 	h.bg.Add(1)
-	h.mu.Unlock()
+	return true
+}
+
+// bgGo runs fn as a tracked background task; a task refused here (false)
+// is one the shutdown path's own persist/evict/reap machinery makes
+// redundant.
+func (h *Helper) bgGo(fn func()) bool {
+	if !h.bgEnter() {
+		return false
+	}
 	go func() {
 		defer h.bg.Done()
 		fn()
@@ -829,41 +845,20 @@ func (h *Helper) Shutdown() {
 		sems = append(sems, s)
 	}
 	// Snapshot the shard-leader view: the distinct coordinator addresses
-	// (excluding ourselves) get a goodbye each, and every owned semaphore
-	// set migrates back to its owning shard's leader.
+	// (excluding ourselves) are owed a goodbye if we share a stream with
+	// them, and every owned semaphore set migrates back to its owning
+	// shard's leader.
 	shardAddr := make([]string, len(h.groups))
 	ledShard := make([]bool, len(h.groups))
 	byeAddrs := make([]string, 0, len(h.groups))
 	for i, g := range h.groups {
 		shardAddr[i] = g.leaderAddr
 		ledShard[i] = g.leader != nil
-		if g.leaderAddr != "" && g.leaderAddr != h.Addr {
-			dup := false
-			for _, a := range byeAddrs {
-				if a == g.leaderAddr {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				byeAddrs = append(byeAddrs, g.leaderAddr)
-			}
+		if g.leaderAddr != "" && g.leaderAddr != h.Addr && !slices.Contains(byeAddrs, g.leaderAddr) {
+			byeAddrs = append(byeAddrs, g.leaderAddr)
 		}
 	}
 	h.mu.Unlock()
-
-	// Say goodbye first, synchronously, to every shard coordinator: once
-	// any of our streams tears down, a shard leader's failure detector
-	// would otherwise race us into a crash verdict and reap the objects we
-	// are about to persist/migrate.
-	for _, addr := range byeAddrs {
-		if c, err := h.dial(addr); err == nil {
-			// Deadline-bounded: a leader stuck behind a partition must not
-			// wedge this process's exit — after the timeout we proceed to
-			// persist/migrate and accept the (inherent) reap race.
-			_, _ = c.CallTimeout(Frame{Type: MsgBye, From: h.Addr}, rpcCallTimeout)
-		}
-	}
 
 	// Detach kernel-bypass rings while the streams still work, so owners
 	// fold ring contents back before this process disappears.
@@ -896,6 +891,22 @@ func (h *Helper) Shutdown() {
 		conns = append(conns, c)
 	}
 	h.mu.Unlock()
+	// Say goodbye, synchronously, to each shard coordinator we share a live
+	// stream with — dialled or accepted, whichever we find first — before
+	// any stream closes: its teardown would otherwise read as a crash at
+	// that leader and reap the objects just persisted or migrated. A leader
+	// we share no stream with has nothing to see die (and whatever it holds
+	// of ours stays, as after any goodbye), so a picoprocess that never
+	// coordinated leaves in silence.
+	for _, c := range conns {
+		if i := slices.Index(byeAddrs, c.remote()); i >= 0 && c.Alive() {
+			byeAddrs = slices.Delete(byeAddrs, i, i+1)
+			// Deadline-bounded: a leader stuck behind a partition must not
+			// wedge this process's exit; after the timeout we accept the
+			// (inherent) reap race.
+			_, _ = c.CallTimeout(Frame{Type: MsgBye, From: h.Addr}, rpcCallTimeout)
+		}
+	}
 	for _, c := range conns {
 		c.Close()
 	}

@@ -43,7 +43,7 @@ func (h *Helper) allocID(kind, shard int) (int64, error) {
 	b := h.idBatches[k]
 	if b == nil {
 		b = &idBatch{shard: shard}
-		h.idBatches[k] = b
+		mapSet(&h.idBatches, k, b)
 	}
 	if b.next == 0 || b.next > b.hi {
 		var leader *leaderState
@@ -66,7 +66,7 @@ func (h *Helper) allocID(kind, shard int) (int64, error) {
 		b = h.idBatches[k]
 		if b == nil {
 			b = &idBatch{shard: shard}
-			h.idBatches[k] = b
+			mapSet(&h.idBatches, k, b)
 		}
 		b.next, b.hi = lo, hi
 	}
@@ -161,11 +161,11 @@ func (h *Helper) sysvKey(kind int, key int64, flags int) (int64, string, error) 
 				return resp.A, resp.S, nil
 			}
 			h.mu.Lock()
-			h.keyLeases[kind][resp.C] = struct{}{}
+			kindSet(&h.keyLeases, kind, resp.C, struct{}{})
 			for _, se := range seed {
-				h.keyCache[kind][se.key] = keyEntry{id: se.id, owner: se.owner}
+				kindSet(&h.keyCache, kind, se.key, keyEntry{id: se.id, owner: se.owner})
 			}
-			h.keyCache[kind][key] = keyEntry{id: resp.A, owner: resp.S}
+			kindSet(&h.keyCache, kind, key, keyEntry{id: resp.A, owner: resp.S})
 			h.mu.Unlock()
 			h.leaseCount.Add(1)
 			return resp.A, resp.S, nil
@@ -264,7 +264,7 @@ func (h *Helper) keyFromLease(kind int, key int64, flags int) (id int64, owner s
 		}
 		return e.id, e.owner, true, nil
 	}
-	h.keyCache[kind][key] = keyEntry{id: proposed, owner: h.Addr}
+	kindSet(&h.keyCache, kind, key, keyEntry{id: proposed, owner: h.Addr})
 	h.mu.Unlock()
 	// Register lazily so later by-ID owner queries and post-exit lookups
 	// resolve at the leader; the create itself stays round-trip free.
@@ -427,14 +427,13 @@ func (h *Helper) flushKeyLeases() {
 		for key, e := range m {
 			entries = append(entries, flushKey{kind: kind, key: key, id: e.id, owner: e.owner})
 		}
-		h.keyCache[kind] = map[int64]keyEntry{}
 	}
 	for kind, m := range h.keyLeases {
 		for b := range m {
 			blocks = append(blocks, flushBlock{kind: kind, block: b})
 		}
-		h.keyLeases[kind] = map[int64]struct{}{}
 	}
+	h.keyCache, h.keyLeases = nil, nil
 	h.leaseCount.Store(0)
 	h.mu.Unlock()
 	for _, e := range entries {
@@ -463,10 +462,10 @@ func (h *Helper) Msgget(key int64, flags int) (int64, error) {
 		if h.queues[id] == nil {
 			q := newMsgQueue(id, key)
 			q.epoch = 1
-			h.queues[id] = q
+			mapSet(&h.queues, id, q)
 		}
 	} else {
-		h.qOwnerCache[id] = owner
+		mapSet(&h.qOwnerCache, id, owner)
 	}
 	h.mu.Unlock()
 	return id, nil
@@ -501,7 +500,7 @@ func (h *Helper) qOwner(id int64) (string, error) {
 		return "", err
 	}
 	h.mu.Lock()
-	h.qOwnerCache[id] = resp.S
+	mapSet(&h.qOwnerCache, id, resp.S)
 	h.mu.Unlock()
 	return resp.S, nil
 }
@@ -906,9 +905,12 @@ func (h *Helper) adoptQueue(id int64) bool {
 	q := newMsgQueue(id, key)
 	q.msgs = msgs
 	h.mu.Lock()
-	h.queues[id] = q
-	h.qOwnerCache[id] = h.Addr
+	mapSet(&h.queues, id, q)
+	mapSet(&h.qOwnerCache, id, h.Addr)
 	h.mu.Unlock()
+	// An owner sends locally: the attachment to the dead owner's ring, if a
+	// fallback send got here without noticing the revocation, is stale.
+	h.qRingDrop(id)
 	_, _ = h.callLeader(Frame{Type: MsgKeyChown, A: NSSysVMsg, B: id, S: h.Addr})
 	return true
 }
@@ -963,7 +965,7 @@ func (h *Helper) migrateQueue(id int64, to string) {
 		q.mu.Unlock()
 		_, _ = h.callLeader(Frame{Type: MsgKeyChown, A: NSSysVMsg, B: id, S: owner, D: nextEpoch})
 		h.mu.Lock()
-		h.qOwnerCache[id] = owner
+		mapSet(&h.qOwnerCache, id, owner)
 		h.mu.Unlock()
 	}
 	// uncertain handles a handoff whose outcome is unknown (the connection
@@ -1024,10 +1026,10 @@ func (h *Helper) Semget(key int64, nsems int, flags int) (int64, error) {
 		if h.sems[id] == nil {
 			s := newSemSet(id, key, nsems)
 			s.epoch = 1
-			h.sems[id] = s
+			mapSet(&h.sems, id, s)
 		}
 	} else {
-		h.semOwner[id] = owner
+		mapSet(&h.semOwner, id, owner)
 	}
 	h.mu.Unlock()
 	return id, nil
@@ -1058,7 +1060,7 @@ func (h *Helper) semOwnerOf(id int64) (string, error) {
 		return "", err
 	}
 	h.mu.Lock()
-	h.semOwner[id] = resp.S
+	mapSet(&h.semOwner, id, resp.S)
 	h.mu.Unlock()
 	return resp.S, nil
 }
@@ -1301,7 +1303,7 @@ func (h *Helper) migrateSem(id int64, to string) {
 		s.mu.Unlock()
 		_, _ = h.callLeader(Frame{Type: MsgKeyChown, A: NSSysVSem, B: id, S: owner, D: nextEpoch})
 		h.mu.Lock()
-		h.semOwner[id] = owner
+		mapSet(&h.semOwner, id, owner)
 		h.mu.Unlock()
 	}
 	// uncertain: see migrateQueue — never resurrect a copy the receiver

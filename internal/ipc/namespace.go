@@ -79,9 +79,9 @@ type leaderState struct {
 	// reused, so a tombstone stays valid forever; the set grows by one
 	// int64 per destroyed object, which is fine at sandbox scale.
 	removed map[int]map[int64]struct{} // kind -> id
-	// departed marks member addresses that said a graceful MsgBye (never
-	// reap them: their objects were persisted or migrated) or that were
-	// already reaped (reap once per address).
+	// departed marks member addresses that said a graceful MsgBye while
+	// holding something in these tables (never reap them: their objects
+	// were persisted or migrated).
 	departed map[string]struct{}
 	pgs      *pgroupState
 	// shard/nshards place this leaderState in a sharded plane: its
@@ -178,16 +178,17 @@ func (l *leaderState) coveredLocked(kind int, id int64) bool {
 // existing range already covers it) and the cursor advances past it.
 // Batches granted to other helpers before the claim are not recalled; a
 // claim is expected at join time, before the ID's neighborhood has been
-// handed out.
-func (l *leaderState) claimRange(kind int, id int64, owner string) {
+// handed out. Reports whether the cursor moved.
+func (l *leaderState) claimRange(kind int, id int64, owner string) (moved bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.coveredLocked(kind, id) {
 		l.ranges[kind] = append(l.ranges[kind], idRange{lo: id, hi: id, owner: owner})
 	}
-	if id >= l.next[kind] {
+	if moved = id >= l.next[kind]; moved {
 		l.next[kind] = id + 1
 	}
+	return moved
 }
 
 // rangeOwner returns the helper owning the batch containing id.
@@ -471,15 +472,44 @@ func (l *leaderState) remove(kind int, id int64) (notify []keyEvictNote) {
 	return notify
 }
 
+// holdsLocked reports whether addr still owns anything in these tables: an
+// ID range, a key-block lease, or a System V object. Caller holds l.mu.
+func (l *leaderState) holdsLocked(addr string) bool {
+	for _, rs := range l.ranges {
+		for _, r := range rs {
+			if r.owner == addr {
+				return true
+			}
+		}
+	}
+	for _, m := range l.leases {
+		for _, holder := range m {
+			if holder == addr {
+				return true
+			}
+		}
+	}
+	for _, owners := range l.owners {
+		for _, o := range owners {
+			if o.addr == addr {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // markDeparted records a graceful member departure (MsgBye): the member's
 // objects were persisted or migrated on its way out, so a later stream
-// teardown from it must not trigger reaping.
+// teardown from it must not trigger reaping. Only a member that holds
+// something here needs the mark — reaping one that holds nothing is a
+// no-op — so the set grows with what departed members leave behind, not
+// with how many ever said goodbye.
 func (l *leaderState) markDeparted(addr string) {
-	if addr == "" {
-		return
-	}
 	l.mu.Lock()
-	l.departed[addr] = struct{}{}
+	if addr != "" && l.holdsLocked(addr) {
+		l.departed[addr] = struct{}{}
+	}
 	l.mu.Unlock()
 }
 
@@ -488,8 +518,9 @@ func (l *leaderState) markDeparted(addr string) {
 // (so unregistered keys in those blocks resolve at the leader again), and
 // its owned System V objects (tombstoned, exactly like an explicit remove,
 // so parked waiters and future lookups get EIDRM). Returns eviction
-// notices for surviving lease holders and whether any reaping happened —
-// false for an address that departed gracefully or was already reaped.
+// notices for surviving lease holders and whether anything was reclaimed —
+// false for an address that departed gracefully, was already reaped, or
+// never held anything here.
 func (l *leaderState) reap(addr string) (notify []keyEvictNote, reaped bool) {
 	if addr == "" {
 		return nil, false
@@ -499,7 +530,6 @@ func (l *leaderState) reap(addr string) (notify []keyEvictNote, reaped bool) {
 		l.mu.Unlock()
 		return nil, false
 	}
-	l.departed[addr] = struct{}{}
 	for kind, rs := range l.ranges {
 		keep := rs[:0]
 		for _, r := range rs {
@@ -507,12 +537,14 @@ func (l *leaderState) reap(addr string) (notify []keyEvictNote, reaped bool) {
 				keep = append(keep, r)
 			}
 		}
+		reaped = reaped || len(keep) != len(rs)
 		l.ranges[kind] = keep
 	}
 	for _, m := range l.leases {
 		for block, holder := range m {
 			if holder == addr {
 				delete(m, block)
+				reaped = true
 			}
 		}
 	}
@@ -521,6 +553,7 @@ func (l *leaderState) reap(addr string) (notify []keyEvictNote, reaped bool) {
 			if o.addr != addr {
 				continue
 			}
+			reaped = true
 			if l.removed[kind] != nil {
 				l.removed[kind][id] = struct{}{}
 			}
@@ -536,6 +569,5 @@ func (l *leaderState) reap(addr string) (notify []keyEvictNote, reaped bool) {
 		}
 	}
 	l.mu.Unlock()
-	l.pgs.dropAddr(addr)
-	return notify, true
+	return notify, l.pgs.dropAddr(addr) || reaped
 }

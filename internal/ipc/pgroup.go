@@ -48,20 +48,23 @@ func (g *pgroupState) leave(pgid, pid int64) {
 }
 
 // dropAddr removes every member hosted at a crashed helper from every
-// group (member reaping; SignalGroup then stops fanning out to the ghost).
-func (g *pgroupState) dropAddr(addr string) {
+// group (member reaping; SignalGroup then stops fanning out to the ghost)
+// and reports whether there was one.
+func (g *pgroupState) dropAddr(addr string) (dropped bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for pgid, members := range g.groups {
 		for pid, a := range members {
 			if a == addr {
 				delete(members, pid)
+				dropped = true
 			}
 		}
 		if len(members) == 0 {
 			delete(g.groups, pgid)
 		}
 	}
+	return dropped
 }
 
 // pgMember is one (pid, addr) group entry.

@@ -7,10 +7,29 @@ import "sync"
 // hash, while keeping full-map sweeps (shutdown, drop-by-value) cheap.
 const numShards = 16
 
+// mapSet stores m[k] = v, allocating the map on first use: a helper's
+// tables read correctly while nil, so a picoprocess that never caches an
+// owner, dials a peer or holds a queue never pays for them.
+func mapSet[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
+}
+
+// kindSet is mapSet for the helper's per-namespace-kind tables.
+func kindSet[V any](m *map[int]map[int64]V, kind int, k int64, v V) {
+	if (*m)[kind] == nil {
+		mapSet(m, kind, make(map[int64]V))
+	}
+	(*m)[kind][k] = v
+}
+
 // shardedMap is a hash-sharded string-keyed map for read-mostly caches on
 // the RPC hot path (peer connections, owner addresses). Lookups from
 // concurrent guest threads take a per-shard mutex instead of serializing
-// on the helper's global lock (Fig. 5's 48-process scaling point).
+// on the helper's global lock (Fig. 5's 48-process scaling point). The
+// zero value is an empty map.
 type shardedMap[V any] struct {
 	shards [numShards]mapShard[V]
 }
@@ -20,14 +39,6 @@ type mapShard[V any] struct {
 	m  map[string]V
 	// Pad to a cache line so neighboring shards don't false-share.
 	_ [40]byte
-}
-
-func newShardedMap[V any]() *shardedMap[V] {
-	s := &shardedMap[V]{}
-	for i := range s.shards {
-		s.shards[i].m = make(map[string]V)
-	}
-	return s
 }
 
 // fnv1a hashes key with 32-bit FNV-1a (inlined to keep lookups cheap).
@@ -55,7 +66,7 @@ func (s *shardedMap[V]) get(key string) (V, bool) {
 func (s *shardedMap[V]) put(key string, v V) {
 	sh := s.shard(key)
 	sh.mu.Lock()
-	sh.m[key] = v
+	mapSet(&sh.m, key, v)
 	sh.mu.Unlock()
 }
 
@@ -106,14 +117,6 @@ type intShard[V any] struct {
 	_  [40]byte
 }
 
-func newShardedIntMap[V any]() *shardedIntMap[V] {
-	s := &shardedIntMap[V]{}
-	for i := range s.shards {
-		s.shards[i].m = make(map[int64]V)
-	}
-	return s
-}
-
 // mix64 spreads sequential IDs (the common case: batched PID allocation)
 // across shards (splitmix64 finalizer).
 func mix64(x int64) uint64 {
@@ -138,7 +141,7 @@ func (s *shardedIntMap[V]) get(key int64) (V, bool) {
 func (s *shardedIntMap[V]) put(key int64, v V) {
 	sh := s.shard(key)
 	sh.mu.Lock()
-	sh.m[key] = v
+	mapSet(&sh.m, key, v)
 	sh.mu.Unlock()
 }
 

@@ -63,11 +63,13 @@ type shardRing struct {
 	points []ringPoint
 }
 
+// newShardRing builds the ring of an n-shard plane; the 1-shard plane has
+// none (a nil ring places everything on shard 0).
 func newShardRing(n int) *shardRing {
-	r := &shardRing{n: n}
 	if n <= 1 {
-		return r
+		return nil
 	}
+	r := &shardRing{n: n}
 	r.points = make([]ringPoint, 0, n*ringVnodes)
 	for s := 0; s < n; s++ {
 		for v := 0; v < ringVnodes; v++ {

@@ -168,6 +168,14 @@ func (h *Helper) AcceptedConns() int {
 	return len(h.incoming)
 }
 
+// LocalPIDs counts the PID table: this process, the children it forked
+// and has not reaped, and any PID registered here by hand.
+func (h *Helper) LocalPIDs() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.localPIDs)
+}
+
 // RegisterGauges installs this helper's live-state gauges — accepted
 // election epoch (shard 0, plus one gauge per extra shard), held
 // key-block leases, live accepted connections, live shard count, and the

@@ -501,6 +501,7 @@ const mapTimeout = 10 * time.Second
 // the consumer half of the fork pipeline, run on a goroutine while the
 // main restore path consumes later sections.
 func (p *Process) mapImage(store *host.Handle, regions []Region) error {
+	defer p.rt.stage("image-map")()
 	for _, r := range regions {
 		if _, err := p.pal.DkVirtualMemoryAlloc(r.Start, r.End-r.Start, r.Prot); err != nil {
 			return err
@@ -518,6 +519,7 @@ func (p *Process) mapImage(store *host.Handle, regions []Region) error {
 // on a separate goroutine from the moment the memory section lands, so
 // page transfer overlaps descriptor and signal restore.
 func restoreChild(rt *Runtime, c *pal.PAL, initial *host.Stream, store *host.Handle, childMain func(*Process) int) (*Process, error) {
+	defer rt.stage("child-restore")()
 	kind, payload, err := readSection(initial)
 	if err != nil {
 		return nil, err
@@ -615,12 +617,15 @@ func restoreChild(rt *Runtime, c *pal.PAL, initial *host.Stream, store *host.Han
 			return nil, err
 		}
 	}
-	var helper *ipc.Helper
-	if len(meta.ShardAddrs) > 1 {
-		helper, err = ipc.NewShardMember(c, child.svc(), meta.PID, meta.ShardAddrs)
-	} else {
-		helper, err = ipc.NewMember(c, child.svc(), meta.PID, meta.LeaderAddr)
+	// meta.PID came out of the parent's leader-granted batch (AllocPID), so
+	// the helper joins without contacting any shard leader.
+	shardAddrs := meta.ShardAddrs
+	if len(shardAddrs) <= 1 {
+		shardAddrs = []string{meta.LeaderAddr}
 	}
+	stageDone := rt.stage("helper-join")
+	helper, err := ipc.NewForkedMember(c, child.svc(), meta.PID, shardAddrs)
+	stageDone()
 	if err != nil {
 		return nil, err
 	}

@@ -20,13 +20,17 @@ import (
 
 const (
 	leakIters = 300
-	// leakWarm iterations come first: they retire more than the 64
-	// recorders the kernel keeps and fill the pools, so that everything
-	// after them is steady state.
+	// leakWarm iterations at least come first and fill the pools; the
+	// warm-up then goes on until the kernel's set of retired recorders
+	// stops growing (it keeps 64, and only a child that recorded an event
+	// retires one — a forked child that never makes an RPC does not), so
+	// that everything after it is steady state.
 	leakWarm = 16
 	// leakHeapPerIter bounds live-heap growth per iteration. Before exit
-	// released streams, stores and recorders an iteration kept ~400 KB.
-	leakHeapPerIter = 16 << 10
+	// released streams, stores and recorders an iteration kept ~400 KB;
+	// before wait() dropped the reaped child's PID-table entry and the
+	// leader stopped recording every goodbye, 1176 B.
+	leakHeapPerIter = 4 << 10
 )
 
 // killPolicy is the reference monitor plus a failure for every nth child
@@ -148,13 +152,24 @@ func runLeakLoop(t *testing.T, killEvery int64) {
 				t.Errorf("wait(%d): %v", pid, err)
 			}
 		}
-		for i := 0; i < leakIters; i++ {
-			if i == leakWarm {
-				warmCensus, _, warmHeap = settle()
-			}
+		iterate := func() {
 			wait(p.Fork(func(c api.OS) { c.Exit(7) }))
 			wait(p.Spawn("/bin/true", []string{"/bin/true"}))
 			wait(p.Spawn("/bin/sh", []string{"/bin/sh", "-c", "seq 64 | grep 3 | wc > /leak.out"}))
+		}
+		for i, retired := 1, -1; ; i++ {
+			iterate()
+			if i < leakWarm {
+				continue
+			}
+			warmCensus, _, warmHeap = settle()
+			if warmCensus.RetiredRecorders == retired {
+				break
+			}
+			retired = warmCensus.RetiredRecorders
+		}
+		for i := 0; i < leakIters; i++ {
+			iterate()
 		}
 		endCensus, _, endHeap = settle()
 		// A fork that failed left no child behind to reap.
@@ -174,12 +189,12 @@ func runLeakLoop(t *testing.T, killEvery int64) {
 	}
 	if endCensus != warmCensus {
 		t.Errorf("census moved over %d iterations:\n after warm-up %+v\n at the end    %+v",
-			leakIters-leakWarm, warmCensus, endCensus)
+			leakIters, warmCensus, endCensus)
 	}
 	if endCensus.StreamsClosed != 0 || endCensus.Stores != 0 {
 		t.Errorf("closed endpoints or stores still registered: %+v", endCensus)
 	}
-	perIter := (int64(endHeap) - int64(warmHeap)) / (leakIters - leakWarm)
+	perIter := (int64(endHeap) - int64(warmHeap)) / leakIters
 	t.Logf("live heap %d -> %d bytes, %d per iteration; %d forks failed; census %+v",
 		warmHeap, endHeap, perIter, failed, endCensus)
 	if perIter > leakHeapPerIter {

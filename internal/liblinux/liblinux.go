@@ -9,6 +9,7 @@ package liblinux
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"graphene/internal/api"
 	"graphene/internal/host"
@@ -34,6 +35,20 @@ type Runtime struct {
 	// dynamic state (env, cwd, descriptors, identity) is re-captured on
 	// every spawn.
 	zygotes map[string][]byte
+
+	// stageObs, when set, is told how long each stage of a fork took
+	// (BenchmarkForkExitWait's breakdown); nil outside that benchmark.
+	stageObs func(stage string, d time.Duration)
+}
+
+// stage starts timing one stage of the fork pipeline; the func it returns
+// ends it. Without an observer neither reads the clock.
+func (r *Runtime) stage(name string) func() {
+	if r.stageObs == nil {
+		return func() {}
+	}
+	start := time.Now()
+	return func() { r.stageObs(name, time.Since(start)) }
 }
 
 // NewRuntime creates a runtime over the given host kernel and monitor.

@@ -209,6 +209,7 @@ func (p *Process) Exit(code int) {
 // close descriptors, and kill the picoprocess (§4.2 exit notification).
 func (p *Process) doExit(code int, killedBy api.Signal) {
 	p.exitOnce.Do(func() {
+		defer p.rt.stage("exit")()
 		p.mu.Lock()
 		p.dead = true
 		p.exitCode = code
@@ -216,6 +217,10 @@ func (p *Process) doExit(code int, killedBy api.Signal) {
 		p.mu.Lock()
 		pgid := p.pgid
 		p.mu.Unlock()
+		// Descriptors go before the exit notification, as in Linux's do_exit
+		// (exit_files, then exit_notify): once wait() has returned in the
+		// parent, a write to a pipe only this process read fails with EPIPE.
+		p.fds.closeAll(p.pal)
 		if pgid != 0 && p.helper != nil {
 			_ = p.helper.LeaveGroup(pgid, p.pid)
 		}
@@ -225,8 +230,10 @@ func (p *Process) doExit(code int, killedBy api.Signal) {
 		if p.helper != nil {
 			p.helper.Shutdown()
 		}
-		p.fds.closeAll(p.pal)
-		p.pal.DkProcessExit(code)
+		// The host exit code carries the terminating signal above the status,
+		// so a parent whose watchChild sees the picoprocess die before the
+		// notification lands reports the same WaitResult either way.
+		p.pal.DkProcessExit(code&0xffff | int(killedBy)<<16)
 	})
 }
 
@@ -261,6 +268,7 @@ func (p *Process) waitInternal(pid int) (api.WaitResult, error) {
 		if ready != nil {
 			ready.reaped = true
 			delete(p.children, ready.pid)
+			p.helper.ForgetPID(ready.pid)
 			return api.WaitResult{
 				PID:      int(ready.pid),
 				ExitCode: int(ready.status),
@@ -359,6 +367,7 @@ func (p *Process) shipCheckpoint(store *host.Handle, ck *Checkpoint, handles []*
 
 	// Create the clean child picoprocess. Its entry restores the streamed
 	// checkpoint and becomes the child libOS.
+	stageDone := p.rt.stage("create")
 	hostChild, parentStream, err := p.pal.DkProcessCreate(func(c *pal.PAL, initial *host.Stream) {
 		child, err := restoreChild(p.rt, c, initial, store, childMain)
 		if err != nil {
@@ -371,12 +380,14 @@ func (p *Process) shipCheckpoint(store *host.Handle, ck *Checkpoint, handles []*
 		childReady <- child.pid
 		child.start()
 	}, false)
+	stageDone()
 	if err != nil {
 		if store != nil {
 			_ = p.pal.DkObjectClose(store)
 		}
 		return 0, err
 	}
+	stageDone = p.rt.stage("sections")
 
 	// fail releases the fork machinery on any error: the initial stream,
 	// and the bulk-IPC store so the producer's queued batches drop their
@@ -384,10 +395,14 @@ func (p *Process) shipCheckpoint(store *host.Handle, ck *Checkpoint, handles []*
 	// With no consumer left, an open store would keep the parent's whole
 	// image flagged shared forever — every later parent write would pay a
 	// needless COW copy and ResidentBytes would undercount the parent.
+	var childPID int64
 	fail := func(err error) (int, error) {
 		parentStream.Close()
 		if store != nil {
 			_ = p.pal.DkObjectClose(store)
+		}
+		if childPID != 0 {
+			p.helper.ForgetPID(childPID)
 		}
 		return 0, err
 	}
@@ -395,8 +410,7 @@ func (p *Process) shipCheckpoint(store *host.Handle, ck *Checkpoint, handles []*
 	// Allocate the child PID now that its helper address is known (the
 	// address derives from the host PID, so creation must come first).
 	childAddr := ipc.AddrForHostPID(hostChild.ID)
-	childPID, err := p.helper.AllocPID(childAddr)
-	if err != nil {
+	if childPID, err = p.helper.AllocPID(childAddr); err != nil {
 		return fail(err)
 	}
 
@@ -456,6 +470,8 @@ func (p *Process) shipCheckpoint(store *host.Handle, ck *Checkpoint, handles []*
 	p.mu.Unlock()
 	go p.watchChild(cs)
 
+	stageDone()
+	defer p.rt.stage("wait-ready")()
 	// Stopped on the way out: a bare time.After would leave one pending
 	// 10 s timer (and its channel) behind every fork.
 	timeout := time.NewTimer(10 * time.Second)
@@ -490,7 +506,8 @@ func (p *Process) watchChild(cs *childState) {
 	crashed := !cs.exited
 	if crashed {
 		cs.exited = true
-		cs.status = int64(cs.hostProc.ExitCode())
+		hc := cs.hostProc.ExitCode()
+		cs.status, cs.signal = int64(hc&0xffff), api.Signal(hc>>16)
 		p.childCV.Broadcast()
 		p.sig.deliver(api.SIGCHLD)
 	}
