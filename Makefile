@@ -7,7 +7,7 @@ PKGS := ./...
 # both. `make race` and CI's race step run exactly this list.
 HOT_PKGS := ./internal/host/... ./internal/ipc/... ./internal/liblinux/...
 
-.PHONY: build test race vet shape bench bench-fig5 benchmark benchmark-smoke chaos chaos-shard chaos-ring chaos-fleet cover fuzz all
+.PHONY: build test race vet shape bench bench-fig5 benchmark benchmark-smoke chaos chaos-shard chaos-ring chaos-fleet flake cover fuzz all
 
 all: build vet test
 
@@ -82,6 +82,23 @@ chaos-ring:
 chaos-fleet:
 	$(GO) test -race -count=3 -run 'TestFleet|TestSim' ./internal/apps/
 	$(GO) test -race -count=3 -run 'TestConformanceListener' ./internal/baseline/conformance/
+
+# Flake census for one package: `make flake PKG=./internal/liblinux/` runs
+# its tests twenty times in one race-detector binary, each iteration in a
+# fresh random order, and prints pass or fail (with the failing tests) per
+# iteration, then the shuffle seed that replays the run. A green package
+# reads 20/20. The full verbose log is left in flake.log.
+flake:
+	@test -n "$(PKG)" || { echo 'usage: make flake PKG=./internal/<package>/' >&2; exit 2; }
+	@$(GO) test -race -shuffle=on -count=20 -v $(PKG) >flake.log 2>&1; status=$$?; \
+	awk '/^-test.shuffle / { seed = $$2 } \
+		/^--- (PASS|FAIL|SKIP): / { k = ++seen[$$3]; if (k > ran) ran = k; if ($$2 == "FAIL:") bad[k] = bad[k] " " $$3 } \
+		END { ok = 0; for (i = 1; i <= 20; i++) { \
+			if (i > ran) print "iteration " i ": did not run"; \
+			else if (i in bad) print "iteration " i ": FAIL" bad[i]; \
+			else { print "iteration " i ": ok"; ok++ } } \
+			print ok "/20 passed, -test.shuffle " seed }' flake.log; \
+	exit $$status
 
 # Coverage profile over every package; CI uploads coverage.out as an
 # artifact. -covermode=atomic because the suites are concurrency-heavy.

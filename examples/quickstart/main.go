@@ -37,7 +37,8 @@ allow_write /tmp
 
 	// 4. Launch a multi-process shell script. Each pipeline stage is a
 	// separate picoprocess with its own libOS instance; they coordinate
-	// PIDs, exit notification, and pipes over RPC streams.
+	// PIDs over RPC and pass data through pipes, and each parent learns of
+	// a child's exit from the child's host process handle.
 	script := `
 mkdir /tmp
 echo "Graphene says hello" > /tmp/greeting

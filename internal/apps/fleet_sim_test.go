@@ -558,6 +558,62 @@ func TestSimDrainBeforeRetire(t *testing.T) {
 	}
 }
 
+// TestSimScaleUpAfterSigtermIsNotACrash: once a retiring worker's SIGTERM
+// has gone out, a scale-up that moves the target back over its slot before
+// the death is reaped does not make that death a crash. The exit is booked
+// as the retirement it is, with no fast-crash count and no backoff, and the
+// slot, now inside the target, respawns on the next tick.
+func TestSimScaleUpAfterSigtermIsNotACrash(t *testing.T) {
+	cfg := simConfig(2, 4)
+	t0 := int64(1_000_000)
+	c := newFleetCore(cfg, t0, nil)
+	for _, s := range c.slots {
+		s.alive = true
+		s.pid = 900 + s.id
+		s.startedUS = t0
+		s.lastProgressUS = t0
+	}
+	c.target = 3
+	s := c.slots[3]
+
+	// t0: the tick marks slot 3 retiring and, idle, schedules its SIGTERM,
+	// which the killer lets out.
+	acts := c.tick(t0, 0)
+	if !s.retiring || len(acts.kill) != 1 || acts.kill[0].slot != s || acts.kill[0].sig != api.SIGTERM {
+		t.Fatalf("t0: retiring=%v kills=%+v, want one SIGTERM for slot 3", s.retiring, acts.kill)
+	}
+	if !c.killDue(acts.kill[0]) {
+		t.Fatal("t0: the SIGTERM for an idle retiring worker is not due")
+	}
+
+	// t1: queue pressure scales the fleet back up over slot 3 before the
+	// death is reaped.
+	t1 := t0 + simTickUS
+	acts = c.tick(t1, cfg.scaleUpQueue)
+	if c.target != 4 || c.scaleUps != 1 {
+		t.Fatalf("t1: target=%d scaleUps=%d, want 4 and 1", c.target, c.scaleUps)
+	}
+	if len(acts.spawn) != 0 {
+		t.Fatalf("t1: %d spawns while every slot is alive", len(acts.spawn))
+	}
+
+	// t2: the reap.
+	t2 := t1 + simTickUS
+	c.exited(903, t2)
+	if c.crashes != 0 || s.fastCrashes != 0 {
+		t.Fatalf("t2: crashes=%d fastCrashes=%d, want 0 and 0", c.crashes, s.fastCrashes)
+	}
+	if got := c.eventLog(); got[len(got)-1] != "t="+strconv.FormatInt(t2, 10)+" retired slot=3" {
+		t.Fatalf("t2: last event %q, want the retirement", got[len(got)-1])
+	}
+
+	// t3: no backoff, so the next tick respawns the slot.
+	acts = c.tick(t2+simTickUS, 0)
+	if len(acts.spawn) != 1 || acts.spawn[0] != s {
+		t.Fatalf("t3: spawns %v, want slot 3 respawned", acts.spawn)
+	}
+}
+
 // TestSimP2CPlacementProperties is the randomized property test for
 // power-of-two-choices placement: under a seeded random arrival schedule,
 // no eligible worker starves, credits never go negative, and no worker

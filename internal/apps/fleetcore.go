@@ -67,6 +67,9 @@ type fleetSlot struct {
 	// retiring marks a worker draining toward a scale-down SIGTERM: no
 	// new dispatch, terminated once its in-flight requests complete.
 	retiring bool
+	// terminating marks a worker whose SIGTERM killDue let out: its exit is
+	// planned even if a scale-up wants the slot back before the reap.
+	terminating bool
 
 	fastCrashes    int
 	breakerOpen    bool
@@ -385,19 +388,22 @@ func (c *fleetCore) exited(pid int, now int64) (dispatchW, statusR int) {
 // crash, breaker trip on a crash loop, and the planned-exit cases (drain,
 // retire) that must not count as crashes.
 func (c *fleetCore) onExit(s *fleetSlot, now int64) {
-	retiring := s.retiring
+	retiring, terminating := s.retiring, s.terminating
 	s.alive = false
 	s.hasExited = true
 	s.pid = 0
 	s.inflight = 0
 	s.quarantined = false
 	s.retiring = false
+	s.terminating = false
 	if c.draining {
 		return
 	}
-	if retiring && s.id >= c.target {
+	if retiring && s.id >= c.target || terminating {
 		// A scale-down retirement completing, not a crash: the slot stays
-		// parked outside the target prefix until the scaler wants it back.
+		// parked outside the target prefix until the scaler wants it back,
+		// and one a scale-up reclaimed after its SIGTERM went out respawns
+		// on the next tick, with no backoff.
 		c.event(now, "retired slot="+strconv.Itoa(s.id))
 		return
 	}
@@ -424,7 +430,8 @@ func (c *fleetCore) onExit(s *fleetSlot, now int64) {
 }
 
 // killDue reports whether a kill the tick scheduled should still be sent
-// by the time the killer thread gets to it.
+// by the time the killer thread gets to it. A SIGTERM it lets out marks the
+// worker terminating, so no later scale-up can reclaim it.
 func (c *fleetCore) killDue(req killReq) bool {
 	s := req.slot
 	if !s.alive || s.pid != req.pid {
@@ -433,7 +440,11 @@ func (c *fleetCore) killDue(req killReq) bool {
 	if req.sig == api.SIGKILL {
 		return s.quarantined // else quarantine lifted before the kill fired
 	}
-	return s.retiring || c.draining // else a scale-up reclaimed the worker
+	if !s.retiring && !c.draining {
+		return false // a scale-up reclaimed the worker
+	}
+	s.terminating = true
+	return true
 }
 
 // inflightTotal sums live dispatch credits in use.
@@ -550,12 +561,12 @@ func (c *fleetCore) tick(now int64, queueLen int) coreActions {
 			s.fastCrashes = 0
 		}
 		// Scale-down marks slots beyond the target as retiring (no new
-		// dispatch); a scale-up before the SIGTERM lands reclaims the
+		// dispatch); a scale-up before the SIGTERM goes out reclaims the
 		// still-live worker instead of paying for a fresh spawn.
 		if s.alive && !s.retiring && s.id >= c.target {
 			s.retiring = true
 			s.nextKillUS = now // drained check below may fire immediately
-		} else if s.retiring && s.id < c.target {
+		} else if s.retiring && !s.terminating && s.id < c.target {
 			s.retiring = false
 		}
 		// Spawn-due: dead slot inside the target prefix, backoff elapsed,

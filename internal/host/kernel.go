@@ -458,9 +458,15 @@ func (k *Kernel) StreamPair(a, b *Picoprocess) (*Stream, *Stream) {
 
 // StreamClose gives up p's hold on s: s leaves p's table and loses one
 // reference. Co-holders keep the endpoint open; the last one's close (this
-// call or a bare Stream.Close) really closes it.
+// call or a bare Stream.Close) really closes it. Once p is dead, only the
+// call that takes s out of p's table releases the reference: a close that
+// passed the gate just before p's Exit and lands after Exit has released
+// every endpoint in the table would otherwise release one more, closing
+// the endpoint under its other holders.
 func (k *Kernel) StreamClose(p *Picoprocess, s *Stream) {
-	s.dropHolder(p)
+	if !s.dropHolder(p) && p.Dead() {
+		return
+	}
 	s.Close()
 }
 

@@ -212,6 +212,38 @@ func TestStreamLastCloseLeavesEveryTable(t *testing.T) {
 	}
 }
 
+// TestStreamCloseAfterExitReleasesNothing: a close that passed the gate just
+// before its picoprocess exited, and lands after Exit has released the
+// picoprocess's endpoints, must not release the same reference again — the
+// endpoint would close under the holder that is still alive. A forked
+// child closing an inherited pipe end while a SIGKILL tears it down is
+// this interleaving.
+func TestStreamCloseAfterExitReleasesNothing(t *testing.T) {
+	k := NewKernel()
+	parent, _ := k.CreateProcess(nil, false)
+	peer, _ := k.CreateProcess(nil, false)
+	child, _ := k.CreateProcess(nil, false)
+	w, r := k.StreamPair(parent, peer)
+	w.Ref()
+	k.AdoptStream(child, w)
+
+	child.Exit(137)
+	if w.Closed() {
+		t.Fatal("the child's exit closed an endpoint its parent still holds")
+	}
+	k.StreamClose(child, w) // the late close
+	if w.Closed() {
+		t.Fatal("a close landing after the child's exit released the parent's reference")
+	}
+	if _, err := w.Write([]byte("x")); err != nil {
+		t.Fatalf("parent's write after the child's late close: %v", err)
+	}
+	k.StreamClose(parent, w)
+	if !w.Closed() || !r.PeerClosed() {
+		t.Fatal("the parent's close, the last reference, did not close the endpoint")
+	}
+}
+
 func TestIPCStoreCloseLeavesRegistry(t *testing.T) {
 	k := NewKernel()
 	p, _ := k.CreateProcess(nil, false)

@@ -90,12 +90,14 @@ func (p *Picoprocess) Filter() SyscallFilter {
 // Kernel.StreamClose.
 func (p *Picoprocess) registerStream(s *Stream) { s.addHolder(p) }
 
-// forgetStream drops s from the table; only Stream's holder bookkeeping
-// calls it.
-func (p *Picoprocess) forgetStream(s *Stream) {
+// forgetStream drops s from the table and reports whether it was there;
+// only Stream's holder bookkeeping calls it.
+func (p *Picoprocess) forgetStream(s *Stream) bool {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	_, listed := p.streams[s]
 	delete(p.streams, s)
-	p.mu.Unlock()
+	return listed
 }
 
 // OpenStreams snapshots the endpoints currently owned by this picoprocess.

@@ -488,8 +488,9 @@ func (s *Stream) addHolder(p *Picoprocess) {
 
 // dropHolder undoes addHolder for one picoprocess that gives the endpoint
 // up while others keep it; the fault owner moves to a remaining holder.
-func (s *Stream) dropHolder(p *Picoprocess) {
-	p.forgetStream(s)
+// It reports whether the endpoint was still in p's table.
+func (s *Stream) dropHolder(p *Picoprocess) bool {
+	listed := p.forgetStream(s)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if i := slices.Index(s.holders, p); i >= 0 {
@@ -502,6 +503,7 @@ func (s *Stream) dropHolder(p *Picoprocess) {
 		}
 		s.faultOwner.Store(next)
 	}
+	return listed
 }
 
 // drainOOB disposes of handles that were passed to this endpoint but never

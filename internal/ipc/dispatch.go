@@ -199,10 +199,6 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		}
 		respond(f.Response(Frame{}))
 
-	case MsgExitNotify:
-		h.svc.NotifyExit(f.A, f.B, api.Signal(f.C))
-		// Asynchronous: no response expected.
-
 	case MsgProcMeta:
 		v, errno := h.svc.ProcMeta(f.A, f.S)
 		if errno != 0 {

@@ -60,13 +60,12 @@ const idBatchSize = 32
 const persistDir = "/var/ipc"
 
 // Service is the libOS's upcall surface: the helper calls it to act on
-// RPCs that target local abstractions (signals, exit notifications, /proc
-// metadata). Implementations must service these from local state only.
+// RPCs that target local abstractions (signals, /proc metadata).
+// Implementations must service these from local state only. A child's exit
+// is not among them: the parent learns of it from the host exit event.
 type Service interface {
 	// DeliverSignal marks sig pending for the local thread group.
 	DeliverSignal(target int64, sig api.Signal) api.Errno
-	// NotifyExit records a child's exit and wakes waiters.
-	NotifyExit(child int64, status int64, sig api.Signal)
 	// ProcMeta reads a /proc/[pid] field for a local process.
 	ProcMeta(pid int64, field string) (string, api.Errno)
 }
@@ -728,16 +727,6 @@ func (h *Helper) SendSignal(pid int64, sig api.Signal) error {
 		return err
 	}
 	return nil
-}
-
-// NotifyExitTo sends an exit notification to the parent's helper (§4.2).
-// Asynchronous: the exiting process does not block on the parent.
-func (h *Helper) NotifyExitTo(parentAddr string, child int64, status int64, sig api.Signal) error {
-	c, err := h.dial(parentAddr)
-	if err != nil {
-		return err
-	}
-	return c.Notify(Frame{Type: MsgExitNotify, A: child, B: status, C: int64(sig)})
 }
 
 // ProcMeta reads a /proc/[pid] field, locally or over RPC (§4.2, Table 2).

@@ -20,10 +20,6 @@ type fakeService struct {
 		pid int64
 		sig api.Signal
 	}
-	exits []struct {
-		pid    int64
-		status int64
-	}
 	meta map[string]string
 }
 
@@ -39,15 +35,6 @@ func (s *fakeService) DeliverSignal(pid int64, sig api.Signal) api.Errno {
 		sig api.Signal
 	}{pid, sig})
 	return 0
-}
-
-func (s *fakeService) NotifyExit(pid, status int64, sig api.Signal) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.exits = append(s.exits, struct {
-		pid    int64
-		status int64
-	}{pid, status})
 }
 
 func (s *fakeService) ProcMeta(pid int64, field string) (string, api.Errno) {
@@ -263,37 +250,6 @@ func TestPIDResolutionCached(t *testing.T) {
 	addr2, err := m2.ResolvePID(pid)
 	if err != nil || addr2 != addr {
 		t.Fatalf("cached resolve: %q, %v", addr2, err)
-	}
-}
-
-func TestExitNotification(t *testing.T) {
-	g := newTestGroup(t)
-	lsvc := newFakeService()
-	lh, lp := g.leader(lsvc)
-	mh, _ := g.member(lp, lh.Addr, 2, newFakeService())
-
-	if err := mh.NotifyExitTo(lh.Addr, 2, 42, 0); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(time.Second)
-	for {
-		lsvc.mu.Lock()
-		n := len(lsvc.exits)
-		lsvc.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("exit notification never arrived")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	lsvc.mu.Lock()
-	defer lsvc.mu.Unlock()
-	if lsvc.exits[0].pid != 2 || lsvc.exits[0].status != 42 {
-		t.Fatalf("exit = %+v", lsvc.exits[0])
 	}
 }
 

@@ -150,9 +150,8 @@ func TestAssignedPIDStillClaims(t *testing.T) {
 
 // TestStatelessChildLeavesLeaderUntouched: forked children that never
 // coordinate — one exiting cleanly, one killed — leave every leader table
-// as it was, whether their parent is a plain member (no stream to the
-// leader at all) or the leader itself (a stream, for the exit
-// notification, and so a goodbye — but nothing worth recording).
+// as it was and say no goodbye, whether their parent is a plain member or
+// the leader itself: neither shares a stream with the child.
 func TestStatelessChildLeavesLeaderUntouched(t *testing.T) {
 	g := newTestGroup(t)
 	lsvc := newFakeService()
@@ -169,15 +168,11 @@ func TestStatelessChildLeavesLeaderUntouched(t *testing.T) {
 	accepted := lh.AcceptedConns()
 
 	for _, parent := range []struct {
-		h    *Helper
-		p    *pal.PAL
-		byes int // goodbyes the clean exit owes
-	}{{mh, mp, 0}, {lh, lp, 1}} {
+		h *Helper
+		p *pal.PAL
+	}{{mh, mp}, {lh, lp}} {
 		byes := served(plan, MsgBye)
 		clean, cleanPAL, cleanPID := g.forked(parent.h, parent.p, newFakeService())
-		if err := clean.NotifyExitTo(parent.h.Addr, cleanPID, 0, 0); err != nil {
-			t.Fatal(err)
-		}
 		clean.Shutdown()
 		cleanPAL.Proc().Exit(0)
 		parent.h.ForgetPID(cleanPID)
@@ -189,8 +184,8 @@ func TestStatelessChildLeavesLeaderUntouched(t *testing.T) {
 		waitFor(t, 2*time.Second, "the leader's accepted set to settle", func() bool {
 			return lh.AcceptedConns() == accepted
 		})
-		if got := served(plan, MsgBye) - byes; got != parent.byes {
-			t.Errorf("children of %s said %d goodbyes, want %d", parent.h.Addr, got, parent.byes)
+		if got := served(plan, MsgBye) - byes; got != 0 {
+			t.Errorf("children of %s said %d goodbyes, want 0", parent.h.Addr, got)
 		}
 	}
 	// A teardown's reap runs off the read loop: give it the time the

@@ -34,8 +34,6 @@ const (
 
 	// MsgSignal: deliver a signal. A=target guest PID, B=signal number.
 	MsgSignal
-	// MsgExitNotify: child exit. A=child guest PID, B=status, C=signal.
-	MsgExitNotify
 	// MsgProcMeta: read a /proc/[pid] field. A=guest PID, S=field.
 	// Resp: S=value.
 	MsgProcMeta
@@ -174,7 +172,7 @@ const (
 var msgTypeNames = [...]string{
 	MsgPing: "MsgPing", MsgPong: "MsgPong",
 	MsgNSAlloc: "MsgNSAlloc", MsgNSQuery: "MsgNSQuery", MsgNSRegister: "MsgNSRegister",
-	MsgSignal: "MsgSignal", MsgExitNotify: "MsgExitNotify", MsgProcMeta: "MsgProcMeta",
+	MsgSignal: "MsgSignal", MsgProcMeta: "MsgProcMeta",
 	MsgKeyGet: "MsgKeyGet", MsgKeyOwner: "MsgKeyOwner", MsgKeyChown: "MsgKeyChown",
 	MsgKeyRemove: "MsgKeyRemove",
 	MsgQSend:     "MsgQSend", MsgQRecv: "MsgQRecv", MsgQDelete: "MsgQDelete",

@@ -59,7 +59,6 @@ func (p *Process) checkpointMeta() (*Checkpoint, []*host.Handle, error) {
 	ck := new(Checkpoint)
 	p.mu.Lock()
 	ck.PGID = p.pgid
-	ck.ParentAddr = p.helperAddr()
 	ck.LeaderAddr = p.leaderAddrLocked()
 	ck.ShardAddrs = p.shardAddrsLocked()
 	ck.ProgramPath = p.programPath
@@ -96,13 +95,6 @@ func (p *Process) checkpointMeta() (*Checkpoint, []*host.Handle, error) {
 		ck.FDs = append(ck.FDs, fc)
 	}
 	return ck, handles, nil
-}
-
-func (p *Process) helperAddr() string {
-	if p.helper != nil {
-		return p.helper.Addr
-	}
-	return ""
 }
 
 // shardAddrsLocked snapshots the parent helper's per-shard leader table
@@ -179,8 +171,8 @@ type section interface {
 // re-captured fresh on every fork and spawn — never cached — so a
 // zygote-cached spawn still observes current env, cwd, and addresses.
 type ckMetaSection struct {
-	PID, PPID, PGID        int64
-	ParentAddr, LeaderAddr string
+	PID, PPID, PGID int64
+	LeaderAddr      string
 	// ShardAddrs is the per-shard coordinator address table when the parent
 	// runs on a sharded namespace plane (nil / single entry = classic
 	// one-coordinator topology; the child then joins via LeaderAddr).
@@ -195,7 +187,6 @@ func (m *ckMetaSection) appendTo(b []byte) []byte {
 	b = binary.AppendVarint(b, m.PID)
 	b = binary.AppendVarint(b, m.PPID)
 	b = binary.AppendVarint(b, m.PGID)
-	b = appendString(b, m.ParentAddr)
 	b = appendString(b, m.LeaderAddr)
 	b = appendStrings(b, m.ShardAddrs)
 	b = appendString(b, m.ProgramPath)
@@ -217,7 +208,7 @@ func (m *ckMetaSection) decode(payload []byte) error {
 	r := ckReader{b: payload}
 	*m = ckMetaSection{
 		PID: r.varint(), PPID: r.varint(), PGID: r.varint(),
-		ParentAddr: r.str(), LeaderAddr: r.str(), ShardAddrs: r.strs(),
+		LeaderAddr: r.str(), ShardAddrs: r.strs(),
 		ProgramPath: r.str(), Argv: r.strs(), Cwd: r.str(),
 	}
 	if n := r.count(2); n > 0 {
@@ -546,7 +537,7 @@ func restoreChild(rt *Runtime, c *pal.PAL, initial *host.Stream, store *host.Han
 		// resume the wrong image.
 		return nil, api.EINVAL
 	}
-	child, err := newProcess(rt, c, meta.PID, meta.PPID, meta.ParentAddr, meta.LeaderAddr)
+	child, err := newProcess(rt, c, meta.PID, meta.PPID, meta.LeaderAddr)
 	if err != nil {
 		return nil, err
 	}
@@ -930,7 +921,7 @@ func (r *Runtime) ResumeFromBytes(man *monitor.Manifest, blob []byte) (*LaunchRe
 		return nil, err
 	}
 	c := pal.New(r.kernel, proc, r.mon)
-	lib, err := newProcess(r, c, ck.PID, 0, "", "")
+	lib, err := newProcess(r, c, ck.PID, 0, "")
 	if err != nil {
 		proc.Exit(127)
 		return nil, err

@@ -18,7 +18,7 @@ func sampleSections() map[byte]section {
 	return map[byte]section{
 		secMeta: &ckMetaSection{
 			PID: 42, PPID: 1, PGID: 42,
-			ParentAddr: "ipc:17", LeaderAddr: "ipc:3", ShardAddrs: []string{"ipc:3", "ipc:4"},
+			LeaderAddr: "ipc:3", ShardAddrs: []string{"ipc:3", "ipc:4"},
 			ProgramPath: "/bin/sh", Argv: []string{"/bin/sh", "-c", "seq 64 | grep 3 | wc"}, Cwd: "/home",
 			Env: map[string]string{"PATH": "/bin:/usr/bin", "HOME": "/home", "TERM": "vt100", "": "empty key"},
 		},
@@ -211,8 +211,8 @@ func awaitProcs(t *testing.T, k *host.Kernel, want int) host.Census {
 // descriptor table have no order of their own; the codec gives them one),
 // and an image resumed on another kernel checkpoints back to the image it
 // came from, except for the fields a resume is documented to change:
-// ParentAddr and LeaderAddr (helper addresses derive from host PIDs) and
-// the RESUMED environment marker.
+// LeaderAddr (helper addresses derive from host PIDs) and the RESUMED
+// environment marker.
 func TestCheckpointBytesDeterministic(t *testing.T) {
 	parked := make(chan struct{}, 2)
 	release := make(chan struct{})
@@ -313,7 +313,7 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 		t.Fatalf("resumed image carries no RESUMED marker: %v", resumed.Env)
 	}
 	delete(resumed.Env, "RESUMED")
-	resumed.ParentAddr, resumed.LeaderAddr = orig.ParentAddr, orig.LeaderAddr
+	resumed.LeaderAddr = orig.LeaderAddr
 	if !bytes.Equal(encodeImage(t, orig), first) {
 		t.Fatal("decode then encode changed the original image")
 	}

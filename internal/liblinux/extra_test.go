@@ -139,17 +139,16 @@ func TestConnectionPassingBetweenProcesses(t *testing.T) {
 	}
 }
 
-// TestCrashedChildSynthesizedExit: if a child's picoprocess dies without
-// sending an exit notification, the parent's watcher synthesizes one from
-// the host exit event (§4.2, "one synthesized if child becomes
-// unavailable").
+// TestCrashedChildSynthesizedExit: a child whose picoprocess dies without
+// running the libOS exit path is reported all the same, because the host
+// exit event is every child's exit notification (§4.2, "one synthesized if
+// child becomes unavailable").
 func TestCrashedChildSynthesizedExit(t *testing.T) {
 	rt, man := testEnv(t)
 	code := run(t, rt, man, func(p api.OS, argv []string) int {
 		lp := p.(*Process)
 		pid, err := p.Fork(func(c api.OS) {
-			// Crash the picoprocess directly: no libOS exit path runs, so
-			// no RPC notification is ever sent.
+			// Crash the picoprocess directly: no libOS exit path runs.
 			cc := c.(*Process)
 			cc.PAL().Proc().Exit(139)
 			select {} // unreachable; the host process is dead

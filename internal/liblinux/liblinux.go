@@ -171,7 +171,7 @@ func (r *Runtime) Launch(man *monitor.Manifest, path string, argv []string) (*La
 		return nil, err
 	}
 	p := pal.New(r.kernel, proc, r.mon)
-	lib, err := newProcess(r, p, 1, 0, "", "")
+	lib, err := newProcess(r, p, 1, 0, "")
 	if err != nil {
 		proc.Exit(127)
 		return nil, err
@@ -193,12 +193,11 @@ func (r *Runtime) Launch(man *monitor.Manifest, path string, argv []string) (*La
 }
 
 // coordService is the upcall surface of a dedicated coordinator
-// picoprocess: it hosts no application, so signals and exit reports aimed
-// at it are dropped and /proc reads answer ENOENT.
+// picoprocess: it hosts no application, so signals aimed at it are dropped
+// and /proc reads answer ENOENT.
 type coordService struct{}
 
 func (coordService) DeliverSignal(int64, api.Signal) api.Errno  { return 0 }
-func (coordService) NotifyExit(int64, int64, api.Signal)        {}
 func (coordService) ProcMeta(int64, string) (string, api.Errno) { return "", api.ENOENT }
 
 // LaunchSharded boots path's program as the root of a sandbox whose
@@ -222,7 +221,7 @@ func (r *Runtime) LaunchSharded(man *monitor.Manifest, path string, argv []strin
 		return nil, err
 	}
 	p := pal.New(r.kernel, proc, r.mon)
-	lib, err := newProcess(r, p, 1, 0, "", "")
+	lib, err := newProcess(r, p, 1, 0, "")
 	if err != nil {
 		proc.Exit(127)
 		return nil, err

@@ -1,6 +1,7 @@
 package liblinux
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -25,10 +26,21 @@ func servedBy(plan *host.FaultPlan, t ipc.MsgType) int {
 	return plan.Hits("rpc." + t.String() + ".enter")
 }
 
+// servedEach snapshots servedBy for every message type.
+func servedEach(plan *host.FaultPlan) map[ipc.MsgType]int {
+	served := map[ipc.MsgType]int{}
+	for mt := ipc.MsgType(1); !strings.HasPrefix(mt.String(), "MsgType("); mt++ {
+		served[mt] = servedBy(plan, mt)
+	}
+	return served
+}
+
 // TestForkedChildMakesNoLeaderTraffic: 200 × fork+exit+wait and 200 ×
-// Spawn("/bin/true") from a parent that is not the leader reach the leader
-// only as the parent's own PID-batch refills, over the parent's one
-// connection.
+// Spawn("/bin/true"), first from a parent that is not the leader, then from
+// the leader itself. Neither parent's children ever reach the leader's
+// dispatcher or hold a connection to it: the leader serves only the
+// parent's own PID-batch refills — frames over the non-leader parent's one
+// connection, local dispatches when the leader is the parent.
 func TestForkedChildMakesNoLeaderTraffic(t *testing.T) {
 	rt, man := testEnv(t)
 	if err := apps.RegisterAll(rt.RegisterProgram); err != nil {
@@ -39,82 +51,88 @@ func TestForkedChildMakesNoLeaderTraffic(t *testing.T) {
 	claimHist := metrics.Default.Histogram("rpc.MsgNSClaim")
 	byeHist := metrics.Default.Histogram("rpc.MsgBye")
 
+	// cycle draws two PIDs from c's batch: a forked child exiting 3 and a
+	// spawned /bin/true, each reaped.
+	cycle := func(c api.OS) bool {
+		pid, err := c.Fork(func(g api.OS) { g.Exit(3) })
+		if err != nil {
+			t.Errorf("fork: %v", err)
+			return false
+		}
+		if res, err := c.Wait(pid); err != nil || res.ExitCode != 3 || res.Signaled != 0 {
+			t.Errorf("wait(fork): %+v, %v", res, err)
+			return false
+		}
+		if pid, err = c.Spawn("/bin/true", []string{"/bin/true"}); err != nil {
+			t.Errorf("spawn: %v", err)
+			return false
+		}
+		if res, err := c.Wait(pid); err != nil || res.ExitCode != 0 {
+			t.Errorf("wait(spawn): %+v, %v", res, err)
+			return false
+		}
+		return true
+	}
+	// loop runs the cycles from parent and checks the leader saw none of
+	// them: the same accepted connections after every cycle, wantRefills
+	// MsgNSAlloc frames and not one frame of any other type, no claim, no
+	// goodbye, nobody reaped, and the parent's PID table back where it was.
+	loop := func(parent, leader *Process, plan *host.FaultPlan, wantRefills int) bool {
+		accepted := leader.Helper().AcceptedConns()
+		localPIDs := parent.Helper().LocalPIDs()
+		claims, byes := claimHist.Count(), byeHist.Count()
+		reaped := ipc.ReadFailoverCounters().MembersReaped
+		before := servedEach(plan)
+		for i := 0; i < cycles; i++ {
+			if !cycle(parent) {
+				return false
+			}
+			if got := leader.Helper().AcceptedConns(); got != accepted {
+				t.Errorf("parent %d, cycle %d: leader holds %d accepted conns, want %d", parent.pid, i, got, accepted)
+				return false
+			}
+		}
+		if got := parent.Helper().LocalPIDs(); got != localPIDs {
+			t.Errorf("parent %d's PID table holds %d entries after the loop, %d before", parent.pid, got, localPIDs)
+		}
+		if got := claimHist.Count(); got != claims {
+			t.Errorf("parent %d: rpc.MsgNSClaim observed %d more calls", parent.pid, got-claims)
+		}
+		if got := byeHist.Count(); got != byes {
+			t.Errorf("parent %d: rpc.MsgBye observed %d more calls", parent.pid, got-byes)
+		}
+		if d := ipc.ReadFailoverCounters().MembersReaped - reaped; d != 0 {
+			t.Errorf("parent %d: %d members reaped", parent.pid, d)
+		}
+		for mt, n := range servedEach(plan) {
+			want := 0
+			if mt == ipc.MsgNSAlloc {
+				want = wantRefills
+			}
+			if got := n - before[mt]; got != want {
+				t.Errorf("parent %d: leader served %d %v frames during the loop, want %d", parent.pid, got, mt, want)
+			}
+		}
+		return true
+	}
+
 	code := run(t, rt, man, func(p api.OS, _ []string) int {
 		leader := p.(*Process)
 		plan := host.NewFaultPlan()
 		leader.PAL().Proc().SetFaultPlan(plan)
 		pid, err := p.Fork(func(c api.OS) {
-			parent := c.(*Process)
-			cycle := func() bool {
-				pid, err := c.Fork(func(g api.OS) { g.Exit(3) })
-				if err != nil {
-					t.Errorf("fork: %v", err)
-					return false
-				}
-				if res, err := c.Wait(pid); err != nil || res.ExitCode != 3 {
-					t.Errorf("wait(fork): %+v, %v", res, err)
-					return false
-				}
-				if pid, err = c.Spawn("/bin/true", []string{"/bin/true"}); err != nil {
-					t.Errorf("spawn: %v", err)
-					return false
-				}
-				if res, err := c.Wait(pid); err != nil || res.ExitCode != 0 {
-					t.Errorf("wait(spawn): %+v, %v", res, err)
-					return false
-				}
-				return true
-			}
 			// The parent's own first need: its PID batch, and with it its
 			// one connection to the leader.
-			if !cycle() {
+			if !cycle(c) {
 				c.Exit(1)
 			}
-			accepted := leader.Helper().AcceptedConns()
-			localPIDs := parent.Helper().LocalPIDs()
-			claims, byes := claimHist.Count(), byeHist.Count()
-			reaped := ipc.ReadFailoverCounters().MembersReaped
-			served := map[ipc.MsgType]int{}
-			for _, mt := range []ipc.MsgType{ipc.MsgNSAlloc, ipc.MsgNSClaim, ipc.MsgBye, ipc.MsgNSQuery, ipc.MsgExitNotify} {
-				served[mt] = servedBy(plan, mt)
-			}
-			if accepted != 1 {
-				t.Errorf("leader holds %d accepted conns before the loop, want the parent's 1", accepted)
-			}
-
-			for i := 0; i < cycles; i++ {
-				if !cycle() {
-					c.Exit(1)
-				}
-				if got := leader.Helper().AcceptedConns(); got != accepted {
-					t.Errorf("cycle %d: leader holds %d accepted conns, want %d", i, got, accepted)
-					c.Exit(1)
-				}
-			}
-
-			if got := parent.Helper().LocalPIDs(); got != localPIDs {
-				t.Errorf("parent's PID table holds %d entries after the loop, %d before", got, localPIDs)
-			}
-			if got := claimHist.Count(); got != claims {
-				t.Errorf("rpc.MsgNSClaim observed %d more calls", got-claims)
-			}
-			if got := byeHist.Count(); got != byes {
-				t.Errorf("rpc.MsgBye observed %d more calls", got-byes)
-			}
-			if d := ipc.ReadFailoverCounters().MembersReaped - reaped; d != 0 {
-				t.Errorf("%d members reaped", d)
+			if got := leader.Helper().AcceptedConns(); got != 1 {
+				t.Errorf("leader holds %d accepted conns before the loop, want the parent's 1", got)
 			}
 			// 2 children per cycle out of batches of ipc.PIDBatchSize, the
 			// first of which the warm-up cycle had drawn 2 from.
-			wantRefills := (2*cycles + 2) / ipc.PIDBatchSize
-			for mt, before := range served {
-				want := 0
-				if mt == ipc.MsgNSAlloc {
-					want = wantRefills
-				}
-				if got := servedBy(plan, mt) - before; got != want {
-					t.Errorf("leader served %d %v frames during the loop, want %d", got, mt, want)
-				}
+			if !loop(c.(*Process), leader, plan, (2*cycles+2)/ipc.PIDBatchSize) {
+				c.Exit(1)
 			}
 			c.Exit(0)
 		})
@@ -123,6 +141,34 @@ func TestForkedChildMakesNoLeaderTraffic(t *testing.T) {
 		}
 		if res, err := p.Wait(pid); err != nil || res.ExitCode != 0 {
 			return 2
+		}
+		// The parent's goodbye is in; its stream's teardown is not, yet.
+		for deadline := time.Now().Add(5 * time.Second); leader.Helper().AcceptedConns() != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("leader holds %d accepted conns after reaping the parent", leader.Helper().AcceptedConns())
+				return 3
+			}
+		}
+
+		// The leader as the parent. Its refills are local dispatches: align
+		// its batch by forking until one lands, leaving PIDBatchSize-1 PIDs,
+		// so that the loop's 2*cycles draws refill exactly
+		// 2*cycles/PIDBatchSize times.
+		for n, i := servedBy(plan, ipc.MsgNSAlloc), 0; servedBy(plan, ipc.MsgNSAlloc) == n; i++ {
+			if i > ipc.PIDBatchSize {
+				t.Errorf("%d forks from the leader refilled no batch", i)
+				return 4
+			}
+			pid, err := p.Fork(func(c api.OS) { c.Exit(0) })
+			if err != nil {
+				return 5
+			}
+			if _, err := p.Wait(pid); err != nil {
+				return 6
+			}
+		}
+		if !loop(leader, leader, plan, 2*cycles/ipc.PIDBatchSize) {
+			return 7
 		}
 		return 0
 	})
@@ -181,9 +227,10 @@ func TestSignalGrandchildResolvesThroughParent(t *testing.T) {
 				t.Errorf("kill(grandchild) from a third process: %v", err)
 			}
 			<-reapedCh
-			// wait() returns on the exit notification, which the dying
-			// process sends before its helper stops listening: ESRCH is
-			// owed once it has, not the instant the parent has reaped.
+			// wait() returns after the dying process's helper has closed its
+			// listener and connections, but this process learns that only
+			// when its cached connection reads the close: ESRCH is owed
+			// once it has, not the instant the parent has reaped.
 			var last error
 			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 				if last = c.Kill(gpid, api.SIGTERM); api.ToErrno(last) == api.ESRCH {
@@ -298,8 +345,10 @@ func BenchmarkForkExitWait(b *testing.B) {
 				_, err = p.Wait(pid)
 				return err == nil
 			}
-			// settle waits for the last child's exit to finish: its exit
-			// stage ends after wait() has returned in the parent.
+			// settle waits for the last child's picoprocess to retire. The
+			// child's teardown is over before wait() returns, but the exit
+			// stage is recorded, and the picoprocess leaves the census, only
+			// after the host exit event that wakes the parent has fired.
 			settle := func() {
 				for deadline := time.Now().Add(5 * time.Second); k.Census().Procs != 1 && time.Now().Before(deadline); {
 					time.Sleep(100 * time.Microsecond)

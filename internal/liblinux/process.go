@@ -28,11 +28,9 @@ type Process struct {
 	pal    *pal.PAL
 	helper *ipc.Helper
 
-	pid  int64
-	ppid int64
-	pgid int64
-	// parentAddr is the parent helper's address for exit notification.
-	parentAddr string
+	pid        int64
+	ppid       int64
+	pgid       int64
 	leaderAddr string
 
 	programPath string
@@ -65,13 +63,12 @@ const (
 )
 
 // newProcess builds a fresh LibOS instance bound to p's picoprocess.
-func newProcess(rt *Runtime, p *pal.PAL, pid, ppid int64, parentAddr, leaderAddr string) (*Process, error) {
+func newProcess(rt *Runtime, p *pal.PAL, pid, ppid int64, leaderAddr string) (*Process, error) {
 	proc := &Process{
 		rt:         rt,
 		pal:        p,
 		pid:        pid,
 		ppid:       ppid,
-		parentAddr: parentAddr,
 		leaderAddr: leaderAddr,
 		cwd:        "/",
 		env:        make(map[string]string),
@@ -205,34 +202,28 @@ func (p *Process) Exit(code int) {
 	panic(processExited{})
 }
 
-// doExit is the real exit path: notify the parent, persist IPC state,
-// close descriptors, and kill the picoprocess (§4.2 exit notification).
+// doExit is the real exit path, in the order of Linux's do_exit: close
+// descriptors, leave the process group, persist or migrate IPC state, and
+// only then kill the picoprocess. Nothing is sent to the parent: the host
+// exit event is its exit notification (§4.2, see watchChild), so once
+// wait() has returned there, a write to a pipe only this process read fails
+// with EPIPE and this process's System V objects are findable again.
 func (p *Process) doExit(code int, killedBy api.Signal) {
 	p.exitOnce.Do(func() {
 		defer p.rt.stage("exit")()
 		p.mu.Lock()
 		p.dead = true
 		p.exitCode = code
-		p.mu.Unlock()
-		p.mu.Lock()
 		pgid := p.pgid
 		p.mu.Unlock()
-		// Descriptors go before the exit notification, as in Linux's do_exit
-		// (exit_files, then exit_notify): once wait() has returned in the
-		// parent, a write to a pipe only this process read fails with EPIPE.
 		p.fds.closeAll(p.pal)
-		if pgid != 0 && p.helper != nil {
-			_ = p.helper.LeaveGroup(pgid, p.pid)
-		}
-		if p.parentAddr != "" && p.helper != nil {
-			_ = p.helper.NotifyExitTo(p.parentAddr, p.pid, int64(code), killedBy)
-		}
 		if p.helper != nil {
+			if pgid != 0 {
+				_ = p.helper.LeaveGroup(pgid, p.pid)
+			}
 			p.helper.Shutdown()
 		}
-		// The host exit code carries the terminating signal above the status,
-		// so a parent whose watchChild sees the picoprocess die before the
-		// notification lands reports the same WaitResult either way.
+		// The host exit code carries the terminating signal above the status.
 		p.pal.DkProcessExit(code&0xffff | int(killedBy)<<16)
 	})
 }
@@ -462,8 +453,8 @@ func (p *Process) shipCheckpoint(store *host.Handle, ck *Checkpoint, handles []*
 		return fail(err)
 	}
 
-	// Track the child for wait() and synthesize an exit notification if
-	// the picoprocess dies without sending one (§4.2, Table 2).
+	// Track the child for wait(); its host exit event is the exit
+	// notification (§4.2, Table 2).
 	cs := &childState{pid: childPID, hostProc: hostChild}
 	p.mu.Lock()
 	p.children[childPID] = cs
@@ -497,14 +488,15 @@ func (p *Process) shipCheckpoint(store *host.Handle, ck *Checkpoint, handles []*
 	return int(childPID), nil
 }
 
-// watchChild synthesizes an exit notification if the child's picoprocess
-// dies without having delivered one over RPC — the crashed-child path: a
-// graceful exit sends NotifyExit first and this becomes a no-op.
+// watchChild is the parent's half of exit notification (§4.2): the child's
+// host exit event, which a clean exit fires after doExit's teardown and a
+// crash fires all the same, carries status and signal. It is the only code
+// that marks a child exited and raises SIGCHLD; a fork that failed was
+// already untracked by failChild and is not reported.
 func (p *Process) watchChild(cs *childState) {
 	_ = cs.hostProc.ExitEvent().Wait(0)
 	p.mu.Lock()
-	crashed := !cs.exited
-	if crashed {
+	if !cs.exited {
 		cs.exited = true
 		hc := cs.hostProc.ExitCode()
 		cs.status, cs.signal = int64(hc&0xffff), api.Signal(hc>>16)
@@ -512,11 +504,9 @@ func (p *Process) watchChild(cs *childState) {
 		p.sig.deliver(api.SIGCHLD)
 	}
 	p.mu.Unlock()
-	if crashed && p.helper != nil {
-		// The child died without unregistering: drop the stale ownership
-		// hint so signal routing does not keep dialing a dead address.
-		p.helper.InvalidatePID(cs.pid)
-	}
+	// Drop the ownership hint so signal routing does not keep dialing a
+	// dead address.
+	p.helper.InvalidatePID(cs.pid)
 }
 
 // start runs the restored child's main function on its picoprocess,
@@ -672,22 +662,6 @@ func (s *procService) DeliverSignal(target int64, sig api.Signal) api.Errno {
 		return api.ESRCH
 	}
 	return p.sig.deliver(sig)
-}
-
-// NotifyExit records a child exit notification RPC (§4.2).
-func (s *procService) NotifyExit(child int64, status int64, sig api.Signal) {
-	p := (*Process)(s)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	cs, ok := p.children[child]
-	if !ok || cs.exited {
-		return
-	}
-	cs.exited = true
-	cs.status = status
-	cs.signal = sig
-	p.childCV.Broadcast()
-	p.sig.deliver(api.SIGCHLD)
 }
 
 // ProcMeta serves /proc reads for this process from local state.

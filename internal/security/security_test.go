@@ -1,6 +1,7 @@
 package security
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"graphene/internal/api"
@@ -81,13 +82,20 @@ func TestSandboxedWorkerCannotReadOtherUsers(t *testing.T) {
 }
 
 // TestSandboxSplitSeversCoordination verifies that after sandbox_create
-// the detached process cannot signal its former sandbox-mates (§3).
+// the detached process cannot signal its former sandbox-mates (§3), while
+// its parent still reaps it as Linux would: wait(2) reads the exit code,
+// and one SIGCHLD arrives.
 func TestSandboxSplitSeversCoordination(t *testing.T) {
 	k := host.NewKernel()
 	m := monitor.New(k)
 	rt := liblinux.NewRuntime(k, m)
 
+	const splitExit = 42
 	prog := func(p api.OS, argv []string) int {
+		var chld atomic.Int64
+		if err := p.Sigaction(api.SIGCHLD, func(api.Signal) { chld.Add(1) }, ""); err != nil {
+			return 3
+		}
 		childPID, err := p.Fork(func(c api.OS) {
 			// The child detaches into its own sandbox, then tries to
 			// signal its old parent.
@@ -98,7 +106,7 @@ func TestSandboxSplitSeversCoordination(t *testing.T) {
 			if err := c.Kill(c.Getppid(), api.SIGKILL); err == nil {
 				c.Exit(102) // cross-sandbox signal succeeded!
 			}
-			c.Exit(0)
+			c.Exit(splitExit)
 		})
 		if err != nil {
 			return 1
@@ -108,8 +116,12 @@ func TestSandboxSplitSeversCoordination(t *testing.T) {
 			return 2
 		}
 		// The parent must still be alive to collect this result at all.
-		if res.ExitCode != 0 {
+		if res.ExitCode != splitExit || res.Signaled != 0 {
 			return 100 + res.ExitCode
+		}
+		p.SignalsDrain()
+		if n := chld.Load(); n != 1 {
+			return 200 + int(n)
 		}
 		return 0
 	}
