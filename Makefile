@@ -106,9 +106,11 @@ cover:
 	$(GO) test -shuffle=on -covermode=atomic -coverprofile=coverage.out $(PKGS)
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-# Short smoke run of the frame-codec and checkpoint-codec fuzzers (the
-# checked-in corpora under internal/{ipc,liblinux}/testdata/fuzz always run
-# as part of `make test`). FuzzResumeImage boots a sandbox for every image
+# Short smoke run of the frame-codec and checkpoint-codec fuzzers and of the
+# two path normalizers, each against the algorithm it replaced (host
+# CleanPath, the monitor's mount translation). The checked-in corpora under
+# internal/{ipc,liblinux}/testdata/fuzz and the seeds always run as part of
+# `make test`. FuzzResumeImage boots a sandbox for every image
 # it accepts, so coverage differs from run to run with thread scheduling
 # and the engine takes almost every input for new; -fuzzminimizetime keeps
 # it from spending its default minute minimizing each.
@@ -117,6 +119,8 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzFrameDecode -fuzztime 30s ./internal/ipc/
 	$(GO) test -run XXX -fuzz FuzzCheckpointSection -fuzztime 30s ./internal/liblinux/
 	$(GO) test -run XXX -fuzz FuzzResumeImage -fuzztime 30s -fuzzminimizetime 1s ./internal/liblinux/
+	$(GO) test -run XXX -fuzz FuzzCleanPath -fuzztime 30s ./internal/host/
+	$(GO) test -run XXX -fuzz FuzzManifestTranslate -fuzztime 30s ./internal/monitor/
 
 # Microbenchmarks with allocation accounting for the hot path, among them
 # BenchmarkForkExitWait's per-stage split of a fork (create / sections /

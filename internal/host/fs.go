@@ -1,6 +1,7 @@
 package host
 
 import (
+	"path"
 	"sort"
 	"strings"
 	"sync"
@@ -30,64 +31,41 @@ func NewFileSystem() *FileSystem {
 }
 
 // CleanPath normalizes p to an absolute, "."/".."-free path. Escapes above
-// the root clamp at "/", as in a chroot.
+// the root clamp at "/", as in a chroot. A path that is already clean costs
+// one scan and comes back as is, without allocating.
 func CleanPath(p string) string {
-	parts := strings.Split(p, "/")
-	var stack []string
-	for _, part := range parts {
-		switch part {
-		case "", ".":
-		case "..":
-			if len(stack) > 0 {
-				stack = stack[:len(stack)-1]
-			}
-		default:
-			stack = append(stack, part)
-		}
+	if p == "" || p[0] != '/' {
+		p = "/" + p
 	}
-	return "/" + strings.Join(stack, "/")
+	return path.Clean(p)
 }
 
-func splitPath(p string) []string {
-	p = CleanPath(p)
-	if p == "/" {
-		return nil
-	}
-	return strings.Split(p[1:], "/")
-}
-
+// lookup walks p's clean components from the root, slicing each name out
+// of the path in place.
 func (fs *FileSystem) lookup(p string) *fsNode {
 	n := fs.root
-	for _, part := range splitPath(p) {
+	for rest := CleanPath(p)[1:]; rest != ""; {
+		var name string
+		name, rest, _ = strings.Cut(rest, "/")
 		if !n.isDir {
 			return nil
 		}
-		c, ok := n.children[part]
-		if !ok {
+		if n = n.children[name]; n == nil {
 			return nil
 		}
-		n = c
 	}
 	return n
 }
 
+// lookupParent returns the node holding p's last component and that
+// component's name, a substring of p.
 func (fs *FileSystem) lookupParent(p string) (*fsNode, string) {
-	parts := splitPath(p)
-	if len(parts) == 0 {
+	p = CleanPath(p)
+	if p == "/" {
 		return nil, ""
 	}
-	n := fs.root
-	for _, part := range parts[:len(parts)-1] {
-		if !n.isDir {
-			return nil, ""
-		}
-		c, ok := n.children[part]
-		if !ok {
-			return nil, ""
-		}
-		n = c
-	}
-	return n, parts[len(parts)-1]
+	i := strings.LastIndexByte(p, '/')
+	return fs.lookup(p[:i]), p[i+1:]
 }
 
 // Mkdir creates a directory. Parent must exist.
@@ -101,21 +79,35 @@ func (fs *FileSystem) Mkdir(p string, mode api.FileMode) error {
 	if _, ok := parent.children[name]; ok {
 		return api.EEXIST
 	}
-	parent.children[name] = &fsNode{name: name, isDir: true, mode: mode, children: make(map[string]*fsNode)}
+	parent.link(&fsNode{name: name, isDir: true, mode: mode, children: make(map[string]*fsNode)})
 	return nil
 }
 
 // MkdirAll creates p and any missing parents.
 func (fs *FileSystem) MkdirAll(p string, mode api.FileMode) error {
-	parts := splitPath(p)
-	cur := ""
-	for _, part := range parts {
-		cur += "/" + part
-		if err := fs.Mkdir(cur, mode); err != nil && err != api.EEXIST {
-			return err
+	p = CleanPath(p)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	n := fs.root
+	for rest := p[1:]; rest != ""; {
+		var name string
+		name, rest, _ = strings.Cut(rest, "/")
+		if !n.isDir {
+			return api.ENOENT
 		}
+		if n.children[name] == nil {
+			n.link(&fsNode{name: name, isDir: true, mode: mode, children: make(map[string]*fsNode)})
+		}
+		n = n.children[name]
 	}
 	return nil
+}
+
+// link stores c in directory n, copying c's name out of the path it was
+// sliced from.
+func (n *fsNode) link(c *fsNode) {
+	c.name = strings.Clone(c.name)
+	n.children[c.name] = c
 }
 
 // WriteFile creates or replaces the file at p with data.
@@ -201,7 +193,7 @@ func (fs *FileSystem) Rename(oldPath, newPath string) error {
 	}
 	delete(op.children, oname)
 	n.name = nname
-	np.children[nname] = n
+	np.link(n)
 	return nil
 }
 
@@ -234,81 +226,87 @@ func (fs *FileSystem) Exists(p string) bool {
 // OpenFile is a host file handle with a host-side byte cursor. Note that
 // POSIX seek-pointer semantics live in the libOS (§4.2 "Shared File
 // Descriptors"); this cursor belongs to a single PAL handle.
+//
+// The handle holds the file, not its name: I/O reaches the file it opened
+// after an unlink or rename. Path only names the handle.
 type OpenFile struct {
 	FS    *FileSystem
 	Path  string
 	Flags int
 
+	node *fsNode
+
 	mu  sync.Mutex
 	pos int64
 }
 
-// OpenFileHandle opens path on fs, honoring create/trunc/excl flags.
-func (fs *FileSystem) OpenFileHandle(path string, flags int, mode api.FileMode) (*OpenFile, error) {
-	path = CleanPath(path)
+// OpenFileHandle opens p on fs, honoring create/trunc/excl flags.
+func (fs *FileSystem) OpenFileHandle(p string, flags int, mode api.FileMode) (*OpenFile, error) {
+	p = CleanPath(p)
 	fs.mu.Lock()
-	n := fs.lookup(path)
+	defer fs.mu.Unlock()
+	n := fs.lookup(p)
 	if n == nil {
 		if flags&api.OCreate == 0 {
-			fs.mu.Unlock()
 			return nil, api.ENOENT
 		}
-		parent, name := fs.lookupParent(path)
+		parent, name := fs.lookupParent(p)
 		if parent == nil || !parent.isDir {
-			fs.mu.Unlock()
 			return nil, api.ENOENT
 		}
 		n = &fsNode{name: name, mode: mode}
-		parent.children[name] = n
+		parent.link(n)
 	} else {
 		if flags&api.OCreate != 0 && flags&api.OExcl != 0 {
-			fs.mu.Unlock()
 			return nil, api.EEXIST
 		}
 		if n.isDir && flags&(api.OWrOnly|api.ORdWr) != 0 {
-			fs.mu.Unlock()
 			return nil, api.EISDIR
 		}
 		if flags&api.OTrunc != 0 {
 			n.data = nil
 		}
 	}
-	fs.mu.Unlock()
-	return &OpenFile{FS: fs, Path: path, Flags: flags}, nil
+	return &OpenFile{FS: fs, Path: p, Flags: flags, node: n}, nil
 }
 
 // ReadAt reads from the file at offset off.
 func (f *OpenFile) ReadAt(buf []byte, off int64) (int, error) {
 	f.FS.mu.RLock()
 	defer f.FS.mu.RUnlock()
-	n := f.FS.lookup(f.Path)
-	if n == nil {
-		return 0, api.ENOENT
-	}
-	if off >= int64(len(n.data)) {
+	if off >= int64(len(f.node.data)) {
 		return 0, nil
 	}
-	return copy(buf, n.data[off:]), nil
+	return copy(buf, f.node.data[off:]), nil
 }
 
 // WriteAt writes to the file at offset off, extending it as needed.
 func (f *OpenFile) WriteAt(data []byte, off int64) (int, error) {
 	f.FS.mu.Lock()
 	defer f.FS.mu.Unlock()
-	n := f.FS.lookup(f.Path)
-	if n == nil {
-		return 0, api.ENOENT
-	}
+	n := f.node
 	if f.Flags&api.OAppend != 0 {
 		off = int64(len(n.data))
 	}
 	if need := off + int64(len(data)); need > int64(len(n.data)) {
-		grown := make([]byte, need)
-		copy(grown, n.data)
-		n.data = grown
+		n.resize(need)
 	}
 	copy(n.data[off:], data)
 	return len(data), nil
+}
+
+// resize sets the file's length to size, zero-filling any extension. The
+// backing array at least doubles when it grows, so appending N bytes copies
+// O(N) bytes in total.
+func (n *fsNode) resize(size int64) {
+	if size > int64(cap(n.data)) {
+		n.data = append(make([]byte, 0, max(size, 2*int64(cap(n.data)))), n.data...)
+	}
+	old := int64(len(n.data))
+	n.data = n.data[:size]
+	if size > old {
+		clear(n.data[old:])
+	}
 }
 
 // Read reads from the handle's cursor.
@@ -330,28 +328,16 @@ func (f *OpenFile) Write(data []byte) (int, error) {
 }
 
 // Size returns the current file size.
-func (f *OpenFile) Size() (int64, error) {
-	st, err := f.FS.Stat(f.Path)
-	if err != nil {
-		return 0, err
-	}
-	return st.Size, nil
+func (f *OpenFile) Size() int64 {
+	f.FS.mu.RLock()
+	defer f.FS.mu.RUnlock()
+	return int64(len(f.node.data))
 }
 
 // SetLength truncates or extends the file.
 func (f *OpenFile) SetLength(size int64) error {
 	f.FS.mu.Lock()
 	defer f.FS.mu.Unlock()
-	n := f.FS.lookup(f.Path)
-	if n == nil {
-		return api.ENOENT
-	}
-	if size <= int64(len(n.data)) {
-		n.data = n.data[:size]
-	} else {
-		grown := make([]byte, size)
-		copy(grown, n.data)
-		n.data = grown
-	}
+	f.node.resize(size)
 	return nil
 }

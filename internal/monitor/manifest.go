@@ -126,14 +126,21 @@ func parseTraceBuffer(s string) (int, error) {
 }
 
 // pathAllowed reports whether path falls under one of the given prefixes.
+// The path comes from the untrusted libOS, so it is normalized here.
 func pathAllowed(path string, prefixes []string) bool {
 	path = host.CleanPath(path)
 	for _, p := range prefixes {
-		if p == "/" || path == p || strings.HasPrefix(path, p+"/") {
+		if under(path, p) {
 			return true
 		}
 	}
 	return false
+}
+
+// under reports whether the clean path is prefix or lies below it.
+func under(path, prefix string) bool {
+	return prefix == "/" || path == prefix ||
+		len(path) > len(prefix) && path[len(prefix)] == '/' && strings.HasPrefix(path, prefix)
 }
 
 // AllowsRead reports whether the manifest permits reading path.
@@ -147,22 +154,24 @@ func (m *Manifest) AllowsWrite(path string) bool {
 }
 
 // Translate maps a guest path to a host path via the longest matching
-// mount; unmounted paths map to themselves.
+// mount; unmounted paths map to themselves. Mounts are clean, so joining the
+// host prefix and the clean remainder gives a clean path inside the mount.
 func (m *Manifest) Translate(path string) string {
 	path = host.CleanPath(path)
-	best := Mount{}
-	bestLen := -1
+	best, bestLen := Mount{Guest: "/", Host: "/"}, -1
 	for _, mt := range m.Mounts {
-		if (mt.Guest == "/" || path == mt.Guest || strings.HasPrefix(path, mt.Guest+"/")) && len(mt.Guest) > bestLen {
-			best = mt
-			bestLen = len(mt.Guest)
+		if under(path, mt.Guest) && len(mt.Guest) > bestLen {
+			best, bestLen = mt, len(mt.Guest)
 		}
 	}
-	if bestLen < 0 {
-		return path
+	rest := strings.TrimPrefix(path, strings.TrimSuffix(best.Guest, "/"))
+	if best.Host == "/" && rest != "" {
+		return rest
 	}
-	rest := strings.TrimPrefix(path, best.Guest)
-	return host.CleanPath(best.Host + "/" + rest)
+	if rest == "/" {
+		rest = ""
+	}
+	return best.Host + rest
 }
 
 // addrMatches reports whether addr ("host:port") matches pattern, where
