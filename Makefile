@@ -3,9 +3,11 @@
 GO ?= go
 PKGS := ./...
 # The concurrency-heavy packages: host byte streams and kernel tables, the
-# IPC coordination framework, and libLinux's fork/checkpoint pipeline over
-# both. `make race` and CI's race step run exactly this list.
-HOT_PKGS := ./internal/host/... ./internal/ipc/... ./internal/liblinux/...
+# IPC coordination framework, libLinux's fork/checkpoint pipeline over both,
+# the POSIX process core both personalities share (descriptor, signal and
+# wait tables), and the native personality that uses it without a libOS.
+# `make race` and CI's race step run exactly this list.
+HOT_PKGS := ./internal/host/... ./internal/ipc/... ./internal/liblinux/... ./internal/posix/... ./internal/baseline/native/...
 
 .PHONY: build test race vet shape bench bench-fig5 benchmark benchmark-smoke chaos chaos-shard chaos-ring chaos-fleet flake cover fuzz all
 

@@ -17,6 +17,7 @@ import (
 
 	"graphene/internal/api"
 	"graphene/internal/host"
+	"graphene/internal/posix"
 )
 
 // Kernel is the monolithic kernel all native processes run on: one host
@@ -109,11 +110,11 @@ func (k *Kernel) Launch(path string, argv []string) (*LaunchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.exec(path)
+	p.exec(path, argv)
 	// Standard descriptors on the controlling terminal.
-	tty := &fdesc{kind: fdTTY, path: "tty"}
+	tty := &posix.Desc{Kind: posix.TTY, Path: "tty"}
 	for fd := 0; fd <= 2; fd++ {
-		p.fds[fd] = tty
+		p.fds.Install(fd, tty)
 	}
 	res := &LaunchResult{Process: p, Done: make(chan struct{})}
 	p.pp.NewThread(func(int) {
@@ -137,31 +138,20 @@ func (k *Kernel) newProcess(parent *Process) (*Process, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Process{
-		kernel:   k,
-		pp:       pp,
-		cwd:      "/",
-		env:      make(map[string]string),
-		fds:      make(map[int]*fdesc),
-		children: make(map[int]*childState),
-		handlers: make(map[api.Signal]api.SigHandler),
-		disp:     make(map[api.Signal]string),
-	}
-	p.childCV = sync.NewCond(&p.mu)
+	p := &Process{kernel: k, pp: pp, fds: posix.NewFDTable(), cwd: "/", env: make(map[string]string)}
 	if parent != nil {
 		parent.pp.AS.ForkCOWInto(pp.AS)
 		parent.mu.Lock()
-		p.programPath = parent.programPath
+		p.programPath, p.argv = parent.programPath, parent.argv
 		p.pgid, p.cwd = parent.pgid, parent.cwd
 		p.brk, p.brkEnd = parent.brk, parent.brkEnd
 		p.env = maps.Clone(parent.env)
-		for fd, d := range parent.fds {
-			if !p.refersLocked(d) {
-				k.hold(pp, d)
-			}
-			p.fds[fd] = d
-		}
 		parent.mu.Unlock()
+		var shared []*posix.Desc
+		p.fds, shared = parent.fds.Clone()
+		for _, d := range shared {
+			k.hold(pp, d)
+		}
 	}
 	k.mu.Lock()
 	k.procs[pp.ID] = p
@@ -172,13 +162,12 @@ func (k *Kernel) newProcess(parent *Process) (*Process, error) {
 // hold gives pp its own hold on the host object behind d — one stream
 // reference or one listener co-holder slot per process — which close or the
 // picoprocess's exit gives back.
-func (k *Kernel) hold(pp *host.Picoprocess, d *fdesc) {
-	switch {
-	case d.str != nil:
-		d.str.Ref()
-		k.host.AdoptStream(pp, d.str)
-	case d.lst != nil:
-		k.host.AdoptListener(pp, d.lst)
+func (k *Kernel) hold(pp *host.Picoprocess, d *posix.Desc) {
+	if h := d.Handle; h != nil && h.Kind == host.HandleStream {
+		h.Stream.Ref()
+		k.host.AdoptStream(pp, h.Stream)
+	} else if h != nil && h.Kind == host.HandleListener {
+		k.host.AdoptListener(pp, h.Listener)
 	}
 }
 

@@ -9,40 +9,8 @@ import (
 
 	"graphene/internal/api"
 	"graphene/internal/host"
+	"graphene/internal/posix"
 )
-
-// fdesc is a native open file description, shared across fork and dup2.
-// The host stream or listener behind it is held once per process that has
-// a descriptor for it (Kernel.hold); the last such descriptor's close, or
-// the process's exit, gives that hold back.
-type fdesc struct {
-	kind int // 0 file, 1 pipe, 2 socket, 3 listener, 4 tty, 5 proc
-	file *host.OpenFile
-	str  *host.Stream
-	lst  *host.Listener
-	path string
-	data []byte
-
-	mu  sync.Mutex
-	pos int64
-}
-
-const (
-	fdFile = iota
-	fdPipe
-	fdSocket
-	fdListener
-	fdTTY
-	fdProc
-)
-
-// childState tracks a forked child for wait().
-type childState struct {
-	pid    int
-	exited bool
-	status int
-	sig    api.Signal
-}
 
 // Process is one native Linux process: a host picoprocess plus the state
 // Linux keeps for it in-kernel (descriptor table, signal dispositions,
@@ -51,32 +19,26 @@ type Process struct {
 	kernel *Kernel
 	pp     *host.Picoprocess
 
+	// fds holds open file descriptions; the host stream or listener behind
+	// one is held once per process that has a descriptor for it
+	// (Kernel.hold), and the last such descriptor's close, or the process's
+	// exit, gives that hold back.
+	fds      *posix.FDTable
+	sig      posix.Signals
+	children posix.Children
+
 	mu          sync.Mutex
 	programPath string
+	argv        []string
 	pgid        int
 	cwd         string
 	env         map[string]string
-	fds         map[int]*fdesc
 	brk         uint64
 	brkEnd      uint64
-	children    map[int]*childState
-	childCV     *sync.Cond
-
-	handlers map[api.Signal]api.SigHandler
-	disp     map[api.Signal]string
-	pending  []api.Signal
-	// intrSeq counts interrupting signal deliveries (caught or fatal); a
-	// blocked syscall snapshots it before sleeping and returns EINTR when
-	// it changes.
-	intrSeq int64
 
 	exitOnce      sync.Once
 	exitCode      int
 	exitRequested int
-	// killedBy is the signal that terminated the process (0 otherwise). A
-	// killed process's remaining threads unwind at their next system call
-	// or SignalsDrain, as Exit unwinds the calling one.
-	killedBy api.Signal
 }
 
 var _ api.OS = (*Process)(nil)
@@ -93,13 +55,8 @@ func (p *Process) enter(nr int) error {
 // process's thread does not come back from a failed one: it unwinds as
 // Exit unwinds the calling thread.
 func (p *Process) crossed(err error) error {
-	if err != nil {
-		p.mu.Lock()
-		killed := p.killedBy != 0
-		p.mu.Unlock()
-		if killed {
-			panic(processExited{})
-		}
+	if err != nil && p.sig.Killed() {
+		panic(processExited{})
 	}
 	return err
 }
@@ -244,12 +201,10 @@ func (p *Process) fork(path string, prog api.Program, argv []string) (int, error
 	if err != nil {
 		return 0, err
 	}
-	p.mu.Lock()
-	p.children[child.pp.ID] = &childState{pid: child.pp.ID}
-	p.mu.Unlock()
+	p.children.Add(child.pp.ID)
 	if path != "" {
 		_ = p.kernel.host.Gate(child.pp, host.SysExecve, false)
-		child.exec(path)
+		child.exec(path, argv)
 	}
 	child.pp.NewThread(func(int) { child.doExit(child.run(prog, argv), 0) })
 	return child.pp.ID, nil
@@ -265,17 +220,16 @@ func (p *Process) Exec(path string, argv []string) error {
 	if !ok {
 		return api.ENOENT
 	}
-	p.exec(path)
+	p.exec(path, argv)
 	panic(execRequest{prog: prog, argv: argv})
 }
 
 // exec is execve's kernel side: a fresh image and default signal handling.
-func (p *Process) exec(path string) {
+func (p *Process) exec(path string, argv []string) {
 	p.mu.Lock()
-	p.programPath = path
-	p.handlers = make(map[api.Signal]api.SigHandler)
-	p.disp = make(map[api.Signal]string)
+	p.programPath, p.argv = path, argv
 	p.mu.Unlock()
+	p.sig.ResetForExec()
 	p.loadImage()
 }
 
@@ -284,30 +238,7 @@ func (p *Process) Wait(pid int) (api.WaitResult, error) {
 	if err := p.enter(host.SysWait4); err != nil {
 		return api.WaitResult{}, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		var ready *childState
-		any := false
-		for _, c := range p.children {
-			if pid > 0 && c.pid != pid {
-				continue
-			}
-			any = true
-			if c.exited {
-				ready = c
-				break
-			}
-		}
-		if ready != nil {
-			delete(p.children, ready.pid)
-			return api.WaitResult{PID: ready.pid, ExitCode: ready.status, Signaled: ready.sig}, nil
-		}
-		if !any {
-			return api.WaitResult{}, api.ECHILD
-		}
-		p.childCV.Wait()
-	}
+	return p.children.Wait(pid)
 }
 
 // Exit terminates the process.
@@ -326,21 +257,14 @@ func (p *Process) doExit(code int, killedBy api.Signal) {
 		// Gate directly: a killer's thread runs this for its victim.
 		_ = p.kernel.host.Gate(p.pp, host.SysExitGroup, false)
 		p.mu.Lock()
-		p.exitCode, p.killedBy = code, killedBy
-		clear(p.fds)
+		p.exitCode = code
 		p.mu.Unlock()
+		p.fds.CloseAll()
+		p.sig.Exited()
 		p.pp.Exit(code)
 		k := p.kernel
 		k.removeProcess(p.pp.ID)
-		if parent := k.process(p.pp.ParentID); parent != nil {
-			parent.mu.Lock()
-			if cs, ok := parent.children[p.pp.ID]; ok && !cs.exited {
-				cs.exited = true
-				cs.status = code
-				cs.sig = killedBy
-				parent.childCV.Broadcast()
-			}
-			parent.mu.Unlock()
+		if parent := k.process(p.pp.ParentID); parent != nil && parent.children.Exit(p.pp.ID, code, killedBy) {
 			parent.deliverSignal(api.SIGCHLD)
 		}
 	})
@@ -354,7 +278,7 @@ func (p *Process) Kill(pid int, sig api.Signal) error {
 	if err := p.enter(host.SysKill); err != nil {
 		return err
 	}
-	if sig <= 0 || sig >= api.NumSignals {
+	if !posix.Valid(sig) {
 		return api.EINVAL
 	}
 	if pid < 0 {
@@ -400,36 +324,17 @@ func (p *Process) Getpgid() int {
 	return p.pgid
 }
 
-// deliverSignal queues sig for a handler, drops it, or — its default
-// action being fatal — terminates the process before returning. A caught
-// or fatal signal interrupts the process's blocked System V calls.
+// deliverSignal delivers sig. A caught or fatal signal wakes the kernel's
+// System V sleepers, so the interrupted one returns EINTR; a fatal one
+// terminates the process before returning.
 func (p *Process) deliverSignal(sig api.Signal) {
-	p.mu.Lock()
-	action := p.disp[sig]
-	if sig == api.SIGKILL {
-		action = ""
-	}
-	defaultIgnored := sig == api.SIGCHLD || sig == api.SIGCONT || sig == api.SIGSTOP
-	if p.pp.Dead() || action == api.SigIgn || action == "" && defaultIgnored {
-		p.mu.Unlock()
-		return
-	}
-	if action == "handler" {
-		p.pending = append(p.pending, sig)
-	}
-	p.intrSeq++
-	p.mu.Unlock()
-	p.kernel.sysv.wakeAll()
-	if action == "" {
+	switch p.sig.Deliver(sig) {
+	case posix.Pend:
+		p.kernel.sysv.wakeAll()
+	case posix.Fatal:
+		p.kernel.sysv.wakeAll()
 		p.doExit(128+int(sig), sig)
 	}
-}
-
-// sigSeq snapshots the interruption counter for a blocking syscall.
-func (p *Process) sigSeq() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.intrSeq
 }
 
 // Sigaction installs a handler or disposition.
@@ -437,101 +342,33 @@ func (p *Process) Sigaction(sig api.Signal, handler api.SigHandler, disposition 
 	if err := p.enter(host.SysRtSigaction); err != nil {
 		return err
 	}
-	if sig <= 0 || sig >= api.NumSignals || sig == api.SIGKILL || sig == api.SIGSTOP {
-		return api.EINVAL
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	switch disposition {
-	case api.SigIgn:
-		delete(p.handlers, sig)
-		p.disp[sig] = api.SigIgn
-	case api.SigDfl, "":
-		if handler != nil {
-			p.handlers[sig] = handler
-			p.disp[sig] = "handler"
-		} else {
-			delete(p.handlers, sig)
-			delete(p.disp, sig)
-		}
-	default:
-		return api.EINVAL
-	}
-	return nil
+	return p.sig.Sigaction(sig, handler, disposition)
 }
 
 // SignalsDrain runs pending handlers. A killed process's thread unwinds
 // here instead, as Exit unwinds the calling thread.
 func (p *Process) SignalsDrain() {
-	for {
-		p.mu.Lock()
-		if p.killedBy != 0 {
-			p.mu.Unlock()
-			panic(processExited{})
-		}
-		if len(p.pending) == 0 {
-			p.mu.Unlock()
-			return
-		}
-		sig := p.pending[0]
-		p.pending = p.pending[1:]
-		h := p.handlers[sig]
-		p.mu.Unlock()
-		if h != nil {
-			h(sig)
-		}
+	if p.sig.Drain() {
+		panic(processExited{})
 	}
 }
 
 // --- files ---
 
 func (p *Process) resolve(path string) string {
-	if strings.HasPrefix(path, "/") {
-		return host.CleanPath(path)
-	}
 	p.mu.Lock()
 	cwd := p.cwd
 	p.mu.Unlock()
-	return host.CleanPath(cwd + "/" + path)
-}
-
-func (p *Process) installFD(d *fdesc) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for fd := 0; ; fd++ {
-		if _, used := p.fds[fd]; !used {
-			p.fds[fd] = d
-			return fd
-		}
-	}
-}
-
-func (p *Process) getFD(fd int) (*fdesc, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	d, ok := p.fds[fd]
-	return d, ok
-}
-
-// refersLocked reports whether any descriptor of p names d. Caller holds
-// p.mu.
-func (p *Process) refersLocked(d *fdesc) bool {
-	for _, e := range p.fds {
-		if e == d {
-			return true
-		}
-	}
-	return false
+	return posix.Resolve(cwd, path)
 }
 
 // release gives back p's hold on the host object behind d. A listener
 // unbinds when its last holder lets go.
-func (p *Process) release(d *fdesc) {
-	switch {
-	case d.str != nil:
-		p.kernel.host.StreamClose(p.pp, d.str)
-	case d.lst != nil:
-		p.kernel.host.ReleaseListener(p.pp, d.lst)
+func (p *Process) release(d *posix.Desc) {
+	if h := d.Handle; h != nil && h.Kind == host.HandleStream {
+		p.kernel.host.StreamClose(p.pp, h.Stream)
+	} else if h != nil && h.Kind == host.HandleListener {
+		p.kernel.host.ReleaseListener(p.pp, h.Listener)
 	}
 }
 
@@ -541,24 +378,18 @@ func (p *Process) Open(path string, flags int, mode api.FileMode) (int, error) {
 		return 0, err
 	}
 	gp := p.resolve(path)
-	if strings.HasPrefix(gp, "/proc") {
+	if posix.IsProc(gp) {
 		data, err := p.procRead(gp)
 		if err != nil {
 			return 0, err
 		}
-		return p.installFD(&fdesc{kind: fdProc, path: gp, data: data}), nil
+		return p.fds.Alloc(&posix.Desc{Kind: posix.Proc, Path: gp, Data: data}), nil
 	}
 	f, err := p.kernel.FS.OpenFileHandle(gp, flags, mode)
 	if err != nil {
 		return 0, err
 	}
-	d := &fdesc{kind: fdFile, file: f, path: gp}
-	if flags&api.OAppend != 0 {
-		if st, err := p.kernel.FS.Stat(gp); err == nil {
-			d.pos = st.Size
-		}
-	}
-	return p.installFD(d), nil
+	return p.fds.Alloc(posix.NewFile(&host.Handle{Kind: host.HandleFile, File: f}, gp, flags, p.kernel.FS.Stat)), nil
 }
 
 // Close releases a descriptor; the process's hold on the object behind it
@@ -567,15 +398,11 @@ func (p *Process) Close(fd int) error {
 	if err := p.enter(host.SysClose); err != nil {
 		return err
 	}
-	p.mu.Lock()
-	d, ok := p.fds[fd]
-	delete(p.fds, fd)
-	last := ok && !p.refersLocked(d)
-	p.mu.Unlock()
+	d, ok := p.fds.Remove(fd)
 	if !ok {
 		return api.EBADF
 	}
-	if last {
+	if d != nil {
 		p.release(d)
 	}
 	return nil
@@ -586,29 +413,18 @@ func (p *Process) Read(fd int, buf []byte) (int, error) {
 	if err := p.enter(host.SysRead); err != nil {
 		return 0, err
 	}
-	d, ok := p.getFD(fd)
+	d, ok := p.fds.Get(fd)
 	if !ok {
 		return 0, api.EBADF
 	}
 	defer p.SignalsDrain()
-	switch d.kind {
-	case fdFile:
-		d.mu.Lock()
-		n, err := d.file.ReadAt(buf, d.pos)
-		d.pos += int64(n)
-		d.mu.Unlock()
-		return n, err
-	case fdProc:
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if d.pos >= int64(len(d.data)) {
-			return 0, nil
-		}
-		n := copy(buf, d.data[d.pos:])
-		d.pos += int64(n)
-		return n, nil
-	case fdPipe, fdSocket:
-		return d.str.Read(buf)
+	switch d.Kind {
+	case posix.File:
+		return d.Transfer(buf, d.Handle.File.ReadAt)
+	case posix.Proc:
+		return d.ReadData(buf), nil
+	case posix.Pipe, posix.Socket:
+		return d.Handle.Stream.Read(buf)
 	default:
 		return 0, nil
 	}
@@ -619,25 +435,21 @@ func (p *Process) Write(fd int, buf []byte) (int, error) {
 	if err := p.enter(host.SysWrite); err != nil {
 		return 0, err
 	}
-	d, ok := p.getFD(fd)
+	d, ok := p.fds.Get(fd)
 	if !ok {
 		return 0, api.EBADF
 	}
 	defer p.SignalsDrain()
-	switch d.kind {
-	case fdFile:
-		d.mu.Lock()
-		n, err := d.file.WriteAt(buf, d.pos)
-		d.pos += int64(n)
-		d.mu.Unlock()
-		return n, err
-	case fdPipe, fdSocket:
-		n, err := d.str.Write(buf)
+	switch d.Kind {
+	case posix.File:
+		return d.Transfer(buf, d.Handle.File.WriteAt)
+	case posix.Pipe, posix.Socket:
+		n, err := d.Handle.Stream.Write(buf)
 		if err == api.EPIPE {
 			p.deliverSignal(api.SIGPIPE)
 		}
 		return n, err
-	case fdTTY:
+	case posix.TTY:
 		return len(buf), nil
 	default:
 		return 0, api.EACCES
@@ -649,39 +461,11 @@ func (p *Process) Lseek(fd int, offset int64, whence int) (int64, error) {
 	if err := p.enter(host.SysLseek); err != nil {
 		return 0, err
 	}
-	d, ok := p.getFD(fd)
+	d, ok := p.fds.Get(fd)
 	if !ok {
 		return 0, api.EBADF
 	}
-	if d.kind != fdFile && d.kind != fdProc {
-		return 0, api.ESPIPE
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var base int64
-	switch whence {
-	case api.SeekSet:
-	case api.SeekCur:
-		base = d.pos
-	case api.SeekEnd:
-		if d.kind == fdProc {
-			base = int64(len(d.data))
-		} else {
-			st, err := p.kernel.FS.Stat(d.path)
-			if err != nil {
-				return 0, err
-			}
-			base = st.Size
-		}
-	default:
-		return 0, api.EINVAL
-	}
-	n := base + offset
-	if n < 0 {
-		return 0, api.EINVAL
-	}
-	d.pos = n
-	return n, nil
+	return d.Lseek(offset, whence, p.kernel.FS.Stat)
 }
 
 // Stat stats a path.
@@ -690,12 +474,12 @@ func (p *Process) Stat(path string) (api.Stat, error) {
 		return api.Stat{}, err
 	}
 	gp := p.resolve(path)
-	if strings.HasPrefix(gp, "/proc") {
+	if posix.IsProc(gp) {
 		data, err := p.procRead(gp)
 		if err != nil {
 			return api.Stat{}, err
 		}
-		return api.Stat{Name: gp, Size: int64(len(data)), Mode: 0444}, nil
+		return posix.ProcStat(gp, data), nil
 	}
 	return p.kernel.FS.Stat(gp)
 }
@@ -705,14 +489,11 @@ func (p *Process) Fstat(fd int) (api.Stat, error) {
 	if err := p.enter(host.SysFstat); err != nil {
 		return api.Stat{}, err
 	}
-	d, ok := p.getFD(fd)
+	d, ok := p.fds.Get(fd)
 	if !ok {
 		return api.Stat{}, api.EBADF
 	}
-	if d.kind == fdFile {
-		return p.kernel.FS.Stat(d.path)
-	}
-	return api.Stat{Name: d.path, Mode: 0600}, nil
+	return d.Stat(p.kernel.FS.Stat)
 }
 
 // Unlink removes a file.
@@ -786,18 +567,12 @@ func (p *Process) Dup2(oldFD, newFD int) (int, error) {
 	if err := p.enter(host.SysDup2); err != nil {
 		return 0, err
 	}
-	p.mu.Lock()
-	d, ok := p.fds[oldFD]
-	if !ok {
-		p.mu.Unlock()
-		return 0, api.EBADF
+	released, err := p.fds.Dup2(oldFD, newFD)
+	if err != nil {
+		return 0, err
 	}
-	old, had := p.fds[newFD]
-	p.fds[newFD] = d
-	last := had && !p.refersLocked(old)
-	p.mu.Unlock()
-	if last {
-		p.release(old)
+	if released != nil {
+		p.release(released)
 	}
 	return newFD, nil
 }
@@ -808,8 +583,8 @@ func (p *Process) Pipe() (int, int, error) {
 		return 0, 0, err
 	}
 	r, w := p.kernel.host.StreamPair(p.pp, p.pp)
-	rfd := p.installFD(&fdesc{kind: fdPipe, str: r, path: "pipe"})
-	wfd := p.installFD(&fdesc{kind: fdPipe, str: w, path: "pipe"})
+	rfd := p.fds.Alloc(&posix.Desc{Kind: posix.Pipe, Handle: &host.Handle{Kind: host.HandleStream, Stream: r}, Path: "pipe"})
+	wfd := p.fds.Alloc(&posix.Desc{Kind: posix.Pipe, Handle: &host.Handle{Kind: host.HandleStream, Stream: w}, Path: "pipe"})
 	return rfd, wfd, nil
 }
 
@@ -880,20 +655,20 @@ func (p *Process) Listen(addr api.SockAddr) (int, error) {
 	if err != nil {
 		return 0, p.crossed(err)
 	}
-	return p.installFD(&fdesc{kind: fdListener, lst: l, path: string(addr)}), nil
+	return p.fds.Alloc(&posix.Desc{Kind: posix.Listener, Handle: &host.Handle{Kind: host.HandleListener, Listener: l}, Path: string(addr)}), nil
 }
 
 // Accept takes a connection from the backlog.
 func (p *Process) Accept(fd int) (int, error) {
-	d, ok := p.getFD(fd)
-	if !ok || d.kind != fdListener {
-		return 0, api.EBADF
+	d, err := p.fds.GetSock(fd, posix.Listener)
+	if err != nil {
+		return 0, err
 	}
-	s, err := p.kernel.host.StreamAccept(p.pp, d.lst)
+	s, err := p.kernel.host.StreamAccept(p.pp, d.Handle.Listener)
 	if err != nil {
 		return 0, p.crossed(err)
 	}
-	return p.installFD(&fdesc{kind: fdSocket, str: s, path: d.path}), nil
+	return p.fds.Alloc(&posix.Desc{Kind: posix.Socket, Handle: &host.Handle{Kind: host.HandleStream, Stream: s}, Path: d.Path}), nil
 }
 
 // Connect dials a TCP listener.
@@ -902,7 +677,7 @@ func (p *Process) Connect(addr api.SockAddr) (int, error) {
 	if err != nil {
 		return 0, p.crossed(err)
 	}
-	return p.installFD(&fdesc{kind: fdSocket, str: s, path: string(addr)}), nil
+	return p.fds.Alloc(&posix.Desc{Kind: posix.Socket, Handle: &host.Handle{Kind: host.HandleStream, Stream: s}, Path: string(addr)}), nil
 }
 
 // Poll waits for readability on one of the descriptors.
@@ -912,11 +687,11 @@ func (p *Process) Poll(fds []int, timeoutMicros int64) (int, error) {
 	}
 	objs := make([]host.Waitable, 0, len(fds))
 	for _, fd := range fds {
-		d, ok := p.getFD(fd)
-		if !ok || d.str == nil {
+		d, ok := p.fds.Get(fd)
+		if !ok || !d.IsStream() {
 			return -1, api.EBADF
 		}
-		objs = append(objs, d.str)
+		objs = append(objs, d.Handle.Stream)
 	}
 	return host.WaitAny(objs, time.Duration(timeoutMicros)*time.Microsecond)
 }
@@ -945,29 +720,17 @@ func (p *Process) SpawnThread(fn func()) error {
 
 // PassConnection and ReceiveConnection mirror liblinux's handle-passing
 // extension so preforked servers run unmodified on both personalities.
+// A passed listening socket is co-held by the receiver (SCM_RIGHTS,
+// unix(7)): the standby-master handover.
 func (p *Process) PassConnection(overFD, connFD int) error {
 	if err := p.enter(host.SysSendto); err != nil {
 		return err
 	}
-	over, ok := p.getFD(overFD)
-	if !ok || over.str == nil {
-		return api.EBADF
+	over, conn, err := p.fds.Passable(overFD, connFD)
+	if err != nil {
+		return err
 	}
-	conn, ok := p.getFD(connFD)
-	if !ok {
-		return api.EBADF
-	}
-	switch conn.kind {
-	case fdSocket:
-		return over.str.SendHandle(&host.Handle{Kind: host.HandleStream, Stream: conn.str})
-	case fdListener:
-		// Listening sockets pass too (SCM_RIGHTS, unix(7)): the receiver
-		// co-holds the same listening socket — the standby-master handover.
-		return over.str.SendHandle(&host.Handle{Kind: host.HandleListener, Listener: conn.lst})
-	}
-	// Same sender-side check as liblinux: anything else is not passable,
-	// so the personalities fail identically.
-	return api.EINVAL
+	return over.Handle.Stream.SendHandle(conn.Handle)
 }
 
 // ReceiveConnection receives a passed connection or listening socket and
@@ -976,11 +739,11 @@ func (p *Process) ReceiveConnection(overFD int) (int, error) {
 	if err := p.enter(host.SysRecvfrom); err != nil {
 		return 0, err
 	}
-	over, ok := p.getFD(overFD)
-	if !ok || over.str == nil {
-		return 0, api.EBADF
+	over, err := p.fds.GetSock(overFD, posix.Pipe, posix.Socket)
+	if err != nil {
+		return 0, err
 	}
-	h, err := over.str.ReceiveHandle()
+	h, err := over.Handle.Stream.ReceiveHandle()
 	if err != nil {
 		return 0, err
 	}
@@ -988,10 +751,10 @@ func (p *Process) ReceiveConnection(overFD int) (int, error) {
 	case host.HandleStream:
 		// The sender transferred a reference with the handle.
 		p.kernel.host.AdoptStream(p.pp, h.Stream)
-		return p.installFD(&fdesc{kind: fdSocket, str: h.Stream, path: h.Stream.Name}), nil
+		return p.fds.Alloc(&posix.Desc{Kind: posix.Socket, Handle: h, Path: h.Stream.Name}), nil
 	case host.HandleListener:
 		p.kernel.host.AdoptListener(p.pp, h.Listener)
-		return p.installFD(&fdesc{kind: fdListener, lst: h.Listener, path: h.Listener.Name}), nil
+		return p.fds.Alloc(&posix.Desc{Kind: posix.Listener, Handle: h, Path: h.Listener.Name}), nil
 	}
 	return 0, api.EINVAL
 }
@@ -1002,9 +765,8 @@ func (p *Process) ReceiveConnection(overFD int) (int, error) {
 // process can read any other process's metadata — the side channel §6.6
 // measures Graphene against.
 func (p *Process) procRead(path string) ([]byte, error) {
-	rest := strings.TrimPrefix(path, "/proc")
-	rest = strings.TrimPrefix(rest, "/")
-	if rest == "" {
+	who, field := posix.ProcPath(path)
+	if who == "" {
 		// Native /proc lists every process on the host.
 		p.kernel.mu.Lock()
 		pids := make([]int, 0, len(p.kernel.procs))
@@ -1015,16 +777,9 @@ func (p *Process) procRead(path string) ([]byte, error) {
 		sort.Ints(pids)
 		var sb strings.Builder
 		for _, pid := range pids {
-			sb.WriteString(strconv.Itoa(pid))
-			sb.WriteByte('\n')
+			sb.WriteString(strconv.Itoa(pid) + "\n")
 		}
 		return []byte(sb.String()), nil
-	}
-	parts := strings.SplitN(rest, "/", 2)
-	who := parts[0]
-	field := "status"
-	if len(parts) == 2 {
-		field = parts[1]
 	}
 	target := p
 	if who != "self" {
@@ -1035,15 +790,11 @@ func (p *Process) procRead(path string) ([]byte, error) {
 		return nil, api.ENOENT
 	}
 	target.mu.Lock()
-	prog := target.programPath
+	info := posix.ProcInfo{Program: target.programPath, Argv: target.argv, Cwd: target.cwd, PID: target.pp.ID, PPID: target.pp.ParentID}
 	target.mu.Unlock()
-	switch field {
-	case "comm":
-		return []byte(prog + "\n"), nil
-	case "status":
-		return []byte("Name:\t" + prog + "\nPid:\t" + strconv.Itoa(target.pp.ID) +
-			"\nPPid:\t" + strconv.Itoa(target.pp.ParentID) + "\n"), nil
-	default:
-		return nil, api.ENOENT
+	v, errno := info.Render(field)
+	if errno != 0 {
+		return nil, errno
 	}
+	return []byte(v), nil
 }

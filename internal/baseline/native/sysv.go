@@ -5,43 +5,38 @@ import (
 
 	"graphene/internal/api"
 	"graphene/internal/host"
+	"graphene/internal/posix"
 )
 
 // sysvTables holds the kernel-resident System V IPC state: queues and
 // semaphore sets live in kernel memory and survive their creators —
 // which is why the paper has no native "persistent" column in Table 7.
 type sysvTables struct {
-	mu      sync.Mutex
-	nextID  int
-	msgKeys map[int]int
-	queues  map[int]*kQueue
-	semKeys map[int]int
-	semSets map[int]*kSemSet
+	mu     sync.Mutex
+	nextID int
+	keys   [2]map[int]int // key -> ID, per kind
+	objs   map[int]*kObj
 }
+
+// The two kinds of System V object.
+const (
+	msgQueue = iota
+	semSet
+)
 
 func newSysvTables() *sysvTables {
-	return &sysvTables{
-		msgKeys: make(map[int]int),
-		queues:  make(map[int]*kQueue),
-		semKeys: make(map[int]int),
-		semSets: make(map[int]*kSemSet),
-	}
+	return &sysvTables{keys: [2]map[int]int{{}, {}}, objs: make(map[int]*kObj)}
 }
 
-// kObj is what queues and semaphore sets share: the lock and condition
+// kObj is one queue or semaphore set: its contents, the lock and condition
 // variable blocked callers sleep on, and the flag rmid sets.
 type kObj struct {
+	kind    int
+	msgs    []kMsg // a queue's messages
+	vals    []int  // a set's semaphores
 	mu      sync.Mutex
 	cv      sync.Cond
 	removed bool
-}
-
-// remove marks the object gone and wakes its sleepers into EIDRM.
-func (o *kObj) remove() {
-	o.mu.Lock()
-	o.removed = true
-	o.cv.Broadcast()
-	o.mu.Unlock()
 }
 
 type kMsg struct {
@@ -49,21 +44,12 @@ type kMsg struct {
 	data  []byte
 }
 
-type kQueue struct {
-	kObj
-	msgs []kMsg
-}
-
-type kSemSet struct {
-	kObj
-	vals []int
-}
-
-// get resolves key to an ID under msgget(2)/semget(2)'s flag rules, calling
-// add to create the object under a fresh ID when they allow it.
-func (t *sysvTables) get(keys map[int]int, key, flags int, add func(id int)) (int, error) {
+// get resolves key to an ID under msgget(2)/semget(2)'s flag rules,
+// creating o under a fresh ID when they allow it.
+func (t *sysvTables) get(key, flags int, o *kObj) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	keys := t.keys[o.kind]
 	if key != api.IPCPrivate {
 		if id, ok := keys[key]; ok {
 			if flags&api.IPCCreat != 0 && flags&api.IPCExcl != 0 {
@@ -76,32 +62,53 @@ func (t *sysvTables) get(keys map[int]int, key, flags int, add func(id int)) (in
 		}
 	}
 	t.nextID++
-	add(t.nextID)
+	o.cv.L = &o.mu
+	t.objs[t.nextID] = o
 	if key != api.IPCPrivate {
 		keys[key] = t.nextID
 	}
 	return t.nextID, nil
 }
 
-// unkeyLocked drops the key naming id. Caller holds t.mu.
-func unkeyLocked(keys map[int]int, id int) {
-	for k, v := range keys {
+// lookup returns object id of kind, nil when there is none.
+func (t *sysvTables) lookup(id, kind int) *kObj {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if o := t.objs[id]; o != nil && o.kind == kind {
+		return o
+	}
+	return nil
+}
+
+// rmid destroys object id of kind and wakes its sleepers into EIDRM.
+func (t *sysvTables) rmid(id, kind int) error {
+	t.mu.Lock()
+	o := t.objs[id]
+	if o == nil || o.kind != kind {
+		t.mu.Unlock()
+		return api.EIDRM
+	}
+	delete(t.objs, id)
+	for k, v := range t.keys[kind] {
 		if v == id {
-			delete(keys, k)
+			delete(t.keys[kind], k)
 		}
 	}
+	t.mu.Unlock()
+	o.mu.Lock()
+	o.removed = true
+	o.cv.Broadcast()
+	o.mu.Unlock()
+	return nil
 }
 
 // wakeAll wakes every sleeper in the tables, so that one an interrupting
 // signal was delivered to returns EINTR; the rest go back to sleep.
 func (t *sysvTables) wakeAll() {
 	t.mu.Lock()
-	objs := make([]*kObj, 0, len(t.queues)+len(t.semSets))
-	for _, q := range t.queues {
-		objs = append(objs, &q.kObj)
-	}
-	for _, s := range t.semSets {
-		objs = append(objs, &s.kObj)
+	objs := make([]*kObj, 0, len(t.objs))
+	for _, o := range t.objs {
+		objs = append(objs, o)
 	}
 	t.mu.Unlock()
 	for _, o := range objs {
@@ -111,23 +118,47 @@ func (t *sysvTables) wakeAll() {
 	}
 }
 
+// block runs try with the object of kind id locked until it is done,
+// sleeping between tries: EIDRM when the object is or goes away, noWait
+// when the caller may not sleep, and EINTR when a caught or fatal signal
+// arrives (msgrcv(2), semop(2)). The interrupt channel is taken before the
+// first try; a delivery closes it before wakeAll wakes the sleepers.
+func (p *Process) block(id, kind int, noWait api.Errno, try func(o *kObj) (done bool, errno api.Errno)) error {
+	o := p.kernel.sysv.lookup(id, kind)
+	if o == nil {
+		return api.EIDRM
+	}
+	intr := p.sig.Interrupt()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for {
+		if o.removed {
+			return api.EIDRM
+		}
+		if done, errno := try(o); errno != 0 {
+			return errno
+		} else if done {
+			o.cv.Broadcast()
+			return nil
+		}
+		if noWait != 0 {
+			return noWait
+		}
+		select {
+		case <-intr:
+			return api.EINTR
+		default:
+		}
+		o.cv.Wait()
+	}
+}
+
 // Msgget maps a key to a queue ID in the kernel tables.
 func (p *Process) Msgget(key int, flags int) (int, error) {
 	if err := p.enter(host.SysMsgget); err != nil {
 		return 0, err
 	}
-	t := p.kernel.sysv
-	return t.get(t.msgKeys, key, flags, func(id int) {
-		q := &kQueue{}
-		q.cv.L = &q.mu
-		t.queues[id] = q
-	})
-}
-
-func (t *sysvTables) queue(id int) *kQueue {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.queues[id]
+	return p.kernel.sysv.get(key, flags, &kObj{kind: msgQueue})
 }
 
 // Msgsnd appends to a kernel queue.
@@ -138,29 +169,10 @@ func (p *Process) Msgsnd(id int, mtype int64, data []byte, flags int) error {
 	if mtype <= 0 {
 		return api.EINVAL
 	}
-	q := p.kernel.sysv.queue(id)
-	if q == nil {
-		return api.EIDRM
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.removed {
-		return api.EIDRM
-	}
-	q.msgs = append(q.msgs, kMsg{mtype: mtype, data: append([]byte(nil), data...)})
-	q.cv.Broadcast()
-	return nil
-}
-
-func kMatches(m kMsg, mtype int64) bool {
-	switch {
-	case mtype == 0:
-		return true
-	case mtype > 0:
-		return m.mtype == mtype
-	default:
-		return m.mtype <= -mtype
-	}
+	return p.block(id, msgQueue, 0, func(q *kObj) (bool, api.Errno) {
+		q.msgs = append(q.msgs, kMsg{mtype: mtype, data: append([]byte(nil), data...)})
+		return true, 0
+	})
 }
 
 // Msgrcv pops the first matching message, blocking unless IPCNoWait.
@@ -168,35 +180,28 @@ func (p *Process) Msgrcv(id int, mtype int64, buf []byte, flags int) (int64, []b
 	if err := p.enter(host.SysMsgrcv); err != nil {
 		return 0, nil, err
 	}
-	q := p.kernel.sysv.queue(id)
-	if q == nil {
-		return 0, nil, api.EIDRM
+	noWait := api.Errno(0)
+	if flags&api.IPCNoWait != 0 {
+		noWait = api.ENOMSG
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	seq := p.sigSeq()
-	for {
-		if q.removed {
-			return 0, nil, api.EIDRM
-		}
+	var got kMsg
+	err := p.block(id, msgQueue, noWait, func(q *kObj) (bool, api.Errno) {
 		for i, m := range q.msgs {
-			if kMatches(m, mtype) {
+			if posix.MsgMatches(m.mtype, mtype) {
 				q.msgs = append(q.msgs[:i], q.msgs[i+1:]...)
 				if buf != nil && len(m.data) > len(buf) {
-					return 0, nil, api.E2BIG
+					return false, api.E2BIG
 				}
-				return m.mtype, m.data, nil
+				got = m
+				return true, 0
 			}
 		}
-		if flags&api.IPCNoWait != 0 {
-			return 0, nil, api.ENOMSG
-		}
-		// Interrupted by a signal while sleeping: msgrcv(2) EINTR.
-		if p.sigSeq() != seq {
-			return 0, nil, api.EINTR
-		}
-		q.cv.Wait()
+		return false, 0
+	})
+	if err != nil {
+		return 0, nil, err
 	}
+	return got.mtype, got.data, nil
 }
 
 // MsgctlRmid destroys a queue.
@@ -204,17 +209,7 @@ func (p *Process) MsgctlRmid(id int) error {
 	if err := p.enter(host.SysMsgctl); err != nil {
 		return err
 	}
-	t := p.kernel.sysv
-	t.mu.Lock()
-	q := t.queues[id]
-	delete(t.queues, id)
-	unkeyLocked(t.msgKeys, id)
-	t.mu.Unlock()
-	if q == nil {
-		return api.EIDRM
-	}
-	q.remove()
-	return nil
+	return p.kernel.sysv.rmid(id, msgQueue)
 }
 
 // Semget maps a key to a semaphore set.
@@ -222,21 +217,10 @@ func (p *Process) Semget(key int, nsems int, flags int) (int, error) {
 	if err := p.enter(host.SysSemget); err != nil {
 		return 0, err
 	}
-	if nsems <= 0 || nsems > 250 {
-		return 0, api.EINVAL
+	if err := posix.CheckNsems(nsems); err != nil {
+		return 0, err
 	}
-	t := p.kernel.sysv
-	return t.get(t.semKeys, key, flags, func(id int) {
-		s := &kSemSet{vals: make([]int, nsems)}
-		s.cv.L = &s.mu
-		t.semSets[id] = s
-	})
-}
-
-func (t *sysvTables) semSet(id int) *kSemSet {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.semSets[id]
+	return p.kernel.sysv.get(key, flags, &kObj{kind: semSet, vals: make([]int, nsems)})
 }
 
 // Semop applies sembuf operations atomically, blocking as needed.
@@ -244,62 +228,15 @@ func (p *Process) Semop(id int, ops []api.SemBuf) error {
 	if err := p.enter(host.SysSemop); err != nil {
 		return err
 	}
-	s := p.kernel.sysv.semSet(id)
-	if s == nil {
-		return api.EIDRM
-	}
-	noWait := false
+	noWait := api.Errno(0)
 	for _, op := range ops {
 		if int(op.Flg)&api.IPCNoWait != 0 {
-			noWait = true
+			noWait = api.EAGAIN
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seq := p.sigSeq()
-	for {
-		if s.removed {
-			return api.EIDRM
-		}
-		ok, errno := s.tryApply(ops)
-		if errno != 0 {
-			return errno
-		}
-		if ok {
-			s.cv.Broadcast()
-			return nil
-		}
-		if noWait {
-			return api.EAGAIN
-		}
-		// Interrupted by a signal while sleeping: semop(2) EINTR.
-		if p.sigSeq() != seq {
-			return api.EINTR
-		}
-		s.cv.Wait()
-	}
-}
-
-func (s *kSemSet) tryApply(ops []api.SemBuf) (bool, api.Errno) {
-	for _, op := range ops {
-		if op.Num < 0 || op.Num >= len(s.vals) {
-			return false, api.EINVAL
-		}
-		switch {
-		case op.Op < 0:
-			if s.vals[op.Num] < int(-op.Op) {
-				return false, 0
-			}
-		case op.Op == 0:
-			if s.vals[op.Num] != 0 {
-				return false, 0
-			}
-		}
-	}
-	for _, op := range ops {
-		s.vals[op.Num] += int(op.Op)
-	}
-	return true, 0
+	return p.block(id, semSet, noWait, func(s *kObj) (bool, api.Errno) {
+		return posix.SemApply(s.vals, ops)
+	})
 }
 
 // SemctlRmid destroys a semaphore set.
@@ -307,15 +244,5 @@ func (p *Process) SemctlRmid(id int) error {
 	if err := p.enter(host.SysSemctl); err != nil {
 		return err
 	}
-	t := p.kernel.sysv
-	t.mu.Lock()
-	s := t.semSets[id]
-	delete(t.semSets, id)
-	unkeyLocked(t.semKeys, id)
-	t.mu.Unlock()
-	if s == nil {
-		return api.EIDRM
-	}
-	s.remove()
-	return nil
+	return p.kernel.sysv.rmid(id, semSet)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"graphene/internal/api"
+	"graphene/internal/posix"
 )
 
 // cancelCookie mints unique tags for blocking receive/semop calls so a
@@ -1013,8 +1014,8 @@ func (h *Helper) migrateQueue(id int64, to string) {
 
 // Semget maps a key to a semaphore set ID, creating locally on first use.
 func (h *Helper) Semget(key int64, nsems int, flags int) (int64, error) {
-	if nsems <= 0 || nsems > 250 {
-		return 0, api.EINVAL
+	if err := posix.CheckNsems(nsems); err != nil {
+		return 0, err
 	}
 	id, owner, err := h.sysvKey(NSSysVSem, key, flags)
 	if err != nil {

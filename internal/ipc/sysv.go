@@ -7,6 +7,7 @@ import (
 
 	"graphene/internal/api"
 	"graphene/internal/host"
+	"graphene/internal/posix"
 )
 
 // migrateThreshold is how many consecutive remote operations from one peer
@@ -87,19 +88,6 @@ func (q *msgQueue) noteAccessor(addr string) {
 		q.accessors = make(map[string]struct{})
 	}
 	q.accessors[addr] = struct{}{}
-}
-
-// matches implements msgrcv type selection: 0 = any, >0 = exact type,
-// <0 = lowest type <= |mtype|.
-func matches(m msgMessage, mtype int64) bool {
-	switch {
-	case mtype == 0:
-		return true
-	case mtype > 0:
-		return m.Type == mtype
-	default:
-		return m.Type <= -mtype
-	}
 }
 
 // send appends a message and satisfies a compatible waiter. Ring-attached
@@ -225,7 +213,7 @@ func (q *msgQueue) drainWaitersLocked() {
 		delivered := false
 		for wi, w := range q.waiters {
 			for mi, m := range q.msgs {
-				if matches(m, w.mtype) {
+				if posix.MsgMatches(m.Type, w.mtype) {
 					q.msgs = append(q.msgs[:mi], q.msgs[mi+1:]...)
 					q.waiters = append(q.waiters[:wi], q.waiters[wi+1:]...)
 					w.deliver(m.Type, m.Data, 0)
@@ -264,7 +252,7 @@ func (q *msgQueue) recv(mtype int64, wait bool, from string, cookie int64, deliv
 	q.ingestRingLocked()
 	q.reclaimRecvRingLocked()
 	for i, m := range q.msgs {
-		if matches(m, mtype) {
+		if posix.MsgMatches(m.Type, mtype) {
 			q.msgs = append(q.msgs[:i], q.msgs[i+1:]...)
 			deliver(m.Type, m.Data, 0)
 			return nil
@@ -432,7 +420,7 @@ func (s *semSet) noteAccessor(addr string) {
 // iterating s.waiters do that themselves).
 func (s *semSet) applyLocked(ops []api.SemBuf) (bool, api.Errno) {
 	if seg := s.seg; seg != nil {
-		applied, wouldBlock, errno := seg.TryApply(ops)
+		applied, _, errno := seg.TryApply(ops)
 		switch {
 		case errno == api.EAGAIN:
 			// Revoked underneath us: capture the sealed value and fall
@@ -444,32 +432,11 @@ func (s *semSet) applyLocked(ops []api.SemBuf) (bool, api.Errno) {
 			s.segFrom = ""
 		case errno != 0:
 			return false, errno
-		case applied:
-			return true, 0
 		default:
-			_ = wouldBlock
-			return false, 0
+			return applied, 0
 		}
 	}
-	for _, op := range ops {
-		if op.Num < 0 || op.Num >= len(s.vals) {
-			return false, api.EINVAL
-		}
-		switch {
-		case op.Op < 0:
-			if s.vals[op.Num] < int(-op.Op) {
-				return false, 0
-			}
-		case op.Op == 0:
-			if s.vals[op.Num] != 0 {
-				return false, 0
-			}
-		}
-	}
-	for _, op := range ops {
-		s.vals[op.Num] += int(op.Op)
-	}
-	return true, 0
+	return posix.SemApply(s.vals, ops)
 }
 
 // semop performs ops, parking deliver if they cannot complete and wait is

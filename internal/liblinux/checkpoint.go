@@ -11,6 +11,7 @@ import (
 	"graphene/internal/ipc"
 	"graphene/internal/monitor"
 	"graphene/internal/pal"
+	"graphene/internal/posix"
 )
 
 // FDCheckpoint serializes one open descriptor. File-backed descriptors are
@@ -73,20 +74,18 @@ func (p *Process) checkpointMeta() (*Checkpoint, []*host.Handle, error) {
 	ck.Regions = append([]Region(nil), p.mm.mmaps...)
 	p.mm.mu.Unlock()
 
-	ck.Dispositions = p.sig.dispositions()
+	ck.Dispositions = p.sig.Dispositions()
 
 	var handles []*host.Handle
-	for _, open := range p.fds.snapshot() {
-		d := open.d
-		fc := FDCheckpoint{FD: open.fd, Kind: int(d.kind), Path: d.path, Flags: d.flags, HandleIndex: -1}
-		d.mu.Lock()
-		fc.Pos = d.pos
-		d.mu.Unlock()
-		switch d.kind {
-		case fdPipe, fdSocket:
+	for _, open := range p.fds.Snapshot() {
+		d := open.D
+		fc := FDCheckpoint{FD: open.FD, Kind: int(d.Kind), Path: d.Path, Flags: d.Flags, HandleIndex: -1}
+		fc.Pos, _ = d.Lseek(0, api.SeekCur, nil) // 0 for a stream
+		switch d.Kind {
+		case posix.Pipe, posix.Socket:
 			fc.HandleIndex = len(handles)
-			handles = append(handles, d.handle)
-		case fdListener:
+			handles = append(handles, d.Handle)
+		case posix.Listener:
 			// Listeners are not inherited (matching accept-after-fork
 			// semantics would need handle duplication; servers accept in
 			// the parent and pass connections instead).
@@ -587,7 +586,7 @@ func restoreChild(rt *Runtime, c *pal.PAL, initial *host.Stream, store *host.Han
 			if err := sig.decode(payload); err != nil {
 				return failMap(err)
 			}
-			child.sig.restoreDispositions(sig.Dispositions)
+			child.sig.RestoreDispositions(sig.Dispositions)
 		case secDone:
 			if len(payload) != 0 {
 				return failMap(api.EINVAL)
@@ -658,7 +657,7 @@ func (p *Process) applyMeta(m *ckMetaSection) {
 func (p *Process) restoreState(ck *Checkpoint, initial *host.Stream) error {
 	p.applyMeta(&ck.ckMetaSection)
 	p.mm.restore(ck.Brk, ck.BrkEnd, ck.Regions)
-	p.sig.restoreDispositions(ck.Dispositions)
+	p.sig.RestoreDispositions(ck.Dispositions)
 	return p.restoreFDs(ck.FDs, initial)
 }
 
@@ -671,7 +670,7 @@ func (p *Process) restoreFDs(fds []FDCheckpoint, initial *host.Stream) error {
 		// descriptor and none for any other kind, and a migration image
 		// (no initial stream) has none to receive. A table that says
 		// otherwise is malformed.
-		streamBacked := fdKind(fc.Kind) == fdPipe || fdKind(fc.Kind) == fdSocket
+		streamBacked := posix.Kind(fc.Kind) == posix.Pipe || posix.Kind(fc.Kind) == posix.Socket
 		if fc.HandleIndex < -1 || fc.HandleIndex >= len(fds) ||
 			streamBacked != (fc.HandleIndex >= 0) || (streamBacked && initial == nil) {
 			return api.EINVAL
@@ -693,30 +692,31 @@ func (p *Process) restoreFDs(fds []FDCheckpoint, initial *host.Stream) error {
 	}
 
 	for _, fc := range fds {
-		d := &fdesc{kind: fdKind(fc.Kind), path: fc.Path, flags: fc.Flags, pos: fc.Pos}
-		switch d.kind {
-		case fdFile:
+		d := &posix.Desc{Kind: posix.Kind(fc.Kind), Path: fc.Path, Flags: fc.Flags}
+		_, _ = d.Lseek(fc.Pos, api.SeekSet, nil) // a stream or a negative position stays at 0
+		switch d.Kind {
+		case posix.File:
 			h, err := p.pal.DkStreamOpen("file:"+fc.Path, fc.Flags&^(api.OTrunc|api.OExcl|api.OCreate), 0)
 			if err != nil {
 				continue // file vanished; descriptor dropped
 			}
-			d.handle = h
-		case fdPipe, fdSocket:
-			d.handle = inherited[fc.HandleIndex]
-		case fdTTY:
+			d.Handle = h
+		case posix.Pipe, posix.Socket:
+			d.Handle = inherited[fc.HandleIndex]
+		case posix.TTY:
 			h, err := p.pal.DkStreamOpen("dev:tty", 0, 0)
 			if err != nil {
 				continue
 			}
-			d.handle = h
-		case fdProc:
+			d.Handle = h
+		case posix.Proc:
 			data, err := p.procRead(fc.Path)
 			if err != nil {
 				continue
 			}
-			d.data = data
+			d.Data = data
 		}
-		p.fds.install(fc.FD, d)
+		p.fds.Install(fc.FD, d) // what it replaces is newProcess's console, which holds nothing
 	}
 	return nil
 }
@@ -963,11 +963,11 @@ func (r *Runtime) ResumeFromBytes(man *monitor.Manifest, blob []byte) (*LaunchRe
 func (p *Process) Poll(fds []int, timeoutMicros int64) (int, error) {
 	handles := make([]*host.Handle, 0, len(fds))
 	for _, fd := range fds {
-		d, ok := p.fds.get(fd)
-		if !ok || d.handle == nil {
+		d, ok := p.fds.Get(fd)
+		if !ok || d.Handle == nil {
 			return -1, api.EBADF
 		}
-		handles = append(handles, d.handle)
+		handles = append(handles, d.Handle)
 	}
 	timeout := time.Duration(timeoutMicros) * time.Microsecond
 	return p.pal.DkObjectsWaitAny(handles, timeout)

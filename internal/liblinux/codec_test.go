@@ -10,6 +10,7 @@ import (
 	"graphene/internal/api"
 	"graphene/internal/host"
 	"graphene/internal/pal"
+	"graphene/internal/posix"
 )
 
 // sampleSections is one populated value of every control section, shared
@@ -27,9 +28,9 @@ func sampleSections() map[byte]section {
 			{Start: 0x7f00_0100_0000, End: 0x7f00_0100_1000, Prot: api.ProtRead},
 		}},
 		secFDs: &ckFDSection{FDs: []FDCheckpoint{
-			{FD: 0, Kind: int(fdTTY), HandleIndex: -1},
-			{FD: 3, Kind: int(fdFile), Path: "/var/log/x", Flags: api.ORdWr | api.OAppend, Pos: 1 << 40, HandleIndex: -1},
-			{FD: 4, Kind: int(fdPipe), HandleIndex: 0},
+			{FD: 0, Kind: int(posix.TTY), HandleIndex: -1},
+			{FD: 3, Kind: int(posix.File), Path: "/var/log/x", Flags: api.ORdWr | api.OAppend, Pos: 1 << 40, HandleIndex: -1},
+			{FD: 4, Kind: int(posix.Pipe), HandleIndex: 0},
 		}},
 		secSig:    &ckSigSection{Dispositions: map[api.Signal]string{api.SIGPIPE: api.SigIgn, api.SIGCHLD: api.SigIgn}},
 		secZygote: &zygoteTemplate{ProgramPath: "/bin/true", Brk: brkBase, BrkEnd: brkBase},

@@ -1,146 +1,21 @@
 package liblinux
 
 import (
-	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 
 	"graphene/internal/api"
 	"graphene/internal/host"
+	"graphene/internal/posix"
 )
-
-// fdKind discriminates file description types.
-type fdKind int
-
-const (
-	fdFile fdKind = iota
-	fdPipe
-	fdSocket
-	fdListener
-	fdTTY
-	fdProc
-)
-
-// fdesc is one open file description. POSIX seek pointers live here, in
-// the library OS — the host ABI's handles are cursor-free (§4.2, "Shared
-// File Descriptors"). dup2'd descriptors share the description.
-type fdesc struct {
-	kind   fdKind
-	handle *host.Handle
-	path   string
-	flags  int
-
-	mu  sync.Mutex
-	pos int64
-	// data backs synthetic /proc files.
-	data []byte
-}
-
-// fdTable maps descriptor numbers to descriptions.
-type fdTable struct {
-	mu   sync.Mutex
-	fds  map[int]*fdesc
-	next int
-}
-
-func newFDTable() *fdTable {
-	return &fdTable{fds: make(map[int]*fdesc), next: 3}
-}
-
-func (t *fdTable) install(fd int, d *fdesc) {
-	t.mu.Lock()
-	t.fds[fd] = d
-	if fd >= t.next {
-		t.next = fd + 1
-	}
-	t.mu.Unlock()
-}
-
-func (t *fdTable) alloc(d *fdesc) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// Reuse the lowest free descriptor, as POSIX requires.
-	for fd := 0; ; fd++ {
-		if _, used := t.fds[fd]; !used {
-			t.fds[fd] = d
-			return fd
-		}
-	}
-}
-
-func (t *fdTable) get(fd int) (*fdesc, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	d, ok := t.fds[fd]
-	return d, ok
-}
-
-func (t *fdTable) remove(fd int) (*fdesc, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	d, ok := t.fds[fd]
-	delete(t.fds, fd)
-	return d, ok
-}
-
-// refs counts how many descriptor numbers reference each description, so
-// close only releases the host handle on the last reference.
-func (t *fdTable) refs(d *fdesc) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, e := range t.fds {
-		if e == d {
-			n++
-		}
-	}
-	return n
-}
-
-// openFD is one entry of a descriptor-table snapshot.
-type openFD struct {
-	fd int
-	d  *fdesc
-}
-
-// snapshot lists the open descriptors in ascending fd order, so that a
-// checkpoint of equal state is equal bytes.
-func (t *fdTable) snapshot() []openFD {
-	t.mu.Lock()
-	out := make([]openFD, 0, len(t.fds))
-	for fd, d := range t.fds {
-		out = append(out, openFD{fd, d})
-	}
-	t.mu.Unlock()
-	slices.SortFunc(out, func(a, b openFD) int { return a.fd - b.fd })
-	return out
-}
-
-func (t *fdTable) closeAll(p interface{ DkObjectClose(*host.Handle) error }) {
-	t.mu.Lock()
-	fds := t.fds
-	t.fds = make(map[int]*fdesc)
-	t.mu.Unlock()
-	seen := make(map[*fdesc]bool)
-	for _, d := range fds {
-		if seen[d] || d.handle == nil {
-			continue
-		}
-		seen[d] = true
-		_ = p.DkObjectClose(d.handle)
-	}
-}
 
 // resolve turns a possibly relative path into an absolute guest path.
 func (p *Process) resolve(path string) string {
-	if strings.HasPrefix(path, "/") {
-		return host.CleanPath(path)
-	}
 	p.mu.Lock()
 	cwd := p.cwd
 	p.mu.Unlock()
-	return host.CleanPath(cwd + "/" + path)
+	return posix.Resolve(cwd, path)
 }
 
 // Open opens path, routing /proc to the libOS's internal implementation
@@ -148,86 +23,76 @@ func (p *Process) resolve(path string) string {
 // inaccessible from Graphene").
 func (p *Process) Open(path string, flags int, mode api.FileMode) (int, error) {
 	gp := p.resolve(path)
-	if strings.HasPrefix(gp, "/proc") {
+	if posix.IsProc(gp) {
 		data, err := p.procRead(gp)
 		if err != nil {
 			return 0, err
 		}
-		return p.fds.alloc(&fdesc{kind: fdProc, path: gp, data: data}), nil
+		return p.fds.Alloc(&posix.Desc{Kind: posix.Proc, Path: gp, Data: data}), nil
 	}
 	h, err := p.pal.DkStreamOpen("file:"+gp, flags, mode)
 	if err != nil {
 		return 0, err
 	}
-	d := &fdesc{kind: fdFile, handle: h, path: gp, flags: flags}
-	if flags&api.OAppend != 0 {
-		if st, err := p.pal.DkStreamAttributesQuery("file:" + gp); err == nil {
-			d.pos = st.Size
-		}
+	return p.fds.Alloc(posix.NewFile(h, gp, flags, p.fileStat)), nil
+}
+
+// fileStat stats the file at the guest path gp through the PAL.
+func (p *Process) fileStat(gp string) (api.Stat, error) {
+	return p.pal.DkStreamAttributesQuery("file:" + gp)
+}
+
+// closeDesc closes the host handle of a description that lost its last
+// descriptor.
+func (p *Process) closeDesc(d *posix.Desc) error {
+	if d == nil || d.Handle == nil {
+		return nil
 	}
-	return p.fds.alloc(d), nil
+	return p.pal.DkObjectClose(d.Handle)
 }
 
 // Close releases fd; the host handle is closed on the last reference.
 func (p *Process) Close(fd int) error {
-	d, ok := p.fds.remove(fd)
+	d, ok := p.fds.Remove(fd)
 	if !ok {
 		return api.EBADF
 	}
-	if p.fds.refs(d) == 0 && d.handle != nil {
-		return p.pal.DkObjectClose(d.handle)
-	}
-	return nil
+	return p.closeDesc(d)
 }
 
 // Read reads from fd at its seek pointer (files) or stream head.
 func (p *Process) Read(fd int, buf []byte) (int, error) {
-	d, ok := p.fds.get(fd)
+	d, ok := p.fds.Get(fd)
 	if !ok {
 		return 0, api.EBADF
 	}
-	defer p.sig.drain()
-	switch d.kind {
-	case fdFile:
-		d.mu.Lock()
-		n, err := p.pal.DkStreamReadAt(d.handle, buf, d.pos)
-		d.pos += int64(n)
-		d.mu.Unlock()
-		return n, err
-	case fdProc:
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if d.pos >= int64(len(d.data)) {
-			return 0, nil
-		}
-		n := copy(buf, d.data[d.pos:])
-		d.pos += int64(n)
-		return n, nil
+	defer p.SignalsDrain()
+	switch d.Kind {
+	case posix.File:
+		return d.Transfer(buf, func(b []byte, off int64) (int, error) { return p.pal.DkStreamReadAt(d.Handle, b, off) })
+	case posix.Proc:
+		return d.ReadData(buf), nil
 	default:
-		return p.pal.DkStreamRead(d.handle, buf)
+		return p.pal.DkStreamRead(d.Handle, buf)
 	}
 }
 
 // Write writes to fd.
 func (p *Process) Write(fd int, buf []byte) (int, error) {
-	d, ok := p.fds.get(fd)
+	d, ok := p.fds.Get(fd)
 	if !ok {
 		return 0, api.EBADF
 	}
-	defer p.sig.drain()
-	switch d.kind {
-	case fdFile:
-		d.mu.Lock()
-		n, err := p.pal.DkStreamWriteAt(d.handle, buf, d.pos)
-		d.pos += int64(n)
-		d.mu.Unlock()
-		return n, err
-	case fdProc:
+	defer p.SignalsDrain()
+	switch d.Kind {
+	case posix.File:
+		return d.Transfer(buf, func(b []byte, off int64) (int, error) { return p.pal.DkStreamWriteAt(d.Handle, b, off) })
+	case posix.Proc:
 		return 0, api.EACCES
 	default:
-		n, err := p.pal.DkStreamWrite(d.handle, buf)
+		n, err := p.pal.DkStreamWrite(d.Handle, buf)
 		if err == api.EPIPE {
-			p.sig.deliver(api.SIGPIPE)
+			p.deliver(api.SIGPIPE)
 		}
 		return n, err
 	}
@@ -235,69 +100,33 @@ func (p *Process) Write(fd int, buf []byte) (int, error) {
 
 // Lseek moves a file descriptor's seek pointer — pure library state.
 func (p *Process) Lseek(fd int, offset int64, whence int) (int64, error) {
-	d, ok := p.fds.get(fd)
+	d, ok := p.fds.Get(fd)
 	if !ok {
 		return 0, api.EBADF
 	}
-	if d.kind != fdFile && d.kind != fdProc {
-		return 0, api.ESPIPE
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var base int64
-	switch whence {
-	case api.SeekSet:
-		base = 0
-	case api.SeekCur:
-		base = d.pos
-	case api.SeekEnd:
-		if d.kind == fdProc {
-			base = int64(len(d.data))
-		} else {
-			st, err := p.pal.DkStreamAttributesQuery("file:" + d.path)
-			if err != nil {
-				return 0, err
-			}
-			base = st.Size
-		}
-	default:
-		return 0, api.EINVAL
-	}
-	n := base + offset
-	if n < 0 {
-		return 0, api.EINVAL
-	}
-	d.pos = n
-	return n, nil
+	return d.Lseek(offset, whence, p.fileStat)
 }
 
 // Stat describes the file at path.
 func (p *Process) Stat(path string) (api.Stat, error) {
 	gp := p.resolve(path)
-	if strings.HasPrefix(gp, "/proc") {
+	if posix.IsProc(gp) {
 		data, err := p.procRead(gp)
 		if err != nil {
 			return api.Stat{}, err
 		}
-		return api.Stat{Name: gp, Size: int64(len(data)), Mode: 0444}, nil
+		return posix.ProcStat(gp, data), nil
 	}
-	return p.pal.DkStreamAttributesQuery("file:" + gp)
+	return p.fileStat(gp)
 }
 
 // Fstat describes an open descriptor.
 func (p *Process) Fstat(fd int) (api.Stat, error) {
-	d, ok := p.fds.get(fd)
+	d, ok := p.fds.Get(fd)
 	if !ok {
 		return api.Stat{}, api.EBADF
 	}
-	switch d.kind {
-	case fdFile:
-		return p.pal.DkStreamAttributesQuery("file:" + d.path)
-	case fdProc:
-		return api.Stat{Name: d.path, Size: int64(len(d.data)), Mode: 0444}, nil
-	default:
-		return api.Stat{Name: d.path, Mode: 0600}, nil
-	}
+	return d.Stat(p.fileStat)
 }
 
 // Unlink removes the file at path.
@@ -333,7 +162,7 @@ func (p *Process) Rename(oldPath, newPath string) error {
 // Chdir changes the working directory.
 func (p *Process) Chdir(path string) error {
 	gp := p.resolve(path)
-	st, err := p.pal.DkStreamAttributesQuery("file:" + gp)
+	st, err := p.fileStat(gp)
 	if err != nil {
 		return err
 	}
@@ -355,17 +184,11 @@ func (p *Process) Getcwd() (string, error) {
 
 // Dup2 makes newFD refer to oldFD's description (shared seek pointer).
 func (p *Process) Dup2(oldFD, newFD int) (int, error) {
-	d, ok := p.fds.get(oldFD)
-	if !ok {
-		return 0, api.EBADF
+	released, err := p.fds.Dup2(oldFD, newFD)
+	if err != nil {
+		return 0, err
 	}
-	if oldFD == newFD {
-		return newFD, nil
-	}
-	if old, ok := p.fds.remove(newFD); ok && p.fds.refs(old) == 0 && old.handle != nil {
-		_ = p.pal.DkObjectClose(old.handle)
-	}
-	p.fds.install(newFD, d)
+	_ = p.closeDesc(released) // newFD is already oldFD's; a close error is not dup2's
 	return newFD, nil
 }
 
@@ -398,8 +221,8 @@ func (p *Process) Pipe() (int, int, error) {
 	if res.err != nil {
 		return 0, 0, res.err
 	}
-	rfd := p.fds.alloc(&fdesc{kind: fdPipe, handle: res.h, path: "pipe:" + name})
-	wfd := p.fds.alloc(&fdesc{kind: fdPipe, handle: w, path: "pipe:" + name})
+	rfd := p.fds.Alloc(&posix.Desc{Kind: posix.Pipe, Handle: res.h, Path: "pipe:" + name})
+	wfd := p.fds.Alloc(&posix.Desc{Kind: posix.Pipe, Handle: w, Path: "pipe:" + name})
 	return rfd, wfd, nil
 }
 
@@ -413,27 +236,5 @@ func pipeName(p *Process) string {
 	pipeCounter.n++
 	n := pipeCounter.n
 	pipeCounter.mu.Unlock()
-	return "anonpipe." + itoa(int64(p.pid)) + "." + itoa(int64(n))
-}
-
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return "anonpipe." + strconv.FormatInt(p.pid, 10) + "." + strconv.Itoa(n)
 }

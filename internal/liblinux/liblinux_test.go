@@ -1,6 +1,7 @@
 package liblinux
 
 import (
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -611,13 +612,13 @@ func TestProcRemotePIDOverRPC(t *testing.T) {
 		if childPID != pid {
 			return 2
 		}
-		fd, err := p.Open("/proc/"+itoa(int64(pid))+"/status", api.ORdOnly, 0)
+		fd, err := p.Open("/proc/"+strconv.Itoa(pid)+"/status", api.ORdOnly, 0)
 		if err != nil {
 			return 3
 		}
 		buf := make([]byte, 256)
 		n, _ := p.Read(fd, buf)
-		if !strings.Contains(string(buf[:n]), "Pid:\t"+itoa(int64(pid))) {
+		if !strings.Contains(string(buf[:n]), "Pid:\t"+strconv.Itoa(pid)) {
 			return 4
 		}
 		close(release)

@@ -2,9 +2,9 @@ package liblinux
 
 import (
 	"strconv"
-	"strings"
 
 	"graphene/internal/api"
+	"graphene/internal/posix"
 )
 
 // procRead generates the contents of a /proc path. /proc is implemented
@@ -12,22 +12,12 @@ import (
 // state, remote PIDs are read over RPC (Table 2), and the host's /proc is
 // unreachable, frustrating Memento-style side channels.
 func (p *Process) procRead(path string) ([]byte, error) {
-	rest := strings.TrimPrefix(path, "/proc")
-	rest = strings.TrimPrefix(rest, "/")
-	if rest == "" {
+	who, field := posix.ProcPath(path)
+	if who == "" {
 		return []byte("self\n"), nil
 	}
-	parts := strings.SplitN(rest, "/", 2)
-	who := parts[0]
-	field := "status"
-	if len(parts) == 2 {
-		field = parts[1]
-	}
-
-	var pid int64
-	if who == "self" {
-		pid = p.pid
-	} else {
+	pid := p.pid
+	if who != "self" {
 		n, err := strconv.ParseInt(who, 10, 64)
 		if err != nil {
 			return nil, api.ENOENT
@@ -35,7 +25,7 @@ func (p *Process) procRead(path string) ([]byte, error) {
 		pid = n
 	}
 	if pid == p.pid {
-		v, errno := p.procMetaLocal(field)
+		v, errno := p.procInfo().Render(field)
 		if errno != 0 {
 			return nil, errno
 		}
@@ -51,42 +41,9 @@ func (p *Process) procRead(path string) ([]byte, error) {
 	return []byte(v), nil
 }
 
-// procMetaLocal serves one /proc field for this process from local state.
-func (p *Process) procMetaLocal(field string) (string, api.Errno) {
+// procInfo is what this process's /proc entry shows.
+func (p *Process) procInfo() posix.ProcInfo {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	switch field {
-	case "comm":
-		return baseName(p.programPath) + "\n", 0
-	case "cmdline":
-		return strings.Join(p.argv, "\x00") + "\x00", 0
-	case "cwd":
-		return p.cwd + "\n", 0
-	case "status":
-		var sb strings.Builder
-		sb.WriteString("Name:\t" + baseName(p.programPath) + "\n")
-		sb.WriteString("Pid:\t" + strconv.FormatInt(p.pid, 10) + "\n")
-		sb.WriteString("PPid:\t" + strconv.FormatInt(p.ppid, 10) + "\n")
-		state := "R (running)"
-		if p.dead {
-			state = "Z (zombie)"
-		}
-		sb.WriteString("State:\t" + state + "\n")
-		return sb.String(), 0
-	case "stat":
-		return strconv.FormatInt(p.pid, 10) + " (" + baseName(p.programPath) + ") R " +
-			strconv.FormatInt(p.ppid, 10) + "\n", 0
-	default:
-		return "", api.ENOENT
-	}
-}
-
-func baseName(p string) string {
-	if p == "" {
-		return "unknown"
-	}
-	if i := strings.LastIndexByte(p, '/'); i >= 0 {
-		return p[i+1:]
-	}
-	return p
+	return posix.ProcInfo{Program: p.programPath, Argv: p.argv, Cwd: p.cwd, PID: int(p.pid), PPID: int(p.ppid), Zombie: p.dead}
 }

@@ -8,17 +8,8 @@ import (
 	"graphene/internal/host"
 	"graphene/internal/ipc"
 	"graphene/internal/pal"
+	"graphene/internal/posix"
 )
-
-// childState tracks one forked child for wait().
-type childState struct {
-	pid      int64
-	hostProc *host.Picoprocess
-	exited   bool
-	status   int64
-	signal   api.Signal
-	reaped   bool
-}
 
 // Process is one libLinux instance: the guest OS state of a single
 // picoprocess, servicing Linux system calls from library state and
@@ -36,14 +27,14 @@ type Process struct {
 	programPath string
 	argv        []string
 
-	mu       sync.Mutex
-	cwd      string
-	env      map[string]string
-	fds      *fdTable
+	fds      *posix.FDTable
 	mm       *mmState
-	sig      *signalState
-	children map[int64]*childState
-	childCV  *sync.Cond
+	sig      posix.Signals
+	children posix.Children
+
+	mu  sync.Mutex
+	cwd string
+	env map[string]string
 
 	exitOnce      sync.Once
 	exitCode      int
@@ -70,27 +61,19 @@ func newProcess(rt *Runtime, p *pal.PAL, pid, ppid int64, leaderAddr string) (*P
 		pid:        pid,
 		ppid:       ppid,
 		leaderAddr: leaderAddr,
+		fds:        posix.NewFDTable(),
 		cwd:        "/",
 		env:        make(map[string]string),
-		children:   make(map[int64]*childState),
 	}
-	proc.childCV = sync.NewCond(&proc.mu)
-	proc.fds = newFDTable()
-	proc.sig = newSignalState(proc)
 	mm, err := newMMState(p)
 	if err != nil {
 		return nil, err
 	}
 	proc.mm = mm
 	// Wire the SIGSYS redirect: app-issued host syscalls come back to the
-	// libOS (Figure 2), and memory faults become SIGSEGV.
+	// libOS (Figure 2). A memory fault raises nothing: a libOS access to a
+	// bad address is EFAULT to its caller, as a system call's is on Linux.
 	if err := p.DkSetExceptionHandler(pal.ExceptionSyscall, proc.handleSyscallException); err != nil {
-		return nil, err
-	}
-	if err := p.DkSetExceptionHandler(pal.ExceptionMemFault, func(info pal.ExceptionInfo) int64 {
-		proc.sig.deliver(api.SIGSEGV)
-		return 0
-	}); err != nil {
 		return nil, err
 	}
 	// Load the libOS image: libLinux.so plus the modified glibc stack
@@ -106,9 +89,10 @@ func newProcess(rt *Runtime, p *pal.PAL, pid, ppid int64, leaderAddr string) (*P
 	// Standard descriptors on the console.
 	tty, err := p.DkStreamOpen("dev:tty", 0, 0)
 	if err == nil {
-		proc.fds.install(0, &fdesc{kind: fdTTY, handle: tty})
-		proc.fds.install(1, &fdesc{kind: fdTTY, handle: tty})
-		proc.fds.install(2, &fdesc{kind: fdTTY, handle: tty})
+		d := &posix.Desc{Kind: posix.TTY, Handle: tty}
+		for fd := 0; fd <= 2; fd++ {
+			proc.fds.Install(fd, d)
+		}
 	}
 	return proc, nil
 }
@@ -216,7 +200,9 @@ func (p *Process) doExit(code int, killedBy api.Signal) {
 		p.exitCode = code
 		pgid := p.pgid
 		p.mu.Unlock()
-		p.fds.closeAll(p.pal)
+		for _, d := range p.fds.CloseAll() {
+			_ = p.closeDesc(d) // the process is going; nobody is left to tell
+		}
 		if p.helper != nil {
 			if pgid != 0 {
 				_ = p.helper.LeaveGroup(pgid, p.pid)
@@ -225,6 +211,7 @@ func (p *Process) doExit(code int, killedBy api.Signal) {
 		}
 		// The host exit code carries the terminating signal above the status.
 		p.pal.DkProcessExit(code&0xffff | int(killedBy)<<16)
+		p.sig.Exited()
 	})
 }
 
@@ -232,45 +219,12 @@ func (p *Process) doExit(code int, killedBy api.Signal) {
 // child exits (pid == -1), then reaps it.
 func (p *Process) Wait(pid int) (api.WaitResult, error) {
 	start := p.sysEnter()
-	res, err := p.waitInternal(pid)
+	res, err := p.children.Wait(pid)
+	if err == nil {
+		p.helper.ForgetPID(int64(res.PID))
+	}
 	p.sysExit(start, host.SysWait4, uint64(uint(pid)), err)
 	return res, err
-}
-
-func (p *Process) waitInternal(pid int) (api.WaitResult, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		var ready *childState
-		any := false
-		for _, c := range p.children {
-			if c.reaped {
-				continue
-			}
-			if pid > 0 && c.pid != int64(pid) {
-				continue
-			}
-			any = true
-			if c.exited {
-				ready = c
-				break
-			}
-		}
-		if ready != nil {
-			ready.reaped = true
-			delete(p.children, ready.pid)
-			p.helper.ForgetPID(ready.pid)
-			return api.WaitResult{
-				PID:      int(ready.pid),
-				ExitCode: int(ready.status),
-				Signaled: ready.signal,
-			}, nil
-		}
-		if !any {
-			return api.WaitResult{}, api.ECHILD
-		}
-		p.childCV.Wait()
-	}
 }
 
 // Fork creates a child process running childFn with a copy of this
@@ -455,11 +409,8 @@ func (p *Process) shipCheckpoint(store *host.Handle, ck *Checkpoint, handles []*
 
 	// Track the child for wait(); its host exit event is the exit
 	// notification (§4.2, Table 2).
-	cs := &childState{pid: childPID, hostProc: hostChild}
-	p.mu.Lock()
-	p.children[childPID] = cs
-	p.mu.Unlock()
-	go p.watchChild(cs)
+	p.children.Add(int(childPID))
+	go p.watchChild(childPID, hostChild)
 
 	stageDone()
 	defer p.rt.stage("wait-ready")()
@@ -470,11 +421,7 @@ func (p *Process) shipCheckpoint(store *host.Handle, ck *Checkpoint, handles []*
 	// A fork that fails has no child: untrack it, so wait() never returns
 	// a PID the caller was not given and watchChild raises no SIGCHLD.
 	failChild := func(err error) (int, error) {
-		p.mu.Lock()
-		cs.exited = true
-		delete(p.children, childPID)
-		p.childCV.Broadcast()
-		p.mu.Unlock()
+		p.children.Forget(int(childPID))
 		return fail(err)
 	}
 	select {
@@ -493,20 +440,15 @@ func (p *Process) shipCheckpoint(store *host.Handle, ck *Checkpoint, handles []*
 // crash fires all the same, carries status and signal. It is the only code
 // that marks a child exited and raises SIGCHLD; a fork that failed was
 // already untracked by failChild and is not reported.
-func (p *Process) watchChild(cs *childState) {
-	_ = cs.hostProc.ExitEvent().Wait(0)
-	p.mu.Lock()
-	if !cs.exited {
-		cs.exited = true
-		hc := cs.hostProc.ExitCode()
-		cs.status, cs.signal = int64(hc&0xffff), api.Signal(hc>>16)
-		p.childCV.Broadcast()
-		p.sig.deliver(api.SIGCHLD)
+func (p *Process) watchChild(pid int64, hostChild *host.Picoprocess) {
+	_ = hostChild.ExitEvent().Wait(0)
+	hc := hostChild.ExitCode()
+	if p.children.Exit(int(pid), hc&0xffff, api.Signal(hc>>16)) {
+		p.deliver(api.SIGCHLD)
 	}
-	p.mu.Unlock()
 	// Drop the ownership hint so signal routing does not keep dialing a
 	// dead address.
-	p.helper.InvalidatePID(cs.pid)
+	p.helper.InvalidatePID(pid)
 }
 
 // start runs the restored child's main function on its picoprocess,
@@ -558,7 +500,7 @@ func (p *Process) resetForExec(path string, argv []string) {
 	p.programPath = path
 	p.argv = argv
 	p.mu.Unlock()
-	p.sig.resetHandlers()
+	p.sig.ResetForExec()
 	p.mm.reset()
 }
 
@@ -568,7 +510,7 @@ func (p *Process) resetForExec(path string, argv []string) {
 // the paper measures as faster than native (§6.4). Remote signals go over
 // RPC (§4.2, Figure 3).
 func (p *Process) Kill(pid int, sig api.Signal) error {
-	if sig <= 0 || sig >= api.NumSignals {
+	if !posix.Valid(sig) {
 		return api.EINVAL
 	}
 	start := p.sysEnter()
@@ -578,9 +520,9 @@ func (p *Process) Kill(pid int, sig api.Signal) error {
 		return err
 	}
 	if int64(pid) == p.pid {
-		err := errnoOrNil(p.sig.deliver(sig))
-		p.sysExit(start, host.SysKill, uint64(pid), err)
-		return err
+		p.deliver(sig)
+		p.sysExit(start, host.SysKill, uint64(pid), nil)
+		return nil
 	}
 	err := p.helper.SendSignal(int64(pid), sig)
 	if err == api.ETIMEDOUT {
@@ -631,21 +573,29 @@ func (p *Process) Getpgid() int {
 	return int(p.pgid)
 }
 
-func errnoOrNil(e api.Errno) error {
-	if e != 0 {
-		return e
+// deliver delivers sig to this process (§4.2): a caught signal runs its
+// handler at the next libOS entry, as Linux delivers on return from a
+// system call. A fatal one exits on a fresh goroutine, so a remote kill
+// never blocks the IPC helper that delivered it (§4.1's deadlock rule).
+func (p *Process) deliver(sig api.Signal) {
+	if p.sig.Deliver(sig) == posix.Fatal {
+		go p.doExit(128+int(sig), sig)
 	}
-	return nil
 }
 
 // Sigaction installs or resets a signal handler.
 func (p *Process) Sigaction(sig api.Signal, handler api.SigHandler, disposition string) error {
-	return p.sig.sigaction(sig, handler, disposition)
+	return p.sig.Sigaction(sig, handler, disposition)
 }
 
 // SignalsDrain synchronously delivers pending signals, as on syscall
-// return in Linux.
-func (p *Process) SignalsDrain() { p.sig.drain() }
+// return in Linux. A thread of a process a signal has killed unwinds here
+// instead, as Exit unwinds the caller.
+func (p *Process) SignalsDrain() {
+	if p.sig.Drain() {
+		panic(processExited{})
+	}
+}
 
 // svc adapts the process to the IPC helper's Service interface.
 func (p *Process) svc() ipc.Service { return (*procService)(p) }
@@ -661,7 +611,11 @@ func (s *procService) DeliverSignal(target int64, sig api.Signal) api.Errno {
 	if target != p.pid {
 		return api.ESRCH
 	}
-	return p.sig.deliver(sig)
+	if !posix.Valid(sig) {
+		return api.EINVAL
+	}
+	p.deliver(sig)
+	return 0
 }
 
 // ProcMeta serves /proc reads for this process from local state.
@@ -670,5 +624,5 @@ func (s *procService) ProcMeta(pid int64, field string) (string, api.Errno) {
 	if pid != p.pid {
 		return "", api.ESRCH
 	}
-	return p.procMetaLocal(field)
+	return p.procInfo().Render(field)
 }

@@ -3,6 +3,7 @@ package liblinux
 import (
 	"graphene/internal/api"
 	"graphene/internal/host"
+	"graphene/internal/posix"
 )
 
 // Listen binds a TCP-style listener at addr, subject to the manifest's
@@ -12,23 +13,20 @@ func (p *Process) Listen(addr api.SockAddr) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.fds.alloc(&fdesc{kind: fdListener, handle: h, path: "tcp.srv:" + string(addr)}), nil
+	return p.fds.Alloc(&posix.Desc{Kind: posix.Listener, Handle: h, Path: "tcp.srv:" + string(addr)}), nil
 }
 
 // Accept blocks for an incoming connection on a listener descriptor.
 func (p *Process) Accept(fd int) (int, error) {
-	d, ok := p.fds.get(fd)
-	if !ok {
-		return 0, api.EBADF
-	}
-	if d.kind != fdListener {
-		return 0, api.ENOTSOCK
-	}
-	conn, err := p.pal.DkStreamWaitForClient(d.handle)
+	d, err := p.fds.GetSock(fd, posix.Listener)
 	if err != nil {
 		return 0, err
 	}
-	return p.fds.alloc(&fdesc{kind: fdSocket, handle: conn, path: d.path}), nil
+	conn, err := p.pal.DkStreamWaitForClient(d.Handle)
+	if err != nil {
+		return 0, err
+	}
+	return p.fds.Alloc(&posix.Desc{Kind: posix.Socket, Handle: conn, Path: d.Path}), nil
 }
 
 // Connect opens a TCP-style connection to addr, subject to net_connect.
@@ -37,32 +35,19 @@ func (p *Process) Connect(addr api.SockAddr) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.fds.alloc(&fdesc{kind: fdSocket, handle: h, path: "tcp:" + string(addr)}), nil
+	return p.fds.Alloc(&posix.Desc{Kind: posix.Socket, Handle: h, Path: "tcp:" + string(addr)}), nil
 }
 
 // PassConnection sends an accepted connection's handle to another process
 // over a pipe descriptor — the handle-passing pattern preforked servers
 // use in place of inheriting listeners (§5, "Inheriting file handles").
+// A listening socket passes too: the standby-master handover.
 func (p *Process) PassConnection(overFD, connFD int) error {
-	over, ok := p.fds.get(overFD)
-	if !ok {
-		return api.EBADF
+	over, conn, err := p.fds.Passable(overFD, connFD)
+	if err != nil {
+		return err
 	}
-	conn, ok := p.fds.get(connFD)
-	if !ok {
-		return api.EBADF
-	}
-	if over.kind != fdPipe && over.kind != fdSocket {
-		return api.ENOTSOCK
-	}
-	if conn.kind != fdSocket && conn.kind != fdListener {
-		// Accepted connections and listening sockets travel this path —
-		// the latter is the standby-master handover (a listen fd passed
-		// via SCM_RIGHTS, unix(7)). Catching any other fd at the sender
-		// beats handing the worker a descriptor it cannot serve.
-		return api.EINVAL
-	}
-	return p.pal.DkSendHandle(over.handle, conn.handle)
+	return p.pal.DkSendHandle(over.Handle, conn.Handle)
 }
 
 // ReceiveConnection receives a handle sent by PassConnection, installing
@@ -70,19 +55,19 @@ func (p *Process) PassConnection(overFD, connFD int) error {
 // listener descriptor (ready for Accept — the receiver co-holds the same
 // listening socket, as with an fd duplicated via SCM_RIGHTS, unix(7)).
 func (p *Process) ReceiveConnection(overFD int) (int, error) {
-	over, ok := p.fds.get(overFD)
-	if !ok {
-		return 0, api.EBADF
+	over, err := p.fds.GetSock(overFD, posix.Pipe, posix.Socket)
+	if err != nil {
+		return 0, err
 	}
-	h, err := p.pal.DkReceiveHandle(over.handle)
+	h, err := p.pal.DkReceiveHandle(over.Handle)
 	if err != nil {
 		return 0, err
 	}
 	switch h.Kind {
 	case host.HandleStream:
-		return p.fds.alloc(&fdesc{kind: fdSocket, handle: h, path: h.Stream.Name}), nil
+		return p.fds.Alloc(&posix.Desc{Kind: posix.Socket, Handle: h, Path: h.Stream.Name}), nil
 	case host.HandleListener:
-		return p.fds.alloc(&fdesc{kind: fdListener, handle: h, path: h.Listener.Name}), nil
+		return p.fds.Alloc(&posix.Desc{Kind: posix.Listener, Handle: h, Path: h.Listener.Name}), nil
 	}
 	return 0, api.EINVAL
 }

@@ -25,7 +25,7 @@ func (p *Process) Msgget(key int, flags int) (int, error) {
 
 // Msgsnd sends a message (asynchronously when the queue is remote).
 func (p *Process) Msgsnd(id int, mtype int64, data []byte, flags int) error {
-	defer p.sig.drain()
+	defer p.SignalsDrain()
 	start := p.sysEnter()
 	err := p.helper.Msgsnd(int64(id), mtype, data, flags)
 	p.sysExit(start, host.SysMsgsnd, uint64(id), err)
@@ -36,9 +36,9 @@ func (p *Process) Msgsnd(id int, mtype int64, data []byte, flags int) error {
 // delivered while blocked interrupts the park with EINTR (msgrcv(2));
 // the handler then runs in the deferred drain.
 func (p *Process) Msgrcv(id int, mtype int64, buf []byte, flags int) (int64, []byte, error) {
-	defer p.sig.drain()
+	defer p.SignalsDrain()
 	start := p.sysEnter()
-	mt, data, err := p.helper.MsgrcvIntr(int64(id), mtype, flags, p.sig.interruptChan())
+	mt, data, err := p.helper.MsgrcvIntr(int64(id), mtype, flags, p.sig.Interrupt())
 	p.sysExit(start, host.SysMsgrcv, uint64(id), err)
 	if err != nil {
 		return 0, nil, err
@@ -71,9 +71,9 @@ func (p *Process) Semget(key int, nsems int, flags int) (int, error) {
 // Semop performs sembuf operations, blocking as needed. Interruptible by
 // guest signals with EINTR, like Msgrcv.
 func (p *Process) Semop(id int, ops []api.SemBuf) error {
-	defer p.sig.drain()
+	defer p.SignalsDrain()
 	start := p.sysEnter()
-	err := p.helper.SemopIntr(int64(id), ops, p.sig.interruptChan())
+	err := p.helper.SemopIntr(int64(id), ops, p.sig.Interrupt())
 	p.sysExit(start, host.SysSemop, uint64(id), err)
 	return err
 }
