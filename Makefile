@@ -9,7 +9,7 @@ PKGS := ./...
 # `make race` and CI's race step run exactly this list.
 HOT_PKGS := ./internal/host/... ./internal/ipc/... ./internal/liblinux/... ./internal/posix/... ./internal/baseline/native/...
 
-.PHONY: build test race vet shape bench bench-fig5 benchmark benchmark-smoke chaos chaos-shard chaos-ring chaos-fleet flake cover fuzz all
+.PHONY: build test race vet shape bench bench-fig5 benchmark benchmark-smoke chaos chaos-shard chaos-ring chaos-fleet flake cover fuzz loc all
 
 all: build vet test
 
@@ -101,6 +101,14 @@ flake:
 			else { print "iteration " i ": ok"; ok++ } } \
 			print ok "/20 passed, -test.shuffle " seed }' flake.log; \
 	exit $$status
+
+# Non-test Go lines per package directory (_test.go files and testdata
+# excluded; benchmark/ is a package of its own), then the total: the
+# before / after figure a simplification reports.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec wc -l {} + | \
+	awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
 # Coverage profile over every package; CI uploads coverage.out as an
 # artifact. -covermode=atomic because the suites are concurrency-heavy.

@@ -197,17 +197,24 @@ func waitResult(done chan struct{}, code func() int, deadline time.Duration) (in
 }
 
 // sampleMax polls fn until stop closes and returns the maximum — the
-// "maximum kernel-reported resident set size" sampling of §6.2.
-func sampleMax(stop <-chan struct{}, fn func() uint64) uint64 {
+// "maximum kernel-reported resident set size" sampling of §6.2. It closes
+// started once the first sample is in: a workload launched only then runs
+// under a sampler that is already polling, so a run shorter than the
+// sampler's start-up cannot read a peak of 0.
+func sampleMax(started chan<- struct{}, stop <-chan struct{}, fn func() uint64) uint64 {
 	var peak uint64
 	for {
+		if v := fn(); v > peak {
+			peak = v
+		}
+		if started != nil {
+			close(started)
+			started = nil
+		}
 		select {
 		case <-stop:
 			return peak
 		default:
-		}
-		if v := fn(); v > peak {
-			peak = v
 		}
 		time.Sleep(300 * time.Microsecond)
 	}

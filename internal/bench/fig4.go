@@ -87,13 +87,15 @@ func Fig4() ([]Fig4Result, error) {
 					return nil, fmt.Errorf("%s setup on %s: %w", w.name, e.system, err)
 				}
 			}
+			started, stop := make(chan struct{}), make(chan struct{})
+			peakCh := make(chan uint64, 1)
+			go func() { peakCh <- sampleMax(started, stop, e.resident) }()
+			<-started
 			done, root, err := e.launch(w.argv)
 			if err != nil {
+				close(stop)
 				return nil, fmt.Errorf("%s on %s: %w", w.name, e.system, err)
 			}
-			stop := make(chan struct{})
-			peakCh := make(chan uint64, 1)
-			go func() { peakCh <- sampleMax(stop, e.resident) }()
 			if w.drive != nil {
 				time.Sleep(30 * time.Millisecond)
 				driveDone, _, err := e.launch(w.drive)

@@ -166,7 +166,7 @@ func benchAttachQ(b *testing.B, client *Helper, id int64) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		client.ringState.mu.Lock()
-		attached := client.ringState.q[id] != nil
+		attached := client.ringState.clients[sysvRef{NSSysVMsg, id}] != nil
 		client.ringState.mu.Unlock()
 		if attached {
 			return
@@ -277,7 +277,7 @@ func BenchmarkRingSemopRemote(b *testing.B) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		mh.ringState.mu.Lock()
-		attached := mh.ringState.sem[id] != nil
+		attached := mh.ringState.clients[sysvRef{NSSysVSem, id}] != nil
 		mh.ringState.mu.Unlock()
 		if attached {
 			break

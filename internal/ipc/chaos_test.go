@@ -248,7 +248,7 @@ func TestChaosCrashedOwnerWakesParkedWaiter(t *testing.T) {
 		got <- err
 	}()
 	// Wait until the receive is genuinely parked at the owner before
-	// crashing it (remoteRecvs counts deferred receives at the queue).
+	// crashing it (the deferred receive is one of the queue's waiters).
 	waitFor(t, 2*time.Second, "receiver to park at the owner", func() bool {
 		m2.mu.Lock()
 		q := m2.queues[id]

@@ -100,7 +100,8 @@ func TestSemChurnNoLostWakeup(t *testing.T) {
 
 func TestDebugSysVStateRenders(t *testing.T) {
 	g := newTestGroup(t)
-	lh, _ := g.leader(newFakeService())
+	lh, lp := g.leader(newFakeService())
+	mh, _ := g.member(lp, lh.Addr, 2, newFakeService())
 	id, err := lh.Semget(5, 1, api.IPCCreat)
 	if err != nil {
 		t.Fatal(err)
@@ -110,9 +111,23 @@ func TestDebugSysVStateRenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := lh.DebugSysVState()
-	for _, want := range []string{"helper " + lh.Addr, fmt.Sprint("sem ", id), fmt.Sprint("q ", qid), "leader.owners"} {
+	for _, want := range []string{"helper " + lh.Addr, fmt.Sprint("sem ", id), fmt.Sprint("q ", qid), "leader.owners",
+		fmt.Sprint("leader.owners sem ", id, "=", lh.Addr), fmt.Sprint("leader.owners q ", qid, "=", lh.Addr)} {
 		if !containsStr(out, want) {
 			t.Errorf("debug state missing %q:\n%s", want, out)
+		}
+	}
+	// A member that looked both objects up caches both owners.
+	if _, err := mh.Semget(5, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mh.Msgget(6, 0); err != nil {
+		t.Fatal(err)
+	}
+	out = mh.DebugSysVState()
+	for _, want := range []string{fmt.Sprint("ownerCache sem ", id, "=", lh.Addr), fmt.Sprint("ownerCache q ", qid, "=", lh.Addr)} {
+		if !containsStr(out, want) {
+			t.Errorf("member debug state missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -301,101 +301,35 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 	case MsgQRecv:
 		h.handleQRecv(f, respond)
 
-	case MsgQDelete:
-		// Off the read loop: removeLocalQueue makes a synchronous RPC to
-		// the key's authoritative shard, and when that shard's leader is
-		// the peer this frame arrived from, the reply lands on the very
-		// read loop running this handler. Inline dispatch would deadlock
-		// on the shared connection until the call timed out.
+	case MsgQDelete, MsgSemDelete:
+		// Off the read loop: removeLocal makes a synchronous RPC to the
+		// key's authoritative shard, and when that shard's leader is the
+		// peer this frame arrived from, the reply lands on the very read
+		// loop running this handler. Inline dispatch would deadlock on the
+		// shared connection until the call timed out.
 		go func() {
-			// EXDEV: the queue migrated away — bounce so the rmid
-			// re-resolves and chases the live copy instead of this
-			// stale owner tombstoning its key mapping.
-			if errno := h.removeLocalQueue(f.A); errno != 0 {
-				respond(f.ErrResponse(errno))
-				return
-			}
-			respond(f.Response(Frame{}))
+			// EXDEV: the object migrated away — bounce so the rmid
+			// re-resolves and chases the live copy instead of this stale
+			// owner tombstoning its key mapping.
+			respondErrno(f, respond, h.removeLocal(typeKind(f.Type), f.A))
 		}()
 
 	case MsgQDeleted:
 		// Deletion notification: drop caches so later ops fail fast.
-		if f.B == 1 {
-			h.invalidateSem(f.A)
-		} else {
-			h.invalidateQ(f.A)
-		}
+		h.invalidate(flagKind(f.B), f.A)
 
-	case MsgQMigrate:
-		key, msgs, err := decodeMessages(f.Blob)
-		if err != nil {
-			respond(f.ErrResponse(api.EINVAL))
-			return
-		}
-		h.mu.Lock()
-		if h.shutdown {
-			// Refuse ownership while dying; the sender keeps the queue.
-			h.mu.Unlock()
-			respond(f.ErrResponse(api.EPERM))
-			return
-		}
-		if existing := h.queues[f.A]; existing != nil {
-			existing.mu.Lock()
-			if existing.migrating {
-				// Our own copy is mid-handoff to someone else; accepting a
-				// second copy now would split ownership (and the racing
-				// chowns could strand the authoritative map on a dead
-				// helper). Refuse; the sender keeps its copy and retries.
-				existing.mu.Unlock()
-				h.mu.Unlock()
-				respond(f.ErrResponse(api.EPERM))
-				return
-			}
-			live := !existing.removed && existing.movedTo == ""
-			if live {
-				// Merge into the live copy rather than orphaning its
-				// parked waiters (a crash-recovery duplicate converging
-				// here, §4.2's disconnection tolerance). Bypass rings are
-				// collapsed first so the merged order is well-defined.
-				existing.collapseRingsLocked()
-				existing.msgs = append(existing.msgs, msgs...)
-				if f.D > existing.epoch {
-					existing.epoch = f.D
-				}
-				existing.drainWaitersLocked()
-				existing.mu.Unlock()
-				mapSet(&h.qOwnerCache, f.A, h.Addr)
-				h.mu.Unlock()
-				respond(f.Response(Frame{}))
-				return
-			}
-			existing.mu.Unlock()
-		}
-		q := newMsgQueue(f.A, key)
-		q.msgs = msgs
-		q.epoch = f.D
-		mapSet(&h.queues, f.A, q)
-		mapSet(&h.qOwnerCache, f.A, h.Addr)
-		h.mu.Unlock()
-		respond(f.Response(Frame{}))
+	case MsgQMigrate, MsgSemMigrate:
+		respondErrno(f, respond, h.install(typeKind(f.Type), f))
 
-	case MsgQRecvCancel:
-		// Signal interruption: withdraw the sender's parked receive (matched
-		// by From+cookie) and answer its deferred MsgQRecv with EINTR. Async;
-		// a delivery that already won the race simply leaves nothing to find.
+	case MsgQRecvCancel, MsgSemOpCancel:
+		// Signal interruption: withdraw the sender's parked waiter (matched
+		// by From+cookie) and answer its deferred call with EINTR. Async; a
+		// delivery that already won the race simply leaves nothing to find.
 		h.mu.Lock()
-		q := h.queues[f.A]
+		o := h.objectLocked(typeKind(f.Type), f.A)
 		h.mu.Unlock()
-		if q != nil {
-			q.cancelRecvRemote(f.From, f.D)
-		}
-
-	case MsgSemOpCancel:
-		h.mu.Lock()
-		s := h.sems[f.A]
-		h.mu.Unlock()
-		if s != nil {
-			s.cancelSemRemote(f.From, f.D)
+		if o != nil {
+			o.cancelRemote(f.From, f.D)
 		}
 
 	case MsgSemOp:
@@ -406,72 +340,6 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 
 	case MsgRingDetach:
 		h.handleRingDetach(f, respond)
-
-	case MsgSemDelete:
-		// Same shared-connection hazard and EXDEV bounce as MsgQDelete.
-		go func() {
-			if errno := h.removeLocalSem(f.A); errno != 0 {
-				respond(f.ErrResponse(errno))
-				return
-			}
-			respond(f.Response(Frame{}))
-		}()
-
-	case MsgSemMigrate:
-		key, vals, err := decodeSemSet(f.Blob)
-		if err != nil {
-			respond(f.ErrResponse(api.EINVAL))
-			return
-		}
-		h.mu.Lock()
-		if h.shutdown {
-			// Refuse ownership while dying; the sender keeps the set.
-			h.mu.Unlock()
-			respond(f.ErrResponse(api.EPERM))
-			return
-		}
-		if existing := h.sems[f.A]; existing != nil {
-			existing.mu.Lock()
-			if existing.migrating {
-				// Mid-outbound-handoff: see the MsgQMigrate comment.
-				// Accepting would overwrite a copy whose transfer outcome
-				// is undetermined, stranding its permits.
-				existing.mu.Unlock()
-				h.mu.Unlock()
-				respond(f.ErrResponse(api.EPERM))
-				return
-			}
-			live := !existing.removed && existing.movedTo == ""
-			if live {
-				// Merge values into the live copy rather than orphaning
-				// its parked waiters; permits carried by the incoming
-				// copy become available here. A bypass segment holds the
-				// authoritative value of sem 0 — seal it back first.
-				existing.reclaimSegLocked()
-				for i := range existing.vals {
-					if i < len(vals) {
-						existing.vals[i] += vals[i]
-					}
-				}
-				if f.D > existing.epoch {
-					existing.epoch = f.D
-				}
-				existing.wakeWaitersLocked()
-				existing.mu.Unlock()
-				mapSet(&h.semOwner, f.A, h.Addr)
-				h.mu.Unlock()
-				respond(f.Response(Frame{}))
-				return
-			}
-			existing.mu.Unlock()
-		}
-		s := newSemSet(f.A, key, len(vals))
-		s.vals = vals
-		s.epoch = f.D
-		mapSet(&h.sems, f.A, s)
-		mapSet(&h.semOwner, f.A, h.Addr)
-		h.mu.Unlock()
-		respond(f.Response(Frame{}))
 
 	case MsgPgJoin:
 		leader := h.ledStateFor(&f)
@@ -520,6 +388,15 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 	default:
 		respond(f.ErrResponse(api.ENOSYS))
 	}
+}
+
+// respondErrno answers f with errno, or with an empty success for 0.
+func respondErrno(f Frame, respond func(Frame), errno api.Errno) {
+	if errno != 0 {
+		respond(f.ErrResponse(errno))
+		return
+	}
+	respond(f.Response(Frame{}))
 }
 
 // handleKeyGet resolves a System V key. On the leader it answers from the
@@ -659,23 +536,16 @@ func (h *Helper) handleQSend(f Frame, respond func(Frame)) {
 	q := h.queues[f.A]
 	h.mu.Unlock()
 	reply := func(errno api.Errno) {
-		if async {
-			return
+		if !async {
+			respondErrno(f, respond, errno)
 		}
-		if errno != 0 {
-			respond(f.ErrResponse(errno))
-			return
-		}
-		respond(f.Response(Frame{}))
 	}
 	if q == nil {
 		reply(api.EIDRM)
 		return
 	}
 	q.mu.Lock()
-	if f.From != "" {
-		q.noteAccessor(f.From)
-	}
+	q.voteLocked(f.From, false)
 	moved := q.movedTo
 	q.mu.Unlock()
 	if moved != "" {
@@ -691,68 +561,58 @@ func (h *Helper) handleQSend(f Frame, respond func(Frame)) {
 	reply(q.send(f.B, f.Blob))
 }
 
-// handleQRecv receives from a locally owned queue, deferring the response
-// until a message arrives for blocking receives, and feeding the consumer
-// migration heuristic. Shutdown bounces new receives with EXDEV so the
-// persistence path can serialize the queue without fresh waiters.
-func (h *Helper) handleQRecv(f Frame, respond func(Frame)) {
+// servedObject looks up the object a remote operation addresses. During
+// shutdown new operations bounce with EXDEV, so the exit path can persist
+// or evict the object without fresh waiters re-parking forever.
+func (h *Helper) servedObject(kind int, id int64) (sysvObject, api.Errno) {
 	h.mu.Lock()
-	q := h.queues[f.A]
-	shuttingDown := h.shutdown
-	h.mu.Unlock()
-	if shuttingDown {
-		respond(f.ErrResponse(api.EXDEV))
-		return
+	defer h.mu.Unlock()
+	if h.shutdown {
+		return nil, api.EXDEV
 	}
-	if q == nil {
-		respond(f.ErrResponse(api.EIDRM))
-		return
+	o := h.objectLocked(kind, id)
+	if o == nil {
+		return nil, api.EIDRM
 	}
-	from := f.From
-	q.mu.Lock()
-	if from != "" {
-		q.noteAccessor(from)
-	}
-	if q.remoteRecvs == nil {
-		q.remoteRecvs = make(map[string]int)
-	}
-	q.remoteRecvs[from]++
-	shouldMigrate := migrationEnabled.Load() && q.remoteRecvs[from] >= migrateThreshold && q.remoteRecvs[from] > q.localRecvs && q.movedTo == "" && !q.removed
-	q.mu.Unlock()
+	return o, 0
+}
 
-	wait := f.C == 1
-	q.recv(f.B, wait, from, f.D, func(mt int64, data []byte, errno api.Errno) {
+// handleQRecv receives from a locally owned queue, deferring the response
+// until a message arrives for blocking receives. Every remote receive is a
+// vote to migrate the queue to its consumer (§4.3).
+func (h *Helper) handleQRecv(f Frame, respond func(Frame)) {
+	o, errno := h.servedObject(NSSysVMsg, f.A)
+	if errno != 0 {
+		respond(f.ErrResponse(errno))
+		return
+	}
+	q := o.(*msgQueue)
+	q.mu.Lock()
+	won := q.voteLocked(f.From, true)
+	q.mu.Unlock()
+	q.recv(f.B, f.C == 1, f.From, f.D, func(mt int64, data []byte, errno api.Errno) {
 		if errno != 0 {
 			respond(f.ErrResponse(errno))
 			return
 		}
 		respond(f.Response(Frame{B: mt, Blob: data}))
 	})
-
-	if shouldMigrate && from != "" {
-		// A clear consumer pattern: migrate the queue to the consumer
-		// (§4.3). Runs outside the handler to avoid recursive RPC.
-		go h.migrateQueue(f.A, from)
+	if won {
+		// Runs outside the handler to avoid recursive RPC.
+		go h.migrate(NSSysVMsg, f.A, f.From)
 	}
 }
 
 // handleSemOp performs sembuf ops on a locally owned set, deferring the
-// response while blocked, and feeding the acquirer migration heuristic.
-// During shutdown new operations are bounced with EXDEV so the eviction
-// path can migrate the set without fresh waiters re-parking forever.
+// response while blocked. Every remote acquire is a vote to migrate the
+// set to its most frequent acquirer (§4.2).
 func (h *Helper) handleSemOp(f Frame, respond func(Frame)) {
-	h.mu.Lock()
-	s := h.sems[f.A]
-	shuttingDown := h.shutdown
-	h.mu.Unlock()
-	if shuttingDown {
-		respond(f.ErrResponse(api.EXDEV))
+	o, errno := h.servedObject(NSSysVSem, f.A)
+	if errno != 0 {
+		respond(f.ErrResponse(errno))
 		return
 	}
-	if s == nil {
-		respond(f.ErrResponse(api.EIDRM))
-		return
-	}
+	s := o.(*semSet)
 	ops, err := decodeSemOps(f.Blob)
 	if err != nil {
 		respond(f.ErrResponse(api.EINVAL))
@@ -764,31 +624,11 @@ func (h *Helper) handleSemOp(f Frame, respond func(Frame)) {
 			acquires = true
 		}
 	}
-	from := f.From
-	shouldMigrate := false
-	if from != "" {
-		s.mu.Lock()
-		s.noteAccessor(from)
-		s.mu.Unlock()
-	}
-	if acquires && from != "" {
-		s.mu.Lock()
-		if s.remoteAcqs == nil {
-			s.remoteAcqs = make(map[string]int)
-		}
-		s.remoteAcqs[from]++
-		shouldMigrate = migrationEnabled.Load() && s.remoteAcqs[from] >= migrateThreshold && s.remoteAcqs[from] > s.localAcqs && s.movedTo == "" && !s.removed
-		s.mu.Unlock()
-	}
-	wait := f.C == 1
-	s.semop(ops, wait, from, f.D, func(errno api.Errno) {
-		if errno != 0 {
-			respond(f.ErrResponse(errno))
-			return
-		}
-		respond(f.Response(Frame{}))
-	})
-	if shouldMigrate {
-		go h.migrateSem(f.A, from)
+	s.mu.Lock()
+	won := s.voteLocked(f.From, acquires)
+	s.mu.Unlock()
+	s.semop(ops, f.C == 1, f.From, f.D, func(errno api.Errno) { respondErrno(f, respond, errno) })
+	if won {
+		go h.migrate(NSSysVSem, f.A, f.From)
 	}
 }

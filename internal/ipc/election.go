@@ -245,29 +245,16 @@ func (h *Helper) collectRecoverState(shard int) recoverPayload {
 			r.batchHi[i] = hwm
 		}
 	}
-	for id, q := range h.queues {
-		if shardOfID(id, h.shards) != shard {
+	for _, o := range h.objectsLocked() {
+		hd := o.header()
+		if shardOfID(hd.id, h.shards) != shard {
 			continue
 		}
-		q.mu.Lock()
-		live := !q.removed && q.movedTo == ""
-		key, ep := q.key, q.epoch
-		q.mu.Unlock()
-		if live {
-			r.objects = append(r.objects, recoverObject{Kind: NSSysVMsg, ID: id, Key: key, Epoch: ep})
+		hd.mu.Lock()
+		if hd.liveLocked() {
+			r.objects = append(r.objects, recoverObject{Kind: hd.kind, ID: hd.id, Key: hd.key, Epoch: hd.epoch})
 		}
-	}
-	for id, s := range h.sems {
-		if shardOfID(id, h.shards) != shard {
-			continue
-		}
-		s.mu.Lock()
-		live := !s.removed && s.movedTo == ""
-		key, ep := s.key, s.epoch
-		s.mu.Unlock()
-		if live {
-			r.objects = append(r.objects, recoverObject{Kind: NSSysVSem, ID: id, Key: key, Epoch: ep})
-		}
+		hd.mu.Unlock()
 	}
 	// Held key block leases survive a leader failover: the new leader must
 	// keep redirecting unregistered keys in these blocks to us, and cached

@@ -422,14 +422,11 @@ func (h *Helper) reapMember(addr string, scatter bool) {
 			delete(h.localPIDs, pid)
 		}
 	}
-	for id, a := range h.qOwnerCache {
-		if a == addr {
-			delete(h.qOwnerCache, id)
-		}
-	}
-	for id, a := range h.semOwner {
-		if a == addr {
-			delete(h.semOwner, id)
+	for _, m := range h.ownerCache {
+		for id, a := range m {
+			if a == addr {
+				delete(m, id)
+			}
 		}
 	}
 	h.mu.Unlock()

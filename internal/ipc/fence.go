@@ -203,26 +203,18 @@ func (h *Helper) memberReconcile(g *shardGroup, addr string) {
 // the given shard against that shard leader's authoritative key table.
 func (h *Helper) reconcileKeyedObjects(shard int) {
 	type keyedObj struct {
-		kind    int
-		id, key int64
+		sysvRef
+		key int64
 	}
 	var objs []keyedObj
 	h.mu.Lock()
-	for id, q := range h.queues {
-		q.mu.Lock()
-		if !q.removed && q.movedTo == "" && q.key != api.IPCPrivate &&
-			h.keyShardOf(NSSysVMsg, q.key) == shard {
-			objs = append(objs, keyedObj{NSSysVMsg, id, q.key})
+	for _, o := range h.objectsLocked() {
+		hd := o.header()
+		hd.mu.Lock()
+		if hd.liveLocked() && hd.key != api.IPCPrivate && h.keyShardOf(hd.kind, hd.key) == shard {
+			objs = append(objs, keyedObj{hd.sysvRef, hd.key})
 		}
-		q.mu.Unlock()
-	}
-	for id, s := range h.sems {
-		s.mu.Lock()
-		if !s.removed && s.movedTo == "" && s.key != api.IPCPrivate &&
-			h.keyShardOf(NSSysVSem, s.key) == shard {
-			objs = append(objs, keyedObj{NSSysVSem, id, s.key})
-		}
-		s.mu.Unlock()
+		hd.mu.Unlock()
 	}
 	h.mu.Unlock()
 
@@ -240,10 +232,6 @@ func (h *Helper) reconcileKeyedObjects(shard int) {
 		// our copy lost. Tombstone it locally — parked waiters wake with
 		// EIDRM — and at the leader, so stale owner caches die too.
 		statReconcileTombs.Add(1)
-		if o.kind == NSSysVMsg {
-			h.removeLocalQueue(o.id)
-		} else {
-			h.removeLocalSem(o.id)
-		}
+		h.removeLocal(o.kind, o.id)
 	}
 }

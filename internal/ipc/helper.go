@@ -161,10 +161,12 @@ type Helper struct {
 	// particular.
 	nsHwm map[idbKey]int64
 
-	queues      map[int64]*msgQueue
-	qOwnerCache map[int64]string
-	sems        map[int64]*semSet
-	semOwner    map[int64]string
+	// queues and sems are the System V objects held here: live copies and
+	// forwarding tombstones. ownerCache remembers where objects held
+	// elsewhere live (kind -> ID -> owner address).
+	queues     map[int64]*msgQueue
+	sems       map[int64]*semSet
+	ownerCache map[int]map[int64]string
 
 	// keyLeases are the System V key blocks this helper holds from the
 	// leader; keyCache holds the key mappings under those blocks, for
@@ -825,14 +827,7 @@ func (h *Helper) Shutdown() {
 	for _, g := range h.groups {
 		h.stopHeartbeatLocked(g)
 	}
-	queues := make([]*msgQueue, 0, len(h.queues))
-	for _, q := range h.queues {
-		queues = append(queues, q)
-	}
-	sems := make([]*semSet, 0, len(h.sems))
-	for _, s := range h.sems {
-		sems = append(sems, s)
-	}
+	objs := h.objectsLocked()
 	// Snapshot the shard-leader view: the distinct coordinator addresses
 	// (excluding ourselves) are owed a goodbye if we share a stream with
 	// them, and every owned semaphore set migrates back to its owning
@@ -861,13 +856,15 @@ func (h *Helper) Shutdown() {
 	// System V objects survive their owner: queues serialize to disk
 	// (§4.2); semaphore sets migrate back to their shard's leader so other
 	// picoprocesses can keep operating on them.
-	for _, q := range queues {
-		h.persistQueue(q)
-	}
-	for _, s := range sems {
-		os := shardOfID(s.id, h.shards)
-		if os < len(ledShard) && !ledShard[os] && shardAddr[os] != "" {
-			h.evictSemOnShutdown(s, shardAddr[os])
+	for _, o := range objs {
+		switch o := o.(type) {
+		case *msgQueue:
+			h.persistQueue(o)
+		case *semSet:
+			os := shardOfID(o.id, h.shards)
+			if os < len(ledShard) && !ledShard[os] && shardAddr[os] != "" {
+				h.evictSemOnShutdown(o, shardAddr[os])
+			}
 		}
 	}
 	if len(byeAddrs) > 0 {
@@ -902,53 +899,44 @@ func (h *Helper) Shutdown() {
 	_ = h.pal.DkObjectClose(h.listener)
 }
 
-// evictSemOnShutdown fails parked waiters with EXDEV (they retry against
-// the new owner) and migrates the set to the leader. In-flight remote
-// operations can re-park between the flush and the migration, so both
-// steps retry; the shutdown flag makes the dispatcher bounce new arrivals.
+// evictSemOnShutdown migrates set s to its shard leader; the handoff
+// bounces parked waiters, which retry against the new owner. An aborted
+// handoff lets in-flight remote operations re-park, so it retries; the
+// shutdown flag makes the dispatcher bounce new arrivals.
 func (h *Helper) evictSemOnShutdown(s *semSet, leaderAddr string) {
 	for attempt := 0; attempt < 50; attempt++ {
 		s.mu.Lock()
-		if s.removed || s.movedTo != "" {
-			s.mu.Unlock()
+		live := s.liveLocked()
+		s.mu.Unlock()
+		if !live {
 			return // gone or successfully migrated
 		}
-		waiters := s.waiters
-		s.waiters = nil
-		migrating := s.migrating
-		s.mu.Unlock()
-		for _, w := range waiters {
-			w.deliver(api.EXDEV)
-		}
-		if !migrating {
-			h.migrateSem(s.id, leaderAddr)
-		}
+		h.migrate(NSSysVSem, s.id, leaderAddr)
 		migrationBackoff(attempt)
 	}
 }
 
+// persistQueue serializes any live owned queue (even an empty one) so
+// survivors can adopt it; the snapshot bounces parked receivers, which
+// retry after adoption.
 func (h *Helper) persistQueue(q *msgQueue) {
 	q.mu.Lock()
-	// Persist any live owned queue (even an empty one) so survivors can
-	// adopt it; parked receivers retry after adoption.
-	live := !q.removed && q.movedTo == ""
-	id := q.id
-	waiters := q.waiters
-	q.waiters = nil
+	live := q.liveLocked()
+	var blob []byte
+	if live {
+		blob = q.snapshotLocked()
+	}
 	q.mu.Unlock()
 	if !live {
 		return
 	}
-	for _, w := range waiters {
-		w.deliver(0, nil, api.EXDEV)
-	}
 	_ = h.pal.DkStreamMkdir("file:"+persistDir[:4], 0755) // /var
 	_ = h.pal.DkStreamMkdir("file:"+persistDir, 0755)
-	fh, err := h.pal.DkStreamOpen("file:"+persistPath(id), api.OCreate|api.OTrunc|api.OWrOnly, 0600)
+	fh, err := h.pal.DkStreamOpen("file:"+persistPath(q.id), api.OCreate|api.OTrunc|api.OWrOnly, 0600)
 	if err != nil {
 		return
 	}
-	_, _ = h.pal.DkStreamWrite(fh, q.serialize())
+	_, _ = h.pal.DkStreamWrite(fh, blob)
 	_ = h.pal.DkObjectClose(fh)
 }
 

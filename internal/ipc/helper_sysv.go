@@ -2,6 +2,8 @@ package ipc
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -452,58 +454,7 @@ func (h *Helper) flushKeyLeases() {
 // Msgget maps a System V key to a queue ID, creating the queue locally
 // when this helper wins the creation race (§4.2).
 func (h *Helper) Msgget(key int64, flags int) (int64, error) {
-	id, owner, err := h.sysvKey(NSSysVMsg, key, flags)
-	if err != nil {
-		return 0, err
-	}
-	h.mu.Lock()
-	if owner == h.Addr {
-		// qOwner finds local queues before consulting the cache, so a
-		// self entry would only add an insert to the create fast path.
-		if h.queues[id] == nil {
-			q := newMsgQueue(id, key)
-			q.epoch = 1
-			mapSet(&h.queues, id, q)
-		}
-	} else {
-		mapSet(&h.qOwnerCache, id, owner)
-	}
-	h.mu.Unlock()
-	return id, nil
-}
-
-// qOwner resolves the owner address of queue id, using the cache first.
-func (h *Helper) qOwner(id int64) (string, error) {
-	h.mu.Lock()
-	if q := h.queues[id]; q != nil {
-		h.mu.Unlock()
-		q.mu.Lock()
-		moved := q.movedTo
-		q.mu.Unlock()
-		if moved == "" {
-			return h.Addr, nil
-		}
-		// A local tombstone only records where WE sent the queue; it may
-		// have moved again since. Fall through to the cache/leader, which
-		// track the current owner — following a stale tombstone forever
-		// would loop on EXDEV.
-	} else {
-		h.mu.Unlock()
-	}
-	h.mu.Lock()
-	if o, ok := h.qOwnerCache[id]; ok {
-		h.mu.Unlock()
-		return o, nil
-	}
-	h.mu.Unlock()
-	resp, err := h.callLeader(Frame{Type: MsgKeyOwner, A: NSSysVMsg, B: id})
-	if err != nil {
-		return "", err
-	}
-	h.mu.Lock()
-	mapSet(&h.qOwnerCache, id, resp.S)
-	h.mu.Unlock()
-	return resp.S, nil
+	return h.getKeyed(NSSysVMsg, key, flags, 0)
 }
 
 // Msgsnd appends a message to queue id. Remote sends are asynchronous: the
@@ -511,12 +462,24 @@ func (h *Helper) qOwner(id int64) (string, error) {
 // (§4.3, "Make RPCs asynchronous whenever possible"). A message racing a
 // queue deletion is dropped, as in the paper.
 func (h *Helper) Msgsnd(id int64, mtype int64, data []byte, flags int) error {
+	return h.msgsnd(id, mtype, data, false)
+}
+
+// MsgsndSync is Msgsnd with the synchronous remote send forced: it waits
+// for the owner's ack and never rides a ring. Kept for the ablation
+// benchmark comparing sync vs async remote send.
+func (h *Helper) MsgsndSync(id int64, mtype int64, data []byte) error {
+	return h.msgsnd(id, mtype, data, true)
+}
+
+func (h *Helper) msgsnd(id, mtype int64, data []byte, sync bool) error {
 	if mtype <= 0 {
 		return api.EINVAL
 	}
+	ref := sysvRef{NSSysVMsg, id}
 	for attempt := 0; attempt < sysvRetries; attempt++ {
 		migrationBackoff(attempt)
-		owner, err := h.qOwner(id)
+		owner, err := h.owner(NSSysVMsg, id)
 		if err != nil {
 			return err
 		}
@@ -529,7 +492,7 @@ func (h *Helper) Msgsnd(id int64, mtype int64, data []byte, flags int) error {
 			}
 			errno := q.send(mtype, data)
 			if errno == api.EXDEV {
-				h.invalidateQ(id)
+				h.invalidate(NSSysVMsg, id)
 				continue
 			}
 			if errno != 0 {
@@ -543,74 +506,29 @@ func (h *Helper) Msgsnd(id int64, mtype int64, data []byte, flags int) error {
 		// a later ring push must not overtake the in-flight RPC send; see
 		// qRingSend. A revoked ring is dropped and the plain async path
 		// resumes (the owner collapsed it under q.mu, so ordering holds).
-		syncFallback := false
-		if rc := h.qRingGet(id, owner); rc != nil {
+		syncSend := sync
+		if rc := h.ringGet(ref, owner); rc != nil && !sync {
 			if h.qRingSend(rc, mtype, data) {
 				return nil
 			}
 			if rc.send.Revoked() {
-				h.qRingDrop(id)
+				h.ringDrop(ref)
 			} else {
-				syncFallback = true
+				syncSend = true
 			}
 		}
 		c, err := h.dial(owner)
 		if err != nil {
-			// Owner died: adopt the persisted queue if it exists, else
-			// re-resolve (another survivor may have adopted it).
-			if !h.adoptQueue(id) {
-				h.invalidateQ(id)
-			}
+			h.ownerLost(NSSysVMsg, id)
 			continue
 		}
-		if syncFallback {
-			_, err := c.CallTimeout(Frame{Type: MsgQSend, A: id, B: mtype, Blob: data}, rpcCallTimeout)
-			switch err {
-			case nil:
-				return nil
-			case api.EXDEV:
-				h.invalidateQ(id)
+		if !syncSend {
+			if err := c.Notify(Frame{Type: MsgQSend, A: id, B: mtype, C: 1, Blob: data}); err != nil {
+				h.invalidate(NSSysVMsg, id)
 				continue
-			case api.EPIPE:
-				if !h.adoptQueue(id) {
-					h.invalidateQ(id)
-				}
-				continue
-			default:
-				return err
 			}
-		}
-		if err := c.Notify(Frame{Type: MsgQSend, A: id, B: mtype, C: 1, Blob: data}); err != nil {
-			h.invalidateQ(id)
-			continue
-		}
-		h.noteRemoteQOp(id, owner)
-		return nil
-	}
-	return api.EIDRM
-}
-
-// MsgsndSync is the synchronous variant (waits for the owner's ack). Kept
-// for the ablation benchmark comparing sync vs async remote send.
-func (h *Helper) MsgsndSync(id int64, mtype int64, data []byte) error {
-	if mtype <= 0 {
-		return api.EINVAL
-	}
-	for attempt := 0; attempt < sysvRetries; attempt++ {
-		migrationBackoff(attempt)
-		owner, err := h.qOwner(id)
-		if err != nil {
-			return err
-		}
-		if owner == h.Addr {
-			return h.Msgsnd(id, mtype, data, 0)
-		}
-		c, err := h.dial(owner)
-		if err != nil {
-			if !h.adoptQueue(id) {
-				h.invalidateQ(id)
-			}
-			continue
+			h.noteRemoteOp(ref, owner)
+			return nil
 		}
 		// Deadline-bounded: a partitioned owner is indistinguishable from a
 		// wedged one, and a synchronous send must never hang. ETIMEDOUT is
@@ -622,11 +540,9 @@ func (h *Helper) MsgsndSync(id int64, mtype int64, data []byte) error {
 		case nil:
 			return nil
 		case api.EXDEV:
-			h.invalidateQ(id)
+			h.invalidate(NSSysVMsg, id)
 		case api.EPIPE:
-			if !h.adoptQueue(id) {
-				h.invalidateQ(id)
-			}
+			h.ownerLost(NSSysVMsg, id)
 		default:
 			return err
 		}
@@ -648,9 +564,10 @@ func (h *Helper) Msgrcv(id int64, mtype int64, flags int) (int64, []byte, error)
 // lands is returned normally, never dropped.
 func (h *Helper) MsgrcvIntr(id int64, mtype int64, flags int, intr <-chan struct{}) (int64, []byte, error) {
 	wait := flags&api.IPCNoWait == 0
+	ref := sysvRef{NSSysVMsg, id}
 	for attempt := 0; attempt < sysvRetries; attempt++ {
 		migrationBackoff(attempt)
-		owner, err := h.qOwner(id)
+		owner, err := h.owner(NSSysVMsg, id)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -659,11 +576,11 @@ func (h *Helper) MsgrcvIntr(id int64, mtype int64, flags int, intr <-chan struct
 			q := h.queues[id]
 			h.mu.Unlock()
 			if q == nil {
-				h.invalidateQ(id)
+				h.invalidate(NSSysVMsg, id)
 				continue
 			}
 			q.mu.Lock()
-			q.localRecvs++
+			q.localOps++
 			q.mu.Unlock()
 			type res struct {
 				mtype int64
@@ -689,7 +606,7 @@ func (h *Helper) MsgrcvIntr(id int64, mtype int64, flags int, intr <-chan struct
 				}
 			}
 			if r.errno == api.EXDEV {
-				h.invalidateQ(id)
+				h.invalidate(NSSysVMsg, id)
 				continue
 			}
 			if r.errno != 0 {
@@ -702,7 +619,7 @@ func (h *Helper) MsgrcvIntr(id int64, mtype int64, flags int, intr <-chan struct
 		// (the ring cannot reorder, and the first RPC receive makes the
 		// owner reclaim it).
 		if mtype == 0 {
-			if rc := h.qRingGet(id, owner); rc != nil {
+			if rc := h.ringGet(ref, owner); rc != nil {
 				mt, data, errno, handled := h.qRingRecv(rc, wait, intr)
 				if handled {
 					if errno != 0 {
@@ -719,9 +636,7 @@ func (h *Helper) MsgrcvIntr(id int64, mtype int64, flags int, intr <-chan struct
 		}
 		c, err := h.dial(owner)
 		if err != nil {
-			if !h.adoptQueue(id) {
-				h.invalidateQ(id)
-			}
+			h.ownerLost(NSSysVMsg, id)
 			continue
 		}
 		waitFlag := int64(0)
@@ -739,14 +654,12 @@ func (h *Helper) MsgrcvIntr(id int64, mtype int64, flags int, intr <-chan struct
 		}
 		switch err {
 		case nil:
-			h.noteRemoteQOp(id, owner)
+			h.noteRemoteOp(ref, owner)
 			return resp.B, resp.Blob, nil
 		case api.EXDEV:
-			h.invalidateQ(id)
+			h.invalidate(NSSysVMsg, id)
 		case api.EPIPE:
-			if !h.adoptQueue(id) {
-				h.invalidateQ(id)
-			}
+			h.ownerLost(NSSysVMsg, id)
 		default:
 			return 0, nil, err
 		}
@@ -784,100 +697,8 @@ func (h *Helper) callIntr(c *Conn, f Frame, cancel MsgType, intr <-chan struct{}
 	}
 }
 
-// MsgRmid destroys queue id, notifying prior accessors (§4.2). A dead
-// owner (dial failure or a cached connection that dies mid-call) degrades
-// to removing the persisted copy and the leader mapping.
-func (h *Helper) MsgRmid(id int64) error {
-	for attempt := 0; attempt < sysvRetries; attempt++ {
-		migrationBackoff(attempt)
-		owner, err := h.qOwner(id)
-		if err != nil {
-			if err == api.EIDRM && attempt > 0 {
-				// Lost-reply idempotency, as in SemRmid: a prior attempt
-				// deleted the queue but the reply died with the owner.
-				return nil
-			}
-			return err
-		}
-		if owner == h.Addr {
-			if h.removeLocalQueue(id) == api.EXDEV {
-				h.invalidateQ(id) // migrated under us; chase the live copy
-				continue
-			}
-			return nil
-		}
-		c, err := h.dial(owner)
-		if err != nil {
-			// Owner died; drop any persisted copy and the leader mapping.
-			_ = h.pal.DkStreamDelete("file:" + persistPath(id))
-			_, _ = h.callLeader(Frame{Type: MsgKeyRemove, A: NSSysVMsg, B: id})
-			return nil
-		}
-		_, err = c.CallTimeout(Frame{Type: MsgQDelete, A: id}, rpcCallTimeout)
-		switch err {
-		case nil:
-			return nil
-		case api.EPIPE, api.EXDEV:
-			// The connection died under us or the queue moved; re-resolve.
-			h.invalidateQ(id)
-		default:
-			return err
-		}
-	}
-	return api.EIDRM
-}
-
-// removeLocalQueue destroys the locally owned queue; EXDEV (touching
-// nothing) when the queue has migrated away — a stale-owner rmid must
-// chase the live copy, not tombstone its key mapping out from under the
-// current owner.
-func (h *Helper) removeLocalQueue(id int64) api.Errno {
-	h.mu.Lock()
-	q := h.queues[id]
-	h.mu.Unlock()
-	if q != nil {
-		q.mu.Lock()
-		moved := q.movedTo
-		q.mu.Unlock()
-		if moved != "" {
-			return api.EXDEV
-		}
-	}
-	h.dropKeyCache(NSSysVMsg, id)
-	h.mu.Lock()
-	delete(h.queues, id)
-	delete(h.qOwnerCache, id)
-	h.mu.Unlock()
-	if q == nil {
-		return 0
-	}
-	accessors := q.remove()
-	h.bgGo(func() {
-		for _, addr := range accessors {
-			if addr == h.Addr {
-				continue
-			}
-			if c, err := h.dial(addr); err == nil {
-				_ = c.Notify(Frame{Type: MsgQDeleted, A: id})
-			}
-		}
-	})
-	// The authoritative-shard tombstone is synchronous: once Rmid returns,
-	// no other picoprocess can resolve the key to the dead ID (an async
-	// notify left a window where a concurrent create handed out the stale
-	// mapping). Accessor notifications above stay best-effort async.
-	_, _ = h.callLeader(Frame{Type: MsgKeyRemove, A: NSSysVMsg, B: id})
-	return 0
-}
-
-func (h *Helper) invalidateQ(id int64) {
-	h.mu.Lock()
-	delete(h.qOwnerCache, id)
-	h.mu.Unlock()
-	// Ownership is moving: any ring granted by the old owner is dead (its
-	// collapse rides the migration's critical section).
-	h.qRingDrop(id)
-}
+// MsgRmid destroys queue id, notifying prior accessors (§4.2).
+func (h *Helper) MsgRmid(id int64) error { return h.rmid(NSSysVMsg, id) }
 
 // adoptQueue loads a queue persisted by a dead owner and takes ownership,
 // updating the leader's mapping (§4.2's persistence protocol).
@@ -899,113 +720,19 @@ func (h *Helper) adoptQueue(id int64) bool {
 	}
 	_ = h.pal.DkObjectClose(fh)
 	_ = h.pal.DkStreamDelete("file:" + persistPath(id))
-	key, msgs, err := decodeMessages(blob)
+	q, err := decodeSysV(NSSysVMsg, id, blob)
 	if err != nil {
 		return false
 	}
-	q := newMsgQueue(id, key)
-	q.msgs = msgs
 	h.mu.Lock()
-	mapSet(&h.queues, id, q)
-	mapSet(&h.qOwnerCache, id, h.Addr)
+	h.setObjectLocked(q)
+	kindSet(&h.ownerCache, NSSysVMsg, id, h.Addr)
 	h.mu.Unlock()
 	// An owner sends locally: the attachment to the dead owner's ring, if a
 	// fallback send got here without noticing the revocation, is stale.
-	h.qRingDrop(id)
+	h.ringDrop(sysvRef{NSSysVMsg, id})
 	_, _ = h.callLeader(Frame{Type: MsgKeyChown, A: NSSysVMsg, B: id, S: h.Addr})
 	return true
-}
-
-// migrateQueue transfers ownership of queue id to consumer addr (§4.3,
-// "migrating message queues to the consumer"). Runs outside the RPC
-// handler to respect the no-recursive-RPC rule.
-func (h *Helper) migrateQueue(id int64, to string) {
-	h.mu.Lock()
-	q := h.queues[id]
-	h.mu.Unlock()
-	if q == nil || to == h.Addr {
-		return
-	}
-	q.mu.Lock()
-	if q.removed || q.movedTo != "" || q.migrating {
-		q.mu.Unlock()
-		return
-	}
-	q.migrating = true
-	// Fold the kernel-bypass rings back under the same critical section
-	// that snapshots the blob: the attach/detach protocol rides the
-	// migration epoch, and a client push sealed out here re-routes to RPC
-	// and surfaces as EXDEV → retry against the new owner.
-	q.collapseRingsLocked()
-	blob := encodeMessages(q.key, q.msgs)
-	nextEpoch := q.epoch + 1
-	q.msgs = nil
-	waiters := q.waiters
-	q.waiters = nil
-	q.mu.Unlock()
-	// Parked receivers retry against the new owner.
-	for _, w := range waiters {
-		w.deliver(0, nil, api.EXDEV)
-	}
-	abort := func() {
-		// The receiver certainly did not install (it refused, or was never
-		// reached): resume ownership with the serialized contents.
-		key, msgs, err := decodeMessages(blob)
-		q.mu.Lock()
-		if err == nil {
-			_ = key
-			q.msgs = append(msgs, q.msgs...)
-		}
-		q.migrating = false
-		q.mu.Unlock()
-	}
-	commit := func(owner string) {
-		q.mu.Lock()
-		q.movedTo = owner
-		q.migrating = false
-		q.mu.Unlock()
-		_, _ = h.callLeader(Frame{Type: MsgKeyChown, A: NSSysVMsg, B: id, S: owner, D: nextEpoch})
-		h.mu.Lock()
-		mapSet(&h.qOwnerCache, id, owner)
-		h.mu.Unlock()
-	}
-	// uncertain handles a handoff whose outcome is unknown (the connection
-	// died mid-call, so the receiver may or may not have installed — and if
-	// it did, it is dying and will evict the copy). Resurrecting our copy
-	// could split ownership; instead forward ours to the sandbox leader,
-	// which is where a dying receiver's eviction converges too.
-	uncertain := func() {
-		os := shardOfID(id, h.shards)
-		if h.leadsShard(os) {
-			abort() // we are the convergence point; keep the copy
-			return
-		}
-		// callLeader rides through a concurrent leader failover and mints
-		// a ReqID, so a replayed handoff cannot double-install the queue.
-		// It routes by the queue's ID, so the convergence point is the
-		// shard leader authoritative for this object.
-		if _, err := h.callLeader(Frame{Type: MsgQMigrate, A: id, Blob: blob, D: nextEpoch}); err == nil {
-			if owner := h.shardLeaderAddr(os); owner != "" && owner != h.Addr {
-				commit(owner)
-				return
-			}
-		}
-		abort()
-	}
-	c, err := h.dial(to)
-	if err != nil {
-		abort()
-		return
-	}
-	if _, err := c.CallTimeout(Frame{Type: MsgQMigrate, A: id, Blob: blob, D: nextEpoch}, rpcCallTimeout); err != nil {
-		if err == api.EPERM {
-			abort() // receiver explicitly refused: it has no copy
-		} else {
-			uncertain()
-		}
-		return
-	}
-	commit(to)
 }
 
 // ============================================================
@@ -1017,53 +744,7 @@ func (h *Helper) Semget(key int64, nsems int, flags int) (int64, error) {
 	if err := posix.CheckNsems(nsems); err != nil {
 		return 0, err
 	}
-	id, owner, err := h.sysvKey(NSSysVSem, key, flags)
-	if err != nil {
-		return 0, err
-	}
-	h.mu.Lock()
-	if owner == h.Addr {
-		// semOwnerOf finds local sets before the cache; see Msgget.
-		if h.sems[id] == nil {
-			s := newSemSet(id, key, nsems)
-			s.epoch = 1
-			mapSet(&h.sems, id, s)
-		}
-	} else {
-		mapSet(&h.semOwner, id, owner)
-	}
-	h.mu.Unlock()
-	return id, nil
-}
-
-func (h *Helper) semOwnerOf(id int64) (string, error) {
-	h.mu.Lock()
-	if s := h.sems[id]; s != nil {
-		h.mu.Unlock()
-		s.mu.Lock()
-		moved := s.movedTo
-		s.mu.Unlock()
-		if moved == "" {
-			return h.Addr, nil
-		}
-		// Stale-tombstone rule: see qOwner.
-	} else {
-		h.mu.Unlock()
-	}
-	h.mu.Lock()
-	if o, ok := h.semOwner[id]; ok {
-		h.mu.Unlock()
-		return o, nil
-	}
-	h.mu.Unlock()
-	resp, err := h.callLeader(Frame{Type: MsgKeyOwner, A: NSSysVSem, B: id})
-	if err != nil {
-		return "", err
-	}
-	h.mu.Lock()
-	mapSet(&h.semOwner, id, resp.S)
-	h.mu.Unlock()
-	return resp.S, nil
+	return h.getKeyed(NSSysVSem, key, flags, nsems)
 }
 
 // Semop performs the sembuf operations, blocking until satisfiable unless
@@ -1084,9 +765,10 @@ func (h *Helper) SemopIntr(id int64, ops []api.SemBuf, intr <-chan struct{}) err
 			wait = false
 		}
 	}
+	ref := sysvRef{NSSysVSem, id}
 	for attempt := 0; attempt < sysvRetries; attempt++ {
 		migrationBackoff(attempt)
-		owner, err := h.semOwnerOf(id)
+		owner, err := h.owner(NSSysVSem, id)
 		if err != nil {
 			return err
 		}
@@ -1095,11 +777,11 @@ func (h *Helper) SemopIntr(id int64, ops []api.SemBuf, intr <-chan struct{}) err
 			s := h.sems[id]
 			h.mu.Unlock()
 			if s == nil {
-				h.invalidateSem(id)
+				h.invalidate(NSSysVSem, id)
 				continue
 			}
 			s.mu.Lock()
-			s.localAcqs++
+			s.localOps++
 			s.mu.Unlock()
 			ch := make(chan api.Errno, 1)
 			w := s.semop(ops, wait, "", 0, func(errno api.Errno) { ch <- errno })
@@ -1117,7 +799,7 @@ func (h *Helper) SemopIntr(id int64, ops []api.SemBuf, intr <-chan struct{}) err
 				}
 			}
 			if errno == api.EXDEV {
-				h.invalidateSem(id)
+				h.invalidate(NSSysVSem, id)
 				continue
 			}
 			if errno != 0 {
@@ -1128,8 +810,8 @@ func (h *Helper) SemopIntr(id int64, ops []api.SemBuf, intr <-chan struct{}) err
 		// Kernel-bypass fast path: plain single-semaphore ops CAS the
 		// shared value directly — zero RPCs, zero allocations. Unmodeled
 		// ops and blocking parks stay on RPC.
-		if sc := h.semRingGet(id, owner); sc != nil {
-			if handled, errno := h.semRingOp(id, sc, ops, wait); handled {
+		if sc := h.ringGet(ref, owner); sc != nil {
+			if handled, errno := h.semRingOp(ref, sc, ops, wait); handled {
 				if errno != 0 {
 					return errno
 				}
@@ -1138,9 +820,7 @@ func (h *Helper) SemopIntr(id int64, ops []api.SemBuf, intr <-chan struct{}) err
 		}
 		c, err := h.dial(owner)
 		if err != nil {
-			// Owner unreachable (likely exited after migrating the set to
-			// the leader): re-resolve and retry.
-			h.invalidateSem(id)
+			h.ownerLost(NSSysVSem, id)
 			continue
 		}
 		waitFlag := int64(0)
@@ -1157,10 +837,10 @@ func (h *Helper) SemopIntr(id int64, ops []api.SemBuf, intr <-chan struct{}) err
 		}
 		switch err {
 		case nil:
-			h.noteRemoteSemOp(id, owner)
+			h.noteRemoteOp(ref, owner)
 			return nil
 		case api.EXDEV, api.EPIPE:
-			h.invalidateSem(id)
+			h.invalidate(NSSysVSem, id)
 		default:
 			return err
 		}
@@ -1168,213 +848,40 @@ func (h *Helper) SemopIntr(id int64, ops []api.SemBuf, intr <-chan struct{}) err
 	return api.EIDRM
 }
 
-// SemRmid destroys semaphore set id. Same shape as MsgRmid: a cached
-// connection dying mid-call (the owner exiting right after eviction
-// migrated the set away) re-resolves ownership and retries instead of
-// surfacing EPIPE to the guest — the set usually lands at the sandbox
-// leader, where the retry deletes it.
-func (h *Helper) SemRmid(id int64) error {
-	for attempt := 0; attempt < sysvRetries; attempt++ {
-		migrationBackoff(attempt)
-		owner, err := h.semOwnerOf(id)
-		if err != nil {
-			if err == api.EIDRM && attempt > 0 {
-				// A previous attempt's delete landed but its reply was
-				// lost with the dying connection; the id being gone IS
-				// the outcome rmid wanted.
-				return nil
-			}
-			return err
-		}
-		if owner == h.Addr {
-			if h.removeLocalSem(id) == api.EXDEV {
-				h.invalidateSem(id) // migrated under us; chase the live copy
-				continue
-			}
-			return nil
-		}
-		c, err := h.dial(owner)
-		if err != nil {
-			// Owner fully gone; drop the leader mapping (eviction-on-exit
-			// migrates live sets before the streams close, so reaching
-			// here means there is no surviving copy to delete).
-			_, _ = h.callLeader(Frame{Type: MsgKeyRemove, A: NSSysVSem, B: id})
-			return nil
-		}
-		_, err = c.CallTimeout(Frame{Type: MsgSemDelete, A: id}, rpcCallTimeout)
-		switch err {
-		case nil:
-			return nil
-		case api.EPIPE, api.EXDEV:
-			h.invalidateSem(id)
-		default:
-			return err
-		}
-	}
-	return api.EIDRM
-}
+// SemRmid destroys semaphore set id, notifying prior accessors.
+func (h *Helper) SemRmid(id int64) error { return h.rmid(NSSysVSem, id) }
 
-// removeLocalSem destroys the locally owned set; EXDEV (touching
-// nothing) when the set has migrated away, mirroring removeLocalQueue.
-func (h *Helper) removeLocalSem(id int64) api.Errno {
-	h.mu.Lock()
-	s := h.sems[id]
-	h.mu.Unlock()
-	if s != nil {
-		s.mu.Lock()
-		moved := s.movedTo
-		s.mu.Unlock()
-		if moved != "" {
-			return api.EXDEV
-		}
-	}
-	h.dropKeyCache(NSSysVSem, id)
-	h.mu.Lock()
-	delete(h.sems, id)
-	delete(h.semOwner, id)
-	h.mu.Unlock()
-	if s == nil {
-		return 0
-	}
-	accessors := s.remove()
-	h.bgGo(func() {
-		for _, addr := range accessors {
-			if addr == h.Addr {
-				continue
-			}
-			if c, err := h.dial(addr); err == nil {
-				_ = c.Notify(Frame{Type: MsgQDeleted, A: id, B: 1})
-			}
-		}
-	})
-	// Synchronous for the same reason as removeLocalQueue: the key must
-	// not resolve to the dead ID after Rmid returns.
-	_, _ = h.callLeader(Frame{Type: MsgKeyRemove, A: NSSysVSem, B: id})
-	return 0
-}
-
-func (h *Helper) invalidateSem(id int64) {
-	h.mu.Lock()
-	delete(h.semOwner, id)
-	h.mu.Unlock()
-	h.semRingDrop(id) // see invalidateQ
-}
-
-// migrateSem transfers ownership of semaphore set id to addr (§4.2,
-// "migrate ownership to picoprocess most frequently acquiring").
-func (h *Helper) migrateSem(id int64, to string) {
-	h.mu.Lock()
-	s := h.sems[id]
-	h.mu.Unlock()
-	if s == nil || to == h.Addr {
-		return
-	}
-	s.mu.Lock()
-	if s.removed || s.movedTo != "" || s.migrating {
-		s.mu.Unlock()
-		return
-	}
-	// Quiesce rather than defer: a permanently parked blocking waiter
-	// (e.g. a receiver whose permit never arrives locally) would otherwise
-	// starve the migration forever. Bounced waiters re-issue against the
-	// new owner via the client-side EXDEV retry loop, exactly like queue
-	// receivers in migrateQueue.
-	s.migrating = true
-	// Seal the kernel-bypass segment back into vals before the snapshot;
-	// see migrateQueue. Waiters satisfiable by the sealed value are
-	// delivered here, the rest are bounced below.
-	s.reclaimSegLocked()
-	blob := encodeSemState(s.key, s.vals)
-	nextEpoch := s.epoch + 1
-	waiters := s.waiters
-	s.waiters = nil
-	s.mu.Unlock()
-	for _, w := range waiters {
-		w.deliver(api.EXDEV)
-	}
-	abort := func() {
-		s.mu.Lock()
-		s.migrating = false
-		s.mu.Unlock()
-	}
-	commit := func(owner string) {
-		s.mu.Lock()
-		s.movedTo = owner
-		s.migrating = false
-		s.mu.Unlock()
-		_, _ = h.callLeader(Frame{Type: MsgKeyChown, A: NSSysVSem, B: id, S: owner, D: nextEpoch})
-		h.mu.Lock()
-		mapSet(&h.semOwner, id, owner)
-		h.mu.Unlock()
-	}
-	// uncertain: see migrateQueue — never resurrect a copy the receiver
-	// might also hold; converge on the leader instead.
-	uncertain := func() {
-		os := shardOfID(id, h.shards)
-		if h.leadsShard(os) {
-			abort()
-			return
-		}
-		// As in migrateQueue: failover-aware, replay-deduplicated, and
-		// routed to the object's authoritative shard leader.
-		if _, err := h.callLeader(Frame{Type: MsgSemMigrate, A: id, Blob: blob, D: nextEpoch}); err == nil {
-			if owner := h.shardLeaderAddr(os); owner != "" && owner != h.Addr {
-				commit(owner)
-				return
-			}
-		}
-		abort()
-	}
-	c, err := h.dial(to)
-	if err != nil {
-		abort()
-		return
-	}
-	if _, err := c.CallTimeout(Frame{Type: MsgSemMigrate, A: id, Blob: blob, D: nextEpoch}, rpcCallTimeout); err != nil {
-		if err == api.EPERM {
-			abort()
-		} else {
-			uncertain()
-		}
-		return
-	}
-	commit(to)
-}
-
-// DebugSysVState renders the helper's System V state for diagnostics.
+// DebugSysVState renders the helper's System V state for diagnostics:
+// every object's shared header, then the owner cache and the leader's
+// owner map for both kinds.
 func (h *Helper) DebugSysVState() string {
+	var b strings.Builder
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := "helper " + h.Addr + " shutdown=" + boolStr(h.shutdown) + "\n"
-	for id, s := range h.sems {
-		s.mu.Lock()
-		out += "  sem " + itoaDbg(id) + " vals=" + fmt.Sprint(s.vals) +
-			" waiters=" + itoaDbg(int64(len(s.waiters))) +
-			" moved=" + s.movedTo + " migrating=" + boolStr(s.migrating) +
-			" removed=" + boolStr(s.removed) + "\n"
-		s.mu.Unlock()
+	b.WriteString("helper " + h.Addr + " shutdown=" + strconv.FormatBool(h.shutdown) + "\n")
+	for _, o := range h.objectsLocked() {
+		hd := o.header()
+		hd.mu.Lock()
+		b.WriteString("  " + kindName(hd.kind) + " " + strconv.FormatInt(hd.id, 10) +
+			" key=" + strconv.FormatInt(hd.key, 10) + " epoch=" + strconv.FormatInt(hd.epoch, 10) +
+			" moved=" + hd.movedTo + " migrating=" + strconv.FormatBool(hd.migrating) +
+			" removed=" + strconv.FormatBool(hd.removed) + "\n")
+		hd.mu.Unlock()
 	}
-	for id, q := range h.queues {
-		q.mu.Lock()
-		out += "  q " + itoaDbg(id) + " msgs=" + itoaDbg(int64(len(q.msgs))) +
-			" waiters=" + itoaDbg(int64(len(q.waiters))) +
-			" moved=" + q.movedTo + "\n"
-		q.mu.Unlock()
+	for kind, m := range h.ownerCache {
+		for id, addr := range m {
+			b.WriteString("  ownerCache " + kindName(kind) + " " + strconv.FormatInt(id, 10) + "=" + addr + "\n")
+		}
 	}
-	out += "  semOwnerCache=" + fmt.Sprint(h.semOwner) + "\n"
 	if h.leader != nil {
-		h.leader.mu.Lock()
-		out += "  leader.owners[sem]=" + fmt.Sprint(h.leader.owners[NSSysVSem]) + "\n"
-		h.leader.mu.Unlock()
+		h.leader.mu.RLock()
+		for _, kind := range []int{NSSysVMsg, NSSysVSem} {
+			for id, e := range h.leader.owners[kind] {
+				b.WriteString("  leader.owners " + kindName(kind) + " " + strconv.FormatInt(id, 10) + "=" +
+					e.addr + " epoch=" + strconv.FormatInt(e.epoch, 10) + "\n")
+			}
+		}
+		h.leader.mu.RUnlock()
 	}
-	return out
+	return b.String()
 }
-
-func boolStr(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
-}
-
-func itoaDbg(v int64) string { return fmt.Sprint(v) }

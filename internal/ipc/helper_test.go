@@ -645,7 +645,7 @@ func TestSemMigrationNotStarvedByParkedWaiter(t *testing.T) {
 		}
 	}
 	// Force the migration the heuristic would eventually request.
-	lh.migrateSem(id, mh.Addr)
+	lh.migrate(NSSysVSem, id, mh.Addr)
 	mh.mu.Lock()
 	_, owned := mh.sems[id]
 	mh.mu.Unlock()

@@ -92,29 +92,16 @@ func snapshotHelper(h *Helper) helperSnapshot {
 	}
 	// Copy the object tables, not just references: a heartbeat-triggered
 	// reconcile can tombstone queues concurrently with this walk.
-	queues := make(map[int64]*msgQueue, len(h.queues))
-	for id, q := range h.queues {
-		queues[id] = q
-	}
-	sems := make(map[int64]*semSet, len(h.sems))
-	for id, ss := range h.sems {
-		sems[id] = ss
-	}
+	objs := h.objectsLocked()
 	h.mu.Unlock()
 
-	for id, q := range queues {
-		q.mu.Lock()
-		if !q.removed && q.movedTo == "" {
-			s.liveIDs[NSSysVMsg] = append(s.liveIDs[NSSysVMsg], id)
+	for _, o := range objs {
+		hd := o.header()
+		hd.mu.Lock()
+		if hd.liveLocked() {
+			s.liveIDs[hd.kind] = append(s.liveIDs[hd.kind], hd.id)
 		}
-		q.mu.Unlock()
-	}
-	for id, ss := range sems {
-		ss.mu.Lock()
-		if !ss.removed && ss.movedTo == "" {
-			s.liveIDs[NSSysVSem] = append(s.liveIDs[NSSysVSem], id)
-		}
-		ss.mu.Unlock()
+		hd.mu.Unlock()
 	}
 
 	for i, leader := range leaders {

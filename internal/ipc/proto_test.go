@@ -129,7 +129,7 @@ func TestSemOpsSerializeRoundTrip(t *testing.T) {
 func TestSemSetSerializeRoundTrip(t *testing.T) {
 	s := newSemSet(5, 77, 3)
 	s.vals = []int{1, 0, 9}
-	key, vals, err := decodeSemSet(s.serialize())
+	key, vals, err := decodeSemSet(s.snapshotLocked())
 	if err != nil || key != 77 || len(vals) != 3 || vals[2] != 9 {
 		t.Fatalf("decode: key=%d vals=%v err=%v", key, vals, err)
 	}

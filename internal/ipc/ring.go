@@ -42,33 +42,35 @@ func init() { ringEnabled.Store(true) }
 // keeps every operation on the RPC plane, the pre-ring behavior).
 func SetRingBypass(on bool) { ringEnabled.Store(on) }
 
-// qRingClient is the client side of one queue attachment.
-type qRingClient struct {
-	owner string
-	epoch int64
-	send  *host.RingSegment // client produces
-	recv  *host.RingSegment // client consumes; nil if the owner declined
-	mu    sync.Mutex        // serializes local consumers on popBuf
+// ringClient is the client side of one attachment: a queue's send ring
+// and optional receive ring, or a one-semaphore set's shared value.
+type ringClient struct {
+	owner  string
+	epoch  int64
+	send   *host.RingSegment // queue: client produces
+	recv   *host.RingSegment // queue: client consumes; nil if the owner declined
+	mu     sync.Mutex        // serializes local consumers on popBuf
 	popBuf []byte
+	seg    *host.SemSeg // semaphore set: the shared value
 }
 
-// semRingClient is the client side of one semaphore attachment.
-type semRingClient struct {
-	owner string
-	epoch int64
-	seg   *host.SemSeg
+// grant is the segment the owner names the attachment by: the send ring
+// or the value segment.
+func (rc *ringClient) grant() (id int, revoked bool) {
+	if rc.seg != nil {
+		return rc.seg.ID, rc.seg.Revoked()
+	}
+	return rc.send.ID, rc.send.Revoked()
 }
 
 // ringClientState hangs off the Helper: per-object remote-op counters and
 // live attachments. Maps are lazy — helpers that never cross the
 // threshold pay one nil check.
 type ringClientState struct {
-	mu           sync.Mutex
-	qOps, semOps map[int64]int
-	q            map[int64]*qRingClient
-	sem          map[int64]*semRingClient
-	qAttaching   map[int64]bool
-	semAttaching map[int64]bool
+	mu        sync.Mutex
+	ops       map[sysvRef]int
+	clients   map[sysvRef]*ringClient
+	attaching map[sysvRef]bool
 }
 
 // traceRing records a ring lifecycle event in the flight recorder
@@ -87,199 +89,110 @@ func (h *Helper) traceRing(code uint32, segID int) {
 // Client side
 // ============================================================
 
-// qRingGet returns the live attachment for queue id at owner, dropping
-// stale state (revoked ring or ownership moved) on the way.
-func (h *Helper) qRingGet(id int64, owner string) *qRingClient {
-	if !ringEnabled.Load() {
-		return nil
-	}
+// ringGet returns the live attachment for object ref at owner, dropping
+// stale state (revoked grant or ownership moved) on the way.
+func (h *Helper) ringGet(ref sysvRef, owner string) *ringClient {
 	rs := &h.ringState
 	rs.mu.Lock()
-	rc := rs.q[id]
+	rc := rs.clients[ref]
 	rs.mu.Unlock()
 	if rc == nil {
 		return nil
 	}
-	if rc.owner != owner || rc.send.Revoked() {
-		h.qRingDrop(id)
+	if _, revoked := rc.grant(); revoked || rc.owner != owner {
+		h.ringDrop(ref)
 		return nil
 	}
 	return rc
 }
 
-func (h *Helper) qRingDrop(id int64) {
+func (h *Helper) ringDrop(ref sysvRef) {
 	rs := &h.ringState
 	rs.mu.Lock()
-	delete(rs.q, id)
-	delete(rs.qOps, id)
+	delete(rs.clients, ref)
+	delete(rs.ops, ref)
 	rs.mu.Unlock()
 }
 
-func (h *Helper) semRingGet(id int64, owner string) *semRingClient {
-	if !ringEnabled.Load() {
-		return nil
-	}
-	rs := &h.ringState
-	rs.mu.Lock()
-	sc := rs.sem[id]
-	rs.mu.Unlock()
-	if sc == nil {
-		return nil
-	}
-	if sc.owner != owner || sc.seg.Revoked() {
-		h.semRingDrop(id)
-		return nil
-	}
-	return sc
-}
-
-func (h *Helper) semRingDrop(id int64) {
-	rs := &h.ringState
-	rs.mu.Lock()
-	delete(rs.sem, id)
-	delete(rs.semOps, id)
-	rs.mu.Unlock()
-}
-
-// noteRemoteQOp counts a successful remote queue operation and kicks off
-// an attach once the object crosses the threshold. The attach runs in the
-// background so the counted operation's latency is unaffected.
-func (h *Helper) noteRemoteQOp(id int64, owner string) {
+// noteRemoteOp counts a successful remote operation on object ref and
+// kicks off an attach once it crosses the threshold. The attach runs in
+// the background so the counted operation's latency is unaffected. The
+// one reading of the ablation switch: with the bypass off no attach
+// starts, so no grant exists to use.
+func (h *Helper) noteRemoteOp(ref sysvRef, owner string) {
 	if !ringEnabled.Load() {
 		return
 	}
 	rs := &h.ringState
 	rs.mu.Lock()
-	if rs.q[id] != nil || rs.qAttaching[id] {
+	if rs.clients[ref] != nil || rs.attaching[ref] {
 		rs.mu.Unlock()
 		return
 	}
-	if rs.qOps == nil {
-		rs.qOps = make(map[int64]int)
-	}
-	rs.qOps[id]++
-	if rs.qOps[id] < ringAttachThreshold {
+	mapSet(&rs.ops, ref, rs.ops[ref]+1)
+	if rs.ops[ref] < ringAttachThreshold {
 		rs.mu.Unlock()
 		return
 	}
-	rs.qOps[id] = 0
-	if rs.qAttaching == nil {
-		rs.qAttaching = make(map[int64]bool)
-	}
-	rs.qAttaching[id] = true
+	rs.ops[ref] = 0
+	mapSet(&rs.attaching, ref, true)
 	rs.mu.Unlock()
-	if !h.bgGo(func() { h.qRingAttach(id, owner) }) {
+	if !h.bgGo(func() { h.ringAttach(ref, owner) }) {
 		rs.mu.Lock()
-		delete(rs.qAttaching, id)
+		delete(rs.attaching, ref)
 		rs.mu.Unlock()
 	}
 }
 
-func (h *Helper) noteRemoteSemOp(id int64, owner string) {
-	if !ringEnabled.Load() {
-		return
-	}
-	rs := &h.ringState
-	rs.mu.Lock()
-	if rs.sem[id] != nil || rs.semAttaching[id] {
-		rs.mu.Unlock()
-		return
-	}
-	if rs.semOps == nil {
-		rs.semOps = make(map[int64]int)
-	}
-	rs.semOps[id]++
-	if rs.semOps[id] < ringAttachThreshold {
-		rs.mu.Unlock()
-		return
-	}
-	rs.semOps[id] = 0
-	if rs.semAttaching == nil {
-		rs.semAttaching = make(map[int64]bool)
-	}
-	rs.semAttaching[id] = true
-	rs.mu.Unlock()
-	if !h.bgGo(func() { h.semRingAttach(id, owner) }) {
-		rs.mu.Lock()
-		delete(rs.semAttaching, id)
-		rs.mu.Unlock()
-	}
-}
-
-// qRingAttach performs the grant handshake for queue id. Declines (owner
+// ringAttach performs the grant handshake for object ref. Declines (owner
 // busy, migrating, already granted) and policy refusals (the monitor
 // vetoes cross-sandbox mappings) are silent: the counter restarts and the
 // client retries after another threshold's worth of traffic.
-func (h *Helper) qRingAttach(id int64, owner string) {
+func (h *Helper) ringAttach(ref sysvRef, owner string) {
 	rs := &h.ringState
 	defer func() {
 		rs.mu.Lock()
-		delete(rs.qAttaching, id)
+		delete(rs.attaching, ref)
 		rs.mu.Unlock()
 	}()
 	c, err := h.dial(owner)
 	if err != nil {
 		return
 	}
-	resp, err := c.CallTimeout(Frame{Type: MsgRingAttach, A: id, C: int64(h.pal.Proc().ID)}, rpcCallTimeout)
+	flag := wireFlag(ref.kind)
+	resp, err := c.CallTimeout(Frame{Type: MsgRingAttach, A: ref.id, B: flag, C: int64(h.pal.Proc().ID)}, rpcCallTimeout)
 	if err != nil || resp.A == 0 {
 		return
 	}
-	detach := func() {
-		_, _ = c.CallTimeout(Frame{Type: MsgRingDetach, A: id, D: resp.A}, rpcCallTimeout)
-	}
-	send, err := h.pal.RingMapMsg(int(resp.A))
-	if err != nil {
+	rc := &ringClient{owner: owner, epoch: resp.D}
+	if err := h.mapGrant(rc, ref.kind, resp); err != nil {
 		// The monitor refused the mapping (e.g. a sandbox split landed
 		// between grant and map): tell the owner to reclaim.
-		detach()
+		_, _ = c.CallTimeout(Frame{Type: MsgRingDetach, A: ref.id, B: flag, D: resp.A}, rpcCallTimeout)
 		return
 	}
-	rc := &qRingClient{owner: owner, epoch: resp.D, send: send, popBuf: make([]byte, host.RingSlotData)}
-	if resp.B != 0 {
-		rr, err := h.pal.RingMapMsg(int(resp.B))
-		if err != nil {
-			detach()
-			return
-		}
-		rc.recv = rr
-	}
 	rs.mu.Lock()
-	if rs.q == nil {
-		rs.q = make(map[int64]*qRingClient)
-	}
-	rs.q[id] = rc
+	mapSet(&rs.clients, ref, rc)
 	rs.mu.Unlock()
-	h.traceRing(2, send.ID)
+	h.traceRing(2, int(resp.A))
 }
 
-func (h *Helper) semRingAttach(id int64, owner string) {
-	rs := &h.ringState
-	defer func() {
-		rs.mu.Lock()
-		delete(rs.semAttaching, id)
-		rs.mu.Unlock()
-	}()
-	c, err := h.dial(owner)
-	if err != nil {
-		return
+// mapGrant maps the segments a grant names into rc: a queue's send ring
+// (A) and receive ring (B, 0 if declined), or a set's value segment (A).
+func (h *Helper) mapGrant(rc *ringClient, kind int, resp Frame) error {
+	var err error
+	if kind == NSSysVSem {
+		rc.seg, err = h.pal.RingMapSem(int(resp.A))
+		return err
 	}
-	resp, err := c.CallTimeout(Frame{Type: MsgRingAttach, A: id, B: 1, C: int64(h.pal.Proc().ID)}, rpcCallTimeout)
-	if err != nil || resp.A == 0 {
-		return
+	if rc.send, err = h.pal.RingMapMsg(int(resp.A)); err != nil {
+		return err
 	}
-	seg, err := h.pal.RingMapSem(int(resp.A))
-	if err != nil {
-		_, _ = c.CallTimeout(Frame{Type: MsgRingDetach, A: id, B: 1, D: resp.A}, rpcCallTimeout)
-		return
+	rc.popBuf = make([]byte, host.RingSlotData)
+	if resp.B != 0 {
+		rc.recv, err = h.pal.RingMapMsg(int(resp.B))
 	}
-	rs.mu.Lock()
-	if rs.sem == nil {
-		rs.sem = make(map[int64]*semRingClient)
-	}
-	rs.sem[id] = &semRingClient{owner: owner, epoch: resp.D, seg: seg}
-	rs.mu.Unlock()
-	h.traceRing(2, seg.ID)
+	return err
 }
 
 // qRingSend attempts the msgsnd fast path. False routes the caller to
@@ -292,7 +205,7 @@ func (h *Helper) semRingAttach(id int64, owner string) {
 // dispatch, so only blocking the sender until the owner has appended the
 // RPC message (the Call's ack) closes that window. Msgsnd implements
 // this by switching the fallback frame from Notify to Call.
-func (h *Helper) qRingSend(rc *qRingClient, mtype int64, data []byte) bool {
+func (h *Helper) qRingSend(rc *ringClient, mtype int64, data []byte) bool {
 	if rc.send.TryPush(mtype, data) {
 		h.ringHits.Add(1)
 		return true
@@ -307,7 +220,7 @@ func (h *Helper) qRingSend(rc *qRingClient, mtype int64, data []byte) bool {
 // the ring is live, empty means the queue is empty (the owner routes
 // every message into it), so ENOMSG and blocking-park are answered
 // locally; intr interruption returns EINTR with nothing parked remotely.
-func (h *Helper) qRingRecv(rc *qRingClient, wait bool, intr <-chan struct{}) (mtype int64, data []byte, errno api.Errno, handled bool) {
+func (h *Helper) qRingRecv(rc *ringClient, wait bool, intr <-chan struct{}) (mtype int64, data []byte, errno api.Errno, handled bool) {
 	rc.mu.Lock()
 	rr := rc.recv
 	rc.mu.Unlock()
@@ -364,7 +277,7 @@ func (h *Helper) qRingRecv(rc *qRingClient, wait bool, intr <-chan struct{}) (mt
 // revocation, or a would-block op the caller wants to sleep on (parking
 // lives at the owner). A non-blocking would-block is answered locally —
 // the segment is the authoritative value, so local EAGAIN is exact.
-func (h *Helper) semRingOp(id int64, sc *semRingClient, ops []api.SemBuf, wait bool) (handled bool, errno api.Errno) {
+func (h *Helper) semRingOp(ref sysvRef, sc *ringClient, ops []api.SemBuf, wait bool) (handled bool, errno api.Errno) {
 	for _, op := range ops {
 		if op.Num != 0 || int(op.Flg)&^api.IPCNoWait != 0 {
 			return false, 0
@@ -373,7 +286,7 @@ func (h *Helper) semRingOp(id int64, sc *semRingClient, ops []api.SemBuf, wait b
 	applied, _, aerr := sc.seg.TryApply(ops)
 	switch {
 	case aerr == api.EAGAIN: // revoked or sealed
-		h.semRingDrop(id)
+		h.ringDrop(ref)
 		h.ringMisses.Add(1)
 		return false, 0
 	case aerr != 0:
@@ -398,18 +311,13 @@ func (h *Helper) semRingOp(id int64, sc *semRingClient, ops []api.SemBuf, wait b
 func (h *Helper) ringShutdown() {
 	rs := &h.ringState
 	rs.mu.Lock()
-	qs := rs.q
-	sems := rs.sem
-	rs.q, rs.sem, rs.qOps, rs.semOps = nil, nil, nil, nil
+	clients := rs.clients
+	rs.clients, rs.ops = nil, nil
 	rs.mu.Unlock()
-	for id, rc := range qs {
+	for ref, rc := range clients {
 		if c, err := h.dial(rc.owner); err == nil {
-			_, _ = c.CallTimeout(Frame{Type: MsgRingDetach, A: id, D: int64(rc.send.ID)}, rpcCallTimeout)
-		}
-	}
-	for id, sc := range sems {
-		if c, err := h.dial(sc.owner); err == nil {
-			_, _ = c.CallTimeout(Frame{Type: MsgRingDetach, A: id, B: 1, D: int64(sc.seg.ID)}, rpcCallTimeout)
+			seg, _ := rc.grant()
+			_, _ = c.CallTimeout(Frame{Type: MsgRingDetach, A: ref.id, B: wireFlag(ref.kind), D: int64(seg)}, rpcCallTimeout)
 		}
 	}
 }
@@ -424,224 +332,104 @@ func (h *Helper) ringShutdown() {
 // object's migration epoch. Any error is a decline — the client keeps
 // using RPC and may retry later.
 func (h *Helper) handleRingAttach(f Frame, respond func(Frame)) {
-	clientPID := int(f.C)
-	if clientPID <= 0 || !ringEnabled.Load() {
-		respond(f.ErrResponse(api.EAGAIN))
-		return
-	}
+	pid := int(f.C)
 	h.mu.Lock()
-	if h.shutdown {
-		h.mu.Unlock()
+	down := h.shutdown
+	o := h.objectLocked(flagKind(f.B), f.A)
+	h.mu.Unlock()
+	if pid <= 0 || down {
 		respond(f.ErrResponse(api.EAGAIN))
 		return
 	}
-	var q *msgQueue
-	var s *semSet
-	if f.B == 1 {
-		s = h.sems[f.A]
-	} else {
-		q = h.queues[f.A]
-	}
-	h.mu.Unlock()
-
-	if f.B == 1 {
-		if s == nil {
-			respond(f.ErrResponse(api.EIDRM))
-			return
-		}
-		s.mu.Lock()
-		if s.removed || s.movedTo != "" || s.migrating {
-			s.mu.Unlock()
-			respond(f.ErrResponse(api.EXDEV))
-			return
-		}
-		if len(s.vals) != 1 || s.seg != nil {
-			// Multi-semaphore sets are RPC-only; one bypass client at a time.
-			s.mu.Unlock()
-			respond(f.ErrResponse(api.EAGAIN))
-			return
-		}
-		seg, err := h.pal.RingCreateSem(clientPID, int64(s.vals[0]))
-		if err != nil {
-			s.mu.Unlock()
-			respond(f.ErrResponse(api.EAGAIN))
-			return
-		}
-		s.seg = seg
-		s.segFrom = f.From
-		epoch := s.epoch
-		s.mu.Unlock()
-		if !h.bgGo(func() { h.semSegDrainer(s, seg) }) {
-			s.mu.Lock()
-			s.reclaimSegLocked()
-			s.mu.Unlock()
-			h.pal.RingRelease(seg.ID)
-			respond(f.ErrResponse(api.EAGAIN))
-			return
-		}
-		h.traceRing(1, seg.ID)
-		respond(f.Response(Frame{A: int64(seg.ID), D: epoch}))
-		return
-	}
-
-	if q == nil {
+	if o == nil {
 		respond(f.ErrResponse(api.EIDRM))
 		return
 	}
-	q.mu.Lock()
-	if q.removed || q.movedTo != "" || q.migrating {
-		q.mu.Unlock()
+	hd := o.header()
+	hd.mu.Lock()
+	if !hd.liveLocked() || hd.migrating {
+		hd.mu.Unlock()
 		respond(f.ErrResponse(api.EXDEV))
 		return
 	}
-	if q.sendRing != nil {
-		q.mu.Unlock()
+	g, errno := o.grantLocked(h.pal, pid)
+	epoch := hd.epoch
+	hd.mu.Unlock()
+	if errno != 0 {
+		respond(f.ErrResponse(errno))
+		return
+	}
+	if !h.bgGo(func() { h.ringDrainer(o, g) }) {
+		hd.mu.Lock()
+		o.reclaimGrantLocked()
+		hd.mu.Unlock()
+		h.releaseGrant(g)
 		respond(f.ErrResponse(api.EAGAIN))
 		return
 	}
-	sr, err := h.pal.RingCreateMsg(clientPID)
-	if err != nil {
-		q.mu.Unlock()
-		respond(f.ErrResponse(api.EAGAIN))
-		return
-	}
-	var rr *host.RingSegment
-	if len(q.msgs) == 0 && len(q.waiters) == 0 {
-		// The receive ring is granted only from an empty, waiter-free
-		// state so ring deliveries can never overtake queued backlog.
-		rr, _ = h.pal.RingCreateMsg(clientPID)
-	}
-	q.sendRing, q.recvRing, q.ringFrom = sr, rr, f.From
-	epoch := q.epoch
-	q.mu.Unlock()
-	if !h.bgGo(func() { h.qRingDrainer(q, sr, rr) }) {
-		q.mu.Lock()
-		q.collapseRingsLocked()
-		q.mu.Unlock()
-		h.pal.RingRelease(sr.ID)
-		if rr != nil {
-			h.pal.RingRelease(rr.ID)
-		}
-		respond(f.ErrResponse(api.EAGAIN))
-		return
-	}
-	var rrID int64
-	if rr != nil {
-		rrID = int64(rr.ID)
-	}
-	h.traceRing(1, sr.ID)
-	respond(f.Response(Frame{A: int64(sr.ID), B: rrID, D: epoch}))
+	h.traceRing(1, g.seg)
+	respond(f.Response(Frame{A: int64(g.seg), B: int64(g.recv), D: epoch}))
 }
 
 // handleRingDetach reclaims a grant at the client's request (synchronous:
-// when the response arrives, the owner has folded the ring contents back
-// and the client may safely switch to RPC). f.D names the segment so a
-// stale detach cannot tear down a newer grant.
+// when the response arrives, the owner has folded the grant back and the
+// client may safely switch to RPC). f.D names the segment so a stale
+// detach cannot tear down a newer grant.
 func (h *Helper) handleRingDetach(f Frame, respond func(Frame)) {
-	if f.B == 1 {
-		h.mu.Lock()
-		s := h.sems[f.A]
-		h.mu.Unlock()
-		if s != nil {
-			s.mu.Lock()
-			if s.seg != nil && int64(s.seg.ID) == f.D {
-				s.reclaimSegLocked()
-			}
-			s.mu.Unlock()
+	h.mu.Lock()
+	o := h.objectLocked(flagKind(f.B), f.A)
+	h.mu.Unlock()
+	if o != nil {
+		hd := o.header()
+		hd.mu.Lock()
+		if id := o.grantIDLocked(); id != 0 && int64(id) == f.D {
+			o.reclaimGrantLocked()
 		}
-	} else {
-		h.mu.Lock()
-		q := h.queues[f.A]
-		h.mu.Unlock()
-		if q != nil {
-			q.mu.Lock()
-			if q.sendRing != nil && int64(q.sendRing.ID) == f.D {
-				q.collapseRingsLocked()
-			}
-			q.mu.Unlock()
-		}
+		hd.mu.Unlock()
 	}
 	respond(f.Response(Frame{}))
 }
 
-// qRingDrainer is the owner-side consumer of a queue's send ring: parked
-// on the doorbell, it ingests client pushes under q.mu (waking parked
-// waiters) until the attachment dies — revocation, a collapse elsewhere
-// (migration/removal/detach), or helper shutdown. It releases the
-// segment IDs from the kernel registry on exit.
-func (h *Helper) qRingDrainer(q *msgQueue, sr, rr *host.RingSegment) {
+// ringDrainer is the owner-side half of grant g on object o: parked on the
+// doorbell, it serves what the client does through the grant (ingesting a
+// queue's pushes, re-evaluating a set's waiters against the shared value)
+// until the grant dies — revocation, a reclaim elsewhere (migration,
+// removal, detach), or helper shutdown. It then releases the segment IDs
+// from the kernel registry.
+func (h *Helper) ringDrainer(o sysvObject, g ringGrant) {
+	hd := o.header()
 	ch := make(chan struct{}, 1)
-	sr.Doorbell.Register(ch)
-	defer sr.Doorbell.Unregister(ch)
-loop:
+	g.bell.Register(ch)
+	defer g.bell.Unregister(ch)
 	for {
-		q.mu.Lock()
-		if q.sendRing != sr {
-			q.mu.Unlock()
+		hd.mu.Lock()
+		live := o.serveGrantLocked(g.seg)
+		hd.mu.Unlock()
+		if !live {
 			break
 		}
-		if sr.Revoked() {
-			q.collapseRingsLocked()
-			q.mu.Unlock()
-			break
-		}
-		q.ingestRingLocked()
-		q.drainWaitersLocked()
-		q.mu.Unlock()
 		select {
 		case <-ch:
+			continue
 		case <-h.shutdownCh:
-			// Shutdown closes shutdownCh before waiting on h.bg, and
-			// persistQueue serializes afterward — collapsing here makes
-			// the persisted blob complete.
-			q.mu.Lock()
-			if q.sendRing == sr {
-				q.collapseRingsLocked()
-			}
-			q.mu.Unlock()
-			break loop
 		}
+		// Shutdown closes shutdownCh before waiting on h.bg, and
+		// persistQueue snapshots afterward — reclaiming here makes the
+		// persisted blob complete.
+		hd.mu.Lock()
+		if o.grantIDLocked() == g.seg {
+			o.reclaimGrantLocked()
+		}
+		hd.mu.Unlock()
+		break
 	}
-	h.traceRing(3, sr.ID)
-	h.pal.RingRelease(sr.ID)
-	if rr != nil {
-		h.pal.RingRelease(rr.ID)
-	}
+	h.traceRing(3, g.seg)
+	h.releaseGrant(g)
 }
 
-// semSegDrainer is the owner-side waker for a semaphore segment: each
-// client post rings the doorbell and parked RPC waiters re-evaluate
-// against the shared value. Exits (sealing the value back) on
-// revocation, reclaim elsewhere, or shutdown.
-func (h *Helper) semSegDrainer(s *semSet, seg *host.SemSeg) {
-	ch := make(chan struct{}, 1)
-	seg.Doorbell.Register(ch)
-	defer seg.Doorbell.Unregister(ch)
-loop:
-	for {
-		s.mu.Lock()
-		if s.seg != seg {
-			s.mu.Unlock()
-			break
-		}
-		if seg.Revoked() {
-			s.reclaimSegLocked()
-			s.mu.Unlock()
-			break
-		}
-		s.wakeWaitersLocked()
-		s.mu.Unlock()
-		select {
-		case <-ch:
-		case <-h.shutdownCh:
-			s.mu.Lock()
-			if s.seg == seg {
-				s.reclaimSegLocked()
-			}
-			s.mu.Unlock()
-			break loop
-		}
+func (h *Helper) releaseGrant(g ringGrant) {
+	h.pal.RingRelease(g.seg)
+	if g.recv != 0 {
+		h.pal.RingRelease(g.recv)
 	}
-	h.traceRing(3, seg.ID)
-	h.pal.RingRelease(seg.ID)
 }

@@ -19,20 +19,20 @@ import (
 
 // qAttached reports the client's live attachment for queue id (nil if
 // none), and whether it includes a receive ring.
-func qAttached(h *Helper, id int64) (rc *qRingClient, hasRecv bool) {
+func qAttached(h *Helper, id int64) (rc *ringClient, hasRecv bool) {
 	h.ringState.mu.Lock()
 	defer h.ringState.mu.Unlock()
-	rc = h.ringState.q[id]
+	rc = h.ringState.clients[sysvRef{NSSysVMsg, id}]
 	if rc == nil {
 		return nil, false
 	}
 	return rc, rc.recv != nil
 }
 
-func semAttached(h *Helper, id int64) *semRingClient {
+func semAttached(h *Helper, id int64) *ringClient {
 	h.ringState.mu.Lock()
 	defer h.ringState.mu.Unlock()
-	return h.ringState.sem[id]
+	return h.ringState.clients[sysvRef{NSSysVSem, id}]
 }
 
 // driveQAttach sends threshold remote messages and waits for the send-ring

@@ -3,10 +3,10 @@ package ipc
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"graphene/internal/api"
 	"graphene/internal/host"
+	"graphene/internal/pal"
 	"graphene/internal/posix"
 )
 
@@ -36,58 +36,24 @@ type recvWaiter struct {
 // owner stores the messages; remote senders and receivers go through RPC
 // to the owner (§4.2).
 type msgQueue struct {
-	mu  sync.Mutex
-	id  int64
-	key int64
+	sysvHeader
 
 	msgs    []msgMessage
 	waiters []*recvWaiter
-	removed bool
-	// migrating is set while a transfer to a new owner is in flight:
-	// operations fail with EXDEV and retry, but the forwarding tombstone
-	// (movedTo) is only set once the new owner actually has the state.
-	migrating bool
-	movedTo   string // non-empty after migration (forwarding tombstone)
-	// epoch is the migration epoch under which this copy was received
-	// (see ownerEntry); bumped by one for every ownership transfer.
-	epoch int64
-
-	// accessors are helper addresses that have touched the queue, for
-	// deletion notifications. Allocated lazily (via noteAccessor) on the
-	// first remote access: purely local queues never need it, and the
-	// create fast path stays allocation-light.
-	accessors map[string]struct{}
-
-	// remoteRecvs counts remote receives per address and localRecvs counts
-	// the owner's own receives; a remote consumer crossing migrateThreshold
-	// while out-receiving the owner triggers consumer migration.
-	remoteRecvs map[string]int
-	localRecvs  int
 
 	// Kernel-bypass datapath (ring.go). sendRing carries client→owner
 	// messages; recvRing (granted only while the backlog is empty and no
 	// waiters are parked) carries owner→client deliveries for mtype==0
-	// receivers. ringFrom is the attached client's helper address. Both
-	// rings are strictly an optimization: collapseRingsLocked folds them
-	// back into q.msgs at any disruption (migration, removal, detach,
-	// shutdown, competing consumer).
+	// receivers. Both rings are strictly an optimization:
+	// reclaimGrantLocked folds them back into q.msgs at any disruption
+	// (migration, removal, detach, shutdown, competing consumer).
 	sendRing *host.RingSegment
 	recvRing *host.RingSegment
-	ringFrom string
 	ringBuf  []byte // drain scratch, one slot's worth
 }
 
 func newMsgQueue(id, key int64) *msgQueue {
-	return &msgQueue{id: id, key: key}
-}
-
-// noteAccessor records a remote toucher for deletion notifications.
-// Caller holds q.mu.
-func (q *msgQueue) noteAccessor(addr string) {
-	if q.accessors == nil {
-		q.accessors = make(map[string]struct{})
-	}
-	q.accessors[addr] = struct{}{}
+	return &msgQueue{sysvHeader: sysvHeader{sysvRef: sysvRef{NSSysVMsg, id}, key: key}}
 }
 
 // send appends a message and satisfies a compatible waiter. Ring-attached
@@ -124,8 +90,8 @@ func (q *msgQueue) ringBufLocked() []byte {
 // ingestRingLocked moves every message the ring client has published into
 // the owner's order: straight into the receive ring while one is attached
 // and eligible, otherwise into q.msgs. Popping under q.mu is what keeps a
-// racing migration from losing messages — the collapse in migrateQueue
-// runs under the same lock. Caller holds q.mu.
+// racing migration from losing messages — the handoff's snapshot runs
+// under the same lock. Caller holds q.mu.
 func (q *msgQueue) ingestRingLocked() {
 	sr := q.sendRing
 	if sr == nil {
@@ -191,20 +157,61 @@ func (q *msgQueue) reclaimRecvRingLocked() {
 	q.recvRing = nil
 }
 
-// collapseRingsLocked folds both rings back into q.msgs and revokes them
-// — the full detach used by migration, removal, explicit detach, and
+// reclaimGrantLocked collapses both rings back into q.msgs and revokes
+// them — the full detach used by migration, removal, explicit detach, and
 // shutdown. After it returns the queue is ring-free and q.msgs is the
 // complete FIFO state. Caller holds q.mu.
-func (q *msgQueue) collapseRingsLocked() {
+func (q *msgQueue) reclaimGrantLocked() {
 	q.reclaimRecvRingLocked()
 	if sr := q.sendRing; sr != nil {
 		sr.Revoke()
 		sr.Seal()
 		q.ingestRingLocked() // recvRing is nil now; drains into q.msgs
 		q.sendRing = nil
-		q.ringFrom = ""
 	}
 	q.drainWaitersLocked()
+}
+
+func (q *msgQueue) grantIDLocked() int {
+	if q.sendRing == nil {
+		return 0
+	}
+	return q.sendRing.ID
+}
+
+// grantLocked grants a send ring, plus a receive ring when the queue is
+// empty and waiter-free, so ring deliveries can never overtake queued
+// backlog. One bypass client at a time.
+func (q *msgQueue) grantLocked(p *pal.PAL, pid int) (ringGrant, api.Errno) {
+	if q.sendRing != nil {
+		return ringGrant{}, api.EAGAIN
+	}
+	sr, err := p.RingCreateMsg(pid)
+	if err != nil {
+		return ringGrant{}, api.EAGAIN
+	}
+	q.sendRing = sr
+	g := ringGrant{seg: sr.ID, bell: sr.Doorbell}
+	if len(q.msgs) == 0 && len(q.waiters) == 0 {
+		if rr, err := p.RingCreateMsg(pid); err == nil {
+			q.recvRing, g.recv = rr, rr.ID
+		}
+	}
+	return g, 0
+}
+
+// serveGrantLocked ingests the client's pushes, waking parked waiters.
+func (q *msgQueue) serveGrantLocked(id int) bool {
+	if q.grantIDLocked() != id {
+		return false
+	}
+	if q.sendRing.Revoked() {
+		q.reclaimGrantLocked()
+		return false
+	}
+	q.ingestRingLocked()
+	q.drainWaitersLocked()
+	return true
 }
 
 // drainWaitersLocked hands queued messages to compatible waiters in order.
@@ -282,10 +289,10 @@ func (q *msgQueue) cancelRecv(w *recvWaiter) bool {
 	return false
 }
 
-// cancelRecvRemote answers a MsgQRecvCancel: the matching parked remote
+// cancelRemote answers a MsgQRecvCancel: the matching parked remote
 // waiter (if still parked) is removed and its deferred MsgQRecv call is
 // answered with EINTR.
-func (q *msgQueue) cancelRecvRemote(from string, cookie int64) {
+func (q *msgQueue) cancelRemote(from string, cookie int64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for i, w := range q.waiters {
@@ -297,36 +304,39 @@ func (q *msgQueue) cancelRecvRemote(from string, cookie int64) {
 	}
 }
 
-// remove marks the queue deleted, failing queued waiters with EIDRM and
-// returning the accessor set for deletion notification.
-func (q *msgQueue) remove() []string {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	// Revoke the bypass rings first: ring-side messages still satisfy
-	// parked waiters (they linearize before the removal), then the rest
-	// fail with EIDRM. The client observes the revocation and re-routes
-	// to RPC, where it learns the queue is gone.
-	q.collapseRingsLocked()
-	q.removed = true
-	for _, w := range q.waiters {
-		w.deliver(0, nil, api.EIDRM)
-	}
-	q.waiters = nil
+// removeLocked collapses the bypass rings first: ring-side messages still
+// satisfy parked waiters (they linearize before the removal), then the
+// rest fail with EIDRM. The client observes the revocation and re-routes
+// to RPC, where it learns the queue is gone.
+func (q *msgQueue) removeLocked() {
+	q.reclaimGrantLocked()
+	q.failWaitersLocked(api.EIDRM)
 	q.msgs = nil
-	out := make([]string, 0, len(q.accessors))
-	for a := range q.accessors {
-		out = append(out, a)
-	}
-	return out
 }
 
-// serialize encodes the queue's messages for migration or persistence.
-// The bypass rings are collapsed first so the blob is the complete state.
-func (q *msgQueue) serialize() []byte {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.collapseRingsLocked()
-	return encodeMessages(q.key, q.msgs)
+func (q *msgQueue) failWaitersLocked(errno api.Errno) {
+	for _, w := range q.waiters {
+		w.deliver(0, nil, errno)
+	}
+	q.waiters = nil
+}
+
+// snapshotLocked encodes the messages once the rings collapse, so the
+// blob is the complete FIFO state.
+func (q *msgQueue) snapshotLocked() []byte {
+	q.reclaimGrantLocked()
+	q.failWaitersLocked(api.EXDEV)
+	blob := encodeMessages(q.key, q.msgs)
+	q.msgs = nil
+	return blob
+}
+
+// mergeLocked appends the incoming messages after the queue's own; the
+// rings collapse first so the merged order is well-defined.
+func (q *msgQueue) mergeLocked(in sysvObject) {
+	q.reclaimGrantLocked()
+	q.msgs = append(q.msgs, in.(*msgQueue).msgs...)
+	q.drainWaitersLocked()
 }
 
 func encodeMessages(key int64, msgs []msgMessage) []byte {
@@ -376,41 +386,20 @@ type semWaiter struct {
 
 // semSet is the owner-side state of a System V semaphore set.
 type semSet struct {
-	mu  sync.Mutex
-	id  int64
-	key int64
+	sysvHeader
 
 	vals    []int
 	waiters []*semWaiter
-	removed bool
-	// migrating / movedTo: see msgQueue.
-	migrating bool
-	movedTo   string
-	epoch     int64
-
-	accessors  map[string]struct{}
-	remoteAcqs map[string]int
-	localAcqs  int
 
 	// seg is the kernel-bypass shared value (ring.go), granted only for
 	// single-semaphore sets. While attached it is the authoritative value
 	// of semaphore 0: owner-side ops route through it too, and
-	// reclaimSegLocked seals the final value back into vals[0].
-	seg     *host.SemSeg
-	segFrom string // attached client's helper address
+	// reclaimGrantLocked seals the final value back into vals[0].
+	seg *host.SemSeg
 }
 
 func newSemSet(id, key int64, nsems int) *semSet {
-	return &semSet{id: id, key: key, vals: make([]int, nsems)}
-}
-
-// noteAccessor records a remote toucher for deletion notifications.
-// Caller holds s.mu.
-func (s *semSet) noteAccessor(addr string) {
-	if s.accessors == nil {
-		s.accessors = make(map[string]struct{})
-	}
-	s.accessors[addr] = struct{}{}
+	return &semSet{sysvHeader: sysvHeader{sysvRef: sysvRef{NSSysVSem, id}, key: key}, vals: make([]int, nsems)}
 }
 
 // applyLocked attempts the op list atomically; returns false if blocked.
@@ -429,7 +418,6 @@ func (s *semSet) applyLocked(ops []api.SemBuf) (bool, api.Errno) {
 				s.vals[0] = int(v)
 			}
 			s.seg = nil
-			s.segFrom = ""
 		case errno != 0:
 			return false, errno
 		default:
@@ -491,8 +479,8 @@ func (s *semSet) cancelSem(w *semWaiter) bool {
 	return false
 }
 
-// cancelSemRemote answers a MsgSemOpCancel; see cancelRecvRemote.
-func (s *semSet) cancelSemRemote(from string, cookie int64) {
+// cancelRemote answers a MsgSemOpCancel; see msgQueue.cancelRemote.
+func (s *semSet) cancelRemote(from string, cookie int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, w := range s.waiters {
@@ -504,12 +492,12 @@ func (s *semSet) cancelSemRemote(from string, cookie int64) {
 	}
 }
 
-// reclaimSegLocked revokes the bypass segment, seals its final value back
-// into vals[0], and retries parked waiters against it. Idempotent; caller
-// holds s.mu. (Not called from within applyLocked — the waiter-iteration
-// loops there fold the segment back inline instead, to avoid re-entrant
-// mutation of s.waiters.)
-func (s *semSet) reclaimSegLocked() {
+// reclaimGrantLocked revokes the bypass segment, seals its final value
+// back into vals[0], and retries parked waiters against it. Idempotent;
+// caller holds s.mu. (Not called from within applyLocked — the
+// waiter-iteration loops there fold the segment back inline instead, to
+// avoid re-entrant mutation of s.waiters.)
+func (s *semSet) reclaimGrantLocked() {
 	seg := s.seg
 	if seg == nil {
 		return
@@ -519,8 +507,42 @@ func (s *semSet) reclaimSegLocked() {
 		s.vals[0] = int(v)
 	}
 	s.seg = nil
-	s.segFrom = ""
 	s.wakeWaitersLocked()
+}
+
+func (s *semSet) grantIDLocked() int {
+	if s.seg == nil {
+		return 0
+	}
+	return s.seg.ID
+}
+
+// grantLocked grants a one-semaphore value segment; multi-semaphore sets
+// are RPC-only, and one bypass client at a time.
+func (s *semSet) grantLocked(p *pal.PAL, pid int) (ringGrant, api.Errno) {
+	if len(s.vals) != 1 || s.seg != nil {
+		return ringGrant{}, api.EAGAIN
+	}
+	seg, err := p.RingCreateSem(pid, int64(s.vals[0]))
+	if err != nil {
+		return ringGrant{}, api.EAGAIN
+	}
+	s.seg = seg
+	return ringGrant{seg: seg.ID, bell: seg.Doorbell}, 0
+}
+
+// serveGrantLocked re-evaluates parked waiters against the shared value
+// after a client post.
+func (s *semSet) serveGrantLocked(id int) bool {
+	if s.grantIDLocked() != id {
+		return false
+	}
+	if s.seg.Revoked() {
+		s.reclaimGrantLocked()
+		return false
+	}
+	s.wakeWaitersLocked()
+	return true
 }
 
 // wakeWaitersLocked retries parked operations after a value change.
@@ -548,39 +570,48 @@ func (s *semSet) wakeWaitersLocked() {
 	}
 }
 
-// remove marks the set deleted; parked waiters fail with EIDRM.
-func (s *semSet) remove() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Revoke the bypass segment so the client's CAS fast path fails and
-	// re-routes to RPC, where it observes EIDRM. Seal (not reclaim): the
-	// values are being destroyed, waking waiters against them first would
-	// just race the removal.
+// removeLocked revokes the bypass segment so the client's CAS fast path
+// fails and re-routes to RPC, where it observes EIDRM. Seal (not reclaim):
+// the values are being destroyed, waking waiters against them first would
+// just race the removal.
+func (s *semSet) removeLocked() {
 	if seg := s.seg; seg != nil {
 		seg.Revoke()
 		seg.Seal()
 		s.seg = nil
-		s.segFrom = ""
 	}
-	s.removed = true
-	for _, w := range s.waiters {
-		w.deliver(api.EIDRM)
-	}
-	s.waiters = nil
-	out := make([]string, 0, len(s.accessors))
-	for a := range s.accessors {
-		out = append(out, a)
-	}
-	return out
+	s.failWaitersLocked(api.EIDRM)
 }
 
-// serialize encodes values for migration. A live bypass segment is
-// reclaimed first so vals reflects every client CAS.
-func (s *semSet) serialize() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reclaimSegLocked()
-	return encodeSemState(s.key, s.vals)
+func (s *semSet) failWaitersLocked(errno api.Errno) {
+	for _, w := range s.waiters {
+		w.deliver(errno)
+	}
+	s.waiters = nil
+}
+
+// snapshotLocked encodes the values once the segment is reclaimed, so vals
+// reflects every client CAS; waiters the sealed value satisfies complete
+// here, the rest bounce. The set is left at zero.
+func (s *semSet) snapshotLocked() []byte {
+	s.reclaimGrantLocked()
+	s.failWaitersLocked(api.EXDEV)
+	blob := encodeSemState(s.key, s.vals)
+	clear(s.vals)
+	return blob
+}
+
+// mergeLocked adds the incoming values to the set's own: permits the
+// incoming copy carries become available here. A bypass segment holds the
+// authoritative value of sem 0, so it is sealed back first.
+func (s *semSet) mergeLocked(in sysvObject) {
+	s.reclaimGrantLocked()
+	for i, v := range in.(*semSet).vals {
+		if i < len(s.vals) {
+			s.vals[i] += v
+		}
+	}
+	s.wakeWaitersLocked()
 }
 
 // encodeSemState encodes a semaphore set without taking its lock (for
