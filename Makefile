@@ -9,7 +9,7 @@ PKGS := ./...
 # `make race` and CI's race step run exactly this list.
 HOT_PKGS := ./internal/host/... ./internal/ipc/... ./internal/liblinux/... ./internal/posix/... ./internal/baseline/native/...
 
-.PHONY: build test race vet shape bench bench-fig5 benchmark benchmark-smoke chaos chaos-shard chaos-ring chaos-fleet flake cover fuzz loc all
+.PHONY: build test race vet shape bench bench-smoke bench-fig5 benchmark benchmark-smoke chaos chaos-shard chaos-ring chaos-fleet flake cover fuzz loc all
 
 all: build vet test
 
@@ -137,6 +137,13 @@ fuzz:
 # child-restore / image-map / helper-join / wait-ready / exit, in µs).
 bench:
 	$(GO) test -run XXX -bench . -benchmem $(HOT_PKGS)
+
+# One iteration of each fork-cost benchmark: the per-stage split of a
+# fork+exit+wait (16 KiB and 8 MiB), ForkCOW, and a bulk-IPC commit + map
+# of an 8 MiB heap. No timing gate; it keeps the benchmarks and the
+# per-stage observer compiling and running.
+bench-smoke:
+	$(GO) test -run XXX -bench 'BenchmarkForkExitWait|BenchmarkForkCOW|BenchmarkCommitMap' -benchtime 1x ./internal/host/ ./internal/liblinux/
 
 # The paper's Figure 5 RPC ping-pong and related end-to-end benchmarks.
 bench-fig5:

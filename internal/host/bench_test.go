@@ -112,31 +112,8 @@ func BenchmarkFSWriteRead(b *testing.B) {
 	}
 }
 
-// The three page-table paths a fork pays for: installing a bulk-IPC batch
-// into a fresh mapping, making the libOS image resident, and committing and
-// mapping a touched heap.
-
-func BenchmarkInstallPages(b *testing.B) {
-	b.ReportAllocs()
-	const n = 2048
-	const base = uint64(0x4000_0000)
-	idxs, pages := make([]uint64, n), make([]*Page, n)
-	for i := range idxs {
-		idxs[i] = base>>PageShift + uint64(i)
-		pages[i] = NewPage()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		as := NewAddressSpace()
-		if _, err := as.Alloc(base, n*PageSize, api.ProtRead|api.ProtWrite); err != nil {
-			b.Fatal(err)
-		}
-		if got := as.InstallPages(idxs, pages); got != n {
-			b.Fatalf("installed %d of %d", got, n)
-		}
-		as.Release()
-	}
-}
+// The page-table paths a fork pays for: making the libOS image resident,
+// and committing and mapping a touched heap.
 
 func BenchmarkTouchRangeImage(b *testing.B) {
 	b.ReportAllocs()
@@ -183,36 +160,92 @@ func BenchmarkCommitMap(b *testing.B) {
 }
 
 // TestPageTableHotPathsDoNotAllocate gates the steady state: once a leaf
-// exists, installing into it and dirtying its pages is index arithmetic.
+// exists and is private, mapping a batch into it and dirtying its pages is
+// index arithmetic.
 func TestPageTableHotPathsDoNotAllocate(t *testing.T) {
 	const n = 1024
 	const base = uint64(0x4000_0000)
-	as := NewAddressSpace()
-	if _, err := as.Alloc(base, n*PageSize, api.ProtRead|api.ProtWrite); err != nil {
+	sender := NewAddressSpace()
+	if _, err := sender.Alloc(base, n*PageSize, api.ProtRead|api.ProtWrite); err != nil {
 		t.Fatal(err)
 	}
-	idxs, pages := make([]uint64, n), make([]*Page, n)
-	for i := range idxs {
-		idxs[i] = base>>PageShift + uint64(i)
-		pages[i] = NewPage()
-		pages[i].write(0, []byte{1})
+	for i := uint64(0); i < n; i++ {
+		if err := sender.Write(base+i*PageSize, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	as.InstallPages(idxs, pages) // leaves now present
-	for _, pg := range pages {
-		pg.Unref() // the table holds the only reference: writes do not COW
+	// The receiver sits one page up: every batch is copied into its leaves
+	// rather than adopted, and the first map makes them.
+	as := NewAddressSpace()
+	if _, err := as.Alloc(base, (n+1)*PageSize, api.ProtRead|api.ProtWrite); err != nil {
+		t.Fatal(err)
 	}
-	if got := testing.AllocsPerRun(20, func() { as.InstallPages(idxs, pages) }); got != 0 {
-		t.Errorf("InstallPages into present leaves: %v allocs, want 0", got)
+	st := newIPCStore(1)
+	defer st.Close()
+	for i := 0; i < 22; i++ { // AllocsPerRun maps one more than it counts
+		if _, err := st.Commit(sender, base, base+n*PageSize); err != nil {
+			t.Fatal(err)
+		}
 	}
-	as.ResetDirty()
+	if _, err := st.Map(as, base+PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() { _, _ = st.Map(as, base+PageSize) }); got != 0 {
+		t.Errorf("mapping a batch into present leaves: %v allocs, want 0", got)
+	}
+	if got := as.DirtyPageCount(); got != n {
+		t.Errorf("receiver dirty count %d, want %d", got, n)
+	}
+	as.Release() // the sender's pages are its own again: writes do not COW
+	sender.ResetDirty()
 	if got := testing.AllocsPerRun(20, func() {
 		for i := uint64(0); i < n; i++ {
-			_ = as.Write(base+i*PageSize, []byte{2})
+			_ = sender.Write(base+i*PageSize, []byte{2})
 		}
 	}); got != 0 {
 		t.Errorf("Write marking %d resident pages dirty: %v allocs, want 0", n, got)
 	}
-	if got := as.DirtyPageCount(); got != n {
+	if got := sender.DirtyPageCount(); got != n {
 		t.Errorf("dirty count %d, want %d", got, n)
+	}
+}
+
+// TestLeafSharingCostsPerLeaf gates the leaf path: a fork, and a bulk-IPC
+// commit and map, of a fully resident 8 MiB region allocate no more than
+// the same calls on 16 KiB plus a constant per leaf. A per-page path would
+// add thousands.
+func TestLeafSharingCostsPerLeaf(t *testing.T) {
+	const base = uint64(0x4000_0000) // leaf-aligned
+	cost := func(size uint64) float64 {
+		parent := NewAddressSpace()
+		defer parent.Release()
+		if _, err := parent.Alloc(base, size, api.ProtRead|api.ProtWrite); err != nil {
+			t.Fatal(err)
+		}
+		if err := parent.TouchRange(base, size); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			child := NewAddressSpace()
+			parent.ForkCOWInto(child)
+			child.Release()
+			st := newIPCStore(1)
+			if _, err := st.Commit(parent, base, base+size); err != nil {
+				t.Fatal(err)
+			}
+			recv := NewAddressSpace()
+			if _, err := recv.Alloc(base, size, api.ProtRead|api.ProtWrite); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := st.Map(recv, base); err != nil || n != int(size/PageSize) {
+				t.Fatalf("mapped %d pages, %v", n, err)
+			}
+			recv.Release()
+		})
+	}
+	const perLeaf = 4
+	leaves := float64((8 << 20) / (leafPages * PageSize))
+	if small, large := cost(16<<10), cost(8<<20); large > small+perLeaf*leaves {
+		t.Fatalf("fork + commit + map of 8 MiB: %v allocs, of 16 KiB %v: more than %v per extra leaf", large, small, perLeaf)
 	}
 }

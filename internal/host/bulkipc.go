@@ -11,8 +11,9 @@ import (
 // out-of-band queue of copy-on-write page batches. The sender commits a
 // series of (not necessarily contiguous) pages; the receiver maps them into
 // its own address space at addresses of its choosing. Pages are shared COW
-// in both sender and receiver. Control information (how many pages, where
-// they belong) travels separately on a byte stream, as in the paper.
+// in both sender and receiver, a page-table leaf at a time. Control
+// information (how many pages, where they belong) travels separately on a
+// byte stream, as in the paper.
 type IPCStore struct {
 	ID int
 	// CreatorPID is the host PID that created the store; the reference
@@ -30,35 +31,32 @@ type IPCStore struct {
 }
 
 type pageBatch struct {
-	// idxs are the sender-side page indices (sender VA >> PageShift); the
-	// receiver remaps them relative to its own target address.
-	idxs  []uint64
-	pages []*Page
-	base  uint64 // sender-side region start, for offset-preserving mapping
+	// leaves hold the pages at their sender-side indices (sender VA >>
+	// PageShift); the receiver remaps them relative to its own target
+	// address.
+	leaves []batchLeaf
+	base   uint64 // sender-side page index of the region start
 }
 
 func newIPCStore(id int) *IPCStore {
 	return &IPCStore{ID: id, avail: NewEvent(true)}
 }
 
-// Commit captures the resident pages of as within [start, end) into the
-// store as one batch, marking them shared (COW). Returns the page count.
+// Commit captures the resident pages of as within [start, end) — every
+// page the range touches — into the store as one batch, sharing their
+// leaves copy-on-write. Returns the page count.
 func (st *IPCStore) Commit(as *AddressSpace, start, end uint64) (int, error) {
-	idxs, pages := as.TouchedPages(start, end)
-	for _, pg := range pages {
-		pg.Ref() // store's reference; dropped on Map
-	}
+	lo := start >> PageShift
+	leaves, n := as.shareLeaves(lo, pageAlignUp(end)>>PageShift) // the store's references; Map hands them on
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
-		for _, pg := range pages {
-			pg.Unref()
-		}
+		releaseLeaves(leaves)
 		return 0, api.EBADF
 	}
-	st.batches = append(st.batches, pageBatch{idxs: idxs, pages: pages, base: pageAlignDown(start)})
+	st.batches = append(st.batches, pageBatch{leaves: leaves, base: lo})
 	st.avail.Set()
-	return len(pages), nil
+	return n, nil
 }
 
 // Map pops the oldest batch and installs its pages into as at target (the
@@ -86,11 +84,7 @@ func (st *IPCStore) Map(as *AddressSpace, target uint64) (int, error) {
 	// Install the whole batch under one address-space lock acquisition,
 	// each sender index moved by the distance from the sender's region base
 	// to the receiver's target base.
-	installed := as.installPages(b.idxs, b.pages, pageAlignDown(target)>>PageShift-b.base>>PageShift)
-	for _, pg := range b.pages {
-		pg.Unref() // drop the store's reference (InstallPages took its own)
-	}
-	return installed, nil
+	return as.mapLeaves(b.leaves, target>>PageShift-b.base), nil
 }
 
 // MapNext blocks until a batch is available (or the store is closed), then
@@ -145,9 +139,7 @@ func (st *IPCStore) Close() {
 	}
 	st.closed = true
 	for _, b := range st.batches {
-		for _, pg := range b.pages {
-			pg.Unref()
-		}
+		releaseLeaves(b.leaves)
 	}
 	st.batches = nil
 	// Wake any MapNext waiter so it observes the closed store.

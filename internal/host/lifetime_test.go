@@ -271,8 +271,8 @@ func TestIPCStoreCloseLeavesRegistry(t *testing.T) {
 		if n, err := st.Map(child.AS, 0x10000); err != nil || n != 3 {
 			t.Fatalf("map %d: %d pages, %v", i, n, err)
 		}
-		if backing[i].pages != nil {
-			t.Fatalf("batch %d mapped, yet the queue's backing array still holds its pages", i)
+		if backing[i].leaves != nil {
+			t.Fatalf("batch %d mapped, yet the queue's backing array still holds its leaves", i)
 		}
 	}
 	if got := k.Census().Stores; got != 1 {
@@ -303,14 +303,21 @@ func TestFlightRecorderAllocatesOnFirstEvent(t *testing.T) {
 	}
 	ev := TraceEvent{Kind: EvSyscall, Code: uint32(SysGetpid)}
 	p.TraceRecord(ev)
-	want := DefaultTraceRing * int(unsafe.Sizeof(TraceEvent{}))
+	want := traceRingFirst * int(unsafe.Sizeof(TraceEvent{}))
 	if r.ringBytes() != want || k.Census().RecorderBytes != want {
 		t.Fatalf("after one event: %d ring bytes, census %d, want %d", r.ringBytes(), k.Census().RecorderBytes, want)
 	}
-	if n := testing.AllocsPerRun(1000, func() { p.TraceRecord(ev) }); n != 0 {
-		t.Fatalf("Record after the first event allocated %v times, want 0", n)
+	for i := 1; i < DefaultTraceRing; i++ {
+		p.TraceRecord(ev)
 	}
-	if evs := r.Events(); len(evs) != 1002 || evs[0].Seq != 1 {
+	want = DefaultTraceRing * int(unsafe.Sizeof(TraceEvent{}))
+	if r.ringBytes() != want {
+		t.Fatalf("after %d events: %d ring bytes, want %d", DefaultTraceRing, r.ringBytes(), want)
+	}
+	if n := testing.AllocsPerRun(1000, func() { p.TraceRecord(ev) }); n != 0 {
+		t.Fatalf("Record into a full-size ring allocated %v times, want 0", n)
+	}
+	if evs := r.Events(); len(evs) != DefaultTraceRing || evs[0].Seq != 1002 {
 		t.Fatalf("recorded %d events starting at seq %d", len(evs), evs[0].Seq)
 	}
 }

@@ -108,33 +108,141 @@ const (
 	maxPageIdx = 1 << (64 - PageShift)
 )
 
-// ptLeaf is one page-table leaf: the backing pages of a 2 MiB window, the
-// bitmap of slots written since the last ResetDirty, and the number of
-// occupied slots. A dirty bit is only ever set on an occupied slot.
-type ptLeaf struct {
-	pages [leafPages]*Page
-	dirty [leafPages / 64]uint64
-	live  int
+// slotMask is a bitmap over the slots of one leaf.
+type slotMask [leafPages / 64]uint64
+
+func (m *slotMask) set(slot int) { m[slot>>6] |= 1 << (slot & 63) }
+
+func (m *slotMask) or(o slotMask) {
+	for w := range m {
+		m[w] |= o[w]
+	}
 }
 
-func (l *ptLeaf) markDirty(slot int) { l.dirty[slot>>6] |= 1 << (slot & 63) }
-
-func (l *ptLeaf) dirtyCount() int {
+func (m *slotMask) count() int {
 	n := 0
-	for _, w := range l.dirty {
+	for _, w := range m {
 		n += bits.OnesCount64(w)
 	}
 	return n
 }
 
-// unrefSlots drops the page table's reference on every page in slots
-// [from, to) of l (a leaves / walkLocked visitor).
-func unrefSlots(l *ptLeaf, _ uint64, from, to int) {
-	for _, pg := range l.pages[from:to] {
-		if pg != nil {
-			pg.Unref()
+// within returns the bits of m in slots [from, to).
+func (m *slotMask) within(from, to int) slotMask {
+	var r slotMask
+	for w := from >> 6; w<<6 < to; w++ {
+		lo, word := w<<6, m[w]
+		if from > lo {
+			word &^= 1<<(from-lo) - 1
+		}
+		if to < lo+64 {
+			word &= 1<<(to-lo) - 1
+		}
+		r[w] = word
+	}
+	return r
+}
+
+// span returns the smallest slot range [from, to) holding every set bit
+// of a non-empty m.
+func (m *slotMask) span() (from, to int) {
+	first, last := -1, 0
+	for w, word := range m {
+		if word == 0 {
+			continue
+		}
+		if first < 0 {
+			first = w<<6 | bits.TrailingZeros64(word)
+		}
+		last = w<<6 | (63 - bits.LeadingZeros64(word))
+	}
+	return first, last + 1
+}
+
+// leafSlots is the 512 page slots of one leaf, the unit of copy-on-write
+// sharing. A fork or a bulk-IPC commit shares a whole leaf by taking one
+// reference on its slots, not one per page; a page holds one reference per
+// block of slots it sits in, however many page tables share that block.
+// While a block has more than one reference (page tables, queued bulk-IPC
+// batches) it is immutable: the first write, install, Free or Protect cut
+// into it gives the page table its own copy of the slot pointers. Which
+// slots are occupied is not kept here but by each holder, which knows it
+// anyway (ptLeaf.occ, batchLeaf.occ).
+type leafSlots struct {
+	refs  atomic.Int32
+	pages [leafPages]*Page
+}
+
+func newSlots() *leafSlots {
+	s := new(leafSlots)
+	s.refs.Store(1)
+	return s
+}
+
+// unref drops one reference, made by a holder whose occupied slots are
+// occ; the last drops the block's page references.
+func (s *leafSlots) unref(occ slotMask) {
+	if s.refs.Add(-1) != 0 {
+		return
+	}
+	for w, word := range occ {
+		for ; word != 0; word &= word - 1 {
+			s.pages[w<<6|bits.TrailingZeros64(word)].Unref()
 		}
 	}
+}
+
+// share copies the page pointers at the slots of src set in from into s,
+// moved by shift slots, taking a reference on each page and dropping the
+// one on any page it replaces. It returns the slots of s it filled. It is
+// the table's one copy routine: the copy a write makes of a shared leaf, a
+// cut through a leaf, a partial-leaf commit and a misaligned or merging
+// map all go through it.
+func (s *leafSlots) share(src *leafSlots, from slotMask, shift int) (filled slotMask) {
+	for w, word := range from {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			pg := src.pages[i]
+			pg.Ref()
+			if old := s.pages[i+shift]; old != nil {
+				old.Unref()
+			}
+			s.pages[i+shift] = pg
+			filled.set(i + shift)
+		}
+	}
+	return filled
+}
+
+// ptLeaf is one address space's view of a leaf: its slots, which it may
+// share, and what stays per address space — the occupied slots and those
+// written since the last ResetDirty. A dirty slot is always occupied.
+type ptLeaf struct {
+	s          *leafSlots
+	occ, dirty slotMask
+}
+
+// newLeaf returns an empty leaf with private slots, in one allocation.
+func newLeaf() *ptLeaf {
+	b := new(struct {
+		l ptLeaf
+		s leafSlots
+	})
+	b.s.refs.Store(1)
+	b.l.s = &b.s
+	return &b.l
+}
+
+// own returns l's slots for modification, first replacing them with a
+// private copy if they are shared.
+func (l *ptLeaf) own() *leafSlots {
+	if l.s.refs.Load() > 1 {
+		s := newSlots()
+		s.share(l.s, l.occ, 0)
+		l.s.unref(l.occ)
+		l.s = s
+	}
+	return l.s
 }
 
 // VMA is one virtual memory area: a contiguous, page-aligned mapping.
@@ -160,7 +268,7 @@ func (v *VMA) page(idx uint64) *Page {
 	if li >= uint64(len(v.top)) || v.top[li] == nil {
 		return nil
 	}
-	return v.top[li].pages[idx&(leafPages-1)]
+	return v.top[li].s.pages[idx&(leafPages-1)]
 }
 
 // leafRef returns the window entry of absolute leaf index li (which must
@@ -184,7 +292,7 @@ func (v *VMA) leafRef(li uint64) **ptLeaf {
 func (v *VMA) leafFor(idx uint64) (*ptLeaf, int) {
 	ref := v.leafRef(idx >> leafShift)
 	if *ref == nil {
-		*ref = new(ptLeaf)
+		*ref = newLeaf()
 	}
 	return *ref, int(idx & (leafPages - 1))
 }
@@ -217,35 +325,39 @@ func (v *VMA) leaves(lo, hi uint64, fn func(l *ptLeaf, base uint64, from, to int
 	}
 }
 
-// piece carves [start, end) out of v as a new VMA with protection prot,
-// taking over the pages and dirty bits of that range. v is being replaced by
-// disjoint pieces, so a leaf that lies wholly inside one piece moves there;
-// a leaf the cut goes through is copied slot by slot to the side it is on.
+// piece carves [start, end) out of v as a new VMA with protection prot.
+// v is being replaced by disjoint pieces: a leaf whose pages all lie inside
+// the piece moves there and leaves v; a leaf the cut goes through gives the
+// piece a copy of its slots and dirty bits in range. The caller releases
+// what stays in v.
 func (v *VMA) piece(start, end uint64, prot int) *VMA {
 	nv := &VMA{Start: start, End: end, Prot: prot}
 	v.leaves(start>>PageShift, end>>PageShift, func(l *ptLeaf, base uint64, from, to int) {
-		inside := 0
-		for _, pg := range l.pages[from:to] {
-			if pg != nil {
-				inside++
-			}
-		}
-		if inside == 0 {
+		in := l.occ.within(from, to)
+		if in == (slotMask{}) {
 			return
 		}
 		ref := nv.leafRef(base >> leafShift)
-		if inside == l.live {
+		if in == l.occ {
 			*ref = l
+			v.top[base>>leafShift-v.topLo] = nil
 			return
 		}
-		dst := &ptLeaf{live: inside}
-		for s := from; s < to; s++ {
-			dst.pages[s] = l.pages[s]
-			dst.dirty[s>>6] |= l.dirty[s>>6] & (1 << (s & 63))
-		}
+		dst := &ptLeaf{s: newSlots(), occ: in, dirty: l.dirty.within(from, to)}
+		dst.s.share(l.s, in, 0)
 		*ref = dst
 	})
 	return nv
+}
+
+// release drops v's references on the slots of the leaves it still holds.
+func (v *VMA) release() {
+	for _, l := range v.top {
+		if l != nil {
+			l.s.unref(l.occ)
+		}
+	}
+	v.top = nil
 }
 
 // AddressSpace is one picoprocess's virtual address space.
@@ -347,17 +459,16 @@ func (as *AddressSpace) Free(addr uint64, length uint64) error {
 			kept = append(kept, v)
 			continue
 		}
-		// Overlap: release the pages in the freed range, keep the
-		// non-overlapping head and tail.
-		lo, hi := max(v.Start, start), min(v.End, end)
-		v.leaves(lo>>PageShift, hi>>PageShift, unrefSlots)
+		// Overlap: keep the non-overlapping head and tail, release the
+		// rest.
 		if v.Start < start {
 			kept = append(kept, v.piece(v.Start, start, v.Prot))
 		}
 		if v.End > end {
 			kept = append(kept, v.piece(end, v.End, v.Prot))
 		}
-		as.committed -= hi - lo
+		v.release()
+		as.committed -= min(v.End, end) - max(v.Start, start)
 	}
 	as.vmas = kept
 	return nil
@@ -402,6 +513,7 @@ func (as *AddressSpace) Protect(addr uint64, length uint64, prot int) error {
 			if hi < v.End {
 				out = append(out, v.piece(hi, v.End, v.Prot))
 			}
+			v.release()
 		}
 	}
 	as.vmas = out
@@ -429,17 +541,18 @@ func (as *AddressSpace) Write(addr uint64, data []byte) error {
 			n = len(data)
 		}
 		l, slot := v.leafFor(addr >> PageShift)
-		pg := l.pages[slot]
+		s := l.own()
+		pg := s.pages[slot]
 		if pg == nil {
 			pg = NewPage()
-			l.pages[slot] = pg
-			l.live++
+			s.pages[slot] = pg
+			l.occ.set(slot)
 		} else if pg.Shared() {
 			pg = pg.copyForWrite()
-			l.pages[slot] = pg
+			s.pages[slot] = pg
 		}
 		pg.write(off, data[:n])
-		l.markDirty(slot)
+		l.dirty.set(slot)
 		data = data[n:]
 		addr += uint64(n)
 	}
@@ -493,25 +606,25 @@ func (as *AddressSpace) CommittedBytes() uint64 {
 	return as.committed
 }
 
-// ResidentBytes returns the resident set size: bytes of touched pages.
-// Pages shared COW between address spaces are charged fractionally the
-// same way the kernel's RSS counts them fully but KSM-style sharing is
-// what Figure 4 measures — we charge a shared page to every mapper divided
-// by its reference count, matching "incremental cost of a child" in §6.2.
+// ResidentBytes returns the resident set size: bytes of touched pages,
+// with a shared page charged in part. A page is charged
+// PageSize / (page refs × leaf refs): its references count the blocks of
+// slots it sits in, and each block's references count the page tables
+// sharing it. For a page shared only by fork that is PageSize / sharers,
+// and over every sharer the charges sum to one page — the "incremental
+// cost of a child" Figure 4 measures (§6.2).
 func (as *AddressSpace) ResidentBytes() uint64 {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	var total float64
-	as.walkLocked(0, maxPageIdx, func(l *ptLeaf, _ uint64, from, to int) {
-		for _, pg := range l.pages[from:to] {
-			if pg == nil || !pg.Resident() {
-				continue
+	as.walkLocked(0, maxPageIdx, func(l *ptLeaf, _ uint64, _, _ int) {
+		leafRefs := float64(max(l.s.refs.Load(), 1))
+		for w, word := range l.occ {
+			for ; word != 0; word &= word - 1 {
+				if pg := l.s.pages[w<<6|bits.TrailingZeros64(word)]; pg.Resident() {
+					total += float64(PageSize) / (float64(max(pg.refs.Load(), 1)) * leafRefs)
+				}
 			}
-			refs := pg.refs.Load()
-			if refs < 1 {
-				refs = 1
-			}
-			total += float64(PageSize) / float64(refs)
 		}
 	})
 	return uint64(total)
@@ -533,35 +646,30 @@ func (as *AddressSpace) SnapshotRegions() []VMA {
 func (as *AddressSpace) collect(lo, hi uint64, dirtyOnly bool) (idxs []uint64, pages []*Page) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
+	set := func(l *ptLeaf, from, to int) slotMask {
+		if dirtyOnly {
+			return l.dirty.within(from, to)
+		}
+		return l.occ.within(from, to)
+	}
 	// Size both slices once: occupied (or dirty) slots bound the result.
 	n := 0
 	as.walkLocked(lo, hi, func(l *ptLeaf, _ uint64, from, to int) {
-		c := l.live
-		if dirtyOnly {
-			c = l.dirtyCount()
-		}
-		n += min(c, to-from)
+		m := set(l, from, to)
+		n += m.count()
 	})
 	if n == 0 {
 		return nil, nil
 	}
 	idxs, pages = make([]uint64, 0, n), make([]*Page, 0, n)
 	as.walkLocked(lo, hi, func(l *ptLeaf, base uint64, from, to int) {
-		for s := from; s < to; s++ {
-			if dirtyOnly {
-				// Jump to the next set bit of this word, or to the next word.
-				w := l.dirty[s>>6] >> (s & 63)
-				if w == 0 {
-					s |= 63
-					continue
+		for w, word := range set(l, from, to) {
+			for ; word != 0; word &= word - 1 {
+				s := w<<6 | bits.TrailingZeros64(word)
+				if pg := l.s.pages[s]; pg.Resident() {
+					idxs = append(idxs, base+uint64(s))
+					pages = append(pages, pg)
 				}
-				if s += bits.TrailingZeros64(w); s >= to {
-					return
-				}
-			}
-			if pg := l.pages[s]; pg != nil && pg.Resident() {
-				idxs = append(idxs, base+uint64(s))
-				pages = append(pages, pg)
 			}
 		}
 	})
@@ -569,11 +677,12 @@ func (as *AddressSpace) collect(lo, hi uint64, dirtyOnly bool) (idxs []uint64, p
 }
 
 // TouchedPages returns the indices of resident pages within [start, end),
-// along with their backing pages, for bulk IPC. Indices ascend: a bulk-IPC
-// batch and a migration image list their pages in address order, the same
-// order on every run.
+// along with their backing pages. Indices ascend: a migration image lists
+// its pages in address order, the same order on every run. Like every
+// range helper here, the range covers each page it touches: the one
+// holding start included.
 func (as *AddressSpace) TouchedPages(start, end uint64) (idxs []uint64, pages []*Page) {
-	return as.collect(pageAlignUp(start)>>PageShift, pageAlignUp(end)>>PageShift, false)
+	return as.collect(start>>PageShift, pageAlignUp(end)>>PageShift, false)
 }
 
 // DirtyPages returns the indices (and backing pages) of resident pages
@@ -589,7 +698,7 @@ func (as *AddressSpace) DirtyPages(start, end uint64) (idxs []uint64, pages []*P
 func (as *AddressSpace) ResetDirty() {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	as.walkLocked(0, maxPageIdx, func(l *ptLeaf, _ uint64, _, _ int) { l.dirty = [leafPages / 64]uint64{} })
+	as.walkLocked(0, maxPageIdx, func(l *ptLeaf, _ uint64, _, _ int) { l.dirty = slotMask{} })
 }
 
 // DirtyPageCount returns the number of pages in the dirty set.
@@ -597,56 +706,117 @@ func (as *AddressSpace) DirtyPageCount() int {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	n := 0
-	as.walkLocked(0, maxPageIdx, func(l *ptLeaf, _ uint64, _, _ int) { n += l.dirtyCount() })
+	as.walkLocked(0, maxPageIdx, func(l *ptLeaf, _ uint64, _, _ int) { n += l.dirty.count() })
 	return n
 }
 
-// InstallPage maps pg (shared, COW) at page index idx. The target range
-// must already be mapped. Used by bulk IPC on the receive side.
-func (as *AddressSpace) InstallPage(idx uint64, pg *Page) error {
-	if as.installPages([]uint64{idx}, []*Page{pg}, 0) == 0 {
-		return api.EFAULT
+// batchLeaf is one leaf of a bulk-IPC batch: a reference on a block of
+// slots, whose occupied slots are occ, slot 0 at sender page index idx.
+type batchLeaf struct {
+	s   *leafSlots
+	idx uint64
+	occ slotMask
+}
+
+// shareLeaves returns one reference per leaf holding pages of page indices
+// [lo, hi), in ascending address order, and the number of pages they
+// carry. A leaf whose pages all lie in the range is shared as it is; a
+// leaf the range cuts gives a copy of its slots in range.
+func (as *AddressSpace) shareLeaves(lo, hi uint64) ([]batchLeaf, int) {
+	as.mu.Lock()
+	defer as.mu.Unlock()
+	n := 0
+	as.walkLocked(lo, hi, func(*ptLeaf, uint64, int, int) { n++ })
+	if n == 0 {
+		return nil, 0
 	}
-	return nil
+	refs, pages := make([]batchLeaf, 0, n), 0
+	as.walkLocked(lo, hi, func(l *ptLeaf, base uint64, from, to int) {
+		in := l.occ.within(from, to)
+		if in == (slotMask{}) {
+			return
+		}
+		s := l.s
+		if in == l.occ {
+			s.refs.Add(1)
+		} else {
+			s = newSlots()
+			s.share(l.s, in, 0)
+		}
+		refs = append(refs, batchLeaf{s: s, idx: base, occ: in})
+		pages += in.count()
+	})
+	return refs, pages
 }
 
-// InstallPages maps pages[i] at page index idxs[i] under a single lock
-// acquisition — the batched receive side of bulk IPC, one lock per batch
-// instead of one per page. Pages whose target index is unmapped are
-// skipped. Returns the number installed.
-func (as *AddressSpace) InstallPages(idxs []uint64, pages []*Page) int {
-	return as.installPages(idxs, pages, 0)
+// releaseLeaves drops the references of leaves never mapped.
+func releaseLeaves(refs []batchLeaf) {
+	for _, r := range refs {
+		r.s.unref(r.occ)
+	}
 }
 
-// installPages installs pages[i] at index idxs[i]+rebase (modulo 2^64, so a
-// receiver may sit below the sender). Ascending batches stay in one VMA and
-// one leaf for long runs, so the VMA is looked up only when an index leaves
-// the current one.
-func (as *AddressSpace) installPages(idxs []uint64, pages []*Page, rebase uint64) int {
+// mapLeaves installs the pages of refs into as, each moved by rebase page
+// indices (modulo 2^64, so a receiver may sit below the sender), and
+// consumes the references. A leaf that lands at the same slots inside one
+// VMA, on a leaf holding no page, is adopted as it is: one pointer. Any
+// other — a misaligned rebase, a leaf the receiver's mappings cut, pages
+// already there — is copied into the receiver's own slots. Pages whose
+// target is unmapped are skipped; every installed slot is dirty. Returns
+// the number of pages installed.
+func (as *AddressSpace) mapLeaves(refs []batchLeaf, rebase uint64) int {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	installed := 0
-	var v *VMA
-	for i, idx := range idxs {
-		idx += rebase
-		if v == nil || idx < v.Start>>PageShift || idx >= v.End>>PageShift {
-			if idx >= maxPageIdx {
+	for _, r := range refs {
+		from, to := r.occ.span()
+		adopted := false
+		for s := from; s < to; {
+			t := r.idx + uint64(s) + rebase
+			if t >= maxPageIdx {
+				// Beyond 64-bit addresses until the index wraps.
+				s += int(min(uint64(to-s), -t))
 				continue
 			}
-			if v = as.findLocked(idx << PageShift); v == nil {
+			i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].End > t<<PageShift })
+			if i == len(as.vmas) {
+				break
+			}
+			v := as.vmas[i]
+			if first := v.Start >> PageShift; first > t {
+				s += int(min(uint64(to-s), first-t))
 				continue
 			}
+			slot := int(t & (leafPages - 1))
+			n := min(to-s, leafPages-slot)
+			if rest := v.End>>PageShift - t; rest < uint64(n) {
+				n = int(rest)
+			}
+			ref := v.leafRef(t >> leafShift)
+			if l := *ref; slot == s && s == from && n == to-from && (l == nil || l.occ == slotMask{}) {
+				if l != nil {
+					l.s.unref(l.occ)
+				}
+				*ref = &ptLeaf{s: r.s, occ: r.occ, dirty: r.occ}
+				installed += r.occ.count()
+				adopted = true
+				break
+			}
+			if run := r.occ.within(s, s+n); run != (slotMask{}) {
+				if *ref == nil {
+					*ref = newLeaf()
+				}
+				l := *ref
+				filled := l.own().share(r.s, run, slot-s)
+				l.occ.or(filled)
+				l.dirty.or(filled)
+				installed += filled.count()
+			}
+			s += n
 		}
-		l, slot := v.leafFor(idx)
-		if old := l.pages[slot]; old != nil {
-			old.Unref()
-		} else {
-			l.live++
+		if !adopted {
+			r.s.unref(r.occ)
 		}
-		pages[i].Ref()
-		l.pages[slot] = pages[i]
-		l.markDirty(slot)
-		installed++
 	}
 	return installed
 }
@@ -671,6 +841,8 @@ func (as *AddressSpace) TouchRange(addr, length uint64) error {
 	// whole range's bookkeeping.
 	slab := make([]Page, (end-start)>>PageShift)
 	var v *VMA
+	var l *ptLeaf
+	var s *leafSlots
 	for a := start; a < end; a += PageSize {
 		if v == nil || a >= v.End {
 			if v = as.findLocked(a); v == nil {
@@ -680,25 +852,28 @@ func (as *AddressSpace) TouchRange(addr, length uint64) error {
 				return api.EACCES
 			}
 		}
-		l, slot := v.leafFor(a >> PageShift)
-		switch pg := l.pages[slot]; {
+		next, slot := v.leafFor(a >> PageShift)
+		if next != l {
+			l, s = next, next.own()
+		}
+		switch pg := s.pages[slot]; {
 		case pg == nil:
 			fresh := &slab[(a-start)>>PageShift]
 			fresh.refs.Store(1)
 			fresh.zeroFill = true
-			l.pages[slot] = fresh
-			l.live++
+			s.pages[slot] = fresh
+			l.occ.set(slot)
 		case pg.Shared():
-			l.pages[slot] = pg.copyForWrite()
+			s.pages[slot] = pg.copyForWrite()
 		}
-		l.markDirty(slot)
+		l.dirty.set(slot)
 	}
 	return nil
 }
 
-// ForkCOW clones the address space with every resident page shared
-// copy-on-write — the in-kernel fast path a native fork takes, as opposed
-// to Graphene's checkpoint+bulk-IPC fork which serializes libOS state.
+// ForkCOW clones the address space with every leaf shared copy-on-write
+// — the in-kernel fast path a native fork takes, as opposed to Graphene's
+// checkpoint+bulk-IPC fork which serializes libOS state.
 func (as *AddressSpace) ForkCOW() *AddressSpace {
 	child := NewAddressSpace()
 	as.ForkCOWInto(child)
@@ -726,14 +901,10 @@ func (as *AddressSpace) ForkCOWInto(child *AddressSpace) {
 			if l == nil {
 				continue
 			}
-			// The child starts with a clean dirty bitmap.
-			nl := &ptLeaf{pages: l.pages, live: l.live}
-			for _, pg := range nl.pages {
-				if pg != nil {
-					pg.Ref()
-				}
-			}
-			nv.top[i] = nl
+			// One reference per leaf; the child starts with a clean
+			// dirty bitmap.
+			l.s.refs.Add(1)
+			nv.top[i] = &ptLeaf{s: l.s, occ: l.occ}
 		}
 		child.vmas = append(child.vmas, nv)
 	}
@@ -743,7 +914,9 @@ func (as *AddressSpace) ForkCOWInto(child *AddressSpace) {
 func (as *AddressSpace) Release() {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	as.walkLocked(0, maxPageIdx, unrefSlots)
+	for _, v := range as.vmas {
+		v.release()
+	}
 	as.vmas = nil
 	as.committed = 0
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -186,23 +187,35 @@ func TestResidentOnlyCountsTouched(t *testing.T) {
 	}
 }
 
-func TestCOWSharingViaInstallPage(t *testing.T) {
+// shareRange moves the pages of [addr, addr+n) from one address space to
+// the same addresses of another through a bulk-IPC batch, and returns the
+// number of pages the map installed.
+func shareRange(t *testing.T, from, to *AddressSpace, addr, n uint64) int {
+	t.Helper()
+	st := newIPCStore(1)
+	defer st.Close()
+	if _, err := st.Commit(from, addr, addr+n); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	got, err := st.Map(to, addr)
+	if err != nil {
+		t.Fatalf("map: %v", err)
+	}
+	return got
+}
+
+func TestCOWSharingViaBulkIPC(t *testing.T) {
 	parent := NewAddressSpace()
 	addr, _ := parent.Alloc(0, PageSize, api.ProtRead|api.ProtWrite)
 	if err := parent.Write(addr, []byte("shared")); err != nil {
 		t.Fatal(err)
 	}
-	idxs, pages := parent.TouchedPages(addr, addr+PageSize)
-	if len(pages) != 1 {
-		t.Fatalf("touched pages = %d, want 1", len(pages))
-	}
-
 	child := NewAddressSpace()
 	if _, err := child.Alloc(addr, PageSize, api.ProtRead|api.ProtWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := child.InstallPage(idxs[0], pages[0]); err != nil {
-		t.Fatalf("InstallPage: %v", err)
+	if n := shareRange(t, parent, child, addr, PageSize); n != 1 {
+		t.Fatalf("shared %d pages, want 1", n)
 	}
 
 	buf := make([]byte, 6)
@@ -228,14 +241,11 @@ func TestParentWriteAfterShareBreaksCOW(t *testing.T) {
 	if err := parent.Write(addr, []byte("before")); err != nil {
 		t.Fatal(err)
 	}
-	idxs, pages := parent.TouchedPages(addr, addr+PageSize)
 	child := NewAddressSpace()
 	if _, err := child.Alloc(addr, PageSize, api.ProtRead|api.ProtWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := child.InstallPage(idxs[0], pages[0]); err != nil {
-		t.Fatal(err)
-	}
+	shareRange(t, parent, child, addr, PageSize)
 	if err := parent.Write(addr, []byte("parent")); err != nil {
 		t.Fatal(err)
 	}
@@ -251,17 +261,19 @@ func TestSharedPageResidentChargedFractionally(t *testing.T) {
 	if err := parent.Write(addr, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	idxs, pages := parent.TouchedPages(addr, addr+PageSize)
 	child := NewAddressSpace()
 	if _, err := child.Alloc(addr, PageSize, api.ProtRead|api.ProtWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := child.InstallPage(idxs[0], pages[0]); err != nil {
-		t.Fatal(err)
-	}
-	// Page now has two references: each space is charged half.
+	shareRange(t, parent, child, addr, PageSize)
+	// The leaf now has two references: each space is charged half.
 	if got := parent.ResidentBytes() + child.ResidentBytes(); got != PageSize {
 		t.Fatalf("combined resident = %d, want %d", got, PageSize)
+	}
+	// A third sharer by fork: a third each, still one page in all.
+	grand := child.ForkCOW()
+	if got := parent.ResidentBytes() + child.ResidentBytes() + grand.ResidentBytes(); got < PageSize-2 || got > PageSize {
+		t.Fatalf("combined resident of three sharers = %d, want %d", got, PageSize)
 	}
 }
 
@@ -509,18 +521,76 @@ func (m *mSpace) resident() uint64 {
 	return uint64(total)
 }
 
+// distinctResident counts the resident pages of the models, each once
+// however many spaces map it.
+func distinctResident(models []*mSpace) int {
+	seen := map[*mPage]bool{}
+	for _, m := range models {
+		for _, i := range m.sortedIdxs(false) {
+			seen[m.pages[i]] = true
+		}
+	}
+	return len(seen)
+}
+
+// release drops every mapping of m, as process exit does.
+func (m *mSpace) release() {
+	for _, pg := range m.pages {
+		pg.refs--
+	}
+}
+
+// sharers walks the real tables of spaces and checks the two reference
+// counts leaf sharing keeps against what holds them: a block of slots
+// has one reference per page table holding it, and a page one per slot
+// it fills in a distinct block. It returns each page's sharers — the page
+// tables that map it, the number the model keeps as a page's refs.
+func sharers(t *testing.T, spaces []*AddressSpace, blocks map[*leafSlots]bool) map[*Page]int {
+	t.Helper()
+	holders := map[*leafSlots]int{}
+	for _, as := range spaces {
+		as.mu.Lock()
+		as.walkLocked(0, maxPageIdx, func(l *ptLeaf, _ uint64, _, _ int) { holders[l.s]++ })
+		as.mu.Unlock()
+	}
+	slots, mappers := map[*Page]int{}, map[*Page]int{}
+	for b, n := range holders {
+		blocks[b] = true
+		if got := int(b.refs.Load()); got != n {
+			t.Fatalf("a block of slots has %d references, %d page tables hold it", got, n)
+		}
+		for _, pg := range b.pages {
+			if pg != nil {
+				slots[pg]++
+				mappers[pg] += n
+			}
+		}
+	}
+	for pg, n := range slots {
+		if got := int(pg.refs.Load()); got != n {
+			t.Fatalf("a page has %d references, it fills %d slots", got, n)
+		}
+	}
+	return mappers
+}
+
 // TestPropertyPageTableMatchesModel runs random operation sequences on up
-// to four address spaces related by ForkCOW and page installs, and after
-// every step compares the leaf table with the map model: accounting, the
-// touched and dirty sets (and their order), every page's refcount, and at
-// the end every byte. The arena straddles three leaf boundaries and ranges
-// are biased toward them, so cuts through a leaf are the common case.
+// to five address spaces related by ForkCOW chains and bulk-IPC commits
+// and maps (some spawned empty, so a map adopts whole leaves), and after every step compares the leaf table with the map
+// model: accounting, the touched and dirty sets (and their order), every
+// page's sharers, the block and page reference counts, ResidentBytes
+// summed over the spaces against the distinct resident pages, and at the
+// end every byte. The arena straddles three leaf boundaries and ranges
+// are biased toward them, so cuts through a leaf — shared or not — are
+// the common case. A map lands at the sender's addresses, a whole leaf
+// away, or at a misaligned offset; any space may exit at any time.
 func TestPropertyPageTableMatchesModel(t *testing.T) {
 	const (
 		arenaPages = 3*leafPages + 200
 		arenaBase  = uint64(0x4000_0000)>>PageShift - 100 // 100 pages below a leaf boundary
 		arenaStart = arenaBase << PageShift
 		arenaEnd   = (arenaBase + arenaPages) << PageShift
+		maxSpaces  = 5
 	)
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -541,18 +611,19 @@ func TestPropertyPageTableMatchesModel(t *testing.T) {
 		}
 		spaces := []*AddressSpace{NewAddressSpace()}
 		models := []*mSpace{newMSpace()}
-		seen := map[*Page]bool{} // every real page that was ever in a table
+		seen := map[*Page]bool{}        // every real page that was ever in a table
+		blocks := map[*leafSlots]bool{} // every block of slots that was
 
 		check := func(step int, op string) {
 			t.Helper()
+			mappers := sharers(t, spaces, blocks)
+			var resident uint64
 			for i, as := range spaces {
 				m := models[i]
 				if got, want := as.CommittedBytes(), uint64(len(m.prot))*PageSize; got != want {
 					t.Fatalf("seed %d step %d (%s) space %d: committed %d, model %d", seed, step, op, i, got, want)
 				}
-				if got, want := as.ResidentBytes(), m.resident(); got != want {
-					t.Fatalf("seed %d step %d (%s) space %d: resident %d, model %d", seed, step, op, i, got, want)
-				}
+				resident += as.ResidentBytes()
 				if got, want := as.DirtyPageCount(), len(m.dirty); got != want {
 					t.Fatalf("seed %d step %d (%s) space %d: dirty count %d, model %d", seed, step, op, i, got, want)
 				}
@@ -562,13 +633,19 @@ func TestPropertyPageTableMatchesModel(t *testing.T) {
 				}
 				for j, pg := range pages {
 					seen[pg] = true
-					if got, want := int(pg.refs.Load()), m.pages[idxs[j]].refs; got != want {
-						t.Fatalf("seed %d step %d (%s) space %d page %#x: refs %d, model %d", seed, step, op, i, idxs[j], got, want)
+					if got, want := mappers[pg], m.pages[idxs[j]].refs; got != want {
+						t.Fatalf("seed %d step %d (%s) space %d page %#x: %d sharers, model %d", seed, step, op, i, idxs[j], got, want)
 					}
 				}
 				if didxs, _ := as.DirtyPages(arenaStart, arenaEnd); !slices.Equal(didxs, m.sortedIdxs(true)) {
 					t.Fatalf("seed %d step %d (%s) space %d: dirty %v, model %v", seed, step, op, i, didxs, m.sortedIdxs(true))
 				}
+			}
+			// Each space's figure is truncated once, so the sum may fall
+			// short of the distinct pages by less than a byte per space.
+			want := uint64(distinctResident(models)) * PageSize
+			if resident > want || resident+uint64(len(spaces)) < want {
+				t.Fatalf("seed %d step %d (%s): resident summed over %d spaces %d, distinct pages %d", seed, step, op, len(spaces), resident, want)
 			}
 		}
 
@@ -577,7 +654,7 @@ func TestPropertyPageTableMatchesModel(t *testing.T) {
 			as, m := spaces[k], models[k]
 			var op string
 			switch r := rng.Intn(100); {
-			case r < 20:
+			case r < 18:
 				op = "alloc"
 				idx, n := pickRange(300)
 				prot := api.ProtRead
@@ -588,14 +665,14 @@ func TestPropertyPageTableMatchesModel(t *testing.T) {
 				if merr := m.alloc(idx, n, prot); err != merr {
 					t.Fatalf("seed %d step %d: alloc err %v, model %v", seed, step, err, merr)
 				}
-			case r < 32:
+			case r < 29:
 				op = "free"
 				idx, n := pickRange(120)
 				if err := as.Free(idx<<PageShift, n<<PageShift); err != nil {
 					t.Fatalf("seed %d step %d: free: %v", seed, step, err)
 				}
 				m.free(idx, n)
-			case r < 44:
+			case r < 40:
 				op = "protect"
 				idx, n := pickRange(60)
 				prot := api.ProtRead
@@ -606,7 +683,7 @@ func TestPropertyPageTableMatchesModel(t *testing.T) {
 				if merr := m.protect(idx, n, prot); err != merr {
 					t.Fatalf("seed %d step %d: protect err %v, model %v", seed, step, err, merr)
 				}
-			case r < 68:
+			case r < 62:
 				op = "write"
 				idx, _ := pickRange(1)
 				data := make([]byte, 1+rng.Intn(3*PageSize))
@@ -616,44 +693,85 @@ func TestPropertyPageTableMatchesModel(t *testing.T) {
 				if merr := m.write(addr, data); err != merr {
 					t.Fatalf("seed %d step %d: write err %v, model %v", seed, step, err, merr)
 				}
-			case r < 78:
+			case r < 71:
 				op = "touch"
 				idx, n := pickRange(40)
 				err := as.TouchRange(idx<<PageShift, n<<PageShift)
 				if merr := m.touch(idx, n); err != merr {
 					t.Fatalf("seed %d step %d: touch err %v, model %v", seed, step, err, merr)
 				}
-			case r < 88:
-				op = "install"
-				// Share a range of this space's pages into another space,
-				// the way a bulk-IPC map does.
+			case r < 85:
+				// Commit a range of this space's pages (a whole leaf, the
+				// whole arena, or a cut) and map the batch into any space.
 				to := rng.Intn(len(spaces))
-				idx, n := pickRange(80)
-				idxs, pages := as.TouchedPages(idx<<PageShift, (idx+n)<<PageShift)
-				mpages := make([]*mPage, len(idxs))
-				for i, ix := range idxs {
-					mpages[i] = m.pages[ix]
+				var idx, n uint64
+				switch rng.Intn(3) {
+				case 0:
+					idx, n = (arenaBase>>leafShift+1)<<leafShift, leafPages
+				case 1:
+					idx, n = arenaBase, arenaPages
+				default:
+					idx, n = pickRange(600)
 				}
-				if to == k {
-					// Installing a page over itself must keep its count.
-					for _, pg := range pages {
-						pg.Ref()
-					}
+				var rebase uint64 // modulo 2^64: a map may land below the commit
+				switch rng.Intn(4) {
+				case 0:
+					op = "commit/map"
+				case 1:
+					op, rebase = "commit/map a leaf up", leafPages
+				case 2:
+					op, rebase = "commit/map a leaf down", rebase-leafPages
+				default:
+					op, rebase = "commit/map misaligned", uint64(rng.Intn(2*leafPages))-leafPages
 				}
-				got := spaces[to].InstallPages(idxs, pages)
-				if to == k {
-					for _, pg := range pages {
-						pg.Unref()
-					}
+				srcs := m.sortedIdxs(false)
+				srcs = slices.DeleteFunc(srcs, func(i uint64) bool { return i < idx || i >= idx+n })
+				st := newIPCStore(1)
+				committed, err := st.Commit(as, idx<<PageShift, (idx+n)<<PageShift)
+				if err != nil || committed != len(srcs) {
+					t.Fatalf("seed %d step %d: committed %d pages, %v; model %d", seed, step, committed, err, len(srcs))
 				}
-				if want := models[to].install(idxs, mpages); got != want {
-					t.Fatalf("seed %d step %d: installed %d, model %d", seed, step, got, want)
+				if rng.Intn(8) == 0 {
+					op += " (closed)"
+					st.Close()
+					break
 				}
-			case r < 94:
+				got, err := st.Map(spaces[to], (idx+rebase)<<PageShift)
+				if err != nil {
+					t.Fatalf("seed %d step %d: map: %v", seed, step, err)
+				}
+				st.Close()
+				targets, mpages := make([]uint64, len(srcs)), make([]*mPage, len(srcs))
+				for i, ix := range srcs {
+					targets[i], mpages[i] = ix+rebase, m.pages[ix]
+				}
+				if want := models[to].install(targets, mpages); got != want {
+					t.Fatalf("seed %d step %d (%s): installed %d, model %d", seed, step, op, got, want)
+				}
+			case r < 89:
 				op = "fork"
-				if len(spaces) < 4 {
+				if len(spaces) < maxSpaces {
 					spaces = append(spaces, as.ForkCOW())
 					models = append(models, m.fork())
+				}
+			case r < 91:
+				// A fresh picoprocess with the arena mapped and nothing
+				// touched: a map into it adopts whole leaves.
+				op = "spawn"
+				if len(spaces) < maxSpaces {
+					fresh, fm := NewAddressSpace(), newMSpace()
+					if _, err := fresh.Alloc(arenaStart, arenaPages*PageSize, api.ProtRead|api.ProtWrite); err != nil {
+						t.Fatal(err)
+					}
+					_ = fm.alloc(arenaBase, arenaPages, api.ProtRead|api.ProtWrite)
+					spaces, models = append(spaces, fresh), append(models, fm)
+				}
+			case r < 95:
+				op = "exit"
+				if len(spaces) > 1 {
+					as.Release()
+					m.release()
+					spaces, models = slices.Delete(spaces, k, k+1), slices.Delete(models, k, k+1)
 				}
 			default:
 				op = "reset"
@@ -694,6 +812,11 @@ func TestPropertyPageTableMatchesModel(t *testing.T) {
 		for pg := range seen {
 			if n := pg.refs.Load(); n != 0 {
 				t.Fatalf("seed %d: a page keeps %d references after every space released", seed, n)
+			}
+		}
+		for b := range blocks {
+			if n := b.refs.Load(); n != 0 {
+				t.Fatalf("seed %d: a block of slots keeps %d references after every space released", seed, n)
 			}
 		}
 	}
@@ -812,25 +935,52 @@ func TestSparseMappingCostsWhatItTouches(t *testing.T) {
 	}
 }
 
-// TestInstallPagesIgnoresWildIndices: an index whose address does not fit
-// in 64 bits, or that lands outside every mapping after the rebase, is
-// skipped like any other unmapped target.
-func TestInstallPagesIgnoresWildIndices(t *testing.T) {
+// TestBulkIPCMapIgnoresWildTargets: a page whose target address does not
+// fit in 64 bits, or that lands outside every mapping after the rebase, is
+// skipped, and the batch's references are dropped all the same.
+func TestBulkIPCMapIgnoresWildTargets(t *testing.T) {
+	const src = uint64(0x5000_0000)
+	sender := NewAddressSpace()
+	if _, err := sender.Alloc(src, 4*PageSize, api.ProtRead|api.ProtWrite); err != nil {
+		t.Fatal(err)
+	}
+	if err := sender.TouchRange(src, 4*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	_, pages := sender.TouchedPages(src, src+4*PageSize)
 	as := NewAddressSpace()
 	if _, err := as.Alloc(0x10000, 4*PageSize, api.ProtRead|api.ProtWrite); err != nil {
 		t.Fatal(err)
 	}
-	pg := NewPage()
-	wild := []uint64{maxPageIdx, maxPageIdx + 0x10, ^uint64(0), 0x10 + maxPageIdx, 0x9999}
-	pages := []*Page{pg, pg, pg, pg, pg}
-	if n := as.InstallPages(wild, pages); n != 0 {
-		t.Fatalf("installed %d wild pages", n)
+	for _, target := range []uint64{^uint64(0) &^ (PageSize - 1), ^uint64(2*PageSize - 1), 0, 0x9999000} {
+		st := newIPCStore(1)
+		if _, err := st.Commit(sender, src, src+4*PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := st.Map(as, target); err != nil || n != 0 {
+			t.Fatalf("map at %#x: installed %d wild pages, %v", target, n, err)
+		}
 	}
-	if n := as.installPages(wild, pages, ^uint64(0)-5); n != 0 {
-		t.Fatalf("installed %d wild pages after a wrapping rebase", n)
+	// Rebases straight into mapLeaves: past 64-bit addresses (no target
+	// address expresses that), a few pages below the sender (unmapped
+	// here), and down to two pages under the mapping, where the batch's
+	// last two pages land.
+	down := uint64(0x10000>>PageShift) - 2
+	for _, c := range []struct{ rebase, want uint64 }{
+		{maxPageIdx, 0},
+		{^uint64(0) - 5, 0},
+		{down - src>>PageShift, 2},
+	} {
+		refs, _ := sender.shareLeaves(src>>PageShift, (src+4*PageSize)>>PageShift)
+		if n := as.mapLeaves(refs, c.rebase); uint64(n) != c.want {
+			t.Fatalf("rebase %#x: installed %d pages, want %d", c.rebase, n, c.want)
+		}
 	}
-	if n := pg.refs.Load(); n != 1 {
-		t.Fatalf("skipped installs left %d references", n)
+	as.Release()
+	for _, pg := range pages {
+		if n := pg.refs.Load(); n != 1 {
+			t.Fatalf("skipped installs left %d references", n)
+		}
 	}
 }
 
@@ -866,5 +1016,137 @@ func TestBulkIPCMapRebasesBothWays(t *testing.T) {
 			}
 		}
 		recv.Release()
+	}
+}
+
+// TestUnalignedRangesCoverTheFirstPage: every range helper covers each page
+// a byte range touches, the one holding an unaligned start included, so an
+// unaligned bulk-IPC commit ships exactly the pages an unaligned checkpoint
+// (TouchedPages, or DirtyPages for a delta) lists.
+func TestUnalignedRangesCoverTheFirstPage(t *testing.T) {
+	const src = uint64(0x5000_0000)
+	sender := NewAddressSpace()
+	if _, err := sender.Alloc(src, 8*PageSize, api.ProtRead|api.ProtWrite); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 8; i++ {
+		if err := sender.Write(src+i*PageSize, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start, end := src+PageSize+1, src+5*PageSize-1 // inside pages 1 and 4
+	want := []uint64{src>>PageShift + 1, src>>PageShift + 2, src>>PageShift + 3, src>>PageShift + 4}
+	touched, _ := sender.TouchedPages(start, end)
+	dirty, _ := sender.DirtyPages(start, end)
+	st := newIPCStore(1)
+	defer st.Close()
+	n, err := st.Commit(sender, start, end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv := NewAddressSpace()
+	if _, err := recv.Alloc(src, 8*PageSize, api.ProtRead|api.ProtWrite); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := st.Map(recv, start); err != nil || m != n {
+		t.Fatalf("mapped %d of %d committed pages, %v", m, n, err)
+	}
+	mapped, _ := recv.DirtyPages(src, src+8*PageSize)
+	for what, got := range map[string][]uint64{"touched": touched, "dirty": dirty, "mapped": mapped} {
+		if !slices.Equal(got, want) {
+			t.Errorf("%s pages %v, want %v", what, got, want)
+		}
+	}
+	if n != len(want) {
+		t.Errorf("committed %d pages, want %d", n, len(want))
+	}
+}
+
+// TestSharedLeavesUnderConcurrentSharers drives one block of slots from
+// several goroutines at once, each through its own address space: forked
+// children and the parent write (copying the shared leaf and then the
+// page), read, fork and exit grandchildren, commit and map into fresh
+// spaces, and read their footprint. No one sees another's write, and once
+// every space has exited no page keeps a reference. Run it under -race.
+func TestSharedLeavesUnderConcurrentSharers(t *testing.T) {
+	const (
+		base    = uint64(0x4000_0000) - 8*PageSize // straddles a leaf boundary
+		npages  = 16
+		workers = 4
+	)
+	parent := NewAddressSpace()
+	if _, err := parent.Alloc(base, npages*PageSize, api.ProtRead|api.ProtWrite); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < npages; i++ {
+		if err := parent.Write(base+i*PageSize, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, pages := parent.TouchedPages(base, base+npages*PageSize)
+	children := make([]*AddressSpace, workers)
+	for w := range children {
+		children[w] = parent.ForkCOW()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w <= workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			as, mark := parent, byte(0xff)
+			if w < workers {
+				as, mark = children[w], byte(0x80+w)
+			}
+			buf := make([]byte, 1)
+			for round := 0; round < 200; round++ {
+				i := uint64(round % npages)
+				if i%(workers+1) == uint64(w) {
+					if err := as.Write(base+i*PageSize, []byte{mark}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				j := uint64(round*7) % npages
+				want := byte(j)
+				if j%(workers+1) == uint64(w) && round >= int(j) {
+					want = mark
+				}
+				if err := as.Read(base+j*PageSize, buf); err != nil || buf[0] != want {
+					t.Errorf("space %d page %d reads %#x, %v; want %#x", w, j, buf[0], err, want)
+					return
+				}
+				switch round % 5 {
+				case 0:
+					as.ForkCOW().Release()
+				case 1:
+					st := newIPCStore(1)
+					recv := NewAddressSpace()
+					if _, err := recv.Alloc(base, npages*PageSize, api.ProtRead|api.ProtWrite); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := st.Commit(as, base, base+npages*PageSize); err != nil {
+						t.Error(err)
+						return
+					}
+					if n, err := st.Map(recv, base); err != nil || n != npages {
+						t.Errorf("space %d: mapped %d pages, %v", w, n, err)
+						return
+					}
+					recv.Release()
+				case 2:
+					as.ResidentBytes()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, as := range append(children, parent) {
+		as.Release()
+	}
+	for _, pg := range pages {
+		if n := pg.refs.Load(); n != 0 {
+			t.Fatalf("a page keeps %d references after every space released", n)
+		}
 	}
 }

@@ -12,11 +12,11 @@ import (
 // events — syscall entry/exit, RPC spans, fault-point fires, partition
 // stalls — kept always-on so a chaos failure or invariant violation can be
 // diagnosed from the recorded interleaving instead of reverse-engineered
-// from counters. The ring is fixed-size (oldest events overwritten) and
-// allocated on the first event: a picoprocess that records nothing holds no
-// ring, one that records holds exactly the ring capacity, which the monitor
-// caps per sandbox via the manifest's trace_buffer directive, and recording
-// after the first event never allocates.
+// from counters. The ring is bounded (oldest events overwritten) and sized
+// to its use: a picoprocess that records nothing holds no ring, its first
+// event allocates a small one, and the ring doubles as it fills up to the
+// capacity the monitor caps per sandbox via the manifest's trace_buffer
+// directive. Once it is that large, recording never allocates.
 //
 // Overhead budget: one recorded event is a level check (atomic load), a
 // monotonic clock read, and a short critical section copying ~9 words into
@@ -148,15 +148,22 @@ type TraceEvent struct {
 // At ~100 bytes per slot this bounds a recorder near 200 KiB.
 const DefaultTraceRing = 2048
 
-// FlightRecorder is a fixed-capacity ring of TraceEvents plus a small
-// intern table for fault-point names (strings cannot live in fixed slots
-// without allocating; fault fires are rare, so interning under the same
-// mutex is fine).
+// traceRingFirst is the ring a recorder's first event allocates: most
+// forked children record a dozen events, not DefaultTraceRing.
+const traceRingFirst = 16
+
+// FlightRecorder is a bounded ring of TraceEvents plus a small intern
+// table for fault-point names (strings cannot live in fixed slots without
+// allocating; fault fires are rare, so interning under the same mutex is
+// fine).
 type FlightRecorder struct {
 	mu       sync.Mutex
 	capacity int
-	slots    []TraceEvent // nil until the first Record, then capacity long
-	next     uint64       // total events ever recorded
+	// slots is nil until the first Record, then grows by doubling as it
+	// fills, up to capacity. It wraps only at capacity, so until then
+	// event seq sits at slots[seq-1].
+	slots    []TraceEvent
+	next     uint64 // total events ever recorded
 	points   []string
 	pointIdx map[string]uint64
 }
@@ -171,15 +178,18 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 }
 
 // Record appends ev to the ring, assigning its sequence number. The first
-// event allocates the ring, later ones never allocate; the oldest event is
-// overwritten when the ring is full. Safe to call on a nil recorder (no-op).
+// event allocates a small ring and a full one below capacity doubles it;
+// at capacity the oldest event is overwritten and nothing allocates. Safe
+// to call on a nil recorder (no-op).
 func (r *FlightRecorder) Record(ev TraceEvent) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	if r.slots == nil {
-		r.slots = make([]TraceEvent, r.capacity)
+	if n := len(r.slots); r.next == uint64(n) && n < r.capacity {
+		grown := make([]TraceEvent, min(max(2*n, traceRingFirst), r.capacity))
+		copy(grown, r.slots)
+		r.slots = grown
 	}
 	r.next++
 	ev.Seq = r.next

@@ -1,6 +1,9 @@
 package host
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestFlightRecorderRingWrap(t *testing.T) {
 	r := NewFlightRecorder(4)
@@ -22,6 +25,37 @@ func TestFlightRecorderRingWrap(t *testing.T) {
 		if ev.Seq != uint64(7+i) {
 			t.Errorf("event %d: Seq = %d, want %d", i, ev.Seq, 7+i)
 		}
+	}
+}
+
+// TestFlightRecorderGrowsToItsUse: a recorder that saw ten events holds a
+// small ring, and events stay oldest first, with dense sequence numbers,
+// while the ring doubles and after it wraps at capacity.
+func TestFlightRecorderGrowsToItsUse(t *testing.T) {
+	r := NewFlightRecorder(100)
+	for i := 1; i <= 10; i++ {
+		r.Record(TraceEvent{Kind: EvSyscall, Code: uint32(i)})
+	}
+	if got := r.ringBytes(); got > 2<<10 {
+		t.Fatalf("10 events hold %d ring bytes, want at most 2 KB", got)
+	}
+	for n := 10; n <= 250; n += 10 {
+		evs := r.Events()
+		first := max(1, n-r.Cap()+1)
+		if len(evs) != n-first+1 || r.Dropped() != uint64(first-1) {
+			t.Fatalf("after %d events: %d held, %d dropped", n, len(evs), r.Dropped())
+		}
+		for i, ev := range evs {
+			if want := first + i; ev.Seq != uint64(want) || ev.Code != uint32(want) {
+				t.Fatalf("after %d events: event %d is seq %d code %d, want %d", n, i, ev.Seq, ev.Code, want)
+			}
+		}
+		for i := n + 1; i <= n+10; i++ {
+			r.Record(TraceEvent{Kind: EvSyscall, Code: uint32(i)})
+		}
+	}
+	if got, want := r.ringBytes(), r.Cap()*int(unsafe.Sizeof(TraceEvent{})); got != want {
+		t.Fatalf("a wrapped ring holds %d bytes, want its capacity's %d", got, want)
 	}
 }
 

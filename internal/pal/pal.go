@@ -824,8 +824,9 @@ func (p *PAL) DkCreatePhysicalMemoryChannel() (*host.Handle, error) {
 	return &host.Handle{Kind: host.HandleIPCStore, Store: st}, nil
 }
 
-// DkPhysicalMemoryCommit commits the touched pages of [addr, addr+size)
-// into the store, COW-shared; returns the page count.
+// DkPhysicalMemoryCommit commits the touched pages of [addr, addr+size) —
+// every page the range reaches, the one holding an unaligned addr
+// included — into the store, COW-shared; returns the page count.
 func (p *PAL) DkPhysicalMemoryCommit(h *host.Handle, addr, size uint64) (int, error) {
 	if h == nil || h.Kind != host.HandleIPCStore {
 		return 0, api.EINVAL
