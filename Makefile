@@ -155,9 +155,12 @@ bench-fig5:
 benchmark:
 	$(GO) run ./benchmark
 
-# Three seconds each of the fork-heavy and the single-process workload: the
-# benchmark verifies every unit's output, so its exit status is a
-# correctness gate for the fork pipeline end to end. No timing assertion.
+# Three seconds each of the fork-heavy, the single-process and the SysV
+# key-churn workload: the benchmark verifies every unit's output, so its
+# exit status is a correctness gate for the fork pipeline and for key
+# resolution (sibling lookups, ENOENT after rmid, no stale lookups) end to
+# end. No timing assertion.
 benchmark-smoke:
 	$(GO) run ./benchmark --workload proc_tree --seconds 3 --trace 0
 	$(GO) run ./benchmark --workload syscall_mix --seconds 3 --trace 0
+	$(GO) run ./benchmark --workload ns_churn --seconds 3 --trace 0

@@ -653,45 +653,6 @@ func signalRemoteOp(p api.OS) func() bool {
 	return func() bool { return p.Kill(pid, api.SIGUSR1) == nil }
 }
 
-// BenchmarkAblationKeyLeaseOn vs Off: block leases make msgget create a
-// local operation after the first key in a block; without them every
-// create pays a leader round trip (Table 7's create row).
-func BenchmarkAblationKeyLeaseOn(b *testing.B) {
-	ipc.SetKeyLeases(true)
-	benchGuestOp(b, true, msggetCreateOp)
-}
-
-func BenchmarkAblationKeyLeaseOff(b *testing.B) {
-	ipc.SetKeyLeases(false)
-	defer ipc.SetKeyLeases(true)
-	benchGuestOp(b, true, msggetCreateOp)
-}
-
-// msggetCreateOp issues the creates from a forked child: the root process
-// is the sandbox leader, whose resolutions are local either way, so only
-// a member shows the lease-vs-round-trip difference. The channel handoff
-// costs the same in both arms of the ablation.
-func msggetCreateOp(p api.OS) func() bool {
-	req := make(chan int)
-	res := make(chan bool)
-	_, err := p.Fork(func(c api.OS) {
-		for key := range req {
-			_, err := c.Msgget(key, api.IPCCreat)
-			res <- err == nil
-		}
-		c.Exit(0)
-	})
-	if err != nil {
-		return func() bool { return false }
-	}
-	key := 900000
-	return func() bool {
-		key++
-		req <- key
-		return <-res
-	}
-}
-
 // BenchmarkAblationBulkIPCFork vs StreamFork is structural: fork always
 // uses bulk IPC in this implementation; the stream alternative is modeled
 // by checkpoint-to-bytes + restore, measured here for comparison.

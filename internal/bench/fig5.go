@@ -121,8 +121,8 @@ func Fig5(procCounts []int, msgs int) ([]Fig5Point, error) {
 // process count drives GC stalls past the RPC failover deadline at the
 // largest sandbox sizes, and the resulting spurious election herds
 // measure the failure detector, not the namespace. Setup (forks,
-// standing creates) and teardown (exits, lease flushes) sit outside the
-// window: fork cost is Table 6's subject, not Figure 5's.
+// standing creates) and teardown (exits) sit outside the window: fork
+// cost is Table 6's subject, not Figure 5's.
 func Fig5Shards(procCounts, shardCounts []int, keysTotal, churnTotal int) ([]Fig5Point, error) {
 	if len(procCounts) == 0 {
 		procCounts = []int{64, 128, 256, 512}
@@ -306,10 +306,9 @@ func nsChurnRoot(p api.OS, workers, baseKeys, churn int, out *int64) int {
 // runChurnWorker is one picoprocess of the shard sweep: on its setup
 // token it builds its share of the standing key population plus its churn
 // objects; on its churn token it removes the churn objects. Every key
-// sits in its own lease block (keys are 64 apart), so each create and
-// remove is a real RPC to the key's authoritative shard — nothing is
-// served from a local block lease — and the keys spread across shards by
-// hash.
+// sits in its own 64-key placement block (keys are 64 apart), so the keys
+// spread across shards by hash, and each create and remove is a real RPC
+// to the key's authoritative shard.
 func runChurnWorker(c api.OS, ctl, w, baseKeys, churn int) int {
 	if _, _, err := c.Msgrcv(ctl, int64(setupGo+w), nil, 0); err != nil {
 		return 1

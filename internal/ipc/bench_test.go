@@ -67,12 +67,12 @@ func BenchmarkSemOpLocal(b *testing.B) {
 func BenchmarkLeaderKeyGet(b *testing.B) {
 	b.ReportAllocs()
 	l := newLeaderState()
-	if _, _, errno := l.keyGet(NSSysVMsg, 7, api.IPCCreat, 100, "ipc.1"); errno != 0 {
+	if _, _, errno := l.keyResolve(NSSysVMsg, 7, api.IPCCreat, 100, "ipc.1"); errno != 0 {
 		b.Fatal(errno)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, errno := l.keyGet(NSSysVMsg, 7, 0, 0, "ipc.2"); errno != 0 {
+		if _, _, errno := l.keyResolve(NSSysVMsg, 7, 0, 0, "ipc.2"); errno != 0 {
 			b.Fatal(errno)
 		}
 	}

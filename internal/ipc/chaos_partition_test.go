@@ -25,10 +25,10 @@ func TestMain(m *testing.M) {
 	c := ReadFailoverCounters()
 	fmt.Printf("chaos teardown counters: failovers=%d replays_deduped=%d members_reaped=%d "+
 		"rpc_timeouts=%d fenced_requests=%d step_downs=%d reconciled=%d reconcile_tombstoned=%d "+
-		"leases_revoked=%d recover_retries=%d recover_failures=%d stale_announces_dropped=%d\n",
+		"recover_retries=%d recover_failures=%d stale_announces_dropped=%d\n",
 		c.Failovers, c.ReplaysDeduped, c.MembersReaped,
 		c.RPCTimeouts, c.FencedRequests, c.LeaderStepDowns, c.ReconciledObjects, c.ReconcileTombstoned,
-		c.LeasesRevoked, c.RecoverSendRetries, c.RecoverSendFailures, c.StaleAnnouncementsDropped)
+		c.RecoverSendRetries, c.RecoverSendFailures, c.StaleAnnouncementsDropped)
 	os.Exit(code)
 }
 
@@ -64,8 +64,8 @@ func TestChaosPartitionLeaderMidMsggetChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Churn keys one lease block apart so every create is a leader round
-	// trip rather than a lease-local fast path.
+	// Every create is one MsgKeyGet round trip to the leader, the call the
+	// partition must interrupt; the keys sit one placement block apart.
 	churnKey := func(i int) int64 { return int64(1000 + 64*i) }
 	for i := 0; i < 4; i++ {
 		if _, err := m1.Msgget(churnKey(i), api.IPCCreat); err != nil {
@@ -446,7 +446,7 @@ func TestChaosRandomPartitionSchedule(t *testing.T) {
 			})
 			// Repair is asynchronous past the leader agreement above: recover
 			// reports are retried off heartbeats and the losing copies of
-			// conflicted keys/leases are dropped in background reconciles. The
+			// conflicted keys are dropped in background reconciles. The
 			// invariants must *converge* to clean — poll briefly, then report
 			// whatever violation persists.
 			violations := CheckInvariants(helpers)
@@ -458,8 +458,8 @@ func TestChaosRandomPartitionSchedule(t *testing.T) {
 				t.Fatalf("invariants violated after chaos schedule: %v", violations)
 			}
 			c := ReadFailoverCounters()
-			t.Logf("seed %d: failovers=%d rpc_timeouts=%d step_downs=%d reconciled=%d tombstoned=%d leases_revoked=%d",
-				seed, c.Failovers, c.RPCTimeouts, c.LeaderStepDowns, c.ReconciledObjects, c.ReconcileTombstoned, c.LeasesRevoked)
+			t.Logf("seed %d: failovers=%d rpc_timeouts=%d step_downs=%d reconciled=%d tombstoned=%d",
+				seed, c.Failovers, c.RPCTimeouts, c.LeaderStepDowns, c.ReconciledObjects, c.ReconcileTombstoned)
 		})
 	}
 }

@@ -34,13 +34,15 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestChaosKillLeaderMidLeaseGrant kills the leader after it has executed
-// a key create (lease grant included) but before the reply leaves — the
-// worst spot: state mutated, response lost, requester in the dark. The
-// requester must ride through the election and complete the create against
-// the new leader (itself, as lowest surviving PID) within the latency
-// budget, and the other survivor must converge on the same mapping.
-func TestChaosKillLeaderMidLeaseGrant(t *testing.T) {
+// TestChaosKillLeaderMidKeyCreate kills the leader after it has executed
+// a member's key create but before the reply leaves — the worst spot:
+// the mapping is in the dead leader's table, the response is lost, and
+// the requester is in the dark. The requester must ride through the
+// election and complete the create against the new leader (itself, as
+// lowest surviving PID) within the latency budget, the other survivor
+// must converge on the same mapping, and the new leader must map the key
+// to the object its creator owns.
+func TestChaosKillLeaderMidKeyCreate(t *testing.T) {
 	g := newTestGroup(t)
 	lh, lp := g.leader(newFakeService())
 	m1, _ := g.member(lp, lh.Addr, 2, newFakeService())
@@ -71,6 +73,9 @@ func TestChaosKillLeaderMidLeaseGrant(t *testing.T) {
 		id2, err := m2.Msgget(42, 0)
 		return err == nil && id2 == id
 	})
+	if v := CheckInvariants([]*Helper{m1, m2}); len(v) != 0 {
+		t.Fatalf("invariants violated after the create rode the crash: %v", v)
+	}
 }
 
 // TestChaosKillLeaderMidPIDAlloc kills the leader as a PID-batch request
@@ -198,11 +203,10 @@ func TestChaosKillLeaderMidMsgsnd(t *testing.T) {
 	}
 }
 
-// TestChaosCrashedMemberReaped crashes a non-leader member that holds a
-// key-block lease and owns the backing queue — no MsgBye, no shutdown
-// eviction. The leader must reap it off the dead-stream notification:
-// release the lease, tombstone the queue, and let a survivor re-create the
-// key with a fresh id.
+// TestChaosCrashedMemberReaped crashes a non-leader member that created a
+// key and owns the backing queue — no MsgBye, no shutdown eviction. The
+// leader must reap it off the dead-stream notification: tombstone the
+// queue and let a survivor re-create the key with a fresh id.
 func TestChaosCrashedMemberReaped(t *testing.T) {
 	g := newTestGroup(t)
 	lh, lp := g.leader(newFakeService())
@@ -219,8 +223,8 @@ func TestChaosCrashedMemberReaped(t *testing.T) {
 	waitFor(t, 2*time.Second, "leader to reap the crashed member", func() bool {
 		return ReadFailoverCounters().MembersReaped > before.MembersReaped
 	})
-	// The reap released m2's block lease and tombstoned its queue: the key
-	// is creatable again at the leader and never resolves to the ghost.
+	// The reap tombstoned m2's queue: the key is creatable again at the
+	// leader and never resolves to the ghost.
 	waitFor(t, 2*time.Second, "key to become creatable after the reap", func() bool {
 		newID, err := m1.Msgget(42, api.IPCCreat)
 		return err == nil && newID != oldID

@@ -168,9 +168,9 @@ func TestConnHangUpClosesStreamAndSendsSeeEPIPE(t *testing.T) {
 // epoch-zero claim (queue adoption) always lands.
 func TestChownEpochGuard(t *testing.T) {
 	l := newLeaderState()
-	id, owner, errno := l.keyGet(NSSysVSem, 55, api.IPCCreat, 9, "ipc.1")
+	id, owner, errno := l.keyResolve(NSSysVSem, 55, api.IPCCreat, 9, "ipc.1")
 	if errno != 0 || owner != "ipc.1" {
-		t.Fatalf("keyGet: %v %v", owner, errno)
+		t.Fatalf("keyResolve: %v %v", owner, errno)
 	}
 	l.chown(NSSysVSem, id, "ipc.2", 2) // first migration
 	l.chown(NSSysVSem, id, "ipc.3", 3) // second migration

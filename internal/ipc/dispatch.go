@@ -208,7 +208,17 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		respond(f.Response(Frame{S: v}))
 
 	case MsgKeyGet:
-		h.handleKeyGet(f, respond)
+		leader := h.ledStateFor(&f)
+		if leader == nil {
+			respond(f.ErrResponse(api.EPERM))
+			return
+		}
+		id, owner, errno := leader.keyResolve(int(f.A), f.B, int(f.C), f.D, f.From)
+		if errno != 0 {
+			respond(f.ErrResponse(errno))
+			return
+		}
+		respond(f.Response(Frame{A: id, S: owner}))
 
 	case MsgKeyRegister:
 		leader := h.ledStateFor(&f)
@@ -222,27 +232,6 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		// mismatch to detect that its copy lost to one created on the
 		// other side of a partition.
 		respond(f.Response(Frame{A: authID}))
-
-	case MsgKeyEvict:
-		if f.C == 1 {
-			// Leader -> holder: the object behind a cached key is gone.
-			h.mu.Lock()
-			if m := h.keyCache[int(f.A)]; m != nil {
-				delete(m, f.B)
-			}
-			h.mu.Unlock()
-			respond(f.Response(Frame{}))
-			return
-		}
-		// Holder (or a peer acting for a dead holder) -> leader: release
-		// the block lease.
-		leader := h.ledStateFor(&f)
-		if leader == nil {
-			respond(f.ErrResponse(api.EPERM))
-			return
-		}
-		leader.releaseLease(int(f.A), f.B)
-		respond(f.Response(Frame{}))
 
 	case MsgKeyOwner:
 		leader := h.ledStateFor(&f)
@@ -272,28 +261,8 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 			respond(f.ErrResponse(api.EPERM))
 			return
 		}
-		notes := leader.remove(int(f.A), f.B)
+		leader.remove(int(f.A), f.B)
 		respond(f.Response(Frame{}))
-		if len(notes) > 0 {
-			// Tell lease holders still caching the dropped keys (off the
-			// handler goroutine: notification needs follow-up RPCs).
-			kind := f.A
-			go func() {
-				for _, n := range notes {
-					if n.holder == h.Addr {
-						h.mu.Lock()
-						if m := h.keyCache[int(kind)]; m != nil {
-							delete(m, n.key)
-						}
-						h.mu.Unlock()
-						continue
-					}
-					if c, err := h.dial(n.holder); err == nil {
-						_ = c.Notify(Frame{Type: MsgKeyEvict, A: kind, B: n.key, C: 1})
-					}
-				}
-			}()
-		}
 
 	case MsgQSend:
 		h.handleQSend(f, respond)
@@ -382,8 +351,8 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 			respond(f.ErrResponse(api.EINVAL))
 			return
 		}
-		rejected := leader.installRecoverState(r, f.From)
-		respond(f.Response(Frame{Blob: encodeLeaseList(rejected)}))
+		leader.installRecoverState(r, f.From)
+		respond(f.Response(Frame{}))
 
 	default:
 		respond(f.ErrResponse(api.ENOSYS))
@@ -397,103 +366,6 @@ func respondErrno(f Frame, respond func(Frame), errno api.Errno) {
 		return
 	}
 	respond(f.Response(Frame{}))
-}
-
-// handleKeyGet resolves a System V key. On the leader it answers from the
-// authoritative tables, grants a block lease on create when the requester
-// asked for one, or redirects to the block's lease holder. On a lease
-// holder it answers from the leased cache — including creating the object
-// on the requester's behalf (the requester proposed the ID and becomes
-// the owner; the mapping is registered at the leader lazily).
-func (h *Helper) handleKeyGet(f Frame, respond func(Frame)) {
-	kind := int(f.A)
-	key := f.B
-	flags := int(f.C) &^ keyLeaseRequest
-	wantLease := f.C&keyLeaseRequest != 0 && key != api.IPCPrivate
-	requester := f.From
-	if requester == "" {
-		requester = h.Addr
-	}
-	// Resolve the key's authoritative shard from the key itself rather
-	// than trusting the frame's stamp: requests forwarded by lease
-	// holders, or dialed point-to-point, may carry shard 0.
-	h.mu.Lock()
-	leader := h.groups[h.keyShardOf(kind, key)].leader
-	h.mu.Unlock()
-
-	if leader == nil {
-		// Lease-holder path: only answer for blocks we actually hold; a
-		// request that raced our lease release bounces with EXDEV and
-		// re-resolves at the leader.
-		if !h.keyGetFromHeldLease(f, kind, key, flags, requester, respond) {
-			respond(f.ErrResponse(api.EXDEV))
-		}
-		return
-	}
-
-	r, errno := leader.keyResolve(kind, key, flags, f.D, requester, wantLease)
-	if errno != 0 {
-		respond(f.ErrResponse(errno))
-		return
-	}
-	switch {
-	case r.indirect == h.Addr:
-		// The leader itself holds the lease: serve from the local cache
-		// rather than redirecting the requester back here forever.
-		if !h.keyGetFromHeldLease(f, kind, key, flags, requester, respond) {
-			// The helper-side lease is gone but the leader table still
-			// records it (a recovery edge): drop it and resolve plainly.
-			// No lease on the re-resolve — the direct response below could
-			// not report a grant, and an unreported lease would strand the
-			// block redirecting to a holder that never took it.
-			leader.releaseLease(kind, keyBlock(key))
-			r, errno = leader.keyResolve(kind, key, flags, f.D, requester, false)
-			if errno != 0 {
-				respond(f.ErrResponse(errno))
-				return
-			}
-			respond(f.Response(Frame{A: r.id, S: r.owner}))
-		}
-	case r.indirect != "":
-		respond(f.Response(Frame{B: keyRespIndirect, S: r.indirect}))
-	case r.leased:
-		respond(f.Response(Frame{A: r.id, S: r.owner, B: keyRespLeased, C: r.block, Blob: encodeKeySeed(r.seed)}))
-	default:
-		respond(f.Response(Frame{A: r.id, S: r.owner}))
-	}
-}
-
-// keyGetFromHeldLease answers a MsgKeyGet from this helper's leased
-// cache, creating the object on the requester's behalf when asked (the
-// requester proposed the ID in f.D and becomes the owner; the mapping is
-// registered at the leader lazily). Returns false when the key's block is
-// not leased here.
-func (h *Helper) keyGetFromHeldLease(f Frame, kind int, key int64, flags int, requester string, respond func(Frame)) bool {
-	block := keyBlock(key)
-	h.mu.Lock()
-	if _, held := h.keyLeases[kind][block]; !held {
-		h.mu.Unlock()
-		return false
-	}
-	if e, ok := h.keyCache[kind][key]; ok {
-		h.mu.Unlock()
-		if flags&api.IPCCreat != 0 && flags&api.IPCExcl != 0 {
-			respond(f.ErrResponse(api.EEXIST))
-			return true
-		}
-		respond(f.Response(Frame{A: e.id, S: e.owner}))
-		return true
-	}
-	if flags&api.IPCCreat == 0 {
-		h.mu.Unlock()
-		respond(f.ErrResponse(api.ENOENT))
-		return true
-	}
-	kindSet(&h.keyCache, kind, key, keyEntry{id: f.D, owner: requester})
-	h.mu.Unlock()
-	respond(f.Response(Frame{A: f.D, S: requester}))
-	h.registerKeyLazily(kind, key, f.D, requester)
-	return true
 }
 
 // handleNSQuery resolves an ID to an address from local tables; on the

@@ -70,8 +70,7 @@ type recoverPayload struct {
 	pids    []pgMember // locally known guest PID -> helper address
 	batchHi []int64    // [NSPid, NSSysVMsg, NSSysVSem] high-water marks
 	objects []recoverObject
-	leases  []recoverLease // key block leases this member holds
-	pgid    int64          // the member's own process group (0 = none)
+	pgid    int64 // the member's own process group (0 = none)
 	pid     int64
 }
 
@@ -80,11 +79,6 @@ type recoverObject struct {
 	ID    int64
 	Key   int64
 	Epoch int64
-}
-
-type recoverLease struct {
-	Kind  int
-	Block int64
 }
 
 func encodeRecover(r recoverPayload) []byte {
@@ -102,50 +96,7 @@ func encodeRecover(r recoverPayload) []byte {
 		out = binary.LittleEndian.AppendUint64(out, uint64(o.Key))
 		out = binary.LittleEndian.AppendUint64(out, uint64(o.Epoch))
 	}
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(r.leases)))
-	for _, le := range r.leases {
-		out = binary.LittleEndian.AppendUint32(out, uint32(le.Kind))
-		out = binary.LittleEndian.AppendUint64(out, uint64(le.Block))
-	}
 	return out
-}
-
-// encodeLeaseList / decodeLeaseList carry a bare lease list (the
-// MsgRecoverState response's rejected-lease set) in the same wire shape as
-// the recover payload's lease section.
-func encodeLeaseList(ls []recoverLease) []byte {
-	if len(ls) == 0 {
-		return nil
-	}
-	out := binary.LittleEndian.AppendUint32(nil, uint32(len(ls)))
-	for _, le := range ls {
-		out = binary.LittleEndian.AppendUint32(out, uint32(le.Kind))
-		out = binary.LittleEndian.AppendUint64(out, uint64(le.Block))
-	}
-	return out
-}
-
-func decodeLeaseList(blob []byte) ([]recoverLease, error) {
-	if len(blob) == 0 {
-		return nil, nil
-	}
-	if len(blob) < 4 {
-		return nil, api.EINVAL
-	}
-	n := int(binary.LittleEndian.Uint32(blob))
-	if 4+12*n > len(blob) {
-		return nil, api.EINVAL
-	}
-	ls := make([]recoverLease, 0, n)
-	off := 4
-	for i := 0; i < n; i++ {
-		ls = append(ls, recoverLease{
-			Kind:  int(binary.LittleEndian.Uint32(blob[off:])),
-			Block: int64(binary.LittleEndian.Uint64(blob[off+4:])),
-		})
-		off += 12
-	}
-	return ls, nil
 }
 
 func decodeRecover(blob []byte) (recoverPayload, error) {
@@ -192,28 +143,13 @@ func decodeRecover(blob []byte) (recoverPayload, error) {
 		})
 		off += 28
 	}
-	if off+4 > len(blob) {
-		return r, api.EINVAL
-	}
-	nl := int(binary.LittleEndian.Uint32(blob[off:]))
-	off += 4
-	if off+12*nl > len(blob) {
-		return r, api.EINVAL
-	}
-	for i := 0; i < nl; i++ {
-		r.leases = append(r.leases, recoverLease{
-			Kind:  int(binary.LittleEndian.Uint32(blob[off:])),
-			Block: int64(binary.LittleEndian.Uint64(blob[off+4:])),
-		})
-		off += 12
-	}
 	return r, nil
 }
 
 // collectRecoverState gathers this helper's slice of distributed state
 // belonging to one shard: the PIDs in that shard's slabs, the batches it
-// granted, the owned objects whose IDs it owns, the key-block leases it
-// granted, and the process group it places.
+// granted, the owned objects whose IDs it owns, and the process group it
+// places.
 func (h *Helper) collectRecoverState(shard int) recoverPayload {
 	h.mu.Lock()
 	r := recoverPayload{pid: h.GuestPID}
@@ -256,25 +192,12 @@ func (h *Helper) collectRecoverState(shard int) recoverPayload {
 		}
 		hd.mu.Unlock()
 	}
-	// Held key block leases survive a leader failover: the new leader must
-	// keep redirecting unregistered keys in these blocks to us, and cached
-	// mappings under them are re-registered via the objects above (an
-	// entry created on another helper's behalf is reported by that owner).
-	for kind, m := range h.keyLeases {
-		for block := range m {
-			if h.ring.keyShard(kind, block) == shard {
-				r.leases = append(r.leases, recoverLease{Kind: kind, Block: block})
-			}
-		}
-	}
 	h.mu.Unlock()
 	return r
 }
 
-// installRecoverState merges one member's report into the new leader. It
-// returns the key-block leases it refused to honor (already held by a
-// different helper); the reporter must drop those locally.
-func (l *leaderState) installRecoverState(r recoverPayload, fromAddr string) []recoverLease {
+// installRecoverState merges one member's report into the new leader.
+func (l *leaderState) installRecoverState(r recoverPayload, fromAddr string) {
 	l.mu.Lock()
 	// Advance namespace cursors past everything any member has seen, so
 	// fresh allocations never collide with pre-failure IDs.
@@ -327,29 +250,10 @@ func (l *leaderState) installRecoverState(r recoverPayload, fromAddr string) []r
 			l.next[o.Kind] = o.ID + 1
 		}
 	}
-	// Lease merge is first-writer-wins, like keys: a block this leader has
-	// already granted (or that an earlier report claimed) stays with its
-	// current holder, and the late claim is rejected so the reporter drops
-	// its local copy. Without this, a deposed leader healing back after a
-	// partition would resurrect a lease the replacement leader re-granted,
-	// leaving two helpers both creating keys in the block authoritatively.
-	var rejected []recoverLease
-	for _, le := range r.leases {
-		m := l.leases[le.Kind]
-		if m == nil {
-			continue
-		}
-		if cur, held := m[le.Block]; held && cur != fromAddr {
-			rejected = append(rejected, le)
-			continue
-		}
-		m[le.Block] = fromAddr
-	}
 	l.mu.Unlock()
 	if r.pgid != 0 {
 		l.pgs.join(r.pgid, r.pid, fromAddr)
 	}
-	return rejected
 }
 
 // ElectLeader runs the recovery protocol after the current leader became
@@ -662,8 +566,8 @@ func (h *Helper) handleNewLeaderBroadcast(f Frame) {
 		// — but if our recover report to this leader never landed (it was
 		// attempted mid-partition and hit the recover deadline), the
 		// heartbeat is the retry trigger: without the report the leader has
-		// no idea our objects and leases exist, and we never hear which of
-		// them lost a conflict.
+		// no idea our objects exist, and we never hear which of them lost
+		// a conflict.
 		needReport := g.reportedTo != f.S && f.S != h.Addr && !h.shutdown
 		h.mu.Unlock()
 		if needReport {
@@ -706,8 +610,8 @@ const recoverAttemptTimeout = 2 * rpcCallTimeout
 
 // sendRecoverState reports this member's slice of distributed state to a
 // newly announced leader, retrying with backoff: a member whose report is
-// lost would be invisible to the new leader (its objects and leases would
-// silently vanish from the namespace). Each attempt carries the RPC
+// lost would be invisible to the new leader (its objects would silently
+// vanish from the namespace). Each attempt carries the RPC
 // deadline and the loop as a whole an absolute one, so a leader stuck
 // behind a partition surfaces a terminal failure instead of retrying
 // forever. Returns whether the report landed; a delivered report is
@@ -735,17 +639,10 @@ func (h *Helper) sendRecoverState(g *shardGroup, to string) bool {
 		}
 		c, err := h.dial(to)
 		if err == nil {
-			var resp Frame
-			if resp, err = c.CallTimeout(Frame{Type: MsgRecoverState, Shard: int32(g.shard), From: h.Addr, Blob: encodeRecover(h.collectRecoverState(g.shard))}, recoverAttemptTimeout); err == nil {
+			if _, err = c.CallTimeout(Frame{Type: MsgRecoverState, Shard: int32(g.shard), From: h.Addr, Blob: encodeRecover(h.collectRecoverState(g.shard))}, recoverAttemptTimeout); err == nil {
 				h.mu.Lock()
 				g.reportedTo = to
 				h.mu.Unlock()
-				// The response names the lease blocks the new leader refused
-				// to honor (granted to someone else while we were cut off);
-				// drop them so at most one helper serves each block.
-				if rejected, derr := decodeLeaseList(resp.Blob); derr == nil {
-					h.dropRevokedLeases(rejected)
-				}
 				return true
 			}
 		}

@@ -48,7 +48,6 @@ var (
 	statStepDowns      atomic.Int64
 	statReconciled     atomic.Int64
 	statReconcileTombs atomic.Int64
-	statLeaseRevoked   atomic.Int64
 	statRouteHits      atomic.Int64
 	statRouteMisses    atomic.Int64
 )
@@ -86,10 +85,6 @@ type FailoverCounters struct {
 	// vs. lost to a during-partition recreate and were tombstoned locally.
 	ReconciledObjects   int64
 	ReconcileTombstoned int64
-	// LeasesRevoked counts key-block leases surrendered because the new
-	// leader had already granted the block to another helper by the time the
-	// holder's recover-state report arrived (partition-heal lease conflict).
-	LeasesRevoked int64
 	// RouteHits / RouteMisses count shard routings that found a cached
 	// shard-leader address vs. ones that fell back to broadcast discovery.
 	RouteHits   int64
@@ -110,7 +105,6 @@ func ReadFailoverCounters() FailoverCounters {
 		LeaderStepDowns:           statStepDowns.Load(),
 		ReconciledObjects:         statReconciled.Load(),
 		ReconcileTombstoned:       statReconcileTombs.Load(),
-		LeasesRevoked:             statLeaseRevoked.Load(),
 		RouteHits:                 statRouteHits.Load(),
 		RouteMisses:               statRouteMisses.Load(),
 	}
@@ -131,7 +125,6 @@ func ResetFailoverCounters() {
 	statStepDowns.Store(0)
 	statReconciled.Store(0)
 	statReconcileTombs.Store(0)
-	statLeaseRevoked.Store(0)
 	statRouteHits.Store(0)
 	statRouteMisses.Store(0)
 }
@@ -161,7 +154,7 @@ func needsReqID(t MsgType) bool {
 // leader address is stale, not the request invalid.
 func leaderOnly(t MsgType) bool {
 	switch t {
-	case MsgNSAlloc, MsgNSClaim, MsgKeyOwner, MsgKeyChown, MsgKeyRemove, MsgKeyRegister,
+	case MsgNSAlloc, MsgNSClaim, MsgKeyGet, MsgKeyOwner, MsgKeyChown, MsgKeyRemove, MsgKeyRegister,
 		MsgPgJoin, MsgPgLeave, MsgPgMembers, MsgRecoverState:
 		return true
 	}
@@ -374,9 +367,9 @@ func (h *Helper) dedupCheck(f *Frame, respond func(Frame)) (func(Frame), bool) {
 }
 
 // reapMember reclaims a crashed member's slice of the distributed state
-// on every shard this helper leads: its PID ranges, key-block leases,
-// owned System V objects (tombstoned so parked waiters resolve to EIDRM
-// instead of retrying forever), and its process-group membership.
+// on every shard this helper leads: its PID ranges, its owned System V
+// objects (tombstoned so parked waiters resolve to EIDRM instead of
+// retrying forever), and its process-group membership.
 // Graceful departures (MsgBye) are never reaped; reap itself is
 // idempotent per address and shard.
 //
@@ -402,13 +395,10 @@ func (h *Helper) reapMember(addr string, scatter bool) {
 	if len(led) == 0 || down || addr == "" || addr == h.Addr {
 		return
 	}
-	var notes []keyEvictNote
 	reapedAny := false
 	for _, l := range led {
-		ns, reaped := l.reap(addr)
-		if reaped {
+		if l.reap(addr) {
 			reapedAny = true
-			notes = append(notes, ns...)
 		}
 	}
 	if !reapedAny {
@@ -431,20 +421,7 @@ func (h *Helper) reapMember(addr string, scatter bool) {
 	}
 	h.mu.Unlock()
 	h.pidOwner.deleteValue(func(a string) bool { return a == addr })
-	// Tell surviving lease holders to drop cache entries for keys whose
-	// backing object died with the member.
-	for _, n := range notes {
-		if n.holder == addr || n.holder == "" {
-			continue
-		}
-		note := n
-		h.bgGo(func() {
-			if c, err := h.dial(note.holder); err == nil {
-				_ = c.Notify(Frame{Type: MsgKeyEvict, A: int64(note.kind), B: note.key, C: 1})
-			}
-		})
-	}
-	// Cross-shard scatter: the dead member's PIDs, leases, and objects are
+	// Cross-shard scatter: the dead member's PIDs and objects are
 	// striped over the whole plane; every other shard leader sweeps its own
 	// slice. Best-effort notifications with per-shard connections — a
 	// partitioned shard leader reaps later, when its own detector fires or

@@ -145,8 +145,8 @@ func (h *Helper) reconcileAfterDemotion(g *shardGroup) {
 
 // memberReconcile is the full member-side settlement against one shard's
 // (new) leader: ship recover state (PID mappings, batch high-water marks,
-// owned objects, held leases), then re-register each locally owned keyed
-// object the shard places, so a copy that lost a during-partition
+// owned objects), then re-register each locally owned keyed object the
+// shard places, so a copy that lost a during-partition
 // conflict is tombstoned instead of lingering as a second live ID. Every
 // member runs this — not just a deposed leader — because any member's
 // report can lose first-writer-wins merges it never hears about

@@ -23,14 +23,12 @@ var (
 	migrationEnabled atomic.Bool
 	connCaching      atomic.Bool
 	pidBatchOverride atomic.Int64
-	keyLeasesOn      atomic.Bool
 )
 
 func init() {
 	migrationEnabled.Store(true)
 	connCaching.Store(true)
 	pidBatchOverride.Store(PIDBatchSize)
-	keyLeasesOn.Store(true)
 }
 
 // SetMigrationEnabled toggles SysV ownership migration (ablation).
@@ -47,10 +45,6 @@ func SetPIDBatch(n int64) {
 	}
 	pidBatchOverride.Store(n)
 }
-
-// SetKeyLeases toggles System V key block leasing (ablation; off forces a
-// leader round trip per msgget/semget, the pre-lease behavior).
-func SetKeyLeases(on bool) { keyLeasesOn.Store(on) }
 
 // idBatchSize is the batch size for System V ID namespaces.
 const idBatchSize = 32
@@ -167,23 +161,6 @@ type Helper struct {
 	queues     map[int64]*msgQueue
 	sems       map[int64]*semSet
 	ownerCache map[int]map[int64]string
-
-	// keyLeases are the System V key blocks this helper holds from the
-	// leader; keyCache holds the key mappings under those blocks, for
-	// which this helper (not the leader) is authoritative until it exits.
-	keyLeases map[int]map[int64]struct{} // kind -> key block -> held
-	keyCache  map[int]map[int64]keyEntry // kind -> key -> mapping
-	// leaseCount mirrors the total block count in keyLeases so the key
-	// fast path can skip the locked lease lookup while no lease is held
-	// (the common case for the leader, whose resolutions are local
-	// anyway).
-	leaseCount atomic.Int64
-
-	// pendingRegs queues lazy key registrations for the background
-	// flusher; regFlushing is true while a drainPendingRegs goroutine
-	// is live.
-	pendingRegs []pendingReg
-	regFlushing bool
 
 	// bg tracks fire-and-forget notification goroutines (object-removal
 	// fan-out). Shutdown waits for them before tearing down connections,
@@ -867,10 +844,6 @@ func (h *Helper) Shutdown() {
 			}
 		}
 	}
-	if len(byeAddrs) > 0 {
-		h.flushKeyLeases()
-	}
-
 	conns := h.conns.values()
 	h.mu.Lock()
 	for c := range h.incoming {

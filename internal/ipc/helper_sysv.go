@@ -1,7 +1,6 @@
 package ipc
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -56,8 +55,11 @@ func (h *Helper) allocID(kind, shard int) (int64, error) {
 		h.mu.Unlock()
 		var lo, hi int64
 		if leader != nil {
-			// The shard leader refills from its own range table directly.
+			// The shard leader refills from its own range table directly
+			// and announces the cursor like any grant: a successor elected
+			// while this helper is cut off must not mint these IDs again.
 			lo, hi = leader.allocRange(kind, idBatchSize, h.Addr)
+			h.broadcastNSHwm(kind, shard, hi+1)
 		} else {
 			resp, err := h.callShard(shard, Frame{Type: MsgNSAlloc, A: int64(kind), B: idBatchSize})
 			if err != nil {
@@ -84,367 +86,36 @@ func (h *Helper) allocID(kind, shard int) (int64, error) {
 // ============================================================
 
 // sysvKey maps a System V key to (id, owner) for the given namespace
-// kind. The fast path serves the request entirely from a held block lease
-// (no leader traffic); otherwise one leader round trip resolves the key,
-// grants a block lease on create, or redirects to the authoritative lease
-// holder.
+// kind at the key's one authority, its shard leader: a plain call against
+// the leader's tables when this helper leads the key's shard, else one
+// MsgKeyGet round trip. Either way the mapping is in the leader's table
+// before the call returns. A create proposes an ID from this helper's
+// batch of the key's shard; a lookup proposes none.
 func (h *Helper) sysvKey(kind int, key int64, flags int) (int64, string, error) {
-	if key != api.IPCPrivate && keyLeasesOn.Load() && h.leaseCount.Load() != 0 {
-		if id, owner, handled, err := h.keyFromLease(kind, key, flags); handled {
-			return id, owner, err
+	ks := h.sysvShardOf(kind, key)
+	var proposed int64
+	if flags&api.IPCCreat != 0 || key == api.IPCPrivate {
+		var err error
+		if proposed, err = h.allocID(kind, ks); err != nil {
+			return 0, "", err
 		}
 	}
-	// One trace spans the whole key resolution: the leader round trip and
-	// any lease-holder redirect hop render as siblings under this root.
-	trace, root := traceRoot()
-	ks := h.sysvShardOf(kind, key)
 	h.mu.Lock()
 	leader := h.groups[ks].leader
 	h.mu.Unlock()
 	if leader != nil {
-		// The leader resolves against its own authoritative tables with
-		// plain calls — no dispatch machinery, and no lease either: a
-		// lease only removes round trips, and the leader has none
-		// (taking one would just add cache bookkeeping on top of the
-		// same keys/owners writes). A zero proposed ID lets keyResolve
-		// draw one under its own lock, skipping the batch-allocation
-		// step entirely.
-		for attempt := 0; attempt < sysvRetries; attempt++ {
-			migrationBackoff(attempt)
-			r, errno := leader.keyResolve(kind, key, flags, 0, h.Addr, false)
-			if errno != 0 {
-				return 0, "", errno
-			}
-			if r.indirect == "" {
-				return r.id, r.owner, nil
-			}
-			if r.indirect == h.Addr {
-				// The lease table points at us but the helper-side lease is
-				// gone (checked before we got here): drop it and resolve
-				// from the leader tables.
-				leader.releaseLease(kind, keyBlock(key))
-				continue
-			}
-			proposed, err := h.allocID(kind, ks)
-			if err != nil {
-				return 0, "", err
-			}
-			id, owner, err := h.keyFromHolder(kind, key, flags, proposed, r.indirect, trace, root)
-			if err == errHolderGone {
-				continue
-			}
-			return id, owner, err
+		id, owner, errno := leader.keyResolve(kind, key, flags, proposed, h.Addr)
+		if errno != 0 {
+			return 0, "", errno
 		}
-		return 0, "", api.EIDRM
+		return id, owner, nil
 	}
-	proposed, err := h.allocID(kind, ks)
+	trace, root := traceRoot()
+	resp, err := h.callLeader(Frame{Type: MsgKeyGet, A: int64(kind), B: key, C: int64(flags), D: proposed, Trace: trace, Span: root})
 	if err != nil {
 		return 0, "", err
 	}
-	reqFlags := int64(flags)
-	if keyLeasesOn.Load() {
-		reqFlags |= keyLeaseRequest
-	}
-	for attempt := 0; attempt < sysvRetries; attempt++ {
-		migrationBackoff(attempt)
-		resp, err := h.callLeader(Frame{Type: MsgKeyGet, A: int64(kind), B: key, C: reqFlags, D: proposed, Trace: trace, Span: root})
-		if err != nil {
-			return 0, "", err
-		}
-		switch resp.B {
-		case keyRespLeased:
-			// The grant carries the block's keys already registered at the
-			// leader; our cache becomes authoritative for the whole block,
-			// so it must hold them before we answer any lookup locally. If
-			// the seed is undecodable, hand the lease straight back rather
-			// than serve the block from an incomplete cache.
-			seed, serr := decodeKeySeed(resp.Blob)
-			if serr != nil {
-				_, _ = h.callLeader(Frame{Type: MsgKeyEvict, A: int64(kind), B: resp.C})
-				return resp.A, resp.S, nil
-			}
-			h.mu.Lock()
-			kindSet(&h.keyLeases, kind, resp.C, struct{}{})
-			for _, se := range seed {
-				kindSet(&h.keyCache, kind, se.key, keyEntry{id: se.id, owner: se.owner})
-			}
-			kindSet(&h.keyCache, kind, key, keyEntry{id: resp.A, owner: resp.S})
-			h.mu.Unlock()
-			h.leaseCount.Add(1)
-			return resp.A, resp.S, nil
-		case keyRespIndirect:
-			// The block is leased to another helper whose local cache is
-			// authoritative (it may hold keys it has not yet registered at
-			// the leader); ask it directly.
-			id, owner, err := h.keyFromHolder(kind, key, flags, proposed, resp.S, trace, root)
-			if err == errHolderGone {
-				continue
-			}
-			return id, owner, err
-		default:
-			return resp.A, resp.S, nil
-		}
-	}
-	return 0, "", api.EIDRM
-}
-
-// errHolderGone reports that a lease holder could not answer (dead, or it
-// released the lease); the caller re-resolves at the leader.
-var errHolderGone = fmt.Errorf("ipc: lease holder unreachable")
-
-// keyFromHolder asks the block's lease holder to resolve (or create on
-// our behalf) a key the leader redirected us to. trace/root tie the hop
-// into the originating operation's trace tree.
-func (h *Helper) keyFromHolder(kind int, key int64, flags int, proposed int64, holder string, trace, root uint64) (int64, string, error) {
-	c, derr := h.dial(holder)
-	if derr != nil {
-		// The holder died; release its lease on its behalf so the leader
-		// answers from its own (flushed) table next time.
-		_, _ = h.callLeader(Frame{Type: MsgKeyEvict, A: int64(kind), B: keyBlock(key)})
-		return 0, "", errHolderGone
-	}
-	// Deadline-bounded: a lease holder stranded behind a partition would
-	// otherwise hang every lookup of its block forever. ETIMEDOUT surfaces
-	// to the caller (default branch) rather than evicting the lease — the
-	// holder is not provably dead, and stealing its block would mint a
-	// second live ID for any key it already created.
-	hf := Frame{Type: MsgKeyGet, A: int64(kind), B: key, C: int64(flags), D: proposed, Trace: trace, Span: root}
-	start, parent := h.beginSpan(&hf)
-	r2, cerr := c.CallTimeout(hf, rpcCallTimeout)
-	h.endSpan(&hf, start, parent, cerr)
-	switch cerr {
-	case nil:
-		return r2.A, r2.S, nil
-	case api.EXDEV:
-		// The holder released the lease between the leader's answer and
-		// our call; the leader is authoritative again.
-		return 0, "", errHolderGone
-	case api.EPIPE:
-		_, _ = h.callLeader(Frame{Type: MsgKeyEvict, A: int64(kind), B: keyBlock(key)})
-		return 0, "", errHolderGone
-	default:
-		return 0, "", cerr
-	}
-}
-
-// keyFromLease serves a key lookup/create from a locally held block
-// lease. handled=false means the key's block is not leased here and the
-// caller must go through the leader.
-func (h *Helper) keyFromLease(kind int, key int64, flags int) (id int64, owner string, handled bool, err error) {
-	block := keyBlock(key)
-	h.mu.Lock()
-	if _, held := h.keyLeases[kind][block]; !held {
-		h.mu.Unlock()
-		return 0, "", false, nil
-	}
-	if e, ok := h.keyCache[kind][key]; ok {
-		h.mu.Unlock()
-		if flags&api.IPCCreat != 0 && flags&api.IPCExcl != 0 {
-			return 0, "", true, api.EEXIST
-		}
-		return e.id, e.owner, true, nil
-	}
-	h.mu.Unlock()
-	if flags&api.IPCCreat == 0 {
-		return 0, "", true, api.ENOENT
-	}
-	proposed, aerr := h.allocID(kind, h.sysvShardOf(kind, key))
-	if aerr != nil {
-		return 0, "", true, aerr
-	}
-	h.mu.Lock()
-	// Re-check under the lock: the lease may have been flushed, or a
-	// racing create may have landed (its entry wins; our ID is wasted,
-	// which batched allocation makes harmless).
-	if _, held := h.keyLeases[kind][block]; !held {
-		h.mu.Unlock()
-		return 0, "", false, nil
-	}
-	if e, ok := h.keyCache[kind][key]; ok {
-		h.mu.Unlock()
-		if flags&api.IPCExcl != 0 {
-			return 0, "", true, api.EEXIST
-		}
-		return e.id, e.owner, true, nil
-	}
-	kindSet(&h.keyCache, kind, key, keyEntry{id: proposed, owner: h.Addr})
-	h.mu.Unlock()
-	// Register lazily so later by-ID owner queries and post-exit lookups
-	// resolve at the leader; the create itself stays round-trip free.
-	h.registerKeyLazily(kind, key, proposed, h.Addr)
-	return proposed, h.Addr, true, nil
-}
-
-// registerKeyLazily records a lease-created mapping at the leader:
-// directly (plain map writes) when this helper is the leader itself,
-// asynchronously over RPC otherwise.
-func (h *Helper) registerKeyLazily(kind int, key, id int64, owner string) {
-	h.mu.Lock()
-	if leader := h.groups[h.sysvShardOf(kind, key)].leader; leader != nil {
-		// The leader's registration is a pair of plain map writes; do
-		// it synchronously (this path only runs for creates the leader
-		// performs on a requester's behalf under a recovered lease).
-		h.mu.Unlock()
-		leader.registerKey(kind, key, id, owner)
-		return
-	}
-	// Members queue the registration for a single background drainer,
-	// instead of one goroutine + leader round trip per create: a burst
-	// of creates under a lease costs the leader a trickle of registers
-	// instead of a storm.
-	h.pendingRegs = append(h.pendingRegs, pendingReg{kind: kind, key: key, id: id, owner: owner})
-	if h.regFlushing {
-		h.mu.Unlock()
-		return
-	}
-	h.regFlushing = true
-	h.mu.Unlock()
-	go h.drainPendingRegs()
-}
-
-// takeLiveRegsLocked claims the queued registrations, dropping entries
-// whose cached mapping is gone (the object was removed before the lazy
-// registration landed — registering it would resurrect a dead key).
-// Caller holds h.mu.
-func (h *Helper) takeLiveRegsLocked() []pendingReg {
-	batch := h.pendingRegs
-	h.pendingRegs = nil
-	live := batch[:0]
-	for _, r := range batch {
-		if e, ok := h.keyCache[r.kind][r.key]; ok && e.id == r.id {
-			live = append(live, r)
-		}
-	}
-	return live
-}
-
-// drainPendingRegs sends queued lazy registrations to the leader until the
-// queue is empty, then exits. At most one instance runs per helper.
-func (h *Helper) drainPendingRegs() {
-	for {
-		h.mu.Lock()
-		if len(h.pendingRegs) == 0 {
-			h.regFlushing = false
-			h.mu.Unlock()
-			return
-		}
-		batch := h.takeLiveRegsLocked()
-		h.mu.Unlock()
-		for _, r := range batch {
-			_, _ = h.callLeader(Frame{Type: MsgKeyRegister, A: int64(r.kind), B: r.key, C: r.id, S: r.owner})
-		}
-	}
-}
-
-// pendingReg is a queued lazy key registration (see registerKeyLazily).
-type pendingReg struct {
-	kind    int
-	key, id int64
-	owner   string
-}
-
-// dropKeyCache forgets cached key mappings pointing at a removed object,
-// including registrations still queued for the lazy flusher (a register
-// that has already left for the leader is neutralized there by the
-// removed-ID tombstone).
-func (h *Helper) dropKeyCache(kind int, id int64) {
-	h.mu.Lock()
-	for key, e := range h.keyCache[kind] {
-		if e.id == id {
-			delete(h.keyCache[kind], key)
-		}
-	}
-	live := h.pendingRegs[:0]
-	for _, r := range h.pendingRegs {
-		if r.kind == kind && r.id == id {
-			continue
-		}
-		live = append(live, r)
-	}
-	h.pendingRegs = live
-	h.mu.Unlock()
-}
-
-// dropRevokedLeases surrenders key-block leases the new leader refused to
-// honor in our recover-state report: the block was (re)granted to another
-// helper while we were unreachable, so our copy lost. Cached mappings and
-// queued lazy registrations under the block go with it — they carry the
-// dead lease's authority, and flushing them later would fight the block's
-// real holder. Local objects stay reachable by ID; a deposed leader's
-// reconcile pass re-registers the survivors through the normal
-// first-writer-wins key path.
-func (h *Helper) dropRevokedLeases(ls []recoverLease) {
-	if len(ls) == 0 {
-		return
-	}
-	h.mu.Lock()
-	for _, le := range ls {
-		m := h.keyLeases[le.Kind]
-		if m == nil {
-			continue
-		}
-		if _, held := m[le.Block]; !held {
-			continue
-		}
-		delete(m, le.Block)
-		h.leaseCount.Add(-1)
-		statLeaseRevoked.Add(1)
-		for key := range h.keyCache[le.Kind] {
-			if keyBlock(key) == le.Block {
-				delete(h.keyCache[le.Kind], key)
-			}
-		}
-		live := h.pendingRegs[:0]
-		for _, r := range h.pendingRegs {
-			if r.kind == le.Kind && keyBlock(r.key) == le.Block {
-				continue
-			}
-			live = append(live, r)
-		}
-		h.pendingRegs = live
-	}
-	h.mu.Unlock()
-}
-
-// flushKeyLeases registers every locally cached key mapping at the leader
-// and returns the held blocks, so the sandbox keeps resolving these keys
-// after this helper exits. Runs on shutdown; helpers that never created
-// clustered keys hold no leases and skip the round trips entirely.
-func (h *Helper) flushKeyLeases() {
-	type flushKey struct {
-		kind    int
-		key, id int64
-		owner   string
-	}
-	type flushBlock struct {
-		kind  int
-		block int64
-	}
-	var entries []flushKey
-	var blocks []flushBlock
-	h.mu.Lock()
-	// The synchronous cache flush below supersedes any queued lazy
-	// registrations (the cache holds every mapping the queue does).
-	h.pendingRegs = nil
-	for kind, m := range h.keyCache {
-		for key, e := range m {
-			entries = append(entries, flushKey{kind: kind, key: key, id: e.id, owner: e.owner})
-		}
-	}
-	for kind, m := range h.keyLeases {
-		for b := range m {
-			blocks = append(blocks, flushBlock{kind: kind, block: b})
-		}
-	}
-	h.keyCache, h.keyLeases = nil, nil
-	h.leaseCount.Store(0)
-	h.mu.Unlock()
-	for _, e := range entries {
-		_, _ = h.callLeader(Frame{Type: MsgKeyRegister, A: int64(e.kind), B: e.key, C: e.id, S: e.owner})
-	}
-	for _, b := range blocks {
-		_, _ = h.callLeader(Frame{Type: MsgKeyEvict, A: int64(b.kind), B: b.block})
-	}
+	return resp.A, resp.S, nil
 }
 
 // ============================================================

@@ -19,11 +19,13 @@ import (
 //     claimed as locally allocated by two helpers);
 //   - no System V key resolving to two live IDs (first-writer-wins
 //     registration plus post-heal tombstoning of loser copies);
-//   - no key-block lease held by two helpers at once;
-//   - sharded placement: every key mapping, lease grant, and ID range a
-//     shard leader holds belongs to that shard (keys and leases by the
-//     consistent-hash ring, ID ranges by slab arithmetic), so a name
-//     always has exactly one authoritative shard.
+//   - every keyed object a live helper owns resolves at its key's shard
+//     leader to that (id, owner): the leader is the key's one authority,
+//     and msgget/semget register there before they return;
+//   - sharded placement: every key mapping and ID range a shard leader
+//     holds belongs to that shard (keys by the consistent-hash ring, ID
+//     ranges by slab arithmetic), so a name always has exactly one
+//     authoritative shard.
 //
 // CheckInvariants inspects live helper state directly (same package) and
 // returns one human-readable string per violation; the chaos harness
@@ -35,10 +37,15 @@ type shardSnap struct {
 	isLeader    bool
 	leaderEpoch int64
 	// leader-only tables (nil when not leading this shard)
-	ranges       map[int][]idRange
-	leaderKeys   map[int]map[int64]int64 // kind -> key -> id
-	leaderLeases map[int]map[int64]string
-	removed      map[int]map[int64]struct{}
+	ranges     map[int][]idRange
+	leaderKeys map[int]map[int64]keyEntry // kind -> key -> (id, owner)
+	removed    map[int]map[int64]struct{}
+}
+
+// keyedSnap is one live keyed object a helper owns.
+type keyedSnap struct {
+	sysvRef
+	key int64
 }
 
 // helperSnapshot is one helper's state copied out under its locks, so
@@ -48,22 +55,28 @@ type helperSnapshot struct {
 	shards   int
 	ring     *shardRing
 	groups   []shardSnap
-	selfPIDs []int64                 // PIDs this helper claims as locally allocated
-	leases   map[int][]int64         // kind -> leased key blocks
-	keyCache map[int]map[int64]int64 // kind -> key -> id (cached under leases)
-	liveIDs  map[int][]int64         // kind -> IDs of live, unmigrated objects here
+	selfPIDs []int64         // PIDs this helper claims as locally allocated
+	liveIDs  map[int][]int64 // kind -> IDs of live, unmigrated objects here
+	// keyed lists the live keyed objects this helper owns; empty once it
+	// has shut down (its queues are persisted for adoption, its sets
+	// evicted, and neither is its to answer for any more).
+	keyed []keyedSnap
+	// handoff maps the objects this helper is handing off to the new
+	// owner ("" while the handoff is in flight, the receiver once it has
+	// committed and left a forwarding tombstone).
+	handoff map[sysvRef]string
 }
 
 func snapshotHelper(h *Helper) helperSnapshot {
 	s := helperSnapshot{
-		addr:     h.Addr,
-		shards:   h.shards,
-		ring:     h.ring,
-		leases:   make(map[int][]int64),
-		keyCache: make(map[int]map[int64]int64),
-		liveIDs:  make(map[int][]int64),
+		addr:    h.Addr,
+		shards:  h.shards,
+		ring:    h.ring,
+		liveIDs: make(map[int][]int64),
+		handoff: make(map[sysvRef]string),
 	}
 	h.mu.Lock()
+	down := h.shutdown
 	leaders := make([]*leaderState, len(h.groups))
 	for i, g := range h.groups {
 		s.groups = append(s.groups, shardSnap{
@@ -78,18 +91,6 @@ func snapshotHelper(h *Helper) helperSnapshot {
 			s.selfPIDs = append(s.selfPIDs, pid)
 		}
 	}
-	for kind, blocks := range h.keyLeases {
-		for b := range blocks {
-			s.leases[kind] = append(s.leases[kind], b)
-		}
-	}
-	for kind, m := range h.keyCache {
-		dst := make(map[int64]int64, len(m))
-		for k, e := range m {
-			dst[k] = e.id
-		}
-		s.keyCache[kind] = dst
-	}
 	// Copy the object tables, not just references: a heartbeat-triggered
 	// reconcile can tombstone queues concurrently with this walk.
 	objs := h.objectsLocked()
@@ -100,6 +101,12 @@ func snapshotHelper(h *Helper) helperSnapshot {
 		hd.mu.Lock()
 		if hd.liveLocked() {
 			s.liveIDs[hd.kind] = append(s.liveIDs[hd.kind], hd.id)
+			if !down && hd.key != api.IPCPrivate {
+				s.keyed = append(s.keyed, keyedSnap{hd.sysvRef, hd.key})
+			}
+		}
+		if !hd.removed && (hd.migrating || hd.movedTo != "") {
+			s.handoff[hd.sysvRef] = hd.movedTo
 		}
 		hd.mu.Unlock()
 	}
@@ -114,21 +121,13 @@ func snapshotHelper(h *Helper) helperSnapshot {
 		for kind, rs := range leader.ranges {
 			g.ranges[kind] = append([]idRange(nil), rs...)
 		}
-		g.leaderKeys = make(map[int]map[int64]int64)
+		g.leaderKeys = make(map[int]map[int64]keyEntry)
 		for kind, m := range leader.keys {
-			dst := make(map[int64]int64, len(m))
+			dst := make(map[int64]keyEntry, len(m))
 			for k, e := range m {
-				dst[k] = e.id
+				dst[k] = e
 			}
 			g.leaderKeys[kind] = dst
-		}
-		g.leaderLeases = make(map[int]map[int64]string)
-		for kind, m := range leader.leases {
-			dst := make(map[int64]string, len(m))
-			for b, holder := range m {
-				dst[b] = holder
-			}
-			g.leaderLeases[kind] = dst
 		}
 		g.removed = make(map[int]map[int64]struct{})
 		for kind, m := range leader.removed {
@@ -300,8 +299,8 @@ func CheckInvariants(helpers []*Helper) []string {
 	for _, s := range snaps {
 		for _, g := range s.groups {
 			for kind, m := range g.leaderKeys {
-				for key, id := range m {
-					record(kind, key, id, fmt.Sprintf("shard %d leader %s", g.shard, s.addr))
+				for key, e := range m {
+					record(kind, key, e.id, fmt.Sprintf("shard %d leader %s", g.shard, s.addr))
 					// Placement: the mapping must live on the shard the
 					// ring assigns the key's block to — a key has exactly
 					// one authoritative shard.
@@ -312,11 +311,6 @@ func CheckInvariants(helpers []*Helper) []string {
 						}
 					}
 				}
-			}
-		}
-		for kind, m := range s.keyCache {
-			for key, id := range m {
-				record(kind, key, id, "cache "+s.addr)
 			}
 		}
 	}
@@ -331,37 +325,57 @@ func CheckInvariants(helpers []*Helper) []string {
 		}
 	}
 
-	// Invariant 4: no key-block lease held by two helpers at once, and
-	// every lease a shard leader granted is for a block the ring places on
-	// that shard.
-	type blockRef struct {
-		kind  int
-		block int64
-	}
-	holders := make(map[blockRef]string)
+	// Invariant 4: every keyed object a live helper owns resolves at its
+	// key's shard leader to that (id, owner). The leader is the key's one
+	// authority and msgget/semget register there before returning, so a
+	// live object the leader does not map is a create nobody else can
+	// find, and a mapping naming another owner sends every lookup astray.
+	// A shard is judged by its newest-epoch leader among the helpers
+	// given; a shard whose leader is not among them is skipped. An
+	// ownership handoff is the one sanctioned lag: the sender's chown
+	// reaches the leader only after the receiver installed, so while the
+	// mapped owner's copy is mid-handoff or forwards to the holder, the
+	// mapping names the sender.
+	handingOff := make(map[string]map[sysvRef]string, len(snaps))
 	for _, s := range snaps {
-		for kind, blocks := range s.leases {
-			for _, b := range blocks {
-				r := blockRef{kind, b}
-				if prev, ok := holders[r]; ok && prev != s.addr {
-					bad("kind %d key block %d leased to both %s and %s", kind, b, prev, s.addr)
-				} else {
-					holders[r] = s.addr
-				}
+		handingOff[s.addr] = s.handoff
+	}
+	type ledBy struct {
+		g    *shardSnap
+		addr string
+	}
+	shardLeader := make(map[int]ledBy)
+	for i := range snaps {
+		for j := range snaps[i].groups {
+			g := &snaps[i].groups[j]
+			if cur, ok := shardLeader[g.shard]; g.isLeader && (!ok || g.leaderEpoch > cur.g.leaderEpoch) {
+				shardLeader[g.shard] = ledBy{g, snaps[i].addr}
 			}
 		}
 	}
-	if nshards > 1 {
-		for _, s := range snaps {
-			for _, g := range s.groups {
-				for kind, m := range g.leaderLeases {
-					for b := range m {
-						if want := ring.keyShard(kind, b); want != g.shard {
-							bad("kind %d block %d lease recorded at shard %d (%s) but hashes to shard %d",
-								kind, b, g.shard, s.addr, want)
-						}
-					}
+	for _, s := range snaps {
+		for _, o := range s.keyed {
+			shard := 0
+			if nshards > 1 {
+				shard = ring.keyShard(o.kind, keyBlock(o.key))
+			}
+			l, ok := shardLeader[shard]
+			if !ok {
+				continue
+			}
+			e, mapped := l.g.leaderKeys[o.kind][o.key]
+			if mapped && e.id == o.id && e.owner != s.addr {
+				if to, ok := handingOff[e.owner][o.sysvRef]; ok && (to == "" || to == s.addr) {
+					continue // the handoff's chown is still on its way
 				}
+			}
+			switch {
+			case !mapped:
+				bad("kind %d key %d: object %d owned by %s is not mapped at its shard %d leader %s",
+					o.kind, o.key, o.id, s.addr, shard, l.addr)
+			case e.id != o.id || e.owner != s.addr:
+				bad("kind %d key %d: object %d owned by %s resolves at its shard %d leader %s to id %d owned by %s",
+					o.kind, o.key, o.id, s.addr, shard, l.addr, e.id, e.owner)
 			}
 		}
 	}

@@ -358,7 +358,6 @@ func (h *Helper) removeLocal(kind int, id int64) api.Errno {
 			return api.EXDEV
 		}
 	}
-	h.dropKeyCache(kind, id)
 	h.mu.Lock()
 	if kind == NSSysVSem {
 		delete(h.sems, id)

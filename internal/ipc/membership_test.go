@@ -49,8 +49,8 @@ func (g *testGroup) forked(parent *Helper, parentPAL *pal.PAL, svc Service) (*He
 func leaderTables(l *leaderState) string {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return fmt.Sprintf("ranges=%v next=%v leases=%v owners=%v keys=%v departed=%v",
-		l.ranges, l.next, l.leases, l.owners, l.keys, l.departed)
+	return fmt.Sprintf("ranges=%v next=%v owners=%v keys=%v departed=%v",
+		l.ranges, l.next, l.owners, l.keys, l.departed)
 }
 
 // TestNSHwmOnlyWhenCursorMoved: claims of IDs some range already covers
@@ -204,7 +204,7 @@ func TestStatelessChildLeavesLeaderUntouched(t *testing.T) {
 
 // TestCoordinatingChildStillSaysGoodbye: a forked child that did take
 // something from the leader — here a queue, with the ID batch and key
-// lease behind it — says MsgBye before its streams close, is marked
+// mapping behind it — says MsgBye before its streams close, is marked
 // departed, and is not reaped; its queue survives it.
 func TestCoordinatingChildStillSaysGoodbye(t *testing.T) {
 	g := newTestGroup(t)

@@ -1,8 +1,6 @@
 package ipc
 
 import (
-	"encoding/binary"
-	"fmt"
 	"sync"
 
 	"graphene/internal/api"
@@ -22,26 +20,13 @@ type keyEntry struct {
 	owner string
 }
 
-// keyBlockSize is how many consecutive System V keys one block lease
-// covers. Applications name related IPC objects with clustered keys
-// (ftok over the same file, a base key plus a small index), so leasing a
-// whole block on the first create amortizes the leader round trip the
-// same way PID batches amortize fork (§4.3).
+// keyBlockSize is how many consecutive System V keys one placement block
+// covers. Applications name related IPC objects with clustered keys (ftok
+// over the same file, a base key plus a small index), and the shard ring
+// places a whole block on one shard, so related keys share one authority.
 const keyBlockSize = 64
 
-// keyLeaseRequest is OR'd into MsgKeyGet's flags word by a requester
-// willing to take a block lease. It lives far above the guest ipc flags
-// (IPCCreat/IPCExcl/IPCNoWait occupy the low 12 bits).
-const keyLeaseRequest = 1 << 30
-
-// MsgKeyGet response codes (Frame.B).
-const (
-	keyRespDirect   = 0 // A=id, S=owner: authoritative answer
-	keyRespIndirect = 1 // S=lease holder: re-ask that helper
-	keyRespLeased   = 2 // as direct, plus block C is now leased to the requester
-)
-
-// keyBlock maps a key to its lease block (floor division, so negative
+// keyBlock maps a key to its placement block (floor division, so negative
 // keys land in well-defined blocks too).
 func keyBlock(key int64) int64 {
 	b := key / keyBlockSize
@@ -71,13 +56,14 @@ type leaderState struct {
 	next   map[int]int64
 	keys   map[int]map[int64]keyEntry   // kind -> key -> entry
 	owners map[int]map[int64]ownerEntry // kind -> id -> owner
-	leases map[int]map[int64]string     // kind -> key block -> holder address
-	// removed tombstones destroyed object IDs. A lazy key registration
-	// from a lease holder can arrive after the object's removal (the two
-	// travel on different streams), and without the tombstone it would
-	// resurrect the key mapping. IDs are allocated monotonically and never
-	// reused, so a tombstone stays valid forever; the set grows by one
-	// int64 per destroyed object, which is fine at sandbox scale.
+	// removed tombstones destroyed object IDs. A member's post-heal
+	// reconcile (MsgKeyRegister) can report an object this side removed
+	// while the two were cut off, and without the tombstone it would
+	// resurrect the key mapping; the reconcile reads the tombstone as
+	// "your copy lost" and the recover checks read it as "dead, not split".
+	// IDs are allocated monotonically and never reused, so a tombstone
+	// stays valid forever; the set grows by one int64 per destroyed
+	// object, which is fine at sandbox scale.
 	removed map[int]map[int64]struct{} // kind -> id
 	// departed marks member addresses that said a graceful MsgBye while
 	// holding something in these tables (never reap them: their objects
@@ -102,7 +88,6 @@ func newLeaderStateShard(shard, nshards int) *leaderState {
 		next:     map[int]int64{NSPid: 1, NSSysVMsg: 1, NSSysVSem: 1},
 		keys:     map[int]map[int64]keyEntry{NSSysVMsg: {}, NSSysVSem: {}},
 		owners:   map[int]map[int64]ownerEntry{NSSysVMsg: {}, NSSysVSem: {}},
-		leases:   map[int]map[int64]string{NSSysVMsg: {}, NSSysVSem: {}},
 		removed:  map[int]map[int64]struct{}{NSSysVMsg: {}, NSSysVSem: {}},
 		departed: make(map[string]struct{}),
 		pgs:      newPgroupState(),
@@ -203,173 +188,49 @@ func (l *leaderState) rangeOwner(kind int, id int64) (string, bool) {
 	return "", false
 }
 
-// keyResult is the outcome of a key resolution at the leader.
-type keyResult struct {
-	id    int64
-	owner string
-	// indirect, when non-empty, names the lease holder authoritative for
-	// the key's block; the requester must re-ask that helper.
-	indirect string
-	// leased reports that block was just granted to the requester.
-	leased bool
-	block  int64
-	// seed carries the block's keys already registered at the leader when
-	// the lease was granted (leader-created, flushed by a prior holder on
-	// shutdown, or created while leasing was toggled off). The grantee's
-	// cache becomes authoritative for the whole block, so it must start
-	// out holding every registered mapping — otherwise a lookup of such a
-	// key would answer ENOENT and a create would mint a second live ID for
-	// a key the leader still maps to the old one (split brain).
-	seed []seedKeyEntry
-}
-
-// seedKeyEntry is one (key, id, owner) mapping shipped with a lease grant.
-type seedKeyEntry struct {
-	key, id int64
-	owner   string
-}
-
-// encodeKeySeed serializes lease-grant seed entries into a frame blob.
-func encodeKeySeed(seed []seedKeyEntry) []byte {
-	if len(seed) == 0 {
-		return nil
-	}
-	out := binary.LittleEndian.AppendUint32(nil, uint32(len(seed)))
-	for _, e := range seed {
-		out = binary.LittleEndian.AppendUint64(out, uint64(e.key))
-		out = binary.LittleEndian.AppendUint64(out, uint64(e.id))
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(e.owner)))
-		out = append(out, e.owner...)
-	}
-	return out
-}
-
-func decodeKeySeed(blob []byte) ([]seedKeyEntry, error) {
-	if len(blob) == 0 {
-		return nil, nil
-	}
-	if len(blob) < 4 {
-		return nil, fmt.Errorf("ipc: short key seed blob")
-	}
-	n := int(binary.LittleEndian.Uint32(blob))
-	off := 4
-	seed := make([]seedKeyEntry, 0, n)
-	for i := 0; i < n; i++ {
-		if off+20 > len(blob) {
-			return nil, fmt.Errorf("ipc: truncated key seed")
-		}
-		key := int64(binary.LittleEndian.Uint64(blob[off:]))
-		id := int64(binary.LittleEndian.Uint64(blob[off+8:]))
-		ol := int(binary.LittleEndian.Uint32(blob[off+16:]))
-		off += 20
-		if off+ol > len(blob) {
-			return nil, fmt.Errorf("ipc: truncated key seed owner")
-		}
-		seed = append(seed, seedKeyEntry{key: key, id: id, owner: string(blob[off : off+ol])})
-		off += ol
-	}
-	if off != len(blob) {
-		return nil, fmt.Errorf("ipc: key seed length mismatch")
-	}
-	return seed, nil
-}
-
-// keyResolve resolves or creates a key mapping. proposedID is the
-// requester's locally allocated ID, used only on creation; zero means
-// "allocate for me" and draws the next ID under the same lock (the
-// leader's own creates use this to skip the batch-allocation step — its
-// SysV IDs need no ranges entry because ownership lives in l.owners).
-// With wantLease,
-// a create in an unleased block registers the key AND grants the whole
-// block to the requester in the same round trip; later creates and lookups
-// in that block are then served by the holder (locally, or via the
-// indirect response for other helpers).
-func (l *leaderState) keyResolve(kind int, key int64, flags int, proposedID int64, requester string, wantLease bool) (keyResult, api.Errno) {
+// keyResolve resolves or creates a key mapping at the key's shard leader,
+// the key's one authority: the mapping is in the table before the caller's
+// msgget or semget returns. proposedID is the requester's ID from its
+// batch of this shard, used only on creation.
+func (l *leaderState) keyResolve(kind int, key int64, flags int, proposedID int64, requester string) (id int64, owner string, err api.Errno) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	keys := l.keys[kind]
 	if keys == nil {
-		return keyResult{}, api.EINVAL
+		return 0, "", api.EINVAL
 	}
 	if key != api.IPCPrivate {
 		if e, ok := keys[key]; ok {
 			if flags&api.IPCCreat != 0 && flags&api.IPCExcl != 0 {
-				return keyResult{}, api.EEXIST
+				return 0, "", api.EEXIST
 			}
-			return keyResult{id: e.id, owner: e.owner}, 0
-		}
-		// Not registered here. A leased block's holder is authoritative
-		// for unregistered keys in it (its creates register lazily), so
-		// send the requester there rather than answering ENOENT.
-		block := keyBlock(key)
-		if holder, ok := l.leases[kind][block]; ok && holder != requester {
-			return keyResult{indirect: holder, block: block}, 0
+			return e.id, e.owner, 0
 		}
 		if flags&api.IPCCreat == 0 {
-			return keyResult{}, api.ENOENT
+			return 0, "", api.ENOENT
 		}
-		if proposedID == 0 {
-			l.alignCursorLocked(kind, 1)
-			proposedID = l.next[kind]
-			l.next[kind]++
-		}
-		keys[key] = keyEntry{id: proposedID, owner: requester}
-		l.owners[kind][proposedID] = ownerEntry{addr: requester, epoch: 1}
-		if wantLease {
-			if _, taken := l.leases[kind][block]; !taken {
-				l.leases[kind][block] = requester
-				// Seed the grantee with the block's other registered keys
-				// so its now-authoritative cache agrees with the leader's
-				// table from the first lookup (see keyResult.seed).
-				var seed []seedKeyEntry
-				base := block * keyBlockSize
-				for k := base; k < base+keyBlockSize; k++ {
-					if k == key {
-						continue
-					}
-					if e, ok := keys[k]; ok {
-						seed = append(seed, seedKeyEntry{key: k, id: e.id, owner: e.owner})
-					}
-				}
-				return keyResult{id: proposedID, owner: requester, leased: true, block: block, seed: seed}, 0
-			}
-		}
-		return keyResult{id: proposedID, owner: requester}, 0
 	}
-	if proposedID == 0 {
-		l.alignCursorLocked(kind, 1)
-		proposedID = l.next[kind]
-		l.next[kind]++
+	if proposedID <= 0 {
+		return 0, "", api.EINVAL
+	}
+	if key != api.IPCPrivate {
+		keys[key] = keyEntry{id: proposedID, owner: requester}
 	}
 	l.owners[kind][proposedID] = ownerEntry{addr: requester, epoch: 1}
-	return keyResult{id: proposedID, owner: requester}, 0
+	return proposedID, requester, 0
 }
 
-// keyGet is keyResolve without lease handling (kept for the direct-path
-// callers and tests; an indirect result cannot occur without leases).
-func (l *leaderState) keyGet(kind int, key int64, flags int, proposedID int64, requester string) (id int64, owner string, err api.Errno) {
-	r, errno := l.keyResolve(kind, key, flags, proposedID, requester, false)
-	if errno != 0 {
-		return 0, "", errno
-	}
-	return r.id, r.owner, 0
-}
-
-// registerKey installs a key mapping created under a block lease. The
-// lazy registration can arrive after a migration already recorded a newer
-// owner for the ID, so an existing owner entry wins over the report. The
-// returned ID is the authoritative one the key resolves to after the
-// call: 0 when the reported object is tombstoned, the incumbent entry's
-// ID when the key is already taken (first writer won), else the reported
-// ID itself. Reconciliation after a partition heal compares it against
-// the reported ID to detect losing copies.
+// registerKey installs a key mapping a member reports on reconcile after
+// a leader change. The report can arrive after a migration already
+// recorded a newer owner for the ID, so an existing owner entry wins over
+// it. The returned ID is the authoritative one the key resolves to after
+// the call: 0 when the reported object is tombstoned, the incumbent
+// entry's ID when the key is already taken (first writer won), else the
+// reported ID itself. Reconciliation compares it against the reported ID
+// to detect losing copies.
 func (l *leaderState) registerKey(kind int, key, id int64, owner string) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.registerKeyLocked(kind, key, id, owner)
-}
-
-func (l *leaderState) registerKeyLocked(kind int, key, id int64, owner string) int64 {
 	if _, dead := l.removed[kind][id]; dead {
 		return 0 // the object was destroyed while the report was in flight
 	}
@@ -388,23 +249,6 @@ func (l *leaderState) registerKeyLocked(kind int, key, id int64, owner string) i
 		l.keys[kind][key] = keyEntry{id: id, owner: owner}
 	}
 	return id
-}
-
-// releaseLease drops a block lease (holder exit, or a peer reporting the
-// holder dead). Keys the holder flushed stay registered; anything it never
-// reported dies with it, like all of a crashed picoprocess's local state.
-func (l *leaderState) releaseLease(kind int, block int64) {
-	l.mu.Lock()
-	delete(l.leases[kind], block)
-	l.mu.Unlock()
-}
-
-// leaseHolder returns the current holder of a key block, if any.
-func (l *leaderState) leaseHolder(kind int, block int64) (string, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	h, ok := l.leases[kind][block]
-	return h, ok
 }
 
 // idOwner returns the current owner of a System V object.
@@ -443,20 +287,15 @@ func (l *leaderState) chown(kind int, id int64, newOwner string, epoch int64) {
 	}
 }
 
-// keyEvictNote tells a lease holder to drop its cached entry for a
-// removed key.
-type keyEvictNote struct {
-	kind   int
-	key    int64
-	holder string
-}
-
-// remove drops an object and any key pointing at it, returning eviction
-// notices for lease holders still caching the dropped keys (the caller
-// delivers them off the RPC handler goroutine).
-func (l *leaderState) remove(kind int, id int64) (notify []keyEvictNote) {
+// remove drops an object and any key pointing at it, leaving a
+// tombstone.
+func (l *leaderState) remove(kind int, id int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.removeLocked(kind, id)
+}
+
+func (l *leaderState) removeLocked(kind int, id int64) {
 	if l.removed[kind] != nil {
 		l.removed[kind][id] = struct{}{}
 	}
@@ -464,27 +303,16 @@ func (l *leaderState) remove(kind int, id int64) (notify []keyEvictNote) {
 	for key, e := range l.keys[kind] {
 		if e.id == id {
 			delete(l.keys[kind], key)
-			if holder, ok := l.leases[kind][keyBlock(key)]; ok {
-				notify = append(notify, keyEvictNote{kind: kind, key: key, holder: holder})
-			}
 		}
 	}
-	return notify
 }
 
 // holdsLocked reports whether addr still owns anything in these tables: an
-// ID range, a key-block lease, or a System V object. Caller holds l.mu.
+// ID range or a System V object. Caller holds l.mu.
 func (l *leaderState) holdsLocked(addr string) bool {
 	for _, rs := range l.ranges {
 		for _, r := range rs {
 			if r.owner == addr {
-				return true
-			}
-		}
-	}
-	for _, m := range l.leases {
-		for _, holder := range m {
-			if holder == addr {
 				return true
 			}
 		}
@@ -514,21 +342,19 @@ func (l *leaderState) markDeparted(addr string) {
 }
 
 // reap reclaims a crashed member's namespace state: its ID ranges (so PID
-// queries fail ESRCH instead of pointing at a ghost), its key-block leases
-// (so unregistered keys in those blocks resolve at the leader again), and
-// its owned System V objects (tombstoned, exactly like an explicit remove,
-// so parked waiters and future lookups get EIDRM). Returns eviction
-// notices for surviving lease holders and whether anything was reclaimed —
-// false for an address that departed gracefully, was already reaped, or
-// never held anything here.
-func (l *leaderState) reap(addr string) (notify []keyEvictNote, reaped bool) {
+// queries fail ESRCH instead of pointing at a ghost) and its owned System
+// V objects (tombstoned, exactly like an explicit remove, so parked
+// waiters and future lookups get EIDRM). Reports whether anything was
+// reclaimed — false for an address that departed gracefully, was already
+// reaped, or never held anything here.
+func (l *leaderState) reap(addr string) (reaped bool) {
 	if addr == "" {
-		return nil, false
+		return false
 	}
 	l.mu.Lock()
 	if _, gone := l.departed[addr]; gone {
 		l.mu.Unlock()
-		return nil, false
+		return false
 	}
 	for kind, rs := range l.ranges {
 		keep := rs[:0]
@@ -540,34 +366,14 @@ func (l *leaderState) reap(addr string) (notify []keyEvictNote, reaped bool) {
 		reaped = reaped || len(keep) != len(rs)
 		l.ranges[kind] = keep
 	}
-	for _, m := range l.leases {
-		for block, holder := range m {
-			if holder == addr {
-				delete(m, block)
-				reaped = true
-			}
-		}
-	}
 	for kind, owners := range l.owners {
 		for id, o := range owners {
-			if o.addr != addr {
-				continue
-			}
-			reaped = true
-			if l.removed[kind] != nil {
-				l.removed[kind][id] = struct{}{}
-			}
-			delete(owners, id)
-			for key, e := range l.keys[kind] {
-				if e.id == id {
-					delete(l.keys[kind], key)
-					if holder, ok := l.leases[kind][keyBlock(key)]; ok {
-						notify = append(notify, keyEvictNote{kind: kind, key: key, holder: holder})
-					}
-				}
+			if o.addr == addr {
+				reaped = true
+				l.removeLocked(kind, id)
 			}
 		}
 	}
 	l.mu.Unlock()
-	return notify, l.pgs.dropAddr(addr) || reaped
+	return l.pgs.dropAddr(addr) || reaped
 }

@@ -38,12 +38,10 @@ const (
 	// Resp: S=value.
 	MsgProcMeta
 
-	// MsgKeyGet: map a System V key to an ID at the leader (or, for keys
-	// in a leased block, at the lease holder). A=kind, B=key,
-	// C=flags(IPCCreat|IPCExcl)|keyLeaseRequest, D=proposed ID.
-	// Resp: A=id, S=owner address, B=keyRespDirect/Indirect/Leased
-	// (C=granted block and Blob=encoded seed of the block's already
-	// registered key mappings when B==keyRespLeased).
+	// MsgKeyGet: map a System V key to an ID at the key's shard leader,
+	// creating the mapping there when asked. A=kind, B=key,
+	// C=flags(IPCCreat|IPCExcl), D=proposed ID. Resp: A=id, S=owner
+	// address.
 	MsgKeyGet
 	// MsgKeyOwner: look up the owner of a System V ID at the leader.
 	// A=kind, B=id. Resp: S=owner address.
@@ -98,15 +96,11 @@ const (
 	// Blob=recoverPayload.
 	MsgRecoverState
 
-	// MsgKeyRegister: lazily record a key mapping created under a block
-	// lease at the leader. A=kind, B=key, C=id, S=owner address.
+	// MsgKeyRegister: re-record a locally owned object's key mapping at
+	// its shard leader after a leader change (reconcile). A=kind, B=key,
+	// C=id, S=owner address. Resp: A=the ID the key resolves to (0 when
+	// the object is tombstoned).
 	MsgKeyRegister
-	// MsgKeyEvict: lease maintenance. To the leader (C=0): release the key
-	// block B of kind A (sent by the holder on exit, or by a peer on the
-	// holder's behalf when the holder is unreachable). To a lease holder
-	// (C=1): drop the cached entry for key B of kind A after the backing
-	// object was removed.
-	MsgKeyEvict
 
 	// MsgBye: graceful-departure marker, sent synchronously to the leader
 	// at the start of Shutdown. A member that said goodbye is never
@@ -136,8 +130,8 @@ const (
 
 	// MsgMemberDead: cross-shard death notification. A shard leader that
 	// reaped a crashed member scatters this to the other shard leaders so
-	// each sweeps its own slice of the dead member's PIDs, key leases, and
-	// owned objects. S=dead member address. Idempotent: a shard that
+	// each sweeps its own slice of the dead member's PIDs and owned
+	// objects. S=dead member address. Idempotent: a shard that
 	// already marked the member departed reaps nothing and does not
 	// re-scatter, so the fan-out converges in one round.
 	MsgMemberDead
@@ -181,8 +175,8 @@ var msgTypeNames = [...]string{
 	MsgWhoIsLeader: "MsgWhoIsLeader",
 	MsgPgJoin:      "MsgPgJoin", MsgPgLeave: "MsgPgLeave", MsgPgMembers: "MsgPgMembers",
 	MsgElection: "MsgElection", MsgNewLeader: "MsgNewLeader", MsgRecoverState: "MsgRecoverState",
-	MsgKeyRegister: "MsgKeyRegister", MsgKeyEvict: "MsgKeyEvict",
-	MsgBye: "MsgBye", MsgNSClaim: "MsgNSClaim", MsgNSHwm: "MsgNSHwm",
+	MsgKeyRegister: "MsgKeyRegister",
+	MsgBye:         "MsgBye", MsgNSClaim: "MsgNSClaim", MsgNSHwm: "MsgNSHwm",
 	MsgShardHandoff: "MsgShardHandoff", MsgMemberDead: "MsgMemberDead",
 	MsgQRecvCancel: "MsgQRecvCancel", MsgSemOpCancel: "MsgSemOpCancel",
 	MsgRingAttach: "MsgRingAttach", MsgRingDetach: "MsgRingDetach",

@@ -151,7 +151,7 @@ func TestShardRingDeterminism(t *testing.T) {
 func TestShardRingRebalance(t *testing.T) {
 	const samples = 20_000
 	for _, n := range []int{2, 4} {
-		old, grown := newShardRing(n), newShardRing(n + 1)
+		old, grown := newShardRing(n), newShardRing(n+1)
 		moved := 0
 		for k := int64(0); k < samples; k++ {
 			before := old.keyShard(NSSysVMsg, k)
@@ -320,9 +320,8 @@ func TestChaosKillOneShardLeavesOthersUndisturbed(t *testing.T) {
 	}
 
 	// Touching the dead shard now runs exactly that shard's election; the
-	// other shards still never move. m2 is the prober — m1 created the keys
-	// and holds their block leases, so its lookups resolve locally without
-	// any RPC at all.
+	// other shards still never move. m2, which created none of the keys,
+	// is the prober.
 	waitFor(t, 2*time.Second, "dead shard's key to resolve post-election", func() bool {
 		id, err := m2.Msgget(keys[victim], 0)
 		return err == nil && id > 0

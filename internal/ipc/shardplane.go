@@ -98,8 +98,8 @@ func (r *shardRing) owner(h uint64) int {
 }
 
 // keyShard places a SysV key block. The block (not the raw key) is the
-// placement unit so a block lease and every key inside it live on one
-// shard.
+// placement unit, so clustered keys (a base plus a small index) share one
+// authority.
 func (r *shardRing) keyShard(kind int, block int64) int {
 	if r == nil || r.n <= 1 {
 		return 0
@@ -188,9 +188,6 @@ func (h *Helper) routeShard(f *Frame) int {
 			return h.homeShard
 		}
 		return h.ring.keyShard(int(f.A), keyBlock(f.B))
-	case MsgKeyEvict:
-		// B is already a block number on the leader-bound release path.
-		return h.ring.keyShard(int(f.A), f.B)
 	case MsgPgJoin, MsgPgLeave, MsgPgMembers:
 		return h.ring.pgShard(f.A)
 	case MsgQMigrate, MsgSemMigrate:

@@ -16,8 +16,8 @@ import (
 // with a fresh span whose parent is the enclosing span (beginSpan), and
 // the receiving dispatcher records a serve span under the hop's span
 // (dispatchOn). Because frames carry the context, the hops of one msgget
-// — caller → leader → lease holder, plus any election rides — reassemble
-// into a single tree across picoprocess rings (host.buildTraceTrees).
+// — caller → shard leader, plus any election rides — reassemble into a
+// single tree across picoprocess rings (host.buildTraceTrees).
 //
 // Overhead budget: MsgPing is the Fig. 5 hot path (~2µs per round trip on
 // the reference machine); an always-on span costs two clock reads, two
@@ -142,7 +142,7 @@ func (h *Helper) serveSpan(f *Frame) {
 	}
 	h.pal.Proc().TraceRecord(host.TraceEvent{
 		TS: host.TraceNow(), Kind: host.EvRPCServe, Code: uint32(f.Type),
-		Arg: shardArg,
+		Arg:   shardArg,
 		Trace: f.Trace, Span: f.Span, Parent: parent,
 	})
 }
@@ -177,8 +177,8 @@ func (h *Helper) LocalPIDs() int {
 }
 
 // RegisterGauges installs this helper's live-state gauges — accepted
-// election epoch (shard 0, plus one gauge per extra shard), held
-// key-block leases, live accepted connections, live shard count, and the
+// election epoch (shard 0, plus one gauge per extra shard), live
+// accepted connections, live shard count, and the
 // leader-routing cache hit rate — into the default metrics registry under
 // the helper's guest PID, returning an unregister func for test teardown.
 func (h *Helper) RegisterGauges() func() {
@@ -191,9 +191,6 @@ func (h *Helper) RegisterGauges() func() {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		return h.leaderEpoch
-	})
-	reg(gaugeName("ipc.live_leases.pid", h.GuestPID), func() int64 {
-		return int64(h.leaseCount.Load())
 	})
 	reg(gaugeName("ipc.accepted_conns.pid", h.GuestPID), func() int64 {
 		return int64(h.AcceptedConns())

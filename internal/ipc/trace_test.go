@@ -131,7 +131,7 @@ func TestRegisterGauges(t *testing.T) {
 	snap := metrics.Default.Snapshot()
 	found := 0
 	for _, gz := range snap.Gauges {
-		if gz.Name == "ipc.election_epoch.pid1" || gz.Name == "ipc.live_leases.pid1" {
+		if gz.Name == "ipc.election_epoch.pid1" || gz.Name == "ipc.accepted_conns.pid1" {
 			found++
 		}
 	}

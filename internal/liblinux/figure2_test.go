@@ -118,10 +118,10 @@ func TestSandboxStress(t *testing.T) {
 		}
 
 		// Fork in the middle of the storm: short-lived children create
-		// runs of keyed queues (grabbing block leases), exercise them,
-		// and destroy them before exiting. Their checkpoints stream
-		// while the workers churn the SysV namespace, and their exits
-		// flush leases concurrently with the drain below.
+		// runs of keyed queues (one placement block each), exercise
+		// them, and destroy them before exiting. Their checkpoints
+		// stream while the workers churn the SysV namespace, and their
+		// exits race the drain below.
 		const forkers = 3
 		var fpids []int
 		for f := 0; f < forkers; f++ {
@@ -183,8 +183,8 @@ func TestSandboxStress(t *testing.T) {
 				return 200 + res.ExitCode
 			}
 		}
-		// The forkers' keys must be fully gone: a fresh create in a
-		// previously leased, fully evicted block must succeed.
+		// The forkers' keys must be fully gone: a fresh exclusive create
+		// of a key a forker removed must succeed.
 		if _, err := p.Msgget(3000, api.IPCCreat|api.IPCExcl); err != nil {
 			return 11
 		}
