@@ -139,11 +139,12 @@ bench:
 	$(GO) test -run XXX -bench . -benchmem $(HOT_PKGS)
 
 # One iteration of each fork-cost benchmark: the per-stage split of a
-# fork+exit+wait (16 KiB and 8 MiB), ForkCOW, and a bulk-IPC commit + map
-# of an 8 MiB heap. No timing gate; it keeps the benchmarks and the
-# per-stage observer compiling and running.
+# fork+exit+wait (16 KiB and 8 MiB), ForkCOW, a bulk-IPC commit + map of an
+# 8 MiB heap, and building the libOS image against mapping the kernel's
+# copy of it. No timing gate; it keeps the benchmarks and the per-stage
+# observer compiling and running.
 bench-smoke:
-	$(GO) test -run XXX -bench 'BenchmarkForkExitWait|BenchmarkForkCOW|BenchmarkCommitMap' -benchtime 1x ./internal/host/ ./internal/liblinux/
+	$(GO) test -run XXX -bench 'BenchmarkForkExitWait|BenchmarkForkCOW|BenchmarkCommitMap|BenchmarkTouchRangeImage|BenchmarkMapImage' -benchtime 1x ./internal/host/ ./internal/liblinux/
 
 # The paper's Figure 5 RPC ping-pong and related end-to-end benchmarks.
 bench-fig5:
@@ -155,12 +156,14 @@ bench-fig5:
 benchmark:
 	$(GO) run ./benchmark
 
-# Three seconds each of the fork-heavy, the single-process and the SysV
-# key-churn workload: the benchmark verifies every unit's output, so its
-# exit status is a correctness gate for the fork pipeline and for key
-# resolution (sibling lookups, ENOENT after rmid, no stale lookups) end to
-# end. No timing assertion.
+# Three seconds of each of the five BENCHMARK.json workloads: the benchmark
+# verifies every unit's output, so its exit status is a correctness gate
+# end to end for the fork pipeline, the single-process path, the SysV
+# data path, key resolution (sibling lookups, ENOENT after rmid, no stale
+# lookups) and the fleet's accept -> dispatch -> pass. No timing assertion.
 benchmark-smoke:
 	$(GO) run ./benchmark --workload proc_tree --seconds 3 --trace 0
 	$(GO) run ./benchmark --workload syscall_mix --seconds 3 --trace 0
+	$(GO) run ./benchmark --workload sysv_rpc --seconds 3 --trace 0
 	$(GO) run ./benchmark --workload ns_churn --seconds 3 --trace 0
+	$(GO) run ./benchmark --workload httpd_fleet --seconds 3 --trace 0

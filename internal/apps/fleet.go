@@ -444,13 +444,19 @@ func (m *fleetMaster) dispatchOne(item connItem) {
 		m.mu.Unlock()
 		if next == dispatchPass {
 			err := m.passer.PassConnection(pl.fd, item.fd)
+			var release []int
+			m.mu.Lock()
+			if err == nil {
+				release = m.core.passed(pl)
+			} else {
+				next, release = m.core.passFailed(pl, api.ToErrno(err))
+			}
+			m.mu.Unlock()
+			m.closeFDs(release...)
 			if err == nil {
 				_ = m.p.Close(item.fd)
 				return
 			}
-			m.mu.Lock()
-			next = m.core.passFailed(pl, api.ToErrno(err))
-			m.mu.Unlock()
 		}
 		switch next {
 		case dispatchShed:

@@ -132,6 +132,7 @@ func (w *simWorld) step() {
 			still = append(still, arrival)
 		case dispatchPass:
 			w.dispatched[pl.slot.id]++
+			w.core.passed(pl) // the simulated pass is instant
 			switch {
 			case w.wedged[pl.slot.id]:
 			case w.serviceUS == 0:
@@ -828,7 +829,7 @@ func TestSimPassFailureReturnsCredit(t *testing.T) {
 	if next != dispatchPass || pl.slot.inflight != 1 || w.core.dispatched != 1 {
 		t.Fatalf("place: next=%d inflight=%d dispatched=%d", next, pl.slot.inflight, w.core.dispatched)
 	}
-	if next := w.core.passFailed(pl, api.EAGAIN); next != dispatchBackoff {
+	if next, _ := w.core.passFailed(pl, api.EAGAIN); next != dispatchBackoff {
 		t.Fatalf("EAGAIN -> %d, want backoff", next)
 	}
 	if pl.slot.inflight != 0 || w.core.dispatched != 0 || !pl.slot.alive {
@@ -837,7 +838,7 @@ func TestSimPassFailureReturnsCredit(t *testing.T) {
 
 	pl, _ = w.core.place(now, now)
 	dead := pl.slot
-	if next := w.core.passFailed(pl, api.EPIPE); next != dispatchRetry {
+	if next, _ := w.core.passFailed(pl, api.EPIPE); next != dispatchRetry {
 		t.Fatalf("EPIPE -> %d, want retry", next)
 	}
 	if dead.alive || dead.inflight != 0 || w.core.passErr != 1 || w.core.crashes != 0 {
@@ -867,6 +868,114 @@ func TestSimPassFailureReturnsCredit(t *testing.T) {
 	// Past its deadline a connection is shed, not placed.
 	if _, next := w.core.place(w.nowUS, w.nowUS-w.cfg.shedUS-1); next != dispatchShed || w.core.shed != 1 {
 		t.Fatalf("overdue connection: next=%d shed=%d", next, w.core.shed)
+	}
+}
+
+// simFDs is the master's descriptor table, simulated: open returns the
+// lowest free number, as pipe(2) does, so a closed number comes straight
+// back.
+type simFDs map[int]bool
+
+func (f simFDs) open() int {
+	fd := 3
+	for f[fd] {
+		fd++
+	}
+	f[fd] = true
+	return fd
+}
+
+func (f simFDs) close(t *testing.T, fds ...int) {
+	t.Helper()
+	for _, fd := range fds {
+		if fd < 0 {
+			continue
+		}
+		if !f[fd] {
+			t.Fatalf("descriptor %d closed twice", fd)
+		}
+		delete(f, fd)
+	}
+}
+
+// TestSimPassOutlivesReapAndRespawn is the descriptor-reuse race at exact
+// virtual times: the dispatcher places a connection on a worker and drops
+// the master lock to pass it down the worker's dispatch pipe; before the
+// pass lands the worker dies, is reaped, and its slot respawns with fresh
+// pipes. The pipe the pass writes to must stay open until the pass ends —
+// closed at the reap, its number would be the respawn's dispatch pipe and
+// the connection would reach a worker it was never placed on. The pass
+// then ends both ways: failed (EPIPE, the dead worker's pipe) and passed.
+func TestSimPassOutlivesReapAndRespawn(t *testing.T) {
+	for _, fails := range []bool{true, false} {
+		cfg := simConfig(1, 1)
+		const t0 = int64(1_000_000)
+		c := newFleetCore(cfg, t0, nil)
+		fds := simFDs{}
+		spawn := func(now int64, pid int) (dispatchW int) {
+			acts := c.tick(now, 0)
+			if len(acts.spawn) != 1 {
+				t.Fatalf("t=%d: %d spawns, want 1", now, len(acts.spawn))
+			}
+			dispatchW, statusR := fds.open(), fds.open()
+			if !c.spawned(acts.spawn[0], pid, dispatchW, statusR, now) {
+				t.Fatalf("t=%d: worker %d not installed", now, pid)
+			}
+			return dispatchW
+		}
+		w1 := spawn(t0, 100)
+
+		t1 := t0 + simTickUS
+		pl, next := c.place(t1, t1)
+		if next != dispatchPass || pl.fd != w1 || pl.pid != 100 {
+			t.Fatalf("place: next=%d fd=%d pid=%d, want a pass down %d to 100", next, pl.fd, pl.pid, w1)
+		}
+
+		// The worker dies 1 ms later, a fast crash: reaped at t2, its slot
+		// respawns after 2 × backoffBase, on the first tick at or past it.
+		t2 := t1 + 1000
+		wfd, sfd := c.exited(100, t2)
+		if wfd == pl.fd {
+			t.Errorf("the reap handed back dispatch pipe %d while a pass was writing to it", wfd)
+		}
+		fds.close(t, wfd, sfd)
+		t3 := t2 + 2*cfg.backoffBase
+		if got := c.slots[0].nextSpawnUS; got != t3 {
+			t.Fatalf("respawn due at %d, want %d", got, t3)
+		}
+		t3 += simTickUS - (t3-t0)%simTickUS // the next maintenance tick
+		if acts := c.tick(t3-simTickUS, 0); len(acts.spawn) != 0 {
+			t.Fatalf("t=%d: respawned before its backoff ran out", t3-simTickUS)
+		}
+		w2 := spawn(t3, 101)
+		if w2 == pl.fd {
+			t.Fatalf("the respawn's dispatch pipe reuses descriptor %d, which the pass placed on the dead worker still writes to", w2)
+		}
+
+		// The pass ends: the held pipe comes back, once, and nothing else.
+		var release []int
+		if fails {
+			next, release = c.passFailed(pl, api.EPIPE)
+			if next != dispatchRetry {
+				t.Fatalf("EPIPE -> %d, want retry", next)
+			}
+		} else {
+			release = c.passed(pl)
+		}
+		if len(release) != 1 || release[0] != w1 {
+			t.Fatalf("pass end (failed=%v) released %v, want [%d]", fails, release, w1)
+		}
+		fds.close(t, release...)
+		if s := c.slots[0]; s.passing != 0 || len(s.heldW) != 0 || s.pid != 101 || s.inflight != 0 {
+			t.Fatalf("after the pass: passing=%d held=%v pid=%d inflight=%d", s.passing, s.heldW, s.pid, s.inflight)
+		}
+		if len(fds) != 2 || !fds[w2] {
+			t.Fatalf("open descriptors %v, want the respawn's two", fds)
+		}
+		// A retry goes down the live worker's pipe.
+		if pl, next := c.place(t3, t3); next != dispatchPass || pl.fd != w2 || pl.pid != 101 {
+			t.Fatalf("retry: next=%d fd=%d pid=%d, want a pass down %d to 101", next, pl.fd, pl.pid, w2)
+		}
 	}
 }
 

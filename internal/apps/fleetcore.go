@@ -56,6 +56,15 @@ type fleetSlot struct {
 	dispatchW int  // master's write end of the dispatch pipe
 	statusR   int  // master's read end of the status pipe
 
+	// passing counts the connections placed on this slot whose pass has
+	// not ended (passed, passFailed). While it is non-zero a departed
+	// worker's dispatch pipe is held in heldW rather than handed back to be
+	// closed: a pass may still be writing to it, and a closed descriptor
+	// number can come back as a respawn's pipe, which would hand the
+	// connection to the wrong worker. The last pass to end releases them.
+	passing int
+	heldW   []int
+
 	inflight       int
 	startedUS      int64
 	lastProgressUS int64
@@ -98,7 +107,8 @@ type coreActions struct {
 
 // placement is one reserved dispatch credit: the slot it was taken on, the
 // worker incarnation (so a credit outliving its worker is not returned to
-// the replacement), and the dispatch pipe to pass the connection down.
+// the replacement), and the dispatch pipe to pass the connection down,
+// which stays open until the pass ends (fleetSlot.passing).
 type placement struct {
 	slot *fleetSlot
 	pid  int
@@ -263,34 +273,50 @@ func (c *fleetCore) place(now, arrivalUS int64) (placement, dispatchNext) {
 		s.lastProgressUS = now
 	}
 	s.inflight++
+	s.passing++
 	c.dispatched++
 	return placement{slot: s, pid: s.pid, fd: s.dispatchW}, dispatchPass
+}
+
+// passed ends a pass that reached its worker. It returns the dispatch
+// pipes of departed workers that no pass writes to any more, for the shell
+// to close.
+func (c *fleetCore) passed(pl placement) []int {
+	s := pl.slot
+	if s.passing--; s.passing > 0 {
+		return nil
+	}
+	held := s.heldW
+	s.heldW = nil
+	return held
 }
 
 // passFailed returns the credit of a connection that never reached its
 // worker. EPIPE/EBADF/ECONNRESET mean the worker died (or seceded) before
 // the supervisor noticed: the slot leaves rotation and the connection goes
 // to another worker; the reap does the crash bookkeeping. EAGAIN is a
-// momentarily full dispatch pipe.
-func (c *fleetCore) passFailed(pl placement, errno api.Errno) dispatchNext {
+// momentarily full dispatch pipe. Like passed, it returns the dispatch
+// pipes the shell may now close.
+func (c *fleetCore) passFailed(pl placement, errno api.Errno) (dispatchNext, []int) {
 	s := pl.slot
 	same := s.pid == pl.pid // else exited already cleared the credit
 	c.dispatched--
 	if same && s.inflight > 0 {
 		s.inflight--
 	}
+	release := c.passed(pl)
 	switch errno {
 	case api.EPIPE, api.EBADF, api.ECONNRESET:
 		if same {
 			s.alive = false
 		}
 		c.passErr++
-		return dispatchRetry
+		return dispatchRetry, release
 	case api.EAGAIN:
-		return dispatchBackoff
+		return dispatchBackoff, release
 	}
 	c.shed++
-	return dispatchShed
+	return dispatchShed, release
 }
 
 // overflow books a connection shed at accept because the queue was full.
@@ -366,14 +392,20 @@ func (c *fleetCore) spawnFailed(s *fleetSlot, now int64) {
 }
 
 // exited books the reaped child pid and returns the slot's pipe ends for
-// the shell to close (-1 = none). Crash accounting happens exactly here,
-// so each death is counted once. A PID no slot owns is remembered while a
-// spawn is in flight (it may be that spawn's worker) and dropped otherwise.
+// the shell to close (-1 = none); a dispatch pipe a pass may still be
+// writing to is held until that pass ends. Crash accounting happens
+// exactly here, so each death is counted once. A PID no slot owns is
+// remembered while a spawn is in flight (it may be that spawn's worker)
+// and dropped otherwise.
 func (c *fleetCore) exited(pid int, now int64) (dispatchW, statusR int) {
 	for _, s := range c.slots {
 		if s.pid == pid {
 			dispatchW, statusR = s.dispatchW, s.statusR
 			s.dispatchW, s.statusR = -1, -1
+			if s.passing > 0 && dispatchW >= 0 {
+				s.heldW = append(s.heldW, dispatchW)
+				dispatchW = -1
+			}
 			c.onExit(s, now)
 			return dispatchW, statusR
 		}

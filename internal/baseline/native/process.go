@@ -112,12 +112,13 @@ func (p *Process) runOnce(prog api.Program, argv []string) (code int, exec *exec
 
 // loadImage replaces the address space with a fresh program image: the
 // program + libc text (~352 KB resident, §6.2's native "hello world"
-// floor) made resident in one pass, and an empty heap.
+// floor), mapped by reference from the host kernel's one copy as
+// libLinux's image is, and an empty heap.
 func (p *Process) loadImage() {
 	as := p.pp.AS
 	as.Release()
 	if addr, err := as.Alloc(imageBase, imageBytes, api.ProtRead|api.ProtWrite|api.ProtExec); err == nil {
-		_ = as.TouchRange(addr, imageBytes)
+		_ = p.kernel.host.MapImage(as, addr, imageBytes)
 	}
 	p.mu.Lock()
 	p.brk, p.brkEnd = brkBase, brkBase

@@ -48,19 +48,32 @@ func Table4(iters int) ([]Table4Result, error) {
 		}
 	}
 
-	// --- native Linux process ---
-	{
-		env, err := NewNative()
-		if err != nil {
-			return nil, err
-		}
-		startup := metrics.Measure(iters*3, func() {
-			if _, err := env.Run(noop); err != nil {
-				panic(err)
-			}
-		})
-		out = append(out, Table4Result{System: "Linux", StartupUS: startup})
+	// --- start-up: native Linux and Graphene, interleaved ---
+	// One sample of each in turn, so a GC cycle or a busy neighbour
+	// landing on one system's few-microsecond loop cannot decide the
+	// ordering by itself (Table6 samples its cells the same way).
+	native, err := NewNative()
+	if err != nil {
+		return nil, err
 	}
+	env, err := NewGraphene()
+	if err != nil {
+		return nil, err
+	}
+	linuxStartup, grapheneStartup := &metrics.Sample{}, &metrics.Sample{}
+	for i := 0; i < iters*3; i++ {
+		for _, c := range []struct {
+			run func(string, ...string) (int, error)
+			s   *metrics.Sample
+		}{{native.Run, linuxStartup}, {env.Run, grapheneStartup}} {
+			start := time.Now()
+			if _, err := c.run(noop); err != nil {
+				return nil, err
+			}
+			c.s.AddDuration(time.Since(start))
+		}
+	}
+	out = append(out, Table4Result{System: "Linux", StartupUS: linuxStartup})
 
 	// --- KVM ---
 	{
@@ -98,15 +111,6 @@ func Table4(iters int) ([]Table4Result, error) {
 
 	// --- Graphene ---
 	{
-		env, err := NewGraphene()
-		if err != nil {
-			return nil, err
-		}
-		startup := metrics.Measure(iters*3, func() {
-			if _, err := env.Run(noop); err != nil {
-				panic(err)
-			}
-		})
 		// Checkpoint and resume the 4 MB application.
 		if err := env.Runtime.RegisterProgram("/bin/fourmb", fourMB); err != nil {
 			return nil, err
@@ -144,7 +148,7 @@ func Table4(iters int) ([]Table4Result, error) {
 			_ = start
 		})
 		out = append(out, Table4Result{
-			System: "Graphene", StartupUS: startup,
+			System: "Graphene", StartupUS: grapheneStartup,
 			CheckpointUS: ckpt, ResumeUS: resume,
 			CheckpointSize: uint64(len(blob)),
 		})

@@ -186,6 +186,9 @@ type Kernel struct {
 	// retired holds recently exited picoprocesses' flight recorders so a
 	// post-mortem dump covers the processes a chaos kill just took out.
 	retired []retiredRec
+
+	// images are the fixed images picoprocesses map by reference (image.go).
+	images imageTable
 }
 
 // SetTraceRing sets the default flight-recorder capacity (events) for

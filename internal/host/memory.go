@@ -36,6 +36,10 @@ type Page struct {
 	// costs page-table work, not a memclr of the whole range (the host
 	// kernel's equivalent is mapping the zero page or page cache).
 	zeroFill bool
+	// image marks a page of a kernel image (image.go). It is set before the
+	// image is first mapped and never changes; a copy made for a write is
+	// an ordinary page.
+	image bool
 }
 
 // NewPage returns a private page with a single reference.
@@ -220,6 +224,11 @@ func (s *leafSlots) share(src *leafSlots, from slotMask, shift int) (filled slot
 type ptLeaf struct {
 	s          *leafSlots
 	occ, dirty slotMask
+	// mappers is set while the leaf holds a kernel image's own block: it
+	// counts the page tables sharing this one mapping of the image (the
+	// mapper and the children forked from it), which split its charge the
+	// way fork sharers split a page. nil for every other leaf.
+	mappers *atomic.Int32
 }
 
 // newLeaf returns an empty leaf with private slots, in one allocation.
@@ -233,16 +242,39 @@ func newLeaf() *ptLeaf {
 	return &b.l
 }
 
+// newImageLeaf returns a leaf that adopts a reference on a kernel image's
+// block as one new mapping of it, in one allocation.
+func newImageLeaf(s *leafSlots, occ slotMask) *ptLeaf {
+	b := new(struct {
+		l ptLeaf
+		n atomic.Int32
+	})
+	b.n.Store(1)
+	b.l = ptLeaf{s: s, occ: occ, dirty: occ, mappers: &b.n}
+	return &b.l
+}
+
 // own returns l's slots for modification, first replacing them with a
-// private copy if they are shared.
+// private copy if they are shared. A kernel image's block always is (the
+// kernel keeps its own reference), so no write ever reaches it.
 func (l *ptLeaf) own() *leafSlots {
 	if l.s.refs.Load() > 1 {
 		s := newSlots()
 		s.share(l.s, l.occ, 0)
-		l.s.unref(l.occ)
+		l.release()
 		l.s = s
 	}
 	return l.s
+}
+
+// release drops l's reference on its slots, and its mapper count if it
+// holds a kernel image's block.
+func (l *ptLeaf) release() {
+	l.s.unref(l.occ)
+	if l.mappers != nil {
+		l.mappers.Add(-1)
+		l.mappers = nil
+	}
 }
 
 // VMA is one virtual memory area: a contiguous, page-aligned mapping.
@@ -354,7 +386,7 @@ func (v *VMA) piece(start, end uint64, prot int) *VMA {
 func (v *VMA) release() {
 	for _, l := range v.top {
 		if l != nil {
-			l.s.unref(l.occ)
+			l.release()
 		}
 	}
 	v.top = nil
@@ -613,15 +645,29 @@ func (as *AddressSpace) CommittedBytes() uint64 {
 // sharing it. For a page shared only by fork that is PageSize / sharers,
 // and over every sharer the charges sum to one page — the "incremental
 // cost of a child" Figure 4 measures (§6.2).
+//
+// A kernel image page is charged in full to each mapping of the image,
+// split only among the page tables a fork made of that mapping: the image
+// stands for each picoprocess's private libOS state, of which only the
+// content is not modelled, so sharing its block must not shrink the
+// footprint. Its page references (the kernel's block, the copies writes
+// made) and the kernel's block reference are not sharers.
 func (as *AddressSpace) ResidentBytes() uint64 {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	var total float64
 	as.walkLocked(0, maxPageIdx, func(l *ptLeaf, _ uint64, _, _ int) {
 		leafRefs := float64(max(l.s.refs.Load(), 1))
+		mappers := leafRefs
+		if l.mappers != nil {
+			mappers = float64(max(l.mappers.Load(), 1))
+		}
 		for w, word := range l.occ {
 			for ; word != 0; word &= word - 1 {
-				if pg := l.s.pages[w<<6|bits.TrailingZeros64(word)]; pg.Resident() {
+				switch pg := l.s.pages[w<<6|bits.TrailingZeros64(word)]; {
+				case pg.image:
+					total += float64(PageSize) / mappers
+				case pg.Resident():
 					total += float64(PageSize) / (float64(max(pg.refs.Load(), 1)) * leafRefs)
 				}
 			}
@@ -710,12 +756,15 @@ func (as *AddressSpace) DirtyPageCount() int {
 	return n
 }
 
-// batchLeaf is one leaf of a bulk-IPC batch: a reference on a block of
-// slots, whose occupied slots are occ, slot 0 at sender page index idx.
+// batchLeaf is one leaf of a bulk-IPC batch or of a kernel image: a
+// reference on a block of slots, whose occupied slots are occ, slot 0 at
+// sender page index idx. image marks a kernel image's own block: a page
+// table that adopts it is one more mapping of the image.
 type batchLeaf struct {
-	s   *leafSlots
-	idx uint64
-	occ slotMask
+	s     *leafSlots
+	idx   uint64
+	occ   slotMask
+	image bool
 }
 
 // shareLeaves returns one reference per leaf holding pages of page indices
@@ -736,14 +785,14 @@ func (as *AddressSpace) shareLeaves(lo, hi uint64) ([]batchLeaf, int) {
 		if in == (slotMask{}) {
 			return
 		}
-		s := l.s
+		s, image := l.s, l.mappers != nil
 		if in == l.occ {
 			s.refs.Add(1)
 		} else {
-			s = newSlots()
+			s, image = newSlots(), false
 			s.share(l.s, in, 0)
 		}
-		refs = append(refs, batchLeaf{s: s, idx: base, occ: in})
+		refs = append(refs, batchLeaf{s: s, idx: base, occ: in, image: image})
 		pages += in.count()
 	})
 	return refs, pages
@@ -759,7 +808,8 @@ func releaseLeaves(refs []batchLeaf) {
 // mapLeaves installs the pages of refs into as, each moved by rebase page
 // indices (modulo 2^64, so a receiver may sit below the sender), and
 // consumes the references. A leaf that lands at the same slots inside one
-// VMA, on a leaf holding no page, is adopted as it is: one pointer. Any
+// VMA, on a leaf holding no page, is adopted as it is: one pointer (a
+// kernel image's block adopted so is one new mapping of the image). Any
 // other — a misaligned rebase, a leaf the receiver's mappings cut, pages
 // already there — is copied into the receiver's own slots. Pages whose
 // target is unmapped are skipped; every installed slot is dirty. Returns
@@ -795,9 +845,13 @@ func (as *AddressSpace) mapLeaves(refs []batchLeaf, rebase uint64) int {
 			ref := v.leafRef(t >> leafShift)
 			if l := *ref; slot == s && s == from && n == to-from && (l == nil || l.occ == slotMask{}) {
 				if l != nil {
-					l.s.unref(l.occ)
+					l.release()
 				}
-				*ref = &ptLeaf{s: r.s, occ: r.occ, dirty: r.occ}
+				if r.image {
+					*ref = newImageLeaf(r.s, r.occ)
+				} else {
+					*ref = &ptLeaf{s: r.s, occ: r.occ, dirty: r.occ}
+				}
 				installed += r.occ.count()
 				adopted = true
 				break
@@ -825,8 +879,9 @@ func (as *AddressSpace) mapLeaves(refs []batchLeaf, rebase uint64) int {
 // one lock acquisition and one backing-slab allocation for the whole range
 // instead of a page-at-a-time write loop. Pages already resident are left
 // alone. The slab stays alive while any of its pages does (COW breaks copy
-// out of it); callers load large fixed images (the libOS image) where all
-// pages are fresh, so the over-retention case does not arise in practice.
+// out of it). It builds each kernel image once (image.go), where all pages
+// are fresh, so the over-retention case does not arise; a picoprocess maps
+// the image with Kernel.MapImage instead of building its own.
 func (as *AddressSpace) TouchRange(addr, length uint64) error {
 	if length == 0 {
 		return nil
@@ -902,9 +957,12 @@ func (as *AddressSpace) ForkCOWInto(child *AddressSpace) {
 				continue
 			}
 			// One reference per leaf; the child starts with a clean
-			// dirty bitmap.
+			// dirty bitmap, and shares its parent's mapping of an image.
 			l.s.refs.Add(1)
-			nv.top[i] = &ptLeaf{s: l.s, occ: l.occ}
+			if l.mappers != nil {
+				l.mappers.Add(1)
+			}
+			nv.top[i] = &ptLeaf{s: l.s, occ: l.occ, mappers: l.mappers}
 		}
 		child.vmas = append(child.vmas, nv)
 	}

@@ -378,10 +378,22 @@ type mSpace struct {
 	prot  map[uint64]int // mapped pages and their protection
 	pages map[uint64]*mPage
 	dirty map[uint64]bool
+
+	// A kernel image mapping, per leaf: the image pages not yet written
+	// (they read the kernel's zeros and live in no pages entry) and the
+	// group of spaces whose tables share the leaf's block. A write into the
+	// leaf by a member of a group of more than one gives the writer a group
+	// of its own, as ptLeaf.own gives it a block of its own.
+	imgLeft  map[uint64]bool
+	imgGroup map[uint64]*mImage
 }
 
+// mImage is one group of spaces sharing a block of image slots.
+type mImage struct{ n int }
+
 func newMSpace() *mSpace {
-	return &mSpace{prot: map[uint64]int{}, pages: map[uint64]*mPage{}, dirty: map[uint64]bool{}}
+	return &mSpace{prot: map[uint64]int{}, pages: map[uint64]*mPage{}, dirty: map[uint64]bool{},
+		imgLeft: map[uint64]bool{}, imgGroup: map[uint64]*mImage{}}
 }
 
 func (m *mSpace) alloc(idx, n uint64, prot int) error {
@@ -397,7 +409,14 @@ func (m *mSpace) alloc(idx, n uint64, prot int) error {
 }
 
 func (m *mSpace) free(idx, n uint64) {
+	for l := idx >> leafShift; l <= (idx+n-1)>>leafShift; l++ {
+		if g := m.imgGroup[l]; g != nil {
+			g.n--
+			delete(m.imgGroup, l)
+		}
+	}
 	for i := idx; i < idx+n; i++ {
+		delete(m.imgLeft, i)
 		if pg := m.pages[i]; pg != nil {
 			pg.refs--
 		}
@@ -449,6 +468,11 @@ func (m *mSpace) write(addr uint64, data []byte) error {
 			return api.EACCES
 		}
 		n := min(PageSize-off, len(data))
+		if g := m.imgGroup[idx>>leafShift]; g != nil && g.n > 1 {
+			g.n--
+			m.imgGroup[idx>>leafShift] = &mImage{n: 1}
+		}
+		delete(m.imgLeft, idx)
 		pg := m.writable(idx, false)
 		if pg.data == nil {
 			pg.data = make([]byte, PageSize)
@@ -490,6 +514,28 @@ func (m *mSpace) install(idxs []uint64, pages []*mPage) int {
 	return n
 }
 
+// mapImage maps an image of n pages at idx: a fresh group per leaf, every
+// page dirty.
+func (m *mSpace) mapImage(idx, n uint64) {
+	_ = m.alloc(idx, n, api.ProtRead|api.ProtWrite)
+	for i := idx; i < idx+n; i++ {
+		m.imgLeft[i], m.dirty[i] = true, true
+		if m.imgGroup[i>>leafShift] == nil {
+			m.imgGroup[i>>leafShift] = &mImage{n: 1}
+		}
+	}
+}
+
+// imageBytes is m's charge for the image pages it has not written: in
+// full, split among its group.
+func (m *mSpace) imageBytes() float64 {
+	total := 0.0
+	for i := range m.imgLeft {
+		total += float64(PageSize) / float64(m.imgGroup[i>>leafShift].n)
+	}
+	return total
+}
+
 func (m *mSpace) fork() *mSpace {
 	c := newMSpace()
 	for i, p := range m.prot {
@@ -498,6 +544,13 @@ func (m *mSpace) fork() *mSpace {
 	for i, pg := range m.pages {
 		pg.refs++
 		c.pages[i] = pg
+	}
+	for l, g := range m.imgGroup {
+		g.n++
+		c.imgGroup[l] = g
+	}
+	for i := range m.imgLeft {
+		c.imgLeft[i] = true
 	}
 	return c
 }
@@ -538,16 +591,23 @@ func (m *mSpace) release() {
 	for _, pg := range m.pages {
 		pg.refs--
 	}
+	for _, g := range m.imgGroup {
+		g.n--
+	}
 }
 
 // sharers walks the real tables of spaces and checks the two reference
 // counts leaf sharing keeps against what holds them: a block of slots
-// has one reference per page table holding it, and a page one per slot
-// it fills in a distinct block. It returns each page's sharers — the page
-// tables that map it, the number the model keeps as a page's refs.
-func sharers(t *testing.T, spaces []*AddressSpace, blocks map[*leafSlots]bool) map[*Page]int {
+// has one reference per page table holding it (and a kernel image's one
+// more, the kernel's), and a page one per slot it fills in a distinct
+// block. It returns each page's sharers — the page tables that map it,
+// the number the model keeps as a page's refs.
+func sharers(t *testing.T, spaces []*AddressSpace, blocks map[*leafSlots]bool, img *kernelImage) map[*Page]int {
 	t.Helper()
-	holders := map[*leafSlots]int{}
+	holders, kernel := map[*leafSlots]int{}, map[*leafSlots]bool{}
+	for _, l := range img.leaves {
+		holders[l.s], kernel[l.s] = 0, true
+	}
 	for _, as := range spaces {
 		as.mu.Lock()
 		as.walkLocked(0, maxPageIdx, func(l *ptLeaf, _ uint64, _, _ int) { holders[l.s]++ })
@@ -556,8 +616,12 @@ func sharers(t *testing.T, spaces []*AddressSpace, blocks map[*leafSlots]bool) m
 	slots, mappers := map[*Page]int{}, map[*Page]int{}
 	for b, n := range holders {
 		blocks[b] = true
-		if got := int(b.refs.Load()); got != n {
-			t.Fatalf("a block of slots has %d references, %d page tables hold it", got, n)
+		want := n
+		if kernel[b] {
+			want++
+		}
+		if got := int(b.refs.Load()); got != want {
+			t.Fatalf("a block of slots has %d references, %d page tables hold it (kernel's: %v)", got, n, kernel[b])
 		}
 		for _, pg := range b.pages {
 			if pg != nil {
@@ -584,6 +648,11 @@ func sharers(t *testing.T, spaces []*AddressSpace, blocks map[*leafSlots]bool) m
 // are biased toward them, so cuts through a leaf — shared or not — are
 // the common case. A map lands at the sender's addresses, a whole leaf
 // away, or at a misaligned offset; any space may exit at any time.
+//
+// Any space may also map a kernel image that straddles a leaf boundary,
+// write into it and unmap it. After every step the kernel's image still
+// reads all zeros, and ResidentBytes summed over the spaces is the distinct
+// resident pages plus each mapping's unwritten image pages in full.
 func TestPropertyPageTableMatchesModel(t *testing.T) {
 	const (
 		arenaPages = 3*leafPages + 200
@@ -591,9 +660,20 @@ func TestPropertyPageTableMatchesModel(t *testing.T) {
 		arenaStart = arenaBase << PageShift
 		arenaEnd   = (arenaBase + arenaPages) << PageShift
 		maxSpaces  = 5
+		imgPages   = 60
+		imgBase    = uint64(0x7000_0000_0000)>>PageShift - 20 // 20 pages below a leaf boundary
+		imgStart   = imgBase << PageShift
 	)
+	inArena := func(idxs []uint64) []uint64 {
+		return slices.DeleteFunc(idxs, func(i uint64) bool { return i < arenaBase || i >= arenaBase+arenaPages })
+	}
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		kern := NewKernel()
+		img, err := kern.images.image(imgStart, imgPages*PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// pickRange returns a page range inside the arena, half the time
 		// starting within 8 pages of a leaf boundary.
 		pickRange := func(maxLen int) (idx, n uint64) {
@@ -616,19 +696,24 @@ func TestPropertyPageTableMatchesModel(t *testing.T) {
 
 		check := func(step int, op string) {
 			t.Helper()
-			mappers := sharers(t, spaces, blocks)
+			mappers := sharers(t, spaces, blocks, img)
+			if !imageIsZero(img) {
+				t.Fatalf("seed %d step %d (%s): a write reached the kernel's image", seed, step, op)
+			}
 			var resident uint64
+			var imageBytes float64
 			for i, as := range spaces {
 				m := models[i]
 				if got, want := as.CommittedBytes(), uint64(len(m.prot))*PageSize; got != want {
 					t.Fatalf("seed %d step %d (%s) space %d: committed %d, model %d", seed, step, op, i, got, want)
 				}
 				resident += as.ResidentBytes()
+				imageBytes += m.imageBytes()
 				if got, want := as.DirtyPageCount(), len(m.dirty); got != want {
 					t.Fatalf("seed %d step %d (%s) space %d: dirty count %d, model %d", seed, step, op, i, got, want)
 				}
 				idxs, pages := as.TouchedPages(arenaStart, arenaEnd)
-				if want := m.sortedIdxs(false); !slices.Equal(idxs, want) {
+				if want := inArena(m.sortedIdxs(false)); !slices.Equal(idxs, want) {
 					t.Fatalf("seed %d step %d (%s) space %d: touched %v, model %v", seed, step, op, i, idxs, want)
 				}
 				for j, pg := range pages {
@@ -637,15 +722,16 @@ func TestPropertyPageTableMatchesModel(t *testing.T) {
 						t.Fatalf("seed %d step %d (%s) space %d page %#x: %d sharers, model %d", seed, step, op, i, idxs[j], got, want)
 					}
 				}
-				if didxs, _ := as.DirtyPages(arenaStart, arenaEnd); !slices.Equal(didxs, m.sortedIdxs(true)) {
-					t.Fatalf("seed %d step %d (%s) space %d: dirty %v, model %v", seed, step, op, i, didxs, m.sortedIdxs(true))
+				if didxs, _ := as.DirtyPages(arenaStart, arenaEnd); !slices.Equal(didxs, inArena(m.sortedIdxs(true))) {
+					t.Fatalf("seed %d step %d (%s) space %d: dirty %v, model %v", seed, step, op, i, didxs, inArena(m.sortedIdxs(true)))
 				}
 			}
 			// Each space's figure is truncated once, so the sum may fall
-			// short of the distinct pages by less than a byte per space.
-			want := uint64(distinctResident(models)) * PageSize
-			if resident > want || resident+uint64(len(spaces)) < want {
-				t.Fatalf("seed %d step %d (%s): resident summed over %d spaces %d, distinct pages %d", seed, step, op, len(spaces), resident, want)
+			// short of the distinct pages by less than a byte per space
+			// (and one more for the image charges' rounding).
+			want := uint64(float64(distinctResident(models)*PageSize) + imageBytes + 0.5)
+			if resident > want || resident+uint64(len(spaces))+1 < want {
+				t.Fatalf("seed %d step %d (%s): resident summed over %d spaces %d, distinct pages plus image mappings %d", seed, step, op, len(spaces), resident, want)
 			}
 		}
 
@@ -653,7 +739,37 @@ func TestPropertyPageTableMatchesModel(t *testing.T) {
 			k := rng.Intn(len(spaces))
 			as, m := spaces[k], models[k]
 			var op string
-			switch r := rng.Intn(100); {
+			switch r := rng.Intn(110); {
+			case r >= 100 && r < 104:
+				op = "map image"
+				if _, mapped := m.prot[imgBase]; mapped {
+					break
+				}
+				if _, err := as.Alloc(imgStart, imgPages*PageSize, api.ProtRead|api.ProtWrite); err != nil {
+					t.Fatal(err)
+				}
+				if err := kern.MapImage(as, imgStart, imgPages*PageSize); err != nil {
+					t.Fatalf("seed %d step %d: map image: %v", seed, step, err)
+				}
+				m.mapImage(imgBase, imgPages)
+			case r >= 100 && r < 109:
+				op = "write image"
+				if _, mapped := m.prot[imgBase]; !mapped {
+					break
+				}
+				data := make([]byte, 1+rng.Intn(2*PageSize))
+				rng.Read(data)
+				addr := imgStart + uint64(rng.Intn(imgPages*PageSize-len(data)))
+				if err := as.Write(addr, data); err != nil {
+					t.Fatalf("seed %d step %d: write image: %v", seed, step, err)
+				}
+				_ = m.write(addr, data)
+			case r >= 100:
+				op = "unmap image"
+				if err := as.Free(imgStart, imgPages*PageSize); err != nil {
+					t.Fatal(err)
+				}
+				m.free(imgBase, imgPages)
 			case r < 18:
 				op = "alloc"
 				idx, n := pickRange(300)
@@ -781,12 +897,19 @@ func TestPropertyPageTableMatchesModel(t *testing.T) {
 			check(step, op)
 		}
 
-		// Every byte of the arena.
+		// Every byte of the arena and of the image.
 		buf := make([]byte, PageSize)
 		zero := make([]byte, PageSize)
+		var every []uint64
+		for idx := arenaBase; idx < arenaBase+arenaPages; idx++ {
+			every = append(every, idx)
+		}
+		for idx := imgBase; idx < imgBase+imgPages; idx++ {
+			every = append(every, idx)
+		}
 		for i, as := range spaces {
 			m := models[i]
-			for idx := arenaBase; idx < arenaBase+arenaPages; idx++ {
+			for _, idx := range every {
 				err := as.Read(idx<<PageShift, buf)
 				if _, mapped := m.prot[idx]; !mapped {
 					if err != api.EFAULT {
@@ -815,11 +938,28 @@ func TestPropertyPageTableMatchesModel(t *testing.T) {
 			}
 		}
 		for b := range blocks {
-			if n := b.refs.Load(); n != 0 {
+			if n := b.refs.Load(); n != 0 && b != img.leaves[0].s && b != img.leaves[1].s {
 				t.Fatalf("seed %d: a block of slots keeps %d references after every space released", seed, n)
 			}
 		}
+		for _, l := range img.leaves {
+			if n := l.s.refs.Load(); n != 1 {
+				t.Fatalf("seed %d: the kernel's image block keeps %d references, want its own 1", seed, n)
+			}
+		}
 	}
+}
+
+// imageIsZero reports whether every page of img still reads as zeros.
+func imageIsZero(img *kernelImage) bool {
+	for _, l := range img.leaves {
+		for _, pg := range l.s.pages {
+			if pg != nil && (pg.data != nil || !pg.zeroFill || !pg.image) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestSplitMidLeafKeepsPagesAndDirtyBits cuts a VMA inside one leaf, first
@@ -1148,5 +1288,215 @@ func TestSharedLeavesUnderConcurrentSharers(t *testing.T) {
 		if n := pg.refs.Load(); n != 0 {
 			t.Fatalf("a page keeps %d references after every space released", n)
 		}
+	}
+}
+
+// ============================================================
+// Kernel images: one block per leaf, mapped by reference.
+// ============================================================
+
+// mapImage gives pp the kernel image of [base, base+n) as a picoprocess
+// start does: a VM allocation, then the map.
+func mapImage(t *testing.T, k *Kernel, as *AddressSpace, base, n uint64) {
+	t.Helper()
+	if _, err := as.Alloc(base, n, api.ProtRead|api.ProtWrite|api.ProtExec); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.MapImage(as, base, n); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readsZero reports whether [base, base+n) of as reads as zeros.
+func readsZero(t *testing.T, as *AddressSpace, base, n uint64) bool {
+	t.Helper()
+	buf := make([]byte, n)
+	if err := as.Read(base, buf); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Count(buf, []byte{0}) == len(buf)
+}
+
+// TestImageWriteStaysPrivate: a picoprocess writing into its image changes
+// its own view only. A sibling mapped before the write, a picoprocess
+// created after it and one in a sandbox split off after it all read zeros
+// there, the kernel's block reads zeros, and every mapping is charged the
+// whole image. Mapping takes one block reference per leaf, and exit gives
+// it back.
+func TestImageWriteStaysPrivate(t *testing.T) {
+	const base, n = uint64(0x7000_0000_0000), uint64(1408 << 10)
+	k := NewKernel()
+	spawn := func(parent *Picoprocess, split bool) *Picoprocess {
+		pp, err := k.CreateProcess(parent, split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if split {
+			pp.SandboxID = k.NewSandboxID() // the monitor's part of a split
+		}
+		mapImage(t, k, pp.AS, base, n)
+		return pp
+	}
+	writer := spawn(nil, false)
+	sibling := spawn(writer, false)
+	img, err := k.images.image(base, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img.leaves) != 1 || img.leaves[0].s.refs.Load() != 3 {
+		t.Fatalf("image of %d leaves, first block %d references; want 1 leaf, the kernel's and two mappers'",
+			len(img.leaves), img.leaves[0].s.refs.Load())
+	}
+	for _, pp := range []*Picoprocess{writer, sibling} {
+		if got := pp.AS.ResidentBytes(); got != n {
+			t.Fatalf("picoprocess %d charged %d bytes for its image, want %d", pp.ID, got, n)
+		}
+	}
+
+	data := bytes.Repeat([]byte{0xa5}, 3*PageSize)
+	if err := writer.AS.Write(base+5*PageSize+100, data); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if err := writer.AS.Read(base+5*PageSize+100, got); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("the writer does not read its own write: %v", err)
+	}
+	after := spawn(writer, false)
+	split := spawn(writer, true)
+	if split.SandboxID == writer.SandboxID {
+		t.Fatal("the split picoprocess shares the writer's sandbox")
+	}
+	for name, pp := range map[string]*Picoprocess{"sibling": sibling, "created after": after, "split off": split} {
+		if !readsZero(t, pp.AS, base, n) {
+			t.Fatalf("%s picoprocess reads the writer's bytes in its image", name)
+		}
+	}
+	if !imageIsZero(img) {
+		t.Fatal("the write reached the kernel's image")
+	}
+	// The writer's leaf is its own now, still charged as the whole image
+	// (the four written pages are private pages, one reference each).
+	for _, pp := range []*Picoprocess{writer, sibling, after, split} {
+		if got := pp.AS.ResidentBytes(); got != n {
+			t.Fatalf("picoprocess %d charged %d bytes for its image, want %d", pp.ID, got, n)
+		}
+	}
+	if got := img.leaves[0].s.refs.Load(); got != 4 {
+		t.Fatalf("kernel block has %d references after the writer's copy, want 4", got)
+	}
+	for _, pp := range []*Picoprocess{writer, sibling, after, split} {
+		pp.AS.Release()
+	}
+	if got := img.leaves[0].s.refs.Load(); got != 1 {
+		t.Fatalf("kernel block has %d references after every mapper exited, want 1", got)
+	}
+	for _, pg := range img.leaves[0].s.pages[:n/PageSize] {
+		if got := pg.refs.Load(); got != 1 {
+			t.Fatalf("an image page keeps %d references after every mapper exited, want the kernel's 1", got)
+		}
+	}
+}
+
+// TestImageForkSharesItsMapping: a fork's children split their parent's
+// image charge, as they split any page, so Figure 4's fork-heavy native
+// rows read as before images were shared; each fresh mapping, and each
+// bulk-IPC copy of one, is charged in full.
+func TestImageForkSharesItsMapping(t *testing.T) {
+	const base, n = uint64(0x7000_0000_0000), uint64(352 << 10)
+	k := NewKernel()
+	parent := NewAddressSpace()
+	mapImage(t, k, parent, base, n)
+	children := []*AddressSpace{parent.ForkCOW(), parent.ForkCOW(), parent.ForkCOW()}
+	total := parent.ResidentBytes()
+	for _, c := range children {
+		total += c.ResidentBytes()
+	}
+	if total != n {
+		t.Fatalf("a parent and three fork children charged %d bytes for one image mapping, want %d", total, n)
+	}
+	fresh := NewAddressSpace()
+	mapImage(t, k, fresh, base, n)
+	if got := fresh.ResidentBytes(); got != n {
+		t.Fatalf("a fresh mapping charged %d bytes, want %d", got, n)
+	}
+	// A child writing into the image leaves the mapping: its copy is
+	// charged in full and the others split what is left.
+	if err := children[0].Write(base, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := children[0].ResidentBytes(); got != n {
+		t.Fatalf("a child after its write charged %d bytes, want %d", got, n)
+	}
+	if got := parent.ResidentBytes(); got != n/3 {
+		t.Fatalf("parent charged %d bytes among three sharers, want %d", got, n/3)
+	}
+	// A bulk-IPC commit of a mapping, mapped elsewhere, is one more
+	// mapping: the receiver adopts the kernel's block and is charged in
+	// full, and nobody else's charge moves.
+	st := newIPCStore(1)
+	if _, err := st.Commit(fresh, base, base+n); err != nil {
+		t.Fatal(err)
+	}
+	recv := NewAddressSpace()
+	if _, err := recv.Alloc(base, n, api.ProtRead|api.ProtWrite); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := st.Map(recv, base); err != nil || got != int(n/PageSize) {
+		t.Fatalf("mapped %d image pages, %v", got, err)
+	}
+	st.Close()
+	if got, sent := recv.ResidentBytes(), fresh.ResidentBytes(); got != n || sent != n {
+		t.Fatalf("receiver charged %d bytes and the sender %d for the image, want %d each", got, sent, n)
+	}
+	for _, as := range append(children, parent, fresh, recv) {
+		as.Release()
+	}
+	img, _ := k.images.image(base, n)
+	if got := img.leaves[0].s.refs.Load(); got != 1 {
+		t.Fatalf("kernel block has %d references after every mapper exited, want 1", got)
+	}
+}
+
+// TestImageMapCostsPerLeaf gates the image path: mapping the 1.4 MB libOS
+// image allocates no more often, and no more bytes (within a small slack
+// for the runtime's own), than mapping a 16 KiB one, so a per-page image
+// build — one Page per page, or one slab of them — cannot come back
+// unnoticed. The images are built before counting.
+func TestImageMapCostsPerLeaf(t *testing.T) {
+	const base, runs = uint64(0x7000_0000_0000), 20
+	k := NewKernel()
+	cost := func(n uint64) (allocs float64, bytes uint64) {
+		mapOnce := func() {
+			as := NewAddressSpace()
+			if _, err := as.Alloc(base, n, api.ProtRead|api.ProtWrite); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.MapImage(as, base, n); err != nil {
+				t.Fatal(err)
+			}
+			as.Release()
+		}
+		allocs = testing.AllocsPerRun(runs, mapOnce)
+		// The least of three rounds, so another test's goroutine still
+		// allocating does not count.
+		bytes = ^uint64(0)
+		for round := 0; round < 3; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				mapOnce()
+			}
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		return allocs, bytes
+	}
+	smallAllocs, smallBytes := cost(16 << 10)
+	largeAllocs, largeBytes := cost(1408 << 10)
+	if largeAllocs > smallAllocs {
+		t.Errorf("mapping the 1.4 MB image: %v allocs, the 16 KiB one: %v", largeAllocs, smallAllocs)
+	}
+	if largeBytes > smallBytes+512 {
+		t.Errorf("mapping the 1.4 MB image: %d bytes, the 16 KiB one: %d", largeBytes, smallBytes)
 	}
 }

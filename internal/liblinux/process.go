@@ -76,15 +76,15 @@ func newProcess(rt *Runtime, p *pal.PAL, pid, ppid int64, leaderAddr string) (*P
 	if err := p.DkSetExceptionHandler(pal.ExceptionSyscall, proc.handleSyscallException); err != nil {
 		return nil, err
 	}
-	// Load the libOS image: libLinux.so plus the modified glibc stack
+	// Map the libOS image: libLinux.so plus the modified glibc stack
 	// occupy ~1.4 MB per picoprocess (§6.2's "hello world" floor). The
 	// image lives outside the mmap range so it is never checkpointed —
-	// each instance carries its own, which is also why the incremental
-	// cost of a forked child stays under a couple of MB. TouchRange makes
-	// the whole image resident in one pass; the page-at-a-time load was
-	// two thirds of fork latency.
+	// each instance is charged its own, which is also why the incremental
+	// cost of a forked child stays under a couple of MB. The host kernel
+	// holds one copy and the picoprocess maps it by reference, one
+	// reference per 2 MiB leaf; a write into it copies what it touches.
 	if addr, err := p.DkVirtualMemoryAlloc(libOSImageBase, libOSImageBytes, api.ProtRead|api.ProtExec|api.ProtWrite); err == nil {
-		_ = proc.pal.Proc().AS.TouchRange(addr, libOSImageBytes)
+		_ = p.Kernel().MapImage(p.Proc().AS, addr, libOSImageBytes)
 	}
 	// Standard descriptors on the console.
 	tty, err := p.DkStreamOpen("dev:tty", 0, 0)
