@@ -42,7 +42,7 @@ func BenchmarkLocalQueueSendRecv(b *testing.B) {
 			b.Fatal(errno)
 		}
 		delivered := false
-		q.recv(0, false, "", 0, func(int64, []byte, api.Errno) { delivered = true })
+		q.recv(0, false, "", 0, func(sysvResult) { delivered = true })
 		if !delivered {
 			b.Fatal("recv missed")
 		}
@@ -57,7 +57,7 @@ func BenchmarkSemOpLocal(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ok := false
-		s.semop(ops, false, "", 0, func(errno api.Errno) { ok = errno == 0 })
+		s.semop(ops, false, "", 0, func(r sysvResult) { ok = r.errno == 0 })
 		if !ok {
 			b.Fatal("semop failed")
 		}

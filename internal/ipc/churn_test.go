@@ -117,11 +117,18 @@ func TestDebugSysVStateRenders(t *testing.T) {
 			t.Errorf("debug state missing %q:\n%s", want, out)
 		}
 	}
-	// A member that looked both objects up caches both owners.
+	// A member that used both objects caches both owners (a lookup alone
+	// caches nothing: the first use does).
 	if _, err := mh.Semget(5, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mh.Msgget(6, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := mh.Semop(id, []api.SemBuf{{Num: 0, Op: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mh.Msgsnd(qid, 1, []byte("x"), 0); err != nil {
 		t.Fatal(err)
 	}
 	out = mh.DebugSysVState()

@@ -316,37 +316,7 @@ func (c *Conn) Flush() error {
 var respChPool = sync.Pool{New: func() any { return make(chan Frame, 1) }}
 
 // Call sends a request and blocks for its response.
-func (c *Conn) Call(f Frame) (Frame, error) {
-	f.Seq = c.seq.Add(1)
-	ch := respChPool.Get().(chan Frame)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		respChPool.Put(ch)
-		return Frame{}, api.EPIPE
-	}
-	c.pending[f.Seq] = ch
-	c.mu.Unlock()
-	if err := c.send(&f); err != nil {
-		c.mu.Lock()
-		_, stillPending := c.pending[f.Seq]
-		delete(c.pending, f.Seq)
-		c.mu.Unlock()
-		// If the entry was already claimed by the reader or teardown, a
-		// response send is in flight: the channel cannot be reused (do not
-		// pool it — dropping it is safe, the send has buffer space).
-		if stillPending {
-			respChPool.Put(ch)
-		}
-		return Frame{}, err
-	}
-	resp := <-ch
-	respChPool.Put(ch)
-	if resp.Err != 0 {
-		return resp, resp.Err
-	}
-	return resp, nil
-}
+func (c *Conn) Call(f Frame) (Frame, error) { return c.call(f, 0, nil, 0) }
 
 // CallTimeout is Call with an absolute deadline: if no response arrives
 // within d, the pending entry is abandoned and ETIMEDOUT returned. The
@@ -354,10 +324,14 @@ func (c *Conn) Call(f Frame) (Frame, error) {
 // (host partition semantics), so the inline send completes and the timer
 // covers the full round trip. A response that races the timeout is
 // discarded by the reader (the pending entry is gone by then).
-func (c *Conn) CallTimeout(f Frame, d time.Duration) (Frame, error) {
-	if d <= 0 {
-		return c.Call(f)
-	}
+func (c *Conn) CallTimeout(f Frame, d time.Duration) (Frame, error) { return c.call(f, d, nil, 0) }
+
+// call is the one request/response body behind Call, CallTimeout and the
+// interruptible System V call. It waits at most d for the reply when d > 0.
+// When intr fires first, cancel is sent naming f's object (A) and cookie
+// (D), and the wait goes on for the one reply: the result if it was already
+// on its way, EINTR once the peer has withdrawn the parked request.
+func (c *Conn) call(f Frame, d time.Duration, intr <-chan struct{}, cancel MsgType) (Frame, error) {
 	f.Seq = c.seq.Add(1)
 	ch := respChPool.Get().(chan Frame)
 	c.mu.Lock()
@@ -369,39 +343,53 @@ func (c *Conn) CallTimeout(f Frame, d time.Duration) (Frame, error) {
 	c.pending[f.Seq] = ch
 	c.mu.Unlock()
 	if err := c.send(&f); err != nil {
-		c.mu.Lock()
-		_, stillPending := c.pending[f.Seq]
-		delete(c.pending, f.Seq)
-		c.mu.Unlock()
-		if stillPending {
+		// If the entry was already claimed by the reader or teardown, a
+		// response send is in flight: the channel cannot be reused (do not
+		// pool it — dropping it is safe, the send has buffer space).
+		if c.unpend(f.Seq) {
 			respChPool.Put(ch)
 		}
 		return Frame{}, err
 	}
-	t := time.NewTimer(d)
-	select {
-	case resp := <-ch:
-		t.Stop()
-		respChPool.Put(ch)
-		if resp.Err != 0 {
-			return resp, resp.Err
+	var timeout <-chan time.Time
+	if d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		timeout = t.C
+	}
+	for {
+		select {
+		case resp := <-ch:
+			respChPool.Put(ch)
+			if resp.Err != 0 {
+				return resp, resp.Err
+			}
+			return resp, nil
+		case <-intr:
+			intr = nil
+			_ = c.Notify(Frame{Type: cancel, A: f.A, D: f.D})
+		case <-timeout:
+			// If the reader or teardown already claimed the entry, a
+			// response send is in flight — consume it so the channel is
+			// empty before pooling (send has buffer space, so the racing
+			// sender never blocks either way).
+			if !c.unpend(f.Seq) {
+				<-ch
+			}
+			respChPool.Put(ch)
+			return Frame{}, api.ETIMEDOUT
 		}
-		return resp, nil
-	case <-t.C:
 	}
-	// Timed out. Reclaim the pending entry; if the reader or teardown
-	// already claimed it, a response send is in flight — consume it so the
-	// channel is empty before pooling (send has buffer space, so the racing
-	// sender never blocks either way).
+}
+
+// unpend drops the pending entry for seq, reporting whether it was still
+// there (false: the reader or teardown claimed it first).
+func (c *Conn) unpend(seq uint64) bool {
 	c.mu.Lock()
-	_, stillPending := c.pending[f.Seq]
-	delete(c.pending, f.Seq)
-	c.mu.Unlock()
-	if !stillPending {
-		<-ch
-	}
-	respChPool.Put(ch)
-	return Frame{}, api.ETIMEDOUT
+	defer c.mu.Unlock()
+	_, ok := c.pending[seq]
+	delete(c.pending, seq)
+	return ok
 }
 
 // Notify sends a request without expecting a response — the asynchronous

@@ -267,9 +267,6 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 	case MsgQSend:
 		h.handleQSend(f, respond)
 
-	case MsgQRecv:
-		h.handleQRecv(f, respond)
-
 	case MsgQDelete, MsgSemDelete:
 		// Off the read loop: removeLocal makes a synchronous RPC to the
 		// key's authoritative shard, and when that shard's leader is the
@@ -298,11 +295,11 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		o := h.objectLocked(typeKind(f.Type), f.A)
 		h.mu.Unlock()
 		if o != nil {
-			o.cancelRemote(f.From, f.D)
+			o.header().cancel(f.From, f.D)
 		}
 
-	case MsgSemOp:
-		h.handleSemOp(f, respond)
+	case MsgQRecv, MsgSemOp:
+		h.handleParkable(f, respond)
 
 	case MsgRingAttach:
 		h.handleRingAttach(f, respond)
@@ -449,58 +446,54 @@ func (h *Helper) servedObject(kind int, id int64) (sysvObject, api.Errno) {
 	return o, 0
 }
 
-// handleQRecv receives from a locally owned queue, deferring the response
-// until a message arrives for blocking receives. Every remote receive is a
-// vote to migrate the queue to its consumer (§4.3).
-func (h *Helper) handleQRecv(f Frame, respond func(Frame)) {
-	o, errno := h.servedObject(NSSysVMsg, f.A)
+// handleParkable serves a remote receive (MsgQRecv) or semop (MsgSemOp)
+// on an object held here with the object call the self route makes, for
+// the caller at f.From; the reply waits while the op is parked. Every
+// remote receive and every remote acquire is a vote to migrate the object
+// to the caller (§4.2–4.3).
+func (h *Helper) handleParkable(f Frame, respond func(Frame)) {
+	kind := NSSysVMsg
+	if f.Type == MsgSemOp {
+		kind = NSSysVSem
+	}
+	o, errno := h.servedObject(kind, f.A)
 	if errno != 0 {
 		respond(f.ErrResponse(errno))
 		return
 	}
-	q := o.(*msgQueue)
-	q.mu.Lock()
-	won := q.voteLocked(f.From, true)
-	q.mu.Unlock()
-	q.recv(f.B, f.C == 1, f.From, f.D, func(mt int64, data []byte, errno api.Errno) {
-		if errno != 0 {
-			respond(f.ErrResponse(errno))
+	vote := true
+	var ops []api.SemBuf
+	if kind == NSSysVSem {
+		var err error
+		if ops, err = decodeSemOps(f.Blob); err != nil {
+			respond(f.ErrResponse(api.EINVAL))
 			return
 		}
-		respond(f.Response(Frame{B: mt, Blob: data}))
-	})
-	if won {
-		// Runs outside the handler to avoid recursive RPC.
-		go h.migrate(NSSysVMsg, f.A, f.From)
-	}
-}
-
-// handleSemOp performs sembuf ops on a locally owned set, deferring the
-// response while blocked. Every remote acquire is a vote to migrate the
-// set to its most frequent acquirer (§4.2).
-func (h *Helper) handleSemOp(f Frame, respond func(Frame)) {
-	o, errno := h.servedObject(NSSysVSem, f.A)
-	if errno != 0 {
-		respond(f.ErrResponse(errno))
-		return
-	}
-	s := o.(*semSet)
-	ops, err := decodeSemOps(f.Blob)
-	if err != nil {
-		respond(f.ErrResponse(api.EINVAL))
-		return
-	}
-	acquires := false
-	for _, op := range ops {
-		if op.Op < 0 {
-			acquires = true
+		vote = false
+		for _, op := range ops {
+			if op.Op < 0 {
+				vote = true
+			}
 		}
 	}
-	s.mu.Lock()
-	won := s.voteLocked(f.From, acquires)
-	s.mu.Unlock()
-	s.semop(ops, f.C == 1, f.From, f.D, func(errno api.Errno) { respondErrno(f, respond, errno) })
+	hd := o.header()
+	hd.mu.Lock()
+	won := hd.voteLocked(f.From, vote)
+	hd.mu.Unlock()
+	reply := func(r sysvResult) {
+		if r.errno != 0 {
+			respond(f.ErrResponse(r.errno))
+			return
+		}
+		respond(f.Response(Frame{B: r.mtype, Blob: r.data}))
+	}
+	if kind == NSSysVMsg {
+		o.(*msgQueue).recv(f.B, f.C == 1, f.From, f.D, reply)
+	} else {
+		o.(*semSet).semop(ops, f.C == 1, f.From, f.D, reply)
+	}
 	if won {
-		go h.migrate(NSSysVSem, f.A, f.From)
+		// Runs outside the handler to avoid recursive RPC.
+		go h.migrate(kind, f.A, f.From)
 	}
 }

@@ -177,6 +177,12 @@ type Helper struct {
 	ringHits   atomic.Uint64
 	ringMisses atomic.Uint64
 
+	// cookies mints the tags of this helper's interruptible System V
+	// calls, so a cancel names the one waiter it withdraws: a waiter is
+	// matched by (caller address, cookie), and only this helper's threads
+	// touch the counter.
+	cookies atomic.Int64
+
 	// ownPgid is this process's group for recovery re-registration.
 	// (election, reportedTo, and reconciling live in each shardGroup.)
 	ownPgid int64
@@ -891,13 +897,18 @@ func (h *Helper) evictSemOnShutdown(s *semSet, leaderAddr string) {
 
 // persistQueue serializes any live owned queue (even an empty one) so
 // survivors can adopt it; the snapshot bounces parked receivers, which
-// retry after adoption.
+// retry after adoption. The file is the queue from then on: this copy
+// bounces every later send and receive with EXDEV, as a handoff's snapshot
+// leaves it, so a synchronous send arriving before the streams close is
+// not acked into a copy nobody reads — it retries, meets EPIPE once they
+// close, and lands in the adopted file.
 func (h *Helper) persistQueue(q *msgQueue) {
 	q.mu.Lock()
 	live := q.liveLocked()
 	var blob []byte
 	if live {
 		blob = q.snapshotLocked()
+		q.migrating = true
 	}
 	q.mu.Unlock()
 	if !live {

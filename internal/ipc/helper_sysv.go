@@ -3,18 +3,12 @@ package ipc
 import (
 	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"graphene/internal/api"
 	"graphene/internal/posix"
 )
-
-// cancelCookie mints unique tags for blocking receive/semop calls so a
-// signal-interruption cancel (MsgQRecvCancel/MsgSemOpCancel) names the
-// exact parked waiter it withdraws. Process-global: uniqueness per sender
-// address is all the owner-side match needs.
-var cancelCookie atomic.Int64
 
 // sysvRetries bounds how long a System V operation chases a migrating
 // object: ownership migration is asynchronous, so a request can race the
@@ -119,6 +113,202 @@ func (h *Helper) sysvKey(kind int, key int64, flags int) (int64, string, error) 
 }
 
 // ============================================================
+// The operation path (every System V operation)
+// ============================================================
+
+// sysvOp is one System V operation on the one operation path (DESIGN.md
+// "SysV operation path"). typ is the request its owner serves (MsgQSend,
+// MsgQRecv, MsgSemOp, or the kind's delete); mtype is a send's type or a
+// receive's selector, data a send's text, ops a semop's operations. wait
+// marks an op that may park at the owner, async a send answered once it
+// is on its way; intr (nil for none) interrupts a parked op.
+type sysvOp struct {
+	kind  int
+	typ   MsgType
+	id    int64
+	mtype int64
+	data  []byte
+	ops   []api.SemBuf
+	wait  bool
+	async bool
+	intr  <-chan struct{}
+}
+
+// sysvResult is an op's answer: errno, and a received message.
+type sysvResult struct {
+	mtype int64
+	data  []byte
+	errno api.Errno
+}
+
+// resultChPool recycles the channels a local wait takes its one answer
+// from; a channel goes back only once that answer is consumed.
+var resultChPool = sync.Pool{New: func() any { return make(chan sysvResult, 1) }}
+
+// deletes reports whether op is an rmid.
+func (op *sysvOp) deletes() bool { return op.typ == MsgQDelete || op.typ == MsgSemDelete }
+
+// frame is op's request as the wire carries it: A the object, B the
+// message type, C 1 for a parking op or an async send.
+func (op *sysvOp) frame() Frame {
+	f := Frame{Type: op.typ, A: op.id, B: op.mtype, Blob: op.data}
+	if op.wait || op.async {
+		f.C = 1
+	}
+	if op.typ == MsgSemOp {
+		f.Blob = encodeSemOps(op.ops)
+	}
+	return f
+}
+
+// sysvDo drives op to its answer: resolve the owner, route the op to this
+// helper's own copy, a live ring or an RPC, and classify the outcome in
+// one place. Success through an RPC counts toward a ring attach; EXDEV
+// (the object moved, is moving, or is gone from here) drops the route and
+// re-resolves; EPIPE, a failed dial among them, is an owner gone; anything
+// else is the op's answer. Ownership migration is asynchronous, so an op
+// can race the transfer: each retry backs off first.
+func (h *Helper) sysvDo(op *sysvOp) (int64, []byte, error) {
+	for attempt := 0; attempt < sysvRetries; attempt++ {
+		migrationBackoff(attempt)
+		owner, err := h.owner(op.kind, op.id)
+		if err != nil {
+			if err == api.EIDRM && attempt > 0 && op.deletes() {
+				// An earlier attempt's delete landed, but its reply died
+				// with the owner's connection: the outcome rmid wanted.
+				return 0, nil, nil
+			}
+			return 0, nil, err
+		}
+		var r sysvResult
+		served, viaRPC := false, false
+		if owner == h.Addr {
+			r = h.sysvSelf(op)
+		} else if r, served = h.sysvRing(op, owner); !served {
+			r, viaRPC = h.sysvRPC(op, owner), true
+		}
+		switch r.errno {
+		case 0:
+			if viaRPC {
+				h.noteRemoteOp(sysvRef{op.kind, op.id}, owner)
+			}
+			return r.mtype, r.data, nil
+		case api.EXDEV:
+			h.invalidate(op.kind, op.id)
+		case api.EPIPE:
+			// A queue the owner persisted on exit is adopted here; else the
+			// object re-resolves: a set was evicted to its shard leader
+			// before the owner's streams closed, and another survivor may
+			// have adopted a queue.
+			if op.kind != NSSysVMsg || !h.adoptQueue(op.id) {
+				h.invalidate(op.kind, op.id)
+			}
+		default:
+			return 0, nil, r.errno
+		}
+	}
+	return 0, nil, api.EIDRM
+}
+
+// sysvSelf serves op on this helper's own copy with the object call a
+// remote request gets, and waits for its one answer. A parked op is tagged
+// (h.Addr, cookie) like a remote waiter, and a signal cancels it the same
+// way: the cancel answers it with EINTR unless its answer is already in,
+// and either way that one answer is what op returns. A copy gone since
+// owner looked answers EXDEV, so the op re-resolves.
+func (h *Helper) sysvSelf(op *sysvOp) sysvResult {
+	if op.deletes() {
+		return sysvResult{errno: h.removeLocal(op.kind, op.id)}
+	}
+	h.mu.Lock()
+	o := h.objectLocked(op.kind, op.id)
+	h.mu.Unlock()
+	if o == nil {
+		return sysvResult{errno: api.EXDEV}
+	}
+	if op.typ == MsgQSend {
+		return sysvResult{errno: o.(*msgQueue).send(op.mtype, op.data)}
+	}
+	hd := o.header()
+	hd.mu.Lock()
+	hd.localOps++
+	hd.mu.Unlock()
+	var cookie int64
+	if op.intr != nil {
+		cookie = h.cookies.Add(1)
+	}
+	ch := resultChPool.Get().(chan sysvResult)
+	deliver := func(r sysvResult) { ch <- r }
+	if op.typ == MsgQRecv {
+		o.(*msgQueue).recv(op.mtype, op.wait, h.Addr, cookie, deliver)
+	} else {
+		o.(*semSet).semop(op.ops, op.wait, h.Addr, cookie, deliver)
+	}
+	var r sysvResult
+	answered := false
+	select {
+	case r = <-ch: // answered inline, without parking: no wait to interrupt
+		answered = true
+	default:
+	}
+	for intr := op.intr; !answered; {
+		select {
+		case r = <-ch:
+			answered = true
+		case <-intr:
+			intr = nil
+			hd.cancel(h.Addr, cookie)
+		}
+	}
+	resultChPool.Put(ch)
+	return r
+}
+
+// sysvRPC sends op to its owner and returns the answer. An op that may
+// park has no deadline, and intr withdraws it through the kind's cancel
+// frame; any other op rides the RPC deadline, because a partitioned owner
+// is indistinguishable from a wedged one and must not wedge its caller.
+// ETIMEDOUT is such an op's answer, not EPIPE: the owner may be alive
+// behind the partition, and adopting its queue would fork it. An async
+// send is a notify, answered once it is on the stream. A failed dial or
+// a dead connection is EPIPE, except for rmid, whose owner's death leaves
+// only what survives it to drop: a persisted queue and the leader mapping.
+func (h *Helper) sysvRPC(op *sysvOp, owner string) sysvResult {
+	c, err := h.dial(owner)
+	if err != nil {
+		if op.deletes() {
+			if op.kind == NSSysVMsg {
+				_ = h.pal.DkStreamDelete("file:" + persistPath(op.id))
+			}
+			_, _ = h.callLeader(Frame{Type: MsgKeyRemove, A: int64(op.kind), B: op.id})
+			return sysvResult{}
+		}
+		return sysvResult{errno: api.EPIPE}
+	}
+	f := op.frame()
+	var resp Frame
+	switch {
+	case op.async:
+		if c.Notify(f) != nil {
+			return sysvResult{errno: api.EPIPE} // a write error is sticky: the connection is dead
+		}
+		return sysvResult{}
+	case op.wait:
+		cancel := MsgQRecvCancel
+		if op.typ == MsgSemOp {
+			cancel = MsgSemOpCancel
+		}
+		if op.intr != nil {
+			f.D = h.cookies.Add(1)
+		}
+		resp, err = c.call(f, 0, op.intr, cancel)
+	default:
+		resp, err = c.CallTimeout(f, rpcCallTimeout)
+	}
+	return sysvResult{resp.B, resp.Blob, api.ToErrno(err)}
+}
+
+// ============================================================
 // Message queues (client side)
 // ============================================================
 
@@ -147,78 +337,8 @@ func (h *Helper) msgsnd(id, mtype int64, data []byte, sync bool) error {
 	if mtype <= 0 {
 		return api.EINVAL
 	}
-	ref := sysvRef{NSSysVMsg, id}
-	for attempt := 0; attempt < sysvRetries; attempt++ {
-		migrationBackoff(attempt)
-		owner, err := h.owner(NSSysVMsg, id)
-		if err != nil {
-			return err
-		}
-		if owner == h.Addr {
-			h.mu.Lock()
-			q := h.queues[id]
-			h.mu.Unlock()
-			if q == nil {
-				return api.EIDRM
-			}
-			errno := q.send(mtype, data)
-			if errno == api.EXDEV {
-				h.invalidate(NSSysVMsg, id)
-				continue
-			}
-			if errno != 0 {
-				return errno
-			}
-			return nil
-		}
-		// Kernel-bypass fast path: push straight into the owner-granted
-		// ring. Failure falls through to RPC — synchronously when the
-		// attachment is still live (full ring, oversize message), because
-		// a later ring push must not overtake the in-flight RPC send; see
-		// qRingSend. A revoked ring is dropped and the plain async path
-		// resumes (the owner collapsed it under q.mu, so ordering holds).
-		syncSend := sync
-		if rc := h.ringGet(ref, owner); rc != nil && !sync {
-			if h.qRingSend(rc, mtype, data) {
-				return nil
-			}
-			if rc.send.Revoked() {
-				h.ringDrop(ref)
-			} else {
-				syncSend = true
-			}
-		}
-		c, err := h.dial(owner)
-		if err != nil {
-			h.ownerLost(NSSysVMsg, id)
-			continue
-		}
-		if !syncSend {
-			if err := c.Notify(Frame{Type: MsgQSend, A: id, B: mtype, C: 1, Blob: data}); err != nil {
-				h.invalidate(NSSysVMsg, id)
-				continue
-			}
-			h.noteRemoteOp(ref, owner)
-			return nil
-		}
-		// Deadline-bounded: a partitioned owner is indistinguishable from a
-		// wedged one, and a synchronous send must never hang. ETIMEDOUT is
-		// surfaced (default branch), NOT treated like EPIPE — the owner may
-		// be alive behind the partition, and adopting its queue here would
-		// fork the queue into two live copies.
-		_, err = c.CallTimeout(Frame{Type: MsgQSend, A: id, B: mtype, Blob: data}, rpcCallTimeout)
-		switch err {
-		case nil:
-			return nil
-		case api.EXDEV:
-			h.invalidate(NSSysVMsg, id)
-		case api.EPIPE:
-			h.ownerLost(NSSysVMsg, id)
-		default:
-			return err
-		}
-	}
-	return api.EIDRM
+	_, _, err := h.sysvDo(&sysvOp{kind: NSSysVMsg, typ: MsgQSend, id: id, mtype: mtype, data: data, async: !sync})
+	return err
 }
 
 // Msgrcv removes and returns the first message matching mtype. Blocking
@@ -234,138 +354,7 @@ func (h *Helper) Msgrcv(id int64, mtype int64, flags int) (int64, []byte, error)
 // race-free in both directions — a message delivered before the cancel
 // lands is returned normally, never dropped.
 func (h *Helper) MsgrcvIntr(id int64, mtype int64, flags int, intr <-chan struct{}) (int64, []byte, error) {
-	wait := flags&api.IPCNoWait == 0
-	ref := sysvRef{NSSysVMsg, id}
-	for attempt := 0; attempt < sysvRetries; attempt++ {
-		migrationBackoff(attempt)
-		owner, err := h.owner(NSSysVMsg, id)
-		if err != nil {
-			return 0, nil, err
-		}
-		if owner == h.Addr {
-			h.mu.Lock()
-			q := h.queues[id]
-			h.mu.Unlock()
-			if q == nil {
-				h.invalidate(NSSysVMsg, id)
-				continue
-			}
-			q.mu.Lock()
-			q.localOps++
-			q.mu.Unlock()
-			type res struct {
-				mtype int64
-				data  []byte
-				errno api.Errno
-			}
-			ch := make(chan res, 1)
-			w := q.recv(mtype, wait, "", 0, func(mt int64, data []byte, errno api.Errno) {
-				ch <- res{mt, data, errno}
-			})
-			var r res
-			if w == nil || intr == nil {
-				r = <-ch
-			} else {
-				select {
-				case r = <-ch:
-				case <-intr:
-					if q.cancelRecv(w) {
-						return 0, nil, api.EINTR
-					}
-					// Delivery won the race; take the result.
-					r = <-ch
-				}
-			}
-			if r.errno == api.EXDEV {
-				h.invalidate(NSSysVMsg, id)
-				continue
-			}
-			if r.errno != 0 {
-				return 0, nil, r.errno
-			}
-			return r.mtype, r.data, nil
-		}
-		// Kernel-bypass fast path: FIFO receives (mtype==0) pop from the
-		// owner-granted receive ring; selective receives stay on RPC
-		// (the ring cannot reorder, and the first RPC receive makes the
-		// owner reclaim it).
-		if mtype == 0 {
-			if rc := h.ringGet(ref, owner); rc != nil {
-				mt, data, errno, handled := h.qRingRecv(rc, wait, intr)
-				if handled {
-					if errno != 0 {
-						return 0, nil, errno
-					}
-					return mt, data, nil
-				}
-				// Receive ring revoked (owner reclaimed it); the send
-				// ring may still be live — keep the attachment.
-				rc.mu.Lock()
-				rc.recv = nil
-				rc.mu.Unlock()
-			}
-		}
-		c, err := h.dial(owner)
-		if err != nil {
-			h.ownerLost(NSSysVMsg, id)
-			continue
-		}
-		waitFlag := int64(0)
-		if wait {
-			waitFlag = 1
-		}
-		// A blocking receive legitimately parks until a message arrives (or
-		// the owner tears down), so only the non-blocking variant — which
-		// the owner answers immediately — rides the RPC deadline.
-		var resp Frame
-		if wait {
-			resp, err = h.callIntr(c, Frame{Type: MsgQRecv, A: id, B: mtype, C: waitFlag}, MsgQRecvCancel, intr)
-		} else {
-			resp, err = c.CallTimeout(Frame{Type: MsgQRecv, A: id, B: mtype, C: waitFlag}, rpcCallTimeout)
-		}
-		switch err {
-		case nil:
-			h.noteRemoteOp(ref, owner)
-			return resp.B, resp.Blob, nil
-		case api.EXDEV:
-			h.invalidate(NSSysVMsg, id)
-		case api.EPIPE:
-			h.ownerLost(NSSysVMsg, id)
-		default:
-			return 0, nil, err
-		}
-	}
-	return 0, nil, api.EIDRM
-}
-
-// callIntr issues a blocking owner-side call that a guest signal can
-// withdraw. The request carries a cancel cookie in D; on interruption the
-// matching cancel type is sent asynchronously and the caller KEEPS
-// waiting on the original call — the owner answers it either with the
-// delivered result (delivery won the race) or with EINTR (cancel won), so
-// no message or permit is ever lost to a signal.
-func (h *Helper) callIntr(c *Conn, f Frame, cancel MsgType, intr <-chan struct{}) (Frame, error) {
-	if intr == nil {
-		return c.Call(f)
-	}
-	f.D = cancelCookie.Add(1)
-	type callRes struct {
-		resp Frame
-		err  error
-	}
-	rc := make(chan callRes, 1)
-	go func() {
-		resp, err := c.Call(f)
-		rc <- callRes{resp, err}
-	}()
-	select {
-	case r := <-rc:
-		return r.resp, r.err
-	case <-intr:
-		_ = c.Notify(Frame{Type: cancel, A: f.A, D: f.D})
-		r := <-rc
-		return r.resp, r.err
-	}
+	return h.sysvDo(&sysvOp{kind: NSSysVMsg, typ: MsgQRecv, id: id, mtype: mtype, wait: flags&api.IPCNoWait == 0, intr: intr})
 }
 
 // MsgRmid destroys queue id, notifying prior accessors (§4.2).
@@ -430,93 +419,14 @@ func (h *Helper) Semop(id int64, ops []api.SemBuf) error {
 // blocking semop returns EINTR per semop(2). Race rules as MsgrcvIntr: an
 // operation that completed before the cancel landed reports success.
 func (h *Helper) SemopIntr(id int64, ops []api.SemBuf, intr <-chan struct{}) error {
-	wait := true
-	for _, op := range ops {
-		if int(op.Flg)&api.IPCNoWait != 0 {
-			wait = false
+	op := sysvOp{kind: NSSysVSem, typ: MsgSemOp, id: id, ops: ops, wait: true, intr: intr}
+	for _, o := range ops {
+		if int(o.Flg)&api.IPCNoWait != 0 {
+			op.wait = false
 		}
 	}
-	ref := sysvRef{NSSysVSem, id}
-	for attempt := 0; attempt < sysvRetries; attempt++ {
-		migrationBackoff(attempt)
-		owner, err := h.owner(NSSysVSem, id)
-		if err != nil {
-			return err
-		}
-		if owner == h.Addr {
-			h.mu.Lock()
-			s := h.sems[id]
-			h.mu.Unlock()
-			if s == nil {
-				h.invalidate(NSSysVSem, id)
-				continue
-			}
-			s.mu.Lock()
-			s.localOps++
-			s.mu.Unlock()
-			ch := make(chan api.Errno, 1)
-			w := s.semop(ops, wait, "", 0, func(errno api.Errno) { ch <- errno })
-			var errno api.Errno
-			if w == nil || intr == nil {
-				errno = <-ch
-			} else {
-				select {
-				case errno = <-ch:
-				case <-intr:
-					if s.cancelSem(w) {
-						return api.EINTR
-					}
-					errno = <-ch
-				}
-			}
-			if errno == api.EXDEV {
-				h.invalidate(NSSysVSem, id)
-				continue
-			}
-			if errno != 0 {
-				return errno
-			}
-			return nil
-		}
-		// Kernel-bypass fast path: plain single-semaphore ops CAS the
-		// shared value directly — zero RPCs, zero allocations. Unmodeled
-		// ops and blocking parks stay on RPC.
-		if sc := h.ringGet(ref, owner); sc != nil {
-			if handled, errno := h.semRingOp(ref, sc, ops, wait); handled {
-				if errno != 0 {
-					return errno
-				}
-				return nil
-			}
-		}
-		c, err := h.dial(owner)
-		if err != nil {
-			h.ownerLost(NSSysVSem, id)
-			continue
-		}
-		waitFlag := int64(0)
-		if wait {
-			waitFlag = 1
-		}
-		// Same split as MsgQRecv: blocking semop parks by design; the
-		// non-blocking variant is answered immediately and rides the RPC
-		// deadline so a partitioned owner cannot wedge the caller.
-		if wait {
-			_, err = h.callIntr(c, Frame{Type: MsgSemOp, A: id, C: waitFlag, Blob: encodeSemOps(ops)}, MsgSemOpCancel, intr)
-		} else {
-			_, err = c.CallTimeout(Frame{Type: MsgSemOp, A: id, C: waitFlag, Blob: encodeSemOps(ops)}, rpcCallTimeout)
-		}
-		switch err {
-		case nil:
-			h.noteRemoteOp(ref, owner)
-			return nil
-		case api.EXDEV, api.EPIPE:
-			h.invalidate(NSSysVSem, id)
-		default:
-			return err
-		}
-	}
-	return api.EIDRM
+	_, _, err := h.sysvDo(&op)
+	return err
 }
 
 // SemRmid destroys semaphore set id, notifying prior accessors.

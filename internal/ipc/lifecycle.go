@@ -53,9 +53,47 @@ type sysvHeader struct {
 	// object.
 	remoteVotes map[string]int
 	localOps    int
+
+	// waiters are the ops parked here until they can complete, in arrival
+	// order.
+	waiters []*sysvWaiter
+}
+
+// sysvWaiter is an op parked at its owner, a local caller or a deferred
+// remote RPC alike: a receive selecting mtype, or a semop's ops. from and
+// cookie name it for a signal-interruption cancel — the caller's helper
+// address and its per-call cookie; deliver takes its one answer.
+type sysvWaiter struct {
+	mtype   int64
+	ops     []api.SemBuf
+	from    string
+	cookie  int64
+	deliver func(sysvResult)
 }
 
 func (o *sysvHeader) header() *sysvHeader { return o }
+
+// cancel answers a signal-interruption cancel, local or remote alike: the
+// op parked under (from, cookie), if it still is, is answered with EINTR.
+func (o *sysvHeader) cancel(from string, cookie int64) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for i, w := range o.waiters {
+		if w.from == from && w.cookie == cookie {
+			o.waiters = append(o.waiters[:i], o.waiters[i+1:]...)
+			w.deliver(sysvResult{errno: api.EINTR})
+			return
+		}
+	}
+}
+
+// failWaitersLocked answers every parked op with errno. Caller holds o.mu.
+func (o *sysvHeader) failWaitersLocked(errno api.Errno) {
+	for _, w := range o.waiters {
+		w.deliver(sysvResult{errno: errno})
+	}
+	o.waiters = nil
+}
 
 // liveLocked reports whether this copy is the object rather than a removed
 // one or a forwarding tombstone. Caller holds o.mu.
@@ -93,9 +131,6 @@ type sysvObject interface {
 	// removeLocked tears the bypass grant down and fails parked waiters
 	// with EIDRM.
 	removeLocked()
-	// cancelRemote answers a signal-interruption cancel: the remote waiter
-	// from parked under cookie, if still parked, is answered with EINTR.
-	cancelRemote(from string, cookie int64)
 
 	// grantLocked creates a bypass grant for the client with host PID pid;
 	// EAGAIN declines.
@@ -222,12 +257,15 @@ func (h *Helper) getKeyed(kind int, key int64, flags, nsems int) (int64, error) 
 	if err != nil {
 		return 0, err
 	}
-	h.mu.Lock()
+	// A lookup leaves no owner-cache entry: owner fills it on first use,
+	// which is also when the owner records this helper as an accessor, so
+	// the object's removal reaches the entry. An object only looked up
+	// here and removed elsewhere leaves nothing behind.
 	if owner != h.Addr {
-		kindSet(&h.ownerCache, kind, id, owner)
-	} else if h.objectLocked(kind, id) == nil {
-		// owner finds local objects before the cache, so a self entry
-		// would only add an insert to the create fast path.
+		return id, nil
+	}
+	h.mu.Lock()
+	if h.objectLocked(kind, id) == nil {
 		var o sysvObject
 		if kind == NSSysVSem {
 			o = newSemSet(id, key, nsems)
@@ -286,65 +324,24 @@ func (h *Helper) invalidate(kind int, id int64) {
 	h.ringDrop(sysvRef{kind, id})
 }
 
-// ownerLost handles an owner that cannot be reached: a queue it persisted
-// on exit is adopted here; otherwise the object re-resolves (a set was
-// evicted to its shard leader before the owner's streams closed, and
-// another survivor may have adopted a queue).
-func (h *Helper) ownerLost(kind int, id int64) {
-	if kind != NSSysVMsg || !h.adoptQueue(id) {
-		h.invalidate(kind, id)
-	}
-}
-
-// rmid destroys object id of kind, notifying prior accessors (§4.2). A
-// stale owner answers EXDEV and the rmid chases the live copy; EIDRM after
-// a first attempt means that attempt's delete landed but its reply died
-// with the owner's connection, which is the outcome rmid wanted. An owner
-// gone entirely leaves only what survives it to drop: a persisted queue,
-// and the leader mapping.
+// rmid destroys object id of kind, notifying prior accessors (§4.2), on
+// the one operation path: a stale owner answers EXDEV and the rmid chases
+// the live copy. The owner tells only the object's accessors of its end,
+// so once it is gone this helper forgets where it lived.
 func (h *Helper) rmid(kind int, id int64) error {
 	del, _ := sysvMsgTypes(kind)
-	for attempt := 0; attempt < sysvRetries; attempt++ {
-		migrationBackoff(attempt)
-		owner, err := h.owner(kind, id)
-		if err != nil {
-			if err == api.EIDRM && attempt > 0 {
-				return nil
-			}
-			return err
-		}
-		if owner == h.Addr {
-			if h.removeLocal(kind, id) == api.EXDEV {
-				h.invalidate(kind, id)
-				continue
-			}
-			return nil
-		}
-		c, err := h.dial(owner)
-		if err != nil {
-			if kind == NSSysVMsg {
-				_ = h.pal.DkStreamDelete("file:" + persistPath(id))
-			}
-			_, _ = h.callLeader(Frame{Type: MsgKeyRemove, A: int64(kind), B: id})
-			return nil
-		}
-		_, err = c.CallTimeout(Frame{Type: del, A: id}, rpcCallTimeout)
-		switch err {
-		case nil:
-			return nil
-		case api.EPIPE, api.EXDEV:
-			// The connection died under us or the object moved; re-resolve.
-			h.invalidate(kind, id)
-		default:
-			return err
-		}
+	if _, _, err := h.sysvDo(&sysvOp{kind: kind, typ: del, id: id}); err != nil {
+		return err
 	}
-	return api.EIDRM
+	h.invalidate(kind, id)
+	return nil
 }
 
 // removeLocal destroys the locally owned object; EXDEV (touching nothing)
-// when it has migrated away — a stale-owner rmid must chase the live copy,
-// not tombstone its key mapping out from under the current owner.
+// when it has migrated away or is mid-handoff — a stale-owner rmid must
+// chase the live copy, not tombstone its key mapping out from under the
+// current owner, nor remove a copy whose content a handoff is installing
+// elsewhere.
 func (h *Helper) removeLocal(kind int, id int64) api.Errno {
 	h.mu.Lock()
 	o := h.objectLocked(kind, id)
@@ -352,9 +349,9 @@ func (h *Helper) removeLocal(kind int, id int64) api.Errno {
 	if o != nil {
 		hd := o.header()
 		hd.mu.Lock()
-		moved := hd.movedTo
+		moving := hd.movedTo != "" || hd.migrating
 		hd.mu.Unlock()
-		if moved != "" {
+		if moving {
 			return api.EXDEV
 		}
 	}

@@ -25,9 +25,7 @@ import (
 //
 // Everything else — and every disruption: ring full, oversize message,
 // migration, deletion, sandbox split, owner death, shutdown — falls back
-// to the classic RPC path. Fallback is always safe without coordination
-// because the owner ingests the send ring under q.mu before acting on any
-// RPC, so a client switching paths can never reorder its own messages.
+// to the classic RPC path, under the FIFO rule sysvRing states.
 
 // ringAttachThreshold is how many successful remote operations on one
 // object trigger a grant request (same spirit as migrateThreshold: pay
@@ -195,23 +193,76 @@ func (h *Helper) mapGrant(rc *ringClient, kind int, resp Frame) error {
 	return err
 }
 
-// qRingSend attempts the msgsnd fast path. False routes the caller to
-// RPC — and if the attachment is still live (full ring or oversize
-// message, rather than revocation), that fallback send MUST be
-// synchronous. Ordering across the switch has two halves: messages
-// already in the ring land first because the owner ingests the send ring
-// under q.mu before appending an RPC message; and no later ring push may
-// overtake the fallback — the drainer ingests concurrently with RPC
-// dispatch, so only blocking the sender until the owner has appended the
-// RPC message (the Call's ack) closes that window. Msgsnd implements
-// this by switching the fallback frame from Notify to Call.
-func (h *Helper) qRingSend(rc *ringClient, mtype int64, data []byte) bool {
-	if rc.send.TryPush(mtype, data) {
-		h.ringHits.Add(1)
-		return true
+// sysvRing tries op on a live attachment to owner and reports whether the
+// ring served it; a miss leaves op to an RPC. The FIFO rule across the
+// path switch: messages already in the send ring land first, because the
+// owner ingests the ring under the queue lock before it appends an RPC's
+// message; and no later push may overtake the fallback, so a send that
+// misses a still-live ring (full, or the message too large) falls back
+// synchronously, acked once the owner has appended it. A revoked ring is
+// dropped and the send stays asynchronous: the owner collapsed the ring
+// under the same lock.
+func (h *Helper) sysvRing(op *sysvOp, owner string) (sysvResult, bool) {
+	ref := sysvRef{op.kind, op.id}
+	if op.typ == MsgQSend && !op.async {
+		return sysvResult{}, false // a synchronous send never rides a ring
 	}
-	h.ringMisses.Add(1)
-	return false
+	rc := h.ringGet(ref, owner)
+	if rc == nil {
+		return sysvResult{}, false
+	}
+	switch op.typ {
+	case MsgQSend:
+		if rc.send.TryPush(op.mtype, op.data) {
+			h.ringHits.Add(1)
+			return sysvResult{}, true
+		}
+		h.ringMisses.Add(1)
+		if rc.send.Revoked() {
+			h.ringDrop(ref)
+		} else {
+			op.async = false
+		}
+	case MsgQRecv:
+		// FIFO receives only: the ring cannot reorder, so a selective
+		// receive rides RPC, which makes the owner reclaim the ring.
+		if op.mtype != 0 {
+			return sysvResult{}, false
+		}
+		if r, ok := h.qRingRecv(rc, op.wait, op.intr); ok {
+			return r, true
+		}
+		// Receive ring revoked (owner reclaimed it); the send ring may
+		// still be live, so the attachment stays.
+		rc.mu.Lock()
+		rc.recv = nil
+		rc.mu.Unlock()
+	case MsgSemOp:
+		// Plain single-semaphore ops CAS the shared value; other ops
+		// (more semaphores, flags beyond IPC_NOWAIT) ride RPC.
+		for _, o := range op.ops {
+			if o.Num != 0 || int(o.Flg)&^api.IPCNoWait != 0 {
+				return sysvResult{}, false
+			}
+		}
+		applied, _, errno := rc.seg.TryApply(op.ops)
+		switch {
+		case errno == api.EAGAIN: // revoked or sealed
+			h.ringDrop(ref)
+		case errno != 0 || applied:
+			h.ringHits.Add(1)
+			return sysvResult{errno: errno}, true
+		case !op.wait:
+			// The segment is the authoritative value, so a would-block
+			// answered here is exact.
+			h.ringHits.Add(1)
+			return sysvResult{errno: api.EAGAIN}, true
+		}
+		// Revoked, or a would-block op the caller sleeps on: parking
+		// lives at the owner.
+		h.ringMisses.Add(1)
+	}
+	return sysvResult{}, false
 }
 
 // qRingRecv attempts the msgrcv fast path on the receive ring (mtype==0
@@ -219,88 +270,55 @@ func (h *Helper) qRingSend(rc *ringClient, mtype int64, data []byte) bool {
 // is gone (revoked/reclaimed) and the caller must fall back to RPC. While
 // the ring is live, empty means the queue is empty (the owner routes
 // every message into it), so ENOMSG and blocking-park are answered
-// locally; intr interruption returns EINTR with nothing parked remotely.
-func (h *Helper) qRingRecv(rc *ringClient, wait bool, intr <-chan struct{}) (mtype int64, data []byte, errno api.Errno, handled bool) {
+// locally. intr follows the one cancel rule with nothing parked remotely:
+// a message already in the ring is still returned, else EINTR.
+func (h *Helper) qRingRecv(rc *ringClient, wait bool, intr <-chan struct{}) (r sysvResult, handled bool) {
 	rc.mu.Lock()
 	rr := rc.recv
 	rc.mu.Unlock()
 	if rr == nil {
-		return 0, nil, 0, false
+		return sysvResult{}, false
 	}
 	var ch chan struct{}
+	interrupted := false
+	defer func() {
+		if ch != nil {
+			rr.Doorbell.Unregister(ch)
+		}
+	}()
 	for {
 		rc.mu.Lock()
 		mt, n, ok := rr.TryPopClient(rc.popBuf)
 		if ok {
-			data = append([]byte(nil), rc.popBuf[:n]...)
+			r = sysvResult{mtype: mt, data: append([]byte(nil), rc.popBuf[:n]...)}
 		}
 		rc.mu.Unlock()
-		if ok {
-			if ch != nil {
-				rr.Doorbell.Unregister(ch)
-			}
-			h.ringHits.Add(1)
-			return mt, data, 0, true
-		}
-		if rr.Revoked() {
-			if ch != nil {
-				rr.Doorbell.Unregister(ch)
-			}
+		switch {
+		case ok:
+		case rr.Revoked():
 			h.ringMisses.Add(1)
-			return 0, nil, 0, false
-		}
-		if !wait {
-			if ch != nil {
-				rr.Doorbell.Unregister(ch)
-			}
-			h.ringHits.Add(1)
-			return 0, nil, api.ENOMSG, true
-		}
-		if ch == nil {
+			return sysvResult{}, false
+		case !wait:
+			r.errno = api.ENOMSG
+		case interrupted:
+			// The pop after the signal found nothing.
+			return sysvResult{errno: api.EINTR}, true
+		case ch == nil:
 			// Register, then re-check: a push between the failed pop and
 			// the registration must not be missed.
 			ch = make(chan struct{}, 1)
 			rr.Doorbell.Register(ch)
 			continue
+		default:
+			select {
+			case <-ch:
+			case <-intr: // nil intr never fires; revocation still wakes via ch
+				interrupted = true
+			}
+			continue
 		}
-		select {
-		case <-ch:
-		case <-intr: // nil intr never fires; revocation still wakes via ch
-			rr.Doorbell.Unregister(ch)
-			return 0, nil, api.EINTR, true
-		}
-	}
-}
-
-// semRingOp attempts the semop fast path. handled=false routes to RPC:
-// unmodeled ops (multi-semaphore indices, flags beyond IPC_NOWAIT),
-// revocation, or a would-block op the caller wants to sleep on (parking
-// lives at the owner). A non-blocking would-block is answered locally —
-// the segment is the authoritative value, so local EAGAIN is exact.
-func (h *Helper) semRingOp(ref sysvRef, sc *ringClient, ops []api.SemBuf, wait bool) (handled bool, errno api.Errno) {
-	for _, op := range ops {
-		if op.Num != 0 || int(op.Flg)&^api.IPCNoWait != 0 {
-			return false, 0
-		}
-	}
-	applied, _, aerr := sc.seg.TryApply(ops)
-	switch {
-	case aerr == api.EAGAIN: // revoked or sealed
-		h.ringDrop(ref)
-		h.ringMisses.Add(1)
-		return false, 0
-	case aerr != 0:
 		h.ringHits.Add(1)
-		return true, aerr
-	case applied:
-		h.ringHits.Add(1)
-		return true, 0
-	case !wait:
-		h.ringHits.Add(1)
-		return true, api.EAGAIN
-	default:
-		h.ringMisses.Add(1)
-		return false, 0
+		return r, true
 	}
 }
 

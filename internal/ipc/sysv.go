@@ -21,25 +21,13 @@ type msgMessage struct {
 	Data []byte
 }
 
-// recvWaiter is a blocked receiver (local caller or deferred remote RPC).
-// from and cookie identify the waiter for signal-interruption cancel:
-// remote waiters carry the sender's address plus its per-call cookie
-// (matched by MsgQRecvCancel); local waiters are cancelled by pointer.
-type recvWaiter struct {
-	mtype   int64
-	from    string
-	cookie  int64
-	deliver func(mtype int64, data []byte, errno api.Errno)
-}
-
 // msgQueue is the owner-side state of one System V message queue. The
 // owner stores the messages; remote senders and receivers go through RPC
 // to the owner (§4.2).
 type msgQueue struct {
 	sysvHeader
 
-	msgs    []msgMessage
-	waiters []*recvWaiter
+	msgs []msgMessage
 
 	// Kernel-bypass datapath (ring.go). sendRing carries client→owner
 	// messages; recvRing (granted only while the backlog is empty and no
@@ -223,7 +211,7 @@ func (q *msgQueue) drainWaitersLocked() {
 				if posix.MsgMatches(m.Type, w.mtype) {
 					q.msgs = append(q.msgs[:mi], q.msgs[mi+1:]...)
 					q.waiters = append(q.waiters[:wi], q.waiters[wi+1:]...)
-					w.deliver(m.Type, m.Data, 0)
+					w.deliver(sysvResult{mtype: m.Type, data: m.Data})
 					delivered = true
 					break
 				}
@@ -239,19 +227,18 @@ func (q *msgQueue) drainWaitersLocked() {
 }
 
 // recv pops the first matching message. If none and wait is set, deliver
-// is parked until a message arrives; otherwise ENOMSG is returned inline.
-// Returns the parked waiter (for cancellation) or nil when deliver was
-// called inline. from/cookie tag remote waiters for MsgQRecvCancel.
-func (q *msgQueue) recv(mtype int64, wait bool, from string, cookie int64, deliver func(int64, []byte, api.Errno)) *recvWaiter {
+// is parked until a message arrives, tagged (from, cookie) for a cancel;
+// otherwise ENOMSG is delivered inline. deliver runs exactly once.
+func (q *msgQueue) recv(mtype int64, wait bool, from string, cookie int64, deliver func(sysvResult)) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.removed {
-		deliver(0, nil, api.EIDRM)
-		return nil
+		deliver(sysvResult{errno: api.EIDRM})
+		return
 	}
 	if q.movedTo != "" || q.migrating {
-		deliver(0, nil, api.EXDEV)
-		return nil
+		deliver(sysvResult{errno: api.EXDEV})
+		return
 	}
 	// Any receive through the classic path breaks the receive ring's
 	// sole-consumer discipline: reclaim it (FIFO-preserving) before
@@ -261,47 +248,15 @@ func (q *msgQueue) recv(mtype int64, wait bool, from string, cookie int64, deliv
 	for i, m := range q.msgs {
 		if posix.MsgMatches(m.Type, mtype) {
 			q.msgs = append(q.msgs[:i], q.msgs[i+1:]...)
-			deliver(m.Type, m.Data, 0)
-			return nil
-		}
-	}
-	if !wait {
-		deliver(0, nil, api.ENOMSG)
-		return nil
-	}
-	w := &recvWaiter{mtype: mtype, from: from, cookie: cookie, deliver: deliver}
-	q.waiters = append(q.waiters, w)
-	return w
-}
-
-// cancelRecv withdraws a still-parked waiter without delivering. Returns
-// false when the waiter was already satisfied (or bounced) — the caller
-// must then consume the delivered result instead of reporting EINTR.
-func (q *msgQueue) cancelRecv(w *recvWaiter) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for i, p := range q.waiters {
-		if p == w {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// cancelRemote answers a MsgQRecvCancel: the matching parked remote
-// waiter (if still parked) is removed and its deferred MsgQRecv call is
-// answered with EINTR.
-func (q *msgQueue) cancelRemote(from string, cookie int64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for i, w := range q.waiters {
-		if w.from == from && w.cookie == cookie {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-			w.deliver(0, nil, api.EINTR)
+			deliver(sysvResult{mtype: m.Type, data: m.Data})
 			return
 		}
 	}
+	if !wait {
+		deliver(sysvResult{errno: api.ENOMSG})
+		return
+	}
+	q.waiters = append(q.waiters, &sysvWaiter{mtype: mtype, from: from, cookie: cookie, deliver: deliver})
 }
 
 // removeLocked collapses the bypass rings first: ring-side messages still
@@ -312,13 +267,6 @@ func (q *msgQueue) removeLocked() {
 	q.reclaimGrantLocked()
 	q.failWaitersLocked(api.EIDRM)
 	q.msgs = nil
-}
-
-func (q *msgQueue) failWaitersLocked(errno api.Errno) {
-	for _, w := range q.waiters {
-		w.deliver(0, nil, errno)
-	}
-	q.waiters = nil
 }
 
 // snapshotLocked encodes the messages once the rings collapse, so the
@@ -375,21 +323,11 @@ func decodeMessages(blob []byte) (key int64, msgs []msgMessage, err error) {
 
 // --- semaphores ---
 
-// semWaiter is a blocked semop (local caller or deferred remote RPC).
-// from/cookie: see recvWaiter.
-type semWaiter struct {
-	ops     []api.SemBuf
-	from    string
-	cookie  int64
-	deliver func(errno api.Errno)
-}
-
 // semSet is the owner-side state of a System V semaphore set.
 type semSet struct {
 	sysvHeader
 
-	vals    []int
-	waiters []*semWaiter
+	vals []int
 
 	// seg is the kernel-bypass shared value (ring.go), granted only for
 	// single-semaphore sets. While attached it is the authoritative value
@@ -427,69 +365,39 @@ func (s *semSet) applyLocked(ops []api.SemBuf) (bool, api.Errno) {
 	return posix.SemApply(s.vals, ops)
 }
 
-// semop performs ops, parking deliver if they cannot complete and wait is
-// set. Returns via deliver exactly once. Returns the parked waiter (for
-// cancellation) or nil when deliver was called inline; from/cookie tag
-// remote waiters for MsgSemOpCancel.
-func (s *semSet) semop(ops []api.SemBuf, wait bool, from string, cookie int64, deliver func(api.Errno)) *semWaiter {
+// semop performs ops, parking deliver, tagged (from, cookie) for a cancel,
+// if they cannot complete and wait is set. deliver runs exactly once.
+func (s *semSet) semop(ops []api.SemBuf, wait bool, from string, cookie int64, deliver func(sysvResult)) {
 	s.mu.Lock()
 	if s.removed {
 		s.mu.Unlock()
-		deliver(api.EIDRM)
-		return nil
+		deliver(sysvResult{errno: api.EIDRM})
+		return
 	}
 	if s.movedTo != "" || s.migrating {
 		s.mu.Unlock()
-		deliver(api.EXDEV)
-		return nil
+		deliver(sysvResult{errno: api.EXDEV})
+		return
 	}
 	ok, errno := s.applyLocked(ops)
 	if errno != 0 {
 		s.mu.Unlock()
-		deliver(errno)
-		return nil
+		deliver(sysvResult{errno: errno})
+		return
 	}
 	if ok {
 		s.wakeWaitersLocked()
 		s.mu.Unlock()
-		deliver(0)
-		return nil
+		deliver(sysvResult{})
+		return
 	}
 	if !wait {
 		s.mu.Unlock()
-		deliver(api.EAGAIN)
-		return nil
+		deliver(sysvResult{errno: api.EAGAIN})
+		return
 	}
-	w := &semWaiter{ops: ops, from: from, cookie: cookie, deliver: deliver}
-	s.waiters = append(s.waiters, w)
+	s.waiters = append(s.waiters, &sysvWaiter{ops: ops, from: from, cookie: cookie, deliver: deliver})
 	s.mu.Unlock()
-	return w
-}
-
-// cancelSem withdraws a still-parked semop waiter; see cancelRecv.
-func (s *semSet) cancelSem(w *semWaiter) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, p := range s.waiters {
-		if p == w {
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// cancelRemote answers a MsgSemOpCancel; see msgQueue.cancelRemote.
-func (s *semSet) cancelRemote(from string, cookie int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, w := range s.waiters {
-		if w.from == from && w.cookie == cookie {
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-			w.deliver(api.EINTR)
-			return
-		}
-	}
 }
 
 // reclaimGrantLocked revokes the bypass segment, seals its final value
@@ -553,13 +461,13 @@ func (s *semSet) wakeWaitersLocked() {
 			ok, errno := s.applyLocked(w.ops)
 			if errno != 0 {
 				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-				w.deliver(errno)
+				w.deliver(sysvResult{errno: errno})
 				progressed = true
 				break
 			}
 			if ok {
 				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-				w.deliver(0)
+				w.deliver(sysvResult{})
 				progressed = true
 				break
 			}
@@ -581,13 +489,6 @@ func (s *semSet) removeLocked() {
 		s.seg = nil
 	}
 	s.failWaitersLocked(api.EIDRM)
-}
-
-func (s *semSet) failWaitersLocked(errno api.Errno) {
-	for _, w := range s.waiters {
-		w.deliver(errno)
-	}
-	s.waiters = nil
 }
 
 // snapshotLocked encodes the values once the segment is reclaimed, so vals
