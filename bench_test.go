@@ -533,6 +533,29 @@ func BenchmarkFig5RPCPingPong(b *testing.B) {
 	})
 }
 
+// BenchmarkRemoteSignalGraphene signals another picoprocess over the
+// helper's cached point-to-point stream (§4.3's ~55 µs cached signal).
+func BenchmarkRemoteSignalGraphene(b *testing.B) {
+	benchGuestOp(b, true, signalRemoteOp)
+}
+
+func signalRemoteOp(p api.OS) func() bool {
+	ready := make(chan struct{})
+	pid, err := p.Fork(func(c api.OS) {
+		c.Sigaction(api.SIGUSR1, func(api.Signal) {}, "")
+		close(ready)
+		for {
+			time.Sleep(time.Millisecond)
+			c.SignalsDrain()
+		}
+	})
+	if err != nil {
+		return func() bool { return false }
+	}
+	<-ready
+	return func() bool { return p.Kill(pid, api.SIGUSR1) == nil }
+}
+
 // ============================================================
 // Table 8: CVE analysis (throughput of the analyzer)
 // ============================================================
@@ -553,19 +576,6 @@ func BenchmarkTable8Analysis(b *testing.B) {
 // Ablations (DESIGN.md): each optimization on vs off
 // ============================================================
 
-// BenchmarkAblationPIDBatch50 vs 1: batched allocation keeps the leader
-// off the fork critical path (§4.3).
-func BenchmarkAblationPIDBatch50(b *testing.B) {
-	ipc.SetPIDBatch(50)
-	benchGuestOp(b, true, forkExitOp)
-}
-
-func BenchmarkAblationPIDBatch1(b *testing.B) {
-	ipc.SetPIDBatch(1)
-	defer ipc.SetPIDBatch(50)
-	benchGuestOp(b, true, forkExitOp)
-}
-
 // BenchmarkAblationMigrationOn vs Off: consumer migration turns remote
 // receives into local calls (the 10x of §4.3).
 func BenchmarkAblationMigrationOn(b *testing.B) {
@@ -577,80 +587,6 @@ func BenchmarkAblationMigrationOff(b *testing.B) {
 	ipc.SetMigrationEnabled(false)
 	defer ipc.SetMigrationEnabled(true)
 	benchGuestOp(b, true, remoteQueueOp)
-}
-
-// BenchmarkAblationAsyncSend vs Sync: remote sends without waiting for
-// the owner's acknowledgment (§4.3).
-func BenchmarkAblationAsyncSend(b *testing.B) {
-	ipc.SetMigrationEnabled(false)
-	defer ipc.SetMigrationEnabled(true)
-	benchGuestOp(b, true, func(p api.OS) func() bool {
-		id := setupRemoteQueue(p)
-		payload := []byte("0123456789abcdef")
-		return func() bool { return p.Msgsnd(id, 1, payload, 0) == nil }
-	})
-}
-
-func BenchmarkAblationSyncSend(b *testing.B) {
-	ipc.SetMigrationEnabled(false)
-	defer ipc.SetMigrationEnabled(true)
-	benchGuestOp(b, true, func(p api.OS) func() bool {
-		id := setupRemoteQueue(p)
-		payload := []byte("0123456789abcdef")
-		lp := p.(*liblinux.Process)
-		return func() bool { return lp.Helper().MsgsndSync(int64(id), 1, payload) == nil }
-	})
-}
-
-func setupRemoteQueue(p api.OS) int {
-	ready := make(chan int, 1)
-	_, err := p.Fork(func(c api.OS) {
-		id, err := c.Msgget(5555, api.IPCCreat)
-		if err != nil {
-			c.Exit(1)
-		}
-		ready <- id
-		// Drain continuously so the queue never grows unboundedly.
-		for {
-			if _, _, err := c.Msgrcv(id, 0, nil, 0); err != nil {
-				c.Exit(0)
-			}
-		}
-	})
-	if err != nil {
-		return -1
-	}
-	return <-ready
-}
-
-// BenchmarkAblationConnCacheOn vs Off: the ~2 ms first signal vs ~55 us
-// subsequent signals of §4.3 comes from caching point-to-point streams.
-func BenchmarkAblationConnCacheOn(b *testing.B) {
-	ipc.SetConnCaching(true)
-	benchGuestOp(b, true, signalRemoteOp)
-}
-
-func BenchmarkAblationConnCacheOff(b *testing.B) {
-	ipc.SetConnCaching(false)
-	defer ipc.SetConnCaching(true)
-	benchGuestOp(b, true, signalRemoteOp)
-}
-
-func signalRemoteOp(p api.OS) func() bool {
-	ready := make(chan struct{})
-	pid, err := p.Fork(func(c api.OS) {
-		c.Sigaction(api.SIGUSR1, func(api.Signal) {}, "")
-		close(ready)
-		for {
-			time.Sleep(time.Millisecond)
-			c.SignalsDrain()
-		}
-	})
-	if err != nil {
-		return func() bool { return false }
-	}
-	<-ready
-	return func() bool { return p.Kill(pid, api.SIGUSR1) == nil }
 }
 
 // BenchmarkAblationBulkIPCFork vs StreamFork is structural: fork always

@@ -275,6 +275,53 @@ func TestConformanceSysVMessageQueues(t *testing.T) {
 		if err := p.Msgsnd(qid, 1, []byte("x"), 0); api.ToErrno(err) != api.EIDRM {
 			return 6
 		}
+
+		// A remote send to a removed queue answers EIDRM too: a child sends
+		// 20 messages to the parent's queue, the parent removes it, and the
+		// child sends once more.
+		rq, err := p.Msgget(43, api.IPCCreat)
+		if err != nil {
+			return 7
+		}
+		r, w, err := p.Pipe()
+		if err != nil {
+			return 8
+		}
+		pid, err = p.Fork(func(c api.OS) {
+			cq, err := c.Msgget(43, 0)
+			if err != nil {
+				c.Exit(101)
+			}
+			for i := 0; i < 20; i++ {
+				if err := c.Msgsnd(cq, 1, []byte{byte(i)}, 0); err != nil {
+					c.Exit(102)
+				}
+			}
+			if _, err := c.Read(r, make([]byte, 1)); err != nil {
+				c.Exit(103)
+			}
+			if err := c.Msgsnd(cq, 1, []byte("late"), 0); api.ToErrno(err) != api.EIDRM {
+				c.Exit(104)
+			}
+			c.Exit(0)
+		})
+		if err != nil {
+			return 9
+		}
+		for i := 0; i < 20; i++ {
+			if _, data, err := p.Msgrcv(rq, 0, nil, 0); err != nil || data[0] != byte(i) {
+				return 10
+			}
+		}
+		if err := p.MsgctlRmid(rq); err != nil {
+			return 11
+		}
+		if _, err := p.Write(w, []byte{1}); err != nil {
+			return 12
+		}
+		if res, err := p.Wait(pid); err != nil || res.ExitCode != 0 {
+			return 13
+		}
 		return 0
 	})
 }

@@ -100,7 +100,7 @@ func TestTable7Smoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 12 {
+	if len(rows) != 11 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	get := func(op, mode string) Table7Result {
@@ -129,14 +129,9 @@ func TestTable7Smoke(t *testing.T) {
 	if get("msgrcv", "persistent").Linux != nil {
 		t.Error("persistent mode has a Linux column; kernel queues survive processes")
 	}
-	// The kernel-bypass row exists for msgsnd only and has no Linux column
-	// (native msgsnd has no RPC plane to bypass).
-	ring := get("msgsnd", "inter process (ring)")
-	if ring.Linux != nil {
-		t.Error("ring mode has a Linux column; it is a Graphene-only datapath")
-	}
-	if ring.Graphene == nil || ring.Graphene.Mean() <= 0 {
-		t.Error("ring mode msgsnd produced no timing")
+	// The inter-process send, timed on the warmed ring, has a timing.
+	if snd := get("msgsnd", "inter process"); snd.Graphene == nil || snd.Graphene.Mean() <= 0 {
+		t.Error("inter-process msgsnd produced no Graphene timing")
 	}
 	_ = RenderTable7(rows)
 }

@@ -18,8 +18,7 @@ func sampleOf(vs ...float64) *metrics.Sample {
 
 // TestMergeTable7JSON exercises the coordinate merge on the table with the
 // richest key (op, mode): a re-measured cell replaces its archived twin, a
-// row the archive predates (the kernel-bypass ring mode) appends, and
-// untouched archive rows survive.
+// row the archive lacks appends, and untouched archive rows survive.
 func TestMergeTable7JSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_table7.json")
 
@@ -33,7 +32,7 @@ func TestMergeTable7JSON(t *testing.T) {
 
 	second := []Table7Result{
 		{Op: "msgsnd", Mode: "inter process", Graphene: sampleOf(1100)},
-		{Op: "msgsnd", Mode: "inter process (ring)", Graphene: sampleOf(600)},
+		{Op: "msgrcv", Mode: "inter process", Graphene: sampleOf(600)},
 	}
 	merged, ok := MergeTable7JSON(path, second).([]table7JSON)
 	if !ok {
@@ -52,8 +51,8 @@ func TestMergeTable7JSON(t *testing.T) {
 	if r := byKey["msgsnd|inter process"]; r.Graphene == nil || r.Graphene.Mean != 1100 {
 		t.Errorf("re-measured row not replaced: %+v", r)
 	}
-	if r, found := byKey["msgsnd|inter process (ring)"]; !found || r.Graphene.Mean != 600 {
-		t.Errorf("new ring row not appended: %+v", r)
+	if r, found := byKey["msgrcv|inter process"]; !found || r.Graphene.Mean != 600 {
+		t.Errorf("new row not appended: %+v", r)
 	}
 }
 

@@ -135,7 +135,6 @@ func RenderTable7(rows []Table7Result) string {
 		"msgget-lookup|persistent":    "-/9386 ns",
 		"msgsnd|in process":           "149/443 ns (+191%)",
 		"msgsnd|inter process":        "153/761 ns (+397%)",
-		"msgsnd|inter process (ring)": "no paper analogue; target <=2x in-process",
 		"msgsnd|persistent":           "-/471 ns",
 		"msgrcv|in process":           "149/237 ns (+60%)",
 		"msgrcv|inter process":        "153/779 ns (+409%)",

@@ -43,17 +43,16 @@ func sysvBenchMain(p api.OS, argv []string) int {
 
 	const baseKey = 7000
 	createBase := 10000 + seq*1000000
-	if mode == "inter" || mode == "ring" {
+	if mode == "inter" {
 		createBase = 20000000 + seq*1000000
 	}
 
 	// Inter-process cells: the parent (the sandbox leader) owns the queue;
-	// a forked child performs the operations remotely and reports. Plain
-	// "inter" measures the RPC path, like the paper's two concurrent
-	// picoprocesses (the driver disables the ring bypass for it); "ring"
-	// is the same topology with the kernel-bypass datapath warmed up, so
-	// the timed region runs on the shared-memory ring.
-	if mode == "inter" || mode == "ring" {
+	// a forked child performs the operations remotely and reports, like
+	// the paper's two concurrent picoprocesses. The paper's one-way remote
+	// send is the kernel-bypass ring here, so the msgsnd cell warms it up
+	// and its timed region runs on the shared-memory ring.
+	if mode == "inter" {
 		prefill := 0
 		if op == "msgrcv" {
 			prefill = n + 8
@@ -87,21 +86,20 @@ func sysvBenchMain(p api.OS, argv []string) int {
 				if err != nil {
 					c.Exit(1)
 				}
-				if mode == "ring" {
-					// Cross the attach threshold untimed, then give the
-					// asynchronous grant handshake a moment to land (no
-					// guest sleep syscall; spin on the clock).
-					for i := 0; i < 16; i++ {
-						if err := c.Msgsnd(id, 1, payload, 0); err != nil {
-							c.Exit(1)
-						}
+				// Cross the ring-attach threshold untimed (the eighth send
+				// makes the grant handshake), then give the owner's drainer
+				// a moment to park on the doorbell (no guest sleep syscall;
+				// spin on the clock).
+				for i := 0; i < 16; i++ {
+					if err := c.Msgsnd(id, 1, payload, 0); err != nil {
+						c.Exit(1)
 					}
-					settle, _ := c.Gettimeofday()
-					for {
-						now, _ := c.Gettimeofday()
-						if now-settle > 2000 { // 2ms
-							break
-						}
+				}
+				settle, _ := c.Gettimeofday()
+				for {
+					now, _ := c.Gettimeofday()
+					if now-settle > 2000 { // 2ms
+						break
 					}
 				}
 				iter = func(i int) bool { return c.Msgsnd(id, 1, payload, 0) == nil }
@@ -257,11 +255,10 @@ func table7Cell(run func(...string) (int, error), read func() (int64, error),
 
 // Table7 reproduces the System V message queue microbenchmarks. Ownership
 // migration is disabled during the inter-process cells so the remote path
-// is what gets measured, as in the paper's Table 7, and the kernel-bypass
-// ring is disabled there too so "inter process" is the pure RPC plane;
-// the extra "inter process (ring)" msgsnd row measures the same topology
-// with the bypass warmed up. The ablation benchmarks measure migration's
-// 10x effect separately.
+// is what gets measured, as in the paper's Table 7; the inter-process
+// msgsnd cell runs on the warmed kernel-bypass ring, the paper's one-way
+// remote send. The ablation benchmarks measure migration's 10x effect
+// separately.
 func Table7(n, iters int) ([]Table7Result, error) {
 	if n <= 0 {
 		n = 500
@@ -270,19 +267,13 @@ func Table7(n, iters int) ([]Table7Result, error) {
 		iters = 3
 	}
 	ops := []string{"msgget-create", "msgget-lookup", "msgsnd", "msgrcv"}
-	modes := []string{"in", "inter", "ring", "persist"}
+	modes := []string{"in", "inter", "persist"}
 
 	var out []Table7Result
 	for _, op := range ops {
 		for _, mode := range modes {
 			if mode == "persist" && op == "msgget-create" {
 				continue // the queue pre-exists by definition
-			}
-			if mode == "ring" && op != "msgsnd" {
-				// msgget has no ring path, and the paper-shaped msgrcv
-				// cell receives selectively (mtype 1) from a prefilled
-				// backlog — both RPC-only by design.
-				continue
 			}
 			row, err := table7Row(op, mode, n, iters)
 			if err != nil {
@@ -295,17 +286,13 @@ func Table7(n, iters int) ([]Table7Result, error) {
 }
 
 // table7Row runs one (op, mode) row across the measured systems, scoping
-// the tunable overrides (migration, ring bypass) to the row.
+// the migration override to the row.
 func table7Row(op, mode string, n, iters int) (Table7Result, error) {
 	row := Table7Result{Op: op, Mode: modeLabel(mode)}
 
-	if mode == "inter" || mode == "ring" {
+	if mode == "inter" {
 		ipc.SetMigrationEnabled(false)
 		defer ipc.SetMigrationEnabled(true)
-	}
-	if mode == "inter" {
-		ipc.SetRingBypass(false)
-		defer ipc.SetRingBypass(true)
 	}
 
 	// Graphene.
@@ -324,9 +311,8 @@ func table7Row(op, mode string, n, iters int) (Table7Result, error) {
 		return row, err
 	}
 
-	// Linux (no persistent column: queues live in kernel memory; no ring
-	// column either — native msgsnd has no RPC plane to bypass).
-	if mode != "persist" && mode != "ring" {
+	// Linux (no persistent column: queues live in kernel memory).
+	if mode != "persist" {
 		nv, err := NewNative()
 		if err != nil {
 			return row, err
@@ -351,8 +337,6 @@ func modeLabel(mode string) string {
 		return "in process"
 	case "inter":
 		return "inter process"
-	case "ring":
-		return "inter process (ring)"
 	default:
 		return "persistent"
 	}

@@ -220,11 +220,10 @@ func BenchmarkRingMsgsndRemote(b *testing.B) {
 	}
 }
 
-// BenchmarkRPCMsgsndRemote is the ablation baseline: the same remote send
-// with the bypass disabled (pure async-RPC plane, the pre-ring datapath).
+// BenchmarkRPCMsgsndRemote is the same remote send on the RPC plane: a
+// message one byte over a ring slot misses the ring, so every send is one
+// acknowledged RPC to the owner.
 func BenchmarkRPCMsgsndRemote(b *testing.B) {
-	SetRingBypass(false)
-	defer SetRingBypass(true)
 	SetMigrationEnabled(false)
 	defer SetMigrationEnabled(true)
 	lh, mh := benchPair(b)
@@ -232,7 +231,7 @@ func BenchmarkRPCMsgsndRemote(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	payload := []byte("0123456789abcdef")
+	payload := make([]byte, host.RingSlotData+1)
 	const batch = host.RingSlots / 2
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -299,15 +298,14 @@ func BenchmarkRingSemopRemote(b *testing.B) {
 	}
 }
 
-// BenchmarkRPCSemopRemote is the ablation baseline for semop: every op a
-// synchronous RPC round trip to the owner.
+// BenchmarkRPCSemopRemote is remote semop on the RPC plane: a set of two
+// semaphores is never granted a ring, so every op is a synchronous RPC
+// round trip to the owner.
 func BenchmarkRPCSemopRemote(b *testing.B) {
-	SetRingBypass(false)
-	defer SetRingBypass(true)
 	SetMigrationEnabled(false)
 	defer SetMigrationEnabled(true)
 	lh, mh := benchPair(b)
-	id, err := lh.Semget(64, 1, api.IPCCreat)
+	id, err := lh.Semget(64, 2, api.IPCCreat)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -83,8 +83,6 @@ func TestChaosKillLeaderMidKeyCreate(t *testing.T) {
 // against the elected leader with no duplicate or reused PIDs across the
 // crash, from either survivor.
 func TestChaosKillLeaderMidPIDAlloc(t *testing.T) {
-	SetPIDBatch(1)
-	defer SetPIDBatch(PIDBatchSize)
 	g := newTestGroup(t)
 	lh, lp := g.leader(newFakeService())
 	m1, _ := g.member(lp, lh.Addr, 2, newFakeService())
@@ -102,11 +100,8 @@ func TestChaosKillLeaderMidPIDAlloc(t *testing.T) {
 		}
 		seen[pid] = true
 	}
-	// With batch size 1 every AllocPID is one MsgNSAlloc at the leader.
-	// Warm up with three, then arm a kill on the next one.
-	for i := 0; i < 3; i++ {
-		claim(m1)
-	}
+	// A member starts without a PID batch, so its first AllocPID is one
+	// MsgNSAlloc at the leader: arm a kill on it.
 	plan := host.NewFaultPlan().Rule("rpc.MsgNSAlloc.enter", 1, host.FaultKill)
 	lp.Proc().SetFaultPlan(plan)
 
@@ -121,7 +116,7 @@ func TestChaosKillLeaderMidPIDAlloc(t *testing.T) {
 		claim(m1)
 	}
 	for i := 0; i < 5; i++ {
-		claim(m2) // m2 re-resolves to the new leader transparently
+		claim(m2) // m2's first refill re-resolves to the new leader transparently
 	}
 }
 
@@ -131,8 +126,6 @@ func TestChaosKillLeaderMidPIDAlloc(t *testing.T) {
 // answers by re-asserting itself — reaches the same leader with the same
 // ReqID and must be answered from the replay cache, not executed twice.
 func TestChaosStreamResetReplayDedup(t *testing.T) {
-	SetPIDBatch(1)
-	defer SetPIDBatch(PIDBatchSize)
 	g := newTestGroup(t)
 	lh, lp := g.leader(newFakeService())
 	m1, _ := g.member(lp, lh.Addr, 2, newFakeService())
@@ -157,18 +150,21 @@ func TestChaosStreamResetReplayDedup(t *testing.T) {
 	if got := m1.LeaderAddr(); got != lh.Addr {
 		t.Fatalf("leader after re-assert = %q, want %q", got, lh.Addr)
 	}
-	// No hole in the namespace: the replayed (not re-executed) allocation
-	// left the cursor exactly one past the granted pid.
-	pidB, err := m1.AllocPID(m1.Addr)
-	if err != nil {
-		t.Fatal(err)
+	// No hole in the namespace: the replayed (not re-executed) grant left
+	// the leader's cursor one past its batch, so PIDBatchSize more
+	// allocations drain the batch and take the next batch's first PID.
+	var pidB int64
+	for i := 0; i < PIDBatchSize; i++ {
+		if pidB, err = m1.AllocPID(m1.Addr); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if pidB != pidA+1 {
-		t.Fatalf("next pid = %d after %d; the deduped request leaked a batch", pidB, pidA)
+	if pidB != pidA+PIDBatchSize {
+		t.Fatalf("first pid of the next batch = %d after a batch from %d; the deduped request leaked a batch", pidB, pidA)
 	}
 }
 
-// TestChaosKillLeaderMidMsgsnd kills the leader as a synchronous send to a
+// TestChaosKillLeaderMidMsgsnd kills the leader as a send to a
 // leader-owned queue enters its handler. The queue dies with its owner and
 // was never persisted, so the sender must get a real errno (EIDRM) from
 // the post-failover owner lookup — never a hang.
@@ -186,7 +182,7 @@ func TestChaosKillLeaderMidMsgsnd(t *testing.T) {
 	lp.Proc().SetFaultPlan(plan)
 
 	done := make(chan error, 1)
-	go func() { done <- m1.MsgsndSync(id, 1, []byte("doomed")) }()
+	go func() { done <- m1.Msgsnd(id, 1, []byte("doomed"), 0) }()
 	select {
 	case err := <-done:
 		if api.ToErrno(err) != api.EIDRM {

@@ -392,8 +392,8 @@ func (c *Conn) unpend(seq uint64) bool {
 	return ok
 }
 
-// Notify sends a request without expecting a response — the asynchronous
-// send optimization of §4.3.
+// Notify sends a request without expecting a response: a cancel, a
+// notification or a broadcast whose loss the protocol tolerates.
 func (c *Conn) Notify(f Frame) error {
 	f.Seq = c.seq.Add(1)
 	return c.send(&f)

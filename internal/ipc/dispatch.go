@@ -397,37 +397,21 @@ func (h *Helper) handleNSQuery(f Frame, respond func(Frame)) {
 	respond(f.ErrResponse(api.ESRCH))
 }
 
-// handleQSend appends to a locally owned queue. Async sends (C=1) get no
-// response; sends to a migrated queue are forwarded asynchronously.
+// handleQSend serves a remote send on a queue held here with the object
+// call the self route makes, and acks it once the queue holds the message.
+// A copy that moved, is moving or was persisted answers EXDEV and the
+// sender re-resolves; a removed queue answers EIDRM. A send records its
+// caller as an accessor but is no vote to migrate the queue.
 func (h *Helper) handleQSend(f Frame, respond func(Frame)) {
-	async := f.C == 1
-	h.mu.Lock()
-	q := h.queues[f.A]
-	h.mu.Unlock()
-	reply := func(errno api.Errno) {
-		if !async {
-			respondErrno(f, respond, errno)
-		}
+	o, errno := h.servedObject(NSSysVMsg, f.A)
+	if errno == 0 {
+		q := o.(*msgQueue)
+		q.mu.Lock()
+		q.voteLocked(f.From, false)
+		q.mu.Unlock()
+		errno = q.send(f.B, f.Blob)
 	}
-	if q == nil {
-		reply(api.EIDRM)
-		return
-	}
-	q.mu.Lock()
-	q.voteLocked(f.From, false)
-	moved := q.movedTo
-	q.mu.Unlock()
-	if moved != "" {
-		// Forward to the new owner off the handler goroutine.
-		go func() {
-			if c, err := h.dial(moved); err == nil {
-				_ = c.Notify(Frame{Type: MsgQSend, A: f.A, B: f.B, C: 1, Blob: f.Blob})
-			}
-		}()
-		reply(0)
-		return
-	}
-	reply(q.send(f.B, f.Blob))
+	respondErrno(f, respond, errno)
 }
 
 // servedObject looks up the object a remote operation addresses. During

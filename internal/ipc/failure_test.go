@@ -171,36 +171,29 @@ func TestSemaphoreWaiterSurvivesOwnerExit(t *testing.T) {
 	}
 }
 
+// TestPIDBatchOfOneStillUnique allocates across batch refills: two
+// members draw 3*PIDBatchSize+1 PIDs in turn, so each crosses batch
+// boundaries while the other's refills move the leader's cursor, and no
+// PID is handed out twice.
 func TestPIDBatchOfOneStillUnique(t *testing.T) {
-	SetPIDBatch(1)
-	defer SetPIDBatch(PIDBatchSize)
 	g := newTestGroup(t)
 	lh, lp := g.leader(newFakeService())
-	mh, _ := g.member(lp, lh.Addr, 2, newFakeService())
+	m1, _ := g.member(lp, lh.Addr, 2, newFakeService())
+	m2, _ := g.member(lp, lh.Addr, 3, newFakeService())
 	seen := make(map[int64]bool)
-	for i := 0; i < 30; i++ {
-		pid, err := mh.AllocPID("x")
+	for i := 0; i < 3*PIDBatchSize+1; i++ {
+		h := m1
+		if i%2 == 1 {
+			h = m2
+		}
+		pid, err := h.AllocPID("x")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if seen[pid] {
-			t.Fatalf("duplicate pid %d with batch=1", pid)
+			t.Fatalf("duplicate pid %d after %d allocations", pid, i)
 		}
 		seen[pid] = true
-	}
-	_ = lh
-}
-
-func TestConnCachingOffStillCorrect(t *testing.T) {
-	SetConnCaching(false)
-	defer SetConnCaching(true)
-	g := newTestGroup(t)
-	lh, lp := g.leader(newFakeService())
-	mh, _ := g.member(lp, lh.Addr, 2, newFakeService())
-	for i := 0; i < 10; i++ {
-		if err := mh.Ping(lh.Addr); err != nil {
-			t.Fatalf("uncached ping %d: %v", i, err)
-		}
 	}
 }
 

@@ -16,35 +16,14 @@ import (
 // (50 by default, §4.3).
 const PIDBatchSize = 50
 
-// Tunables for the ablation benchmarks (DESIGN.md): each disables one of
-// §4.3's optimizations so its contribution can be measured. All default
-// to the optimized behavior.
-var (
-	migrationEnabled atomic.Bool
-	connCaching      atomic.Bool
-	pidBatchOverride atomic.Int64
-)
+// migrationEnabled gates SysV ownership migration; Table 7's inter-process
+// cells turn it off so the remote path is what they measure.
+var migrationEnabled atomic.Bool
 
-func init() {
-	migrationEnabled.Store(true)
-	connCaching.Store(true)
-	pidBatchOverride.Store(PIDBatchSize)
-}
+func init() { migrationEnabled.Store(true) }
 
 // SetMigrationEnabled toggles SysV ownership migration (ablation).
 func SetMigrationEnabled(on bool) { migrationEnabled.Store(on) }
-
-// SetConnCaching toggles point-to-point stream caching (ablation).
-func SetConnCaching(on bool) { connCaching.Store(on) }
-
-// SetPIDBatch overrides the leader's PID batch size (ablation; 1 forces a
-// leader round trip per fork).
-func SetPIDBatch(n int64) {
-	if n < 1 {
-		n = 1
-	}
-	pidBatchOverride.Store(n)
-}
 
 // idBatchSize is the batch size for System V ID namespaces.
 const idBatchSize = 32
@@ -556,10 +535,8 @@ func (h *Helper) dropConn(c *Conn) {
 // dial returns a cached or fresh point-to-point stream to addr (§4.3,
 // "Lazy discovery and caching improve performance").
 func (h *Helper) dial(addr string) (*Conn, error) {
-	if connCaching.Load() {
-		if c, ok := h.conns.get(addr); ok && c.Alive() {
-			return c, nil
-		}
+	if c, ok := h.conns.get(addr); ok && c.Alive() {
+		return c, nil
 	}
 	sh, err := h.pal.DkStreamOpen("pipe:"+addr, 0, 0)
 	if err != nil {
@@ -586,7 +563,7 @@ func (h *Helper) AllocPID(childAddr string) (int64, error) {
 	for {
 		if h.pidBatch.next == 0 || h.pidBatch.next > h.pidBatch.hi {
 			h.mu.Unlock()
-			resp, err := h.callLeader(Frame{Type: MsgNSAlloc, A: NSPid, B: pidBatchOverride.Load()})
+			resp, err := h.callLeader(Frame{Type: MsgNSAlloc, A: NSPid, B: PIDBatchSize})
 			if err != nil {
 				return 0, err
 			}

@@ -120,8 +120,8 @@ func (h *Helper) sysvKey(kind int, key int64, flags int) (int64, string, error) 
 // "SysV operation path"). typ is the request its owner serves (MsgQSend,
 // MsgQRecv, MsgSemOp, or the kind's delete); mtype is a send's type or a
 // receive's selector, data a send's text, ops a semop's operations. wait
-// marks an op that may park at the owner, async a send answered once it
-// is on its way; intr (nil for none) interrupts a parked op.
+// marks an op that may park at the owner; intr (nil for none) interrupts
+// a parked op.
 type sysvOp struct {
 	kind  int
 	typ   MsgType
@@ -130,7 +130,6 @@ type sysvOp struct {
 	data  []byte
 	ops   []api.SemBuf
 	wait  bool
-	async bool
 	intr  <-chan struct{}
 }
 
@@ -149,10 +148,10 @@ var resultChPool = sync.Pool{New: func() any { return make(chan sysvResult, 1) }
 func (op *sysvOp) deletes() bool { return op.typ == MsgQDelete || op.typ == MsgSemDelete }
 
 // frame is op's request as the wire carries it: A the object, B the
-// message type, C 1 for a parking op or an async send.
+// message type, C 1 for a parking op.
 func (op *sysvOp) frame() Frame {
 	f := Frame{Type: op.typ, A: op.id, B: op.mtype, Blob: op.data}
-	if op.wait || op.async {
+	if op.wait {
 		f.C = 1
 	}
 	if op.typ == MsgSemOp {
@@ -269,10 +268,10 @@ func (h *Helper) sysvSelf(op *sysvOp) sysvResult {
 // frame; any other op rides the RPC deadline, because a partitioned owner
 // is indistinguishable from a wedged one and must not wedge its caller.
 // ETIMEDOUT is such an op's answer, not EPIPE: the owner may be alive
-// behind the partition, and adopting its queue would fork it. An async
-// send is a notify, answered once it is on the stream. A failed dial or
-// a dead connection is EPIPE, except for rmid, whose owner's death leaves
-// only what survives it to drop: a persisted queue and the leader mapping.
+// behind the partition, and adopting its queue would fork it. A failed
+// dial or a dead connection is EPIPE, except for rmid, whose owner's death
+// leaves only what survives it to drop: a persisted queue and the leader
+// mapping.
 func (h *Helper) sysvRPC(op *sysvOp, owner string) sysvResult {
 	c, err := h.dial(owner)
 	if err != nil {
@@ -288,11 +287,6 @@ func (h *Helper) sysvRPC(op *sysvOp, owner string) sysvResult {
 	f := op.frame()
 	var resp Frame
 	switch {
-	case op.async:
-		if c.Notify(f) != nil {
-			return sysvResult{errno: api.EPIPE} // a write error is sticky: the connection is dead
-		}
-		return sysvResult{}
 	case op.wait:
 		cancel := MsgQRecvCancel
 		if op.typ == MsgSemOp {
@@ -318,26 +312,16 @@ func (h *Helper) Msgget(key int64, flags int) (int64, error) {
 	return h.getKeyed(NSSysVMsg, key, flags, 0)
 }
 
-// Msgsnd appends a message to queue id. Remote sends are asynchronous: the
-// sender assumes success once the queue's existence and location are known
-// (§4.3, "Make RPCs asynchronous whenever possible"). A message racing a
-// queue deletion is dropped, as in the paper.
+// Msgsnd appends a message to queue id. A remote send rides the owner's
+// send ring while this helper holds a live attachment, else it is one
+// acknowledged RPC (DESIGN.md "SysV operation path"): a send is reported
+// sent only once the live queue holds it or the ring carries it, and a
+// send to a removed queue answers EIDRM.
 func (h *Helper) Msgsnd(id int64, mtype int64, data []byte, flags int) error {
-	return h.msgsnd(id, mtype, data, false)
-}
-
-// MsgsndSync is Msgsnd with the synchronous remote send forced: it waits
-// for the owner's ack and never rides a ring. Kept for the ablation
-// benchmark comparing sync vs async remote send.
-func (h *Helper) MsgsndSync(id int64, mtype int64, data []byte) error {
-	return h.msgsnd(id, mtype, data, true)
-}
-
-func (h *Helper) msgsnd(id, mtype int64, data []byte, sync bool) error {
 	if mtype <= 0 {
 		return api.EINVAL
 	}
-	_, _, err := h.sysvDo(&sysvOp{kind: NSSysVMsg, typ: MsgQSend, id: id, mtype: mtype, data: data, async: !sync})
+	_, _, err := h.sysvDo(&sysvOp{kind: NSSysVMsg, typ: MsgQSend, id: id, mtype: mtype, data: data})
 	return err
 }
 

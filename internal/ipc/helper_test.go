@@ -55,11 +55,12 @@ func (s *fakeService) signalCount() int {
 
 // testGroup is a sandbox of picoprocesses with helpers.
 type testGroup struct {
-	k   *host.Kernel
-	m   *monitor.Monitor
-	t   *testing.T
-	mf  *monitor.Manifest
-	idx int
+	k       *host.Kernel
+	m       *monitor.Monitor
+	t       *testing.T
+	mf      *monitor.Manifest
+	idx     int
+	helpers []*Helper
 }
 
 func newTestGroup(t *testing.T) *testGroup {
@@ -69,10 +70,33 @@ func newTestGroup(t *testing.T) *testGroup {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := &testGroup{k: k, m: m, t: t, mf: mf}
+	// The group dies with the test. A helper left running keeps
+	// heartbeating and serving, and its allocations and failover counters
+	// leak into later tests' measurements. Each helper is stopped first,
+	// without the exit protocol, so the processes' deaths start no
+	// election, reap or retry either.
+	t.Cleanup(func() {
+		for _, h := range g.helpers {
+			h.mu.Lock()
+			if !h.shutdown {
+				h.shutdown = true
+				close(h.shutdownCh)
+				for _, sg := range h.groups {
+					h.stopHeartbeatLocked(sg)
+				}
+			}
+			h.mu.Unlock()
+		}
+		for _, p := range k.Processes() {
+			p.Exit(0)
+		}
+	})
 	// Any failure — invariant violations included — dumps every involved
-	// picoprocess's flight recorder into the test log.
+	// picoprocess's flight recorder into the test log (registered last, so
+	// it runs before the group is stopped).
 	host.DumpTracesOnFailure(t, k)
-	return &testGroup{k: k, m: m, t: t, mf: mf}
+	return g
 }
 
 // leader creates the first picoprocess + leader helper with guest PID 1.
@@ -86,6 +110,7 @@ func (g *testGroup) leader(svc Service) (*Helper, *pal.PAL) {
 	if err != nil {
 		g.t.Fatal(err)
 	}
+	g.helpers = append(g.helpers, h)
 	return h, p
 }
 
@@ -125,6 +150,7 @@ func (g *testGroup) member(parent *pal.PAL, leaderAddr string, guestPID int64, s
 	if err != nil {
 		g.t.Fatal(err)
 	}
+	g.helpers = append(g.helpers, h)
 	return h, childPAL
 }
 

@@ -133,7 +133,7 @@ type sysvObject interface {
 	removeLocked()
 
 	// grantLocked creates a bypass grant for the client with host PID pid;
-	// EAGAIN declines.
+	// EAGAIN declines for now, EINVAL for good.
 	grantLocked(p *pal.PAL, pid int) (ringGrant, api.Errno)
 	// grantIDLocked names the live grant by its segment ID, 0 for none.
 	grantIDLocked() int

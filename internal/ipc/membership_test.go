@@ -42,6 +42,7 @@ func (g *testGroup) forked(parent *Helper, parentPAL *pal.PAL, svc Service) (*He
 	if err != nil {
 		g.t.Fatal(err)
 	}
+	g.helpers = append(g.helpers, h)
 	return h, cp, pid
 }
 

@@ -11,13 +11,13 @@ import (
 // The one System V operation path (DESIGN.md "SysV operation path"):
 // what it must not lose, keep or allocate.
 
-// TestSyncSendDuringOwnerExitIsNotLost sends synchronously to a queue
-// whose owner is exiting, after the owner persisted the queue and while
-// its goodbye to the leader is held up. The owner's copy is no longer the
-// queue, so the send must not be acked into it: it retries until the
-// owner's streams close, adopts the persisted file, and lands there, after
-// the message sent before the exit.
-func TestSyncSendDuringOwnerExitIsNotLost(t *testing.T) {
+// TestSendDuringOwnerExitIsNotLost sends to a queue whose owner is
+// exiting, after the owner persisted the queue and while its goodbye to
+// the leader is held up. The owner's copy is no longer the queue, so the
+// send must not be acked into it: it retries until the owner's streams
+// close, adopts the persisted file, and lands there, after the message
+// sent before the exit.
+func TestSendDuringOwnerExitIsNotLost(t *testing.T) {
 	g := newTestGroup(t)
 	lh, lp := g.leader(newFakeService())
 	oh, _ := g.member(lp, lh.Addr, 2, newFakeService())
@@ -30,7 +30,7 @@ func TestSyncSendDuringOwnerExitIsNotLost(t *testing.T) {
 	if got, err := ph.Msgget(0x5e1d, 0); err != nil || got != id {
 		t.Fatalf("peer lookup: %d, %v; want %d", got, err, id)
 	}
-	if err := ph.MsgsndSync(id, 1, []byte("before")); err != nil {
+	if err := ph.Msgsnd(id, 1, []byte("before"), 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -43,7 +43,7 @@ func TestSyncSendDuringOwnerExitIsNotLost(t *testing.T) {
 	}()
 	// The goodbye reaches the leader only after the queue is persisted.
 	waitFor(t, 2*time.Second, "the owner's goodbye", func() bool { return plan.Hits("rpc.MsgBye.enter") > 0 })
-	if err := ph.MsgsndSync(id, 1, []byte("during")); err != nil {
+	if err := ph.Msgsnd(id, 1, []byte("during"), 0); err != nil {
 		t.Fatalf("send during the owner's exit: %v", err)
 	}
 	<-exited
@@ -56,6 +56,63 @@ func TestSyncSendDuringOwnerExitIsNotLost(t *testing.T) {
 	}
 	if _, _, err := ph.Msgrcv(id, 0, api.IPCNoWait); err != api.ENOMSG {
 		t.Fatalf("after both messages err = %v, want ENOMSG", err)
+	}
+}
+
+// TestSendAcrossHandoffKeepsOrder sends 200 messages from a helper whose
+// owner cache names the queue's creator while the queue migrates to its
+// receiver, which drains it with blocking receives. The sender runs at
+// most a window of messages ahead, so its sends meet the old copy before,
+// during and after the handoff: each must land exactly once, in send
+// order, at whichever copy is the queue.
+func TestSendAcrossHandoffKeepsOrder(t *testing.T) {
+	g := newTestGroup(t)
+	lh, lp := g.leader(newFakeService())
+	oh, _ := g.member(lp, lh.Addr, 2, newFakeService())
+	rh, _ := g.member(lp, lh.Addr, 3, newFakeService())
+	sh, _ := g.member(lp, lh.Addr, 4, newFakeService())
+
+	id, err := oh.Msgget(0x5e1e, api.IPCCreat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total, window = 200, 8
+	credits := make(chan struct{}, window)
+	// The first send caches the creator as the owner.
+	credits <- struct{}{}
+	if err := sh.Msgsnd(id, 1, []byte{0, 0}, 0); err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for i := 1; i < total; i++ {
+			credits <- struct{}{}
+			if err := sh.Msgsnd(id, 1, []byte{byte(i), byte(i >> 8)}, 0); err != nil {
+				t.Errorf("send %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < total; i++ {
+		_, data, err := rh.Msgrcv(id, 0, 0)
+		if err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		if got := int(data[0]) | int(data[1])<<8; got != i {
+			t.Fatalf("recv %d delivered message %d: a send across the handoff was reordered, lost or doubled", i, got)
+		}
+		<-credits
+	}
+	<-sent
+	if _, _, err := rh.Msgrcv(id, 0, api.IPCNoWait); err != api.ENOMSG {
+		t.Fatalf("after %d messages err = %v, want ENOMSG", total, err)
+	}
+	rh.mu.Lock()
+	q := rh.queues[id]
+	rh.mu.Unlock()
+	if q == nil {
+		t.Fatal("the queue never migrated to its receiver; the sends did not cross a handoff")
 	}
 }
 
@@ -125,7 +182,7 @@ var intrObjects = []intrObject{
 			}
 			return err
 		},
-		put: func(h *Helper, id int64) error { return h.MsgsndSync(id, 1, []byte("m")) },
+		put: func(h *Helper, id int64) error { return h.Msgsnd(id, 1, []byte("m"), 0) },
 		take: func(h *Helper, id int64) error {
 			_, data, err := h.Msgrcv(id, 0, api.IPCNoWait)
 			if err == nil && string(data) != "m" {

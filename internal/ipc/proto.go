@@ -1,8 +1,9 @@
 // Package ipc implements Graphene's guest coordination framework (§4):
 // the per-picoprocess IPC helper thread, the RPC protocol over host byte
 // streams, leader-based namespace management with batched allocation, and
-// the distributed System V IPC implementation (message queues with async
-// remote send and consumer migration; semaphores with owner migration).
+// the distributed System V IPC implementation (message queues with ring
+// or acknowledged remote send and consumer migration; semaphores with
+// owner migration).
 package ipc
 
 import (
@@ -52,8 +53,9 @@ const (
 	// MsgKeyRemove: drop an ID at the leader. A=kind, B=id.
 	MsgKeyRemove
 
-	// MsgQSend: append to a remote queue. A=qid, B=mtype, Blob=payload,
-	// C=1 for async (no response expected).
+	// MsgQSend: append to a remote queue. A=qid, B=mtype, Blob=payload.
+	// Answered once the queue holds the message; EXDEV from a copy that
+	// moved, is moving or was persisted, EIDRM from a removed queue.
 	MsgQSend
 	// MsgQRecv: receive from a remote queue. A=qid, B=mtype, C=flags.
 	// Resp: B=mtype, Blob=payload. Deferred until a message is available

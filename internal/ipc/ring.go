@@ -2,7 +2,6 @@ package ipc
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"graphene/internal/api"
 	"graphene/internal/host"
@@ -32,13 +31,10 @@ import (
 // the setup cost only for objects with steady cross-process traffic).
 const ringAttachThreshold = 8
 
-var ringEnabled atomic.Bool
-
-func init() { ringEnabled.Store(true) }
-
-// SetRingBypass toggles the kernel-bypass SysV datapath (ablation; off
-// keeps every operation on the RPC plane, the pre-ring behavior).
-func SetRingBypass(on bool) { ringEnabled.Store(on) }
+// ringNever is the op count of an object whose owner answered that it can
+// never have a ring (a set of more than one semaphore): nothing counts
+// toward an attach until the object's route is dropped.
+const ringNever = -1
 
 // ringClient is the client side of one attachment: a queue's send ring
 // and optional receive ring, or a one-semaphore set's shared value.
@@ -113,17 +109,14 @@ func (h *Helper) ringDrop(ref sysvRef) {
 }
 
 // noteRemoteOp counts a successful remote operation on object ref and
-// kicks off an attach once it crosses the threshold. The attach runs in
-// the background so the counted operation's latency is unaffected. The
-// one reading of the ablation switch: with the bypass off no attach
-// starts, so no grant exists to use.
+// makes the grant handshake once it crosses the threshold. The operation
+// that crosses it pays for the handshake: run in the background, the
+// handshake waits for a processor the caller's own acknowledged RPCs keep
+// busy, and could land hundreds of operations late.
 func (h *Helper) noteRemoteOp(ref sysvRef, owner string) {
-	if !ringEnabled.Load() {
-		return
-	}
 	rs := &h.ringState
 	rs.mu.Lock()
-	if rs.clients[ref] != nil || rs.attaching[ref] {
+	if rs.clients[ref] != nil || rs.attaching[ref] || rs.ops[ref] == ringNever {
 		rs.mu.Unlock()
 		return
 	}
@@ -135,17 +128,14 @@ func (h *Helper) noteRemoteOp(ref sysvRef, owner string) {
 	rs.ops[ref] = 0
 	mapSet(&rs.attaching, ref, true)
 	rs.mu.Unlock()
-	if !h.bgGo(func() { h.ringAttach(ref, owner) }) {
-		rs.mu.Lock()
-		delete(rs.attaching, ref)
-		rs.mu.Unlock()
-	}
+	h.ringAttach(ref, owner)
 }
 
 // ringAttach performs the grant handshake for object ref. Declines (owner
 // busy, migrating, already granted) and policy refusals (the monitor
 // vetoes cross-sandbox mappings) are silent: the counter restarts and the
-// client retries after another threshold's worth of traffic.
+// client retries after another threshold's worth of traffic. EINVAL says
+// the object can never have a ring, and the client stops asking.
 func (h *Helper) ringAttach(ref sysvRef, owner string) {
 	rs := &h.ringState
 	defer func() {
@@ -159,6 +149,11 @@ func (h *Helper) ringAttach(ref sysvRef, owner string) {
 	}
 	flag := wireFlag(ref.kind)
 	resp, err := c.CallTimeout(Frame{Type: MsgRingAttach, A: ref.id, B: flag, C: int64(h.pal.Proc().ID)}, rpcCallTimeout)
+	if err == api.EINVAL {
+		rs.mu.Lock()
+		mapSet(&rs.ops, ref, ringNever)
+		rs.mu.Unlock()
+	}
 	if err != nil || resp.A == 0 {
 		return
 	}
@@ -195,18 +190,12 @@ func (h *Helper) mapGrant(rc *ringClient, kind int, resp Frame) error {
 
 // sysvRing tries op on a live attachment to owner and reports whether the
 // ring served it; a miss leaves op to an RPC. The FIFO rule across the
-// path switch: messages already in the send ring land first, because the
-// owner ingests the ring under the queue lock before it appends an RPC's
-// message; and no later push may overtake the fallback, so a send that
-// misses a still-live ring (full, or the message too large) falls back
-// synchronously, acked once the owner has appended it. A revoked ring is
-// dropped and the send stays asynchronous: the owner collapsed the ring
-// under the same lock.
+// path switch: a send that misses the ring, for any reason, is acked
+// before the next push. Messages already in the send ring land first,
+// because the owner ingests the ring under the queue lock before it
+// appends an RPC's message, and no later push can overtake the acked one.
 func (h *Helper) sysvRing(op *sysvOp, owner string) (sysvResult, bool) {
 	ref := sysvRef{op.kind, op.id}
-	if op.typ == MsgQSend && !op.async {
-		return sysvResult{}, false // a synchronous send never rides a ring
-	}
 	rc := h.ringGet(ref, owner)
 	if rc == nil {
 		return sysvResult{}, false
@@ -220,8 +209,6 @@ func (h *Helper) sysvRing(op *sysvOp, owner string) (sysvResult, bool) {
 		h.ringMisses.Add(1)
 		if rc.send.Revoked() {
 			h.ringDrop(ref)
-		} else {
-			op.async = false
 		}
 	case MsgQRecv:
 		// FIFO receives only: the ring cannot reorder, so a selective
@@ -348,7 +335,8 @@ func (h *Helper) ringShutdown() {
 // semaphore sets, f.C the client's host PID. Response: A = send-ring /
 // segment ID, B = receive-ring ID (queues; 0 if declined), D = the
 // object's migration epoch. Any error is a decline — the client keeps
-// using RPC and may retry later.
+// using RPC and may retry later, unless it is EINVAL: the object can never
+// have a ring.
 func (h *Helper) handleRingAttach(f Frame, respond func(Frame)) {
 	pid := int(f.C)
 	h.mu.Lock()

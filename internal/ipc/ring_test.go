@@ -142,7 +142,7 @@ func TestRingSendFullRingFallsBackInOrder(t *testing.T) {
 func driveRecvRingAttach(t *testing.T, owner, client *Helper, id int64) {
 	t.Helper()
 	for i := 0; i < ringAttachThreshold; i++ {
-		if err := owner.MsgsndSync(id, 1, []byte{byte(i)}); err != nil {
+		if err := owner.Msgsnd(id, 1, []byte{byte(i)}, 0); err != nil {
 			t.Fatalf("owner send %d: %v", i, err)
 		}
 		if _, _, err := client.Msgrcv(id, 0, 0); err != nil {
@@ -171,7 +171,7 @@ func TestRingRecvFastPath(t *testing.T) {
 	// Owner-side send forwards into the receive ring; the client pops it
 	// without touching the RPC plane.
 	hits := mh.ringHits.Load()
-	if err := lh.MsgsndSync(id, 2, []byte("via-ring")); err != nil {
+	if err := lh.Msgsnd(id, 2, []byte("via-ring"), 0); err != nil {
 		t.Fatal(err)
 	}
 	mt, data, err := mh.Msgrcv(id, 0, 0)
@@ -201,7 +201,7 @@ func TestRingRecvFastPath(t *testing.T) {
 		got <- res{mt, data, err}
 	}()
 	time.Sleep(20 * time.Millisecond)
-	if err := lh.MsgsndSync(id, 3, []byte("wake")); err != nil {
+	if err := lh.Msgsnd(id, 3, []byte("wake"), 0); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -230,10 +230,10 @@ func TestRingSelectiveRecvReclaimsRecvRing(t *testing.T) {
 	// Two messages sit in the receive ring; a selective (mtype>0) receive
 	// cannot use the FIFO ring, so it rides RPC and makes the owner
 	// reclaim — folding the undelivered messages back without loss.
-	if err := lh.MsgsndSync(id, 5, []byte("five")); err != nil {
+	if err := lh.Msgsnd(id, 5, []byte("five"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := lh.MsgsndSync(id, 6, []byte("six")); err != nil {
+	if err := lh.Msgsnd(id, 6, []byte("six"), 0); err != nil {
 		t.Fatal(err)
 	}
 	mt, data, err := mh.Msgrcv(id, 6, 0)
@@ -335,7 +335,7 @@ func TestRingRevokedOnRemoval(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, "send-ring revocation", rc.send.Revoked)
-	if err := mh.MsgsndSync(qid, 1, []byte("late")); err == nil {
+	if err := mh.Msgsnd(qid, 1, []byte("late"), 0); err == nil {
 		t.Fatal("send to a removed queue succeeded")
 	}
 	waitFor(t, 2*time.Second, "attachment drop", func() bool {
@@ -544,36 +544,45 @@ func TestChaosRingMigrationWhileAttached(t *testing.T) {
 	}
 }
 
-// TestRingDisabledStaysOnRPC pins the ablation switch: with the bypass
-// off, no volume of traffic creates an attachment.
-func TestRingDisabledStaysOnRPC(t *testing.T) {
-	SetRingBypass(false)
-	defer SetRingBypass(true)
+// TestRingSetOfTwoStaysOnRPC pins the route rule the RPC-plane semop
+// benchmark relies on: a set of two semaphores is never granted a ring, so
+// no volume of traffic creates an attachment and every op is an RPC, and
+// after the owner's first refusal the client stops asking.
+func TestRingSetOfTwoStaysOnRPC(t *testing.T) {
 	SetMigrationEnabled(false)
 	defer SetMigrationEnabled(true)
 	g := newTestGroup(t)
 	lh, lp := g.leader(newFakeService())
 	mh, _ := g.member(lp, lh.Addr, 2, newFakeService())
 
-	id, err := lh.Msgget(36, api.IPCCreat)
+	id, err := lh.Semget(36, 2, api.IPCCreat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < ringAttachThreshold*3; i++ {
-		if err := mh.Msgsnd(id, 1, []byte{byte(i)}, 0); err != nil {
+		if err := mh.Semop(id, []api.SemBuf{{Num: 0, Op: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	time.Sleep(50 * time.Millisecond)
-	if rc, _ := qAttached(mh, id); rc != nil {
-		t.Fatal("attachment created with the bypass disabled")
+	if semAttached(mh, id) != nil {
+		t.Fatal("a set of two semaphores was granted a ring")
+	}
+	mh.ringState.mu.Lock()
+	n := mh.ringState.ops[sysvRef{NSSysVSem, id}]
+	mh.ringState.mu.Unlock()
+	if n != ringNever {
+		t.Fatalf("op count after the owner's refusal = %d, want ringNever: the client keeps asking", n)
 	}
 	if mh.ringHits.Load() != 0 {
-		t.Fatal("ring hits recorded with the bypass disabled")
+		t.Fatal("ring hits recorded for a set without a ring")
 	}
 	for i := 0; i < ringAttachThreshold*3; i++ {
-		if _, data, err := lh.Msgrcv(id, 0, 0); err != nil || data[0] != byte(i) {
-			t.Fatalf("recv %d = (%v, %v)", i, data, err)
+		if err := mh.Semop(id, []api.SemBuf{{Num: 0, Op: -1, Flg: int16(api.IPCNoWait)}}); err != nil {
+			t.Fatalf("take %d: %v", i, err)
 		}
+	}
+	if err := mh.Semop(id, []api.SemBuf{{Num: 0, Op: -1, Flg: int16(api.IPCNoWait)}}); err != api.EAGAIN {
+		t.Fatalf("take past the posts: %v, want EAGAIN", err)
 	}
 }

@@ -87,6 +87,8 @@ func (g *testGroup) shardTopology(n, members int) *shardTopo {
 		tp.mems = append(tp.mems, mh)
 		tp.memPALs = append(tp.memPALs, mp)
 	}
+	g.helpers = append(g.helpers, tp.coords...)
+	g.helpers = append(g.helpers, tp.mems...)
 	return tp
 }
 

@@ -425,10 +425,13 @@ func (s *semSet) grantIDLocked() int {
 	return s.seg.ID
 }
 
-// grantLocked grants a one-semaphore value segment; multi-semaphore sets
-// are RPC-only, and one bypass client at a time.
+// grantLocked grants a one-semaphore value segment, to one bypass client
+// at a time; a multi-semaphore set is RPC-only for good (EINVAL).
 func (s *semSet) grantLocked(p *pal.PAL, pid int) (ringGrant, api.Errno) {
-	if len(s.vals) != 1 || s.seg != nil {
+	if len(s.vals) != 1 {
+		return ringGrant{}, api.EINVAL
+	}
+	if s.seg != nil {
 		return ringGrant{}, api.EAGAIN
 	}
 	seg, err := p.RingCreateSem(pid, int64(s.vals[0]))

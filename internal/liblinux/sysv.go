@@ -23,7 +23,9 @@ func (p *Process) Msgget(key int, flags int) (int, error) {
 	return int(id), nil
 }
 
-// Msgsnd sends a message (asynchronously when the queue is remote).
+// Msgsnd sends a message: to a remote queue over the owner's send ring
+// when one is attached, else as one acknowledged RPC; EIDRM once the
+// queue is removed.
 func (p *Process) Msgsnd(id int, mtype int64, data []byte, flags int) error {
 	defer p.SignalsDrain()
 	start := p.sysEnter()
