@@ -61,10 +61,11 @@ chaos:
 chaos-shard:
 	$(GO) test -race -count=3 -run 'Shard' ./internal/ipc/
 
-# Kernel-bypass ring datapath under fault: the host segment protocol
-# (seal fences, revocation, concurrent produce/consume) and the ipc-layer
-# chaos suites (owner killed mid-send, sandbox split revoking a parked
-# recv, ownership migration while attached), under the race detector.
+# Kernel-bypass send ring under fault: the host ring protocol (seal
+# fence, revocation, concurrent produce/consume), the route rule (only
+# sends ask for a ring) and the ipc-layer chaos suites (owner killed
+# mid-send, sandbox split revoking an attached sender, ownership
+# migration while attached), under the race detector.
 # Same fixed-seed discipline as `make chaos`.
 chaos-ring:
 	$(GO) test -race -count=3 -run 'Ring' ./internal/ipc/ ./internal/host/

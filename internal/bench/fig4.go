@@ -65,10 +65,9 @@ func fig4Workloads() []fig4Workload {
 
 // footprintEnv abstracts what Fig4 needs from a personality.
 type footprintEnv struct {
-	system string
-	seed   func(path string, data []byte) error
-	// launch starts argv[0] and returns its exit channel and root process.
-	launch   func(argv []string) (done chan struct{}, root api.OS, err error)
+	system   string
+	seed     func(path string, data []byte) error
+	launch   launcher
 	resident func() uint64
 }
 
@@ -140,51 +139,9 @@ func fig4Envs() ([]footprintEnv, error) {
 		return nil, err
 	}
 	envs := []footprintEnv{
-		{
-			system: "Linux",
-			seed: func(path string, data []byte) error {
-				ensureDirs(n.Kernel.FS.MkdirAll, path)
-				return n.Kernel.FS.WriteFile(path, data, 0644)
-			},
-			launch: func(argv []string) (chan struct{}, api.OS, error) {
-				res, err := n.Kernel.Launch(argv[0], argv)
-				if err != nil {
-					return nil, nil, err
-				}
-				return res.Done, res.Process, nil
-			},
-			resident: n.ResidentBytes,
-		},
-		{
-			system: "Graphene",
-			seed: func(path string, data []byte) error {
-				ensureDirs(g.Kernel.FS.MkdirAll, path)
-				return g.Kernel.FS.WriteFile(path, data, 0644)
-			},
-			launch: func(argv []string) (chan struct{}, api.OS, error) {
-				res, err := g.Runtime.Launch(g.Manifest, argv[0], argv)
-				if err != nil {
-					return nil, nil, err
-				}
-				return res.Done, res.Process, nil
-			},
-			resident: g.ResidentBytes,
-		},
-		{
-			system: "KVM",
-			seed: func(path string, data []byte) error {
-				ensureDirs(v.VM.Guest().FS.MkdirAll, path)
-				return v.VM.Guest().FS.WriteFile(path, data, 0644)
-			},
-			launch: func(argv []string) (chan struct{}, api.OS, error) {
-				res, err := v.VM.Launch(argv[0], argv)
-				if err != nil {
-					return nil, nil, err
-				}
-				return res.Done, res.Process, nil
-			},
-			resident: v.ResidentBytes,
-		},
+		{system: "Linux", seed: seedFS(n), launch: launcherN(n), resident: n.ResidentBytes},
+		{system: "Graphene", seed: seedG(g), launch: launcherG(g), resident: g.ResidentBytes},
+		{system: "KVM", seed: seedKVM(v), launch: launcherK(v), resident: v.ResidentBytes},
 	}
 	return envs, nil
 }

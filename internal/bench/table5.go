@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"graphene/internal/api"
 	"graphene/internal/metrics"
 )
 
@@ -96,28 +97,33 @@ func Table5(scale Table5Scale) ([]Table5Result, error) {
 				Throughput: true,
 			}
 			port := 8600
-			run := func(launch func(argv []string) (chan struct{}, error), seed func(string, []byte) error) float64 {
+			run := func(launch launcher, seed func(string, []byte) error) float64 {
 				port++
 				addr := fmt.Sprintf("127.0.0.1:%d", port)
 				if err := seed("/docs/file100", []byte(strings.Repeat("x", 100))); err != nil {
 					panic(err)
 				}
-				if _, err := launch([]string{"/bin/" + server, addr, "4", "/docs"}); err != nil {
+				srvDone, srv, err := launch([]string{"/bin/" + server, addr, "4", "/docs"})
+				if err != nil {
 					panic(err)
 				}
 				time.Sleep(30 * time.Millisecond)
 				start := time.Now()
-				done, err := launch([]string{"/bin/ab", addr, fmt.Sprint(conc),
+				done, _, err := launch([]string{"/bin/ab", addr, fmt.Sprint(conc),
 					fmt.Sprint(scale.HTTPReqs), "/file100"})
 				if err != nil {
 					panic(err)
 				}
 				<-done
 				elapsed := time.Since(start).Seconds()
+				// Servers never exit on their own: kill -9 this one so its
+				// kernel, and the KVM guest's RAM, can be collected.
+				_ = srv.Kill(srv.Getpid(), api.SIGKILL)
+				<-srvDone
 				// 100-byte body + ~8-byte header per request.
 				return float64(scale.HTTPReqs) * 108 / (1 << 20) / elapsed
 			}
-			collect := func(launch func(argv []string) (chan struct{}, error), seed func(string, []byte) error) *metrics.Sample {
+			collect := func(launch launcher, seed func(string, []byte) error) *metrics.Sample {
 				s := &metrics.Sample{}
 				for i := 0; i < scale.Iters; i++ {
 					s.Add(run(launch, seed))
@@ -212,32 +218,36 @@ func seedG(g *GrapheneEnv) func(string, []byte) error {
 	}
 }
 
-func launcherN(n *NativeEnv) func(argv []string) (chan struct{}, error) {
-	return func(argv []string) (chan struct{}, error) {
+// launcher starts argv[0] on one personality and returns its exit channel
+// and root process.
+type launcher func(argv []string) (done chan struct{}, root api.OS, err error)
+
+func launcherN(n *NativeEnv) launcher {
+	return func(argv []string) (chan struct{}, api.OS, error) {
 		res, err := n.Kernel.Launch(argv[0], argv)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return res.Done, nil
+		return res.Done, res.Process, nil
 	}
 }
 
-func launcherK(v *KVMEnv) func(argv []string) (chan struct{}, error) {
-	return func(argv []string) (chan struct{}, error) {
+func launcherK(v *KVMEnv) launcher {
+	return func(argv []string) (chan struct{}, api.OS, error) {
 		res, err := v.VM.Launch(argv[0], argv)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return res.Done, nil
+		return res.Done, res.Process, nil
 	}
 }
 
-func launcherG(g *GrapheneEnv) func(argv []string) (chan struct{}, error) {
-	return func(argv []string) (chan struct{}, error) {
+func launcherG(g *GrapheneEnv) launcher {
+	return func(argv []string) (chan struct{}, api.OS, error) {
 		res, err := g.Runtime.Launch(g.Manifest, argv[0], argv)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return res.Done, nil
+		return res.Done, res.Process, nil
 	}
 }

@@ -17,8 +17,7 @@ type Census struct {
 
 	Listeners int // bound names
 	Stores    int // bulk-IPC stores not yet closed
-	Rings     int // kernel-bypass message rings, revoked ones included
-	SemSegs   int // kernel-bypass semaphore segments, revoked ones included
+	Rings     int // kernel-bypass send rings, revoked ones included
 
 	RetiredRecorders int // exited picoprocesses' flight recorders kept for dumps
 	RecorderBytes    int // ring memory of live and retired recorders
@@ -32,7 +31,6 @@ func (k *Kernel) Census() Census {
 	c := Census{
 		Stores:           len(k.stores),
 		Rings:            len(k.rings),
-		SemSegs:          len(k.semSegs),
 		RetiredRecorders: len(k.retired),
 	}
 	recs := make([]*FlightRecorder, 0, len(k.retired)+len(k.procs))
@@ -90,7 +88,6 @@ func (k *Kernel) RegisterGauges() func() {
 		{"host.census.listeners", func(c Census) int { return c.Listeners }},
 		{"host.census.stores", func(c Census) int { return c.Stores }},
 		{"host.census.rings", func(c Census) int { return c.Rings }},
-		{"host.census.sem_segs", func(c Census) int { return c.SemSegs }},
 		{"host.census.retired_recorders", func(c Census) int { return c.RetiredRecorders }},
 		{"host.census.recorder_bytes", func(c Census) int { return c.RecorderBytes }},
 		{"host.census.queue_bytes", func(c Census) int { return c.QueueBytes }},

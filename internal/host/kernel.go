@@ -161,11 +161,9 @@ type Kernel struct {
 	nextSID  int
 	nextSand int
 
-	// rings / semSegs are the kernel-bypass SysV segments (ring.go). One
-	// ID space covers both flavors; revocation sweeps run on process exit
-	// and sandbox splits.
+	// rings are the kernel-bypass SysV send rings (ring.go); revocation
+	// sweeps run on process exit and sandbox splits.
 	rings    map[int]*RingSegment
-	semSegs  map[int]*SemSeg
 	nextRing int
 
 	console    *Console
@@ -237,7 +235,6 @@ func NewKernel() *Kernel {
 		procs:   make(map[int]*Picoprocess),
 		stores:  make(map[int]*IPCStore),
 		rings:   make(map[int]*RingSegment),
-		semSegs: make(map[int]*SemSeg),
 	}
 	k.partitions = newPartitionTable()
 	k.streams.part = k.partitions
@@ -560,7 +557,7 @@ func (k *Kernel) StreamConnectNet(p *Picoprocess, name string) (*Stream, error) 
 
 // --- kernel-bypass SysV rings ---
 
-// CreateRingSegment allocates a message ring granted by owner p to the
+// CreateRingSegment allocates a send ring granted by owner p to the
 // picoprocess clientPID (ring.go). The grant itself is owner-local; the
 // monitor's policy check runs when the client maps it (MapRingSegment),
 // mirroring the gipc create/map split.
@@ -576,21 +573,7 @@ func (k *Kernel) CreateRingSegment(p *Picoprocess, clientPID int) (*RingSegment,
 	return r, nil
 }
 
-// CreateSemSegment allocates a semaphore fast-path segment granted by
-// owner p to clientPID, seeded with the semaphore's current value.
-func (k *Kernel) CreateSemSegment(p *Picoprocess, clientPID int, initial int64) (*SemSeg, error) {
-	if err := k.Gate(p, SysMmap, true); err != nil {
-		return nil, err
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.nextRing++
-	s := newSemSeg(k.nextRing, p.ID, clientPID, initial)
-	k.semSegs[s.ID] = s
-	return s, nil
-}
-
-// MapRingSegment maps a granted message ring into the calling
+// MapRingSegment maps a granted send ring into the calling
 // picoprocess. The reference monitor's bulk-IPC rule applies: only the
 // granted client, and only while it shares a sandbox with the creator.
 func (k *Kernel) MapRingSegment(p *Picoprocess, id int) (*RingSegment, error) {
@@ -612,36 +595,13 @@ func (k *Kernel) MapRingSegment(p *Picoprocess, id int) (*RingSegment, error) {
 	return r, nil
 }
 
-// MapSemSegment is MapRingSegment for semaphore segments.
-func (k *Kernel) MapSemSegment(p *Picoprocess, id int) (*SemSeg, error) {
-	if err := k.Gate(p, SysMmap, true); err != nil {
-		return nil, err
-	}
-	k.mu.Lock()
-	s := k.semSegs[id]
-	k.mu.Unlock()
-	if s == nil || s.Revoked() {
-		return nil, api.ENOENT
-	}
-	if p.ID != s.ClientPID {
-		return nil, api.EPERM
-	}
-	if err := k.Policy().CheckBulkIPC(p, s.CreatorPID); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// ReleaseRingSegment drops a fully revoked segment from the registry
-// (either flavor). The owner calls this after reclaiming ring contents.
+// ReleaseRingSegment drops a fully revoked segment from the registry.
+// The owner calls this after reclaiming ring contents.
 func (k *Kernel) ReleaseRingSegment(id int) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if r := k.rings[id]; r != nil && r.Revoked() {
 		delete(k.rings, id)
-	}
-	if s := k.semSegs[id]; s != nil && s.Revoked() {
-		delete(k.semSegs, id)
 	}
 }
 
@@ -651,11 +611,6 @@ func (k *Kernel) revokeRingsLocked(keep func(creator, client int) bool) {
 	for _, r := range k.rings {
 		if !r.Revoked() && !keep(r.CreatorPID, r.ClientPID) {
 			r.Revoke()
-		}
-	}
-	for _, s := range k.semSegs {
-		if !s.Revoked() && !keep(s.CreatorPID, s.ClientPID) {
-			s.Revoke()
 		}
 	}
 }
@@ -678,12 +633,9 @@ func (k *Kernel) RevokeCrossSandboxRings() {
 func (k *Kernel) RingSegments() []RingInfo {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	out := make([]RingInfo, 0, len(k.rings)+len(k.semSegs))
+	out := make([]RingInfo, 0, len(k.rings))
 	for _, r := range k.rings {
 		out = append(out, RingInfo{ID: r.ID, CreatorPID: r.CreatorPID, ClientPID: r.ClientPID, Revoked: r.Revoked()})
-	}
-	for _, s := range k.semSegs {
-		out = append(out, RingInfo{ID: s.ID, CreatorPID: s.CreatorPID, ClientPID: s.ClientPID, Sem: true, Revoked: s.Revoked()})
 	}
 	return out
 }

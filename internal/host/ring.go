@@ -1,19 +1,17 @@
 package host
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
-
-	"graphene/internal/api"
 )
 
 // Kernel-bypass SysV datapath (DESIGN.md "Kernel-bypass rings"): once a
-// helper owns a message queue or semaphore set, the monitor can grant the
-// client picoprocess a shared-memory segment so steady-state msgsnd /
-// msgrcv / semop between the pair never cross the RPC plane. The segment
-// is strictly an optimization layer over the owner's authoritative state —
-// either side can revoke it at any time and both fall back to RPC.
+// helper owns a message queue, the monitor can grant a remote sender a
+// shared-memory send ring, so steady-state msgsnd from that picoprocess
+// never crosses the RPC plane. The ring is strictly an optimization layer
+// over the owner's authoritative queue — either side can revoke it at any
+// time and the sender falls back to RPC. Reading a remote object is
+// ownership migration's job, not the ring's.
 //
 // A RingSegment is a single-producer single-consumer descriptor ring in
 // the style of a paravirtual queue: every slot carries a sequence word
@@ -47,10 +45,8 @@ type ringSlot struct {
 	n     int32
 }
 
-// RingSegment is one direction of the kernel-bypass message datapath.
-// Exactly one process produces and one consumes; which side is which is
-// fixed at grant time by the ipc layer (send ring: client produces, owner
-// consumes; receive ring: owner produces, client consumes).
+// RingSegment is a queue's kernel-bypass send ring: the granted client
+// produces, the owner consumes.
 type RingSegment struct {
 	// ID is the kernel-assigned segment ID (shared with the peer over the
 	// attach RPC, like a gipc store ID travels over a byte stream).
@@ -73,11 +69,10 @@ type RingSegment struct {
 	revoked atomic.Bool
 
 	// prodMu / consMu serialize same-process threads on each endpoint;
-	// cross-process the sequence protocol is the synchronization. They
-	// double as the revocation fence: Seal / SealConsumer acquire them
-	// once after Revoke, which guarantees no in-flight operation remains
-	// on that side (the simulated analogue of the TLB shootdown a real
-	// mapping revocation performs).
+	// cross-process the sequence protocol is the synchronization. prodMu
+	// doubles as the revocation fence: Seal acquires it once after Revoke,
+	// which guarantees no push is in flight (the simulated analogue of the
+	// TLB shootdown a real mapping revocation performs).
 	prodMu sync.Mutex
 	consMu sync.Mutex
 }
@@ -147,37 +142,19 @@ func (r *RingSegment) TryPush(mtype int64, data []byte) bool {
 // reclaim what the producer published. Allocation-free.
 func (r *RingSegment) TryPop(buf []byte) (mtype int64, n int, ok bool) {
 	r.consMu.Lock()
-	mtype, n, ok = r.popLocked(buf)
-	r.consMu.Unlock()
-	return
-}
-
-// TryPopClient is the client-consumer variant (receive ring): it refuses
-// to consume from a revoked ring, so the owner's reclaim — which fences
-// with SealConsumer — recovers every undelivered message.
-func (r *RingSegment) TryPopClient(buf []byte) (mtype int64, n int, ok bool) {
-	r.consMu.Lock()
-	if r.revoked.Load() {
-		r.consMu.Unlock()
-		return 0, 0, false
-	}
-	mtype, n, ok = r.popLocked(buf)
-	r.consMu.Unlock()
-	return
-}
-
-func (r *RingSegment) popLocked(buf []byte) (int64, int, bool) {
 	pos := r.head.Load()
 	slot := &r.slots[pos%RingSlots]
 	if slot.seq.Load() != pos+1 {
+		r.consMu.Unlock()
 		return 0, 0, false
 	}
-	n := int(slot.n)
+	n = int(slot.n)
 	pg, off := r.slotData(pos % RingSlots)
 	pg.read(off, buf[:n])
-	mtype := slot.mtype
+	mtype = slot.mtype
 	slot.seq.Store(pos + RingSlots)
 	r.head.Store(pos + 1)
+	r.consMu.Unlock()
 	return mtype, n, true
 }
 
@@ -187,8 +164,8 @@ func (r *RingSegment) Pending() int {
 }
 
 // Revoke marks the segment dead and rings the doorbell so both sides
-// observe it: producers fail TryPush and fall back to RPC; a parked
-// consumer wakes and detaches. Idempotent.
+// observe it: the producer fails TryPush and falls back to RPC; the
+// owner's parked drainer wakes and reclaims. Idempotent.
 func (r *RingSegment) Revoke() {
 	if r.revoked.Swap(true) {
 		return
@@ -209,124 +186,10 @@ func (r *RingSegment) Seal() {
 	r.prodMu.Unlock()
 }
 
-// SealConsumer fences the consumer side after Revoke — the receive-ring
-// mirror of Seal: after it returns, no client pop is in flight and later
-// pops fail, so the owner's reclaim drains exactly the undelivered tail.
-func (r *RingSegment) SealConsumer() {
-	r.consMu.Lock()
-	//lint:ignore SA2001 empty critical section is the fence
-	r.consMu.Unlock()
-}
-
-// semSegSealed is the sentinel Seal swaps in. Semaphore values are always
-// non-negative, so no legitimate CAS can expect it — the swap linearizes
-// revocation against concurrent client TryApply calls with no lock.
-const semSegSealed = math.MinInt64
-
-// SemSeg is the kernel-bypass fast path for a single-semaphore set: the
-// current value lives in a shared word, and an op vector that applies
-// without blocking is a compare-and-swap from the loaded value to the
-// final one — no RPC, no allocation. Ops that would block, and sets with
-// nsems > 1, stay on the RPC path where the owner's waiter queue lives.
-type SemSeg struct {
-	ID         int
-	CreatorPID int
-	ClientPID  int
-
-	val atomic.Int64
-	// Doorbell wakes the owner's drainer after a client post so parked
-	// RPC waiters re-evaluate against the new value. Auto-reset.
-	Doorbell *Event
-
-	revoked atomic.Bool
-}
-
-func newSemSeg(id, creator, client int, initial int64) *SemSeg {
-	s := &SemSeg{ID: id, CreatorPID: creator, ClientPID: client, Doorbell: NewEvent(false)}
-	s.val.Store(initial)
-	return s
-}
-
-// Load returns the current semaphore value (semSegSealed after Seal).
-func (s *SemSeg) Load() int64 { return s.val.Load() }
-
-// TryApply attempts an op vector against the shared value: every op must
-// target semaphore 0 (the segment is only granted for nsems == 1 sets).
-// Returns (applied, wouldBlock, errno); errno EAGAIN means the segment is
-// revoked/sealed and the caller must fall back to RPC. Posted (op > 0)
-// success rings the doorbell. Allocation-free.
-func (s *SemSeg) TryApply(ops []api.SemBuf) (applied, wouldBlock bool, errno api.Errno) {
-	if s.revoked.Load() {
-		return false, false, api.EAGAIN
-	}
-	for {
-		v := s.val.Load()
-		if v == semSegSealed {
-			return false, false, api.EAGAIN
-		}
-		final := v
-		posts := false
-		for _, op := range ops {
-			if op.Num != 0 {
-				return false, false, api.EINVAL
-			}
-			switch {
-			case op.Op < 0:
-				if final < int64(-op.Op) {
-					return false, true, 0
-				}
-				final += int64(op.Op)
-			case op.Op == 0:
-				if final != 0 {
-					return false, true, 0
-				}
-			default:
-				final += int64(op.Op)
-				posts = true
-			}
-		}
-		if s.val.CompareAndSwap(v, final) {
-			if posts {
-				s.Doorbell.Set()
-			}
-			return true, false, 0
-		}
-	}
-}
-
-// Seal atomically captures the final value and poisons the word so every
-// later client CAS fails (its TryApply reloads, sees the sentinel, and
-// falls back to RPC). ok=false means another reclaim already sealed it —
-// the value was captured there and this caller must not re-apply one.
-func (s *SemSeg) Seal() (final int64, ok bool) {
-	for {
-		v := s.val.Load()
-		if v == semSegSealed {
-			return 0, false
-		}
-		if s.val.CompareAndSwap(v, semSegSealed) {
-			return v, true
-		}
-	}
-}
-
-// Revoke marks the segment dead and wakes the owner's drainer, which
-// seals the value back into the authoritative table. Idempotent.
-func (s *SemSeg) Revoke() {
-	if s.revoked.Swap(true) {
-		return
-	}
-	s.Doorbell.Set()
-}
-
-// Revoked reports whether the segment has been revoked.
-func (s *SemSeg) Revoked() bool { return s.revoked.Load() }
-
 // RingInfo is a registry snapshot row for invariant checking and tests.
 type RingInfo struct {
 	ID         int
 	CreatorPID int
 	ClientPID  int
-	Sem        bool
 	Revoked    bool
 }

@@ -66,7 +66,7 @@ func BenchmarkSemOpLocal(b *testing.B) {
 
 func BenchmarkLeaderKeyGet(b *testing.B) {
 	b.ReportAllocs()
-	l := newLeaderState()
+	l := newLeaderStateShard(0, 1)
 	if _, _, errno := l.keyResolve(NSSysVMsg, 7, api.IPCCreat, 100, "ipc.1"); errno != 0 {
 		b.Fatal(errno)
 	}
@@ -166,7 +166,7 @@ func benchAttachQ(b *testing.B, client *Helper, id int64) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		client.ringState.mu.Lock()
-		attached := client.ringState.clients[sysvRef{NSSysVMsg, id}] != nil
+		attached := client.ringState.clients[id] != nil
 		client.ringState.mu.Unlock()
 		if attached {
 			return
@@ -256,51 +256,9 @@ func BenchmarkRPCMsgsndRemote(b *testing.B) {
 	}
 }
 
-// BenchmarkRingSemopRemote measures the inter-process semop fast path: a
-// post+acquire pair, each a CAS on the shared segment.
-func BenchmarkRingSemopRemote(b *testing.B) {
-	SetMigrationEnabled(false)
-	defer SetMigrationEnabled(true)
-	lh, mh := benchPair(b)
-	id, err := lh.Semget(63, 1, api.IPCCreat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	up := []api.SemBuf{{Num: 0, Op: 1}}
-	down := []api.SemBuf{{Num: 0, Op: -1}}
-	for i := 0; i < ringAttachThreshold; i++ {
-		if err := mh.Semop(id, up); err != nil {
-			b.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mh.ringState.mu.Lock()
-		attached := mh.ringState.clients[sysvRef{NSSysVSem, id}] != nil
-		mh.ringState.mu.Unlock()
-		if attached {
-			break
-		}
-		if time.Now().After(deadline) {
-			b.Fatal("sem attach never completed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := mh.Semop(id, up); err != nil {
-			b.Fatal(err)
-		}
-		if err := mh.Semop(id, down); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRPCSemopRemote is remote semop on the RPC plane: a set of two
-// semaphores is never granted a ring, so every op is a synchronous RPC
-// round trip to the owner.
+// BenchmarkRPCSemopRemote is remote semop on the RPC plane: a semop never
+// rides a ring, and with migration off the set stays at its owner, so
+// every op is a synchronous RPC round trip to the owner.
 func BenchmarkRPCSemopRemote(b *testing.B) {
 	SetMigrationEnabled(false)
 	defer SetMigrationEnabled(true)

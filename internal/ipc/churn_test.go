@@ -137,6 +137,19 @@ func TestDebugSysVStateRenders(t *testing.T) {
 			t.Errorf("member debug state missing %q:\n%s", want, out)
 		}
 	}
+
+	// A helper that leads shard 1 of a two-shard plane prints that
+	// shard's owner map, tagged with the shard.
+	tp := newTestGroup(t).shardTopology(2, 0)
+	c1 := tp.coords[1]
+	sqid, err := c1.Msgget(keyOnShard(c1, NSSysVMsg, 1), api.IPCCreat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = c1.DebugSysVState()
+	if want := fmt.Sprint("leader.owners q ", sqid, "=", c1.Addr, " epoch=1 shard=1"); !containsStr(out, want) {
+		t.Errorf("shard-1 leader's debug state missing %q:\n%s", want, out)
+	}
 }
 
 func containsStr(s, sub string) bool {

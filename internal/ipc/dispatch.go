@@ -133,12 +133,6 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		h.promoteShard(g, f.A)
 		nf := Frame{Type: MsgNewLeader, A: f.A, Shard: f.Shard, From: h.Addr, S: h.Addr}
 		_ = h.pal.BroadcastSend(EncodeFrame(&nf))
-		h.mu.Lock()
-		leader := g.leader
-		h.mu.Unlock()
-		if leader != nil {
-			leader.installRecoverState(h.collectRecoverState(g.shard), h.Addr)
-		}
 		respond(f.Response(Frame{}))
 
 	case MsgNSAlloc:
@@ -174,7 +168,7 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 			mapSet(&h.pidSkip, f.B, struct{}{})
 			h.mu.Unlock()
 		}
-		respond(f.Response(Frame{}))
+		respond(f.Response(Frame{B: leader.cursor(int(f.A))}))
 
 	case MsgNSQuery:
 		h.handleNSQuery(f, respond)

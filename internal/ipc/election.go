@@ -361,13 +361,13 @@ func (h *Helper) settleElection(g *shardGroup, e *electionState) (string, error)
 
 	if won {
 		h.promoteShard(g, epoch)
+		// Peers send their state on MsgNewLeader.
 		nf := Frame{Type: MsgNewLeader, A: epoch, Shard: int32(g.shard), From: h.Addr, S: h.Addr}
 		_ = h.pal.BroadcastSend(EncodeFrame(&nf))
-		// Install our own state; peers send theirs on MsgNewLeader.
 		h.mu.Lock()
-		leader := g.leader
+		deposed := g.leader == nil
 		h.mu.Unlock()
-		if leader == nil {
+		if deposed {
 			// Deposed between promotion and here: a higher-epoch winner's
 			// announcement (or a fenced request) already stepped us down
 			// and nilled the leaderState. The replacement collects our
@@ -375,7 +375,6 @@ func (h *Helper) settleElection(g *shardGroup, e *electionState) (string, error)
 			e.finish()
 			return h.awaitNewLeader(g, 10*electionWindow)
 		}
-		leader.installRecoverState(h.collectRecoverState(g.shard), h.Addr)
 		e.finish()
 		return h.Addr, nil
 	}
@@ -417,8 +416,12 @@ func (e *electionState) finish() {
 }
 
 // promoteShard turns this helper into one shard's leader with a fresh,
-// reconstructable state, under the given election epoch.
+// reconstructable state, under the given election epoch. The fresh state
+// takes this helper's own slice of the shard before it is published: a
+// request served before that would draw IDs from a cursor that has not
+// seen them.
 func (h *Helper) promoteShard(g *shardGroup, epoch int64) {
+	self := h.collectRecoverState(g.shard)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if g.leader != nil {
@@ -427,24 +430,14 @@ func (h *Helper) promoteShard(g *shardGroup, epoch int64) {
 		}
 		return
 	}
-	g.leader = newLeaderStateShard(g.shard, h.shards)
+	l := newLeaderStateShard(g.shard, h.shards)
+	l.installRecoverState(self, h.Addr)
+	g.leader = l
 	// A fresh leaderState starts a fresh dedup generation: replays minted
 	// against a previous incarnation's tables must re-execute here.
 	g.leaderStateEpoch = epoch
 	h.setLeaderLocked(g, h.Addr, epoch)
 	h.startHeartbeatLocked(g)
-	// Never re-issue IDs below our own high-water marks — but only batches
-	// this shard granted say anything about its slabs.
-	g.leader.mu.Lock()
-	if h.pidBatch.shard == g.shard && h.pidBatch.hi >= g.leader.next[NSPid] {
-		g.leader.next[NSPid] = h.pidBatch.hi + 1
-	}
-	for _, kind := range []int{NSSysVMsg, NSSysVSem} {
-		if b := h.idBatches[idbKey{kind: kind, shard: g.shard}]; b != nil && b.hi >= g.leader.next[kind] {
-			g.leader.next[kind] = b.hi + 1
-		}
-	}
-	g.leader.mu.Unlock()
 }
 
 // handleElectionBroadcast folds a peer's candidacy into any local round

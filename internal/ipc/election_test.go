@@ -189,3 +189,24 @@ func TestElectionPreservesProcessGroups(t *testing.T) {
 		t.Fatal("group member never signaled after recovery")
 	}
 }
+
+// TestElectedLeaderClearsPIDsMintedBeforeJoin: the old leader's own PID
+// and first batch were minted before any member joined, so no MsgNSHwm
+// ever announced them, and the old leader cannot report once it is cut
+// off. A member that joined by claim must still elect a leader whose PID
+// cursor stands past them — from the moment its leaderState serves.
+func TestElectedLeaderClearsPIDsMintedBeforeJoin(t *testing.T) {
+	g := newTestGroup(t)
+	lh, lp := g.leader(newFakeService())
+	m1, _ := g.member(lp, lh.Addr, 2, newFakeService())
+	minted := lh.leader.cursor(NSPid)
+
+	g.k.Isolate(lp.Proc().ID)
+	defer g.k.HealIsolate(lp.Proc().ID)
+	if addr, err := m1.ElectLeader(); err != nil || addr != m1.Addr {
+		t.Fatalf("ElectLeader = (%q, %v), want %q", addr, err, m1.Addr)
+	}
+	if got := m1.leader.cursor(NSPid); got < minted {
+		t.Fatalf("elected leader's PID cursor = %d, want >= %d: it can mint the old leader's PIDs again", got, minted)
+	}
+}

@@ -147,11 +147,11 @@ type Helper struct {
 	// lose the leader's MsgKeyRemove to the teardown race.
 	bg sync.WaitGroup
 
-	// ringState is the client side of the kernel-bypass SysV datapath
-	// (ring.go): per-object attach counters and mapped segments.
-	// ringHits/ringMisses count fast-path operations served from a ring
-	// vs. ones that had to fall back (full ring, revocation, unmodeled
-	// ops); both sides' gauges ride RegisterGauges.
+	// ringState is the client side of the kernel-bypass send rings
+	// (ring.go): per-queue attach counters and mapped rings.
+	// ringHits/ringMisses count sends carried by a ring vs. ones that had
+	// to fall back (full ring, oversize message, revocation); both gauges
+	// ride RegisterGauges.
 	ringState  ringClientState
 	ringHits   atomic.Uint64
 	ringMisses atomic.Uint64
@@ -177,23 +177,7 @@ type Helper struct {
 // NewLeader creates the sandbox's first helper, which acts as the
 // namespace leader. guestPID is the process's PID (1 for an init process).
 func NewLeader(p *pal.PAL, svc Service, guestPID int64) (*Helper, error) {
-	h, err := newHelper(p, svc, guestPID, 1)
-	if err != nil {
-		return nil, err
-	}
-	h.leader = newLeaderState()
-	h.leaderAddr = h.Addr
-	// Claim the leader's own PID before seeding the batch, so the batch
-	// starts past it and can never mint it (regardless of where in the ID
-	// space the init PID sits).
-	h.leader.claimRange(NSPid, guestPID, h.Addr)
-	lo, hi := h.leader.allocRange(NSPid, PIDBatchSize, h.Addr)
-	h.pidBatch = idBatch{next: lo, hi: hi}
-	h.start()
-	h.mu.Lock()
-	h.startHeartbeatLocked(&h.shardGroup)
-	h.mu.Unlock()
-	return h, nil
+	return NewShardLeader(p, svc, guestPID, 0, 1, nil)
 }
 
 // NewShardLeader creates a coordinator picoprocess that leads one shard
@@ -232,9 +216,7 @@ func NewShardLeader(p *pal.PAL, svc Service, guestPID int64, shard, nshards int,
 	}
 	h.start()
 	if !ownsPID && guestPID != 0 {
-		if _, err := h.callLeader(Frame{Type: MsgNSClaim, A: NSPid, B: guestPID}); err != nil {
-			log.Printf("ipc: %s: pid claim for %d failed: %v", h.Addr, guestPID, err)
-		}
+		h.claimPID(guestPID)
 	}
 	h.mu.Lock()
 	h.startHeartbeatLocked(g)
@@ -258,11 +240,23 @@ func NewMember(p *pal.PAL, svc Service, guestPID int64, leaderAddr string) (*Hel
 func NewShardMember(p *pal.PAL, svc Service, guestPID int64, shardAddrs []string) (*Helper, error) {
 	h, err := newMember(p, svc, guestPID, shardAddrs)
 	if err == nil && guestPID != 0 && h.shardLeaderAddr(shardOfID(guestPID, h.shards)) != "" {
-		if _, err := h.callLeader(Frame{Type: MsgNSClaim, A: NSPid, B: guestPID}); err != nil {
-			log.Printf("ipc: %s: pid claim for %d failed: %v", h.Addr, guestPID, err)
-		}
+		h.claimPID(guestPID)
 	}
 	return h, err
+}
+
+// claimPID reserves guestPID at the shard owning its slab (MsgNSClaim) and
+// remembers the cursor the answer carries. IDs that shard minted before
+// this helper joined — its leader's own PID and first batch among them —
+// were announced to no one yet, and a recover report from here must still
+// clear them if that leader is lost.
+func (h *Helper) claimPID(guestPID int64) {
+	resp, err := h.callLeader(Frame{Type: MsgNSClaim, A: NSPid, B: guestPID})
+	if err != nil {
+		log.Printf("ipc: %s: pid claim for %d failed: %v", h.Addr, guestPID, err)
+		return
+	}
+	h.noteNSHwm(NSPid, shardOfID(guestPID, h.shards), resp.B)
 }
 
 // NewForkedMember creates the helper of a forked or spawned child, whose

@@ -161,8 +161,9 @@ func (op *sysvOp) frame() Frame {
 }
 
 // sysvDo drives op to its answer: resolve the owner, route the op to this
-// helper's own copy, a live ring or an RPC, and classify the outcome in
-// one place. Success through an RPC counts toward a ring attach; EXDEV
+// helper's own copy, a live send ring or an RPC, and classify the outcome
+// in one place. A send acknowledged by RPC counts toward a ring attach;
+// a remote receive or semop never does (it is a migration vote); EXDEV
 // (the object moved, is moving, or is gone from here) drops the route and
 // re-resolves; EPIPE, a failed dial among them, is an owner gone; anything
 // else is the op's answer. Ownership migration is asynchronous, so an op
@@ -180,16 +181,16 @@ func (h *Helper) sysvDo(op *sysvOp) (int64, []byte, error) {
 			return 0, nil, err
 		}
 		var r sysvResult
-		served, viaRPC := false, false
+		viaRPC := false
 		if owner == h.Addr {
 			r = h.sysvSelf(op)
-		} else if r, served = h.sysvRing(op, owner); !served {
+		} else if !h.sysvRing(op, owner) {
 			r, viaRPC = h.sysvRPC(op, owner), true
 		}
 		switch r.errno {
 		case 0:
-			if viaRPC {
-				h.noteRemoteOp(sysvRef{op.kind, op.id}, owner)
+			if viaRPC && op.typ == MsgQSend {
+				h.noteRemoteSend(op.id, owner)
 			}
 			return r.mtype, r.data, nil
 		case api.EXDEV:
@@ -374,7 +375,7 @@ func (h *Helper) adoptQueue(id int64) bool {
 	h.mu.Unlock()
 	// An owner sends locally: the attachment to the dead owner's ring, if a
 	// fallback send got here without noticing the revocation, is stale.
-	h.ringDrop(sysvRef{NSSysVMsg, id})
+	h.ringDrop(id)
 	_, _ = h.callLeader(Frame{Type: MsgKeyChown, A: NSSysVMsg, B: id, S: h.Addr})
 	return true
 }
@@ -417,8 +418,8 @@ func (h *Helper) SemopIntr(id int64, ops []api.SemBuf, intr <-chan struct{}) err
 func (h *Helper) SemRmid(id int64) error { return h.rmid(NSSysVSem, id) }
 
 // DebugSysVState renders the helper's System V state for diagnostics:
-// every object's shared header, then the owner cache and the leader's
-// owner map for both kinds.
+// every object's shared header, then the owner cache and, for every shard
+// this helper leads, that shard's owner map for both kinds.
 func (h *Helper) DebugSysVState() string {
 	var b strings.Builder
 	h.mu.Lock()
@@ -438,15 +439,19 @@ func (h *Helper) DebugSysVState() string {
 			b.WriteString("  ownerCache " + kindName(kind) + " " + strconv.FormatInt(id, 10) + "=" + addr + "\n")
 		}
 	}
-	if h.leader != nil {
-		h.leader.mu.RLock()
+	for _, g := range h.groups {
+		l := g.leader
+		if l == nil {
+			continue
+		}
+		l.mu.RLock()
 		for _, kind := range []int{NSSysVMsg, NSSysVSem} {
-			for id, e := range h.leader.owners[kind] {
+			for id, e := range l.owners[kind] {
 				b.WriteString("  leader.owners " + kindName(kind) + " " + strconv.FormatInt(id, 10) + "=" +
-					e.addr + " epoch=" + strconv.FormatInt(e.epoch, 10) + "\n")
+					e.addr + " epoch=" + strconv.FormatInt(e.epoch, 10) + " shard=" + strconv.Itoa(g.shard) + "\n")
 			}
 		}
-		h.leader.mu.RUnlock()
+		l.mu.RUnlock()
 	}
 	return b.String()
 }

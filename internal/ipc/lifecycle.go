@@ -4,8 +4,6 @@ import (
 	"sync"
 
 	"graphene/internal/api"
-	"graphene/internal/host"
-	"graphene/internal/pal"
 )
 
 // The System V object lifecycle, written once for message queues and
@@ -116,41 +114,21 @@ func (o *sysvHeader) voteLocked(from string, vote bool) bool {
 }
 
 // sysvObject is a System V object as its owner holds it: the shared header
-// plus what differs by kind, the content and its kernel-bypass grant.
-// Every *Locked method runs with the header's mu held.
+// plus what differs by kind, the content. Every *Locked method runs with
+// the header's mu held.
 type sysvObject interface {
 	header() *sysvHeader
-	// snapshotLocked readies a handoff or persistence: it folds the bypass
-	// grant back, bounces parked waiters with EXDEV (they retry against
+	// snapshotLocked readies a handoff or persistence: it folds a queue's
+	// send ring back, bounces parked waiters with EXDEV (they retry against
 	// the next owner), and moves the content out into a blob.
 	snapshotLocked() []byte
 	// mergeLocked folds in the content of in, a decoded copy of the same
 	// object, and serves the waiters it satisfies. An incoming copy and an
 	// aborted handoff's own snapshot both come back this way.
 	mergeLocked(in sysvObject)
-	// removeLocked tears the bypass grant down and fails parked waiters
-	// with EIDRM.
+	// removeLocked tears a queue's send ring down and fails parked
+	// waiters with EIDRM.
 	removeLocked()
-
-	// grantLocked creates a bypass grant for the client with host PID pid;
-	// EAGAIN declines for now, EINVAL for good.
-	grantLocked(p *pal.PAL, pid int) (ringGrant, api.Errno)
-	// grantIDLocked names the live grant by its segment ID, 0 for none.
-	grantIDLocked() int
-	// reclaimGrantLocked folds the live grant back into the object and
-	// revokes it.
-	reclaimGrantLocked()
-	// serveGrantLocked takes in what the client did through grant id. It
-	// reports false once that grant is gone, folding a revoked one back.
-	serveGrantLocked(id int) bool
-}
-
-// ringGrant is one bypass grant as its owner made it: seg is the send ring
-// or the value segment, recv a queue's optional receive ring (0 for none),
-// and bell rings when the client publishes through seg.
-type ringGrant struct {
-	seg, recv int
-	bell      *host.Event
 }
 
 // decodeSysV rebuilds object id of kind from a snapshot blob.
@@ -192,8 +170,7 @@ func typeKind(t MsgType) int {
 }
 
 // wireFlag is the B field naming a semaphore set (1) rather than a queue
-// (0) on the frames both kinds share: ring attach and detach, and the
-// deletion notice. flagKind reads it back.
+// (0) on the deletion notice both kinds share. flagKind reads it back.
 func wireFlag(kind int) int64 {
 	if kind == NSSysVSem {
 		return 1
@@ -315,13 +292,15 @@ func (h *Helper) owner(kind int, id int64) (string, error) {
 }
 
 // invalidate forgets where object id of kind lives. Ownership is moving,
-// so any bypass grant of the old owner is dead too (its reclaim rides the
-// handoff's critical section).
+// so a queue's send ring to the old owner is dead too (its reclaim rides
+// the handoff's critical section).
 func (h *Helper) invalidate(kind int, id int64) {
 	h.mu.Lock()
 	delete(h.ownerCache[kind], id)
 	h.mu.Unlock()
-	h.ringDrop(sysvRef{kind, id})
+	if kind == NSSysVMsg {
+		h.ringDrop(id)
+	}
 }
 
 // rmid destroys object id of kind, notifying prior accessors (§4.2), on
@@ -412,10 +391,9 @@ func (h *Helper) migrate(kind int, id int64, to string) {
 	// Quiesce rather than defer: a permanently parked waiter would
 	// otherwise starve the handoff forever, so the snapshot bounces
 	// waiters, which re-issue against the new owner through the
-	// client-side EXDEV retry. It folds the bypass grant back in the same
-	// critical section: the attach/detach protocol rides the migration
-	// epoch, and a client push sealed out here re-routes to RPC and
-	// surfaces as EXDEV too.
+	// client-side EXDEV retry. It folds a queue's send ring back in the
+	// same critical section: a client push sealed out here re-routes to
+	// RPC and surfaces as EXDEV too.
 	hd.migrating = true
 	_, mt := sysvMsgTypes(kind)
 	f := Frame{Type: mt, A: id, Blob: o.snapshotLocked(), D: hd.epoch + 1}

@@ -78,10 +78,6 @@ type leaderState struct {
 	nshards int
 }
 
-func newLeaderState() *leaderState {
-	return newLeaderStateShard(0, 1)
-}
-
 func newLeaderStateShard(shard, nshards int) *leaderState {
 	l := &leaderState{
 		ranges:   make(map[int][]idRange),

@@ -223,20 +223,16 @@ var intrObjects = []intrObject{
 }
 
 // TestSysVInterruptMatrix interrupts a parked msgrcv and semop on every
-// route that can park one — the owner's own copy, an RPC to the owner,
-// and (msgrcv only) the receive ring — once before the message or permit
-// arrives (signal wins: EINTR) and once after (delivery wins: the
-// result). Either way the unit is returned by the interrupted call or is
+// route that can park one — the owner's own copy and an RPC to the owner
+// — once before the message or permit arrives (signal wins: EINTR) and
+// once after (delivery wins: the result). Either way the unit is returned by the interrupted call or is
 // still there for the next one, never both and never neither.
 func TestSysVInterruptMatrix(t *testing.T) {
 	SetMigrationEnabled(false)
 	defer SetMigrationEnabled(true)
 	key := int64(0x6100)
 	for _, obj := range intrObjects {
-		for _, route := range []string{"owner-local", "rpc", "ring"} {
-			if route == "ring" && obj.name != "msgrcv" {
-				continue // a semop never parks on its segment
-			}
+		for _, route := range []string{"owner-local", "rpc"} {
 			for _, signalWins := range []bool{true, false} {
 				key++
 				name := obj.name + "/" + route + "/delivery-wins"
@@ -255,18 +251,11 @@ func TestSysVInterruptMatrix(t *testing.T) {
 					if route != "owner-local" {
 						caller = mh
 					}
-					if route == "ring" {
-						driveRecvRingAttach(t, lh, mh, id)
-					}
 
 					intr := make(chan struct{})
 					res := make(chan error, 1)
 					go func() { res <- obj.call(caller, id, intr) }()
-					if route == "ring" {
-						time.Sleep(20 * time.Millisecond) // parked on the doorbell
-					} else {
-						waitFor(t, 2*time.Second, "the parked call", func() bool { return obj.parked(lh, id) == 1 })
-					}
+					waitFor(t, 2*time.Second, "the parked call", func() bool { return obj.parked(lh, id) == 1 })
 					if !signalWins {
 						if err := obj.put(lh, id); err != nil {
 							t.Fatal(err)
@@ -304,8 +293,7 @@ func TestSysVInterruptMatrix(t *testing.T) {
 
 // TestSysVOpPathAllocations holds the operation path to allocation
 // ceilings per unit: an owner-local send and receive, an owner-local semop
-// up and down, a ring send with the owner's receive, and a ring semop up
-// and down. The ceilings hold under the race detector too, where sync.Pool
+// up and down, and a ring send with the owner's receive. The ceilings hold under the race detector too, where sync.Pool
 // drops some of what is put back.
 func TestSysVOpPathAllocations(t *testing.T) {
 	SetMigrationEnabled(false)
@@ -333,12 +321,6 @@ func TestSysVOpPathAllocations(t *testing.T) {
 		_, _, err := lh.Msgrcv(rqid, 0, 0)
 		must(err)
 	}
-	rsid, err := lh.Semget(0x6203, 1, api.IPCCreat)
-	must(err)
-	for i := 0; i < ringAttachThreshold; i++ {
-		must(mh.Semop(rsid, up))
-	}
-	waitFor(t, 2*time.Second, "semaphore ring attach", func() bool { return semAttached(mh, rsid) != nil })
 
 	for _, c := range []struct {
 		name    string
@@ -358,10 +340,6 @@ func TestSysVOpPathAllocations(t *testing.T) {
 			must(mh.Msgsnd(rqid, 1, payload, 0))
 			_, _, err := lh.Msgrcv(rqid, 0, 0)
 			must(err)
-		}},
-		{"ring semop up+down", 0, func() {
-			must(mh.Semop(rsid, up))
-			must(mh.Semop(rsid, down))
 		}},
 	} {
 		if got := testing.AllocsPerRun(200, c.unit); got > c.ceiling {

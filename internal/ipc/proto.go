@@ -112,7 +112,8 @@ const (
 	// MsgNSClaim: reserve an ID this helper already holds (an adopted,
 	// restored, or externally assigned process PID) in the leader's
 	// allocator, so fresh grants and the leader's own batch never mint it
-	// again. A=kind, B=id.
+	// again. A=kind, B=id. Resp: B=the leader's allocation cursor, which
+	// the claimant records as if it had heard it in a MsgNSHwm.
 	MsgNSClaim
 
 	// MsgNSHwm: broadcast namespace high-water mark. The leader announces
@@ -149,18 +150,16 @@ const (
 	// D=cancel cookie. Same matching and race rules as MsgQRecvCancel.
 	MsgSemOpCancel
 
-	// MsgRingAttach: request a kernel-bypass ring for a queue or
-	// semaphore the receiver owns. A=object id, B=1 for semaphores,
-	// C=requester's host PID. Resp: A=host segment ID of the send ring
-	// (or the SemSeg), B=segment ID of the receive ring when the owner
-	// also granted one (0 otherwise: queue non-empty or waiters parked
-	// at grant time), D=the object's migration epoch at grant time.
-	// EAGAIN when the owner declines (migrating, removed, contended);
-	// the client falls back to RPC and may retry later.
+	// MsgRingAttach: request a kernel-bypass send ring for a message queue
+	// the receiver owns. A=queue id, C=requester's host PID. Resp: A=host
+	// segment ID of the send ring. EINVAL for anything that is not a live
+	// message queue held there, EAGAIN or EXDEV when the owner declines
+	// (shutting down, migrating, already granted); the client keeps using
+	// RPC and may retry later.
 	MsgRingAttach
-	// MsgRingDetach: epoch-fenced detach notification. A=object id,
-	// B=1 for semaphores, D=ring segment ID. Sent by a client tearing
-	// down; the owner revokes and drains the segment.
+	// MsgRingDetach: segment-fenced detach request. A=queue id, D=ring
+	// segment ID. Sent by a client tearing down; the owner revokes and
+	// drains the ring if it is still the queue's.
 	MsgRingDetach
 )
 

@@ -6,33 +6,23 @@ import (
 	"time"
 
 	"graphene/internal/api"
+	"graphene/internal/host"
 )
 
-// Kernel-bypass ring suite: the grant handshake, the three fast paths
-// (msgsnd push, msgrcv pop, semop CAS), every fallback edge the design
-// promises (selective receive, removal, migration), and the chaos
-// scenarios — owner death mid-traffic, sandbox split mid-receive — that
-// must leave no live ring behind (invariant 5). Tests that pin a stable
-// attachment disable migration, exactly like the migration-ablation tests:
-// the migrate threshold (4 remote receives) is below the ring-attach
-// threshold (8 remote ops), so ownership would otherwise chase the client.
+// Kernel-bypass ring suite: the grant handshake, the send fast path, the
+// route rule (only sends ask for a ring), every fallback edge the design
+// promises (full ring, removal, migration), and the chaos scenarios —
+// owner death mid-send, sandbox split mid-send — that must leave no live
+// ring behind (invariant 5). Tests that pin a stable attachment disable
+// migration, exactly like the migration-ablation tests: a remote consumer
+// would otherwise pull the queue to itself.
 
 // qAttached reports the client's live attachment for queue id (nil if
-// none), and whether it includes a receive ring.
-func qAttached(h *Helper, id int64) (rc *ringClient, hasRecv bool) {
+// none).
+func qAttached(h *Helper, id int64) *ringClient {
 	h.ringState.mu.Lock()
 	defer h.ringState.mu.Unlock()
-	rc = h.ringState.clients[sysvRef{NSSysVMsg, id}]
-	if rc == nil {
-		return nil, false
-	}
-	return rc, rc.recv != nil
-}
-
-func semAttached(h *Helper, id int64) *ringClient {
-	h.ringState.mu.Lock()
-	defer h.ringState.mu.Unlock()
-	return h.ringState.clients[sysvRef{NSSysVSem, id}]
+	return h.ringState.clients[id]
 }
 
 // driveQAttach sends threshold remote messages and waits for the send-ring
@@ -44,10 +34,7 @@ func driveQAttach(t *testing.T, client *Helper, id int64) {
 			t.Fatalf("warm-up send %d: %v", i, err)
 		}
 	}
-	waitFor(t, 2*time.Second, "ring attach", func() bool {
-		rc, _ := qAttached(client, id)
-		return rc != nil
-	})
+	waitFor(t, 2*time.Second, "ring attach", func() bool { return qAttached(client, id) != nil })
 }
 
 func TestRingSendFastPath(t *testing.T) {
@@ -136,179 +123,6 @@ func TestRingSendFullRingFallsBackInOrder(t *testing.T) {
 	}
 }
 
-// driveRecvRingAttach builds an attachment that includes the receive ring:
-// paired send/recv warm-up keeps the owner's backlog empty, so the grant
-// (which requires an empty, waiter-free queue) includes both directions.
-func driveRecvRingAttach(t *testing.T, owner, client *Helper, id int64) {
-	t.Helper()
-	for i := 0; i < ringAttachThreshold; i++ {
-		if err := owner.Msgsnd(id, 1, []byte{byte(i)}, 0); err != nil {
-			t.Fatalf("owner send %d: %v", i, err)
-		}
-		if _, _, err := client.Msgrcv(id, 0, 0); err != nil {
-			t.Fatalf("client recv %d: %v", i, err)
-		}
-	}
-	waitFor(t, 2*time.Second, "receive-ring grant", func() bool {
-		_, hasRecv := qAttached(client, id)
-		return hasRecv
-	})
-}
-
-func TestRingRecvFastPath(t *testing.T) {
-	SetMigrationEnabled(false)
-	defer SetMigrationEnabled(true)
-	g := newTestGroup(t)
-	lh, lp := g.leader(newFakeService())
-	mh, _ := g.member(lp, lh.Addr, 2, newFakeService())
-
-	id, err := lh.Msgget(33, api.IPCCreat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveRecvRingAttach(t, lh, mh, id)
-
-	// Owner-side send forwards into the receive ring; the client pops it
-	// without touching the RPC plane.
-	hits := mh.ringHits.Load()
-	if err := lh.Msgsnd(id, 2, []byte("via-ring"), 0); err != nil {
-		t.Fatal(err)
-	}
-	mt, data, err := mh.Msgrcv(id, 0, 0)
-	if err != nil || mt != 2 || string(data) != "via-ring" {
-		t.Fatalf("ring recv = (%d, %q, %v)", mt, data, err)
-	}
-	if mh.ringHits.Load() == hits {
-		t.Fatal("receive did not use the ring")
-	}
-
-	// Empty ring + IPC_NOWAIT is answered locally: while the ring is live
-	// the queue is empty iff the ring is.
-	if _, _, err := mh.Msgrcv(id, 0, api.IPCNoWait); api.ToErrno(err) != api.ENOMSG {
-		t.Fatalf("non-blocking recv on empty ring: %v, want ENOMSG", err)
-	}
-
-	// A blocking receive parks on the doorbell and wakes on the next
-	// owner-side send.
-	type res struct {
-		mt   int64
-		data []byte
-		err  error
-	}
-	got := make(chan res, 1)
-	go func() {
-		mt, data, err := mh.Msgrcv(id, 0, 0)
-		got <- res{mt, data, err}
-	}()
-	time.Sleep(20 * time.Millisecond)
-	if err := lh.Msgsnd(id, 3, []byte("wake"), 0); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case r := <-got:
-		if r.err != nil || r.mt != 3 || string(r.data) != "wake" {
-			t.Fatalf("doorbell recv = (%d, %q, %v)", r.mt, r.data, r.err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocking ring receive never woke")
-	}
-}
-
-func TestRingSelectiveRecvReclaimsRecvRing(t *testing.T) {
-	SetMigrationEnabled(false)
-	defer SetMigrationEnabled(true)
-	g := newTestGroup(t)
-	lh, lp := g.leader(newFakeService())
-	mh, _ := g.member(lp, lh.Addr, 2, newFakeService())
-
-	id, err := lh.Msgget(34, api.IPCCreat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveRecvRingAttach(t, lh, mh, id)
-
-	// Two messages sit in the receive ring; a selective (mtype>0) receive
-	// cannot use the FIFO ring, so it rides RPC and makes the owner
-	// reclaim — folding the undelivered messages back without loss.
-	if err := lh.Msgsnd(id, 5, []byte("five"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := lh.Msgsnd(id, 6, []byte("six"), 0); err != nil {
-		t.Fatal(err)
-	}
-	mt, data, err := mh.Msgrcv(id, 6, 0)
-	if err != nil || mt != 6 || string(data) != "six" {
-		t.Fatalf("selective recv = (%d, %q, %v)", mt, data, err)
-	}
-	// The skipped message survived the reclaim and is still first in FIFO
-	// order (the client transparently falls back to RPC for it).
-	mt, data, err = mh.Msgrcv(id, 0, 0)
-	if err != nil || mt != 5 || string(data) != "five" {
-		t.Fatalf("post-reclaim recv = (%d, %q, %v)", mt, data, err)
-	}
-}
-
-func TestRingSemFastPath(t *testing.T) {
-	SetMigrationEnabled(false)
-	defer SetMigrationEnabled(true)
-	g := newTestGroup(t)
-	lh, lp := g.leader(newFakeService())
-	mh, _ := g.member(lp, lh.Addr, 2, newFakeService())
-
-	id, err := lh.Semget(41, 1, api.IPCCreat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < ringAttachThreshold/2; i++ {
-		if err := mh.Semop(id, []api.SemBuf{{Num: 0, Op: 1}}); err != nil {
-			t.Fatalf("warm-up post %d: %v", i, err)
-		}
-		if err := mh.Semop(id, []api.SemBuf{{Num: 0, Op: -1}}); err != nil {
-			t.Fatalf("warm-up acquire %d: %v", i, err)
-		}
-	}
-	waitFor(t, 2*time.Second, "sem segment grant", func() bool {
-		return semAttached(mh, id) != nil
-	})
-
-	hits := mh.ringHits.Load()
-	if err := mh.Semop(id, []api.SemBuf{{Num: 0, Op: 1}}); err != nil {
-		t.Fatalf("ring post: %v", err)
-	}
-	if err := mh.Semop(id, []api.SemBuf{{Num: 0, Op: -1}}); err != nil {
-		t.Fatalf("ring acquire: %v", err)
-	}
-	if got := mh.ringHits.Load() - hits; got < 2 {
-		t.Fatalf("ring hits after attach = %d, want >= 2", got)
-	}
-
-	// Non-blocking would-block is answered locally — the shared word is
-	// the authoritative value, so the local EAGAIN is exact.
-	err = mh.Semop(id, []api.SemBuf{{Num: 0, Op: -1, Flg: api.IPCNoWait}})
-	if api.ToErrno(err) != api.EAGAIN {
-		t.Fatalf("non-blocking acquire on zero: %v, want EAGAIN", err)
-	}
-
-	// A blocking acquire falls back to RPC parking at the owner; an
-	// owner-side post (which lands in the shared segment) must wake it.
-	done := make(chan error, 1)
-	go func() {
-		done <- mh.Semop(id, []api.SemBuf{{Num: 0, Op: -1}})
-	}()
-	time.Sleep(20 * time.Millisecond)
-	if err := lh.Semop(id, []api.SemBuf{{Num: 0, Op: 1}}); err != nil {
-		t.Fatalf("owner post: %v", err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("parked acquire after segment post: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("parked acquire never woke after an owner-side post")
-	}
-}
-
 func TestRingRevokedOnRemoval(t *testing.T) {
 	SetMigrationEnabled(false)
 	defer SetMigrationEnabled(true)
@@ -321,10 +135,10 @@ func TestRingRevokedOnRemoval(t *testing.T) {
 		t.Fatal(err)
 	}
 	driveQAttach(t, mh, qid)
-	rc, _ := qAttached(mh, qid)
+	rc := qAttached(mh, qid)
 
 	// Drain the warm-up backlog so removal is clean, then remove: the
-	// owner collapses the rings, which the client observes as revocation
+	// owner collapses the ring, which the client observes as revocation
 	// and an error on the next (RPC-fallback) send.
 	for i := 0; i < ringAttachThreshold; i++ {
 		if _, _, err := lh.Msgrcv(qid, 0, 0); err != nil {
@@ -340,35 +154,8 @@ func TestRingRevokedOnRemoval(t *testing.T) {
 	}
 	waitFor(t, 2*time.Second, "attachment drop", func() bool {
 		_ = mh.Msgsnd(qid, 1, []byte("x"), 0) // any path re-checks and drops
-		got, _ := qAttached(mh, qid)
-		return got == nil
+		return qAttached(mh, qid) == nil
 	})
-
-	// Same for semaphores: removal seals the segment; the client's next op
-	// sees EAGAIN on the segment, falls back, and gets the removal errno.
-	sid, err := lh.Semget(42, 1, api.IPCCreat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < ringAttachThreshold/2; i++ {
-		if err := mh.Semop(sid, []api.SemBuf{{Num: 0, Op: 1}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := mh.Semop(sid, []api.SemBuf{{Num: 0, Op: -1}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, 2*time.Second, "sem segment grant", func() bool {
-		return semAttached(mh, sid) != nil
-	})
-	sc := semAttached(mh, sid)
-	if err := lh.SemRmid(sid); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 2*time.Second, "sem segment revocation", sc.seg.Revoked)
-	if err := mh.Semop(sid, []api.SemBuf{{Num: 0, Op: 1}}); err == nil {
-		t.Fatal("semop on a removed set succeeded")
-	}
 }
 
 // TestChaosRingKillOwnerMidSend crashes the owner (no shutdown, nothing
@@ -423,20 +210,20 @@ func TestChaosRingKillOwnerMidSend(t *testing.T) {
 	// The client noticed and dropped the attachment.
 	waitFor(t, 2*time.Second, "client attachment drop after owner death", func() bool {
 		_ = m1.Msgsnd(id, 1, []byte("probe"), 0)
-		rc, _ := qAttached(m1, id)
-		return rc == nil
+		return qAttached(m1, id) == nil
 	})
 	if v := CheckInvariants([]*Helper{lh, m1}); len(v) != 0 {
 		t.Fatalf("invariant violations after owner death: %v", v)
 	}
 }
 
-// TestChaosRingSandboxSplitRevokesMidRecv splits the client into its own
-// sandbox while it is parked in a ring receive. The monitor's detach path
-// revokes every cross-sandbox segment; the revocation must wake the parked
-// client through the doorbell, and the RPC fallback must fail too (the
-// split also severs streams) — isolation, not a hang.
-func TestChaosRingSandboxSplitRevokesMidRecv(t *testing.T) {
+// TestChaosRingSandboxSplitRevokesMidSend splits an attached sender into
+// its own sandbox while it streams sends through the ring. The monitor's
+// detach path revokes every cross-sandbox segment; the sender's next send
+// must fail (the split also severs the streams its RPC fallback would
+// use) — isolation, not a hang — and the owner must hold exactly the
+// messages acknowledged before the split.
+func TestChaosRingSandboxSplitRevokesMidSend(t *testing.T) {
 	SetMigrationEnabled(false)
 	defer SetMigrationEnabled(true)
 	g := newTestGroup(t)
@@ -447,26 +234,41 @@ func TestChaosRingSandboxSplitRevokesMidRecv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveRecvRingAttach(t, lh, mh, id)
-
-	res := make(chan error, 1)
-	go func() {
-		_, _, err := mh.Msgrcv(id, 0, 0)
-		res <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the receive park on the doorbell
+	driveQAttach(t, mh, id)
+	rc := qAttached(mh, id)
+	const before = ringAttachThreshold + 8
+	for i := ringAttachThreshold; i < before; i++ {
+		if err := mh.Msgsnd(id, 1, []byte{byte(i)}, 0); err != nil {
+			t.Fatalf("ring send %d: %v", i, err)
+		}
+	}
 
 	if _, err := g.m.Detach(mhp.Proc(), []string{"/"}); err != nil {
 		t.Fatalf("sandbox split: %v", err)
 	}
-
+	if !rc.send.Revoked() {
+		t.Fatal("the split left the sender's ring unrevoked")
+	}
+	res := make(chan error, 1)
+	go func() { res <- mh.Msgsnd(id, 1, []byte("after"), 0) }()
 	select {
 	case err := <-res:
 		if err == nil {
-			t.Fatal("receive across a sandbox split returned a message")
+			t.Fatal("send across a sandbox split succeeded")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("parked ring receive hung across the sandbox split")
+		t.Fatal("send hung across the sandbox split")
+	}
+
+	// The owner holds exactly what was sent before the split, in order.
+	for i := 0; i < before; i++ {
+		_, data, err := lh.Msgrcv(id, 0, api.IPCNoWait)
+		if err != nil || len(data) != 1 || data[0] != byte(i) {
+			t.Fatalf("owner recv %d = (%v, %v), want the message sent before the split", i, data, err)
+		}
+	}
+	if _, data, err := lh.Msgrcv(id, 0, api.IPCNoWait); api.ToErrno(err) != api.ENOMSG {
+		t.Fatalf("owner holds %q past the pre-split messages (err %v)", data, err)
 	}
 	// No segment may bridge the split: everything pairing the two
 	// now-separated picoprocesses is revoked.
@@ -480,10 +282,12 @@ func TestChaosRingSandboxSplitRevokesMidRecv(t *testing.T) {
 		}
 	}
 	// Post-split the two helpers are separate coordination domains, so the
-	// invariant sweep runs per-domain (a joint check would — correctly —
+	// invariant sweep runs per domain (a joint check would — correctly —
 	// flag their now-overlapping namespace ranges as isolation working).
-	if v := CheckInvariants([]*Helper{lh}); len(v) != 0 {
-		t.Fatalf("invariant violations after split: %v", v)
+	for _, h := range []*Helper{lh, mh} {
+		if v := CheckInvariants([]*Helper{h}); len(v) != 0 {
+			t.Fatalf("invariant violations after split in %s's domain: %v", h.Addr, v)
+		}
 	}
 }
 
@@ -544,45 +348,60 @@ func TestChaosRingMigrationWhileAttached(t *testing.T) {
 	}
 }
 
-// TestRingSetOfTwoStaysOnRPC pins the route rule the RPC-plane semop
-// benchmark relies on: a set of two semaphores is never granted a ring, so
-// no volume of traffic creates an attachment and every op is an RPC, and
-// after the owner's first refusal the client stops asking.
-func TestRingSetOfTwoStaysOnRPC(t *testing.T) {
+// TestRingRouteRuleSendsOnly pins the route rule: only a send
+// acknowledged by RPC counts toward a ring attach. Remote FIFO receives
+// and one-semaphore semops, twice the attach threshold of each with
+// migration off, make no MsgRingAttach and create no segment; the same
+// count of remote sends then does attach, which shows the owner-side
+// count sees an attach when there is one.
+func TestRingRouteRuleSendsOnly(t *testing.T) {
 	SetMigrationEnabled(false)
 	defer SetMigrationEnabled(true)
 	g := newTestGroup(t)
 	lh, lp := g.leader(newFakeService())
 	mh, _ := g.member(lp, lh.Addr, 2, newFakeService())
+	plan := host.NewFaultPlan() // no rules: it only counts the frames served
+	lp.Proc().SetFaultPlan(plan)
+	const attach = "rpc.MsgRingAttach.enter"
 
-	id, err := lh.Semget(36, 2, api.IPCCreat)
+	qid, err := lh.Msgget(36, api.IPCCreat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < ringAttachThreshold*3; i++ {
-		if err := mh.Semop(id, []api.SemBuf{{Num: 0, Op: 1}}); err != nil {
+	sid, err := lh.Semget(37, 1, api.IPCCreat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2 * ringAttachThreshold
+	for i := 0; i < n; i++ {
+		if err := lh.Msgsnd(qid, 1, []byte{byte(i)}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(50 * time.Millisecond)
-	if semAttached(mh, id) != nil {
-		t.Fatal("a set of two semaphores was granted a ring")
-	}
-	mh.ringState.mu.Lock()
-	n := mh.ringState.ops[sysvRef{NSSysVSem, id}]
-	mh.ringState.mu.Unlock()
-	if n != ringNever {
-		t.Fatalf("op count after the owner's refusal = %d, want ringNever: the client keeps asking", n)
-	}
-	if mh.ringHits.Load() != 0 {
-		t.Fatal("ring hits recorded for a set without a ring")
-	}
-	for i := 0; i < ringAttachThreshold*3; i++ {
-		if err := mh.Semop(id, []api.SemBuf{{Num: 0, Op: -1, Flg: int16(api.IPCNoWait)}}); err != nil {
-			t.Fatalf("take %d: %v", i, err)
+	rings := g.k.Census().Rings
+	for i := 0; i < n; i++ {
+		if _, data, err := mh.Msgrcv(qid, 0, 0); err != nil || len(data) != 1 || data[0] != byte(i) {
+			t.Fatalf("remote recv %d = (%v, %v)", i, data, err)
+		}
+		if err := mh.Semop(sid, []api.SemBuf{{Num: 0, Op: 1}}); err != nil {
+			t.Fatalf("remote post %d: %v", i, err)
+		}
+		if err := mh.Semop(sid, []api.SemBuf{{Num: 0, Op: -1}}); err != nil {
+			t.Fatalf("remote acquire %d: %v", i, err)
 		}
 	}
-	if err := mh.Semop(id, []api.SemBuf{{Num: 0, Op: -1, Flg: int16(api.IPCNoWait)}}); err != api.EAGAIN {
-		t.Fatalf("take past the posts: %v, want EAGAIN", err)
+	if got := plan.Hits(attach); got != 0 {
+		t.Fatalf("%d MsgRingAttach after remote receives and semops, want 0", got)
+	}
+	if got := g.k.Census().Rings; got != rings {
+		t.Fatalf("Census().Rings = %d after remote receives and semops, want %d", got, rings)
+	}
+	if mh.ringHits.Load()+mh.ringMisses.Load() != 0 {
+		t.Fatal("a receive or semop touched the ring datapath")
+	}
+
+	driveQAttach(t, mh, qid)
+	if got := plan.Hits(attach); got != 1 {
+		t.Fatalf("%d MsgRingAttach after %d remote sends, want 1", got, ringAttachThreshold)
 	}
 }

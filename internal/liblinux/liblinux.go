@@ -162,34 +162,7 @@ func (l *LaunchResult) finish(lib *Process, code int) {
 // (§3). The root LibOS instance becomes the sandbox's namespace leader
 // with guest PID 1.
 func (r *Runtime) Launch(man *monitor.Manifest, path string, argv []string) (*LaunchResult, error) {
-	prog, ok := r.lookupProgram(path)
-	if !ok {
-		return nil, api.ENOENT
-	}
-	proc, _, err := r.mon.Launch(man)
-	if err != nil {
-		return nil, err
-	}
-	p := pal.New(r.kernel, proc, r.mon)
-	lib, err := newProcess(r, p, 1, 0, "")
-	if err != nil {
-		proc.Exit(127)
-		return nil, err
-	}
-	helper, err := ipc.NewLeader(p, lib.svc(), 1)
-	if err != nil {
-		proc.Exit(127)
-		return nil, err
-	}
-	lib.helper = helper
-	lib.programPath = path
-	lib.argv = argv
-
-	res := &LaunchResult{Process: lib, Done: make(chan struct{})}
-	proc.NewThread(func(tid int) {
-		res.finish(lib, lib.runProgram(prog, path, argv))
-	})
-	return res, nil
+	return r.LaunchSharded(man, path, argv, 1)
 }
 
 // coordService is the upcall surface of a dedicated coordinator
@@ -206,12 +179,10 @@ func (coordService) ProcMeta(int64, string) (string, api.Errno) { return "", api
 // like the classic leader); shards 1..N-1 are dedicated coordinator
 // picoprocesses forked before the program starts, holding guest PIDs
 // 2..N. Children forked by the application inherit the full shard
-// address table through the checkpoint meta. shards <= 1 degenerates to
-// the classic single-coordinator Launch.
+// address table through the checkpoint meta. shards < 1 counts as one:
+// the root is the sandbox's only coordinator.
 func (r *Runtime) LaunchSharded(man *monitor.Manifest, path string, argv []string, shards int) (*LaunchResult, error) {
-	if shards <= 1 {
-		return r.Launch(man, path, argv)
-	}
+	shards = max(shards, 1)
 	prog, ok := r.lookupProgram(path)
 	if !ok {
 		return nil, api.ENOENT

@@ -881,27 +881,16 @@ func (p *PAL) DkPhysicalMemoryMapWait(h *host.Handle, addr uint64, timeout time.
 // SysV ring segments follow the same shape (create on the owner, map on
 // the client under the reference monitor's bulk-IPC rule).
 
-// RingCreateMsg grants a message ring from this (owner) picoprocess to
+// RingCreateMsg grants a send ring from this (owner) picoprocess to
 // clientPID. The returned segment ID travels to the client over RPC.
 func (p *PAL) RingCreateMsg(clientPID int) (*host.RingSegment, error) {
 	return p.kernel.CreateRingSegment(p.proc, clientPID)
 }
 
-// RingCreateSem grants a semaphore fast-path segment seeded with the
-// set's current value.
-func (p *PAL) RingCreateSem(clientPID int, initial int64) (*host.SemSeg, error) {
-	return p.kernel.CreateSemSegment(p.proc, clientPID, initial)
-}
-
-// RingMapMsg maps a granted message ring into this (client) picoprocess;
+// RingMapMsg maps a granted send ring into this (client) picoprocess;
 // the monitor permits it only within the creator's sandbox.
 func (p *PAL) RingMapMsg(id int) (*host.RingSegment, error) {
 	return p.kernel.MapRingSegment(p.proc, id)
-}
-
-// RingMapSem maps a granted semaphore segment.
-func (p *PAL) RingMapSem(id int) (*host.SemSeg, error) {
-	return p.kernel.MapSemSegment(p.proc, id)
 }
 
 // RingRelease drops a fully revoked segment from the kernel registry.
