@@ -144,11 +144,12 @@ bench:
 # 8 MiB heap, and building the libOS image against mapping the kernel's
 # copy of it; then one of each System V operation-path route: owner-local
 # send + receive and semop, a ring send, an RPC semop and an acknowledged
-# RPC send. No timing gate; it keeps the benchmarks and the per-stage
-# observer compiling and running.
+# RPC send; and a member's namespace RPCs: a key lookup at the leader and
+# a create + rmid. No timing gate; it keeps the benchmarks and the
+# per-stage observer compiling and running.
 bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkForkExitWait|BenchmarkForkCOW|BenchmarkCommitMap|BenchmarkTouchRangeImage|BenchmarkMapImage' -benchtime 1x ./internal/host/ ./internal/liblinux/
-	$(GO) test -run XXX -bench 'BenchmarkHelperMsgsndLocal|BenchmarkHelperSemopLocal|BenchmarkRingMsgsndRemote|BenchmarkRPCSemopRemote|BenchmarkRPCMsgsndRemote' -benchtime 1x ./internal/ipc/
+	$(GO) test -run XXX -bench 'BenchmarkHelperMsgsndLocal|BenchmarkHelperSemopLocal|BenchmarkRingMsgsndRemote|BenchmarkRPCSemopRemote|BenchmarkRPCMsgsndRemote|BenchmarkRPCKeyLookupRemote|BenchmarkRPCKeyChurnRemote' -benchtime 1x ./internal/ipc/
 
 # The paper's Figure 5 RPC ping-pong and related end-to-end benchmarks.
 bench-fig5:

@@ -274,6 +274,20 @@ func mkParents(fs *host.FileSystem, path string) {
 // benchGuestOp measures one guest operation per iteration inside a parked
 // Graphene or native process.
 func benchGuestOp(b *testing.B, graphene bool, setup func(p api.OS) func() bool) {
+	op, stop := startGuestOp(b, graphene, setup)
+	defer stop()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !op() {
+			b.Fatal("guest op failed")
+		}
+	}
+}
+
+// startGuestOp launches a Graphene or native process that runs setup and
+// parks, and returns the operation setup built, callable from the test's
+// goroutine, and stop, which lets the process exit.
+func startGuestOp(tb testing.TB, graphene bool, setup func(p api.OS) func() bool) (op func() bool, stop func()) {
 	opCh := make(chan func() bool, 1)
 	doneCh := make(chan struct{})
 	prog := func(p api.OS, argv []string) int {
@@ -286,33 +300,26 @@ func benchGuestOp(b *testing.B, graphene bool, setup func(p api.OS) func() bool)
 	if graphene {
 		env, err := bench.NewGraphene()
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := env.Runtime.RegisterProgram("/bin/op", prog); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		launch = func() error { _, err := env.Launch("/bin/op", nil); return err }
 	} else {
 		env, err := bench.NewNative()
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := env.Kernel.RegisterProgram("/bin/op", prog); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		launch = func() error { _, err := env.Launch("/bin/op", nil); return err }
 	}
 	if err := launch(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	op := <-opCh
-	defer close(doneCh)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !op() {
-			b.Fatal("guest op failed")
-		}
-	}
+	return <-opCh, func() { close(doneCh) }
 }
 
 func BenchmarkTable6SyscallLinux(b *testing.B) {
@@ -515,22 +522,26 @@ func BenchmarkFig5PipePingPong(b *testing.B) {
 }
 
 func BenchmarkFig5RPCPingPong(b *testing.B) {
-	benchGuestOp(b, true, func(p api.OS) func() bool {
-		hold := make(chan struct{})
-		partner, err := p.Fork(func(c api.OS) {
-			<-hold
-			c.Exit(0)
-		})
-		if err != nil {
-			return func() bool { return false }
-		}
-		lp := p.(*liblinux.Process)
-		addr, err := lp.Helper().ResolvePID(int64(partner))
-		if err != nil {
-			return func() bool { return false }
-		}
-		return func() bool { return lp.Helper().Ping(addr) == nil }
+	benchGuestOp(b, true, fig5Ping)
+}
+
+// fig5Ping forks a parked partner and returns one helper-to-helper ping
+// to it over the cached point-to-point stream.
+func fig5Ping(p api.OS) func() bool {
+	hold := make(chan struct{})
+	partner, err := p.Fork(func(c api.OS) {
+		<-hold
+		c.Exit(0)
 	})
+	if err != nil {
+		return func() bool { return false }
+	}
+	lp := p.(*liblinux.Process)
+	addr, err := lp.Helper().ResolvePID(int64(partner))
+	if err != nil {
+		return func() bool { return false }
+	}
+	return func() bool { return lp.Helper().Ping(addr) == nil }
 }
 
 // BenchmarkRemoteSignalGraphene signals another picoprocess over the

@@ -326,3 +326,40 @@ func BenchmarkHelperSemopLocal(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRPCKeyLookupRemote is a member's msgget of a live key: one
+// MsgKeyGet round trip to the shard leader, which answers from its key
+// table. A lookup proposes no ID, so it carries no replay token.
+func BenchmarkRPCKeyLookupRemote(b *testing.B) {
+	lh, mh := benchPair(b)
+	id, err := lh.Msgget(67, api.IPCCreat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got, err := mh.Msgget(67, 0); err != nil || got != id {
+			b.Fatalf("lookup = %d, %v; want %d", got, err, id)
+		}
+	}
+}
+
+// BenchmarkRPCKeyChurnRemote is a member's create + rmid of a fresh key:
+// a creating MsgKeyGet (with its replay token) that makes the member the
+// queue's owner, then the owner-local removal and its synchronous
+// MsgKeyRemove tombstone at the leader.
+func BenchmarkRPCKeyChurnRemote(b *testing.B) {
+	_, mh := benchPair(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, err := mh.Msgget(int64(0x10000+i), api.IPCCreat|api.IPCExcl)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := mh.MsgRmid(id); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -164,6 +164,49 @@ func TestChaosStreamResetReplayDedup(t *testing.T) {
 	}
 }
 
+// TestChaosDroppedLookupReplyReExecutes drops the live leader's reply to a
+// member's plain lookup. The call fails at its deadline, the election
+// round re-asserts the live leader, and the retried lookup — which
+// carries no replay token — simply re-executes and answers the right ID,
+// with nothing answered from the replay cache.
+func TestChaosDroppedLookupReplyReExecutes(t *testing.T) {
+	g := newTestGroup(t)
+	lh, lp := g.leader(newFakeService())
+	m1, _ := g.member(lp, lh.Addr, 2, newFakeService())
+	m2, _ := g.member(lp, lh.Addr, 3, newFakeService())
+	id, err := m1.Msgget(43, api.IPCCreat)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before := ReadFailoverCounters()
+	plan := host.NewFaultPlan().Rule("rpc.MsgKeyGet.reply", 1, host.FaultDrop)
+	lp.Proc().SetFaultPlan(plan)
+	start := time.Now()
+	got, err := m2.Msgget(43, 0)
+	elapsed := time.Since(start)
+	lp.Proc().SetFaultPlan(nil)
+	if err != nil || got != id {
+		t.Fatalf("lookup across a dropped reply: id=%d err=%v, want %d", got, err, id)
+	}
+	if len(plan.Fired()) == 0 {
+		t.Fatal("fault plan never fired; the lookup's reply was not dropped")
+	}
+	after := ReadFailoverCounters()
+	if d := after.RPCTimeouts - before.RPCTimeouts; d < 1 {
+		t.Fatal("the dropped reply did not time the lookup out")
+	}
+	if d := after.ReplaysDeduped - before.ReplaysDeduped; d != 0 {
+		t.Fatalf("replays deduped = %d, want 0: a lookup re-executes", d)
+	}
+	if elapsed > chaosRPCBudget {
+		t.Fatalf("lookup across a dropped reply took %v, budget %v", elapsed, chaosRPCBudget)
+	}
+	if got := m2.LeaderAddr(); got != lh.Addr {
+		t.Fatalf("leader after the retry = %q, want %q", got, lh.Addr)
+	}
+}
+
 // TestChaosKillLeaderMidMsgsnd kills the leader as a send to a
 // leader-owned queue enters its handler. The queue dies with its owner and
 // was never persisted, so the sender must get a real errno (EIDRM) from

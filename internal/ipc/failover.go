@@ -138,12 +138,17 @@ func deadLeaderErr(err error) bool {
 	return err == api.EPIPE || err == api.ECONNREFUSED || err == api.ETIMEDOUT
 }
 
-// needsReqID marks the non-idempotent request types — creates, registers,
+// needsReqID marks the non-idempotent requests — creates, registers,
 // migrations — whose replay after a lost response must be deduplicated.
-// Everything else retries safely without a token.
-func needsReqID(t MsgType) bool {
-	switch t {
-	case MsgNSAlloc, MsgKeyGet, MsgKeyRegister, MsgQMigrate, MsgSemMigrate:
+// A MsgKeyGet may create exactly when it proposes an ID (D != 0): a create
+// or an IPC_PRIVATE get, which creates without IPC_CREAT. A plain lookup
+// proposes none and, like everything else, retries safely without a token:
+// it simply re-executes.
+func needsReqID(f *Frame) bool {
+	switch f.Type {
+	case MsgKeyGet:
+		return f.D != 0
+	case MsgNSAlloc, MsgKeyRegister, MsgQMigrate, MsgSemMigrate:
 		return true
 	}
 	return false
@@ -211,7 +216,7 @@ func (h *Helper) callShard(shard int, f Frame) (Frame, error) {
 		}
 		// Mint the idempotency token once; retries of this logical request
 		// reuse it so the (possibly same) leader can deduplicate.
-		if f.ReqID == 0 && needsReqID(f.Type) {
+		if f.ReqID == 0 && needsReqID(&f) {
 			f.ReqID = h.reqSeq.Add(1)
 		}
 		if leaderAddr == "" {

@@ -514,13 +514,17 @@ func (h *Helper) clearLeaderLocked(g *shardGroup) {
 // and the accepted set, and — when we lead a shard — a peer that never
 // said MsgBye is treated as crashed and reaped (the RPC-disconnection
 // failure detector of §4.2, pointed at members instead of the leader).
+// A helper whose own picoprocess has died reaps nothing: its exit closes
+// every stream it holds, so each of those deaths is its own, and a reap
+// scattered from it as MsgMemberDead would make the live shard leaders
+// drop the live peers' objects.
 func (h *Helper) dropConn(c *Conn) {
 	h.conns.deleteValue(func(cc *Conn) bool { return cc == c })
 	h.mu.Lock()
 	delete(h.incoming, c)
 	h.mu.Unlock()
 	addr := c.remote()
-	if addr == "" || addr == h.Addr || !h.leadsAny() {
+	if addr == "" || addr == h.Addr || !h.leadsAny() || h.pal.Proc().Dead() {
 		return
 	}
 	go h.reapMember(addr, true)

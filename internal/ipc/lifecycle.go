@@ -349,21 +349,24 @@ func (h *Helper) removeLocal(kind int, id int64) api.Errno {
 	hd.mu.Lock()
 	o.removeLocked()
 	hd.removed = true
-	accessors := make([]string, 0, len(hd.accessors))
+	var others []string
 	for a := range hd.accessors {
-		accessors = append(accessors, a)
+		if a != h.Addr {
+			others = append(others, a)
+		}
 	}
 	hd.mu.Unlock()
-	h.bgGo(func() {
-		for _, addr := range accessors {
-			if addr == h.Addr {
-				continue
+	// Only another helper needs to hear of the removal: an object no one
+	// but its owner used starts no background task.
+	if len(others) > 0 {
+		h.bgGo(func() {
+			for _, addr := range others {
+				if c, err := h.dial(addr); err == nil {
+					_ = c.Notify(Frame{Type: MsgQDeleted, A: id, B: wireFlag(kind)})
+				}
 			}
-			if c, err := h.dial(addr); err == nil {
-				_ = c.Notify(Frame{Type: MsgQDeleted, A: id, B: wireFlag(kind)})
-			}
-		}
-	})
+		})
+	}
 	// The authoritative-shard tombstone is synchronous: once Rmid returns,
 	// no other picoprocess can resolve the key to the dead ID (an async
 	// notify left a window where a concurrent create handed out the stale

@@ -335,3 +335,57 @@ func TestSysVObjectLifecycle(t *testing.T) {
 		})
 	}
 }
+
+// TestRmidTellsOnlyOtherAccessors: an rmid tells the object's other
+// accessors of its end, and only them. A queue a remote sender used still
+// reaches that sender as MsgQDeleted, which drops its cached owner. A
+// queue only its owner used starts no background task: its rmid allocates
+// only its tombstone call's one object, where the task would add its
+// closure, its accessor list and its goroutine.
+func TestRmidTellsOnlyOtherAccessors(t *testing.T) {
+	SetMigrationEnabled(false)
+	defer SetMigrationEnabled(true)
+	g := newTestGroup(t)
+	lh, lp := g.leader(newFakeService())
+	oh, _ := g.member(lp, lh.Addr, 2, newFakeService())
+	ph, _ := g.member(lp, lh.Addr, 3, newFakeService())
+	cachedOwner := func(h *Helper, id int64) bool {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		_, ok := h.ownerCache[NSSysVMsg][id]
+		return ok
+	}
+
+	used, err := oh.Msgget(0x7d00, api.IPCCreat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ph.Msgsnd(used, 1, []byte("x"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if !cachedOwner(ph, used) {
+		t.Fatal("the sender does not cache the queue's owner")
+	}
+	if err := oh.MsgRmid(used); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, "MsgQDeleted at the remote accessor", func() bool { return !cachedOwner(ph, used) })
+
+	const runs = 100
+	quiet := make([]int64, runs+1)
+	for i := range quiet {
+		if quiet[i], err = oh.Msgget(0x7e000+int64(i), api.IPCCreat|api.IPCExcl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := oh.MsgRmid(quiet[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if !raceDetector && allocs > 1 {
+		t.Fatalf("rmid of an owner-only queue: %v allocs, want at most 1: it starts a fan-out task", allocs)
+	}
+}

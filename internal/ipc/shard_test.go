@@ -344,6 +344,46 @@ func TestChaosKillOneShardLeavesOthersUndisturbed(t *testing.T) {
 	}
 }
 
+// TestChaosDyingShardLeaderReapsNoLivePeer kills one shard's coordinator
+// after a member created a key on every shard. The coordinator's exit
+// closes every stream it holds, and none of those deaths is a peer's: it
+// must reap no live member, neither in its own tables nor, through a
+// scattered MsgMemberDead, in the live shard leaders'. Every leader keeps
+// mapping every key to its creator.
+func TestChaosDyingShardLeaderReapsNoLivePeer(t *testing.T) {
+	g := newTestGroup(t)
+	tp := g.shardTopology(4, 2)
+	m1 := tp.mems[0]
+	keys := make([]int64, 4)
+	for s := range keys {
+		keys[s] = keyOnShard(m1, NSSysVMsg, s)
+		if _, err := m1.Msgget(keys[s], api.IPCCreat); err != nil {
+			t.Fatalf("create on shard %d: %v", s, err)
+		}
+	}
+	const victim = 2
+	vh := tp.coords[victim]
+	tp.coordPALs[victim].Proc().Exit(137)
+	// The victim's read loops see their streams close and drop each conn;
+	// a reap would start right after. Give it time to land.
+	waitFor(t, 2*time.Second, "the dead coordinator to drop its conns", func() bool {
+		vh.mu.Lock()
+		defer vh.mu.Unlock()
+		return len(vh.incoming) == 0
+	})
+	time.Sleep(50 * time.Millisecond)
+	for s, c := range tp.coords {
+		l := c.groups[s].leader
+		l.mu.Lock()
+		e, ok := l.keys[NSSysVMsg][keys[s]]
+		l.mu.Unlock()
+		if !ok || e.owner != m1.Addr {
+			t.Errorf("shard %d's leader maps key %d to %+v (mapped=%v) after shard %d's coordinator died; want owner %s",
+				s, keys[s], e, ok, victim, m1.Addr)
+		}
+	}
+}
+
 // TestChaosPartitionShardSubset partitions one shard's coordinator away
 // from everyone (alive, not killed — the asymmetric-failure case): ops on
 // other shards stay undisturbed, the stranded shard fails over, and after
