@@ -9,7 +9,7 @@ PKGS := ./...
 # `make race` and CI's race step run exactly this list.
 HOT_PKGS := ./internal/host/... ./internal/ipc/... ./internal/liblinux/... ./internal/posix/... ./internal/baseline/native/...
 
-.PHONY: build test race vet shape bench bench-smoke bench-fig5 benchmark benchmark-smoke chaos chaos-shard chaos-ring chaos-fleet flake cover fuzz loc all
+.PHONY: build test race vet shape bench bench-smoke bench-fig5 benchmark benchmark-smoke chaos chaos-ring chaos-fleet flake cover fuzz loc all
 
 all: build vet test
 
@@ -52,14 +52,6 @@ vet:
 # of a non-leader parent must reach the leader's dispatcher zero times.
 chaos:
 	$(GO) test -race -count=3 -run 'Chaos|Partition|TestForkedChildMakesNoLeaderTraffic' ./internal/ipc/ ./internal/host/ ./internal/liblinux/
-
-# Sharded namespace plane under fault: the 4-shard chaos suites (kill
-# one shard's coordinator, partition a shard subset, leader flap during
-# cross-shard reclaim) plus the shard-routing determinism and rebalance
-# properties, under the race detector. Same fixed-seed discipline as
-# `make chaos`.
-chaos-shard:
-	$(GO) test -race -count=3 -run 'Shard' ./internal/ipc/
 
 # Kernel-bypass send ring under fault: the host ring protocol (seal
 # fence, revocation, concurrent produce/consume), the route rule (only

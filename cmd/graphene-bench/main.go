@@ -65,14 +65,11 @@ func main() {
 	t7N, t7Iters := 500, 3
 	fig5Counts := []int{2, 4, 8, 12, 16, 24, 32}
 	fig5Msgs := 10000
-	fig5ShardProcs := []int{64, 128, 256, 512}
-	fig5ShardCounts := []int{1, 2, 4, 8}
+	fig5PopProcs := []int{64, 128, 256, 512}
 	// Total standing keys / total removals across the whole sandbox
-	// (per-worker share = total/procs; see Fig5Shards). Sized as large as
-	// the measurement tolerates: bigger standing populations sharpen the
-	// shard speedup (the per-removal scan is the work the shards divide)
-	// but past ~50k keys GC stalls at the 512-proc position start tripping
-	// the failover detector and the windows measure elections instead.
+	// (per-worker share = total/procs; see Fig5Population). Past ~50k keys
+	// GC stalls at the 512-proc position start tripping the failover
+	// detector and the windows measure elections instead.
 	fig5Keys, fig5Churn := 49_152, 2048
 	t5 := bench.DefaultTable5Scale()
 	httpdScale := bench.DefaultHTTPDScale()
@@ -82,9 +79,8 @@ func main() {
 		t7N, t7Iters = 200, 1
 		fig5Counts = []int{2, 4, 8}
 		fig5Msgs = 2000
-		// Shard smoke: one x-position, single-coordinator vs 2 shards.
-		fig5ShardProcs = []int{64}
-		fig5ShardCounts = []int{1, 2}
+		// Population smoke: two x-positions.
+		fig5PopProcs = []int{64, 128}
 		fig5Keys, fig5Churn = 4096, 1024
 		t5 = bench.Table5Scale{Iters: 1, CompileKLoC: 2, HTTPReqs: 100, ShellIters: 3}
 		httpdScale = bench.HTTPDScale{Workers: 2, RateRPS: 200, DurMS: 500, Conc: 4, TimeoutMS: 1000, ChaosMS: 250}
@@ -136,12 +132,12 @@ func main() {
 			return err
 		}
 		fmt.Print(bench.RenderFig5(points))
-		shardPoints, err := bench.Fig5Shards(fig5ShardProcs, fig5ShardCounts, fig5Keys, fig5Churn)
+		popPoints, err := bench.Fig5Population(fig5PopProcs, fig5Keys, fig5Churn)
 		if err != nil {
 			return err
 		}
-		fmt.Print(bench.RenderFig5Shards(shardPoints))
-		allPoints := append(points, shardPoints...)
+		fmt.Print(bench.RenderFig5Population(popPoints))
+		allPoints := append(points, popPoints...)
 		return emit("fig5", func(p string) any { return bench.MergeFig5JSON(p, allPoints) })
 	})
 	run("httpd", func() error {

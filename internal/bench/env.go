@@ -84,24 +84,15 @@ func (e *GrapheneEnv) Launch(path string, argv []string) (*liblinux.LaunchResult
 
 // Run launches and waits with a deadline.
 func (e *GrapheneEnv) Run(path string, argv ...string) (int, error) {
+	return e.RunFor(workloadDeadline, path, argv...)
+}
+
+// RunFor is Run with a caller-chosen hang deadline, for drivers that run
+// the same workload many times and know how long a healthy run takes — a
+// sweep should not burn the default ten minutes discovering that one of
+// its windows wedged.
+func (e *GrapheneEnv) RunFor(deadline time.Duration, path string, argv ...string) (int, error) {
 	res, err := e.Launch(path, argv)
-	if err != nil {
-		return 0, err
-	}
-	return waitResult(res.Done, func() int { return res.ExitCode() }, workloadDeadline)
-}
-
-// RunSharded launches on an N-shard namespace plane and waits.
-func (e *GrapheneEnv) RunSharded(shards int, path string, argv ...string) (int, error) {
-	return e.RunShardedFor(workloadDeadline, shards, path, argv...)
-}
-
-// RunShardedFor is RunSharded with a caller-chosen hang deadline, for
-// drivers that run the same workload many times and know how long a
-// healthy run takes — a sweep should not burn the default ten minutes
-// discovering that one of its forty windows wedged.
-func (e *GrapheneEnv) RunShardedFor(deadline time.Duration, shards int, path string, argv ...string) (int, error) {
-	res, err := e.Runtime.LaunchSharded(e.Manifest, path, append([]string{path}, argv...), shards)
 	if err != nil {
 		return 0, err
 	}
@@ -179,7 +170,7 @@ func (e *KVMEnv) Run(path string, argv ...string) (int, error) {
 // ResidentBytes is the KVM column of Figure 4.
 func (e *KVMEnv) ResidentBytes() uint64 { return e.VM.ResidentBytes() }
 
-// workloadDeadline is the default hang watchdog for Run/RunSharded.
+// workloadDeadline is the default hang watchdog for Run.
 const workloadDeadline = 10 * time.Minute
 
 func waitResult(done chan struct{}, code func() int, deadline time.Duration) (int, error) {

@@ -16,12 +16,10 @@ import (
 )
 
 // Fig5Point is one x-position of Figure 5: total wall-clock time for
-// pairs of processes to exchange msgs one-byte ping-pongs concurrently.
-// Shards is the namespace-plane width the point was measured against
-// (1 = the paper's single-coordinator design).
+// pairs of processes to exchange msgs one-byte ping-pongs concurrently, or
+// (Fig5Population, no pipe column) the namespace-churn window.
 type Fig5Point struct {
 	Processes int
-	Shards    int
 	PipesUS   float64 // Linux pipes
 	RPCUS     float64 // Graphene host RPC
 }
@@ -93,42 +91,36 @@ func Fig5(procCounts []int, msgs int) ([]Fig5Point, error) {
 		}
 		rpcUS := float64(time.Since(rpcStart).Microseconds())
 
-		out = append(out, Fig5Point{Processes: pairs * 2, Shards: 1, PipesUS: pipeUS, RPCUS: rpcUS})
+		out = append(out, Fig5Point{Processes: pairs * 2, PipesUS: pipeUS, RPCUS: rpcUS})
 	}
 	return out, nil
 }
 
-// Fig5Shards sweeps the sharded namespace plane: for each picoprocess
-// count, the coordination-RPC cost is measured at each shard count, with
-// the shard configurations run back to back within one x-position so
-// machine conditions stay comparable.
+// Fig5Population sweeps the sandbox population on the one namespace
+// leader: for each picoprocess count, it measures the cost of a fixed
+// volume of namespace work.
 //
 // The classic Figure 5 ping-pong bypasses the coordinator by design (a
 // ping is one point-to-point round trip over a cached stream), so this
-// sweep drives the namespace plane itself — the load the coordinator
-// exists to serve. Every picoprocess builds a standing population of
-// keyed SysV objects before the measured window opens; inside the window
-// each picoprocess removes its churn objects, and every removal is a
-// registry mutation at the object's authoritative shard that scans that
-// shard's key table for aliases to evict. With one coordinator each
-// removal scans the whole sandbox's key table; with N shards each leader
-// holds and scans ~1/N of it, which is where the scaling comes from. The
-// total standing population (keysTotal) and total churn volume
-// (churnTotal) are both held constant across process counts (like the
-// paper's fixed per-pair message count) so the x-axis isolates how the
-// namespace-plane cost scales with sandbox population — and so the
-// process heap stays bounded: letting the key table grow with the
-// process count drives GC stalls past the RPC failover deadline at the
-// largest sandbox sizes, and the resulting spurious election herds
-// measure the failure detector, not the namespace. Setup (forks,
-// standing creates) and teardown (exits) sit outside the window: fork
-// cost is Table 6's subject, not Figure 5's.
-func Fig5Shards(procCounts, shardCounts []int, keysTotal, churnTotal int) ([]Fig5Point, error) {
+// sweep drives the namespace plane itself — the load the leader exists to
+// serve. Every picoprocess builds a standing population of keyed SysV
+// objects before the measured window opens; inside the window each
+// picoprocess removes its churn objects, and every removal is a
+// synchronous registry mutation at the leader. The total standing
+// population (keysTotal) and total churn volume (churnTotal) are both held
+// constant across process counts (like the paper's fixed per-pair message
+// count), so the x-axis isolates how the leader's per-operation cost
+// scales with sandbox population: with the leader's tables indexed by ID
+// a removal costs the same at any population, and the window stays flat.
+// Holding the totals constant also keeps the process heap bounded:
+// letting the key table grow with the process count drives GC stalls past
+// the RPC failover deadline at the largest sandbox sizes, and the
+// resulting spurious election herds measure the failure detector, not the
+// namespace. Setup (forks, standing creates) and teardown (exits) sit
+// outside the window: fork cost is Table 6's subject, not Figure 5's.
+func Fig5Population(procCounts []int, keysTotal, churnTotal int) ([]Fig5Point, error) {
 	if len(procCounts) == 0 {
 		procCounts = []int{64, 128, 256, 512}
-	}
-	if len(shardCounts) == 0 {
-		shardCounts = []int{1, 2, 4, 8}
 	}
 	if keysTotal <= 0 {
 		keysTotal = 49_152
@@ -142,67 +134,52 @@ func Fig5Shards(procCounts, shardCounts []int, keysTotal, churnTotal int) ([]Fig
 	// RPC reply past the failover deadline mid-measurement.
 	oldGC := debug.SetGCPercent(400)
 	defer debug.SetGCPercent(oldGC)
-	// Two interleaved passes per process count, keeping the faster window
-	// per configuration: shard counts alternate within one x-position, so
-	// GC and scheduler noise land on every configuration evenly and the
-	// min filters it out.
+	// Two passes per process count, keeping the faster window: the min
+	// filters GC and scheduler noise.
 	const reps = 2
 	var out []Fig5Point
 	for _, procs := range procCounts {
-		baseKeys := keysTotal / procs
-		if baseKeys < 1 {
-			baseKeys = 1
-		}
-		churn := churnTotal / procs
-		if churn < 1 {
-			churn = 1
-		}
-		best := make(map[int]float64, len(shardCounts))
-		clean := make(map[int]bool, len(shardCounts))
-		failed := make(map[int]error, len(shardCounts))
+		baseKeys := max(keysTotal/procs, 1)
+		churn := max(churnTotal/procs, 1)
+		best, clean := 0.0, false
+		var failed error
 		for rep := 0; rep < reps; rep++ {
-			for _, shards := range shardCounts {
-				us, quiet, err := runFig5Churn(procs, shards, baseKeys, churn)
-				if err != nil {
-					// One bad window (a wedged or failed run) doesn't sink
-					// the sweep as long as another rep of this configuration
-					// measures cleanly — that is what the repetitions are
-					// for. It is reported, not hidden, and if every rep of a
-					// configuration fails the sweep fails with it.
-					fmt.Printf("fig5 shards: discarding %d-proc %d-shard window: %v\n", procs, shards, err)
-					failed[shards] = err
-					continue
-				}
-				// A window bracketed by spurious failover activity (an
-				// election, RPC timeout, or member reap fired mid-run)
-				// measured the failure detector, not the namespace; it only
-				// counts if no clean run of this configuration exists.
-				if prev, ok := best[shards]; !ok ||
-					(quiet && !clean[shards]) || (quiet == clean[shards] && us < prev) {
-					best[shards] = us
-					clean[shards] = clean[shards] || quiet
-				}
+			us, quiet, err := runFig5Churn(procs, baseKeys, churn)
+			if err != nil {
+				// One bad window (a wedged or failed run) doesn't sink the
+				// sweep as long as another rep measures cleanly — that is
+				// what the repetitions are for. It is reported, not hidden,
+				// and if every rep fails the sweep fails with it.
+				fmt.Printf("fig5 population: discarding a %d-proc window: %v\n", procs, err)
+				failed = err
+				continue
+			}
+			// A window bracketed by spurious failover activity (an
+			// election, RPC timeout, or member reap fired mid-run) measured
+			// the failure detector, not the namespace; it only counts if no
+			// clean run exists.
+			if best == 0 || (quiet && !clean) || (quiet == clean && us < best) {
+				best = us
+				clean = clean || quiet
 			}
 		}
-		for _, shards := range shardCounts {
-			if _, ok := best[shards]; !ok {
-				return nil, failed[shards]
-			}
-			out = append(out, Fig5Point{Processes: procs, Shards: shards, RPCUS: best[shards]})
+		if best == 0 {
+			return nil, failed
 		}
+		out = append(out, Fig5Point{Processes: procs, RPCUS: best})
 	}
 	return out, nil
 }
 
-// runFig5Churn boots one sharded sandbox and runs the namespace-churn
-// workload, returning the measured churn-window duration in microseconds
-// and whether the run was quiet — no election, RPC timeout, or member
-// reap fired anywhere in it (including setup and teardown, whose storms
-// leak into the window through retry backlog).
-func runFig5Churn(workers, shards, baseKeys, churn int) (float64, bool, error) {
-	// Settle the heap from the previous run so each configuration starts
-	// from the same GC state; back-to-back sandboxes otherwise hand their
-	// garbage to whichever window runs next.
+// runFig5Churn boots one sandbox and runs the namespace-churn workload,
+// returning the measured churn-window duration in microseconds and whether
+// the run was quiet — no election, RPC timeout, or member reap fired
+// anywhere in it (including setup and teardown, whose storms leak into
+// the window through retry backlog).
+func runFig5Churn(workers, baseKeys, churn int) (float64, bool, error) {
+	// Settle the heap from the previous run so each window starts from the
+	// same GC state; back-to-back sandboxes otherwise hand their garbage to
+	// whichever window runs next.
 	runtime.GC()
 	env, err := NewGraphene()
 	if err != nil {
@@ -216,12 +193,12 @@ func runFig5Churn(workers, shards, baseKeys, churn int) (float64, bool, error) {
 		return 0, false, err
 	}
 	before := ipc.ReadFailoverCounters()
-	// A healthy run at the largest configuration takes seconds; 90s of
+	// A healthy run at the largest population takes seconds; 90s of
 	// headroom distinguishes "slow under noise" from "wedged" without
-	// burning the default ten-minute watchdog on a sweep of forty windows.
-	code, err := env.RunShardedFor(90*time.Second, shards, "/bin/nschurn")
+	// burning the default ten-minute watchdog on one window of the sweep.
+	code, err := env.RunFor(90*time.Second, "/bin/nschurn")
 	if err != nil || code != 0 {
-		return 0, false, fmt.Errorf("nschurn procs=%d shards=%d: code=%d err=%v", workers, shards, code, err)
+		return 0, false, fmt.Errorf("nschurn procs=%d: code=%d err=%v", workers, code, err)
 	}
 	after := ipc.ReadFailoverCounters()
 	quiet := after.Failovers == before.Failovers &&
@@ -278,7 +255,7 @@ func nsChurnRoot(p api.OS, workers, baseKeys, churn int, out *int64) int {
 	// (token-serialized), so the sum is the wall clock of the namespace
 	// work alone: the token handoffs between workers — park, wake,
 	// reschedule, all of it harness serialization that grows with the
-	// process count and shards across nothing — stay out of the window.
+	// process count — stay out of the window.
 	var total int64
 	for w := 0; w < workers; w++ {
 		if err := p.Msgsnd(ctl, int64(churnGo+w), nil, 0); err != nil {
@@ -303,25 +280,23 @@ func nsChurnRoot(p api.OS, workers, baseKeys, churn int, out *int64) int {
 	return 0
 }
 
-// runChurnWorker is one picoprocess of the shard sweep: on its setup
+// runChurnWorker is one picoprocess of the population sweep: on its setup
 // token it builds its share of the standing key population plus its churn
-// objects; on its churn token it removes the churn objects. Every key
-// sits in its own 64-key placement block (keys are 64 apart), so the keys
-// spread across shards by hash, and each create and remove is a real RPC
-// to the key's authoritative shard.
+// objects; on its churn token it removes the churn objects. Each create
+// and remove is a real RPC to the leader.
 func runChurnWorker(c api.OS, ctl, w, baseKeys, churn int) int {
 	if _, _, err := c.Msgrcv(ctl, int64(setupGo+w), nil, 0); err != nil {
 		return 1
 	}
 	base := (w + 1) * 1_000_000
 	for j := 0; j < baseKeys; j++ {
-		if _, err := c.Msgget((base+j)*64, api.IPCCreat); err != nil {
+		if _, err := c.Msgget(base+j, api.IPCCreat); err != nil {
 			return 1
 		}
 	}
 	ids := make([]int, churn)
 	for i := 0; i < churn; i++ {
-		id, err := c.Msgget((base+500_000+i)*64, api.IPCCreat)
+		id, err := c.Msgget(base+500_000+i, api.IPCCreat)
 		if err != nil {
 			return 1
 		}

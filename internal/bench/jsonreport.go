@@ -145,22 +145,15 @@ func Table7JSON(rows []Table7Result) any {
 
 type fig5JSON struct {
 	Processes int     `json:"processes"`
-	Shards    int     `json:"shards"`
 	PipesUS   float64 `json:"linux_pipes_us,omitempty"`
 	RPCUS     float64 `json:"graphene_rpc_us"`
 }
 
-// Fig5JSON projects Figure 5 points for WriteJSON. A zero Shards (points
-// produced before the sharded namespace plane existed) normalizes to 1,
-// the single-coordinator design.
+// Fig5JSON projects Figure 5 points for WriteJSON.
 func Fig5JSON(points []Fig5Point) any {
 	out := make([]fig5JSON, 0, len(points))
 	for _, p := range points {
-		shards := p.Shards
-		if shards == 0 {
-			shards = 1
-		}
-		out = append(out, fig5JSON{Processes: p.Processes, Shards: shards, PipesUS: p.PipesUS, RPCUS: p.RPCUS})
+		out = append(out, fig5JSON{Processes: p.Processes, PipesUS: p.PipesUS, RPCUS: p.RPCUS})
 	}
 	return out
 }
@@ -172,7 +165,7 @@ func Fig5JSON(points []Fig5Point) any {
 // order. A partial sweep therefore refreshes only what it ran instead of
 // clobbering the whole file; a missing or unreadable archive degrades to
 // just the new rows. fix, if non-nil, normalizes archived rows before
-// matching (schema back-compat, e.g. Fig5's pre-shard points).
+// matching (schema back-compat, e.g. the fleet's pre-sweep rows).
 func mergeRows[T any](path string, fresh []T, key func(T) string, fix func([]T)) []T {
 	merged := []T{}
 	if data, err := os.ReadFile(path); err == nil {
@@ -312,24 +305,11 @@ func MergeHTTPDJSON(path string, rows []HTTPDResult) any {
 }
 
 // MergeFig5JSON merges freshly measured Figure 5 points into the series
-// already archived at path, keyed by (processes, shards) and sorted on
-// that coordinate. Archived points from before the sharded namespace
-// plane carry Shards == 0 and normalize to 1 before matching.
+// already archived at path, keyed by process count and sorted on it (the
+// ping-pong series and the population sweep use disjoint counts).
 func MergeFig5JSON(path string, points []Fig5Point) any {
 	merged := mergeRows(path, Fig5JSON(points).([]fig5JSON),
-		func(p fig5JSON) string { return fmt.Sprintf("%d|%d", p.Processes, p.Shards) },
-		func(old []fig5JSON) {
-			for i := range old {
-				if old[i].Shards == 0 {
-					old[i].Shards = 1
-				}
-			}
-		})
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Processes != merged[j].Processes {
-			return merged[i].Processes < merged[j].Processes
-		}
-		return merged[i].Shards < merged[j].Shards
-	})
+		func(p fig5JSON) string { return fmt.Sprint(p.Processes) }, nil)
+	sort.Slice(merged, func(i, j int) bool { return merged[i].Processes < merged[j].Processes })
 	return merged
 }

@@ -99,30 +99,30 @@ func TestMergeJSONMissingArchive(t *testing.T) {
 	}
 }
 
-// TestMergeFig5JSONNormalizesShards pins the schema back-compat path: an
-// archive written before the sharded namespace plane (Shards omitted,
-// unmarshals as 0) matches a fresh single-coordinator point at Shards 1
-// instead of duplicating the coordinate.
-func TestMergeFig5JSONNormalizesShards(t *testing.T) {
+// TestMergeFig5JSONByProcessCount pins the archive's coordinate: a fresh
+// point replaces the archived one at its process count instead of
+// duplicating it, other archived points stay, and the merged series sorts
+// by process count.
+func TestMergeFig5JSONByProcessCount(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_fig5.json")
 	if err := WriteJSON(path, []map[string]any{
+		{"processes": 64, "graphene_rpc_us": 13000.0},
 		{"processes": 4, "linux_pipes_us": 10.0, "graphene_rpc_us": 20.0},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	merged := MergeFig5JSON(path, []Fig5Point{
-		{Processes: 4, Shards: 1, PipesUS: 11, RPCUS: 19},
-		{Processes: 2, Shards: 1, PipesUS: 5, RPCUS: 9},
+		{Processes: 4, PipesUS: 11, RPCUS: 19},
+		{Processes: 2, PipesUS: 5, RPCUS: 9},
 	}).([]fig5JSON)
-	if len(merged) != 2 {
-		t.Fatalf("merged points = %d, want 2 (pre-shard archive point must match, not duplicate): %+v", len(merged), merged)
+	if len(merged) != 3 {
+		t.Fatalf("merged points = %d, want 3 (the archived 4-process point must be replaced, not duplicated): %+v", len(merged), merged)
 	}
-	// Sorted by (processes, shards).
-	if merged[0].Processes != 2 || merged[1].Processes != 4 {
+	if merged[0].Processes != 2 || merged[1].Processes != 4 || merged[2].Processes != 64 {
 		t.Fatalf("not sorted: %+v", merged)
 	}
 	if merged[1].RPCUS != 19 {
-		t.Errorf("archived pre-shard point not replaced: %+v", merged[1])
+		t.Errorf("archived point not replaced: %+v", merged[1])
 	}
 }
 

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"graphene/internal/cve"
@@ -170,52 +169,17 @@ func RenderFig5(points []Fig5Point) string {
 		"Paper: Graphene RPC closely matches Linux pipes at all process counts.\n"
 }
 
-// RenderFig5Shards formats the namespace-plane shard sweep: one row per
-// process count, one RPC-cost column per shard count, plus the speedup of
-// the widest plane over the single-coordinator baseline.
-func RenderFig5Shards(points []Fig5Point) string {
-	shardSet := map[int]bool{}
-	procOrder := []int{}
-	cost := map[int]map[int]float64{}
+// RenderFig5Population formats the one-leader population sweep: one row
+// per process count with its churn window and the window's ratio to the
+// smallest population's (the total churn is the same at every count, so
+// the ratio is the per-operation cost's).
+func RenderFig5Population(points []Fig5Point) string {
+	t := metrics.NewTable("Processes", "Churn window", "vs first")
 	for _, pt := range points {
-		if cost[pt.Processes] == nil {
-			cost[pt.Processes] = map[int]float64{}
-			procOrder = append(procOrder, pt.Processes)
-		}
-		cost[pt.Processes][pt.Shards] = pt.RPCUS
-		shardSet[pt.Shards] = true
+		t.Row(fmt.Sprint(pt.Processes), metrics.FmtUS(pt.RPCUS),
+			fmt.Sprintf("%.2fx", pt.RPCUS/points[0].RPCUS))
 	}
-	shards := []int{}
-	for s := range shardSet {
-		shards = append(shards, s)
-	}
-	sort.Ints(shards)
-	sort.Ints(procOrder)
-	cols := []string{"Processes"}
-	for _, s := range shards {
-		cols = append(cols, fmt.Sprintf("%d shard(s)", s))
-	}
-	cols = append(cols, "Speedup")
-	t := metrics.NewTable(cols...)
-	for _, p := range procOrder {
-		row := []string{fmt.Sprint(p)}
-		for _, s := range shards {
-			if us, ok := cost[p][s]; ok {
-				row = append(row, metrics.FmtUS(us))
-			} else {
-				row = append(row, "-")
-			}
-		}
-		speedup := "-"
-		base, okBase := cost[p][shards[0]]
-		widest, okWide := cost[p][shards[len(shards)-1]]
-		if okBase && okWide && widest > 0 {
-			speedup = fmt.Sprintf("%.2fx", base/widest)
-		}
-		row = append(row, speedup)
-		t.Row(row...)
-	}
-	return "Figure 5 (sharded): namespace-churn RPC cost by shard count\n" + t.String()
+	return "Figure 5 (population): namespace-churn cost on one leader\n" + t.String()
 }
 
 // RenderTable8 runs and formats the CVE analysis.

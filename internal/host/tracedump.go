@@ -113,11 +113,6 @@ func eventDetail(ev TraceEvent, rec *FlightRecorder) string {
 		} else {
 			fmt.Fprintf(&b, "msgtype=%d", ev.Code)
 		}
-		if ev.Kind == EvRPCServe && ev.Arg > 0 {
-			// Sharded topologies stamp serve spans with shard+1 (0 means a
-			// classic single-shard serve, rendered without the field).
-			fmt.Fprintf(&b, " shard=%d", ev.Arg-1)
-		}
 	case EvStreamRead, EvStreamWrite:
 		fmt.Fprintf(&b, "bytes=%d", ev.Arg)
 	case EvFault:

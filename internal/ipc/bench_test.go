@@ -66,7 +66,7 @@ func BenchmarkSemOpLocal(b *testing.B) {
 
 func BenchmarkLeaderKeyGet(b *testing.B) {
 	b.ReportAllocs()
-	l := newLeaderStateShard(0, 1)
+	l := newLeaderState()
 	if _, _, errno := l.keyResolve(NSSysVMsg, 7, api.IPCCreat, 100, "ipc.1"); errno != 0 {
 		b.Fatal(errno)
 	}
@@ -328,7 +328,7 @@ func BenchmarkHelperSemopLocal(b *testing.B) {
 }
 
 // BenchmarkRPCKeyLookupRemote is a member's msgget of a live key: one
-// MsgKeyGet round trip to the shard leader, which answers from its key
+// MsgKeyGet round trip to the leader, which answers from its key
 // table. A lookup proposes no ID, so it carries no replay token.
 func BenchmarkRPCKeyLookupRemote(b *testing.B) {
 	lh, mh := benchPair(b)

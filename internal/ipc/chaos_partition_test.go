@@ -65,7 +65,7 @@ func TestChaosPartitionLeaderMidMsggetChurn(t *testing.T) {
 	}
 
 	// Every create is one MsgKeyGet round trip to the leader, the call the
-	// partition must interrupt; the keys sit one placement block apart.
+	// partition must interrupt.
 	churnKey := func(i int) int64 { return int64(1000 + 64*i) }
 	for i := 0; i < 4; i++ {
 		if _, err := m1.Msgget(churnKey(i), api.IPCCreat); err != nil {
@@ -311,7 +311,7 @@ func TestChaosRecoverStuckBehindPartition(t *testing.T) {
 	g.k.Partition(p1.Proc().ID, lp.Proc().ID)
 
 	start := time.Now()
-	m1.sendRecoverState(&m1.shardGroup, lh.Addr) // synchronous: returns only when done
+	m1.sendRecoverState(lh.Addr) // synchronous: returns only when done
 	elapsed := time.Since(start)
 
 	// The loop must stop at its absolute deadline (plus at most one

@@ -271,6 +271,39 @@ func TestChaosCrashedMemberReaped(t *testing.T) {
 	_ = lh
 }
 
+// TestChaosDyingLeaderReapsNoLiveMember kills the leader after two
+// members created keys through it. The leader's exit closes every stream
+// it holds, and none of those deaths is a member's: it must reap no live
+// member, so its tables still map every key to its creator.
+func TestChaosDyingLeaderReapsNoLiveMember(t *testing.T) {
+	g := newTestGroup(t)
+	lh, lp := g.leader(newFakeService())
+	members := []*Helper{}
+	for pid := int64(2); pid <= 3; pid++ {
+		m, _ := g.member(lp, lh.Addr, pid, newFakeService())
+		if _, err := m.Msgget(100+pid, api.IPCCreat); err != nil {
+			t.Fatal(err)
+		}
+		members = append(members, m)
+	}
+	lp.Proc().Exit(137)
+	// The leader's read loops see their streams close and drop each conn;
+	// a reap would start right after. Give it time to land.
+	waitFor(t, 2*time.Second, "the dead leader to drop its conns", func() bool {
+		return lh.AcceptedConns() == 0
+	})
+	time.Sleep(50 * time.Millisecond)
+	l := lh.ledState()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	for i, m := range members {
+		key := int64(102 + i)
+		if e, ok := l.keys[NSSysVMsg][key]; !ok || e.owner != m.Addr {
+			t.Errorf("the dead leader maps key %d to %+v (mapped=%v); want owner %s", key, e, ok, m.Addr)
+		}
+	}
+}
+
 // TestChaosCrashedOwnerWakesParkedWaiter parks a blocking receive at a
 // remote queue owner, then crashes the owner without shutdown. The waiter's
 // deferred RPC dies with the owner's streams; its retry resolves through

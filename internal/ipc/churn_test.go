@@ -112,7 +112,7 @@ func TestDebugSysVStateRenders(t *testing.T) {
 	}
 	out := lh.DebugSysVState()
 	for _, want := range []string{"helper " + lh.Addr, fmt.Sprint("sem ", id), fmt.Sprint("q ", qid), "leader.owners",
-		fmt.Sprint("leader.owners sem ", id, "=", lh.Addr), fmt.Sprint("leader.owners q ", qid, "=", lh.Addr)} {
+		fmt.Sprint("leader.owners sem ", id, "=", lh.Addr, " epoch=1\n"), fmt.Sprint("leader.owners q ", qid, "=", lh.Addr, " epoch=1\n")} {
 		if !containsStr(out, want) {
 			t.Errorf("debug state missing %q:\n%s", want, out)
 		}
@@ -136,19 +136,6 @@ func TestDebugSysVStateRenders(t *testing.T) {
 		if !containsStr(out, want) {
 			t.Errorf("member debug state missing %q:\n%s", want, out)
 		}
-	}
-
-	// A helper that leads shard 1 of a two-shard plane prints that
-	// shard's owner map, tagged with the shard.
-	tp := newTestGroup(t).shardTopology(2, 0)
-	c1 := tp.coords[1]
-	sqid, err := c1.Msgget(keyOnShard(c1, NSSysVMsg, 1), api.IPCCreat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out = c1.DebugSysVState()
-	if want := fmt.Sprint("leader.owners q ", sqid, "=", c1.Addr, " epoch=1 shard=1"); !containsStr(out, want) {
-		t.Errorf("shard-1 leader's debug state missing %q:\n%s", want, out)
 	}
 }
 

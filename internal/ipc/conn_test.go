@@ -336,7 +336,7 @@ func TestConnCallAllocations(t *testing.T) {
 // stale epoch must not regress the leader's owner map, while an
 // epoch-zero claim (queue adoption) always lands.
 func TestChownEpochGuard(t *testing.T) {
-	l := newLeaderStateShard(0, 1)
+	l := newLeaderState()
 	id, owner, errno := l.keyResolve(NSSysVSem, 55, api.IPCCreat, 9, "ipc.1")
 	if errno != 0 || owner != "ipc.1" {
 		t.Fatalf("keyResolve: %v %v", owner, errno)

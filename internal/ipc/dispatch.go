@@ -54,19 +54,16 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 	}
 	// Epoch fence: a request stamped with a higher epoch than this
 	// leader's own is proof of demotion — the sender accepted a newer
-	// leader for that shard this helper never heard about (partition).
-	// Step down before dispatching; the request then bounces with EPERM
-	// from the leader-only handlers and the sender's failover loop
-	// re-resolves. The fence is per shard group: a newer epoch on shard 2
-	// says nothing about our claim on shard 0.
+	// leader this helper never heard about (partition). Step down before
+	// dispatching; the request then bounces with EPERM from the
+	// leader-only handlers and the sender's failover loop re-resolves.
 	if !f.IsResponse() && f.Epoch != 0 {
 		h.mu.Lock()
-		g := h.groupFor(f.Shard)
-		fenced := g != nil && g.leader != nil && f.Epoch > g.leaderEpoch
+		fenced := h.leader != nil && f.Epoch > h.leaderEpoch
 		h.mu.Unlock()
 		if fenced {
 			statFencedRequests.Add(1)
-			h.stepDownShard(g, f.Epoch, "")
+			h.stepDown(f.Epoch, "")
 		}
 	}
 	respond2, replayed := h.dedupCheck(&f, respond)
@@ -80,63 +77,25 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		respond(f.Response(Frame{}))
 
 	case MsgWhoIsLeader:
-		// Point-to-point notification carrying one shard leader's address
-		// (A is its election epoch).
+		// Point-to-point notification carrying the leader's address (A is
+		// its election epoch).
 		if f.S != "" {
 			h.mu.Lock()
-			if g := h.groupFor(f.Shard); g != nil && g.leaderAddr == "" {
-				h.setLeaderLocked(g, f.S, f.A)
+			if h.leaderAddr == "" {
+				h.setLeaderLocked(f.S, f.A)
 			}
 			h.mu.Unlock()
 		}
 
 	case MsgBye:
 		// Graceful departure: never reap this member when its streams die.
-		// The member says goodbye to every shard leader it shares a stream
-		// with; each led group here that holds something of it marks it
-		// departed.
-		h.mu.Lock()
-		var led []*leaderState
-		for _, g := range h.groups {
-			if g.leader != nil {
-				led = append(led, g.leader)
-			}
-		}
-		h.mu.Unlock()
-		for _, l := range led {
+		if l := h.ledState(); l != nil {
 			l.markDeparted(f.From)
 		}
 		respond(f.Response(Frame{}))
 
-	case MsgMemberDead:
-		// A peer observed a member's streams die and scattered the news so
-		// every shard leader reclaims the dead member's slice. Reap is
-		// idempotent; scatter=false stops a second fan-out round.
-		if f.S != "" && f.S != h.Addr {
-			go h.reapMember(f.S, false)
-		}
-
-	case MsgShardHandoff:
-		// Graceful shard transfer: the current shard leader asks us to take
-		// over under a pre-fenced epoch (A). Promote, announce, and install
-		// our own slice; members (including the old leader, which steps
-		// down on our announcement or on our response) reconcile as after
-		// any election — minus the settling window.
-		h.mu.Lock()
-		g := h.groupFor(f.Shard)
-		down := h.shutdown
-		h.mu.Unlock()
-		if g == nil || down {
-			respond(f.ErrResponse(api.EPERM))
-			return
-		}
-		h.promoteShard(g, f.A)
-		nf := Frame{Type: MsgNewLeader, A: f.A, Shard: f.Shard, From: h.Addr, S: h.Addr}
-		_ = h.pal.BroadcastSend(EncodeFrame(&nf))
-		respond(f.Response(Frame{}))
-
 	case MsgNSAlloc:
-		leader := h.ledStateFor(&f)
+		leader := h.ledState()
 		if leader == nil {
 			respond(f.ErrResponse(api.EPERM))
 			return
@@ -148,10 +107,10 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		}
 		lo, hi := leader.allocRange(int(f.A), n, f.From)
 		respond(f.Response(Frame{A: lo, B: hi}))
-		h.broadcastNSHwm(int(f.A), int(f.Shard), hi+1)
+		h.broadcastNSHwm(int(f.A), hi+1)
 
 	case MsgNSClaim:
-		leader := h.ledStateFor(&f)
+		leader := h.ledState()
 		if leader == nil {
 			respond(f.ErrResponse(api.EPERM))
 			return
@@ -159,7 +118,7 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		// Failover needs to hear the cursor only when it moved: a claim of
 		// an ID some range already covers wakes no subscriber.
 		if leader.claimRange(int(f.A), f.B, f.From) {
-			h.broadcastNSHwm(int(f.A), int(f.Shard), f.B+1)
+			h.broadcastNSHwm(int(f.A), f.B+1)
 		}
 		if int(f.A) == NSPid {
 			// The claimed PID may sit inside the leader's own already-held
@@ -202,7 +161,7 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		respond(f.Response(Frame{S: v}))
 
 	case MsgKeyGet:
-		leader := h.ledStateFor(&f)
+		leader := h.ledState()
 		if leader == nil {
 			respond(f.ErrResponse(api.EPERM))
 			return
@@ -215,7 +174,7 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		respond(f.Response(Frame{A: id, S: owner}))
 
 	case MsgKeyRegister:
-		leader := h.ledStateFor(&f)
+		leader := h.ledState()
 		if leader == nil {
 			respond(f.ErrResponse(api.EPERM))
 			return
@@ -228,7 +187,7 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		respond(f.Response(Frame{A: authID}))
 
 	case MsgKeyOwner:
-		leader := h.ledStateFor(&f)
+		leader := h.ledState()
 		if leader == nil {
 			respond(f.ErrResponse(api.EPERM))
 			return
@@ -241,7 +200,7 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		respond(f.Response(Frame{S: owner}))
 
 	case MsgKeyChown:
-		leader := h.ledStateFor(&f)
+		leader := h.ledState()
 		if leader == nil {
 			respond(f.ErrResponse(api.EPERM))
 			return
@@ -250,7 +209,7 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		respond(f.Response(Frame{}))
 
 	case MsgKeyRemove:
-		leader := h.ledStateFor(&f)
+		leader := h.ledState()
 		if leader == nil {
 			respond(f.ErrResponse(api.EPERM))
 			return
@@ -263,10 +222,10 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 
 	case MsgQDelete, MsgSemDelete:
 		// Off the read loop: removeLocal makes a synchronous RPC to the
-		// key's authoritative shard, and when that shard's leader is the
-		// peer this frame arrived from, the reply lands on the very read
-		// loop running this handler. Inline dispatch would deadlock on the
-		// shared connection until the call timed out.
+		// leader, and when the leader is the peer this frame arrived from,
+		// the reply lands on the very read loop running this handler.
+		// Inline dispatch would deadlock on the shared connection until the
+		// call timed out.
 		go func() {
 			// EXDEV: the object migrated away — bounce so the rmid
 			// re-resolves and chases the live copy instead of this stale
@@ -302,7 +261,7 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		h.handleRingDetach(f, respond)
 
 	case MsgPgJoin:
-		leader := h.ledStateFor(&f)
+		leader := h.ledState()
 		if leader == nil {
 			respond(f.ErrResponse(api.EPERM))
 			return
@@ -315,7 +274,7 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		respond(f.Response(Frame{}))
 
 	case MsgPgLeave:
-		leader := h.ledStateFor(&f)
+		leader := h.ledState()
 		if leader == nil {
 			respond(f.ErrResponse(api.EPERM))
 			return
@@ -324,7 +283,7 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		respond(f.Response(Frame{}))
 
 	case MsgPgMembers:
-		leader := h.ledStateFor(&f)
+		leader := h.ledState()
 		if leader == nil {
 			respond(f.ErrResponse(api.EPERM))
 			return
@@ -332,7 +291,7 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		respond(f.Response(Frame{Blob: encodeMembers(leader.pgs.members(f.A))}))
 
 	case MsgRecoverState:
-		leader := h.ledStateFor(&f)
+		leader := h.ledState()
 		if leader == nil {
 			respond(f.ErrResponse(api.EPERM))
 			return
@@ -368,7 +327,7 @@ func (h *Helper) handleNSQuery(f Frame, respond func(Frame)) {
 	}
 	h.mu.Lock()
 	addr, ok := h.localPIDs[f.B]
-	leader := h.groups[shardOfID(f.B, h.shards)].leader
+	leader := h.leader
 	h.mu.Unlock()
 	if ok {
 		respond(f.Response(Frame{S: addr}))

@@ -146,46 +146,32 @@ func decodeRecover(blob []byte) (recoverPayload, error) {
 	return r, nil
 }
 
-// collectRecoverState gathers this helper's slice of distributed state
-// belonging to one shard: the PIDs in that shard's slabs, the batches it
-// granted, the owned objects whose IDs it owns, and the process group it
-// places.
-func (h *Helper) collectRecoverState(shard int) recoverPayload {
+// collectRecoverState gathers this helper's slice of distributed state:
+// its PID table, the high-water marks of its batches, its live owned
+// objects, and its process group.
+func (h *Helper) collectRecoverState() recoverPayload {
 	h.mu.Lock()
-	r := recoverPayload{pid: h.GuestPID}
-	if h.ownPgid != 0 && h.ring.pgShard(h.ownPgid) == shard {
-		r.pgid = h.ownPgid
-	}
+	r := recoverPayload{pid: h.GuestPID, pgid: h.ownPgid}
 	for pid, addr := range h.localPIDs {
-		if shardOfID(pid, h.shards) == shard {
-			r.pids = append(r.pids, pgMember{PID: pid, Addr: addr})
-		}
+		r.pids = append(r.pids, pgMember{PID: pid, Addr: addr})
 	}
 	// Report the larger of our own batch high-water mark and the last
 	// cursor heard in a MsgNSHwm broadcast: the broadcast is how grants to
 	// helpers that cannot report (the old leader's own batch above all)
-	// still advance the new leader's cursor past every minted ID. Only
-	// batches this shard granted count — another shard's cursor says
-	// nothing about this one's slabs.
-	r.batchHi = []int64{0, 0, 0}
-	if h.pidBatch.shard == shard {
-		r.batchHi[0] = h.pidBatch.hi
-	}
+	// still advance the new leader's cursor past every minted ID.
+	r.batchHi = []int64{h.pidBatch.hi, 0, 0}
 	for i, kind := range []int{NSSysVMsg, NSSysVSem} {
-		if b := h.idBatches[idbKey{kind: kind, shard: shard}]; b != nil {
+		if b := h.idBatches[kind]; b != nil {
 			r.batchHi[i+1] = b.hi
 		}
 	}
 	for i, kind := range []int{NSPid, NSSysVMsg, NSSysVSem} {
-		if hwm := h.nsHwm[idbKey{kind: kind, shard: shard}] - 1; hwm > r.batchHi[i] {
+		if hwm := h.nsHwm[kind] - 1; hwm > r.batchHi[i] {
 			r.batchHi[i] = hwm
 		}
 	}
 	for _, o := range h.objectsLocked() {
 		hd := o.header()
-		if shardOfID(hd.id, h.shards) != shard {
-			continue
-		}
 		hd.mu.Lock()
 		if hd.liveLocked() {
 			r.objects = append(r.objects, recoverObject{Kind: hd.kind, ID: hd.id, Key: hd.key, Epoch: hd.epoch})
@@ -218,7 +204,7 @@ func (l *leaderState) installRecoverState(r recoverPayload, fromAddr string) {
 			owner = fromAddr
 		}
 		if !l.coveredLocked(NSPid, m.PID) {
-			l.ranges[NSPid] = append(l.ranges[NSPid], idRange{lo: m.PID, hi: m.PID, owner: owner})
+			l.addRangeLocked(NSPid, idRange{lo: m.PID, hi: m.PID, owner: owner})
 		}
 		if m.PID >= l.next[NSPid] {
 			l.next[NSPid] = m.PID + 1
@@ -230,8 +216,8 @@ func (l *leaderState) installRecoverState(r recoverPayload, fromAddr string) {
 			// in flight when the old leader died), the higher migration
 			// epoch is the more recent owner.
 			if cur, ok := m[o.ID]; !ok || o.Epoch >= cur.epoch {
-				m[o.ID] = ownerEntry{addr: fromAddr, epoch: o.Epoch}
-				if o.Key != api.IPCPrivate && l.keys[o.Kind] != nil {
+				l.setOwnerLocked(o.Kind, o.ID, ownerEntry{addr: fromAddr, epoch: o.Epoch})
+				if o.Key != api.IPCPrivate {
 					// First writer wins on the *key* mapping: after a
 					// partition, a deposed leader's report can collide with
 					// a key recreated (under a different ID) on this side.
@@ -241,7 +227,7 @@ func (l *leaderState) installRecoverState(r recoverPayload, fromAddr string) {
 					// (MsgKeyRegister returns the authoritative ID) and
 					// tombstones its copy.
 					if _, exists := l.keys[o.Kind][o.Key]; !exists {
-						l.keys[o.Kind][o.Key] = keyEntry{id: o.ID, owner: fromAddr}
+						l.setKeyLocked(o.Kind, o.Key, o.ID)
 					}
 				}
 			}
@@ -262,38 +248,14 @@ func (l *leaderState) installRecoverState(r recoverPayload, fromAddr string) {
 // computes the same minimum over the broadcast exchange. Each round
 // carries an election epoch one above the last accepted leader's, so a
 // slow announcement from an earlier round can never clobber a newer
-// leader (see handleNewLeaderBroadcast). In a sharded plane this elects
-// shard 0's leader; each shard runs its own independent rounds through
-// electShard.
+// leader (see handleNewLeaderBroadcast).
 func (h *Helper) ElectLeader() (string, error) {
-	return h.electShard(&h.shardGroup)
-}
-
-// ElectEpoch runs one epoch-fenced election round and returns the epoch
-// the plane settled on. This is the standby-master takeover primitive: a
-// standby that detects its primary's death elects through the same
-// machinery as any dead-leader recovery, and uses the returned epoch to
-// fence its adoption of shared state (the scoreboard) — a stale primary's
-// writes carry an older epoch and lose.
-func (h *Helper) ElectEpoch() (int64, error) {
-	if _, err := h.ElectLeader(); err != nil {
-		return 0, err
-	}
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.shardGroup.leaderEpoch, nil
-}
-
-// electShard runs one shard's election round. Every frame in the
-// exchange carries the shard index, so concurrent elections on different
-// shards never fold into each other's rounds.
-func (h *Helper) electShard(g *shardGroup) (string, error) {
-	h.mu.Lock()
-	if g.election == nil {
-		g.election = &electionState{}
+	if h.election == nil {
+		h.election = &electionState{}
 	}
-	e := g.election
-	roundEpoch := g.leaderEpoch + 1
+	e := h.election
+	roundEpoch := h.leaderEpoch + 1
 	h.mu.Unlock()
 
 	e.mu.Lock()
@@ -301,7 +263,7 @@ func (h *Helper) electShard(g *shardGroup) (string, error) {
 		done := e.done
 		e.mu.Unlock()
 		<-done
-		return h.awaitNewLeader(g, 10*electionWindow)
+		return h.awaitNewLeader(10 * electionWindow)
 	}
 	e.active = true
 	if roundEpoch > e.epoch {
@@ -316,20 +278,35 @@ func (h *Helper) electShard(g *shardGroup) (string, error) {
 	e.mu.Unlock()
 	// The old leader is dead; forget it so stale reads cannot win races.
 	h.mu.Lock()
-	if g.leader == nil {
-		h.clearLeaderLocked(g)
+	if h.leader == nil {
+		h.leaderAddr = ""
 	}
 	h.mu.Unlock()
 
 	// Announce our candidacy; peers answer with their own (handled in
 	// handleElectionBroadcast, which also folds their PIDs into e).
-	f := Frame{Type: MsgElection, A: roundEpoch, B: h.GuestPID, Shard: int32(g.shard), From: h.Addr, S: h.Addr}
+	f := Frame{Type: MsgElection, A: roundEpoch, B: h.GuestPID, From: h.Addr, S: h.Addr}
 	if err := h.pal.BroadcastSend(EncodeFrame(&f)); err != nil {
 		e.finish()
 		return "", err
 	}
 	h.electionWait(announced)
-	return h.settleElection(g, e)
+	return h.settleElection(e)
+}
+
+// ElectEpoch runs one epoch-fenced election round and returns the epoch
+// the plane settled on. This is the standby-master takeover primitive: a
+// standby that detects its primary's death elects through the same
+// machinery as any dead-leader recovery, and uses the returned epoch to
+// fence its adoption of shared state (the scoreboard) — a stale primary's
+// writes carry an older epoch and lose.
+func (h *Helper) ElectEpoch() (int64, error) {
+	if _, err := h.ElectLeader(); err != nil {
+		return 0, err
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.leaderEpoch, nil
 }
 
 // electionWait holds the settling window open, resolving early when a
@@ -347,7 +324,7 @@ func (h *Helper) electionWait(announced chan struct{}) {
 // settleElection resolves an election round after its settling window:
 // promote and announce if we hold the lowest PID (and nobody announced
 // first), otherwise wait for the winner's announcement.
-func (h *Helper) settleElection(g *shardGroup, e *electionState) (string, error) {
+func (h *Helper) settleElection(e *electionState) (string, error) {
 	e.mu.Lock()
 	won := e.lowest == h.GuestPID
 	epoch := e.epoch
@@ -360,12 +337,12 @@ func (h *Helper) settleElection(g *shardGroup, e *electionState) (string, error)
 	e.mu.Unlock()
 
 	if won {
-		h.promoteShard(g, epoch)
+		h.promote(epoch)
 		// Peers send their state on MsgNewLeader.
-		nf := Frame{Type: MsgNewLeader, A: epoch, Shard: int32(g.shard), From: h.Addr, S: h.Addr}
+		nf := Frame{Type: MsgNewLeader, A: epoch, From: h.Addr, S: h.Addr}
 		_ = h.pal.BroadcastSend(EncodeFrame(&nf))
 		h.mu.Lock()
-		deposed := g.leader == nil
+		deposed := h.leader == nil
 		h.mu.Unlock()
 		if deposed {
 			// Deposed between promotion and here: a higher-epoch winner's
@@ -373,27 +350,27 @@ func (h *Helper) settleElection(g *shardGroup, e *electionState) (string, error)
 			// and nilled the leaderState. The replacement collects our
 			// state through the reconcile report like any member's.
 			e.finish()
-			return h.awaitNewLeader(g, 10*electionWindow)
+			return h.awaitNewLeader(10 * electionWindow)
 		}
 		e.finish()
 		return h.Addr, nil
 	}
 	// Wait for the winner's announcement (handled by broadcastLoop).
-	addr, err := h.awaitNewLeader(g, 10*electionWindow)
+	addr, err := h.awaitNewLeader(10 * electionWindow)
 	e.finish()
 	return addr, err
 }
 
-// awaitNewLeader blocks until the shard's leader address is known (set by
-// our own promotion or a MsgNewLeader broadcast, both of which signal the
-// group's leader-change channel) or the deadline passes.
-func (h *Helper) awaitNewLeader(g *shardGroup, timeout time.Duration) (string, error) {
+// awaitNewLeader blocks until the leader address is known (set by our own
+// promotion or a MsgNewLeader broadcast, both of which signal the
+// leader-change channel) or the deadline passes.
+func (h *Helper) awaitNewLeader(timeout time.Duration) (string, error) {
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	for {
 		h.mu.Lock()
-		addr := g.leaderAddr
-		ch := g.leaderChange
+		addr := h.leaderAddr
+		ch := h.leaderChange
 		h.mu.Unlock()
 		if addr != "" {
 			return addr, nil
@@ -415,48 +392,42 @@ func (e *electionState) finish() {
 	e.mu.Unlock()
 }
 
-// promoteShard turns this helper into one shard's leader with a fresh,
-// reconstructable state, under the given election epoch. The fresh state
-// takes this helper's own slice of the shard before it is published: a
-// request served before that would draw IDs from a cursor that has not
-// seen them.
-func (h *Helper) promoteShard(g *shardGroup, epoch int64) {
-	self := h.collectRecoverState(g.shard)
+// promote turns this helper into the leader with a fresh, reconstructable
+// state, under the given election epoch. The fresh state takes this
+// helper's own slice before it is published: a request served before that
+// would draw IDs from a cursor that has not seen them.
+func (h *Helper) promote(epoch int64) {
+	self := h.collectRecoverState()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if g.leader != nil {
-		if epoch > g.leaderEpoch {
-			g.leaderEpoch = epoch
+	if h.leader != nil {
+		if epoch > h.leaderEpoch {
+			h.leaderEpoch = epoch
 		}
 		return
 	}
-	l := newLeaderStateShard(g.shard, h.shards)
+	l := newLeaderState()
 	l.installRecoverState(self, h.Addr)
-	g.leader = l
+	h.leader = l
 	// A fresh leaderState starts a fresh dedup generation: replays minted
 	// against a previous incarnation's tables must re-execute here.
-	g.leaderStateEpoch = epoch
-	h.setLeaderLocked(g, h.Addr, epoch)
-	h.startHeartbeatLocked(g)
+	h.leaderStateEpoch = epoch
+	h.setLeaderLocked(h.Addr, epoch)
+	h.startHeartbeatLocked()
 }
 
 // handleElectionBroadcast folds a peer's candidacy into any local round
 // and answers with our own PID so the peer's round sees us.
 func (h *Helper) handleElectionBroadcast(f Frame) {
 	h.mu.Lock()
-	g := h.groupFor(f.Shard)
-	if g == nil {
-		h.mu.Unlock()
-		return
+	if h.election == nil {
+		h.election = &electionState{}
 	}
-	if g.election == nil {
-		g.election = &electionState{}
-	}
-	e := g.election
+	e := h.election
 	shutdown := h.shutdown
-	isLeader := g.leader != nil
-	curEpoch := g.leaderEpoch
-	haveLeader := g.leaderAddr != ""
+	isLeader := h.leader != nil
+	curEpoch := h.leaderEpoch
+	haveLeader := h.leaderAddr != ""
 	h.mu.Unlock()
 	if shutdown {
 		return
@@ -466,12 +437,12 @@ func (h *Helper) handleElectionBroadcast(f Frame) {
 		// wrong (a single torn stream, not a crash). Re-assert leadership,
 		// claiming the sender's round epoch so the round resolves to us.
 		h.mu.Lock()
-		if f.A > g.leaderEpoch {
-			g.leaderEpoch = f.A
+		if f.A > h.leaderEpoch {
+			h.leaderEpoch = f.A
 		}
-		epoch := g.leaderEpoch
+		epoch := h.leaderEpoch
 		h.mu.Unlock()
-		nf := Frame{Type: MsgNewLeader, A: epoch, Shard: f.Shard, From: h.Addr, S: h.Addr}
+		nf := Frame{Type: MsgNewLeader, A: epoch, From: h.Addr, S: h.Addr}
 		_ = h.pal.BroadcastSend(EncodeFrame(&nf))
 		return
 	}
@@ -505,17 +476,17 @@ func (h *Helper) handleElectionBroadcast(f Frame) {
 	e.mu.Unlock()
 	if joinRound {
 		h.mu.Lock()
-		if g.leader == nil {
-			h.clearLeaderLocked(g) // the old leader is being replaced
+		if h.leader == nil {
+			h.leaderAddr = "" // the old leader is being replaced
 		}
 		h.mu.Unlock()
 		// Announce ourselves so the initiator sees us, then resolve the
 		// round on our side too.
 		go func() {
-			cf := Frame{Type: MsgElection, A: roundEpoch, B: h.GuestPID, Shard: f.Shard, From: h.Addr, S: h.Addr}
+			cf := Frame{Type: MsgElection, A: roundEpoch, B: h.GuestPID, From: h.Addr, S: h.Addr}
 			_ = h.pal.BroadcastSend(EncodeFrame(&cf))
 			h.electionWait(announced)
-			_, _ = h.settleElection(g, e)
+			_, _ = h.settleElection(e)
 		}()
 	}
 }
@@ -537,23 +508,22 @@ func (h *Helper) handleNewLeaderBroadcast(f Frame) {
 		return
 	}
 	h.mu.Lock()
-	g := h.groupFor(f.Shard)
-	if g == nil || h.shutdown {
+	if h.shutdown {
 		h.mu.Unlock()
 		return
 	}
-	if g.leader != nil {
-		myEpoch := g.leaderEpoch
+	if h.leader != nil {
+		myEpoch := h.leaderEpoch
 		h.mu.Unlock()
 		if f.A > myEpoch || (f.A == myEpoch && f.S < h.Addr) {
-			h.stepDownShard(g, f.A, f.S)
+			h.stepDown(f.A, f.S)
 			return
 		}
-		nf := Frame{Type: MsgNewLeader, A: myEpoch, Shard: f.Shard, From: h.Addr, S: h.Addr}
+		nf := Frame{Type: MsgNewLeader, A: myEpoch, From: h.Addr, S: h.Addr}
 		_ = h.pal.BroadcastSend(EncodeFrame(&nf))
 		return
 	}
-	if f.A == g.leaderEpoch && g.leaderAddr == f.S {
+	if f.A == h.leaderEpoch && h.leaderAddr == f.S {
 		// Idempotent duplicate: the leader's heartbeat, or a delayed copy
 		// of the announcement we already accepted. Not a stale announcement
 		// — but if our recover report to this leader never landed (it was
@@ -561,15 +531,15 @@ func (h *Helper) handleNewLeaderBroadcast(f Frame) {
 		// heartbeat is the retry trigger: without the report the leader has
 		// no idea our objects exist, and we never hear which of them lost
 		// a conflict.
-		needReport := g.reportedTo != f.S && f.S != h.Addr && !h.shutdown
+		needReport := h.reportedTo != f.S && f.S != h.Addr && !h.shutdown
 		h.mu.Unlock()
 		if needReport {
-			go h.memberReconcile(g, f.S)
+			go h.memberReconcile(f.S)
 		}
 		return
 	}
-	if f.A < g.leaderEpoch ||
-		(f.A == g.leaderEpoch && g.leaderAddr != "" && f.S >= g.leaderAddr) {
+	if f.A < h.leaderEpoch ||
+		(f.A == h.leaderEpoch && h.leaderAddr != "" && f.S >= h.leaderAddr) {
 		// Older epoch, or an equal-epoch claim losing the address
 		// tie-break against the leader we already accepted: a delayed
 		// announcement surviving a heal must not clobber the newer leader.
@@ -577,13 +547,13 @@ func (h *Helper) handleNewLeaderBroadcast(f Frame) {
 		statStaleAnnounces.Add(1)
 		return
 	}
-	h.setLeaderLocked(g, f.S, f.A)
-	e := g.election
+	h.setLeaderLocked(f.S, f.A)
+	e := h.election
 	h.mu.Unlock()
 	if e != nil {
 		e.noteAnnouncement(f.A)
 	}
-	go h.memberReconcile(g, f.S)
+	go h.memberReconcile(f.S)
 }
 
 // recoverDeadline caps one member's whole recover-state exchange. Without
@@ -610,7 +580,7 @@ const recoverAttemptTimeout = 2 * rpcCallTimeout
 // forever. Returns whether the report landed; a delivered report is
 // remembered (reportedTo) so the heartbeat path knows this leader has our
 // state and a failed one is retried off the next heartbeat.
-func (h *Helper) sendRecoverState(g *shardGroup, to string) bool {
+func (h *Helper) sendRecoverState(to string) bool {
 	var lastErr error
 	deadline := time.Now().Add(recoverDeadline)
 	for attempt := 0; attempt < 10; attempt++ {
@@ -625,16 +595,16 @@ func (h *Helper) sendRecoverState(g *shardGroup, to string) bool {
 		}
 		h.mu.Lock()
 		down := h.shutdown
-		stale := g.leaderAddr != to
+		stale := h.leaderAddr != to
 		h.mu.Unlock()
 		if down || stale {
 			return false // shutting down, or yet another leader took over
 		}
 		c, err := h.dial(to)
 		if err == nil {
-			if _, err = c.CallTimeout(Frame{Type: MsgRecoverState, Shard: int32(g.shard), From: h.Addr, Blob: encodeRecover(h.collectRecoverState(g.shard))}, recoverAttemptTimeout); err == nil {
+			if _, err = c.CallTimeout(Frame{Type: MsgRecoverState, From: h.Addr, Blob: encodeRecover(h.collectRecoverState())}, recoverAttemptTimeout); err == nil {
 				h.mu.Lock()
-				g.reportedTo = to
+				h.reportedTo = to
 				h.mu.Unlock()
 				return true
 			}

@@ -85,8 +85,8 @@ type FailoverCounters struct {
 	// vs. lost to a during-partition recreate and were tombstoned locally.
 	ReconciledObjects   int64
 	ReconcileTombstoned int64
-	// RouteHits / RouteMisses count shard routings that found a cached
-	// shard-leader address vs. ones that fell back to broadcast discovery.
+	// RouteHits / RouteMisses count leader calls that found a cached
+	// leader address vs. ones that fell back to broadcast discovery.
 	RouteHits   int64
 	RouteMisses int64
 }
@@ -166,27 +166,11 @@ func leaderOnly(t MsgType) bool {
 	return false
 }
 
-// callLeader performs an RPC against the authoritative coordinator for
-// the frame: the routing layer resolves which shard serves the request's
-// key and callShard carries it out. In a 1-shard topology this is the
-// classic call-the-leader path, byte for byte.
+// callLeader performs an RPC against the leader, short-circuiting when
+// this helper is the leader, and rides through leader failures per the
+// pipeline described at the top of the file.
 func (h *Helper) callLeader(f Frame) (Frame, error) {
-	return h.callShard(h.routeShard(&f), f)
-}
-
-// callShard performs an RPC against one shard's leader, short-circuiting
-// when this helper leads that shard, and rides through that shard's
-// leader failures per the pipeline described at the top of the file.
-// Failures are classified per shard: a dead shard triggers a
-// single-flight election for that shard alone, and traffic routed to the
-// other shards never notices.
-func (h *Helper) callShard(shard int, f Frame) (Frame, error) {
-	g := h.groupFor(int32(shard))
-	if g == nil {
-		return Frame{}, api.EINVAL
-	}
 	f.From = h.Addr
-	f.Shard = int32(shard)
 	// enclosing is the caller's span (a syscall-level trace root, usually);
 	// each retry attempt gets its own sibling span under it.
 	enclosing := f.Span
@@ -194,15 +178,15 @@ func (h *Helper) callShard(shard int, f Frame) (Frame, error) {
 	for attempt := 0; attempt <= failoverAttempts; attempt++ {
 		f.Span = enclosing
 		h.mu.Lock()
-		leaderAddr := g.leaderAddr
-		isLeader := g.leader != nil
+		leaderAddr := h.leaderAddr
+		isLeader := h.leader != nil
 		down := h.shutdown
-		epoch := g.failEpoch
-		// Fence the request with the epoch of the shard leader we accepted:
-		// a deposed leader that receives a newer epoch than its own learns
-		// of its demotion from the request itself and steps down instead of
+		epoch := h.failEpoch
+		// Fence the request with the epoch of the leader we accepted: a
+		// deposed leader that receives a newer epoch than its own learns of
+		// its demotion from the request itself and steps down instead of
 		// executing (see dispatchOn).
-		f.Epoch = g.leaderEpoch
+		f.Epoch = h.leaderEpoch
 		h.mu.Unlock()
 
 		if isLeader {
@@ -222,14 +206,14 @@ func (h *Helper) callShard(shard int, f Frame) (Frame, error) {
 		if leaderAddr == "" {
 			h.routeMisses.Add(1)
 			statRouteMisses.Add(1)
-			addr, err := h.discoverShard(g)
+			addr, err := h.DiscoverLeader()
 			if err != nil {
 				lastErr = err
 				if down {
 					return Frame{}, err
 				}
 				h.traceElection(f.Trace, enclosing, epoch)
-				if ferr := h.failover(g, epoch); ferr != nil {
+				if ferr := h.failover(epoch); ferr != nil {
 					return Frame{}, ferr
 				}
 				continue
@@ -254,10 +238,10 @@ func (h *Helper) callShard(shard int, f Frame) (Frame, error) {
 		}
 		lastErr = err
 		if err == api.EPERM && leaderOnly(f.Type) {
-			// The peer answered but does not lead this shard: stale address.
+			// The peer answered but does not lead: stale address.
 			h.mu.Lock()
-			if g.leaderAddr == leaderAddr {
-				h.clearLeaderLocked(g)
+			if h.leaderAddr == leaderAddr {
+				h.leaderAddr = ""
 			}
 			h.mu.Unlock()
 			continue
@@ -271,44 +255,44 @@ func (h *Helper) callShard(shard int, f Frame) (Frame, error) {
 			return Frame{}, err
 		}
 		h.traceElection(f.Trace, enclosing, epoch)
-		if ferr := h.failover(g, epoch); ferr != nil {
+		if ferr := h.failover(epoch); ferr != nil {
 			return Frame{}, ferr
 		}
 	}
 	return Frame{}, lastErr
 }
 
-// failover runs one shard's leader election exactly once per failure
-// epoch. observed is the epoch the caller read before its RPC failed: if
-// the shard's epoch has already advanced past it, someone else completed
-// failover for this failure and the caller can simply retry. Otherwise
-// one caller becomes the runner and the rest block until it finishes.
-func (h *Helper) failover(g *shardGroup, observed int64) error {
+// failover runs the leader election exactly once per failure epoch.
+// observed is the epoch the caller read before its RPC failed: if the
+// epoch has already advanced past it, someone else completed failover for
+// this failure and the caller can simply retry. Otherwise one caller
+// becomes the runner and the rest block until it finishes.
+func (h *Helper) failover(observed int64) error {
 	h.mu.Lock()
 	for {
-		if g.failEpoch > observed {
+		if h.failEpoch > observed {
 			h.mu.Unlock()
 			return nil
 		}
-		if !g.failActive {
+		if !h.failActive {
 			break
 		}
-		done := g.failDone
+		done := h.failDone
 		h.mu.Unlock()
 		<-done
 		h.mu.Lock()
 	}
-	g.failActive = true
+	h.failActive = true
 	done := make(chan struct{})
-	g.failDone = done
+	h.failDone = done
 	h.mu.Unlock()
 
 	statFailovers.Add(1)
-	_, err := h.electShard(g)
+	_, err := h.ElectLeader()
 
 	h.mu.Lock()
-	g.failEpoch++
-	g.failActive = false
+	h.failEpoch++
+	h.failActive = false
 	h.mu.Unlock()
 	close(done)
 	return err
@@ -322,10 +306,9 @@ func (h *Helper) failover(g *shardGroup, observed int64) error {
 // re-execute there rather than replay a response minted against tables
 // that no longer exist.
 type dedupKey struct {
-	from  string
-	id    uint64
-	shard int
-	gen   int64
+	from string
+	id   uint64
+	gen  int64
 }
 
 // dedupCacheSize bounds the replay cache (FIFO eviction). Replays arrive
@@ -341,12 +324,8 @@ func (h *Helper) dedupCheck(f *Frame, respond func(Frame)) (func(Frame), bool) {
 	if f.ReqID == 0 || f.From == "" || f.IsResponse() {
 		return respond, false
 	}
-	gengrp := h.groupFor(f.Shard)
-	if gengrp == nil {
-		gengrp = &h.shardGroup
-	}
 	h.mu.Lock()
-	k := dedupKey{from: f.From, id: f.ReqID, shard: int(f.Shard), gen: gengrp.leaderStateEpoch}
+	k := dedupKey{from: f.From, id: f.ReqID, gen: h.leaderStateEpoch}
 	if r, ok := h.dedup[k]; ok {
 		h.mu.Unlock()
 		statReplaysDeduped.Add(1)
@@ -372,41 +351,16 @@ func (h *Helper) dedupCheck(f *Frame, respond func(Frame)) (func(Frame), bool) {
 }
 
 // reapMember reclaims a crashed member's slice of the distributed state
-// on every shard this helper leads: its PID ranges, its owned System V
-// objects (tombstoned so parked waiters resolve to EIDRM instead of
-// retrying forever), and its process-group membership.
-// Graceful departures (MsgBye) are never reaped; reap itself is
-// idempotent per address and shard.
-//
-// With scatter set, a first-time reap also fans MsgMemberDead out to the
-// other shards' leaders so each sweeps its own slice — the member's
-// streams to those coordinators may never have existed, so their own
-// failure detectors cannot be relied on. The receivers reap without
-// re-scattering (idempotence stops a second round), so the fan-out
-// converges in one hop.
-func (h *Helper) reapMember(addr string, scatter bool) {
+// when this helper leads: its PID ranges, its owned System V objects
+// (tombstoned so parked waiters resolve to EIDRM instead of retrying
+// forever), and its process-group membership. Graceful departures
+// (MsgBye) are never reaped; reap itself is idempotent per address.
+func (h *Helper) reapMember(addr string) {
 	h.mu.Lock()
+	l := h.leader
 	down := h.shutdown
-	var led []*leaderState
-	peerAddrs := make(map[string]struct{})
-	for _, g := range h.groups {
-		if g.leader != nil {
-			led = append(led, g.leader)
-		} else if g.leaderAddr != "" && g.leaderAddr != h.Addr && g.leaderAddr != addr {
-			peerAddrs[g.leaderAddr] = struct{}{}
-		}
-	}
 	h.mu.Unlock()
-	if len(led) == 0 || down || addr == "" || addr == h.Addr {
-		return
-	}
-	reapedAny := false
-	for _, l := range led {
-		if l.reap(addr) {
-			reapedAny = true
-		}
-	}
-	if !reapedAny {
+	if l == nil || down || addr == "" || addr == h.Addr || !l.reap(addr) {
 		return
 	}
 	statMembersReaped.Add(1)
@@ -426,19 +380,4 @@ func (h *Helper) reapMember(addr string, scatter bool) {
 	}
 	h.mu.Unlock()
 	h.pidOwner.deleteValue(func(a string) bool { return a == addr })
-	// Cross-shard scatter: the dead member's PIDs and objects are
-	// striped over the whole plane; every other shard leader sweeps its own
-	// slice. Best-effort notifications with per-shard connections — a
-	// partitioned shard leader reaps later, when its own detector fires or
-	// a healed heartbeat resurfaces the death.
-	if scatter && len(peerAddrs) > 0 {
-		for peer := range peerAddrs {
-			to := peer
-			h.bgGo(func() {
-				if c, err := h.dial(to); err == nil {
-					_ = c.Notify(Frame{Type: MsgMemberDead, S: addr, From: h.Addr})
-				}
-			})
-		}
-	}
 }

@@ -12,7 +12,7 @@ import (
 // the namespace single-writer:
 //
 //  1. Every leader-bound mutation carries the sender's accepted epoch
-//     (Frame.Epoch, stamped in callShard). A leader that receives a
+//     (Frame.Epoch, stamped in callLeader). A leader that receives a
 //     higher epoch than its own learns of its demotion from the request
 //     itself: it steps down and the request bounces with EPERM, exactly
 //     like any other stale-address hit, so the caller re-resolves.
@@ -28,36 +28,33 @@ import (
 //     recreated on the other side of the partition, and the loser copy is
 //     tombstoned locally so parked waiters wake with EIDRM instead of
 //     blocking on an object the rest of the sandbox no longer sees.
-//
-// In a sharded plane each mechanism runs per shard group: a shard's
-// heartbeat, step-down, and reconcile never touch the other shards.
 
 // heartbeatInterval is the leader's re-assert period. Two election
 // windows: frequent enough that a healed partition converges well inside
 // the failover budget, rare enough to be noise next to RPC traffic.
 const heartbeatInterval = 2 * electionWindow
 
-// startHeartbeatLocked launches one shard's leader heartbeat goroutine.
-// Caller holds h.mu and has just installed (or constructed) g.leader.
-func (h *Helper) startHeartbeatLocked(g *shardGroup) {
-	if g.hbStop != nil || h.shutdown {
+// startHeartbeatLocked launches the leader heartbeat goroutine. Caller
+// holds h.mu and has just installed (or constructed) h.leader.
+func (h *Helper) startHeartbeatLocked() {
+	if h.hbStop != nil || h.shutdown {
 		return
 	}
 	stop := make(chan struct{})
-	g.hbStop = stop
-	go h.heartbeatLoop(g, stop)
+	h.hbStop = stop
+	go h.heartbeatLoop(stop)
 }
 
-// stopHeartbeatLocked stops one shard's heartbeat (step-down or
-// shutdown). Caller holds h.mu.
-func (h *Helper) stopHeartbeatLocked(g *shardGroup) {
-	if g.hbStop != nil {
-		close(g.hbStop)
-		g.hbStop = nil
+// stopHeartbeatLocked stops the heartbeat (step-down or shutdown). Caller
+// holds h.mu.
+func (h *Helper) stopHeartbeatLocked() {
+	if h.hbStop != nil {
+		close(h.hbStop)
+		h.hbStop = nil
 	}
 }
 
-func (h *Helper) heartbeatLoop(g *shardGroup, stop chan struct{}) {
+func (h *Helper) heartbeatLoop(stop chan struct{}) {
 	t := time.NewTicker(heartbeatInterval)
 	defer t.Stop()
 	for {
@@ -67,29 +64,29 @@ func (h *Helper) heartbeatLoop(g *shardGroup, stop chan struct{}) {
 		case <-t.C:
 		}
 		h.mu.Lock()
-		leading := g.leader != nil && !h.shutdown
-		epoch := g.leaderEpoch
+		leading := h.leader != nil && !h.shutdown
+		epoch := h.leaderEpoch
 		h.mu.Unlock()
 		if !leading {
 			return
 		}
-		f := Frame{Type: MsgNewLeader, A: epoch, Shard: int32(g.shard), From: h.Addr, S: h.Addr}
+		f := Frame{Type: MsgNewLeader, A: epoch, From: h.Addr, S: h.Addr}
 		if h.pal.BroadcastSend(EncodeFrame(&f)) != nil {
 			return // the picoprocess died under us
 		}
 	}
 }
 
-// stepDownShard demotes this (deposed) shard leader after evidence of a
+// stepDown demotes this (deposed) leader after evidence of a
 // newer claim: a fenced request or an announcement carrying epoch,
 // optionally naming the new leader's address (empty when only the epoch
 // is known — the reconcile path discovers the address). The old
 // leaderState is simply dropped; the authoritative copy of everything it
 // tracked lives with the new leader, reconstructed from the surviving
 // members' reports plus our own below.
-func (h *Helper) stepDownShard(g *shardGroup, epoch int64, newAddr string) {
+func (h *Helper) stepDown(epoch int64, newAddr string) {
 	h.mu.Lock()
-	if g.leader == nil || h.shutdown {
+	if h.leader == nil || h.shutdown {
 		h.mu.Unlock()
 		return
 	}
@@ -98,73 +95,66 @@ func (h *Helper) stepDownShard(g *shardGroup, epoch int64, newAddr string) {
 	// the new leader past every grant we ever made — including grants the
 	// surviving members never heard a MsgNSHwm broadcast for.
 	for _, kind := range []int{NSPid, NSSysVMsg, NSSysVSem} {
-		k := idbKey{kind: kind, shard: g.shard}
-		if next := g.leader.cursor(kind); next > h.nsHwm[k] {
-			mapSet(&h.nsHwm, k, next)
+		if next := h.leader.cursor(kind); next > h.nsHwm[kind] {
+			mapSet(&h.nsHwm, kind, next)
 		}
 	}
-	g.leader = nil
-	h.stopHeartbeatLocked(g)
-	h.clearLeaderLocked(g)
-	// Drop the unexhausted local ID batches this shard granted: they came
-	// from the leaderState being discarded, and the new leader — which
-	// never saw those grants — may hand the same ID space to someone else.
-	// IDs already minted from them stay safe (the recover-state report
-	// below reserves every local PID and live object individually); the
-	// unused remainder is abandoned and the next allocation refills from
-	// the new leader's authoritative cursor. Batches granted by *other*
-	// shards are untouched — their grantors still stand behind them.
-	if h.pidBatch.shard == g.shard {
-		h.pidBatch = idBatch{shard: h.pidBatch.shard}
-	}
-	for k, b := range h.idBatches {
-		if k.shard == g.shard {
-			*b = idBatch{shard: k.shard}
-		}
+	h.leader = nil
+	h.stopHeartbeatLocked()
+	h.leaderAddr = ""
+	// Drop the unexhausted local ID batches: they came from the
+	// leaderState being discarded, and the new leader — which never saw
+	// those grants — may hand the same ID space to someone else. IDs
+	// already minted from them stay safe (the recover-state report below
+	// reserves every local PID and live object individually); the unused
+	// remainder is abandoned and the next allocation refills from the new
+	// leader's authoritative cursor.
+	h.pidBatch = idBatch{}
+	for _, b := range h.idBatches {
+		*b = idBatch{}
 	}
 	if newAddr != "" && newAddr != h.Addr {
-		h.setLeaderLocked(g, newAddr, epoch)
-	} else if epoch > g.leaderEpoch {
-		g.leaderEpoch = epoch
+		h.setLeaderLocked(newAddr, epoch)
+	} else if epoch > h.leaderEpoch {
+		h.leaderEpoch = epoch
 	}
 	h.mu.Unlock()
 	statStepDowns.Add(1)
-	h.bgGo(func() { h.reconcileAfterDemotion(g) })
+	h.bgGo(h.reconcileAfterDemotion)
 }
 
 // reconcileAfterDemotion runs after a step-down: report our state to the
-// shard's new leader, then settle each locally owned keyed object the
-// shard places against its (authoritative) key table.
-func (h *Helper) reconcileAfterDemotion(g *shardGroup) {
-	addr, err := h.discoverShard(g)
+// new leader, then settle each locally owned keyed object against its
+// (authoritative) key table.
+func (h *Helper) reconcileAfterDemotion() {
+	addr, err := h.DiscoverLeader()
 	if err != nil || addr == h.Addr {
 		return
 	}
-	h.memberReconcile(g, addr)
+	h.memberReconcile(addr)
 }
 
-// memberReconcile is the full member-side settlement against one shard's
-// (new) leader: ship recover state (PID mappings, batch high-water marks,
-// owned objects), then re-register each locally owned keyed object the
-// shard places, so a copy that lost a during-partition
-// conflict is tombstoned instead of lingering as a second live ID. Every
-// member runs this — not just a deposed leader — because any member's
-// report can lose first-writer-wins merges it never hears about
-// otherwise. Single-flight per shard group; a report that failed outright
-// is retried off the leader's next heartbeat (see
+// memberReconcile is the full member-side settlement against the (new)
+// leader: ship recover state (PID mappings, batch high-water marks, owned
+// objects), then re-register each locally owned keyed object, so a copy
+// that lost a during-partition conflict is tombstoned instead of
+// lingering as a second live ID. Every member runs this — not just a
+// deposed leader — because any member's report can lose first-writer-wins
+// merges it never hears about otherwise. Single-flight; a report that
+// failed outright is retried off the leader's next heartbeat (see
 // handleNewLeaderBroadcast), so a partition that outlives the recover
 // deadline still converges after the heal.
-func (h *Helper) memberReconcile(g *shardGroup, addr string) {
+func (h *Helper) memberReconcile(addr string) {
 	h.mu.Lock()
-	if g.reconciling {
+	if h.reconciling {
 		h.mu.Unlock()
 		return
 	}
-	g.reconciling = true
+	h.reconciling = true
 	h.mu.Unlock()
 	defer func() {
 		h.mu.Lock()
-		g.reconciling = false
+		h.reconciling = false
 		h.mu.Unlock()
 	}()
 	// Spread the post-announcement herd: after a leader change every
@@ -187,21 +177,21 @@ func (h *Helper) memberReconcile(g *shardGroup, addr string) {
 			return
 		}
 		h.mu.Lock()
-		stale := g.leaderAddr != addr || h.shutdown
+		stale := h.leaderAddr != addr || h.shutdown
 		h.mu.Unlock()
 		if stale {
 			return
 		}
 	}
-	if !h.sendRecoverState(g, addr) {
+	if !h.sendRecoverState(addr) {
 		return
 	}
-	h.reconcileKeyedObjects(g.shard)
+	h.reconcileKeyedObjects()
 }
 
-// reconcileKeyedObjects settles each locally owned keyed object placed on
-// the given shard against that shard leader's authoritative key table.
-func (h *Helper) reconcileKeyedObjects(shard int) {
+// reconcileKeyedObjects settles each locally owned keyed object against
+// the leader's authoritative key table.
+func (h *Helper) reconcileKeyedObjects() {
 	type keyedObj struct {
 		sysvRef
 		key int64
@@ -211,7 +201,7 @@ func (h *Helper) reconcileKeyedObjects(shard int) {
 	for _, o := range h.objectsLocked() {
 		hd := o.header()
 		hd.mu.Lock()
-		if hd.liveLocked() && hd.key != api.IPCPrivate && h.keyShardOf(hd.kind, hd.key) == shard {
+		if hd.liveLocked() && hd.key != api.IPCPrivate {
 			objs = append(objs, keyedObj{hd.sysvRef, hd.key})
 		}
 		hd.mu.Unlock()

@@ -15,7 +15,6 @@ func fuzzFrameEqual(a, b *Frame) bool {
 		a.Trace == b.Trace && a.Span == b.Span &&
 		a.Err == b.Err &&
 		a.A == b.A && a.B == b.B && a.C == b.C && a.D == b.D &&
-		a.Shard == b.Shard &&
 		a.From == b.From && a.S == b.S && bytes.Equal(a.Blob, b.Blob)
 }
 

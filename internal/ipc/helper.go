@@ -2,7 +2,6 @@ package ipc
 
 import (
 	"log"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -50,10 +49,6 @@ func AddrForHostPID(hostPID int) string {
 
 type idBatch struct {
 	next, hi int64 // next free and inclusive upper bound; empty if next > hi
-	// shard is the namespace shard that granted this batch. A shard
-	// step-down must drop only the batches that shard granted; the others
-	// stay valid.
-	shard int
 }
 
 // Helper is the per-picoprocess IPC helper thread (§4.1): it services RPCs
@@ -72,34 +67,37 @@ type Helper struct {
 	bsub     *host.BroadcastSub
 
 	mu sync.Mutex
-	// shardGroup is shard 0's coordination state — leader tracking
-	// (leaderAddr/leader/leaderEpoch/leaderStateEpoch), the heartbeat and
-	// leader-change channels, single-flight failover epochs, the election
-	// round, and reconcile bookkeeping. The embedding keeps the classic
-	// single-coordinator field names (h.leaderAddr, h.leaderEpoch, ...)
-	// meaning what they always did: shard 0 is the whole namespace in a
-	// 1-shard topology. In a sharded topology groups[i] holds shard i's
-	// copy of the same machinery; groups[0] aliases this embedded struct.
-	// Every shardGroup field is guarded by mu.
-	shardGroup
-	groups []*shardGroup
 
-	// Fixed topology: shard count, the consistent-hash ring placing key
-	// blocks and pgroups, and this helper's home shard (where its PID and
-	// anonymous-ID batches come from).
-	shards    int
-	ring      *shardRing
-	homeShard int
+	// leaderAddr is the believed leader address ("" = unknown); leader is
+	// non-nil when this helper IS the leader. leaderEpoch is the accepted
+	// election epoch, leaderStateEpoch the epoch at which the current
+	// leaderState was created (the replay cache's generation).
+	leaderAddr       string
+	leader           *leaderState
+	leaderEpoch      int64
+	leaderStateEpoch int64
 
-	// routeHits/routeMisses count shard routings served from a cached
-	// shard-leader address vs. ones that needed broadcast discovery.
+	// hbStop stops the heartbeat loop (while leading); leaderChange is
+	// closed and replaced whenever leaderAddr changes.
+	hbStop       chan struct{}
+	leaderChange chan struct{}
+
+	// Single-flight failover state: failEpoch counts completed failovers,
+	// failActive/failDone collapse concurrent observers of a dead leader
+	// into one election.
+	failEpoch  int64
+	failActive bool
+	failDone   chan struct{}
+
+	election *electionState
+	// reportedTo is the leader this helper last reconciled with.
+	reportedTo  string
+	reconciling bool
+
+	// routeHits/routeMisses count leader calls served from a cached
+	// leader address vs. ones that needed broadcast discovery.
 	routeHits   atomic.Uint64
 	routeMisses atomic.Uint64
-
-	// rpcShardHistNames pre-renders "rpc.<type>.s<N>" per-shard histogram
-	// names ([shard][msgtype]; empty in single-shard topologies) so
-	// endSpan's per-shard observation never concatenates.
-	rpcShardHistNames [][]string
 
 	// reqSeq mints ReqIDs for non-idempotent leader requests; dedup (with
 	// FIFO eviction order dedupOrder) is the leader-side replay cache.
@@ -125,14 +123,13 @@ type Helper struct {
 	// via MsgNSClaim after this batch was granted); AllocPID skips them.
 	pidSkip map[int64]struct{}
 
-	idBatches map[idbKey]*idBatch // NSSysVMsg / NSSysVSem local batches, per granting shard
+	idBatches map[int]*idBatch // NSSysVMsg / NSSysVSem local batches
 	// nsHwm is the highest namespace allocation cursor heard in a MsgNSHwm
 	// broadcast (or captured from our own leaderState at step-down), per
-	// (kind, shard). Recover-state reports fold it into batchHi so a new
-	// shard leader's cursor clears batches granted to helpers that cannot
-	// report — the dead or partitioned-away old leader's own batch in
-	// particular.
-	nsHwm map[idbKey]int64
+	// kind. Recover-state reports fold it into batchHi so a new leader's
+	// cursor clears batches granted to helpers that cannot report — the
+	// dead or partitioned-away old leader's own batch in particular.
+	nsHwm map[int]int64
 
 	// queues and sems are the System V objects held here: live copies and
 	// forwarding tombstones. ownerCache remembers where objects held
@@ -163,7 +160,6 @@ type Helper struct {
 	cookies atomic.Int64
 
 	// ownPgid is this process's group for recovery re-registration.
-	// (election, reportedTo, and reconciling live in each shardGroup.)
 	ownPgid int64
 
 	shutdown bool
@@ -177,114 +173,69 @@ type Helper struct {
 // NewLeader creates the sandbox's first helper, which acts as the
 // namespace leader. guestPID is the process's PID (1 for an init process).
 func NewLeader(p *pal.PAL, svc Service, guestPID int64) (*Helper, error) {
-	return NewShardLeader(p, svc, guestPID, 0, 1, nil)
-}
-
-// NewShardLeader creates a coordinator picoprocess that leads one shard
-// of an nshards-wide namespace plane. peers[i] is the believed leader
-// address of shard i ("" when unknown — shards booted later are found by
-// broadcast discovery or their heartbeats).
-func NewShardLeader(p *pal.PAL, svc Service, guestPID int64, shard, nshards int, peers []string) (*Helper, error) {
-	if nshards < 1 {
-		nshards = 1
-	}
-	if shard < 0 || shard >= nshards {
-		return nil, api.EINVAL
-	}
-	h, err := newHelper(p, svc, guestPID, nshards)
+	h, err := newHelper(p, svc, guestPID)
 	if err != nil {
 		return nil, err
 	}
-	g := h.groups[shard]
-	g.leader = newLeaderStateShard(shard, nshards)
-	g.leaderAddr = h.Addr
-	for i, addr := range peers {
-		if i < len(h.groups) && i != shard && addr != "" {
-			h.groups[i].leaderAddr = addr
-			h.groups[i].reportedTo = addr
-		}
-	}
-	// Claim this process's PID at the shard owning its slab; seed the PID
-	// batch eagerly only when the home shard is the one led here.
-	ownsPID := shardOfID(guestPID, nshards) == shard
-	if ownsPID {
-		g.leader.claimRange(NSPid, guestPID, h.Addr)
-	}
-	if h.homeShard == shard {
-		lo, hi := g.leader.allocRange(NSPid, PIDBatchSize, h.Addr)
-		h.pidBatch = idBatch{next: lo, hi: hi, shard: shard}
-	}
+	h.leader = newLeaderState()
+	h.leaderAddr = h.Addr
+	h.leader.claimRange(NSPid, guestPID, h.Addr)
+	lo, hi := h.leader.allocRange(NSPid, PIDBatchSize, h.Addr)
+	h.pidBatch = idBatch{next: lo, hi: hi}
 	h.start()
-	if !ownsPID && guestPID != 0 {
-		h.claimPID(guestPID)
-	}
 	h.mu.Lock()
-	h.startHeartbeatLocked(g)
+	h.startHeartbeatLocked()
 	h.mu.Unlock()
 	return h, nil
 }
 
-// NewMember creates a helper that joins an existing sandbox coordination
-// group under a PID the leader did not grant (see NewShardMember).
+// NewMember creates a helper that joins an existing sandbox under an
+// assigned PID — adopted, restored, or picked by the caller — that the
+// leader did not grant. The PID is reserved in the leader's allocator
+// before the helper is returned: without the claim, AllocPID could mint
+// it a second time. Best-effort: a member joining without a reachable
+// leader is covered later by the recover-state report, which reserves
+// every local PID.
 func NewMember(p *pal.PAL, svc Service, guestPID int64, leaderAddr string) (*Helper, error) {
-	return NewShardMember(p, svc, guestPID, []string{leaderAddr})
-}
-
-// NewShardMember creates a helper that joins a sharded sandbox under an
-// assigned PID — adopted, restored, or picked by the caller — that no
-// leader granted; shardAddrs is as for NewForkedMember. The PID is
-// reserved in its owning shard's allocator before the helper is returned:
-// without the claim, AllocPID could mint it a second time. Best-effort: a
-// member joining without a reachable leader is covered later by the
-// recover-state report, which reserves every local PID.
-func NewShardMember(p *pal.PAL, svc Service, guestPID int64, shardAddrs []string) (*Helper, error) {
-	h, err := newMember(p, svc, guestPID, shardAddrs)
-	if err == nil && guestPID != 0 && h.shardLeaderAddr(shardOfID(guestPID, h.shards)) != "" {
+	h, err := NewForkedMember(p, svc, guestPID, leaderAddr)
+	if err == nil && guestPID != 0 && leaderAddr != "" {
 		h.claimPID(guestPID)
 	}
 	return h, err
 }
 
-// claimPID reserves guestPID at the shard owning its slab (MsgNSClaim) and
-// remembers the cursor the answer carries. IDs that shard minted before
-// this helper joined — its leader's own PID and first batch among them —
-// were announced to no one yet, and a recover report from here must still
-// clear them if that leader is lost.
+// claimPID reserves guestPID at the leader (MsgNSClaim) and remembers the
+// cursor the answer carries. IDs the leader minted before this helper
+// joined — its own PID and first batch among them — were announced to no
+// one yet, and a recover report from here must still clear them if that
+// leader is lost.
 func (h *Helper) claimPID(guestPID int64) {
 	resp, err := h.callLeader(Frame{Type: MsgNSClaim, A: NSPid, B: guestPID})
 	if err != nil {
 		log.Printf("ipc: %s: pid claim for %d failed: %v", h.Addr, guestPID, err)
 		return
 	}
-	h.noteNSHwm(NSPid, shardOfID(guestPID, h.shards), resp.B)
+	h.noteNSHwm(NSPid, resp.B)
 }
 
 // NewForkedMember creates the helper of a forked or spawned child, whose
 // PID its parent minted with AllocPID out of a leader-granted batch: the
 // allocator already stands past it, so the child joins without contacting
-// anyone. It dials a shard leader on first need (§4.3, lazy discovery), and
-// one that never coordinates never does. shardAddrs[i] is the believed
-// leader address of shard i (the topology's shard count is
-// len(shardAddrs); entries may be "" and are then found by discovery); a
-// single-entry slice is the classic single-leader sandbox.
-func NewForkedMember(p *pal.PAL, svc Service, guestPID int64, shardAddrs []string) (*Helper, error) {
-	return newMember(p, svc, guestPID, shardAddrs)
-}
-
-func newMember(p *pal.PAL, svc Service, guestPID int64, shardAddrs []string) (*Helper, error) {
-	h, err := newHelper(p, svc, guestPID, max(len(shardAddrs), 1))
+// anyone. It dials the leader at leaderAddr on first need (§4.3, lazy
+// discovery), and one that never coordinates never does. An empty
+// leaderAddr is found by broadcast discovery.
+func NewForkedMember(p *pal.PAL, svc Service, guestPID int64, leaderAddr string) (*Helper, error) {
+	h, err := newHelper(p, svc, guestPID)
 	if err != nil {
 		return nil, err
 	}
-	for i, addr := range shardAddrs {
-		// A fresh member has no distributed state the shard leaders could
-		// be missing. Marking each known leader as already reported-to keeps
-		// the heartbeat path from shipping a pointless recover report on the
-		// first re-assert after every join; a later *leader change* resets
-		// this and triggers the real reconcile.
-		h.groups[i].leaderAddr = addr
-		h.groups[i].reportedTo = addr
-	}
+	// A fresh member has no distributed state the leader could be missing.
+	// Marking the known leader as already reported-to keeps the heartbeat
+	// path from shipping a pointless recover report on the first re-assert
+	// after every join; a later *leader change* resets this and triggers
+	// the real reconcile.
+	h.leaderAddr = leaderAddr
+	h.reportedTo = leaderAddr
 	h.start()
 	return h, nil
 }
@@ -293,37 +244,16 @@ func newMember(p *pal.PAL, svc Service, guestPID int64, shardAddrs []string) (*H
 // subscription open but no goroutine running: the constructor seeds the
 // leader fields it knows without the lock, then calls start. Seeding after
 // the loops run would race a MsgNewLeader heartbeat arriving on them.
-func newHelper(p *pal.PAL, svc Service, guestPID int64, nshards int) (*Helper, error) {
+func newHelper(p *pal.PAL, svc Service, guestPID int64) (*Helper, error) {
 	addr := AddrForHostPID(p.Proc().ID)
 	h := &Helper{
-		pal:        p,
-		svc:        svc,
-		Addr:       addr,
-		GuestPID:   guestPID,
-		localPIDs:  map[int64]string{guestPID: addr},
-		shards:     nshards,
-		ring:       newShardRing(nshards),
-		shutdownCh: make(chan struct{}),
-	}
-	h.groups = make([]*shardGroup, nshards)
-	h.groups[0] = &h.shardGroup
-	for i := 1; i < nshards; i++ {
-		h.groups[i] = &shardGroup{shard: i}
-	}
-	for _, g := range h.groups {
-		g.leaderChange = make(chan struct{})
-	}
-	h.homeShard = h.ring.addrShard(h.Addr)
-	if nshards > 1 {
-		h.rpcShardHistNames = make([][]string, nshards)
-		for s := 0; s < nshards; s++ {
-			names := make([]string, len(msgTypeNames))
-			suffix := gaugeName(".s", int64(s))
-			for t := 1; t < len(msgTypeNames); t++ {
-				names[t] = rpcHistNames[t] + suffix
-			}
-			h.rpcShardHistNames[s] = names
-		}
+		pal:          p,
+		svc:          svc,
+		Addr:         addr,
+		GuestPID:     guestPID,
+		localPIDs:    map[int64]string{guestPID: addr},
+		leaderChange: make(chan struct{}),
+		shutdownCh:   make(chan struct{}),
 	}
 	l, err := p.DkStreamOpen("pipe.srv:"+h.Addr, 0, 0)
 	if err != nil {
@@ -383,29 +313,28 @@ func (h *Helper) broadcastLoop() {
 		}
 		switch f.Type {
 		case MsgWhoIsLeader:
-			g := h.groupFor(f.Shard)
-			if g == nil || f.From == "" {
+			if f.From == "" {
 				continue
 			}
 			h.mu.Lock()
-			leading := g.leader != nil
-			epoch := g.leaderEpoch
+			leading := h.leader != nil
+			epoch := h.leaderEpoch
 			h.mu.Unlock()
 			if leading {
 				// Respond point-to-point so the requester learns our address
-				// (and the epoch we lead the shard under).
-				go func(to string, shard int32, epoch int64) {
+				// (and the epoch we lead under).
+				go func(to string, epoch int64) {
 					if c, err := h.dial(to); err == nil {
-						_ = c.Notify(Frame{Type: MsgWhoIsLeader, Shard: shard, A: epoch, S: h.Addr})
+						_ = c.Notify(Frame{Type: MsgWhoIsLeader, A: epoch, S: h.Addr})
 					}
-				}(f.From, f.Shard, epoch)
+				}(f.From, epoch)
 			}
 		case MsgElection:
 			h.handleElectionBroadcast(f)
 		case MsgNewLeader:
 			h.handleNewLeaderBroadcast(f)
 		case MsgNSHwm:
-			h.noteNSHwm(int(f.A), int(f.Shard), f.B)
+			h.noteNSHwm(int(f.A), f.B)
 		}
 	}
 }
@@ -426,108 +355,84 @@ func (r *sliceReader) Read(p []byte) (int, error) {
 }
 
 // noteNSHwm records a broadcast namespace cursor (see MsgNSHwm).
-func (h *Helper) noteNSHwm(kind, shard int, next int64) {
-	k := idbKey{kind: kind, shard: shard}
+func (h *Helper) noteNSHwm(kind int, next int64) {
 	h.mu.Lock()
-	if next > h.nsHwm[k] {
-		mapSet(&h.nsHwm, k, next)
+	if next > h.nsHwm[kind] {
+		mapSet(&h.nsHwm, kind, next)
 	}
 	h.mu.Unlock()
 }
 
-// broadcastNSHwm announces a shard leader's allocation cursor for kind
-// after a grant or claim moved it. Best-effort: a lost broadcast only
-// widens the window in which a failover cursor could lag, it never
-// corrupts state.
-func (h *Helper) broadcastNSHwm(kind, shard int, next int64) {
-	f := Frame{Type: MsgNSHwm, A: int64(kind), B: next, Shard: int32(shard), From: h.Addr}
+// broadcastNSHwm announces the leader's allocation cursor for kind after
+// a grant or claim moved it. Best-effort: a lost broadcast only widens the
+// window in which a failover cursor could lag, it never corrupts state.
+func (h *Helper) broadcastNSHwm(kind int, next int64) {
+	f := Frame{Type: MsgNSHwm, A: int64(kind), B: next, From: h.Addr}
 	_ = h.pal.BroadcastSend(EncodeFrame(&f))
 }
 
-func (h *Helper) isLeader() bool {
+func (h *Helper) isLeader() bool { return h.ledState() != nil }
+
+// ledState returns the leaderState this helper runs, nil when it does not
+// lead — the gate in front of every leader-only handler.
+func (h *Helper) ledState() *leaderState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.leader != nil
+	return h.leader
 }
 
-// leadsAny reports whether this helper currently leads any shard.
-func (h *Helper) leadsAny() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, g := range h.groups {
-		if g.leader != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// DiscoverLeader discovers shard 0's leader (the whole namespace in a
-// 1-shard topology).
+// DiscoverLeader broadcasts a who-is-leader query and waits (bounded) for
+// the leader's point-to-point reply — the recovery path when a process
+// lost the leader's address. ETIMEDOUT means no live leader answered; the
+// caller decides whether to elect.
 func (h *Helper) DiscoverLeader() (string, error) {
-	return h.discoverShard(&h.shardGroup)
-}
-
-// discoverShard broadcasts a who-is-leader query for one shard and waits
-// (bounded) for that shard leader's point-to-point reply — the recovery
-// path when a process lost a shard's leader address. ETIMEDOUT means no
-// live leader answered; the caller decides whether to elect.
-func (h *Helper) discoverShard(g *shardGroup) (string, error) {
 	h.mu.Lock()
-	if g.leaderAddr != "" {
-		addr := g.leaderAddr
+	if h.leaderAddr != "" {
+		addr := h.leaderAddr
 		h.mu.Unlock()
 		return addr, nil
 	}
 	h.mu.Unlock()
-	f := Frame{Type: MsgWhoIsLeader, Shard: int32(g.shard), From: h.Addr}
+	f := Frame{Type: MsgWhoIsLeader, From: h.Addr}
 	if err := h.pal.BroadcastSend(EncodeFrame(&f)); err != nil {
 		return "", err
 	}
-	return h.awaitNewLeader(g, 10*electionWindow)
+	return h.awaitNewLeader(10 * electionWindow)
 }
 
-// setLeaderLocked records addr as a shard's leader under epoch and wakes
+// setLeaderLocked records addr as the leader under epoch and wakes
 // awaitNewLeader waiters. Caller holds h.mu.
-func (h *Helper) setLeaderLocked(g *shardGroup, addr string, epoch int64) {
-	if addr != g.leaderAddr {
+func (h *Helper) setLeaderLocked(addr string, epoch int64) {
+	if addr != h.leaderAddr {
 		// A leader we reported to in an earlier reign has a fresh
 		// leaderState now; the report must be re-sent (heartbeat-triggered)
 		// even if the address is one we have reported to before.
-		g.reportedTo = ""
+		h.reportedTo = ""
 	}
-	g.leaderAddr = addr
-	if epoch > g.leaderEpoch {
-		g.leaderEpoch = epoch
+	h.leaderAddr = addr
+	if epoch > h.leaderEpoch {
+		h.leaderEpoch = epoch
 	}
-	close(g.leaderChange)
-	g.leaderChange = make(chan struct{})
-}
-
-// clearLeaderLocked forgets a shard's leader address (it is presumed dead
-// or stale). Caller holds h.mu.
-func (h *Helper) clearLeaderLocked(g *shardGroup) {
-	g.leaderAddr = ""
+	close(h.leaderChange)
+	h.leaderChange = make(chan struct{})
 }
 
 // dropConn runs when a peer stream dies: the conn leaves the dial cache
-// and the accepted set, and — when we lead a shard — a peer that never
-// said MsgBye is treated as crashed and reaped (the RPC-disconnection
-// failure detector of §4.2, pointed at members instead of the leader).
-// A helper whose own picoprocess has died reaps nothing: its exit closes
-// every stream it holds, so each of those deaths is its own, and a reap
-// scattered from it as MsgMemberDead would make the live shard leaders
-// drop the live peers' objects.
+// and the accepted set, and — when we lead — a peer that never said
+// MsgBye is treated as crashed and reaped (the RPC-disconnection failure
+// detector of §4.2, pointed at members instead of the leader). A leader
+// whose own picoprocess has died reaps nothing: its exit closes every
+// stream it holds, so each of those deaths is its own, not a member's.
 func (h *Helper) dropConn(c *Conn) {
 	h.conns.deleteValue(func(cc *Conn) bool { return cc == c })
 	h.mu.Lock()
 	delete(h.incoming, c)
 	h.mu.Unlock()
 	addr := c.remote()
-	if addr == "" || addr == h.Addr || !h.leadsAny() || h.pal.Proc().Dead() {
+	if addr == "" || addr == h.Addr || !h.isLeader() || h.pal.Proc().Dead() {
 		return
 	}
-	go h.reapMember(addr, true)
+	go h.reapMember(addr)
 }
 
 // dial returns a cached or fresh point-to-point stream to addr (§4.3,
@@ -566,7 +471,7 @@ func (h *Helper) AllocPID(childAddr string) (int64, error) {
 				return 0, err
 			}
 			h.mu.Lock()
-			h.pidBatch = idBatch{next: resp.A, hi: resp.B, shard: h.homeShard}
+			h.pidBatch = idBatch{next: resp.A, hi: resp.B}
 		}
 		pid := h.pidBatch.next
 		h.pidBatch.next++
@@ -726,22 +631,11 @@ func (h *Helper) Ping(addr string) error {
 	return err
 }
 
-// LeaderAddr returns shard 0's current leader address ("" if
-// undiscovered) — the whole namespace's leader in a 1-shard topology.
+// LeaderAddr returns the current leader address ("" if undiscovered).
 func (h *Helper) LeaderAddr() string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.leaderAddr
-}
-
-// shardLeaderAddr returns the believed leader address of one shard.
-func (h *Helper) shardLeaderAddr(shard int) string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if g := h.groupFor(int32(shard)); g != nil {
-		return g.leaderAddr
-	}
-	return ""
 }
 
 // bgEnter opens a tracked background task unless shutdown has begun; the
@@ -782,23 +676,14 @@ func (h *Helper) Shutdown() {
 	}
 	h.shutdown = true
 	close(h.shutdownCh)
-	for _, g := range h.groups {
-		h.stopHeartbeatLocked(g)
-	}
+	h.stopHeartbeatLocked()
 	objs := h.objectsLocked()
-	// Snapshot the shard-leader view: the distinct coordinator addresses
-	// (excluding ourselves) are owed a goodbye if we share a stream with
-	// them, and every owned semaphore set migrates back to its owning
-	// shard's leader.
-	shardAddr := make([]string, len(h.groups))
-	ledShard := make([]bool, len(h.groups))
-	byeAddrs := make([]string, 0, len(h.groups))
-	for i, g := range h.groups {
-		shardAddr[i] = g.leaderAddr
-		ledShard[i] = g.leader != nil
-		if g.leaderAddr != "" && g.leaderAddr != h.Addr && !slices.Contains(byeAddrs, g.leaderAddr) {
-			byeAddrs = append(byeAddrs, g.leaderAddr)
-		}
+	// Snapshot the leader view: a leader other than ourselves is owed a
+	// goodbye if we share a stream with it, and every owned semaphore set
+	// migrates back to it.
+	leaderAddr := ""
+	if h.leader == nil {
+		leaderAddr = h.leaderAddr
 	}
 	h.mu.Unlock()
 
@@ -812,16 +697,15 @@ func (h *Helper) Shutdown() {
 	h.bg.Wait()
 
 	// System V objects survive their owner: queues serialize to disk
-	// (§4.2); semaphore sets migrate back to their shard's leader so other
+	// (§4.2); semaphore sets migrate back to the leader so other
 	// picoprocesses can keep operating on them.
 	for _, o := range objs {
 		switch o := o.(type) {
 		case *msgQueue:
 			h.persistQueue(o)
 		case *semSet:
-			os := shardOfID(o.id, h.shards)
-			if os < len(ledShard) && !ledShard[os] && shardAddr[os] != "" {
-				h.evictSemOnShutdown(o, shardAddr[os])
+			if leaderAddr != "" {
+				h.evictSemOnShutdown(o, leaderAddr)
 			}
 		}
 	}
@@ -831,20 +715,20 @@ func (h *Helper) Shutdown() {
 		conns = append(conns, c)
 	}
 	h.mu.Unlock()
-	// Say goodbye, synchronously, to each shard coordinator we share a live
-	// stream with — dialled or accepted, whichever we find first — before
-	// any stream closes: its teardown would otherwise read as a crash at
-	// that leader and reap the objects just persisted or migrated. A leader
-	// we share no stream with has nothing to see die (and whatever it holds
-	// of ours stays, as after any goodbye), so a picoprocess that never
+	// Say goodbye, synchronously, on a live stream we share with the
+	// leader — dialled or accepted, whichever we find first — before any
+	// stream closes: its teardown would otherwise read as a crash at the
+	// leader and reap the objects just persisted or migrated. A leader we
+	// share no stream with has nothing to see die (and whatever it holds of
+	// ours stays, as after any goodbye), so a picoprocess that never
 	// coordinated leaves in silence.
 	for _, c := range conns {
-		if i := slices.Index(byeAddrs, c.remote()); i >= 0 && c.Alive() {
-			byeAddrs = slices.Delete(byeAddrs, i, i+1)
+		if leaderAddr != "" && c.remote() == leaderAddr && c.Alive() {
 			// Deadline-bounded: a leader stuck behind a partition must not
 			// wedge this process's exit; after the timeout we accept the
 			// (inherent) reap race.
 			_, _ = c.CallTimeout(Frame{Type: MsgBye, From: h.Addr}, rpcCallTimeout)
+			break
 		}
 	}
 	for _, c := range conns {
@@ -853,7 +737,7 @@ func (h *Helper) Shutdown() {
 	_ = h.pal.DkObjectClose(h.listener)
 }
 
-// evictSemOnShutdown migrates set s to its shard leader; the handoff
+// evictSemOnShutdown migrates set s to the leader; the handoff
 // bounces parked waiters, which retry against the new owner. An aborted
 // handoff lets in-flight remote operations re-park, so it retries; the
 // shutdown flag makes the dispatcher bounce new arrivals.

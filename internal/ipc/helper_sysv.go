@@ -25,48 +25,35 @@ func migrationBackoff(attempt int) {
 }
 
 // allocID draws a System V ID of the given namespace kind from the local
-// batch granted by the given shard, refilling from that shard's leader
-// when exhausted. Allocating from a specific shard is what keeps keyed
-// objects single-shard-authoritative: the ID comes from the key's shard,
-// so every later by-ID operation (owner lookup, chown, migrate, remove)
-// routes to the same shard that holds the key mapping.
-func (h *Helper) allocID(kind, shard int) (int64, error) {
+// batch, refilling from the leader when exhausted.
+func (h *Helper) allocID(kind int) (int64, error) {
 	if kind != NSSysVMsg && kind != NSSysVSem {
 		return 0, api.EINVAL
 	}
-	k := idbKey{kind: kind, shard: shard}
 	h.mu.Lock()
-	b := h.idBatches[k]
+	b := h.idBatches[kind]
 	if b == nil {
-		b = &idBatch{shard: shard}
-		mapSet(&h.idBatches, k, b)
+		b = &idBatch{}
+		mapSet(&h.idBatches, kind, b)
 	}
 	if b.next == 0 || b.next > b.hi {
-		var leader *leaderState
-		if g := h.groupFor(int32(shard)); g != nil {
-			leader = g.leader
-		}
+		leader := h.leader
 		h.mu.Unlock()
 		var lo, hi int64
 		if leader != nil {
-			// The shard leader refills from its own range table directly
-			// and announces the cursor like any grant: a successor elected
-			// while this helper is cut off must not mint these IDs again.
+			// The leader refills from its own range table directly and
+			// announces the cursor like any grant: a successor elected while
+			// this helper is cut off must not mint these IDs again.
 			lo, hi = leader.allocRange(kind, idBatchSize, h.Addr)
-			h.broadcastNSHwm(kind, shard, hi+1)
+			h.broadcastNSHwm(kind, hi+1)
 		} else {
-			resp, err := h.callShard(shard, Frame{Type: MsgNSAlloc, A: int64(kind), B: idBatchSize})
+			resp, err := h.callLeader(Frame{Type: MsgNSAlloc, A: int64(kind), B: idBatchSize})
 			if err != nil {
 				return 0, err
 			}
 			lo, hi = resp.A, resp.B
 		}
 		h.mu.Lock()
-		b = h.idBatches[k]
-		if b == nil {
-			b = &idBatch{shard: shard}
-			mapSet(&h.idBatches, k, b)
-		}
 		b.next, b.hi = lo, hi
 	}
 	id := b.next
@@ -80,24 +67,20 @@ func (h *Helper) allocID(kind, shard int) (int64, error) {
 // ============================================================
 
 // sysvKey maps a System V key to (id, owner) for the given namespace
-// kind at the key's one authority, its shard leader: a plain call against
-// the leader's tables when this helper leads the key's shard, else one
-// MsgKeyGet round trip. Either way the mapping is in the leader's table
-// before the call returns. A create proposes an ID from this helper's
-// batch of the key's shard; a lookup proposes none.
+// kind at the key's one authority, the leader: a plain call against the
+// leader's tables when this helper leads, else one MsgKeyGet round trip.
+// Either way the mapping is in the leader's table before the call
+// returns. A create proposes an ID from this helper's batch; a lookup
+// proposes none.
 func (h *Helper) sysvKey(kind int, key int64, flags int) (int64, string, error) {
-	ks := h.sysvShardOf(kind, key)
 	var proposed int64
 	if flags&api.IPCCreat != 0 || key == api.IPCPrivate {
 		var err error
-		if proposed, err = h.allocID(kind, ks); err != nil {
+		if proposed, err = h.allocID(kind); err != nil {
 			return 0, "", err
 		}
 	}
-	h.mu.Lock()
-	leader := h.groups[ks].leader
-	h.mu.Unlock()
-	if leader != nil {
+	if leader := h.ledState(); leader != nil {
 		id, owner, errno := leader.keyResolve(kind, key, flags, proposed, h.Addr)
 		if errno != 0 {
 			return 0, "", errno
@@ -197,8 +180,8 @@ func (h *Helper) sysvDo(op *sysvOp) (int64, []byte, error) {
 			h.invalidate(op.kind, op.id)
 		case api.EPIPE:
 			// A queue the owner persisted on exit is adopted here; else the
-			// object re-resolves: a set was evicted to its shard leader
-			// before the owner's streams closed, and another survivor may
+			// object re-resolves: a set was evicted to the leader before
+			// the owner's streams closed, and another survivor may
 			// have adopted a queue.
 			if op.kind != NSSysVMsg || !h.adoptQueue(op.id) {
 				h.invalidate(op.kind, op.id)
@@ -418,8 +401,8 @@ func (h *Helper) SemopIntr(id int64, ops []api.SemBuf, intr <-chan struct{}) err
 func (h *Helper) SemRmid(id int64) error { return h.rmid(NSSysVSem, id) }
 
 // DebugSysVState renders the helper's System V state for diagnostics:
-// every object's shared header, then the owner cache and, for every shard
-// this helper leads, that shard's owner map for both kinds.
+// every object's shared header, then the owner cache and, when this helper
+// leads, the leader's owner map for both kinds.
 func (h *Helper) DebugSysVState() string {
 	var b strings.Builder
 	h.mu.Lock()
@@ -439,16 +422,12 @@ func (h *Helper) DebugSysVState() string {
 			b.WriteString("  ownerCache " + kindName(kind) + " " + strconv.FormatInt(id, 10) + "=" + addr + "\n")
 		}
 	}
-	for _, g := range h.groups {
-		l := g.leader
-		if l == nil {
-			continue
-		}
+	if l := h.leader; l != nil {
 		l.mu.RLock()
 		for _, kind := range []int{NSSysVMsg, NSSysVSem} {
 			for id, e := range l.owners[kind] {
 				b.WriteString("  leader.owners " + kindName(kind) + " " + strconv.FormatInt(id, 10) + "=" +
-					e.addr + " epoch=" + strconv.FormatInt(e.epoch, 10) + " shard=" + strconv.Itoa(g.shard) + "\n")
+					e.addr + " epoch=" + strconv.FormatInt(e.epoch, 10) + "\n")
 			}
 		}
 		l.mu.RUnlock()

@@ -82,9 +82,7 @@ func newTestGroup(t *testing.T) *testGroup {
 			if !h.shutdown {
 				h.shutdown = true
 				close(h.shutdownCh)
-				for _, sg := range h.groups {
-					h.stopHeartbeatLocked(sg)
-				}
+				h.stopHeartbeatLocked()
 			}
 			h.mu.Unlock()
 		}
@@ -799,7 +797,9 @@ func TestJoinRacesLeaderHeartbeat(t *testing.T) {
 	flooded := make(chan struct{})
 	go func() {
 		defer close(flooded)
-		hb := Frame{Type: MsgNewLeader, A: lh.ShardEpoch(0), From: lh.Addr, S: lh.Addr}
+		lh.mu.Lock()
+		hb := Frame{Type: MsgNewLeader, A: lh.leaderEpoch, From: lh.Addr, S: lh.Addr}
+		lh.mu.Unlock()
 		msg := EncodeFrame(&hb)
 		for {
 			select {

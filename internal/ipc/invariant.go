@@ -12,35 +12,22 @@ import (
 // partitions, heals) settles, the sandbox must be in a state the paper's
 // coordination protocols promise regardless of the schedule:
 //
-//   - at most one accepted leader per (shard, election epoch) — fencing:
-//     a deposed shard leader steps down rather than coexisting;
+//   - at most one accepted leader per election epoch — fencing: a deposed
+//     leader steps down rather than coexisting;
 //   - no PID handed out twice (batch ranges never overlap — within one
-//     shard leader's table or across shard leaders — and no PID is
-//     claimed as locally allocated by two helpers);
+//     leader's table or across leaders — and no PID is claimed as locally
+//     allocated by two helpers);
 //   - no System V key resolving to two live IDs (first-writer-wins
 //     registration plus post-heal tombstoning of loser copies);
-//   - every keyed object a live helper owns resolves at its key's shard
-//     leader to that (id, owner): the leader is the key's one authority,
-//     and msgget/semget register there before they return;
-//   - sharded placement: every key mapping and ID range a shard leader
-//     holds belongs to that shard (keys by the consistent-hash ring, ID
-//     ranges by slab arithmetic), so a name always has exactly one
-//     authoritative shard.
+//   - every keyed object a live helper owns resolves at the leader to that
+//     (id, owner): the leader is the key's one authority, and
+//     msgget/semget register there before they return;
+//   - every leader's id -> key index and per-member holdings count agree
+//     with a recount of the tables they summarise.
 //
 // CheckInvariants inspects live helper state directly (same package) and
 // returns one human-readable string per violation; the chaos harness
 // fails the test on any non-empty result.
-
-// shardSnap is one helper's led-or-member view of one shard group.
-type shardSnap struct {
-	shard       int
-	isLeader    bool
-	leaderEpoch int64
-	// leader-only tables (nil when not leading this shard)
-	ranges     map[int][]idRange
-	leaderKeys map[int]map[int64]keyEntry // kind -> key -> (id, owner)
-	removed    map[int]map[int64]struct{}
-}
 
 // keyedSnap is one live keyed object a helper owns.
 type keyedSnap struct {
@@ -51,12 +38,16 @@ type keyedSnap struct {
 // helperSnapshot is one helper's state copied out under its locks, so
 // cross-helper checks run without holding any helper's mutex.
 type helperSnapshot struct {
-	addr     string
-	shards   int
-	ring     *shardRing
-	groups   []shardSnap
-	selfPIDs []int64         // PIDs this helper claims as locally allocated
-	liveIDs  map[int][]int64 // kind -> IDs of live, unmigrated objects here
+	addr        string
+	isLeader    bool
+	leaderEpoch int64
+	// leader-only tables (nil when not leading)
+	ranges     map[int][]idRange
+	leaderKeys map[int]map[int64]keyEntry // kind -> key -> (id, owner)
+	removed    map[int]map[int64]struct{}
+	indexBad   []string        // checkIndexLocked's findings
+	selfPIDs   []int64         // PIDs this helper claims as locally allocated
+	liveIDs    map[int][]int64 // kind -> IDs of live, unmigrated objects here
 	// keyed lists the live keyed objects this helper owns; empty once it
 	// has shut down (its queues are persisted for adoption, its sets
 	// evicted, and neither is its to answer for any more).
@@ -70,22 +61,14 @@ type helperSnapshot struct {
 func snapshotHelper(h *Helper) helperSnapshot {
 	s := helperSnapshot{
 		addr:    h.Addr,
-		shards:  h.shards,
-		ring:    h.ring,
 		liveIDs: make(map[int][]int64),
 		handoff: make(map[sysvRef]string),
 	}
 	h.mu.Lock()
 	down := h.shutdown
-	leaders := make([]*leaderState, len(h.groups))
-	for i, g := range h.groups {
-		s.groups = append(s.groups, shardSnap{
-			shard:       g.shard,
-			isLeader:    g.leader != nil,
-			leaderEpoch: g.leaderEpoch,
-		})
-		leaders[i] = g.leader
-	}
+	leader := h.leader
+	s.isLeader = leader != nil
+	s.leaderEpoch = h.leaderEpoch
 	for pid, owner := range h.localPIDs {
 		if owner == h.Addr {
 			s.selfPIDs = append(s.selfPIDs, pid)
@@ -111,32 +94,29 @@ func snapshotHelper(h *Helper) helperSnapshot {
 		hd.mu.Unlock()
 	}
 
-	for i, leader := range leaders {
-		if leader == nil {
-			continue
-		}
-		g := &s.groups[i]
+	if leader != nil {
 		leader.mu.RLock()
-		g.ranges = make(map[int][]idRange)
+		s.ranges = make(map[int][]idRange)
 		for kind, rs := range leader.ranges {
-			g.ranges[kind] = append([]idRange(nil), rs...)
+			s.ranges[kind] = append([]idRange(nil), rs...)
 		}
-		g.leaderKeys = make(map[int]map[int64]keyEntry)
+		s.leaderKeys = make(map[int]map[int64]keyEntry)
 		for kind, m := range leader.keys {
 			dst := make(map[int64]keyEntry, len(m))
 			for k, e := range m {
 				dst[k] = e
 			}
-			g.leaderKeys[kind] = dst
+			s.leaderKeys[kind] = dst
 		}
-		g.removed = make(map[int]map[int64]struct{})
+		s.removed = make(map[int]map[int64]struct{})
 		for kind, m := range leader.removed {
 			dst := make(map[int64]struct{}, len(m))
 			for id := range m {
 				dst[id] = struct{}{}
 			}
-			g.removed[kind] = dst
+			s.removed[kind] = dst
 		}
+		s.indexBad = leader.checkIndexLocked()
 		leader.mu.RUnlock()
 	}
 	return s
@@ -157,40 +137,17 @@ func CheckInvariants(helpers []*Helper) []string {
 		violations = append(violations, fmt.Sprintf(format, args...))
 	}
 
-	// Invariant 0: every helper sees the same topology. Placement checks
-	// below use the first helper's ring; a disagreement would make the
-	// "one authoritative shard per key" question ill-posed.
-	nshards := 1
-	var ring *shardRing
-	if len(snaps) > 0 {
-		nshards = snaps[0].shards
-		ring = snaps[0].ring
-	}
+	// Invariant 1: at most one accepted leader per epoch.
+	leadersByEpoch := make(map[int64][]string)
 	for _, s := range snaps {
-		if s.shards != nshards {
-			bad("topology split: %s runs %d shards, %s runs %d",
-				snaps[0].addr, nshards, s.addr, s.shards)
+		if s.isLeader {
+			leadersByEpoch[s.leaderEpoch] = append(leadersByEpoch[s.leaderEpoch], s.addr)
 		}
 	}
-
-	// Invariant 1: at most one accepted leader per (shard, epoch).
-	type shardEpoch struct {
-		shard int
-		epoch int64
-	}
-	leadersByEpoch := make(map[shardEpoch][]string)
-	for _, s := range snaps {
-		for _, g := range s.groups {
-			if g.isLeader {
-				se := shardEpoch{g.shard, g.leaderEpoch}
-				leadersByEpoch[se] = append(leadersByEpoch[se], s.addr)
-			}
-		}
-	}
-	for se, addrs := range leadersByEpoch {
+	for epoch, addrs := range leadersByEpoch {
 		if len(addrs) > 1 {
 			sort.Strings(addrs)
-			bad("shard %d epoch %d has %d accepted leaders: %v", se.shard, se.epoch, len(addrs), addrs)
+			bad("epoch %d has %d accepted leaders: %v", epoch, len(addrs), addrs)
 		}
 	}
 
@@ -205,24 +162,18 @@ func CheckInvariants(helpers []*Helper) []string {
 			}
 		}
 	}
-	// Invariant 2b: no ID range granted twice — neither within one shard
-	// leader's table nor across shard leaders (a batch handed out twice
-	// would let two helpers mint the same PID without ever colliding in
-	// 2a's maps). All led groups' ranges per kind are checked globally;
-	// slab striping should make cross-shard overlap impossible, so any
-	// hit is a routing or alignment bug.
+	// Invariant 2b: no ID range granted twice — neither within one
+	// leader's table nor across leaders (a batch handed out twice would let
+	// two helpers mint the same PID without ever colliding in 2a's maps).
 	type taggedRange struct {
-		r     idRange
-		shard int
-		addr  string
+		r    idRange
+		addr string
 	}
 	globalRanges := make(map[int][]taggedRange)
 	for _, s := range snaps {
-		for _, g := range s.groups {
-			for kind, rs := range g.ranges {
-				for _, r := range rs {
-					globalRanges[kind] = append(globalRanges[kind], taggedRange{r: r, shard: g.shard, addr: s.addr})
-				}
+		for kind, rs := range s.ranges {
+			for _, r := range rs {
+				globalRanges[kind] = append(globalRanges[kind], taggedRange{r: r, addr: s.addr})
 			}
 		}
 	}
@@ -230,28 +181,18 @@ func CheckInvariants(helpers []*Helper) []string {
 		sort.Slice(rs, func(i, j int) bool { return rs[i].r.lo < rs[j].r.lo })
 		for i := 1; i < len(rs); i++ {
 			if rs[i].r.lo <= rs[i-1].r.hi {
-				bad("kind %d: ranges [%d,%d](%s, shard %d @%s) and [%d,%d](%s, shard %d @%s) overlap",
+				bad("kind %d: ranges [%d,%d](%s @%s) and [%d,%d](%s @%s) overlap",
 					kind,
-					rs[i-1].r.lo, rs[i-1].r.hi, rs[i-1].r.owner, rs[i-1].shard, rs[i-1].addr,
-					rs[i].r.lo, rs[i].r.hi, rs[i].r.owner, rs[i].shard, rs[i].addr)
+					rs[i-1].r.lo, rs[i-1].r.hi, rs[i-1].r.owner, rs[i-1].addr,
+					rs[i].r.lo, rs[i].r.hi, rs[i].r.owner, rs[i].addr)
 			}
 		}
 	}
-	// Invariant 2c: in a sharded plane, every range a shard leader granted
-	// lies inside that shard's own slabs — the arithmetic that lets any
-	// helper route an ID without asking anyone.
-	if nshards > 1 {
-		for _, s := range snaps {
-			for _, g := range s.groups {
-				for kind, rs := range g.ranges {
-					for _, r := range rs {
-						if shardOfID(r.lo, nshards) != g.shard || shardOfID(r.hi, nshards) != g.shard {
-							bad("shard %d leader %s kind %d: range [%d,%d] strays outside the shard's slabs",
-								g.shard, s.addr, kind, r.lo, r.hi)
-						}
-					}
-				}
-			}
+	// Invariant 2c: every leader's index and holdings count agree with its
+	// tables.
+	for _, s := range snaps {
+		for _, v := range s.indexBad {
+			bad("leader %s: %s", s.addr, v)
 		}
 	}
 
@@ -269,12 +210,8 @@ func CheckInvariants(helpers []*Helper) []string {
 	}
 	tombstoned := func(kind int, id int64) bool {
 		for _, s := range snaps {
-			for _, g := range s.groups {
-				if g.removed != nil {
-					if _, dead := g.removed[kind][id]; dead {
-						return true
-					}
-				}
+			if _, dead := s.removed[kind][id]; dead {
+				return true
 			}
 		}
 		return false
@@ -297,20 +234,9 @@ func CheckInvariants(helpers []*Helper) []string {
 		}
 	}
 	for _, s := range snaps {
-		for _, g := range s.groups {
-			for kind, m := range g.leaderKeys {
-				for key, e := range m {
-					record(kind, key, e.id, fmt.Sprintf("shard %d leader %s", g.shard, s.addr))
-					// Placement: the mapping must live on the shard the
-					// ring assigns the key's block to — a key has exactly
-					// one authoritative shard.
-					if nshards > 1 && key != api.IPCPrivate {
-						if want := ring.keyShard(kind, keyBlock(key)); want != g.shard {
-							bad("kind %d key %d recorded at shard %d (%s) but hashes to shard %d",
-								kind, key, g.shard, s.addr, want)
-						}
-					}
-				}
+		for kind, m := range s.leaderKeys {
+			for key, e := range m {
+				record(kind, key, e.id, "leader "+s.addr)
 			}
 		}
 	}
@@ -325,57 +251,43 @@ func CheckInvariants(helpers []*Helper) []string {
 		}
 	}
 
-	// Invariant 4: every keyed object a live helper owns resolves at its
-	// key's shard leader to that (id, owner). The leader is the key's one
-	// authority and msgget/semget register there before returning, so a
-	// live object the leader does not map is a create nobody else can
-	// find, and a mapping naming another owner sends every lookup astray.
-	// A shard is judged by its newest-epoch leader among the helpers
-	// given; a shard whose leader is not among them is skipped. An
-	// ownership handoff is the one sanctioned lag: the sender's chown
-	// reaches the leader only after the receiver installed, so while the
-	// mapped owner's copy is mid-handoff or forwards to the holder, the
-	// mapping names the sender.
+	// Invariant 4: every keyed object a live helper owns resolves at the
+	// leader to that (id, owner). The leader is the key's one authority
+	// and msgget/semget register there before returning, so a live object
+	// the leader does not map is a create nobody else can find, and a
+	// mapping naming another owner sends every lookup astray. The leader
+	// is the newest-epoch one among the helpers given; with none among
+	// them the check is skipped. An ownership handoff is the one
+	// sanctioned lag: the sender's chown reaches the leader only after the
+	// receiver installed, so while the mapped owner's copy is mid-handoff
+	// or forwards to the holder, the mapping names the sender.
 	handingOff := make(map[string]map[sysvRef]string, len(snaps))
 	for _, s := range snaps {
 		handingOff[s.addr] = s.handoff
 	}
-	type ledBy struct {
-		g    *shardSnap
-		addr string
-	}
-	shardLeader := make(map[int]ledBy)
+	var l *helperSnapshot
 	for i := range snaps {
-		for j := range snaps[i].groups {
-			g := &snaps[i].groups[j]
-			if cur, ok := shardLeader[g.shard]; g.isLeader && (!ok || g.leaderEpoch > cur.g.leaderEpoch) {
-				shardLeader[g.shard] = ledBy{g, snaps[i].addr}
-			}
+		if snaps[i].isLeader && (l == nil || snaps[i].leaderEpoch > l.leaderEpoch) {
+			l = &snaps[i]
 		}
 	}
-	for _, s := range snaps {
-		for _, o := range s.keyed {
-			shard := 0
-			if nshards > 1 {
-				shard = ring.keyShard(o.kind, keyBlock(o.key))
-			}
-			l, ok := shardLeader[shard]
-			if !ok {
-				continue
-			}
-			e, mapped := l.g.leaderKeys[o.kind][o.key]
-			if mapped && e.id == o.id && e.owner != s.addr {
-				if to, ok := handingOff[e.owner][o.sysvRef]; ok && (to == "" || to == s.addr) {
-					continue // the handoff's chown is still on its way
+	if l != nil {
+		for _, s := range snaps {
+			for _, o := range s.keyed {
+				e, mapped := l.leaderKeys[o.kind][o.key]
+				if mapped && e.id == o.id && e.owner != s.addr {
+					if to, ok := handingOff[e.owner][o.sysvRef]; ok && (to == "" || to == s.addr) {
+						continue // the handoff's chown is still on its way
+					}
 				}
-			}
-			switch {
-			case !mapped:
-				bad("kind %d key %d: object %d owned by %s is not mapped at its shard %d leader %s",
-					o.kind, o.key, o.id, s.addr, shard, l.addr)
-			case e.id != o.id || e.owner != s.addr:
-				bad("kind %d key %d: object %d owned by %s resolves at its shard %d leader %s to id %d owned by %s",
-					o.kind, o.key, o.id, s.addr, shard, l.addr, e.id, e.owner)
+				switch {
+				case !mapped:
+					bad("kind %d key %d: object %d owned by %s is not mapped at leader %s",
+						o.kind, o.key, o.id, s.addr, l.addr)
+				case e.id != o.id || e.owner != s.addr:
+					bad("kind %d key %d: object %d owned by %s resolves at leader %s to id %d owned by %s",
+						o.kind, o.key, o.id, s.addr, l.addr, e.id, e.owner)
+				}
 			}
 		}
 	}

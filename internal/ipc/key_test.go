@@ -9,7 +9,7 @@ import (
 	"graphene/internal/host"
 )
 
-// Key resolution: a System V key has one authority, its shard leader.
+// Key resolution: a System V key has one authority, the leader.
 // A member's msgget/semget is one MsgKeyGet to that leader, the leader's
 // own is a plain call against its tables, and either way the mapping is
 // registered before the call returns. Each behaviour below runs for both
@@ -224,18 +224,18 @@ func TestKeySurvivesCreatorExitSem(t *testing.T) {
 	}
 }
 
-// TestInvariantKeyedObjectResolvesAtShardLeader: every keyed object a
-// member creates is mapped at its shard leader to (id, member) the moment
+// TestInvariantKeyedObjectResolvesAtLeader: every keyed object a member
+// creates is mapped at the leader to (id, member) the moment
 // the create returns. The leader's MsgKeyRegister handler is slowed down
 // so that no registration sent after a create returns can land before
 // the check; only a create that registers synchronously passes.
-func TestInvariantKeyedObjectResolvesAtShardLeader(t *testing.T) {
+func TestInvariantKeyedObjectResolvesAtLeader(t *testing.T) {
 	g := newTestGroup(t)
 	lh, lp := g.leader(newFakeService())
 	mh, _ := g.member(lp, lh.Addr, 2, newFakeService())
 	lp.Proc().SetFaultPlan(host.NewFaultPlan().DelayRule("rpc.MsgKeyRegister.enter", 0, 200*time.Millisecond))
 
-	base := int64(72704) // one placement block
+	base := int64(72704)
 	for i := int64(0); i < 4; i++ {
 		if _, err := mh.Msgget(base+i, api.IPCCreat); err != nil {
 			t.Fatal(err)
@@ -245,7 +245,7 @@ func TestInvariantKeyedObjectResolvesAtShardLeader(t *testing.T) {
 		}
 	}
 	if v := CheckInvariants([]*Helper{lh, mh}); len(v) != 0 {
-		t.Fatalf("keyed objects not resolvable at their shard leader: %v", v)
+		t.Fatalf("keyed objects not resolvable at the leader: %v", v)
 	}
 }
 

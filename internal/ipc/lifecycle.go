@@ -367,7 +367,7 @@ func (h *Helper) removeLocal(kind int, id int64) api.Errno {
 			}
 		})
 	}
-	// The authoritative-shard tombstone is synchronous: once Rmid returns,
+	// The leader's tombstone is synchronous: once Rmid returns,
 	// no other picoprocess can resolve the key to the dead ID (an async
 	// notify left a window where a concurrent create handed out the stale
 	// mapping). Accessor notifications above stay best-effort async.
@@ -427,13 +427,12 @@ func (h *Helper) migrate(kind int, id int64, to string) {
 		abort()
 		return
 	}
-	os := shardOfID(id, h.shards)
 	switch _, err := c.CallTimeout(f, rpcCallTimeout); {
 	case err == nil:
 		commit(to)
 	case err == api.EPERM:
 		abort() // receiver explicitly refused: it has no copy
-	case h.leadsShard(os):
+	case h.isLeader():
 		// The outcome is unknown, and we are the convergence point: keep
 		// the copy.
 		abort()
@@ -441,12 +440,12 @@ func (h *Helper) migrate(kind int, id int64, to string) {
 		// The outcome is unknown: the connection died mid-call, so the
 		// receiver may or may not have installed — and if it did, it is
 		// dying and will evict the copy. Resurrecting ours could split
-		// ownership; instead forward it to the shard leader authoritative
-		// for this object, where a dying receiver's eviction converges too.
+		// ownership; instead forward it to the leader, where a dying
+		// receiver's eviction converges too.
 		// callLeader rides through a concurrent leader failover and mints
 		// a ReqID, so a replayed handoff cannot double-install.
 		if _, err := h.callLeader(f); err == nil {
-			if owner := h.shardLeaderAddr(os); owner != "" && owner != h.Addr {
+			if owner := h.LeaderAddr(); owner != "" && owner != h.Addr {
 				commit(owner)
 				return
 			}

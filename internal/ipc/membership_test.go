@@ -11,8 +11,8 @@ import (
 )
 
 // The membership rule (DESIGN.md "Membership lifecycle"): a helper contacts
-// a shard leader on first need and says goodbye only to leaders it shares a
-// stream with. These tests hold the leader's side of it: what reaches its
+// the leader on first need and says goodbye only if it shares a stream
+// with it. These tests hold the leader's side of it: what reaches its
 // dispatcher and what its tables record.
 
 // countingPlan installs an empty fault plan on p's picoprocess: nothing
@@ -38,7 +38,7 @@ func (g *testGroup) forked(parent *Helper, parentPAL *pal.PAL, svc Service) (*He
 	if err != nil {
 		g.t.Fatal(err)
 	}
-	h, err := NewForkedMember(cp, svc, pid, parent.ShardLeaderAddrs())
+	h, err := NewForkedMember(cp, svc, pid, parent.LeaderAddr())
 	if err != nil {
 		g.t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package ipc
 
 import (
+	"fmt"
 	"sync"
 
 	"graphene/internal/api"
@@ -18,22 +19,6 @@ type idRange struct {
 type keyEntry struct {
 	id    int64
 	owner string
-}
-
-// keyBlockSize is how many consecutive System V keys one placement block
-// covers. Applications name related IPC objects with clustered keys (ftok
-// over the same file, a base key plus a small index), and the shard ring
-// places a whole block on one shard, so related keys share one authority.
-const keyBlockSize = 64
-
-// keyBlock maps a key to its placement block (floor division, so negative
-// keys land in well-defined blocks too).
-func keyBlock(key int64) int64 {
-	b := key / keyBlockSize
-	if key%keyBlockSize != 0 && key < 0 {
-		b--
-	}
-	return b
 }
 
 // ownerEntry records who owns a System V object plus the migration epoch
@@ -56,6 +41,15 @@ type leaderState struct {
 	next   map[int]int64
 	keys   map[int]map[int64]keyEntry   // kind -> key -> entry
 	owners map[int]map[int64]ownerEntry // kind -> id -> owner
+	// keyOf indexes keys by ID (kind -> id -> key), so a removal or an
+	// ownership change finds the object's key without ranging over every
+	// key of the kind. An ID names one object and an object has one key:
+	// setKeyLocked keeps the index and keys exact inverses.
+	keyOf map[int]map[int64]int64
+	// held counts, per member address, the ranges and System V objects it
+	// holds in these tables, so a goodbye asks "does it hold anything"
+	// without a scan. Addresses holding nothing have no entry.
+	held map[string]int
 	// removed tombstones destroyed object IDs. A member's post-heal
 	// reconcile (MsgKeyRegister) can report an object this side removed
 	// while the two were cut off, and without the tombstone it would
@@ -70,57 +64,20 @@ type leaderState struct {
 	// were persisted or migrated).
 	departed map[string]struct{}
 	pgs      *pgroupState
-	// shard/nshards place this leaderState in a sharded plane: its
-	// allocation cursors only ever mint IDs from slabs where
-	// slab%nshards == shard (see alignCursorLocked). The classic
-	// single-coordinator plane is shard 0 of 1.
-	shard   int
-	nshards int
 }
 
-func newLeaderStateShard(shard, nshards int) *leaderState {
-	l := &leaderState{
+func newLeaderState() *leaderState {
+	return &leaderState{
 		ranges:   make(map[int][]idRange),
 		next:     map[int]int64{NSPid: 1, NSSysVMsg: 1, NSSysVSem: 1},
 		keys:     map[int]map[int64]keyEntry{NSSysVMsg: {}, NSSysVSem: {}},
 		owners:   map[int]map[int64]ownerEntry{NSSysVMsg: {}, NSSysVSem: {}},
+		keyOf:    map[int]map[int64]int64{NSSysVMsg: {}, NSSysVSem: {}},
+		held:     make(map[string]int),
 		removed:  map[int]map[int64]struct{}{NSSysVMsg: {}, NSSysVSem: {}},
 		departed: make(map[string]struct{}),
 		pgs:      newPgroupState(),
-		shard:    shard,
-		nshards:  nshards,
 	}
-	for _, kind := range []int{NSPid, NSSysVMsg, NSSysVSem} {
-		l.alignCursorLocked(kind, 1)
-	}
-	return l
-}
-
-// alignCursorLocked moves the cursor of one namespace kind to the start
-// of this shard's next owned slab when the cursor sits in a foreign slab
-// or an n-wide grant would cross out of the current one. A no-op in the
-// 1-shard plane and whenever the grant fits inside an owned slab — the
-// common case, so sharding costs the allocator nothing per grant. Caller
-// holds l.mu (or owns l exclusively during construction).
-func (l *leaderState) alignCursorLocked(kind int, n int64) {
-	if l.nshards <= 1 {
-		return
-	}
-	next := l.next[kind]
-	if next < 1 {
-		next = 1
-	}
-	slab := (next - 1) / slabWidth
-	owned := int(slab%int64(l.nshards)) == l.shard
-	fits := next+n-1 <= (slab+1)*slabWidth
-	if owned && fits {
-		return
-	}
-	s := slab + 1
-	for int(s%int64(l.nshards)) != l.shard {
-		s++
-	}
-	l.next[kind] = s*slabWidth + 1
 }
 
 // cursor reports the next unallocated ID of the given kind.
@@ -134,12 +91,54 @@ func (l *leaderState) cursor(kind int) int64 {
 func (l *leaderState) allocRange(kind int, n int64, owner string) (lo, hi int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.alignCursorLocked(kind, n)
 	lo = l.next[kind]
 	hi = lo + n - 1
 	l.next[kind] = hi + 1
-	l.ranges[kind] = append(l.ranges[kind], idRange{lo: lo, hi: hi, owner: owner})
+	l.addRangeLocked(kind, idRange{lo: lo, hi: hi, owner: owner})
 	return lo, hi
+}
+
+// addRangeLocked records a granted or claimed range. Caller holds l.mu.
+func (l *leaderState) addRangeLocked(kind int, r idRange) {
+	l.ranges[kind] = append(l.ranges[kind], r)
+	l.held[r.owner]++
+}
+
+// releaseLocked takes one holding off addr's count. Caller holds l.mu.
+func (l *leaderState) releaseLocked(addr string) {
+	if l.held[addr] <= 1 {
+		delete(l.held, addr)
+	} else {
+		l.held[addr]--
+	}
+}
+
+// setOwnerLocked records o as the owner of object id and carries the new
+// owner into the object's key mapping, if it has one. Caller holds l.mu,
+// and l.owners[kind] exists.
+func (l *leaderState) setOwnerLocked(kind int, id int64, o ownerEntry) {
+	m := l.owners[kind]
+	if cur, ok := m[id]; ok {
+		l.releaseLocked(cur.addr)
+	}
+	m[id] = o
+	l.held[o.addr]++
+	if key, ok := l.keyOf[kind][id]; ok {
+		l.keys[kind][key] = keyEntry{id: id, owner: o.addr}
+	}
+}
+
+// setKeyLocked maps an unmapped key to object id under the object's
+// recorded owner. An ID already mapped under another key (two objects
+// minted the same ID on two sides of a partition) keeps only the newer
+// key, so keys and keyOf stay exact inverses. Caller holds l.mu, and the
+// object's owner entry is set.
+func (l *leaderState) setKeyLocked(kind int, key, id int64) {
+	if old, ok := l.keyOf[kind][id]; ok {
+		delete(l.keys[kind], old)
+	}
+	l.keys[kind][key] = keyEntry{id: id, owner: l.owners[kind][id].addr}
+	l.keyOf[kind][id] = key
 }
 
 // coveredLocked reports whether id falls inside any granted or claimed
@@ -164,7 +163,7 @@ func (l *leaderState) claimRange(kind int, id int64, owner string) (moved bool) 
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.coveredLocked(kind, id) {
-		l.ranges[kind] = append(l.ranges[kind], idRange{lo: id, hi: id, owner: owner})
+		l.addRangeLocked(kind, idRange{lo: id, hi: id, owner: owner})
 	}
 	if moved = id >= l.next[kind]; moved {
 		l.next[kind] = id + 1
@@ -184,10 +183,10 @@ func (l *leaderState) rangeOwner(kind int, id int64) (string, bool) {
 	return "", false
 }
 
-// keyResolve resolves or creates a key mapping at the key's shard leader,
-// the key's one authority: the mapping is in the table before the caller's
-// msgget or semget returns. proposedID is the requester's ID from its
-// batch of this shard, used only on creation.
+// keyResolve resolves or creates a key mapping at the leader, the key's
+// one authority: the mapping is in the table before the caller's msgget or
+// semget returns. proposedID is the requester's ID from its batch, used
+// only on creation.
 func (l *leaderState) keyResolve(kind int, key int64, flags int, proposedID int64, requester string) (id int64, owner string, err api.Errno) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -209,10 +208,10 @@ func (l *leaderState) keyResolve(kind int, key int64, flags int, proposedID int6
 	if proposedID <= 0 {
 		return 0, "", api.EINVAL
 	}
+	l.setOwnerLocked(kind, proposedID, ownerEntry{addr: requester, epoch: 1})
 	if key != api.IPCPrivate {
-		keys[key] = keyEntry{id: proposedID, owner: requester}
+		l.setKeyLocked(kind, key, proposedID)
 	}
-	l.owners[kind][proposedID] = ownerEntry{addr: requester, epoch: 1}
 	return proposedID, requester, 0
 }
 
@@ -230,19 +229,17 @@ func (l *leaderState) registerKey(kind int, key, id int64, owner string) int64 {
 	if _, dead := l.removed[kind][id]; dead {
 		return 0 // the object was destroyed while the report was in flight
 	}
-	if cur, ok := l.owners[kind][id]; ok {
-		owner = cur.addr
-	} else {
-		if l.owners[kind] == nil {
-			return 0
-		}
-		l.owners[kind][id] = ownerEntry{addr: owner, epoch: 1}
+	if l.owners[kind] == nil {
+		return 0
 	}
-	if key != api.IPCPrivate && l.keys[kind] != nil {
+	if _, ok := l.owners[kind][id]; !ok {
+		l.setOwnerLocked(kind, id, ownerEntry{addr: owner, epoch: 1})
+	}
+	if key != api.IPCPrivate {
 		if cur, exists := l.keys[kind][key]; exists {
 			return cur.id
 		}
-		l.keys[kind][key] = keyEntry{id: id, owner: owner}
+		l.setKeyLocked(kind, key, id)
 	}
 	return id
 }
@@ -257,15 +254,19 @@ func (l *leaderState) idOwner(kind int, id int64) (string, bool) {
 
 // chown updates an object's owner after a migration (§4.3). epoch is the
 // migration epoch under which newOwner received the object; a chown older
-// than the recorded epoch lost a migration race and is dropped. epoch 0
-// means the caller has no epoch knowledge (queue adoption from a persisted
-// copy, whose previous owner is dead): the claim is accepted and bumps the
-// recorded epoch.
+// than the recorded epoch lost a migration race and is dropped, and so is
+// one for a removed object (a handoff's chown can trail the receiver's
+// rmid). epoch 0 means the caller has no epoch knowledge (queue adoption
+// from a persisted copy, whose previous owner is dead): the claim is
+// accepted and bumps the recorded epoch.
 func (l *leaderState) chown(kind int, id int64, newOwner string, epoch int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	m := l.owners[kind]
 	if m == nil {
+		return
+	}
+	if _, dead := l.removed[kind][id]; dead {
 		return
 	}
 	cur := m[id]
@@ -274,13 +275,7 @@ func (l *leaderState) chown(kind int, id int64, newOwner string, epoch int64) {
 	} else if epoch < cur.epoch {
 		return
 	}
-	m[id] = ownerEntry{addr: newOwner, epoch: epoch}
-	for key, e := range l.keys[kind] {
-		if e.id == id {
-			e.owner = newOwner
-			l.keys[kind][key] = e
-		}
-	}
+	l.setOwnerLocked(kind, id, ownerEntry{addr: newOwner, epoch: epoch})
 }
 
 // remove drops an object and any key pointing at it, leaving a
@@ -295,32 +290,20 @@ func (l *leaderState) removeLocked(kind int, id int64) {
 	if l.removed[kind] != nil {
 		l.removed[kind][id] = struct{}{}
 	}
-	delete(l.owners[kind], id)
-	for key, e := range l.keys[kind] {
-		if e.id == id {
-			delete(l.keys[kind], key)
-		}
+	if o, ok := l.owners[kind][id]; ok {
+		delete(l.owners[kind], id)
+		l.releaseLocked(o.addr)
+	}
+	if key, ok := l.keyOf[kind][id]; ok {
+		delete(l.keys[kind], key)
+		delete(l.keyOf[kind], id)
 	}
 }
 
 // holdsLocked reports whether addr still owns anything in these tables: an
 // ID range or a System V object. Caller holds l.mu.
 func (l *leaderState) holdsLocked(addr string) bool {
-	for _, rs := range l.ranges {
-		for _, r := range rs {
-			if r.owner == addr {
-				return true
-			}
-		}
-	}
-	for _, owners := range l.owners {
-		for _, o := range owners {
-			if o.addr == addr {
-				return true
-			}
-		}
-	}
-	return false
+	return l.held[addr] > 0
 }
 
 // markDeparted records a graceful member departure (MsgBye): the member's
@@ -352,24 +335,68 @@ func (l *leaderState) reap(addr string) (reaped bool) {
 		l.mu.Unlock()
 		return false
 	}
-	for kind, rs := range l.ranges {
-		keep := rs[:0]
-		for _, r := range rs {
-			if r.owner != addr {
-				keep = append(keep, r)
+	if l.holdsLocked(addr) {
+		reaped = true
+		for kind, rs := range l.ranges {
+			keep := rs[:0]
+			for _, r := range rs {
+				if r.owner != addr {
+					keep = append(keep, r)
+				}
+			}
+			l.ranges[kind] = keep
+		}
+		for kind, owners := range l.owners {
+			for id, o := range owners {
+				if o.addr == addr {
+					l.removeLocked(kind, id)
+				}
 			}
 		}
-		reaped = reaped || len(keep) != len(rs)
-		l.ranges[kind] = keep
-	}
-	for kind, owners := range l.owners {
-		for id, o := range owners {
-			if o.addr == addr {
-				reaped = true
-				l.removeLocked(kind, id)
-			}
-		}
+		delete(l.held, addr)
 	}
 	l.mu.Unlock()
 	return l.pgs.dropAddr(addr) || reaped
+}
+
+// checkIndexLocked recounts the tables the index and the holdings count
+// summarise — keys, owners and ranges — and describes every entry of
+// keyOf or held that disagrees with the recount, and every key whose
+// recorded owner is not its object's. Caller holds l.mu (read suffices).
+func (l *leaderState) checkIndexLocked() []string {
+	var bad []string
+	held := make(map[string]int)
+	for _, rs := range l.ranges {
+		for _, r := range rs {
+			held[r.owner]++
+		}
+	}
+	for kind, owners := range l.owners {
+		for _, o := range owners {
+			held[o.addr]++
+		}
+		indexed := 0
+		for key, e := range l.keys[kind] {
+			if k, ok := l.keyOf[kind][e.id]; !ok || k != key {
+				bad = append(bad, fmt.Sprintf("kind %d key %d -> id %d: index has key %d (present %v)", kind, key, e.id, k, ok))
+			} else {
+				indexed++
+			}
+			if o, ok := owners[e.id]; !ok || o.addr != e.owner {
+				bad = append(bad, fmt.Sprintf("kind %d key %d: owner %q, object %d owned by %q (present %v)", kind, key, e.owner, e.id, o.addr, ok))
+			}
+		}
+		if indexed != len(l.keyOf[kind]) {
+			bad = append(bad, fmt.Sprintf("kind %d: index holds %d ids, keys map %d of them", kind, len(l.keyOf[kind]), indexed))
+		}
+	}
+	for addr, n := range held {
+		if l.held[addr] != n {
+			bad = append(bad, fmt.Sprintf("%s holds %d, counted %d", addr, n, l.held[addr]))
+		}
+	}
+	if len(l.held) != len(held) {
+		bad = append(bad, fmt.Sprintf("holdings count has %d addresses, tables %d", len(l.held), len(held)))
+	}
+	return bad
 }

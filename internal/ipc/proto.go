@@ -39,7 +39,7 @@ const (
 	// Resp: S=value.
 	MsgProcMeta
 
-	// MsgKeyGet: map a System V key to an ID at the key's shard leader,
+	// MsgKeyGet: map a System V key to an ID at the leader,
 	// creating the mapping there when asked. A=kind, B=key,
 	// C=flags(IPCCreat|IPCExcl), D=proposed ID. Resp: A=id, S=owner
 	// address.
@@ -99,7 +99,7 @@ const (
 	MsgRecoverState
 
 	// MsgKeyRegister: re-record a locally owned object's key mapping at
-	// its shard leader after a leader change (reconcile). A=kind, B=key,
+	// the leader after a leader change (reconcile). A=kind, B=key,
 	// C=id, S=owner address. Resp: A=the ID the key resolves to (0 when
 	// the object is tombstoned).
 	MsgKeyRegister
@@ -124,20 +124,6 @@ const (
 	// above all the old leader's own batch, whose grant otherwise lives
 	// only in the leaderState that died (or was partitioned away) with it.
 	MsgNSHwm
-
-	// MsgShardHandoff: transfer authority over one namespace shard to the
-	// receiver. Shard=shard index, A=new epoch (sender's epoch + 1). The
-	// receiver promotes itself at that epoch and announces; the sender
-	// steps the shard down on success.
-	MsgShardHandoff
-
-	// MsgMemberDead: cross-shard death notification. A shard leader that
-	// reaped a crashed member scatters this to the other shard leaders so
-	// each sweeps its own slice of the dead member's PIDs and owned
-	// objects. S=dead member address. Idempotent: a shard that
-	// already marked the member departed reaps nothing and does not
-	// re-scatter, so the fan-out converges in one round.
-	MsgMemberDead
 
 	// MsgQRecvCancel: withdraw a parked blocking receive at the owner
 	// (guest signal interruption). A=qid, D=cancel cookie; the waiter is
@@ -178,7 +164,6 @@ var msgTypeNames = [...]string{
 	MsgElection: "MsgElection", MsgNewLeader: "MsgNewLeader", MsgRecoverState: "MsgRecoverState",
 	MsgKeyRegister: "MsgKeyRegister",
 	MsgBye:         "MsgBye", MsgNSClaim: "MsgNSClaim", MsgNSHwm: "MsgNSHwm",
-	MsgShardHandoff: "MsgShardHandoff", MsgMemberDead: "MsgMemberDead",
 	MsgQRecvCancel: "MsgQRecvCancel", MsgSemOpCancel: "MsgSemOpCancel",
 	MsgRingAttach: "MsgRingAttach", MsgRingDetach: "MsgRingDetach",
 }
@@ -237,12 +222,7 @@ type Frame struct {
 
 	Err        api.Errno
 	A, B, C, D int64
-	// Shard is the namespace shard this frame addresses (0 in a 1-shard
-	// topology). Requests are stamped by the routing layer in callShard;
-	// broadcasts (elections, leader announcements, high-water marks) carry
-	// it so every helper updates the right per-shard state.
-	Shard int32
-	S     string
+	S          string
 	// Blob is the frame's variable-length payload. Ownership contract:
 	// the decoder copies the payload out of the transport buffer, so a
 	// decoded Frame owns its Blob and may retain it indefinitely. On
@@ -275,8 +255,8 @@ const maxFrameSize = 1 << 20
 
 // minFrameBody is the fixed part of a frame body: 2 header + 8 seq +
 // 8 reqid + 8 epoch + 8 trace + 8 span + 4 errno + 32 scalars +
-// 4 shard + 3×4 length fields.
-const minFrameBody = 94
+// 3×4 length fields.
+const minFrameBody = 90
 
 // frameBodySize returns the encoded body length of f (without the 4-byte
 // length prefix).
@@ -306,7 +286,6 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 	for _, v := range [4]int64{f.A, f.B, f.C, f.D} {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.Shard))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.From)))
 	dst = append(dst, f.From...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.S)))
@@ -395,8 +374,6 @@ func decodeFrameBody(body []byte, from *interner) (Frame, error) {
 	f.C = int64(binary.LittleEndian.Uint64(body[off+16:]))
 	f.D = int64(binary.LittleEndian.Uint64(body[off+24:]))
 	off += 32
-	f.Shard = int32(binary.LittleEndian.Uint32(body[off:]))
-	off += 4
 	fromB, off, err := decodeBytes(body, off)
 	if err != nil {
 		return Frame{}, err

@@ -16,7 +16,7 @@ import (
 // with a fresh span whose parent is the enclosing span (beginSpan), and
 // the receiving dispatcher records a serve span under the hop's span
 // (dispatchOn). Because frames carry the context, the hops of one msgget
-// — caller → shard leader, plus any election rides — reassemble into a
+// — caller → leader, plus any election rides — reassemble into a
 // single tree across picoprocess rings (host.buildTraceTrees).
 //
 // Overhead budget: MsgPing is the Fig. 5 hot path (~2µs per round trip on
@@ -68,20 +68,6 @@ func rpcHist(t MsgType) *metrics.Histogram {
 	return metrics.Default.Histogram("rpc.other")
 }
 
-// rpcHistFor picks the latency histogram for one completed client hop. In
-// a sharded topology coordination RPCs observe into a per-shard series
-// ("rpc.<type>.s<N>", names pre-rendered at helper construction) so a
-// slow or recovering shard is visible in isolation; single-shard
-// topologies keep the classic aggregate names.
-func (h *Helper) rpcHistFor(t MsgType, shard int32) *metrics.Histogram {
-	if h.shards > 1 && int(shard) >= 0 && int(shard) < len(h.rpcShardHistNames) {
-		if names := h.rpcShardHistNames[shard]; int(t) < len(names) && names[t] != "" {
-			return metrics.Default.Histogram(names[t])
-		}
-	}
-	return rpcHist(t)
-}
-
 // traceRoot mints a trace ID and root span for a guest-syscall-level
 // operation (0, 0 when tracing is off). Frames stamped with the root as
 // their Span before beginSpan make sibling hops of one operation share a
@@ -122,7 +108,7 @@ func (h *Helper) endSpan(f *Frame, start int64, parent uint64, err error) {
 		Errno: int32(api.ToErrno(err)), Dur: dur,
 		Trace: f.Trace, Span: f.Span, Parent: parent,
 	})
-	h.rpcHistFor(f.Type, f.Shard).Observe(dur)
+	rpcHist(f.Type).Observe(dur)
 }
 
 // serveSpan records the server side of a traced request in dispatchOn and
@@ -134,15 +120,8 @@ func (h *Helper) serveSpan(f *Frame) {
 	}
 	parent := f.Span
 	f.Span = newSpanID()
-	// Arg carries shard+1 on sharded topologies (0 = classic single-shard,
-	// keeping legacy dumps byte-identical); tracedump renders "shard=N".
-	var shardArg uint64
-	if h.shards > 1 {
-		shardArg = uint64(f.Shard) + 1
-	}
 	h.pal.Proc().TraceRecord(host.TraceEvent{
 		TS: host.TraceNow(), Kind: host.EvRPCServe, Code: uint32(f.Type),
-		Arg:   shardArg,
 		Trace: f.Trace, Span: f.Span, Parent: parent,
 	})
 }
@@ -177,10 +156,10 @@ func (h *Helper) LocalPIDs() int {
 }
 
 // RegisterGauges installs this helper's live-state gauges — accepted
-// election epoch (shard 0, plus one gauge per extra shard), live
-// accepted connections, live shard count, and the
-// leader-routing cache hit rate — into the default metrics registry under
-// the helper's guest PID, returning an unregister func for test teardown.
+// election epoch, live accepted connections, the leader-routing cache hit
+// rate and the send-ring counters — into the default metrics registry
+// under the helper's guest PID, returning an unregister func for test
+// teardown.
 func (h *Helper) RegisterGauges() func() {
 	var names []string
 	reg := func(name string, fn func() int64) {
@@ -194,9 +173,6 @@ func (h *Helper) RegisterGauges() func() {
 	})
 	reg(gaugeName("ipc.accepted_conns.pid", h.GuestPID), func() int64 {
 		return int64(h.AcceptedConns())
-	})
-	reg(gaugeName("ipc.live_shards.pid", h.GuestPID), func() int64 {
-		return int64(h.LiveShards())
 	})
 	reg(gaugeName("ipc.route_hit_pct.pid", h.GuestPID), func() int64 {
 		hits, misses := int64(h.routeHits.Load()), int64(h.routeMisses.Load())
@@ -215,14 +191,6 @@ func (h *Helper) RegisterGauges() func() {
 		}
 		return 100 * hits / (hits + misses)
 	})
-	if h.shards > 1 {
-		for s := 1; s < h.shards; s++ {
-			shard := s
-			reg(gaugeName(gaugeName("ipc.shard_epoch.s", int64(shard))+".pid", h.GuestPID), func() int64 {
-				return h.ShardEpoch(shard)
-			})
-		}
-	}
 	return func() {
 		for _, n := range names {
 			metrics.Default.UnregisterGauge(n)

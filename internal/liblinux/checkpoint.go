@@ -61,7 +61,6 @@ func (p *Process) checkpointMeta() (*Checkpoint, []*host.Handle, error) {
 	p.mu.Lock()
 	ck.PGID = p.pgid
 	ck.LeaderAddr = p.leaderAddrLocked()
-	ck.ShardAddrs = p.shardAddrsLocked()
 	ck.ProgramPath = p.programPath
 	ck.Argv = append([]string(nil), p.argv...)
 	ck.Cwd = p.cwd
@@ -94,15 +93,6 @@ func (p *Process) checkpointMeta() (*Checkpoint, []*host.Handle, error) {
 		ck.FDs = append(ck.FDs, fc)
 	}
 	return ck, handles, nil
-}
-
-// shardAddrsLocked snapshots the parent helper's per-shard leader table
-// for checkpoint capture; nil on the classic single-coordinator plane.
-func (p *Process) shardAddrsLocked() []string {
-	if p.helper != nil && p.helper.Shards() > 1 {
-		return p.helper.ShardLeaderAddrs()
-	}
-	return nil
 }
 
 func (p *Process) leaderAddrLocked() string {
@@ -172,14 +162,10 @@ type section interface {
 type ckMetaSection struct {
 	PID, PPID, PGID int64
 	LeaderAddr      string
-	// ShardAddrs is the per-shard coordinator address table when the parent
-	// runs on a sharded namespace plane (nil / single entry = classic
-	// one-coordinator topology; the child then joins via LeaderAddr).
-	ShardAddrs  []string
-	ProgramPath string
-	Argv        []string
-	Cwd         string
-	Env         map[string]string
+	ProgramPath     string
+	Argv            []string
+	Cwd             string
+	Env             map[string]string
 }
 
 func (m *ckMetaSection) appendTo(b []byte) []byte {
@@ -187,7 +173,6 @@ func (m *ckMetaSection) appendTo(b []byte) []byte {
 	b = binary.AppendVarint(b, m.PPID)
 	b = binary.AppendVarint(b, m.PGID)
 	b = appendString(b, m.LeaderAddr)
-	b = appendStrings(b, m.ShardAddrs)
 	b = appendString(b, m.ProgramPath)
 	b = appendStrings(b, m.Argv)
 	b = appendString(b, m.Cwd)
@@ -207,7 +192,7 @@ func (m *ckMetaSection) decode(payload []byte) error {
 	r := ckReader{b: payload}
 	*m = ckMetaSection{
 		PID: r.varint(), PPID: r.varint(), PGID: r.varint(),
-		LeaderAddr: r.str(), ShardAddrs: r.strs(),
+		LeaderAddr:  r.str(),
 		ProgramPath: r.str(), Argv: r.strs(), Cwd: r.str(),
 	}
 	if n := r.count(2); n > 0 {
@@ -608,13 +593,9 @@ func restoreChild(rt *Runtime, c *pal.PAL, initial *host.Stream, store *host.Han
 		}
 	}
 	// meta.PID came out of the parent's leader-granted batch (AllocPID), so
-	// the helper joins without contacting any shard leader.
-	shardAddrs := meta.ShardAddrs
-	if len(shardAddrs) <= 1 {
-		shardAddrs = []string{meta.LeaderAddr}
-	}
+	// the helper joins without contacting the leader.
 	stageDone := rt.stage("helper-join")
-	helper, err := ipc.NewForkedMember(c, child.svc(), meta.PID, shardAddrs)
+	helper, err := ipc.NewForkedMember(c, child.svc(), meta.PID, meta.LeaderAddr)
 	stageDone()
 	if err != nil {
 		return nil, err

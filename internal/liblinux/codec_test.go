@@ -19,7 +19,7 @@ func sampleSections() map[byte]section {
 	return map[byte]section{
 		secMeta: &ckMetaSection{
 			PID: 42, PPID: 1, PGID: 42,
-			LeaderAddr: "ipc:3", ShardAddrs: []string{"ipc:3", "ipc:4"},
+			LeaderAddr:  "ipc:3",
 			ProgramPath: "/bin/sh", Argv: []string{"/bin/sh", "-c", "seq 64 | grep 3 | wc"}, Cwd: "/home",
 			Env: map[string]string{"PATH": "/bin:/usr/bin", "HOME": "/home", "TERM": "vt100", "": "empty key"},
 		},
@@ -333,7 +333,6 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 func TestRestoreChildRefusesHostileSections(t *testing.T) {
 	s := sampleSections()
 	meta := *s[secMeta].(*ckMetaSection)
-	meta.ShardAddrs = nil
 	frame := func(kind byte, payload []byte) []byte {
 		b := binary.LittleEndian.AppendUint32([]byte{kind}, uint32(len(payload)))
 		return append(b, payload...)

@@ -162,27 +162,6 @@ func (l *LaunchResult) finish(lib *Process, code int) {
 // (§3). The root LibOS instance becomes the sandbox's namespace leader
 // with guest PID 1.
 func (r *Runtime) Launch(man *monitor.Manifest, path string, argv []string) (*LaunchResult, error) {
-	return r.LaunchSharded(man, path, argv, 1)
-}
-
-// coordService is the upcall surface of a dedicated coordinator
-// picoprocess: it hosts no application, so signals aimed at it are dropped
-// and /proc reads answer ENOENT.
-type coordService struct{}
-
-func (coordService) DeliverSignal(int64, api.Signal) api.Errno  { return 0 }
-func (coordService) ProcMeta(int64, string) (string, api.Errno) { return "", api.ENOENT }
-
-// LaunchSharded boots path's program as the root of a sandbox whose
-// namespace plane is partitioned across `shards` coordinator
-// picoprocesses. The root doubles as shard 0's coordinator (guest PID 1,
-// like the classic leader); shards 1..N-1 are dedicated coordinator
-// picoprocesses forked before the program starts, holding guest PIDs
-// 2..N. Children forked by the application inherit the full shard
-// address table through the checkpoint meta. shards < 1 counts as one:
-// the root is the sandbox's only coordinator.
-func (r *Runtime) LaunchSharded(man *monitor.Manifest, path string, argv []string, shards int) (*LaunchResult, error) {
-	shards = max(shards, 1)
 	prog, ok := r.lookupProgram(path)
 	if !ok {
 		return nil, api.ENOENT
@@ -197,37 +176,12 @@ func (r *Runtime) LaunchSharded(man *monitor.Manifest, path string, argv []strin
 		proc.Exit(127)
 		return nil, err
 	}
-	addrs := make([]string, shards)
-	helper, err := ipc.NewShardLeader(p, lib.svc(), 1, 0, shards, addrs)
+	helper, err := ipc.NewLeader(p, lib.svc(), 1)
 	if err != nil {
 		proc.Exit(127)
 		return nil, err
 	}
-	addrs[0] = helper.Addr
 	lib.helper = helper
-	coords := []*ipc.Helper{helper}
-	for i := 1; i < shards; i++ {
-		ready := make(chan *pal.PAL, 1)
-		if _, _, err := p.DkProcessCreate(func(c *pal.PAL, _ *host.Stream) {
-			ready <- c
-			select {} // coordinators serve from their helper thread forever
-		}, false); err != nil {
-			proc.Exit(127)
-			return nil, err
-		}
-		cp := <-ready
-		ch, err := ipc.NewShardLeader(cp, coordService{}, int64(i+1), i, shards, addrs)
-		if err != nil {
-			proc.Exit(127)
-			return nil, err
-		}
-		addrs[i] = ch.Addr
-		// Back-fill the routing tables of the shards booted before this one.
-		for _, c := range coords {
-			c.SetShardLeader(i, ch.Addr)
-		}
-		coords = append(coords, ch)
-	}
 	lib.programPath = path
 	lib.argv = argv
 
