@@ -137,11 +137,15 @@ bench:
 # copy of it; then one of each System V operation-path route: owner-local
 # send + receive and semop, a ring send, an RPC semop and an acknowledged
 # RPC send; and a member's namespace RPCs: a key lookup at the leader and
-# a create + rmid. No timing gate; it keeps the benchmarks and the
-# per-stage observer compiling and running.
+# a create + rmid, and the same create + rmid at the leader itself; then a
+# served connection at the host ABI (connect, accept, request, reply, both
+# closes) and one GET through a 4-worker /bin/httpd-fleet, with their
+# allocations. No timing gate; it keeps the benchmarks and the per-stage
+# observer compiling and running.
 bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkForkExitWait|BenchmarkForkCOW|BenchmarkCommitMap|BenchmarkTouchRangeImage|BenchmarkMapImage' -benchtime 1x ./internal/host/ ./internal/liblinux/
-	$(GO) test -run XXX -bench 'BenchmarkHelperMsgsndLocal|BenchmarkHelperSemopLocal|BenchmarkRingMsgsndRemote|BenchmarkRPCSemopRemote|BenchmarkRPCMsgsndRemote|BenchmarkRPCKeyLookupRemote|BenchmarkRPCKeyChurnRemote' -benchtime 1x ./internal/ipc/
+	$(GO) test -run XXX -bench 'BenchmarkHelperMsgsndLocal|BenchmarkHelperSemopLocal|BenchmarkRingMsgsndRemote|BenchmarkRPCSemopRemote|BenchmarkRPCMsgsndRemote|BenchmarkRPCKeyLookupRemote|BenchmarkRPCKeyChurnRemote|BenchmarkLeaderKeyChurn' -benchtime 1x ./internal/ipc/
+	$(GO) test -run XXX -bench 'BenchmarkStreamConnectCycle|BenchmarkFleetRequest' -benchmem -benchtime 1x ./internal/host/ ./internal/apps/
 
 # The paper's Figure 5 RPC ping-pong and related end-to-end benchmarks.
 bench-fig5:

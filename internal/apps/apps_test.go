@@ -1,10 +1,13 @@
 package apps
 
 import (
+	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"graphene/internal/api"
 	"graphene/internal/baseline/kvm"
 	"graphene/internal/baseline/native"
 	"graphene/internal/host"
@@ -18,6 +21,37 @@ type env struct {
 	launch  func(path string, argv []string) (wait func(t *testing.T) int, err error)
 	console func() string // Graphene only; "" elsewhere
 	seed    func(path string, data []byte) error
+}
+
+// waitFor returns the wait function of a launched root process, and has
+// the end of t kill it if it is still running: the web servers never exit
+// on their own, and each one left behind keeps its kernel (a KVM guest's
+// RAM too) alive for the rest of the test binary. The kill only releases
+// memory; it is not under test, so a process that outlives it (a libLinux
+// shell killed mid-fork can) is logged and left.
+func waitFor(t *testing.T, name string, done chan struct{}, root api.OS, code func() int) func(*testing.T) int {
+	t.Cleanup(func() {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		_ = root.Kill(root.Getpid(), api.SIGKILL)
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Logf("%s app still running 10 s after SIGKILL; left behind", name)
+		}
+	})
+	return func(t *testing.T) int {
+		select {
+		case <-done:
+			return code()
+		case <-time.After(120 * time.Second):
+			t.Fatal(name + " app hung")
+			return -1
+		}
+	}
 }
 
 func grapheneApps(t *testing.T) env {
@@ -39,15 +73,7 @@ func grapheneApps(t *testing.T) env {
 			if err != nil {
 				return nil, err
 			}
-			return func(t *testing.T) int {
-				select {
-				case <-res.Done:
-					return res.ExitCode()
-				case <-time.After(120 * time.Second):
-					t.Fatal("graphene app hung")
-					return -1
-				}
-			}, nil
+			return waitFor(t, "graphene", res.Done, res.Process, res.ExitCode), nil
 		},
 		console: func() string { return k.ConsoleOf().Contents() },
 		seed: func(path string, data []byte) error {
@@ -69,15 +95,7 @@ func nativeApps(t *testing.T) env {
 			if err != nil {
 				return nil, err
 			}
-			return func(t *testing.T) int {
-				select {
-				case <-res.Done:
-					return res.ExitCode()
-				case <-time.After(120 * time.Second):
-					t.Fatal("native app hung")
-					return -1
-				}
-			}, nil
+			return waitFor(t, "native", res.Done, res.Process, res.ExitCode), nil
 		},
 		console: func() string { return "" },
 		seed: func(path string, data []byte) error {
@@ -99,15 +117,7 @@ func kvmApps(t *testing.T) env {
 			if err != nil {
 				return nil, err
 			}
-			return func(t *testing.T) int {
-				select {
-				case <-res.Done:
-					return res.ExitCode()
-				case <-time.After(120 * time.Second):
-					t.Fatal("kvm app hung")
-					return -1
-				}
-			}, nil
+			return waitFor(t, "kvm", res.Done, res.Process, res.ExitCode), nil
 		},
 		console: func() string { return "" },
 		seed: func(path string, data []byte) error {
@@ -354,4 +364,66 @@ func TestCoreutilsErrorPaths(t *testing.T) {
 	runShellEverywhere(t, `cat /definitely/missing`, 1)
 	runShellEverywhere(t, `rm /definitely/missing`, 1)
 	runShellEverywhere(t, `nosuchbinary`, 127)
+}
+
+// TestServeStreamsTheWholeFile fetches files around the serve buffer's
+// size from /bin/lighttpd and compares every byte of each reply; a missing
+// file is a 404. The serve path is the same on every personality, so
+// native alone runs it.
+func TestServeStreamsTheWholeFile(t *testing.T) {
+	k := native.NewKernel()
+	if err := RegisterAll(k.RegisterProgram); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{"/missing": []byte("ERR 404\n")}
+	for i, n := range []int{0, 1, serveBufLen - 8, serveBufLen, serveBufLen + 1, 3*serveBufLen + 17} {
+		body := make([]byte, n)
+		for j := range body {
+			body[j] = byte(i*31 + j*7)
+		}
+		path := "/serve" + strconv.Itoa(i)
+		if err := k.FS.WriteFile(path, body, 0644); err != nil {
+			t.Fatal(err)
+		}
+		want[path] = append([]byte("OK "+strconv.Itoa(n)+"\n"), body...)
+	}
+	got := make(map[string][]byte)
+	if err := k.RegisterProgram("/bin/serve-client", func(p api.OS, _ []string) int {
+		for path := range want {
+			fd, err := p.Connect("127.0.0.1:8097")
+			if err != nil {
+				return 1
+			}
+			if writeAll(p, fd, []byte("GET "+path+"\n")) != nil {
+				return 2
+			}
+			reply, err := readAll(p, fd)
+			_ = p.Close(fd)
+			if err != nil {
+				return 3
+			}
+			got[path] = reply
+		}
+		return 0
+	}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := k.Launch("/bin/lighttpd", []string{"/bin/lighttpd", "127.0.0.1:8097", "1", "/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "native", srv.Done, srv.Process, srv.ExitCode)
+	time.Sleep(20 * time.Millisecond) // let the server bind
+	res, err := k.Launch("/bin/serve-client", []string{"/bin/serve-client"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := waitFor(t, "native", res.Done, res.Process, res.ExitCode)(t); code != 0 {
+		t.Fatalf("client exit = %d", code)
+	}
+	for path, w := range want {
+		if !bytes.Equal(got[path], w) {
+			t.Errorf("%s: got %d bytes, want %d (%q...)", path, len(got[path]), len(w), w[:min(len(w), 12)])
+		}
+	}
 }

@@ -163,6 +163,14 @@ type fleetMaster struct {
 	takeovers  int
 
 	done chan struct{} // closed when the master stops, drained or killed
+
+	// bell is the dispatcher's backoff sleep, which a status reader cuts
+	// short when it returns a credit (awaitCredit). wantCredit and bellRung
+	// are guarded by mu: the dispatcher is asleep on bell, and a reader has
+	// claimed the one wake-up byte that sleep may receive.
+	bell       *pollSleeper
+	wantCredit bool
+	bellRung   bool
 }
 
 // FleetWorkerMain is /bin/httpd-worker. It is spawned (not forked) by the
@@ -205,21 +213,41 @@ func FleetWorkerMain(p api.OS, argv []string) int {
 	// after fd hygiene so its pipe survives the close sweep.
 	sleep := newPollSleeper(p)
 	_ = writeAll(p, sfd, []byte{'r'})
+	buf := make([]byte, serveBufLen)
+	// The completion byte of a served file goes out just before the
+	// reply's final segment, not after the close. Of two threads one
+	// processor wakes, the runtime runs the later one first and queues the
+	// earlier behind whatever that processor already holds: a 'd' written
+	// after the reply would put the master's status reader ahead of the
+	// client, and the client behind the other connections' work.
+	done := []byte{'d'}
+	var reported bool
+	var reportErr error
+	report := func() {
+		reported = true
+		reportErr = writeAll(p, sfd, done)
+	}
 	for {
 		conn, err := cp.ReceiveConnection(rfd)
 		if err != nil {
 			return 0 // master died or drained the pipe
 		}
-		fleetServe(p, sleep, conn, docroot)
+		reported, reportErr = false, nil
+		fleetServe(p, sleep, conn, docroot, buf, report)
 		_ = p.Close(conn)
-		if err := writeAll(p, sfd, []byte{'d'}); err != nil {
+		if !reported {
+			reportErr = writeAll(p, sfd, done)
+		}
+		if reportErr != nil {
 			return 0
 		}
 	}
 }
 
-// fleetServe handles one request, with the worker's chaos control paths.
-func fleetServe(p api.OS, sleep *pollSleeper, conn int, docroot string) {
+// fleetServe handles one request through the worker's buf, with the
+// worker's chaos control paths. report sends the completion byte; it runs
+// before a reply's last write, or not at all.
+func fleetServe(p api.OS, sleep *pollSleeper, conn int, docroot string, buf []byte, report func()) {
 	line, err := readLine(p, conn)
 	if err != nil {
 		return
@@ -238,6 +266,7 @@ func fleetServe(p api.OS, sleep *pollSleeper, conn int, docroot string) {
 			if us > 0 {
 				sleep.sleepUS(int64(us))
 			}
+			report()
 			_ = writeAll(p, conn, []byte("OK 1\nx"))
 			return
 		}
@@ -273,7 +302,7 @@ func fleetServe(p api.OS, sleep *pollSleeper, conn int, docroot string) {
 			return
 		}
 	}
-	serveRequestLine(p, conn, docroot, line)
+	serveRequestLine(p, conn, docroot, line, buf, report)
 }
 
 // FleetMain is /bin/httpd-fleet, the supervising master.
@@ -324,6 +353,7 @@ func runFleet(p api.OS, cfg fleetConfig, lfd int, epoch int64, takeovers int) in
 		passer:    p.(api.ConnPasser),
 		threader:  p.(api.Threader),
 		sleep:     newPollSleeper(p),
+		bell:      newPollSleeper(p),
 		cfg:       cfg,
 		queue:     make(chan connItem, cfg.queueDepth),
 		killCh:    make(chan killReq, 64),
@@ -463,7 +493,7 @@ func (m *fleetMaster) dispatchOne(item connItem) {
 			m.send503(item.fd)
 			return
 		case dispatchBackoff:
-			m.sleep.sleepUS(1000)
+			m.awaitCredit(1000)
 		}
 	}
 }
@@ -514,10 +544,52 @@ func (m *fleetMaster) readStatus(s *fleetSlot, pid, fd int) {
 		now := nowUS(m.p)
 		m.mu.Lock()
 		current := m.core.status(s, pid, buf[:n], now)
+		ring := m.claimBellLocked()
 		m.mu.Unlock()
+		if ring {
+			_ = writeAll(m.p, m.bell.w, []byte{'c'})
+		}
 		if !current {
 			return
 		}
+	}
+}
+
+// claimBellLocked reports whether the caller, which has just handed the
+// core a status byte, must ring the bell: the dispatcher is waiting for a
+// credit and nobody has rung since it began. Caller holds m.mu.
+func (m *fleetMaster) claimBellLocked() bool {
+	if !m.wantCredit || m.bellRung {
+		return false
+	}
+	m.bellRung = true
+	return true
+}
+
+// awaitCredit is the dispatcher's backoff: it sleeps up to us, or until a
+// status reader has returned a credit. Workers report completions before
+// their last write, which leaves their status readers queued behind the
+// clients they answered (see FleetWorkerMain); under a closed loop the
+// readers then run when the dispatcher parks here, so a full fleet waits
+// for their credits, not for a fixed millisecond.
+func (m *fleetMaster) awaitCredit(us int64) {
+	if m.bell == nil {
+		m.sleep.sleepUS(us)
+		return
+	}
+	m.mu.Lock()
+	m.wantCredit = true
+	m.mu.Unlock()
+	m.bell.sleepUS(us)
+	m.mu.Lock()
+	rung := m.bellRung
+	m.wantCredit, m.bellRung = false, false
+	m.mu.Unlock()
+	if rung {
+		// Take back the ringer's byte (it may still be on its way) so the
+		// next sleep starts from an empty pipe.
+		var b [1]byte
+		_, _ = m.p.Read(m.bell.fds[0], b[:])
 	}
 }
 

@@ -47,31 +47,45 @@ func LighttpdMain(p api.OS, argv []string) int {
 	return 0
 }
 
+// serveBufLen is the buffer a serving loop owns and streams every reply
+// through: 16 KiB and room for the status line, so a file up to 16 KiB
+// leaves with its status line in one write. A reply cut into chunks wakes
+// its reader with the first chunk, and the reader then runs on the other
+// processor, draining chunk by chunk while the server still writes. On a
+// host whose two vCPUs sit on different cores, `httpd_fleet` `p90_us`
+// read ≈ 55 µs with 4 KiB chunks against ≈ 35 µs with one write.
+const serveBufLen = 16<<10 + 64
+
 // serveLoop accepts and serves connections until the listener dies.
 func serveLoop(p api.OS, lfd int, docroot string) {
+	buf := make([]byte, serveBufLen)
 	for {
 		conn, err := p.Accept(lfd)
 		if err != nil {
 			return
 		}
-		handleRequest(p, conn, docroot)
+		handleRequest(p, conn, docroot, buf)
 		p.Close(conn)
 	}
 }
 
-// handleRequest serves one GET.
-func handleRequest(p api.OS, conn int, docroot string) {
+// handleRequest serves one GET through the serving loop's buf.
+func handleRequest(p api.OS, conn int, docroot string, buf []byte) {
 	line, err := readLine(p, conn)
 	if err != nil {
 		return
 	}
-	serveRequestLine(p, conn, docroot, line)
+	serveRequestLine(p, conn, docroot, line, buf, nil)
 }
 
 // serveRequestLine serves one already-read request line. Split out so the
 // fleet worker can intercept its control paths before falling through to
-// the same file-serving core.
-func serveRequestLine(p api.OS, conn int, docroot, line string) {
+// the same file-serving core. The file goes out through buf, the serving
+// loop's serveBufLen bytes: its length comes from Fstat, and the status
+// line leaves with the first chunk of the body. A file that fails before
+// anything has left is a 404. last, when not nil, runs once the whole file
+// has been read, just before the reply's final segment is written.
+func serveRequestLine(p api.OS, conn int, docroot, line string, buf []byte, last func()) {
 	fields := strings.Fields(line)
 	if len(fields) != 2 || fields[0] != "GET" {
 		_ = writeAll(p, conn, []byte("ERR 400\n"))
@@ -81,13 +95,48 @@ func serveRequestLine(p api.OS, conn int, docroot, line string) {
 		_ = writeAll(p, conn, []byte("OK 0\n"))
 		p.Exit(0)
 	}
-	body, err := readFile(p, docroot+fields[1])
+	fd, err := p.Open(docroot+fields[1], api.ORdOnly, 0)
 	if err != nil {
 		_ = writeAll(p, conn, []byte("ERR 404\n"))
 		return
 	}
-	_ = writeAll(p, conn, []byte("OK "+strconv.Itoa(len(body))+"\n"))
-	_ = writeAll(p, conn, body)
+	st, err := p.Fstat(fd)
+	if err != nil {
+		_ = p.Close(fd)
+		_ = writeAll(p, conn, []byte("ERR 404\n"))
+		return
+	}
+	n := copy(buf, "OK ")
+	n += len(strconv.AppendInt(buf[n:n], st.Size, 10))
+	buf[n] = '\n'
+	n++
+	for left := st.Size; ; n = 0 {
+		k := 0
+		if left > 0 {
+			k, err = p.Read(fd, buf[n:n+int(min(left, int64(len(buf)-n)))])
+			if err != nil || k == 0 {
+				_ = p.Close(fd)
+				if left == st.Size { // nothing has left yet
+					_ = writeAll(p, conn, []byte("ERR 404\n"))
+				}
+				return
+			}
+			left -= int64(k)
+		}
+		if left == 0 {
+			// Everything after the last write delays the client it wakes.
+			_ = p.Close(fd)
+			if last != nil {
+				last()
+			}
+		}
+		if writeAll(p, conn, buf[:n+k]) != nil || left == 0 {
+			if left > 0 {
+				_ = p.Close(fd)
+			}
+			return
+		}
+	}
 }
 
 // ApacheMain is /bin/apache: a preforked multi-process server, matching
@@ -143,6 +192,7 @@ func ApacheMain(p api.OS, argv []string) int {
 		inherited := append([]workerPipes(nil), pipes[:i]...)
 		pid, err := p.Fork(func(c api.OS) {
 			r := workerR
+			buf := make([]byte, serveBufLen)
 			// Descriptor hygiene: drop the listener, the parent's write
 			// end of our own dispatch pipe, and both ends of every
 			// earlier worker's pipe that rode along in the fork. A stray
@@ -169,7 +219,7 @@ func ApacheMain(p api.OS, argv []string) int {
 				if err := c.Semop(csem, []api.SemBuf{{Num: 0, Op: -1}}); err != nil {
 					c.Exit(0)
 				}
-				handleRequest(c, conn, docroot)
+				handleRequest(c, conn, docroot, buf)
 				c.Close(conn)
 				if err := c.Semop(csem, []api.SemBuf{{Num: 0, Op: 1}}); err != nil {
 					c.Exit(0)

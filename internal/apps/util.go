@@ -109,6 +109,7 @@ func readLine(p api.OS, fd int) (string, error) {
 type pollSleeper struct {
 	poller api.Poller
 	fds    []int
+	w      int // the pipe's write end; a byte written there ends a sleep early
 }
 
 // newPollSleeper allocates the sleep pipe; returns nil when the
@@ -118,11 +119,11 @@ func newPollSleeper(p api.OS) *pollSleeper {
 	if !ok {
 		return nil
 	}
-	r, _, err := p.Pipe()
+	r, w, err := p.Pipe()
 	if err != nil {
 		return nil
 	}
-	return &pollSleeper{poller: poller, fds: []int{r}}
+	return &pollSleeper{poller: poller, fds: []int{r}, w: w}
 }
 
 func (s *pollSleeper) sleepUS(us int64) {

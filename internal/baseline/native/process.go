@@ -239,7 +239,8 @@ func (p *Process) Wait(pid int) (api.WaitResult, error) {
 	if err := p.enter(host.SysWait4); err != nil {
 		return api.WaitResult{}, err
 	}
-	return p.children.Wait(pid)
+	res, err := p.children.Wait(pid)
+	return res, p.crossed(err)
 }
 
 // Exit terminates the process.
@@ -262,6 +263,7 @@ func (p *Process) doExit(code int, killedBy api.Signal) {
 		p.mu.Unlock()
 		p.fds.CloseAll()
 		p.sig.Exited()
+		p.children.Close()
 		p.pp.Exit(code)
 		k := p.kernel
 		k.removeProcess(p.pp.ID)

@@ -268,3 +268,15 @@ func TestLeafSharingCostsPerLeaf(t *testing.T) {
 		t.Fatalf("fork + commit + map of 8 MiB: %v allocs, of 16 KiB %v: more than %v per extra leaf", large, small, perLeaf)
 	}
 }
+
+// BenchmarkStreamConnectCycle is one served connection at the host ABI:
+// connect, accept, a 64 B request, a 200 B reply, both closes.
+func BenchmarkStreamConnectCycle(b *testing.B) {
+	b.ReportAllocs()
+	k, cli, srv, l := newConnectCycle(b)
+	buf := make([]byte, 256)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		connectCycle(b, k, cli, srv, l, buf)
+	}
+}

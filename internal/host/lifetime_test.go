@@ -2,6 +2,7 @@ package host
 
 import (
 	"bytes"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -355,5 +356,136 @@ func TestCensusGauges(t *testing.T) {
 	p1.Exit(0)
 	if got := k.Census(); got != (Census{}) {
 		t.Fatalf("census after both exits %+v, want all zero", got)
+	}
+}
+
+// TestRecycledRingLeaksNothing gives a stream in one sandbox a ring that a
+// stream in another filled with marker bytes: its reader gets back exactly
+// what its own writer wrote, also when the data wraps over the stale bytes.
+func TestRecycledRingLeaksNothing(t *testing.T) {
+	k := NewKernel()
+	sandbox := func() (*Picoprocess, *Picoprocess) {
+		p, _ := k.CreateProcess(nil, false)
+		p.SandboxID = k.NewSandboxID()
+		c, _ := k.CreateProcess(p, false)
+		return p, c
+	}
+	a1, a2 := sandbox()
+	b1, b2 := sandbox()
+	if a1.SandboxID == b1.SandboxID || a2.SandboxID != a1.SandboxID {
+		t.Fatal("want two pairs in two sandboxes")
+	}
+	must := func(_ int, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	marker := bytes.Repeat([]byte{0xA5}, streamMinBuf)
+	want := append(bytes.Repeat([]byte{'x'}, 2000), bytes.Repeat([]byte{'y'}, 2000)...)
+	buf := make([]byte, streamBufCap)
+	recycled := 0
+	for i := 0; i < 200 && recycled < 10; i++ {
+		w, r := k.StreamPair(a1, a2)
+		must(w.Write(marker))
+		k.StreamClose(a2, r) // the reading endpoint's close gives the ring back
+		k.StreamClose(a1, w)
+
+		w, r = k.StreamPair(b1, b2)
+		must(w.Write(bytes.Repeat([]byte{'x'}, 3000)))
+		if bytes.IndexByte(r.in.buf, 0xA5) >= 0 {
+			recycled++
+		}
+		got := make([]byte, 1000)
+		must(r.Read(got)) // head at 1000 ...
+		got = got[:0]
+		must(w.Write(want[2000:])) // ... so these 2000 bytes wrap
+		k.StreamClose(b1, w)
+		for {
+			n, err := r.Read(buf)
+			must(n, err)
+			if n == 0 {
+				break
+			}
+			got = append(got, buf[:n]...)
+		}
+		k.StreamClose(b2, r)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("cycle %d: the reader got %d bytes (%d marker bytes), want the %d its writer sent",
+				i, len(got), bytes.Count(got, []byte{0xA5}), len(want))
+		}
+	}
+	if recycled == 0 {
+		t.Fatal("no stream took a recycled ring, so nothing was checked")
+	}
+}
+
+// connectCycle is one served connection at the host ABI: a client
+// connects, the server accepts, reads a 64 B request and answers 200 B, and
+// both close.
+func connectCycle(tb testing.TB, k *Kernel, cli, srv *Picoprocess, l *Listener, buf []byte) {
+	c, err := k.StreamConnect(cli, l.Name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := k.StreamAccept(srv, l)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := c.Write(buf[:64]); err != nil {
+		tb.Fatal(err)
+	}
+	if n, err := s.Read(buf[:64]); n != 64 || err != nil {
+		tb.Fatalf("request: %d bytes, %v", n, err)
+	}
+	if _, err := s.Write(buf[:200]); err != nil {
+		tb.Fatal(err)
+	}
+	if n, err := c.Read(buf); n != 200 || err != nil {
+		tb.Fatalf("reply: %d bytes, %v", n, err)
+	}
+	k.StreamClose(srv, s)
+	k.StreamClose(cli, c)
+}
+
+func newConnectCycle(tb testing.TB) (k *Kernel, cli, srv *Picoprocess, l *Listener) {
+	k = NewKernel()
+	srv, _ = k.CreateProcess(nil, false)
+	cli, _ = k.CreateProcess(srv, false)
+	l, err := k.StreamListen(srv, "pipe.srv:cycle")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return k, cli, srv, l
+}
+
+// connectCycleAllocs is the allocation ceiling of one connectCycle: the two
+// endpoints and their queues, their close channels and holder lists. The
+// rings come from minRings.
+const connectCycleAllocs = 8
+
+func TestStreamConnectCycleAllocatesNoRing(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector drops pooled rings at random")
+	}
+	k, cli, srv, l := newConnectCycle(t)
+	buf := make([]byte, 256)
+	if n := testing.AllocsPerRun(200, func() { connectCycle(t, k, cli, srv, l, buf) }); n > connectCycleAllocs {
+		t.Errorf("one connect cycle made %v allocations, want at most %d", n, connectCycleAllocs)
+	}
+	const cycles = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range cycles {
+		connectCycle(t, k, cli, srv, l, buf)
+	}
+	runtime.ReadMemStats(&after)
+	// Two fresh rings would be 2 × streamMinBuf a cycle; a collection
+	// emptying the pool mid-run costs two rings once.
+	if per := (after.TotalAlloc - before.TotalAlloc) / cycles; per >= streamMinBuf/4 {
+		t.Errorf("one connect cycle allocated %d bytes, want < %d: a ring is allocated, not recycled", per, streamMinBuf/4)
+	}
+	if got := k.Census(); got.StreamsOpen != 0 || got.QueueBytes != 0 {
+		t.Errorf("after the cycles: %+v, want no open stream and no ring", got)
 	}
 }

@@ -144,6 +144,36 @@ func TestPartitionDoesNotTearCloseStillWakes(t *testing.T) {
 	k.HealAll()
 }
 
+// TestCloseWithoutPartitionLeavesTheTable: with no edge installed nobody
+// can be stalled on the partition table, so a close leaves its wake
+// channel and lock alone; once an edge exists, a close pokes again.
+func TestCloseWithoutPartitionLeavesTheTable(t *testing.T) {
+	k := NewKernel()
+	p1, _ := k.CreateProcess(nil, false)
+	p2, _ := k.CreateProcess(nil, false)
+	wake := func() chan struct{} {
+		k.partitions.mu.Lock()
+		defer k.partitions.mu.Unlock()
+		return k.partitions.wake
+	}
+	before := wake()
+	a, b := k.StreamPair(p1, p2)
+	a.Close()
+	b.Close()
+	if wake() != before {
+		t.Fatal("a close with no partition replaced the table's wake channel")
+	}
+	k.Partition(p1.ID, p2.ID)
+	before = wake()
+	a, b = k.StreamPair(p1, p2)
+	a.Close()
+	if wake() == before {
+		t.Fatal("a close under a partition did not poke the table")
+	}
+	b.Close()
+	k.HealAll()
+}
+
 func TestPartitionDropsBroadcastDelivery(t *testing.T) {
 	k := NewKernel()
 	bc := k.BroadcastOf(1)

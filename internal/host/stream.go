@@ -18,33 +18,47 @@ const streamBufCap = 64 * 1024
 // need more.
 const streamMinBuf = 4 * 1024
 
+// minRings recycles streamMinBuf rings: one per direction of every
+// connection a server accepts would otherwise be garbage a request later.
+// Only this size class is kept, and only in a sync.Pool, which the
+// collector empties (a ring nobody took is gone by the second collection):
+// a grown ring goes back to the GC, and the kernel keeps no free list that
+// would hold a burst's rings alive after its streams are gone. A recycled
+// ring still carries its previous owner's bytes, but a queue hands out only
+// the bytes between head and head+n, each written into it by its own
+// writer since it took the ring.
+var minRings = sync.Pool{New: func() any { return new([streamMinBuf]byte) }}
+
 // byteQueue is one direction of a byte stream: a bounded FIFO of bytes with
 // blocking reads and writes and half-close semantics. The buffer is a ring
 // (head index + fill count) that costs what the stream carries: nothing
 // until the first write, then a power-of-two size that grows to fit the
 // bytes in flight up to streamBufCap, where back-pressure begins. Bytes are
 // copied in and out in place, so a ring that has reached its working size
-// performs no allocation. The reading endpoint's close releases the ring.
+// performs no allocation. The reading endpoint's close releases the ring;
+// a streamMinBuf ring, dropped there or by a grow, goes back to minRings.
 //
 // Wakeups are edge-triggered on buffer-state transitions (empty→nonempty
 // wakes readers and readability pollers, full→not-full wakes writers and
 // writability pollers). Pollers are level-checked via TryAcquire before
 // blocking, so transition-only pokes cannot lose events.
 type byteQueue struct {
-	mu       sync.Mutex
-	notEmpty *sync.Cond
-	notFull  *sync.Cond
-	buf      []byte // ring storage: nil, or streamMinBuf..streamBufCap bytes
-	head     int    // index of the first unread byte
-	n        int    // bytes currently buffered
-	closed   bool
-	waiters  map[chan struct{}]struct{} // allocated by the first poller
+	mu      sync.Mutex
+	buf     []byte // ring storage: nil, or streamMinBuf..streamBufCap bytes
+	head    int    // index of the first unread byte
+	n       int    // bytes currently buffered
+	closed  bool
+	waiters map[chan struct{}]struct{} // allocated by the first poller
+	// The conditions come last, so the fields every read and write
+	// touches share one cache line with mu.
+	notEmpty sync.Cond
+	notFull  sync.Cond
 }
 
 func newByteQueue() *byteQueue {
 	q := &byteQueue{}
-	q.notEmpty = sync.NewCond(&q.mu)
-	q.notFull = sync.NewCond(&q.mu)
+	q.notEmpty.L = &q.mu
+	q.notFull.L = &q.mu
 	return q
 }
 
@@ -56,12 +70,27 @@ func (q *byteQueue) grow(need int) {
 	for size < need {
 		size *= 2
 	}
-	nb := make([]byte, size)
+	var nb []byte
+	if size == streamMinBuf {
+		nb = minRings.Get().(*[streamMinBuf]byte)[:]
+	} else {
+		nb = make([]byte, size)
+	}
 	if q.n > 0 {
 		c := copy(nb[:q.n], q.buf[q.head:])
 		copy(nb[c:q.n], q.buf)
 	}
+	q.releaseRing()
 	q.buf, q.head = nb, 0
+}
+
+// releaseRing drops the ring, returning a streamMinBuf one to minRings.
+// Caller holds q.mu.
+func (q *byteQueue) releaseRing() {
+	if len(q.buf) == streamMinBuf {
+		minRings.Put((*[streamMinBuf]byte)(q.buf))
+	}
+	q.buf = nil
 }
 
 // ringBytes is the memory the ring holds right now.
@@ -214,7 +243,8 @@ func (q *byteQueue) close(discard bool) {
 	q.mu.Lock()
 	q.closed = true
 	if discard {
-		q.buf, q.head, q.n = nil, 0, 0
+		q.releaseRing()
+		q.head, q.n = 0, 0
 	}
 	q.notEmpty.Broadcast()
 	q.notFull.Broadcast()
@@ -267,7 +297,10 @@ type Stream struct {
 	// makes that close and through whichever call, so a closed endpoint is
 	// reachable only from the variables still naming it.
 	holders []*Picoprocess
-	// oob carries passed handles (SendHandle/ReceiveHandle ABI).
+	// oob carries passed handles (SendHandle/ReceiveHandle ABI). Few
+	// endpoints ever carry one, so it is made by the first SendHandle to
+	// this endpoint or its first ReceiveHandle (oobLocked), and an endpoint
+	// that closes without one gets closedOOB.
 	oob chan *Handle
 	// closedCh is closed exactly once when the endpoint closes. Receivers
 	// blocked in ReceiveHandle select on the PEER's closedCh: when every
@@ -281,8 +314,8 @@ type Stream struct {
 func NewStreamPair(name string, pidA, pidB int) (*Stream, *Stream) {
 	ab := newByteQueue()
 	ba := newByteQueue()
-	a := &Stream{Name: name, in: ba, out: ab, refs: 1, oob: make(chan *Handle, 64), closedCh: make(chan struct{})}
-	b := &Stream{Name: name, in: ab, out: ba, refs: 1, oob: make(chan *Handle, 64), closedCh: make(chan struct{})}
+	a := &Stream{Name: name, in: ba, out: ab, refs: 1, closedCh: make(chan struct{})}
+	b := &Stream{Name: name, in: ab, out: ba, refs: 1, closedCh: make(chan struct{})}
 	a.localPID.Store(int64(pidA))
 	a.remotePID.Store(int64(pidB))
 	b.localPID.Store(int64(pidB))
@@ -455,7 +488,11 @@ func (s *Stream) closeRef(force bool) {
 	holders := s.holders
 	s.holders = nil
 	s.faultOwner.Store(nil)
-	close(s.oob)
+	if s.oob == nil {
+		s.oob = closedOOB
+	} else {
+		close(s.oob)
+	}
 	close(s.closedCh)
 	s.mu.Unlock()
 	for _, p := range holders {
@@ -465,7 +502,28 @@ func (s *Stream) closeRef(force bool) {
 	s.out.close(false)
 	s.in.close(true)
 	// Wake readers stalled behind a partition so they observe the close.
-	s.part.poke()
+	// With no edge installed nobody is stalled: a reader parked on the
+	// table saw an edge, and the cut or heal that removed it woke it.
+	if s.part.any() {
+		s.part.poke()
+	}
+}
+
+// closedOOB is the handle queue of every endpoint that closed before it
+// needed one of its own: closed and empty, so a receive reports EPIPE.
+var closedOOB = func() chan *Handle {
+	ch := make(chan *Handle)
+	close(ch)
+	return ch
+}()
+
+// oobLocked returns the endpoint's handle queue, making it on first use.
+// Caller holds s.mu.
+func (s *Stream) oobLocked() chan *Handle {
+	if s.oob == nil {
+		s.oob = make(chan *Handle, 64)
+	}
+	return s.oob
 }
 
 // addHolder lists the endpoint in p's stream table and makes p its fault
@@ -568,7 +626,7 @@ func (s *Stream) SendHandle(h *Handle) error {
 		h.Stream.Ref()
 	}
 	select {
-	case peer.oob <- h:
+	case peer.oobLocked() <- h:
 		return nil
 	default:
 		if h != nil && h.Kind == HandleStream && h.Stream != nil {
@@ -589,8 +647,11 @@ func (s *Stream) ReceiveHandle() (*Handle, error) {
 	if s.peer != nil {
 		peerClosed = s.peer.closedCh
 	}
+	s.mu.Lock()
+	oob := s.oobLocked()
+	s.mu.Unlock()
 	select {
-	case h, ok := <-s.oob:
+	case h, ok := <-oob:
 		if !ok || h == nil {
 			return nil, api.EPIPE
 		}
@@ -599,7 +660,7 @@ func (s *Stream) ReceiveHandle() (*Handle, error) {
 		// Handles queued before the sender died are still deliverable —
 		// EOF comes after buffered data, as with pipes (pipe(7)).
 		select {
-		case h, ok := <-s.oob:
+		case h, ok := <-oob:
 			if ok && h != nil {
 				return h, nil
 			}
@@ -611,8 +672,11 @@ func (s *Stream) ReceiveHandle() (*Handle, error) {
 
 // TryReceiveHandle is the non-blocking variant.
 func (s *Stream) TryReceiveHandle() (*Handle, bool) {
+	s.mu.Lock()
+	oob := s.oob
+	s.mu.Unlock()
 	select {
-	case h := <-s.oob:
+	case h := <-oob:
 		return h, h != nil
 	default:
 		return nil, false

@@ -363,3 +363,21 @@ func BenchmarkRPCKeyChurnRemote(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLeaderKeyChurn is BenchmarkRPCKeyChurnRemote at the leader:
+// a fresh key created and removed inline, no RPC, so the leader's table
+// writes (owner, key, index and holdings) are most of what it measures.
+func BenchmarkLeaderKeyChurn(b *testing.B) {
+	lh, _ := benchPair(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, err := lh.Msgget(int64(0x10000+i), api.IPCCreat|api.IPCExcl)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := lh.MsgRmid(id); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

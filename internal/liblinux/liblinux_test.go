@@ -889,3 +889,41 @@ func TestTTYOutputReachesConsole(t *testing.T) {
 		t.Fatalf("console = %q", out)
 	}
 }
+
+// TestKillEndsAProcessBlockedInWait kills a parent parked in wait4 on a
+// child that never exits: the parent must end, as SIGKILL ends a process
+// in any sleep.
+func TestKillEndsAProcessBlockedInWait(t *testing.T) {
+	rt, man := testEnv(t)
+	waiting := make(chan struct{})
+	release := make(chan struct{})
+	defer close(release)
+	if err := rt.RegisterProgram("/bin/test", func(p api.OS, _ []string) int {
+		pid, err := p.Fork(func(api.OS) { <-release })
+		if err != nil {
+			return 1
+		}
+		close(waiting)
+		_, _ = p.Wait(pid)
+		return 2
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := rt.Launch(man, "/bin/test", []string{"/bin/test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-waiting
+	time.Sleep(10 * time.Millisecond) // into the wait
+	if err := res.Process.Kill(res.Process.Getpid(), api.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-res.Done:
+		if code := res.ExitCode(); code != 128+int(api.SIGKILL) {
+			t.Fatalf("exit code %d, want %d", code, 128+int(api.SIGKILL))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a process killed in wait4 never ended")
+	}
+}

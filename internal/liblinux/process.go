@@ -212,6 +212,7 @@ func (p *Process) doExit(code int, killedBy api.Signal) {
 		// The host exit code carries the terminating signal above the status.
 		p.pal.DkProcessExit(code&0xffff | int(killedBy)<<16)
 		p.sig.Exited()
+		p.children.Close()
 	})
 }
 
@@ -224,6 +225,9 @@ func (p *Process) Wait(pid int) (api.WaitResult, error) {
 		p.helper.ForgetPID(int64(res.PID))
 	}
 	p.sysExit(start, host.SysWait4, uint64(uint(pid)), err)
+	if err != nil && p.sig.Killed() {
+		panic(processExited{}) // killed while it waited: unwind as Exit does
+	}
 	return res, err
 }
 

@@ -13,6 +13,10 @@ type Children struct {
 	cond sync.Cond
 	// kids maps each child's PID to its exit, nil while it runs.
 	kids map[int]*api.WaitResult
+	// closed is set once the process has exited: a thread of it still
+	// parked in Wait (another thread's kill ended the process) must not
+	// sleep on for ever.
+	closed bool
 }
 
 func (c *Children) lock() {
@@ -52,12 +56,24 @@ func (c *Children) Forget(pid int) {
 	c.mu.Unlock()
 }
 
+// Close records that the process has exited and wakes its waiters.
+func (c *Children) Close() {
+	c.lock()
+	c.closed = true
+	c.cond.Broadcast()
+	c.mu.Unlock()
+}
+
 // Wait reaps child pid, or any child when pid is -1, sleeping until one has
-// exited: ECHILD when there is no such child.
+// exited: ECHILD when there is no such child, EINTR once the process has
+// exited.
 func (c *Children) Wait(pid int) (api.WaitResult, error) {
 	c.lock()
 	defer c.mu.Unlock()
 	for {
+		if c.closed {
+			return api.WaitResult{}, api.EINTR
+		}
 		any := false
 		for k, res := range c.kids {
 			if pid > 0 && k != pid {
