@@ -43,11 +43,13 @@ vet:
 	$(GO) vet $(PKGS)
 	@if grep -rn 'encoding/gob' --include='*.go' .; then echo 'encoding/gob is imported again' >&2; exit 1; fi
 
-# Chaos + invariant suites: leader-crash failover (chaos_test.go),
-# partition/heal fencing (chaos_partition_test.go), and the host partition
-# primitives, under the race detector. The randomized schedules use fixed
-# seeds, so -count=3 repeats the same fault plans against fresh thread
-# interleavings — flakes here mean a real ordering bug, not test noise.
+# Chaos + invariant suites: crash-stop failover — a leader or owner killed
+# at a fault point, a torn reply stream, a crashed member reaped
+# (chaos_test.go and the fault-schedule determinism test) — and the host
+# partition primitives the fleet's quarantine test uses, under the race
+# detector. The schedules use fixed seeds, so -count=3 repeats the same
+# fault plans against fresh thread interleavings — flakes here mean a real
+# ordering bug, not test noise.
 # TestForkedChildMakesNoLeaderTraffic (libLinux) rides along: 400 children
 # of a non-leader parent must reach the leader's dispatcher zero times.
 chaos:
@@ -137,14 +139,15 @@ bench:
 # copy of it; then one of each System V operation-path route: owner-local
 # send + receive and semop, a ring send, an RPC semop and an acknowledged
 # RPC send; and a member's namespace RPCs: a key lookup at the leader and
-# a create + rmid, and the same create + rmid at the leader itself; then a
+# a create + rmid, and the same create + rmid at the leader itself; one
+# failover after a leader kill (to a lookup and a create); then a
 # served connection at the host ABI (connect, accept, request, reply, both
 # closes) and one GET through a 4-worker /bin/httpd-fleet, with their
 # allocations. No timing gate; it keeps the benchmarks and the per-stage
 # observer compiling and running.
 bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkForkExitWait|BenchmarkForkCOW|BenchmarkCommitMap|BenchmarkTouchRangeImage|BenchmarkMapImage' -benchtime 1x ./internal/host/ ./internal/liblinux/
-	$(GO) test -run XXX -bench 'BenchmarkHelperMsgsndLocal|BenchmarkHelperSemopLocal|BenchmarkRingMsgsndRemote|BenchmarkRPCSemopRemote|BenchmarkRPCMsgsndRemote|BenchmarkRPCKeyLookupRemote|BenchmarkRPCKeyChurnRemote|BenchmarkLeaderKeyChurn' -benchtime 1x ./internal/ipc/
+	$(GO) test -run XXX -bench 'BenchmarkHelperMsgsndLocal|BenchmarkHelperSemopLocal|BenchmarkRingMsgsndRemote|BenchmarkRPCSemopRemote|BenchmarkRPCMsgsndRemote|BenchmarkRPCKeyLookupRemote|BenchmarkRPCKeyChurnRemote|BenchmarkLeaderKeyChurn|BenchmarkFailoverAfterLeaderKill' -benchtime 1x ./internal/ipc/
 	$(GO) test -run XXX -bench 'BenchmarkStreamConnectCycle|BenchmarkFleetRequest' -benchmem -benchtime 1x ./internal/host/ ./internal/apps/
 
 # The paper's Figure 5 RPC ping-pong and related end-to-end benchmarks.

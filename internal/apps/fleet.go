@@ -594,7 +594,7 @@ func (m *fleetMaster) awaitCredit(us int64) {
 }
 
 // killer performs worker kills on its own thread: a kill through a
-// partition blocks on the signal RPC timeout, and quarantine maintenance
+// partition blocks until the partition heals, and quarantine maintenance
 // must not stall behind it.
 func (m *fleetMaster) killer() {
 	for {

@@ -113,11 +113,11 @@ func Fig5(procCounts []int, msgs int) ([]Fig5Point, error) {
 // scales with sandbox population: with the leader's tables indexed by ID
 // a removal costs the same at any population, and the window stays flat.
 // Holding the totals constant also keeps the process heap bounded:
-// letting the key table grow with the process count drives GC stalls past
-// the RPC failover deadline at the largest sandbox sizes, and the
-// resulting spurious election herds measure the failure detector, not the
-// namespace. Setup (forks, standing creates) and teardown (exits) sit
-// outside the window: fork cost is Table 6's subject, not Figure 5's.
+// letting the key table grow with the process count puts GC stalls inside
+// the window at the largest sandbox sizes, and the window then measures
+// the collector, not the namespace. Setup (forks, standing creates) and
+// teardown (exits) sit outside the window: fork cost is Table 6's
+// subject, not Figure 5's.
 func Fig5Population(procCounts []int, keysTotal, churnTotal int) ([]Fig5Point, error) {
 	if len(procCounts) == 0 {
 		procCounts = []int{64, 128, 256, 512}
@@ -130,8 +130,8 @@ func Fig5Population(procCounts []int, keysTotal, churnTotal int) ([]Fig5Point, e
 	}
 	// Relax GC pacing for the sweep: the standing key tables put tens of
 	// megabytes of live registry state behind every window, and default
-	// pacing runs collections often enough that assist stalls can push an
-	// RPC reply past the failover deadline mid-measurement.
+	// pacing runs collections often enough that assist stalls land inside
+	// the measured window.
 	oldGC := debug.SetGCPercent(400)
 	defer debug.SetGCPercent(oldGC)
 	// Two passes per process count, keeping the faster window: the min
@@ -154,10 +154,9 @@ func Fig5Population(procCounts []int, keysTotal, churnTotal int) ([]Fig5Point, e
 				failed = err
 				continue
 			}
-			// A window bracketed by spurious failover activity (an
-			// election, RPC timeout, or member reap fired mid-run) measured
-			// the failure detector, not the namespace; it only counts if no
-			// clean run exists.
+			// A window bracketed by failover activity (an election or a
+			// member reap fired mid-run) measured the failure detector,
+			// not the namespace; it only counts if no clean run exists.
 			if best == 0 || (quiet && !clean) || (quiet == clean && us < best) {
 				best = us
 				clean = clean || quiet
@@ -173,7 +172,7 @@ func Fig5Population(procCounts []int, keysTotal, churnTotal int) ([]Fig5Point, e
 
 // runFig5Churn boots one sandbox and runs the namespace-churn workload,
 // returning the measured churn-window duration in microseconds and whether
-// the run was quiet — no election, RPC timeout, or member reap fired
+// the run was quiet — no election or member reap fired
 // anywhere in it (including setup and teardown, whose storms leak into
 // the window through retry backlog).
 func runFig5Churn(workers, baseKeys, churn int) (float64, bool, error) {
@@ -202,7 +201,6 @@ func runFig5Churn(workers, baseKeys, churn int) (float64, bool, error) {
 	}
 	after := ipc.ReadFailoverCounters()
 	quiet := after.Failovers == before.Failovers &&
-		after.RPCTimeouts == before.RPCTimeouts &&
 		after.MembersReaped == before.MembersReaped
 	return float64(churnNS) / 1e3, quiet, nil
 }
@@ -211,12 +209,12 @@ func runFig5Churn(workers, baseKeys, churn int) (float64, bool, error) {
 // token-serialized: the root releases exactly one worker at a time into
 // setup (mtype setupGo+w, acked with mtype 1), the measured churn window
 // (churnGo+w, acked with 2), and its exit (exitGo+w). A worker waiting
-// for its token is parked in Msgrcv — not runnable — so on this
-// single-CPU host no phase ever degrades into scheduler time-slicing
-// across a hundred busy picoprocesses, where RPC replies stall past the
-// failover timeout and spurious elections poison the measurement. The
-// serialized schedule performs the same total namespace work; it is the
-// steady-state cost of the operation stream that gets measured.
+// for its token is parked in Msgrcv — not runnable — so no phase ever
+// degrades into scheduler time-slicing across a hundred busy
+// picoprocesses, where the window would measure run-queue waits instead
+// of RPCs. The serialized schedule performs the same total namespace
+// work; it is the steady-state cost of the operation stream that gets
+// measured.
 const (
 	setupGo = 1 << 20
 	churnGo = 2 << 20

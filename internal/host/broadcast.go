@@ -16,8 +16,7 @@ type BroadcastChannel struct {
 	closed bool
 	// part is the owning kernel's partition graph (nil when the channel is
 	// built standalone). Delivery between partitioned picoprocesses is
-	// dropped, not stalled: the channel is documented lossy, and a
-	// partition is indistinguishable from a long run of losses.
+	// dropped, not stalled: a partition cuts the pair apart.
 	part *partitionTable
 }
 
@@ -33,6 +32,12 @@ type BroadcastSub struct {
 	bc   *BroadcastChannel
 	mu   sync.Mutex
 	dead bool
+	// backlog holds, in order, what arrived while ch was full, and pumping
+	// says a goroutine is moving it into ch; gone closes on Unsubscribe to
+	// stop that goroutine, which then closes ch itself.
+	backlog []BroadcastMsg
+	pumping bool
+	gone    chan struct{}
 }
 
 // BroadcastMsg is one message on the broadcast channel.
@@ -56,8 +61,23 @@ func (b *BroadcastChannel) Subscribe(pid int) (*BroadcastSub, error) {
 	return s, nil
 }
 
-// Send delivers data to every subscriber except the sender.
+// Send delivers data to every subscriber except the sender. Delivery is
+// reliable and in one order: every subscriber gets the messages it gets in
+// the order Send took b.mu, and a subscriber that falls behind queues them
+// rather than losing one — the coordination protocol has no retry to make
+// a lost election or announcement good.
 func (b *BroadcastChannel) Send(fromPID int, data []byte) error {
+	return b.send(fromPID, data, false)
+}
+
+// SendAll delivers data like Send and to the sender too, which reads its
+// own message back at its place in the order every subscriber sees: what
+// it read before that is exactly what came first.
+func (b *BroadcastChannel) SendAll(fromPID int, data []byte) error {
+	return b.send(fromPID, data, true)
+}
+
+func (b *BroadcastChannel) send(fromPID int, data []byte, self bool) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -66,18 +86,13 @@ func (b *BroadcastChannel) Send(fromPID int, data []byte) error {
 	msg := BroadcastMsg{FromPID: fromPID, Data: append([]byte(nil), data...)}
 	partitioned := b.part.any()
 	for pid, s := range b.subs {
-		if pid == fromPID {
+		if pid == fromPID && !self {
 			continue
 		}
 		if partitioned && b.part.Blocked(fromPID, pid) {
 			continue
 		}
-		select {
-		case s.ch <- msg:
-		default:
-			// A slow subscriber drops messages rather than wedging the
-			// whole sandbox; the coordination protocol retries on timeout.
-		}
+		s.deliver(msg)
 	}
 	return nil
 }
@@ -103,9 +118,63 @@ func (b *BroadcastChannel) Unsubscribe(pid int) {
 		s.mu.Lock()
 		if !s.dead {
 			s.dead = true
-			close(s.ch)
+			if s.pumping {
+				close(s.gone) // the pump closes ch on its way out
+			} else {
+				close(s.ch)
+			}
 		}
 		s.mu.Unlock()
+	}
+}
+
+// deliver queues m for the subscriber: straight into ch when it has room
+// and nothing is waiting ahead of m, else onto the backlog, which a pump
+// goroutine, started on the first overflow, moves into ch in order.
+func (s *BroadcastSub) deliver(m BroadcastMsg) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dead {
+		return
+	}
+	if !s.pumping {
+		select {
+		case s.ch <- m:
+			return
+		default:
+		}
+		s.pumping = true
+		s.gone = make(chan struct{})
+		go s.pump()
+	}
+	s.backlog = append(s.backlog, m)
+}
+
+// pump feeds the backlog into ch until it is empty or the subscription
+// ends. Only the pump sends on ch while pumping is set, so the close after
+// Unsubscribe cannot race a send.
+func (s *BroadcastSub) pump() {
+	for {
+		s.mu.Lock()
+		if s.dead || len(s.backlog) == 0 {
+			s.pumping = false
+			s.backlog = nil
+			if s.dead {
+				close(s.ch)
+			}
+			s.mu.Unlock()
+			return
+		}
+		m := s.backlog[0]
+		s.mu.Unlock()
+		select {
+		case s.ch <- m:
+			s.mu.Lock()
+			s.backlog[0] = BroadcastMsg{}
+			s.backlog = s.backlog[1:]
+			s.mu.Unlock()
+		case <-s.gone:
+		}
 	}
 }
 

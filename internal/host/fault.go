@@ -30,13 +30,6 @@ const (
 	// streams and listeners close, the broadcast subscription dies, and
 	// every later syscall gate fails with ESRCH.
 	FaultKill
-	// FaultPartition partitions the picoprocess at the fault point without
-	// tearing anything: its streams stall and broadcasts stop flowing until
-	// the rule's Heal duration elapses (or a test heals explicitly). The
-	// rule's PeerPID selects one peer; 0 isolates from the whole sandbox.
-	// The faulted operation itself proceeds — the partition bites on the
-	// *next* exchange, which is exactly the partitioned-yet-alive shape.
-	FaultPartition
 )
 
 // FaultRule arms one action at one point. N addresses the Nth hit of the
@@ -47,12 +40,6 @@ type FaultRule struct {
 	N      int
 	Action FaultAction
 	Delay  time.Duration
-	// PeerPID scopes a FaultPartition rule: the host PID to partition from,
-	// or 0 to isolate the faulting picoprocess from its whole sandbox.
-	PeerPID int
-	// Heal, when > 0, auto-heals a FaultPartition that long after it fires.
-	// 0 leaves the partition up until the test heals it explicitly.
-	Heal time.Duration
 }
 
 // FaultPlan is a deterministic schedule of injected faults. Plans are
@@ -87,16 +74,6 @@ func (fp *FaultPlan) DelayRule(point string, n int, d time.Duration) *FaultPlan 
 	return fp
 }
 
-// PartitionRule arms a partition at the nth hit of point: the faulting
-// picoprocess is cut off from peer (0 = everyone in its sandbox) and the
-// link auto-heals after healAfter (0 = until explicitly healed).
-func (fp *FaultPlan) PartitionRule(point string, n int, peer int, healAfter time.Duration) *FaultPlan {
-	fp.mu.Lock()
-	fp.rules = append(fp.rules, FaultRule{Point: point, N: n, Action: FaultPartition, PeerPID: peer, Heal: healAfter})
-	fp.mu.Unlock()
-	return fp
-}
-
 // eval counts a hit of point and returns the first armed rule that fires
 // (a faultNone rule if none does).
 func (fp *FaultPlan) eval(point string) FaultRule {
@@ -122,7 +99,7 @@ func (fp *FaultPlan) eval(point string) FaultRule {
 // supervisor's deterministic simulation harness — evaluate plans directly
 // with the same Nth-hit addressing and Fired() bookkeeping as
 // Picoprocess.Fault, but apply the action themselves: there is no host
-// picoprocess to kill or partition in a simulated world.
+// picoprocess to kill in a simulated world.
 func (fp *FaultPlan) Eval(point string) FaultAction {
 	return fp.eval(point).Action
 }
@@ -144,10 +121,8 @@ func (fp *FaultPlan) Fired() []string {
 
 // Fault evaluates the installed fault plan at a named point. FaultDelay is
 // absorbed here (the operation proceeds after the sleep); FaultKill exits
-// the picoprocess before returning; FaultPartition installs the partition
-// (with its auto-heal timer, if armed) and lets the operation proceed.
-// FaultReset and FaultDrop are returned for the calling layer to apply to
-// its own transport.
+// the picoprocess before returning. FaultReset and FaultDrop are returned
+// for the calling layer to apply to its own transport.
 func (p *Picoprocess) Fault(point string) FaultAction {
 	fp := p.faults.Load()
 	if fp == nil {
@@ -165,20 +140,6 @@ func (p *Picoprocess) Fault(point string) FaultAction {
 		return faultNone
 	case FaultKill:
 		p.Exit(137)
-	case FaultPartition:
-		k, pid, peer, heal := p.kernel, p.ID, r.PeerPID, r.Heal
-		if peer == 0 {
-			k.Isolate(pid)
-			if heal > 0 {
-				time.AfterFunc(heal, func() { k.HealIsolate(pid) })
-			}
-		} else {
-			k.Partition(pid, peer)
-			if heal > 0 {
-				time.AfterFunc(heal, func() { k.Heal(pid, peer) })
-			}
-		}
-		return faultNone
 	}
 	return r.Action
 }

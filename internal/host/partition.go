@@ -3,15 +3,15 @@ package host
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Network-weather simulation for the chaos suite: a partition stalls
-// traffic between picoprocess groups without tearing their streams down.
-// Unlike FaultReset/FaultKill, neither side observes EPIPE — calls into
-// the partitioned peer simply make no progress until the partition heals,
-// which is exactly the failure mode a deadline-less RPC layer cannot
-// survive (a partitioned-yet-alive leader hangs every caller forever).
+// Link stalls for tests: a partition stalls traffic between two
+// picoprocesses without tearing their streams down. Unlike
+// FaultReset/FaultKill, neither side observes EPIPE — reads from the
+// partitioned peer simply make no progress until the partition heals.
+// Nothing on one host cuts two live picoprocesses apart, so no runtime
+// path installs one; the fleet's quarantine test uses it to hold a worker
+// unreachable from its master while both stay alive.
 //
 // Mechanically a partition gates the *receive* side: a stream read from a
 // partitioned peer blocks as if no data had arrived (bytes written before
@@ -19,12 +19,10 @@ import (
 // and writes stall naturally once the 64 KiB in-flight buffer fills —
 // the same backpressure a real TCP connection exhibits when the other end
 // stops ACKing. Broadcast delivery between partitioned picoprocesses is
-// dropped (the channel is documented lossy; a partition is just a long
-// run of losses) while the subscription itself stays alive.
+// dropped — the one loss the otherwise reliable channel has — while the
+// subscription itself stays alive.
 
-// pidPair is one directed (from, to) edge of the partition graph. The
-// wildcard PID 0 matches any picoprocess, so isolating one process from
-// the whole sandbox is two wildcard edges rather than 2(n-1) pairs.
+// pidPair is one directed (from, to) edge of the partition graph.
 type pidPair struct {
 	from, to int
 }
@@ -52,16 +50,10 @@ func (pt *partitionTable) any() bool {
 	return pt != nil && pt.active.Load() != 0
 }
 
-// blockedLocked reports whether the directed edge from->to is severed,
-// honoring wildcard edges. Caller holds pt.mu.
+// blockedLocked reports whether the directed edge from->to is severed.
+// Caller holds pt.mu.
 func (pt *partitionTable) blockedLocked(from, to int) bool {
-	if pt.blocked[pidPair{from, to}] > 0 {
-		return true
-	}
-	if pt.blocked[pidPair{from, 0}] > 0 || pt.blocked[pidPair{0, to}] > 0 {
-		return true
-	}
-	return false
+	return pt.blocked[pidPair{from, to}] > 0
 }
 
 // Blocked reports whether traffic from->to is currently stalled.
@@ -75,8 +67,8 @@ func (pt *partitionTable) Blocked(from, to int) bool {
 }
 
 // block installs one directed edge (counted, so overlapping partitions
-// compose: healing one flap cycle does not heal a concurrent partition
-// of the same pair).
+// compose: healing one does not heal a concurrent partition of the same
+// pair).
 func (pt *partitionTable) block(from, to int) {
 	pt.mu.Lock()
 	pt.blocked[pidPair{from, to}]++
@@ -157,36 +149,10 @@ func (k *Kernel) Partition(a, b int) {
 	k.partitions.block(b, a)
 }
 
-// PartitionOneWay stalls traffic flowing from -> to only; the reverse
-// direction keeps working (an asymmetric link failure: to's requests
-// arrive, its responses never come back... from from's point of view).
-func (k *Kernel) PartitionOneWay(from, to int) {
-	k.partitions.block(from, to)
-}
-
-// Isolate cuts pid off from every other picoprocess in both directions
-// (wildcard edges), the "minority partition of one" a chaos schedule uses
-// to strand a leader. HealIsolate undoes it.
-func (k *Kernel) Isolate(pid int) {
-	k.partitions.block(pid, 0)
-	k.partitions.block(0, pid)
-}
-
-// HealIsolate removes an Isolate(pid) partition.
-func (k *Kernel) HealIsolate(pid int) {
-	k.partitions.unblock(pid, 0)
-	k.partitions.unblock(0, pid)
-}
-
 // Heal removes one Partition(a, b). Buffered bytes deliver immediately.
 func (k *Kernel) Heal(a, b int) {
 	k.partitions.unblock(a, b)
 	k.partitions.unblock(b, a)
-}
-
-// HealOneWay removes one PartitionOneWay(from, to).
-func (k *Kernel) HealOneWay(from, to int) {
-	k.partitions.unblock(from, to)
 }
 
 // HealAll removes every partition in the kernel.
@@ -197,20 +163,4 @@ func (k *Kernel) HealAll() {
 // Partitioned reports whether traffic from -> to is currently stalled.
 func (k *Kernel) Partitioned(from, to int) bool {
 	return k.partitions.Blocked(from, to)
-}
-
-// Flap alternates Partition(a, b)/Heal(a, b) for the given number of
-// cycles: up is how long each partition holds, down how long each healed
-// interval lasts. It blocks until the final heal, so a test that calls it
-// synchronously knows the link ends up healthy; run it in a goroutine to
-// overlap the flapping with a workload.
-func (k *Kernel) Flap(a, b int, up, down time.Duration, cycles int) {
-	for i := 0; i < cycles; i++ {
-		k.Partition(a, b)
-		time.Sleep(up)
-		k.Heal(a, b)
-		if down > 0 {
-			time.Sleep(down)
-		}
-	}
 }

@@ -60,63 +60,6 @@ func TestPartitionStallsReadUntilHeal(t *testing.T) {
 	}
 }
 
-func TestPartitionOneWayAsymmetric(t *testing.T) {
-	k := NewKernel()
-	p1, _ := k.CreateProcess(nil, false)
-	p2, _ := k.CreateProcess(nil, false)
-	a, b := k.StreamPair(p1, p2)
-
-	// Sever only p1 -> p2: p2 stops hearing p1, p1 still hears p2.
-	k.PartitionOneWay(p1.ID, p2.ID)
-	if _, err := a.Write([]byte("to p2")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Write([]byte("to p1")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 16)
-	n, err := a.Read(buf)
-	if err != nil || string(buf[:n]) != "to p1" {
-		t.Fatalf("healthy direction: %q, %v", buf[:n], err)
-	}
-	got := bgRead(b, 16)
-	select {
-	case r := <-got:
-		t.Fatalf("severed direction delivered: %q, %v", r.buf, r.err)
-	case <-time.After(30 * time.Millisecond):
-	}
-	k.HealOneWay(p1.ID, p2.ID)
-	select {
-	case r := <-got:
-		if r.err != nil || string(r.buf) != "to p2" {
-			t.Fatalf("after heal: %q, %v", r.buf, r.err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("reader never woke after one-way heal")
-	}
-}
-
-func TestIsolateWildcardMatchesEveryPeer(t *testing.T) {
-	k := NewKernel()
-	p1, _ := k.CreateProcess(nil, false)
-	p2, _ := k.CreateProcess(nil, false)
-	p3, _ := k.CreateProcess(nil, false)
-
-	k.Isolate(p1.ID)
-	for _, peer := range []int{p2.ID, p3.ID} {
-		if !k.Partitioned(p1.ID, peer) || !k.Partitioned(peer, p1.ID) {
-			t.Fatalf("isolate missed peer %d", peer)
-		}
-	}
-	if k.Partitioned(p2.ID, p3.ID) {
-		t.Fatal("isolate severed an uninvolved pair")
-	}
-	k.HealIsolate(p1.ID)
-	if k.Partitioned(p1.ID, p2.ID) || k.Partitioned(p3.ID, p1.ID) {
-		t.Fatal("heal-isolate left edges behind")
-	}
-}
-
 func TestPartitionDoesNotTearCloseStillWakes(t *testing.T) {
 	k := NewKernel()
 	p1, _ := k.CreateProcess(nil, false)
@@ -190,7 +133,7 @@ func TestPartitionDropsBroadcastDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The unpartitioned subscriber hears it; the partitioned one lost it
-	// for good (the channel is lossy, a partition is a run of losses).
+	// for good (a partition is the channel's one loss).
 	if m, ok := s3.Recv(); !ok || string(m.Data) != "cut" {
 		t.Fatalf("unpartitioned subscriber: %+v ok=%v", m, ok)
 	}
@@ -210,66 +153,16 @@ func TestPartitionDropsBroadcastDelivery(t *testing.T) {
 
 func TestPartitionCountedInstallsCompose(t *testing.T) {
 	k := NewKernel()
-	// A long-lived partition overlapping a flap: the flap's heals must not
-	// tear down the outer partition (installs are counted per edge).
+	// Two overlapping partitions of one pair: healing the inner one must
+	// not tear down the outer (installs are counted per edge).
 	k.Partition(1, 2)
-	k.Flap(1, 2, time.Millisecond, time.Millisecond, 3)
+	k.Partition(1, 2)
+	k.Heal(1, 2)
 	if !k.Partitioned(1, 2) || !k.Partitioned(2, 1) {
-		t.Fatal("flap cycles healed an overlapping partition")
+		t.Fatal("an inner heal healed an overlapping partition")
 	}
 	k.Heal(1, 2)
 	if k.Partitioned(1, 2) {
 		t.Fatal("edge survived its matching heal")
-	}
-}
-
-func TestFaultPartitionRuleIsolatesAndAutoHeals(t *testing.T) {
-	k := NewKernel()
-	p1, _ := k.CreateProcess(nil, false)
-	p2, _ := k.CreateProcess(nil, false)
-	plan := NewFaultPlan().PartitionRule("op.enter", 2, 0, 40*time.Millisecond)
-	p1.SetFaultPlan(plan)
-
-	if p1.Fault("op.enter") != faultNone {
-		t.Fatal("rule fired on the wrong hit")
-	}
-	if k.Partitioned(p1.ID, p2.ID) {
-		t.Fatal("partition installed before the armed hit")
-	}
-	if p1.Fault("op.enter") != faultNone {
-		t.Fatal("FaultPartition must let the faulted op proceed")
-	}
-	if len(plan.Fired()) != 1 {
-		t.Fatalf("fired = %v, want one firing", plan.Fired())
-	}
-	if !k.Partitioned(p1.ID, p2.ID) || !k.Partitioned(p2.ID, p1.ID) {
-		t.Fatal("second hit did not isolate the picoprocess")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for k.Partitioned(p1.ID, p2.ID) {
-		if time.Now().After(deadline) {
-			t.Fatal("auto-heal never fired")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestFaultPartitionRulePairScoped(t *testing.T) {
-	k := NewKernel()
-	p1, _ := k.CreateProcess(nil, false)
-	p2, _ := k.CreateProcess(nil, false)
-	p3, _ := k.CreateProcess(nil, false)
-	plan := NewFaultPlan().PartitionRule("op.enter", 1, p2.ID, 0)
-	p1.SetFaultPlan(plan)
-	p1.Fault("op.enter")
-	if !k.Partitioned(p1.ID, p2.ID) || !k.Partitioned(p2.ID, p1.ID) {
-		t.Fatal("pair partition not installed")
-	}
-	if k.Partitioned(p1.ID, p3.ID) {
-		t.Fatal("pair-scoped rule severed an uninvolved peer")
-	}
-	k.Heal(p1.ID, p2.ID)
-	if k.Partitioned(p1.ID, p2.ID) {
-		t.Fatal("explicit heal failed")
 	}
 }

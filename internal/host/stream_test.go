@@ -310,6 +310,55 @@ func TestBroadcastUnsubscribe(t *testing.T) {
 	}
 }
 
+// TestBroadcastDeliversPastAFullQueue: a subscriber that reads nothing
+// while thousands of messages are sent loses none of them and gets them
+// in the order they were sent; one detached with a backlog still queued
+// sees its endpoint close.
+func TestBroadcastDeliversPastAFullQueue(t *testing.T) {
+	bc := NewBroadcastChannel()
+	s1, _ := bc.Subscribe(1)
+	s2, _ := bc.Subscribe(2)
+	const n = 2000
+	for i := 0; i < n; i++ {
+		if err := bc.Send(3, []byte{byte(i), byte(i >> 8)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case m, ok := <-s1.Chan():
+			if !ok {
+				t.Fatalf("endpoint closed after %d of %d messages", i, n)
+			}
+			if got := int(m.Data[0]) | int(m.Data[1])<<8; got != i {
+				t.Fatalf("message %d arrived as number %d", got, i)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("message %d of %d never arrived", i, n)
+		}
+	}
+	select {
+	case m := <-s1.Chan():
+		t.Fatalf("extra message %+v", m)
+	default:
+	}
+	bc.Unsubscribe(2)
+	closed := make(chan struct{})
+	go func() {
+		for {
+			if _, ok := s2.Recv(); !ok {
+				close(closed)
+				return
+			}
+		}
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a detached endpoint with a backlog never closed")
+	}
+}
+
 // TestStreamWritabilityWakeOnDrain is the regression test for the
 // read-side wakeup: a WaitAny parked on writability must be poked when a
 // reader drains a full queue, not only when a writer adds data.

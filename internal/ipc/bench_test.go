@@ -2,6 +2,7 @@ package ipc
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"time"
 
@@ -348,7 +349,7 @@ func BenchmarkRPCKeyLookupRemote(b *testing.B) {
 // BenchmarkRPCKeyChurnRemote is a member's create + rmid of a fresh key:
 // a creating MsgKeyGet (with its replay token) that makes the member the
 // queue's owner, then the owner-local removal and its synchronous
-// MsgKeyRemove tombstone at the leader.
+// MsgKeyRemove at the leader.
 func BenchmarkRPCKeyChurnRemote(b *testing.B) {
 	_, mh := benchPair(b)
 	b.ReportAllocs()
@@ -380,4 +381,60 @@ func BenchmarkLeaderKeyChurn(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFailoverAfterLeaderKill times recovery from a leader crash. The
+// leader's picoprocess exits; from that moment one member times its first
+// successful lookup of a key a third member created before the crash
+// (the lookup rides the election, and finds the key once its owner's
+// recover report has reached the new leader), and another its first
+// fresh create. Reported per failover as lookup_us and create_us.
+func BenchmarkFailoverAfterLeaderKill(b *testing.B) {
+	var lookup, create time.Duration
+	for i := 0; i < b.N; i++ {
+		g := newTestGroup(b)
+		lh, lp := g.leader(newFakeService())
+		g.member(lp, lh.Addr, 2, newFakeService()) // lowest PID: the next leader
+		owner, _ := g.member(lp, lh.Addr, 3, newFakeService())
+		looker, _ := g.member(lp, lh.Addr, 4, newFakeService())
+		creator, _ := g.member(lp, lh.Addr, 5, newFakeService())
+		const key = 0x7100
+		id, err := owner.Msgget(key, api.IPCCreat)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		var lookupErr, createErr error
+		start := time.Now()
+		lp.Proc().Exit(137)
+		go func() {
+			defer wg.Done()
+			for {
+				got, err := looker.Msgget(key, 0)
+				if err == nil && got == id {
+					lookup += time.Since(start)
+					return
+				}
+				if err != nil && err != api.ENOENT {
+					lookupErr = err
+					return
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if _, createErr = creator.Msgget(key+1, api.IPCCreat|api.IPCExcl); createErr == nil {
+				create += time.Since(start)
+			}
+		}()
+		wg.Wait()
+		if lookupErr != nil || createErr != nil {
+			b.Fatalf("after the leader's exit: lookup %v, create %v", lookupErr, createErr)
+		}
+		g.stop()
+	}
+	b.ReportMetric(float64(lookup.Microseconds())/float64(b.N), "lookup_us")
+	b.ReportMetric(float64(create.Microseconds())/float64(b.N), "create_us")
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"graphene/internal/api"
 	"graphene/internal/host"
@@ -140,33 +139,15 @@ type Conn struct {
 	writing bool   // a goroutine is flushing wbuf
 	werr    error  // sticky write error
 
-	mu      sync.Mutex
-	pending map[uint64]pendingCall
+	mu sync.Mutex
+	// pending maps each call awaiting its response to the channel the one
+	// response is delivered to. Whoever deletes the entry — the reader
+	// with the reply, or teardown with EPIPE — owns the delivery, so a
+	// call gets exactly one response.
+	pending map[uint64]chan Frame
 	closed  bool
 	onClose func(*Conn)
-	// sweep is the connection's one deadline timer, created by the first
-	// timed call. It is armed for sweepAt, the earliest deadline among the
-	// pending calls when it was last armed (0: disarmed), and fails every
-	// call whose deadline has passed when it fires (see expire).
-	sweep   *time.Timer
-	sweepAt int64
 }
-
-// pendingCall is one call awaiting its response: the channel its one
-// response is delivered to, and for a timed call its deadline on the
-// monotonic clock (monoNow), else 0. Whoever deletes the entry — the
-// reader with the reply, teardown with EPIPE, the sweep with ETIMEDOUT —
-// owns the delivery, so a call gets exactly one response.
-type pendingCall struct {
-	ch       chan Frame
-	deadline int64
-}
-
-// monoEpoch anchors monoNow, nanoseconds on the monotonic clock: a
-// deadline stored as an int64 costs no time.Time in the pending map.
-var monoEpoch = time.Now()
-
-func monoNow() int64 { return int64(time.Since(monoEpoch)) }
 
 // NewConn wraps stream and starts its reader. handler services incoming
 // requests; onClose (may be nil) runs when the stream dies.
@@ -175,7 +156,7 @@ func NewConn(stream *host.Stream, localAddr string, handler Handler, onClose fun
 		stream:    stream,
 		localAddr: localAddr,
 		handler:   handler,
-		pending:   make(map[uint64]pendingCall),
+		pending:   make(map[uint64]chan Frame),
 		onClose:   onClose,
 	}
 	c.wflush = sync.NewCond(&c.wmu)
@@ -199,11 +180,11 @@ func (c *Conn) readLoop() {
 		}
 		if f.IsResponse() {
 			c.mu.Lock()
-			p, ok := c.pending[f.Seq]
+			ch, ok := c.pending[f.Seq]
 			delete(c.pending, f.Seq)
 			c.mu.Unlock()
 			if ok {
-				p.ch <- f
+				ch <- f
 			}
 			continue
 		}
@@ -244,8 +225,8 @@ func init() {
 
 // teardown ends the connection, from Close or from the read loop when the
 // peer hangs up: a dead conn keeps no open stream (the stream's close is
-// what takes it out of the picoprocess's table), stops its deadline sweep,
-// fails pending calls with EPIPE, and tells the owner.
+// what takes it out of the picoprocess's table), fails pending calls with
+// EPIPE, and tells the owner.
 func (c *Conn) teardown() {
 	c.mu.Lock()
 	if c.closed {
@@ -254,15 +235,11 @@ func (c *Conn) teardown() {
 	}
 	c.closed = true
 	pend := c.pending
-	c.pending = make(map[uint64]pendingCall)
-	if c.sweep != nil {
-		c.sweep.Stop()
-		c.sweepAt = 0
-	}
+	c.pending = make(map[uint64]chan Frame)
 	c.mu.Unlock()
 	c.stream.Close()
-	for _, p := range pend {
-		p.ch <- Frame{Err: api.EPIPE, isResponse: true}
+	for _, ch := range pend {
+		ch <- Frame{Err: api.EPIPE, isResponse: true}
 	}
 	if c.onClose != nil {
 		c.onClose(c)
@@ -341,53 +318,40 @@ func (c *Conn) Flush() error {
 // channel is always empty.
 var respChPool = sync.Pool{New: func() any { return make(chan Frame, 1) }}
 
-// Call sends a request and blocks for its response.
-func (c *Conn) Call(f Frame) (Frame, error) { return c.call(f, 0, nil, 0) }
+// Call sends a request and blocks for its response. There is no
+// deadline: a live peer answers every request, and a dead one tears the
+// stream down, which fails the call with EPIPE.
+func (c *Conn) Call(f Frame) (Frame, error) { return c.call(f, nil, 0) }
 
-// CallTimeout is Call with a deadline d from now: if no response has
-// arrived by then, the connection's deadline sweep fails the call with
-// ETIMEDOUT. The send itself is not gated — a partitioned peer stalls the
-// *receive* side (host partition semantics), so the inline send completes
-// and the deadline covers the full round trip. A response that arrives
-// after the sweep is dropped by the reader (the pending entry is gone by
-// then). A timed call allocates nothing: it arms no timer of its own.
-func (c *Conn) CallTimeout(f Frame, d time.Duration) (Frame, error) { return c.call(f, d, nil, 0) }
-
-// call is the one request/response body behind Call, CallTimeout and the
-// interruptible System V call. When d > 0 its pending entry carries the
-// deadline now+d, which the sweep enforces by delivering ETIMEDOUT into
-// the call's channel. When intr fires first, cancel is sent naming f's
-// object (A) and cookie (D), and the wait goes on for the one reply: the
-// result if it was already on its way, EINTR once the peer has withdrawn
-// the parked request.
-func (c *Conn) call(f Frame, d time.Duration, intr <-chan struct{}, cancel MsgType) (Frame, error) {
+// call is the one request/response body behind Call and the interruptible
+// System V call. When intr fires first, cancel is sent naming f's object
+// (A) and cookie (D), and the wait goes on for the one reply: the result
+// if it was already on its way, EINTR once the peer has withdrawn the
+// parked request.
+func (c *Conn) call(f Frame, intr <-chan struct{}, cancel MsgType) (Frame, error) {
 	f.Seq = c.seq.Add(1)
-	p := pendingCall{ch: respChPool.Get().(chan Frame)}
+	ch := respChPool.Get().(chan Frame)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		respChPool.Put(p.ch)
+		respChPool.Put(ch)
 		return Frame{}, api.EPIPE
 	}
-	if d > 0 {
-		p.deadline = monoNow() + int64(d)
-		c.armLocked(p.deadline)
-	}
-	c.pending[f.Seq] = p
+	c.pending[f.Seq] = ch
 	c.mu.Unlock()
 	if err := c.send(&f); err != nil {
-		// If the entry was already claimed by the reader, teardown or the
-		// sweep, a response send is in flight: the channel cannot be reused
-		// (do not pool it — dropping it is safe, the send has buffer space).
+		// If the entry was already claimed by the reader or teardown, a
+		// response send is in flight: the channel cannot be reused (do not
+		// pool it — dropping it is safe, the send has buffer space).
 		if c.unpend(f.Seq) {
-			respChPool.Put(p.ch)
+			respChPool.Put(ch)
 		}
 		return Frame{}, err
 	}
 	for {
 		select {
-		case resp := <-p.ch:
-			respChPool.Put(p.ch)
+		case resp := <-ch:
+			respChPool.Put(ch)
 			if resp.Err != 0 {
 				return resp, resp.Err
 			}
@@ -399,57 +363,8 @@ func (c *Conn) call(f Frame, d time.Duration, intr <-chan struct{}, cancel MsgTy
 	}
 }
 
-// armLocked makes the sweep fire no later than deadline. A sweep already
-// armed for an earlier deadline is left alone: when it fires it re-arms
-// for the next one, so calls whose deadlines only move forward — every
-// call with the same timeout — touch no timer at all. Called with c.mu
-// held.
-func (c *Conn) armLocked(deadline int64) {
-	if c.sweepAt != 0 && c.sweepAt <= deadline {
-		return
-	}
-	c.sweepAt = deadline
-	wait := time.Duration(deadline - monoNow())
-	if c.sweep == nil {
-		c.sweep = time.AfterFunc(wait, c.expire)
-	} else {
-		c.sweep.Reset(wait)
-	}
-}
-
-// expire is the deadline sweep: it removes every pending call whose
-// deadline has passed and hands each ETIMEDOUT on its own channel, exactly
-// as teardown hands out EPIPE, then re-arms for the earliest deadline
-// still pending, or disarms. A run that finds nothing due — the call it
-// was armed for was answered in time, or teardown emptied the table —
-// only re-arms or disarms.
-func (c *Conn) expire() {
-	var due []chan Frame
-	c.mu.Lock()
-	now := monoNow()
-	var next int64
-	for seq, p := range c.pending {
-		switch {
-		case p.deadline == 0:
-		case p.deadline <= now:
-			delete(c.pending, seq)
-			due = append(due, p.ch)
-		case next == 0 || p.deadline < next:
-			next = p.deadline
-		}
-	}
-	c.sweepAt = 0
-	if next != 0 {
-		c.armLocked(next)
-	}
-	c.mu.Unlock()
-	for _, ch := range due {
-		ch <- Frame{Err: api.ETIMEDOUT, isResponse: true}
-	}
-}
-
 // unpend drops the pending entry for seq, reporting whether it was still
-// there (false: the reader, teardown or the sweep claimed it first).
+// there (false: the reader or teardown claimed it first).
 func (c *Conn) unpend(seq uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

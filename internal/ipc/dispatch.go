@@ -41,7 +41,7 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		orig := respond
 		respond = func(r Frame) {
 			switch p.Fault(point + ".reply") {
-			case host.FaultKill, host.FaultDrop:
+			case host.FaultKill:
 				return // mutation applied, response lost
 			case host.FaultReset:
 				if s != nil {
@@ -50,20 +50,6 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 				return
 			}
 			orig(r)
-		}
-	}
-	// Epoch fence: a request stamped with a higher epoch than this
-	// leader's own is proof of demotion — the sender accepted a newer
-	// leader this helper never heard about (partition). Step down before
-	// dispatching; the request then bounces with EPERM from the
-	// leader-only handlers and the sender's failover loop re-resolves.
-	if !f.IsResponse() && f.Epoch != 0 {
-		h.mu.Lock()
-		fenced := h.leader != nil && f.Epoch > h.leaderEpoch
-		h.mu.Unlock()
-		if fenced {
-			statFencedRequests.Add(1)
-			h.stepDown(f.Epoch, "")
 		}
 	}
 	respond2, replayed := h.dedupCheck(&f, respond)
@@ -173,19 +159,6 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		}
 		respond(f.Response(Frame{A: id, S: owner}))
 
-	case MsgKeyRegister:
-		leader := h.ledState()
-		if leader == nil {
-			respond(f.ErrResponse(api.EPERM))
-			return
-		}
-		authID := leader.registerKey(int(f.A), f.B, f.C, f.S)
-		// A carries the ID the key authoritatively resolves to (0 if the
-		// reported object is tombstoned); post-heal reconciliation uses a
-		// mismatch to detect that its copy lost to one created on the
-		// other side of a partition.
-		respond(f.Response(Frame{A: authID}))
-
 	case MsgKeyOwner:
 		leader := h.ledState()
 		if leader == nil {
@@ -214,7 +187,7 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 			respond(f.ErrResponse(api.EPERM))
 			return
 		}
-		leader.remove(int(f.A), f.B)
+		leader.remove(int(f.A), f.B, f.D)
 		respond(f.Response(Frame{}))
 
 	case MsgQSend:
@@ -224,12 +197,11 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		// Off the read loop: removeLocal makes a synchronous RPC to the
 		// leader, and when the leader is the peer this frame arrived from,
 		// the reply lands on the very read loop running this handler.
-		// Inline dispatch would deadlock on the shared connection until the
-		// call timed out.
+		// Inline dispatch would deadlock on the shared connection.
 		go func() {
 			// EXDEV: the object migrated away — bounce so the rmid
 			// re-resolves and chases the live copy instead of this stale
-			// owner tombstoning its key mapping.
+			// owner removing its key mapping.
 			respondErrno(f, respond, h.removeLocal(typeKind(f.Type), f.A))
 		}()
 

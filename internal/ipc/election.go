@@ -2,7 +2,6 @@ package ipc
 
 import (
 	"encoding/binary"
-	"log"
 	"sync"
 	"time"
 
@@ -18,8 +17,11 @@ import (
 //
 //  1. A helper whose leader RPC fails broadcasts MsgElection with its own
 //     guest PID; every live helper answers with its PID.
-//  2. After a settling window, the lowest PID promotes itself, seeds a
-//     fresh leaderState, and broadcasts MsgNewLeader.
+//  2. After a settling window, the lowest PID claims the round with a
+//     MsgNewLeader. The broadcast stream is reliable and delivers in one
+//     order, the claimant's own copy included, so every helper takes the
+//     same first claim of the epoch as the winner, and the claimant
+//     promotes itself (a fresh leaderState) only if that claim is its own.
 //  3. Every member (including the new leader) re-registers its slice of
 //     the distributed state: locally known PID mappings, the high-water
 //     marks of its ID batches, owned System V objects, and its process
@@ -43,7 +45,10 @@ type electionState struct {
 	epoch   int64 // the round's election epoch (see Helper.leaderEpoch)
 	lowest  int64
 	lowAddr string
-	done    chan struct{}
+	// incumbent is the last leader this helper accepted before the round
+	// began ("" if none): a winner claims only once it has found it dead.
+	incumbent string
+	done      chan struct{}
 	// announced closes when a winner announcement for this round (same or
 	// newer epoch) is accepted, letting the settling window resolve early
 	// instead of hard-sleeping (and letting losers stop waiting the moment
@@ -182,7 +187,13 @@ func (h *Helper) collectRecoverState() recoverPayload {
 	return r
 }
 
-// installRecoverState merges one member's report into the new leader.
+// installRecoverState folds one member's report into the new leader. The
+// fold is a join: its result does not depend on the order reports arrive
+// in, on a report arriving twice, or on how the set is split between
+// arrivals. Cursors take the maximum, a PID is reserved once at the
+// helper it lives at (every report of it names that helper), an object's
+// owner is the greatest claim under ownerClaimWins, and a key maps to the
+// highest ID claiming it.
 func (l *leaderState) installRecoverState(r recoverPayload, fromAddr string) {
 	l.mu.Lock()
 	// Advance namespace cursors past everything any member has seen, so
@@ -215,20 +226,12 @@ func (l *leaderState) installRecoverState(r recoverPayload, fromAddr string) {
 			// When two members both report a live copy (a migration was
 			// in flight when the old leader died), the higher migration
 			// epoch is the more recent owner.
-			if cur, ok := m[o.ID]; !ok || o.Epoch >= cur.epoch {
+			if cur, ok := m[o.ID]; !ok || ownerClaimWins(o.Epoch, fromAddr, cur) {
 				l.setOwnerLocked(o.Kind, o.ID, ownerEntry{addr: fromAddr, epoch: o.Epoch})
-				if o.Key != api.IPCPrivate {
-					// First writer wins on the *key* mapping: after a
-					// partition, a deposed leader's report can collide with
-					// a key recreated (under a different ID) on this side.
-					// Overwriting would flip the key to the loser's ID under
-					// survivors that already resolved it — split brain. The
-					// late reporter discovers the conflict via reconcile
-					// (MsgKeyRegister returns the authoritative ID) and
-					// tombstones its copy.
-					if _, exists := l.keys[o.Kind][o.Key]; !exists {
-						l.setKeyLocked(o.Kind, o.Key, o.ID)
-					}
+			}
+			if o.Key != api.IPCPrivate {
+				if cur, taken := l.keys[o.Kind][o.Key]; !taken || o.ID > cur.id {
+					l.setKeyLocked(o.Kind, o.Key, o.ID)
 				}
 			}
 		}
@@ -240,6 +243,16 @@ func (l *leaderState) installRecoverState(r recoverPayload, fromAddr string) {
 	if r.pgid != 0 {
 		l.pgs.join(r.pgid, r.pid, fromAddr)
 	}
+}
+
+// ownerClaimWins orders two claims on one object: the higher migration
+// epoch wins, and at equal epochs the lower owner address does, so the
+// recover fold keeps the same owner whatever order the claims came in.
+func ownerClaimWins(epoch int64, addr string, cur ownerEntry) bool {
+	if epoch != cur.epoch {
+		return epoch > cur.epoch
+	}
+	return addr < cur.addr
 }
 
 // ElectLeader runs the recovery protocol after the current leader became
@@ -256,6 +269,7 @@ func (h *Helper) ElectLeader() (string, error) {
 	}
 	e := h.election
 	roundEpoch := h.leaderEpoch + 1
+	incumbent := h.lastLeader
 	h.mu.Unlock()
 
 	e.mu.Lock()
@@ -272,11 +286,13 @@ func (h *Helper) ElectLeader() (string, error) {
 	roundEpoch = e.epoch
 	e.lowest = h.GuestPID
 	e.lowAddr = h.Addr
+	e.incumbent = incumbent
 	e.done = make(chan struct{})
 	e.announced = make(chan struct{})
 	announced := e.announced
 	e.mu.Unlock()
-	// The old leader is dead; forget it so stale reads cannot win races.
+	// The old leader is thought dead; forget it so stale reads cannot win
+	// races.
 	h.mu.Lock()
 	if h.leader == nil {
 		h.leaderAddr = ""
@@ -321,13 +337,21 @@ func (h *Helper) electionWait(announced chan struct{}) {
 	}
 }
 
-// settleElection resolves an election round after its settling window:
-// promote and announce if we hold the lowest PID (and nobody announced
-// first), otherwise wait for the winner's announcement.
+// settleElection resolves an election round after its settling window.
+// A helper that holds the lowest PID (and heard no winner first) claims
+// the round's epoch with a MsgNewLeader that its own subscription reads
+// back: the claim wins if it is the first of its epoch in the broadcast
+// order, which every helper sees alike, and handleNewLeaderBroadcast
+// promotes the claimant only then. So two candidates that both thought
+// themselves lowest cannot both lead. A winner whose incumbent is still
+// alive (a member misread a torn stream as a death) claims nothing: the
+// incumbent re-asserts itself on the round's election frames, and a
+// leader in the round keeps leading under its epoch.
 func (h *Helper) settleElection(e *electionState) (string, error) {
 	e.mu.Lock()
 	won := e.lowest == h.GuestPID
 	epoch := e.epoch
+	incumbent := e.incumbent
 	select {
 	case <-e.announced:
 		// Someone already won this (or a newer) round.
@@ -336,29 +360,53 @@ func (h *Helper) settleElection(e *electionState) (string, error) {
 	}
 	e.mu.Unlock()
 
-	if won {
+	switch {
+	case h.isLeader():
 		h.promote(epoch)
-		// Peers send their state on MsgNewLeader.
 		nf := Frame{Type: MsgNewLeader, A: epoch, From: h.Addr, S: h.Addr}
 		_ = h.pal.BroadcastSend(EncodeFrame(&nf))
+	case !won:
+	case incumbent != "" && incumbent != h.Addr && h.peerAlive(incumbent):
+	default:
 		h.mu.Lock()
-		deposed := h.leader == nil
-		h.mu.Unlock()
-		if deposed {
-			// Deposed between promotion and here: a higher-epoch winner's
-			// announcement (or a fenced request) already stepped us down
-			// and nilled the leaderState. The replacement collects our
-			// state through the reconcile report like any member's.
-			e.finish()
-			return h.awaitNewLeader(10 * electionWindow)
+		deaf := h.deaf
+		if !deaf && h.claiming == nil {
+			h.claiming = make(chan struct{})
 		}
-		e.finish()
-		return h.Addr, nil
+		h.mu.Unlock()
+		nf := Frame{Type: MsgNewLeader, A: epoch, From: h.Addr, S: h.Addr}
+		if deaf {
+			// No subscription to read a claim back on: a sandbox split
+			// left this helper alone in a new sandbox, where nobody else
+			// can claim.
+			h.promote(epoch)
+			_ = h.pal.BroadcastSend(EncodeFrame(&nf))
+		} else if h.pal.BroadcastSendAll(EncodeFrame(&nf)) != nil {
+			h.endClaim()
+		}
 	}
-	// Wait for the winner's announcement (handled by broadcastLoop).
+	// Wait for the winner: our own claim read back, or another's.
 	addr, err := h.awaitNewLeader(10 * electionWindow)
 	e.finish()
 	return addr, err
+}
+
+// endClaim marks this helper's claim resolved (read back, won or lost, or
+// never to be read back), releasing the leader requests ledState holds.
+func (h *Helper) endClaim() {
+	h.mu.Lock()
+	if h.claiming != nil {
+		close(h.claiming)
+		h.claiming = nil
+	}
+	h.mu.Unlock()
+}
+
+// peerAlive reports whether the helper at addr still accepts connections.
+// Its picoprocess's exit closes its listener, so a refused dial is death.
+func (h *Helper) peerAlive(addr string) bool {
+	_, err := h.dial(addr)
+	return err == nil
 }
 
 // awaitNewLeader blocks until the leader address is known (set by our own
@@ -413,7 +461,6 @@ func (h *Helper) promote(epoch int64) {
 	// against a previous incarnation's tables must re-execute here.
 	h.leaderStateEpoch = epoch
 	h.setLeaderLocked(h.Addr, epoch)
-	h.startHeartbeatLocked()
 }
 
 // handleElectionBroadcast folds a peer's candidacy into any local round
@@ -428,6 +475,7 @@ func (h *Helper) handleElectionBroadcast(f Frame) {
 	isLeader := h.leader != nil
 	curEpoch := h.leaderEpoch
 	haveLeader := h.leaderAddr != ""
+	incumbent := h.lastLeader
 	h.mu.Unlock()
 	if shutdown {
 		return
@@ -462,6 +510,7 @@ func (h *Helper) handleElectionBroadcast(f Frame) {
 		}
 		e.lowest = h.GuestPID
 		e.lowAddr = h.Addr
+		e.incumbent = incumbent
 		e.done = make(chan struct{})
 		e.announced = make(chan struct{})
 	} else if f.A > e.epoch {
@@ -491,127 +540,63 @@ func (h *Helper) handleElectionBroadcast(f Frame) {
 	}
 }
 
-// handleNewLeaderBroadcast records the winner — unless the announcement
-// is stale (an earlier epoch than the leader we already accepted), in
-// which case it is dropped so a slow earlier round cannot clobber a newer
-// leader — and sends the winner our recover-state report.
-//
-// A helper that is itself a leader treats the announcement as fencing
-// evidence: a strictly newer epoch means it was deposed across a
-// partition (the announcement is typically the new leader's heartbeat
-// arriving after heal) and it steps down; an equal epoch is a symmetric
-// double election, tie-broken deterministically by address; an older
-// epoch is answered with an immediate re-assert so the stale claimant
-// and its members converge onto us.
+// handleNewLeaderBroadcast records the winner: the first claim of its
+// epoch in the broadcast order, which makes us leader when it is our own.
+// A stale announcement (no newer than the epoch of a leader we already
+// accepted) is dropped, so neither a slow earlier round nor a rival claim
+// that came second can clobber the leader; setLeaderLocked sends the
+// winner our recover-state report. A leader never yields to an
+// announcement: it leads until its picoprocess exits.
 func (h *Helper) handleNewLeaderBroadcast(f Frame) {
-	if f.S == "" || f.S == h.Addr {
+	if f.S == "" {
 		return
+	}
+	if f.S == h.Addr {
+		defer h.endClaim()
 	}
 	h.mu.Lock()
-	if h.shutdown {
+	if h.shutdown || h.leader != nil || (f.A == h.leaderEpoch && f.S == h.leaderAddr) {
+		// Shutting down, leading, or a duplicate of a leader we already
+		// accepted (and reported to).
 		h.mu.Unlock()
 		return
 	}
-	if h.leader != nil {
-		myEpoch := h.leaderEpoch
-		h.mu.Unlock()
-		if f.A > myEpoch || (f.A == myEpoch && f.S < h.Addr) {
-			h.stepDown(f.A, f.S)
-			return
-		}
-		nf := Frame{Type: MsgNewLeader, A: myEpoch, From: h.Addr, S: h.Addr}
-		_ = h.pal.BroadcastSend(EncodeFrame(&nf))
-		return
-	}
-	if f.A == h.leaderEpoch && h.leaderAddr == f.S {
-		// Idempotent duplicate: the leader's heartbeat, or a delayed copy
-		// of the announcement we already accepted. Not a stale announcement
-		// — but if our recover report to this leader never landed (it was
-		// attempted mid-partition and hit the recover deadline), the
-		// heartbeat is the retry trigger: without the report the leader has
-		// no idea our objects exist, and we never hear which of them lost
-		// a conflict.
-		needReport := h.reportedTo != f.S && f.S != h.Addr && !h.shutdown
-		h.mu.Unlock()
-		if needReport {
-			go h.memberReconcile(f.S)
-		}
-		return
-	}
-	if f.A < h.leaderEpoch ||
-		(f.A == h.leaderEpoch && h.leaderAddr != "" && f.S >= h.leaderAddr) {
-		// Older epoch, or an equal-epoch claim losing the address
-		// tie-break against the leader we already accepted: a delayed
-		// announcement surviving a heal must not clobber the newer leader.
+	if f.A <= h.leaderEpoch {
+		// Older than the leader we accepted, or a rival that came second
+		// in its epoch (even if we have since lost the winner's address:
+		// discovery finds it again).
 		h.mu.Unlock()
 		statStaleAnnounces.Add(1)
 		return
 	}
-	h.setLeaderLocked(f.S, f.A)
 	e := h.election
-	h.mu.Unlock()
+	if f.S == h.Addr {
+		// Our own claim, read back first of its epoch: we won.
+		h.mu.Unlock()
+		h.promote(f.A)
+	} else {
+		h.setLeaderLocked(f.S, f.A)
+		h.mu.Unlock()
+	}
 	if e != nil {
 		e.noteAnnouncement(f.A)
 	}
-	go h.memberReconcile(f.S)
 }
 
-// recoverDeadline caps one member's whole recover-state exchange. Without
-// it, the retry loop's schedule is open-ended when each attempt blocks —
-// a new leader stuck behind a partition would absorb all 10 attempts at
-// full RPC-timeout cost each, re-reporting long after yet another leader
-// took over.
-const recoverDeadline = 20 * electionWindow
-
-// recoverAttemptTimeout bounds one report delivery. Deliberately looser
-// than rpcCallTimeout: reports are background reconciliation, not
-// failover detection, and after a leader change on a large sandbox the
-// new leader serves a whole herd of them — a report abandoned at the
-// tight deadline still gets executed, so impatient callers only add
-// duplicate work to the very queue they are stuck in.
-const recoverAttemptTimeout = 2 * rpcCallTimeout
-
 // sendRecoverState reports this member's slice of distributed state to a
-// newly announced leader, retrying with backoff: a member whose report is
-// lost would be invisible to the new leader (its objects would silently
-// vanish from the namespace). Each attempt carries the RPC
-// deadline and the loop as a whole an absolute one, so a leader stuck
-// behind a partition surfaces a terminal failure instead of retrying
-// forever. Returns whether the report landed; a delivered report is
-// remembered (reportedTo) so the heartbeat path knows this leader has our
-// state and a failed one is retried off the next heartbeat.
-func (h *Helper) sendRecoverState(to string) bool {
-	var lastErr error
-	deadline := time.Now().Add(recoverDeadline)
-	for attempt := 0; attempt < 10; attempt++ {
-		if attempt > 0 {
-			statRecoverRetries.Add(1)
-			// Quadratic: a linear 1ms backoff re-forms the herd almost
-			// immediately when hundreds of members retry in lockstep.
-			time.Sleep(time.Duration(attempt*attempt) * 5 * time.Millisecond)
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-		h.mu.Lock()
-		down := h.shutdown
-		stale := h.leaderAddr != to
-		h.mu.Unlock()
-		if down || stale {
-			return false // shutting down, or yet another leader took over
-		}
-		c, err := h.dial(to)
-		if err == nil {
-			if _, err = c.CallTimeout(Frame{Type: MsgRecoverState, From: h.Addr, Blob: encodeRecover(h.collectRecoverState())}, recoverAttemptTimeout); err == nil {
-				h.mu.Lock()
-				h.reportedTo = to
-				h.mu.Unlock()
-				return true
-			}
-		}
-		lastErr = err
+// newly accepted leader, once: a live leader answers it, and a leader that
+// died before answering is replaced by a new round whose epoch brings its
+// own report. A report to a leader that has since been replaced is sent
+// all the same: the fold is a join, so a live leader takes it as harmless
+// news, and a dead one fails the call.
+func (h *Helper) sendRecoverState(to string) {
+	h.mu.Lock()
+	down := h.shutdown
+	h.mu.Unlock()
+	if down {
+		return
 	}
-	statRecoverFailed.Add(1)
-	log.Printf("ipc: %s: recover-state report to %s failed permanently: %v", h.Addr, to, lastErr)
-	return false
+	if c, err := h.dial(to); err == nil {
+		_, _ = c.Call(Frame{Type: MsgRecoverState, From: h.Addr, Blob: encodeRecover(h.collectRecoverState())})
+	}
 }

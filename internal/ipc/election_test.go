@@ -1,6 +1,10 @@
 package ipc
 
 import (
+	"maps"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -192,8 +196,8 @@ func TestElectionPreservesProcessGroups(t *testing.T) {
 
 // TestElectedLeaderClearsPIDsMintedBeforeJoin: the old leader's own PID
 // and first batch were minted before any member joined, so no MsgNSHwm
-// ever announced them, and the old leader cannot report once it is cut
-// off. A member that joined by claim must still elect a leader whose PID
+// ever announced them, and the old leader cannot report once it is dead.
+// A member that joined by claim must still elect a leader whose PID
 // cursor stands past them — from the moment its leaderState serves.
 func TestElectedLeaderClearsPIDsMintedBeforeJoin(t *testing.T) {
 	g := newTestGroup(t)
@@ -201,12 +205,230 @@ func TestElectedLeaderClearsPIDsMintedBeforeJoin(t *testing.T) {
 	m1, _ := g.member(lp, lh.Addr, 2, newFakeService())
 	minted := lh.leader.cursor(NSPid)
 
-	g.k.Isolate(lp.Proc().ID)
-	defer g.k.HealIsolate(lp.Proc().ID)
+	lp.Proc().Exit(137) // crash: no goodbye, no report
 	if addr, err := m1.ElectLeader(); err != nil || addr != m1.Addr {
 		t.Fatalf("ElectLeader = (%q, %v), want %q", addr, err, m1.Addr)
 	}
 	if got := m1.leader.cursor(NSPid); got < minted {
 		t.Fatalf("elected leader's PID cursor = %d, want >= %d: it can mint the old leader's PIDs again", got, minted)
+	}
+}
+
+// recoverTables is a leaderState's content in a form two folds can be
+// compared by: the PID ranges sorted, everything else copied as is.
+type recoverTables struct {
+	Ranges  []idRange
+	Next    map[int]int64
+	Keys    map[int]map[int64]keyEntry
+	Owners  map[int]map[int64]ownerEntry
+	KeyOf   map[int]map[int64]int64
+	Held    map[string]int
+	PGroups map[int64]map[int64]string
+}
+
+func dumpRecoverTables(l *leaderState) recoverTables {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	d := recoverTables{
+		Ranges: append([]idRange(nil), l.ranges[NSPid]...),
+		Next:   maps.Clone(l.next),
+		Keys:   make(map[int]map[int64]keyEntry),
+		Owners: make(map[int]map[int64]ownerEntry),
+		KeyOf:  make(map[int]map[int64]int64),
+		Held:   maps.Clone(l.held),
+	}
+	sort.Slice(d.Ranges, func(i, j int) bool { return d.Ranges[i].lo < d.Ranges[j].lo })
+	for _, kind := range []int{NSSysVMsg, NSSysVSem} {
+		d.Keys[kind] = maps.Clone(l.keys[kind])
+		d.Owners[kind] = maps.Clone(l.owners[kind])
+		d.KeyOf[kind] = maps.Clone(l.keyOf[kind])
+	}
+	l.pgs.mu.Lock()
+	d.PGroups = make(map[int64]map[int64]string)
+	for pgid, m := range l.pgs.groups {
+		d.PGroups[pgid] = maps.Clone(m)
+	}
+	l.pgs.mu.Unlock()
+	return d
+}
+
+// TestReportReachesALeaderLearnedByDiscovery: a member that learns the new
+// leader from a discovery answer before the announcement reaches it — a
+// guest call in the middle of the round — still sends that leader its
+// recover report, and the announcement, a duplicate by then, changes
+// nothing.
+func TestReportReachesALeaderLearnedByDiscovery(t *testing.T) {
+	g := newTestGroup(t)
+	lh, lp := g.leader(newFakeService())
+	m1, _ := g.member(lp, lh.Addr, 2, newFakeService())
+	m2, _ := g.member(lp, lh.Addr, 3, newFakeService())
+	id, err := m2.Msgget(74752, api.IPCCreat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp.Proc().Exit(137)
+
+	// m1 wins and has not announced yet; m2's round has cleared the old
+	// leader, so its guest call asks by broadcast and m1 answers it.
+	m1.promote(1)
+	m2.mu.Lock()
+	m2.leaderAddr = ""
+	m2.mu.Unlock()
+	if addr, err := m2.DiscoverLeader(); err != nil || addr != m1.Addr {
+		t.Fatalf("discovery: %q %v, want %s", addr, err, m1.Addr)
+	}
+	nf := Frame{Type: MsgNewLeader, A: 1, From: m1.Addr, S: m1.Addr}
+	if err := m1.pal.BroadcastSend(EncodeFrame(&nf)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, failoverDeadline, "m2's queue to reach the new leader", func() bool {
+		got, err := m1.Msgget(74752, 0)
+		return err == nil && got == id
+	})
+	if v := CheckInvariants([]*Helper{m1, m2}); len(v) != 0 {
+		t.Fatalf("invariants violated: %v", v)
+	}
+}
+
+// TestClaimantHoldsLeaderRequestsUntilReadBack: a member that reads a
+// claim before its author does sends the claimant its recover report
+// while the claimant does not lead yet. The claimant holds the request
+// until it reads its own claim back, so the report lands instead of
+// being refused with EPERM.
+func TestClaimantHoldsLeaderRequestsUntilReadBack(t *testing.T) {
+	g := newTestGroup(t)
+	lh, lp := g.leader(newFakeService())
+	m1, _ := g.member(lp, lh.Addr, 2, newFakeService())
+	m2, _ := g.member(lp, lh.Addr, 3, newFakeService())
+	id, err := m2.Msgget(75776, api.IPCCreat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp.Proc().Exit(137)
+
+	// m1's claim to epoch 1 is on the stream; m2 has read it, m1 not yet.
+	m1.mu.Lock()
+	m1.claiming = make(chan struct{})
+	m1.mu.Unlock()
+	m2.mu.Lock()
+	m2.setLeaderLocked(m1.Addr, 1) // sends m1 the report
+	m2.mu.Unlock()
+	// Let the report reach m1 before m1 reads its claim back.
+	time.Sleep(20 * time.Millisecond)
+	m1.handleNewLeaderBroadcast(Frame{Type: MsgNewLeader, A: 1, From: m1.Addr, S: m1.Addr})
+	if !m1.isLeader() {
+		t.Fatal("the claim read back first of its epoch did not promote m1")
+	}
+	waitFor(t, failoverDeadline, "m2's queue to reach m1", func() bool {
+		got, err := m1.Msgget(75776, 0)
+		return err == nil && got == id
+	})
+	if v := CheckInvariants([]*Helper{m1, m2}); len(v) != 0 {
+		t.Fatalf("invariants violated: %v", v)
+	}
+}
+
+// TestRecoverFoldIsAJoin: a new leader folds the members' recover reports
+// in whatever order they arrive, so the fold must be a join — the same
+// tables for any order, any duplication, and any split of the set between
+// arrivals. The report set is every helper's real report after creates,
+// a removal and a migration, plus two claims a fold must order without
+// arrival order: an equal-epoch claim on a live object from a helper that
+// does not hold it, and a key claim naming a dead, lower ID. Every seeded
+// fold is installed at the leader and must leave CheckInvariants clean.
+func TestRecoverFoldIsAJoin(t *testing.T) {
+	g := newTestGroup(t)
+	lh, lp := g.leader(newFakeService())
+	m1, _ := g.member(lp, lh.Addr, 2, newFakeService())
+	m2, _ := g.member(lp, lh.Addr, 3, newFakeService())
+	m3, _ := g.member(lp, lh.Addr, 4, newFakeService())
+	helpers := []*Helper{lh, m1, m2, m3}
+
+	must := func(id int64, err error) int64 {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	dead := must(m1.Msgget(0x6100, api.IPCCreat))
+	if err := m1.MsgRmid(dead); err != nil {
+		t.Fatal(err)
+	}
+	contested := must(m1.Msgget(0x6101, api.IPCCreat))
+	must(lh.Msgget(0x6102, api.IPCCreat))
+	must(m2.Semget(0x6103, 2, api.IPCCreat))
+	moved := must(m2.Msgget(0x6104, api.IPCCreat))
+	m2.migrate(NSSysVMsg, moved, m3.Addr) // m3 holds it at epoch 2
+	must(m3.Msgget(api.IPCPrivate, api.IPCCreat))
+	for _, h := range []*Helper{m2, m3} {
+		h.mu.Lock()
+		h.ownPgid = 3
+		h.mu.Unlock()
+	}
+
+	type report struct {
+		r    recoverPayload
+		from string
+	}
+	var set []report
+	for _, h := range helpers {
+		set = append(set, report{h.collectRecoverState(), h.Addr})
+	}
+	// "ipc.~" sorts after every helper address, so it loses the
+	// equal-epoch tie wherever it arrives; the dead ID loses the key to
+	// the live, higher one.
+	set = append(set, report{recoverPayload{objects: []recoverObject{
+		{Kind: NSSysVMsg, ID: contested, Key: 0x6101, Epoch: 1},
+		{Kind: NSSysVMsg, ID: dead, Key: 0x6101, Epoch: 1},
+	}}, "ipc.~"})
+
+	fold := func(order []report) recoverTables {
+		l := newLeaderState()
+		for _, rp := range order {
+			l.installRecoverState(rp.r, rp.from)
+		}
+		lh.mu.Lock()
+		lh.leader = l
+		lh.mu.Unlock()
+		if v := CheckInvariants(helpers); len(v) != 0 {
+			t.Fatalf("invariants violated after the fold: %v", v)
+		}
+		return dumpRecoverTables(l)
+	}
+	want := fold(set)
+	if o := want.Owners[NSSysVMsg][contested]; o.addr != m1.Addr {
+		t.Fatalf("contested object owned by %q, want its holder %s", o.addr, m1.Addr)
+	}
+	if e := want.Keys[NSSysVMsg][0x6101]; e.id != contested {
+		t.Fatalf("contested key maps to id %d, want the live %d", e.id, contested)
+	}
+
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		shuffled := func() []report {
+			out := append([]report(nil), set...)
+			rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+			return out
+		}
+		perm := shuffled()
+		dup := shuffled()
+		for n := 1 + rng.Intn(len(set)); n > 0; n-- {
+			at := rng.Intn(len(dup) + 1)
+			dup = append(dup[:at], append([]report{set[rng.Intn(len(set))]}, dup[at:]...)...)
+		}
+		split := shuffled()
+		cut := 1 + rng.Intn(len(split)-1)
+		subsetThenAll := append(append([]report(nil), split[:cut]...), shuffled()...)
+		for name, order := range map[string][]report{
+			"permutation":       perm,
+			"duplicates":        dup,
+			"subset, then rest": split,
+			"subset, then all":  subsetThenAll,
+		} {
+			if got := fold(order); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %s: the fold depends on arrival:\n got  %+v\n want %+v", seed, name, got, want)
+			}
+		}
 	}
 }

@@ -7,9 +7,12 @@ import (
 )
 
 // Leader failover on the live RPC path (§4.2, "Leader Recovery"). Every
-// leader RPC funnels through callLeader below. A dead-leader error —
-// the stream tore down mid-call, or nobody is listening at the cached
-// address — triggers the failover pipeline:
+// leader RPC funnels through callLeader below. Failure is crash-stop: a
+// leader is dead when its stream says so — the stream tore down mid-call,
+// or nobody is listening at the cached address, both of which a
+// picoprocess exit produces at once. A call to a live leader waits for its
+// answer, as a Linux caller waits on a process that is slow to reply. A
+// dead-leader error triggers the failover pipeline:
 //
 //  1. single-flight election: of all the guest threads that observe the
 //     same failure epoch, exactly one runs ElectLeader; the rest wait for
@@ -25,29 +28,13 @@ import (
 // RPC will ride through before surfacing the transport error.
 const failoverAttempts = 3
 
-// rpcCallTimeout is the absolute deadline on one leader RPC attempt. A
-// partitioned-yet-alive leader produces no transport error at all — the
-// call just never returns — so every leader call rides a deadline and a
-// timeout is classified exactly like a torn stream: failover. Three
-// election windows give a busy-but-healthy leader ample slack (observed
-// p99 round trips are microseconds) while keeping the worst-case blocked
-// time of one attempt far under the failover budget.
-const rpcCallTimeout = 3 * electionWindow
-
 // Failover pipeline counters (package-wide, cumulative). Chaos tests
 // snapshot deltas; they are diagnostics, not control state.
 var (
 	statFailovers      atomic.Int64
 	statReplaysDeduped atomic.Int64
 	statMembersReaped  atomic.Int64
-	statRecoverRetries atomic.Int64
-	statRecoverFailed  atomic.Int64
 	statStaleAnnounces atomic.Int64
-	statRPCTimeouts    atomic.Int64
-	statFencedRequests atomic.Int64
-	statStepDowns      atomic.Int64
-	statReconciled     atomic.Int64
-	statReconcileTombs atomic.Int64
 	statRouteHits      atomic.Int64
 	statRouteMisses    atomic.Int64
 )
@@ -63,28 +50,9 @@ type FailoverCounters struct {
 	// MembersReaped counts crashed (non-graceful) members whose namespace
 	// state the leader reclaimed.
 	MembersReaped int64
-	// RecoverSendRetries / RecoverSendFailures count MsgRecoverState
-	// delivery retries and terminal failures after a leader change.
-	RecoverSendRetries  int64
-	RecoverSendFailures int64
 	// StaleAnnouncementsDropped counts MsgNewLeader frames rejected for
 	// carrying an epoch older than the accepted leader's.
 	StaleAnnouncementsDropped int64
-	// RPCTimeouts counts leader RPC attempts that hit their absolute
-	// deadline — the partitioned-yet-alive-leader signature.
-	RPCTimeouts int64
-	// FencedRequests counts mutating requests a leader refused because they
-	// carried a higher election epoch than its own (it was deposed across a
-	// partition and learned so from the request itself).
-	FencedRequests int64
-	// LeaderStepDowns counts leaders that demoted themselves after seeing a
-	// higher epoch (fenced request or a newer MsgNewLeader after heal).
-	LeaderStepDowns int64
-	// ReconciledObjects / ReconcileTombstoned count a deposed leader's
-	// owned keyed objects that survived reconciliation with the new leader
-	// vs. lost to a during-partition recreate and were tombstoned locally.
-	ReconciledObjects   int64
-	ReconcileTombstoned int64
 	// RouteHits / RouteMisses count leader calls that found a cached
 	// leader address vs. ones that fell back to broadcast discovery.
 	RouteHits   int64
@@ -97,14 +65,7 @@ func ReadFailoverCounters() FailoverCounters {
 		Failovers:                 statFailovers.Load(),
 		ReplaysDeduped:            statReplaysDeduped.Load(),
 		MembersReaped:             statMembersReaped.Load(),
-		RecoverSendRetries:        statRecoverRetries.Load(),
-		RecoverSendFailures:       statRecoverFailed.Load(),
 		StaleAnnouncementsDropped: statStaleAnnounces.Load(),
-		RPCTimeouts:               statRPCTimeouts.Load(),
-		FencedRequests:            statFencedRequests.Load(),
-		LeaderStepDowns:           statStepDowns.Load(),
-		ReconciledObjects:         statReconciled.Load(),
-		ReconcileTombstoned:       statReconcileTombs.Load(),
 		RouteHits:                 statRouteHits.Load(),
 		RouteMisses:               statRouteMisses.Load(),
 	}
@@ -117,28 +78,19 @@ func ResetFailoverCounters() {
 	statFailovers.Store(0)
 	statReplaysDeduped.Store(0)
 	statMembersReaped.Store(0)
-	statRecoverRetries.Store(0)
-	statRecoverFailed.Store(0)
 	statStaleAnnounces.Store(0)
-	statRPCTimeouts.Store(0)
-	statFencedRequests.Store(0)
-	statStepDowns.Store(0)
-	statReconciled.Store(0)
-	statReconcileTombs.Store(0)
 	statRouteHits.Store(0)
 	statRouteMisses.Store(0)
 }
 
-// deadLeaderErr classifies transport errors that mean "the peer at the
-// leader address is gone — or unreachable, which for the caller is the
-// same thing": the stream died under the call (EPIPE), no listener
-// answers the dial (ECONNREFUSED), or the call's absolute deadline passed
-// with no response (ETIMEDOUT: a partitioned-yet-alive leader).
+// deadLeaderErr classifies the transport errors that mean "the peer at the
+// leader address is gone": the stream died under the call (EPIPE), or no
+// listener answers the dial (ECONNREFUSED).
 func deadLeaderErr(err error) bool {
-	return err == api.EPIPE || err == api.ECONNREFUSED || err == api.ETIMEDOUT
+	return err == api.EPIPE || err == api.ECONNREFUSED
 }
 
-// needsReqID marks the non-idempotent requests — creates, registers,
+// needsReqID marks the non-idempotent requests — creates, batch grants,
 // migrations — whose replay after a lost response must be deduplicated.
 // A MsgKeyGet may create exactly when it proposes an ID (D != 0): a create
 // or an IPC_PRIVATE get, which creates without IPC_CREAT. A plain lookup
@@ -148,18 +100,18 @@ func needsReqID(f *Frame) bool {
 	switch f.Type {
 	case MsgKeyGet:
 		return f.D != 0
-	case MsgNSAlloc, MsgKeyRegister, MsgQMigrate, MsgSemMigrate:
+	case MsgNSAlloc, MsgQMigrate, MsgSemMigrate:
 		return true
 	}
 	return false
 }
 
 // leaderOnly marks request types only the leader serves. EPERM from one of
-// these means the peer is a demoted or never-promoted helper: the cached
-// leader address is stale, not the request invalid.
+// these means the peer is a never-promoted helper: the cached leader
+// address is stale, not the request invalid.
 func leaderOnly(t MsgType) bool {
 	switch t {
-	case MsgNSAlloc, MsgNSClaim, MsgKeyGet, MsgKeyOwner, MsgKeyChown, MsgKeyRemove, MsgKeyRegister,
+	case MsgNSAlloc, MsgNSClaim, MsgKeyGet, MsgKeyOwner, MsgKeyChown, MsgKeyRemove,
 		MsgPgJoin, MsgPgLeave, MsgPgMembers, MsgRecoverState:
 		return true
 	}
@@ -182,11 +134,6 @@ func (h *Helper) callLeader(f Frame) (Frame, error) {
 		isLeader := h.leader != nil
 		down := h.shutdown
 		epoch := h.failEpoch
-		// Fence the request with the epoch of the leader we accepted: a
-		// deposed leader that receives a newer epoch than its own learns of
-		// its demotion from the request itself and steps down instead of
-		// executing (see dispatchOn).
-		f.Epoch = h.leaderEpoch
 		h.mu.Unlock()
 
 		if isLeader {
@@ -227,14 +174,11 @@ func (h *Helper) callLeader(f Frame) (Frame, error) {
 		start, parent := h.beginSpan(&f)
 		c, err := h.dial(leaderAddr)
 		if err == nil {
-			resp, err = c.CallTimeout(f, rpcCallTimeout)
+			resp, err = c.Call(f)
 		}
 		h.endSpan(&f, start, parent, err)
 		if err == nil {
 			return resp, nil
-		}
-		if err == api.ETIMEDOUT {
-			statRPCTimeouts.Add(1)
 		}
 		lastErr = err
 		if err == api.EPERM && leaderOnly(f.Type) {
@@ -301,10 +245,10 @@ func (h *Helper) failover(observed int64) error {
 // dedupKey identifies a logical request across replays. gen is the
 // receiver's leader-state generation (the epoch at which its current
 // leaderState was created): a replay against the same state must hit the
-// cache, while a retry landing on a *fresh* leaderState — the sender was
-// fenced off, a new leader elected, and the request re-routed — must
-// re-execute there rather than replay a response minted against tables
-// that no longer exist.
+// cache, while a retry landing on a *fresh* leaderState — the helper was
+// promoted after the request's first attempt reached it as a member —
+// must re-execute there rather than replay a response minted against
+// tables that no longer exist.
 type dedupKey struct {
 	from string
 	id   uint64
@@ -352,7 +296,7 @@ func (h *Helper) dedupCheck(f *Frame, respond func(Frame)) (func(Frame), bool) {
 
 // reapMember reclaims a crashed member's slice of the distributed state
 // when this helper leads: its PID ranges, its owned System V objects
-// (tombstoned so parked waiters resolve to EIDRM instead of retrying
+// (removed, so parked waiters resolve to EIDRM instead of retrying
 // forever), and its process-group membership. Graceful departures
 // (MsgBye) are never reaped; reap itself is idempotent per address.
 func (h *Helper) reapMember(addr string) {

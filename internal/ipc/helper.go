@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"graphene/internal/api"
 	"graphene/internal/host"
@@ -76,10 +77,16 @@ type Helper struct {
 	leader           *leaderState
 	leaderEpoch      int64
 	leaderStateEpoch int64
+	// lastLeader is the last leader this helper accepted (or was given at
+	// birth); unlike leaderAddr no round clears it, so a round knows
+	// whose death it must confirm before claiming.
+	lastLeader string
+	// reportedEpoch is the epoch of the newest leader that has this
+	// helper's state: the one it joined under (epoch 0 for the sandbox's
+	// first leader), one it sent its recover report to, or its own.
+	reportedEpoch int64
 
-	// hbStop stops the heartbeat loop (while leading); leaderChange is
-	// closed and replaced whenever leaderAddr changes.
-	hbStop       chan struct{}
+	// leaderChange is closed and replaced whenever leaderAddr changes.
 	leaderChange chan struct{}
 
 	// Single-flight failover state: failEpoch counts completed failovers,
@@ -90,9 +97,11 @@ type Helper struct {
 	failDone   chan struct{}
 
 	election *electionState
-	// reportedTo is the leader this helper last reconciled with.
-	reportedTo  string
-	reconciling bool
+	// claiming is open while this helper's claim to a round is on the
+	// broadcast stream and not yet read back (see settleElection); deaf
+	// is set once the broadcast subscription is gone.
+	claiming chan struct{}
+	deaf     bool
 
 	// routeHits/routeMisses count leader calls served from a cached
 	// leader address vs. ones that needed broadcast discovery.
@@ -125,10 +134,9 @@ type Helper struct {
 
 	idBatches map[int]*idBatch // NSSysVMsg / NSSysVSem local batches
 	// nsHwm is the highest namespace allocation cursor heard in a MsgNSHwm
-	// broadcast (or captured from our own leaderState at step-down), per
-	// kind. Recover-state reports fold it into batchHi so a new leader's
-	// cursor clears batches granted to helpers that cannot report — the
-	// dead or partitioned-away old leader's own batch in particular.
+	// broadcast, per kind. Recover-state reports fold it into batchHi so a
+	// new leader's cursor clears batches granted to helpers that cannot
+	// report — the dead old leader's own batch in particular.
 	nsHwm map[int]int64
 
 	// queues and sems are the System V objects held here: live copies and
@@ -163,10 +171,9 @@ type Helper struct {
 	ownPgid int64
 
 	shutdown bool
-	// shutdownCh is closed exactly once when Shutdown begins, so sleeps on
-	// background paths (the post-election reconcile stagger, ring drainers)
-	// can select against it instead of blocking a process exit behind a
-	// timer.
+	// shutdownCh is closed exactly once when Shutdown begins, so waits on
+	// background paths (ring drainers) can select against it instead of
+	// blocking a process exit.
 	shutdownCh chan struct{}
 }
 
@@ -179,13 +186,11 @@ func NewLeader(p *pal.PAL, svc Service, guestPID int64) (*Helper, error) {
 	}
 	h.leader = newLeaderState()
 	h.leaderAddr = h.Addr
+	h.lastLeader = h.Addr
 	h.leader.claimRange(NSPid, guestPID, h.Addr)
 	lo, hi := h.leader.allocRange(NSPid, PIDBatchSize, h.Addr)
 	h.pidBatch = idBatch{next: lo, hi: hi}
 	h.start()
-	h.mu.Lock()
-	h.startHeartbeatLocked()
-	h.mu.Unlock()
 	return h, nil
 }
 
@@ -229,13 +234,8 @@ func NewForkedMember(p *pal.PAL, svc Service, guestPID int64, leaderAddr string)
 	if err != nil {
 		return nil, err
 	}
-	// A fresh member has no distributed state the leader could be missing.
-	// Marking the known leader as already reported-to keeps the heartbeat
-	// path from shipping a pointless recover report on the first re-assert
-	// after every join; a later *leader change* resets this and triggers
-	// the real reconcile.
 	h.leaderAddr = leaderAddr
-	h.reportedTo = leaderAddr
+	h.lastLeader = leaderAddr
 	h.start()
 	return h, nil
 }
@@ -243,7 +243,7 @@ func NewForkedMember(p *pal.PAL, svc Service, guestPID int64, leaderAddr string)
 // newHelper builds a helper with its listener bound and its broadcast
 // subscription open but no goroutine running: the constructor seeds the
 // leader fields it knows without the lock, then calls start. Seeding after
-// the loops run would race a MsgNewLeader heartbeat arriving on them.
+// the loops run would race a MsgNewLeader announcement arriving on them.
 func newHelper(p *pal.PAL, svc Service, guestPID int64) (*Helper, error) {
 	addr := AddrForHostPID(p.Proc().ID)
 	h := &Helper{
@@ -262,6 +262,8 @@ func newHelper(p *pal.PAL, svc Service, guestPID int64) (*Helper, error) {
 	h.listener = l
 	if sub, err := p.BroadcastSubscribe(); err == nil {
 		h.bsub = sub
+	} else {
+		h.deaf = true
 	}
 	return h, nil
 }
@@ -305,6 +307,12 @@ func (h *Helper) broadcastLoop() {
 	for {
 		msg, ok := h.bsub.Recv()
 		if !ok {
+			// Detached by a sandbox split or the process's exit. A claim
+			// not read back by now never will be.
+			h.mu.Lock()
+			h.deaf = true
+			h.mu.Unlock()
+			h.endClaim()
 			return
 		}
 		f, err := DecodeFrame(bytesReader(msg.Data))
@@ -378,6 +386,14 @@ func (h *Helper) isLeader() bool { return h.ledState() != nil }
 func (h *Helper) ledState() *leaderState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	// Members that read our claim before we do already send us leader
+	// requests: hold them until the claim is read back.
+	for h.leader == nil && h.claiming != nil {
+		ch := h.claiming
+		h.mu.Unlock()
+		<-ch
+		h.mu.Lock()
+	}
 	return h.leader
 }
 
@@ -401,17 +417,21 @@ func (h *Helper) DiscoverLeader() (string, error) {
 }
 
 // setLeaderLocked records addr as the leader under epoch and wakes
-// awaitNewLeader waiters. Caller holds h.mu.
+// awaitNewLeader waiters. A member that accepts a leader elected after the
+// newest one holding its state sends it its recover report, whichever way
+// it heard of the leader: the announcement, or a discovery answer that
+// came first (the announcement is then a duplicate). Caller holds h.mu.
 func (h *Helper) setLeaderLocked(addr string, epoch int64) {
-	if addr != h.leaderAddr {
-		// A leader we reported to in an earlier reign has a fresh
-		// leaderState now; the report must be re-sent (heartbeat-triggered)
-		// even if the address is one we have reported to before.
-		h.reportedTo = ""
-	}
 	h.leaderAddr = addr
+	h.lastLeader = addr
 	if epoch > h.leaderEpoch {
 		h.leaderEpoch = epoch
+	}
+	if epoch > h.reportedEpoch {
+		h.reportedEpoch = epoch
+		if addr != h.Addr {
+			go h.sendRecoverState(addr)
+		}
 	}
 	close(h.leaderChange)
 	h.leaderChange = make(chan struct{})
@@ -442,6 +462,17 @@ func (h *Helper) dial(addr string) (*Conn, error) {
 		return c, nil
 	}
 	sh, err := h.pal.DkStreamOpen("pipe:"+addr, 0, 0)
+	for api.ToErrno(err) == api.EAGAIN {
+		// The peer is alive and its accept backlog is full (a whole
+		// sandbox dialing a new leader at once): wait for room, as a
+		// blocking connect does.
+		select {
+		case <-h.shutdownCh:
+			return nil, err
+		case <-time.After(time.Millisecond):
+		}
+		sh, err = h.pal.DkStreamOpen("pipe:"+addr, 0, 0)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -524,9 +555,7 @@ func (h *Helper) ResolvePID(pid int64) (string, error) {
 	}
 	addr := resp.S
 	// The leader may point at the range owner rather than the process
-	// itself; follow one indirection. The hop rides the same absolute
-	// deadline as leader RPCs — a partitioned range owner must surface
-	// ETIMEDOUT to the caller, not hang it.
+	// itself; follow one indirection.
 	for hop := 0; resp.A == 1 && hop < 3; hop++ {
 		if addr == h.Addr {
 			return "", api.ESRCH // our own range, and the table above had no such child
@@ -537,7 +566,7 @@ func (h *Helper) ResolvePID(pid int64) (string, error) {
 		}
 		hf := Frame{Type: MsgNSQuery, A: NSPid, B: pid, Trace: q.Trace, Span: q.Span}
 		start, parent := h.beginSpan(&hf)
-		resp, err = c.CallTimeout(hf, rpcCallTimeout)
+		resp, err = c.Call(hf)
 		h.endSpan(&hf, start, parent, err)
 		if err != nil {
 			return "", err
@@ -577,17 +606,12 @@ func (h *Helper) SendSignal(pid int64, sig api.Signal) error {
 	f := Frame{Type: MsgSignal, A: pid, B: int64(sig)}
 	f.Trace, f.Span = traceRoot()
 	start, parent := h.beginSpan(&f)
-	_, err = c.CallTimeout(f, rpcCallTimeout)
+	_, err = c.Call(f)
 	h.endSpan(&f, start, parent, err)
 	if err != nil {
 		if err == api.EPIPE {
 			h.InvalidatePID(pid)
 			return api.ESRCH
-		}
-		if err == api.ETIMEDOUT {
-			// The target is partitioned, not provably dead: drop the cached
-			// route so a retry re-resolves, and surface the timeout.
-			h.InvalidatePID(pid)
 		}
 		return err
 	}
@@ -611,7 +635,7 @@ func (h *Helper) ProcMeta(pid int64, field string) (string, error) {
 	if err != nil {
 		return "", api.ESRCH
 	}
-	resp, err := c.CallTimeout(Frame{Type: MsgProcMeta, A: pid, S: field}, rpcCallTimeout)
+	resp, err := c.Call(Frame{Type: MsgProcMeta, A: pid, S: field})
 	if err != nil {
 		return "", err
 	}
@@ -676,7 +700,6 @@ func (h *Helper) Shutdown() {
 	}
 	h.shutdown = true
 	close(h.shutdownCh)
-	h.stopHeartbeatLocked()
 	objs := h.objectsLocked()
 	// Snapshot the leader view: a leader other than ourselves is owed a
 	// goodbye if we share a stream with it, and every owned semaphore set
@@ -724,10 +747,7 @@ func (h *Helper) Shutdown() {
 	// coordinated leaves in silence.
 	for _, c := range conns {
 		if leaderAddr != "" && c.remote() == leaderAddr && c.Alive() {
-			// Deadline-bounded: a leader stuck behind a partition must not
-			// wedge this process's exit; after the timeout we accept the
-			// (inherent) reap race.
-			_, _ = c.CallTimeout(Frame{Type: MsgBye, From: h.Addr}, rpcCallTimeout)
+			_, _ = c.Call(Frame{Type: MsgBye, From: h.Addr})
 			break
 		}
 	}

@@ -41,9 +41,9 @@ func (h *Helper) allocID(kind int) (int64, error) {
 		h.mu.Unlock()
 		var lo, hi int64
 		if leader != nil {
-			// The leader refills from its own range table directly and
-			// announces the cursor like any grant: a successor elected while
-			// this helper is cut off must not mint these IDs again.
+			// The leader refills from its own cursor directly and announces
+			// it like any grant: a successor elected after this helper dies
+			// must not mint these IDs again.
 			lo, hi = leader.allocRange(kind, idBatchSize, h.Addr)
 			h.broadcastNSHwm(kind, hi+1)
 		} else {
@@ -248,14 +248,10 @@ func (h *Helper) sysvSelf(op *sysvOp) sysvResult {
 }
 
 // sysvRPC sends op to its owner and returns the answer. An op that may
-// park has no deadline, and intr withdraws it through the kind's cancel
-// frame; any other op rides the RPC deadline, because a partitioned owner
-// is indistinguishable from a wedged one and must not wedge its caller.
-// ETIMEDOUT is such an op's answer, not EPIPE: the owner may be alive
-// behind the partition, and adopting its queue would fork it. A failed
-// dial or a dead connection is EPIPE, except for rmid, whose owner's death
-// leaves only what survives it to drop: a persisted queue and the leader
-// mapping.
+// park is interruptible: intr withdraws it through the kind's cancel
+// frame. A failed dial or a dead connection is EPIPE, except for rmid,
+// whose owner's death leaves only what survives it to drop: a persisted
+// queue and the leader mapping.
 func (h *Helper) sysvRPC(op *sysvOp, owner string) sysvResult {
 	c, err := h.dial(owner)
 	if err != nil {
@@ -279,9 +275,9 @@ func (h *Helper) sysvRPC(op *sysvOp, owner string) sysvResult {
 		if op.intr != nil {
 			f.D = h.cookies.Add(1)
 		}
-		resp, err = c.call(f, 0, op.intr, cancel)
+		resp, err = c.call(f, op.intr, cancel)
 	default:
-		resp, err = c.CallTimeout(f, rpcCallTimeout)
+		resp, err = c.Call(f)
 	}
 	return sysvResult{resp.B, resp.Blob, api.ToErrno(err)}
 }

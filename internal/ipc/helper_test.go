@@ -57,13 +57,13 @@ func (s *fakeService) signalCount() int {
 type testGroup struct {
 	k       *host.Kernel
 	m       *monitor.Monitor
-	t       *testing.T
+	t       testing.TB
 	mf      *monitor.Manifest
 	idx     int
 	helpers []*Helper
 }
 
-func newTestGroup(t *testing.T) *testGroup {
+func newTestGroup(t testing.TB) *testGroup {
 	k := host.NewKernel()
 	m := monitor.New(k)
 	mf, err := monitor.ParseManifest("ipc-test", "mount / /\nallow_read /\nallow_write /\n")
@@ -71,30 +71,31 @@ func newTestGroup(t *testing.T) *testGroup {
 		t.Fatal(err)
 	}
 	g := &testGroup{k: k, m: m, t: t, mf: mf}
-	// The group dies with the test. A helper left running keeps
-	// heartbeating and serving, and its allocations and failover counters
-	// leak into later tests' measurements. Each helper is stopped first,
-	// without the exit protocol, so the processes' deaths start no
-	// election, reap or retry either.
-	t.Cleanup(func() {
-		for _, h := range g.helpers {
-			h.mu.Lock()
-			if !h.shutdown {
-				h.shutdown = true
-				close(h.shutdownCh)
-				h.stopHeartbeatLocked()
-			}
-			h.mu.Unlock()
-		}
-		for _, p := range k.Processes() {
-			p.Exit(0)
-		}
-	})
+	// The group dies with the test. A helper left running keeps serving,
+	// and its allocations and failover counters leak into later tests'
+	// measurements.
+	t.Cleanup(g.stop)
 	// Any failure — invariant violations included — dumps every involved
 	// picoprocess's flight recorder into the test log (registered last, so
 	// it runs before the group is stopped).
 	host.DumpTracesOnFailure(t, k)
 	return g
+}
+
+// stop ends the group. Each helper is stopped first, without the exit
+// protocol, so the processes' deaths start no election or reap either.
+func (g *testGroup) stop() {
+	for _, h := range g.helpers {
+		h.mu.Lock()
+		if !h.shutdown {
+			h.shutdown = true
+			close(h.shutdownCh)
+		}
+		h.mu.Unlock()
+	}
+	for _, p := range g.k.Processes() {
+		p.Exit(0)
+	}
 }
 
 // leader creates the first picoprocess + leader helper with guest PID 1.
@@ -708,7 +709,7 @@ func TestSemRmid(t *testing.T) {
 // to the guest (the stress suite caught a raw EPIPE here once migration
 // stopped being starved by parked waiters). Eviction-on-exit moves the
 // set to the leader, so the re-resolve either deletes it there or finds
-// the owner fully gone and tombstones the mapping — both succeed.
+// the owner fully gone and removes the mapping — both succeed.
 func TestSemRmidDuringOwnerExit(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		g := newTestGroup(t)
@@ -782,11 +783,11 @@ func TestConcurrentPidAllocationsUnique(t *testing.T) {
 	wg.Wait()
 }
 
-// TestJoinRacesLeaderHeartbeat joins 200 members while the leader's
-// MsgNewLeader heartbeat floods the broadcast channel. A constructor that
-// seeds leaderAddr / reportedTo / localPIDs after the helper's receive
-// loops are running races handleNewLeaderBroadcast on them (ROADMAP item
-// 1(b)); under -race this test is the detector. Every member then leaves,
+// TestJoinRacesLeaderHeartbeat joins 200 members while copies of the
+// leader's MsgNewLeader announcement flood the broadcast channel. A
+// constructor that seeds leaderAddr / localPIDs after the helper's receive
+// loops are running races handleNewLeaderBroadcast on them; under -race
+// this test is the detector. Every member then leaves,
 // and the leader must end up listing none of them.
 func TestJoinRacesLeaderHeartbeat(t *testing.T) {
 	g := newTestGroup(t)

@@ -8,17 +8,15 @@ import (
 	"graphene/internal/host"
 )
 
-// Chaos invariant checker. After a chaos schedule (kills, resets, drops,
-// partitions, heals) settles, the sandbox must be in a state the paper's
-// coordination protocols promise regardless of the schedule:
+// Chaos invariant checker. After a chaos schedule (kills, resets, delays)
+// settles, the sandbox must be in a state the paper's coordination
+// protocols promise regardless of the schedule:
 //
-//   - at most one accepted leader per election epoch — fencing: a deposed
-//     leader steps down rather than coexisting;
+//   - at most one accepted leader per election epoch;
 //   - no PID handed out twice (batch ranges never overlap — within one
 //     leader's table or across leaders — and no PID is claimed as locally
-//     allocated by two helpers);
-//   - no System V key resolving to two live IDs (first-writer-wins
-//     registration plus post-heal tombstoning of loser copies);
+//     allocated by two helpers), and no System V ID live at two helpers;
+//   - no System V key resolving to two live IDs;
 //   - every keyed object a live helper owns resolves at the leader to that
 //     (id, owner): the leader is the key's one authority, and
 //     msgget/semget register there before they return;
@@ -44,10 +42,9 @@ type helperSnapshot struct {
 	// leader-only tables (nil when not leading)
 	ranges     map[int][]idRange
 	leaderKeys map[int]map[int64]keyEntry // kind -> key -> (id, owner)
-	removed    map[int]map[int64]struct{}
-	indexBad   []string        // checkIndexLocked's findings
-	selfPIDs   []int64         // PIDs this helper claims as locally allocated
-	liveIDs    map[int][]int64 // kind -> IDs of live, unmigrated objects here
+	indexBad   []string                   // checkIndexLocked's findings
+	selfPIDs   []int64                    // PIDs this helper claims as locally allocated
+	liveIDs    map[int][]int64            // kind -> IDs of live, unmigrated objects here
 	// keyed lists the live keyed objects this helper owns; empty once it
 	// has shut down (its queues are persisted for adoption, its sets
 	// evicted, and neither is its to answer for any more).
@@ -74,8 +71,8 @@ func snapshotHelper(h *Helper) helperSnapshot {
 			s.selfPIDs = append(s.selfPIDs, pid)
 		}
 	}
-	// Copy the object tables, not just references: a heartbeat-triggered
-	// reconcile can tombstone queues concurrently with this walk.
+	// Copy the object tables, not just references: a removal or a handoff
+	// can change them concurrently with this walk.
 	objs := h.objectsLocked()
 	h.mu.Unlock()
 
@@ -107,14 +104,6 @@ func snapshotHelper(h *Helper) helperSnapshot {
 				dst[k] = e
 			}
 			s.leaderKeys[kind] = dst
-		}
-		s.removed = make(map[int]map[int64]struct{})
-		for kind, m := range leader.removed {
-			dst := make(map[int64]struct{}, len(m))
-			for id := range m {
-				dst[id] = struct{}{}
-			}
-			s.removed[kind] = dst
 		}
 		s.indexBad = leader.checkIndexLocked()
 		leader.mu.RUnlock()
@@ -188,7 +177,27 @@ func CheckInvariants(helpers []*Helper) []string {
 			}
 		}
 	}
-	// Invariant 2c: every leader's index and holdings count agree with its
+	// Invariant 2c: no System V ID held live by two helpers. A System V
+	// batch is recorded by the leader's cursor alone, not as a range 2b
+	// could check, so an ID minted twice shows here, as two live copies.
+	// A copy mid-handoff is the sender's half of a sanctioned pair.
+	idHolder := make(map[sysvRef]string)
+	for _, s := range snaps {
+		for kind, ids := range s.liveIDs {
+			for _, id := range ids {
+				ref := sysvRef{kind, id}
+				if _, moving := s.handoff[ref]; moving {
+					continue
+				}
+				if prev, ok := idHolder[ref]; ok && prev != s.addr {
+					bad("kind %d: id %d live at both %s and %s", kind, id, prev, s.addr)
+				} else {
+					idHolder[ref] = s.addr
+				}
+			}
+		}
+	}
+	// Invariant 2d: every leader's index and holdings count agree with its
 	// tables.
 	for _, s := range snaps {
 		for _, v := range s.indexBad {
@@ -198,8 +207,7 @@ func CheckInvariants(helpers []*Helper) []string {
 
 	// Invariant 3: no System V key resolving to two distinct live IDs.
 	// "Live" means some helper still holds the object un-removed and
-	// un-migrated; mappings to dead or tombstoned IDs are stale cache, not
-	// split brain.
+	// un-migrated; mappings to dead IDs are stale cache, not split brain.
 	live := map[int]map[int64]bool{NSSysVMsg: {}, NSSysVSem: {}}
 	for _, s := range snaps {
 		for kind, ids := range s.liveIDs {
@@ -208,21 +216,13 @@ func CheckInvariants(helpers []*Helper) []string {
 			}
 		}
 	}
-	tombstoned := func(kind int, id int64) bool {
-		for _, s := range snaps {
-			if _, dead := s.removed[kind][id]; dead {
-				return true
-			}
-		}
-		return false
-	}
 	type keyRef struct {
 		kind int
 		key  int64
 	}
 	keyIDs := make(map[keyRef]map[int64]string) // -> id -> first source seen
 	record := func(kind int, key, id int64, src string) {
-		if key == api.IPCPrivate || !live[kind][id] || tombstoned(kind, id) {
+		if key == api.IPCPrivate || !live[kind][id] {
 			return
 		}
 		r := keyRef{kind, key}

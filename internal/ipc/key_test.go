@@ -1,9 +1,10 @@
 package ipc
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"graphene/internal/api"
 	"graphene/internal/host"
@@ -141,7 +142,7 @@ func TestKeyExclAcrossMembersSem(t *testing.T) { exclAcrossMembers(t, semKeyed, 
 // rmidENOENT: once rmid returns, every member — creator, sibling and
 // leader — reads ENOENT for the key, and a fresh create mints a new ID
 // rather than resurrecting the dead one. The sibling removes, so the
-// removal travels to the remote owner and its tombstone to the leader.
+// removal travels to the remote owner and then to the leader.
 func rmidENOENT(t *testing.T, k keyedKind, key int64) {
 	g := newTestGroup(t)
 	lh, lp := g.leader(newFakeService())
@@ -225,15 +226,13 @@ func TestKeySurvivesCreatorExitSem(t *testing.T) {
 }
 
 // TestInvariantKeyedObjectResolvesAtLeader: every keyed object a member
-// creates is mapped at the leader to (id, member) the moment
-// the create returns. The leader's MsgKeyRegister handler is slowed down
-// so that no registration sent after a create returns can land before
-// the check; only a create that registers synchronously passes.
+// creates is mapped at the leader to (id, member) the moment the create
+// returns: the check runs straight after the creates, so only a create
+// that registers synchronously passes.
 func TestInvariantKeyedObjectResolvesAtLeader(t *testing.T) {
 	g := newTestGroup(t)
 	lh, lp := g.leader(newFakeService())
 	mh, _ := g.member(lp, lh.Addr, 2, newFakeService())
-	lp.Proc().SetFaultPlan(host.NewFaultPlan().DelayRule("rpc.MsgKeyRegister.enter", 0, 200*time.Millisecond))
 
 	base := int64(72704)
 	for i := int64(0); i < 4; i++ {
@@ -246,6 +245,44 @@ func TestInvariantKeyedObjectResolvesAtLeader(t *testing.T) {
 	}
 	if v := CheckInvariants([]*Helper{lh, mh}); len(v) != 0 {
 		t.Fatalf("keyed objects not resolvable at the leader: %v", v)
+	}
+}
+
+// TestInvariantFlagsASystemVIDLiveTwice: two helpers holding one System V
+// ID live — what a batch handed out twice leaves behind — is a violation,
+// and a handoff in flight, where both ends hold the ID, is not.
+func TestInvariantFlagsASystemVIDLiveTwice(t *testing.T) {
+	g := newTestGroup(t)
+	lh, lp := g.leader(newFakeService())
+	m1, _ := g.member(lp, lh.Addr, 2, newFakeService())
+	m2, _ := g.member(lp, lh.Addr, 3, newFakeService())
+	id, err := m1.Msgget(api.IPCPrivate, api.IPCCreat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := []*Helper{lh, m1, m2}
+	if v := CheckInvariants(all); len(v) != 0 {
+		t.Fatalf("violations before the double mint: %v", v)
+	}
+	// m1's copy is mid-handoff to m2: both hold it, and that is allowed.
+	m1.mu.Lock()
+	hd := m1.objectLocked(NSSysVMsg, id).header()
+	m1.mu.Unlock()
+	hd.mu.Lock()
+	hd.migrating = true
+	hd.mu.Unlock()
+	m2.mu.Lock()
+	m2.setObjectLocked(newMsgQueue(id, api.IPCPrivate))
+	m2.mu.Unlock()
+	if v := CheckInvariants(all); len(v) != 0 {
+		t.Fatalf("a handoff in flight flagged: %v", v)
+	}
+	hd.mu.Lock()
+	hd.migrating = false
+	hd.mu.Unlock()
+	v := CheckInvariants(all)
+	if len(v) != 1 || !strings.Contains(v[0], fmt.Sprintf("id %d live at both", id)) {
+		t.Fatalf("an ID live at two helpers: violations %v", v)
 	}
 }
 

@@ -318,7 +318,7 @@ func (h *Helper) rmid(kind int, id int64) error {
 
 // removeLocal destroys the locally owned object; EXDEV (touching nothing)
 // when it has migrated away or is mid-handoff — a stale-owner rmid must
-// chase the live copy, not tombstone its key mapping out from under the
+// chase the live copy, not remove its key mapping out from under the
 // current owner, nor remove a copy whose content a handoff is installing
 // elsewhere.
 func (h *Helper) removeLocal(kind int, id int64) api.Errno {
@@ -349,6 +349,7 @@ func (h *Helper) removeLocal(kind int, id int64) api.Errno {
 	hd.mu.Lock()
 	o.removeLocked()
 	hd.removed = true
+	epoch := hd.epoch
 	var others []string
 	for a := range hd.accessors {
 		if a != h.Addr {
@@ -367,11 +368,11 @@ func (h *Helper) removeLocal(kind int, id int64) api.Errno {
 			}
 		})
 	}
-	// The leader's tombstone is synchronous: once Rmid returns,
+	// The leader's removal is synchronous: once Rmid returns,
 	// no other picoprocess can resolve the key to the dead ID (an async
 	// notify left a window where a concurrent create handed out the stale
 	// mapping). Accessor notifications above stay best-effort async.
-	_, _ = h.callLeader(Frame{Type: MsgKeyRemove, A: int64(kind), B: id})
+	_, _ = h.callLeader(Frame{Type: MsgKeyRemove, A: int64(kind), B: id, D: epoch})
 	return 0
 }
 
@@ -427,7 +428,7 @@ func (h *Helper) migrate(kind int, id int64, to string) {
 		abort()
 		return
 	}
-	switch _, err := c.CallTimeout(f, rpcCallTimeout); {
+	switch _, err := c.Call(f); {
 	case err == nil:
 		commit(to)
 	case err == api.EPERM:

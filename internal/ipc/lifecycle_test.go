@@ -340,7 +340,7 @@ func TestSysVObjectLifecycle(t *testing.T) {
 // accessors of its end, and only them. A queue a remote sender used still
 // reaches that sender as MsgQDeleted, which drops its cached owner. A
 // queue only its owner used starts no background task: its rmid allocates
-// only its tombstone call's one object, where the task would add its
+// only its leader removal call's one object, where the task would add its
 // closure, its accessor list and its goroutine.
 func TestRmidTellsOnlyOtherAccessors(t *testing.T) {
 	SetMigrationEnabled(false)

@@ -50,20 +50,17 @@ type leaderState struct {
 	// holds in these tables, so a goodbye asks "does it hold anything"
 	// without a scan. Addresses holding nothing have no entry.
 	held map[string]int
-	// removed tombstones destroyed object IDs. A member's post-heal
-	// reconcile (MsgKeyRegister) can report an object this side removed
-	// while the two were cut off, and without the tombstone it would
-	// resurrect the key mapping; the reconcile reads the tombstone as
-	// "your copy lost" and the recover checks read it as "dead, not split".
-	// IDs are allocated monotonically and never reused, so a tombstone
-	// stays valid forever; the set grows by one int64 per destroyed
-	// object, which is fine at sandbox scale.
-	removed map[int]map[int64]struct{} // kind -> id
 	// departed marks member addresses that said a graceful MsgBye while
 	// holding something in these tables (never reap them: their objects
 	// were persisted or migrated).
 	departed map[string]struct{}
-	pgs      *pgroupState
+	// outran holds the IDs whose removal got here before the chown of the
+	// handoff that gave the remover the object (the remover's migration
+	// epoch was above the recorded owner's), so that chown, still on its
+	// way, is known to name a removed object. The chown of that epoch
+	// consumes the entry; a removal that outruns nothing leaves none.
+	outran map[int]map[int64]int64 // kind -> id -> the remover's epoch
+	pgs    *pgroupState
 }
 
 func newLeaderState() *leaderState {
@@ -74,8 +71,8 @@ func newLeaderState() *leaderState {
 		owners:   map[int]map[int64]ownerEntry{NSSysVMsg: {}, NSSysVSem: {}},
 		keyOf:    map[int]map[int64]int64{NSSysVMsg: {}, NSSysVSem: {}},
 		held:     make(map[string]int),
-		removed:  map[int]map[int64]struct{}{NSSysVMsg: {}, NSSysVSem: {}},
 		departed: make(map[string]struct{}),
+		outran:   map[int]map[int64]int64{NSSysVMsg: {}, NSSysVSem: {}},
 		pgs:      newPgroupState(),
 	}
 }
@@ -88,13 +85,19 @@ func (l *leaderState) cursor(kind int) int64 {
 }
 
 // allocRange hands out a fresh batch of n IDs of the given kind to owner.
+// A PID batch is recorded as a range, through which a PID query finds
+// the batch's holder (rangeOwner). A System V batch is recorded by the
+// cursor alone: a System V ID resolves through its object's owner entry,
+// so a range would be one more entry per batch that nothing reads.
 func (l *leaderState) allocRange(kind int, n int64, owner string) (lo, hi int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	lo = l.next[kind]
 	hi = lo + n - 1
 	l.next[kind] = hi + 1
-	l.addRangeLocked(kind, idRange{lo: lo, hi: hi, owner: owner})
+	if kind == NSPid {
+		l.addRangeLocked(kind, idRange{lo: lo, hi: hi, owner: owner})
+	}
 	return lo, hi
 }
 
@@ -128,14 +131,16 @@ func (l *leaderState) setOwnerLocked(kind int, id int64, o ownerEntry) {
 	}
 }
 
-// setKeyLocked maps an unmapped key to object id under the object's
-// recorded owner. An ID already mapped under another key (two objects
-// minted the same ID on two sides of a partition) keeps only the newer
-// key, so keys and keyOf stay exact inverses. Caller holds l.mu, and the
-// object's owner entry is set.
+// setKeyLocked maps key to object id under the object's recorded owner.
+// The ID the key named before loses its key, and a key id was mapped
+// under before loses its ID, so keys and keyOf stay exact inverses.
+// Caller holds l.mu, and the object's owner entry is set.
 func (l *leaderState) setKeyLocked(kind int, key, id int64) {
 	if old, ok := l.keyOf[kind][id]; ok {
 		delete(l.keys[kind], old)
+	}
+	if prev, ok := l.keys[kind][key]; ok {
+		delete(l.keyOf[kind], prev.id)
 	}
 	l.keys[kind][key] = keyEntry{id: id, owner: l.owners[kind][id].addr}
 	l.keyOf[kind][id] = key
@@ -215,35 +220,6 @@ func (l *leaderState) keyResolve(kind int, key int64, flags int, proposedID int6
 	return proposedID, requester, 0
 }
 
-// registerKey installs a key mapping a member reports on reconcile after
-// a leader change. The report can arrive after a migration already
-// recorded a newer owner for the ID, so an existing owner entry wins over
-// it. The returned ID is the authoritative one the key resolves to after
-// the call: 0 when the reported object is tombstoned, the incumbent
-// entry's ID when the key is already taken (first writer won), else the
-// reported ID itself. Reconciliation compares it against the reported ID
-// to detect losing copies.
-func (l *leaderState) registerKey(kind int, key, id int64, owner string) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, dead := l.removed[kind][id]; dead {
-		return 0 // the object was destroyed while the report was in flight
-	}
-	if l.owners[kind] == nil {
-		return 0
-	}
-	if _, ok := l.owners[kind][id]; !ok {
-		l.setOwnerLocked(kind, id, ownerEntry{addr: owner, epoch: 1})
-	}
-	if key != api.IPCPrivate {
-		if cur, exists := l.keys[kind][key]; exists {
-			return cur.id
-		}
-		l.setKeyLocked(kind, key, id)
-	}
-	return id
-}
-
 // idOwner returns the current owner of a System V object.
 func (l *leaderState) idOwner(kind int, id int64) (string, bool) {
 	l.mu.RLock()
@@ -255,10 +231,12 @@ func (l *leaderState) idOwner(kind int, id int64) (string, bool) {
 // chown updates an object's owner after a migration (§4.3). epoch is the
 // migration epoch under which newOwner received the object; a chown older
 // than the recorded epoch lost a migration race and is dropped, and so is
-// one for a removed object (a handoff's chown can trail the receiver's
-// rmid). epoch 0 means the caller has no epoch knowledge (queue adoption
-// from a persisted copy, whose previous owner is dead): the claim is
-// accepted and bumps the recorded epoch.
+// one the receiver's removal outran. A claim on an ID with no owner entry
+// is recorded: at a freshly elected leader that is an object no report
+// has named yet — a queue adopted from a persisted copy, or a handoff that
+// committed between the two ends' reports. epoch 0 means the caller has
+// no epoch knowledge (queue adoption from a persisted copy, whose previous
+// owner is gone): the claim is accepted and bumps the recorded epoch.
 func (l *leaderState) chown(kind int, id int64, newOwner string, epoch int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -266,7 +244,10 @@ func (l *leaderState) chown(kind int, id int64, newOwner string, epoch int64) {
 	if m == nil {
 		return
 	}
-	if _, dead := l.removed[kind][id]; dead {
+	if gone, ok := l.outran[kind][id]; ok && epoch <= gone {
+		if epoch == gone {
+			delete(l.outran[kind], id)
+		}
 		return
 	}
 	cur := m[id]
@@ -278,18 +259,23 @@ func (l *leaderState) chown(kind int, id int64, newOwner string, epoch int64) {
 	l.setOwnerLocked(kind, id, ownerEntry{addr: newOwner, epoch: epoch})
 }
 
-// remove drops an object and any key pointing at it, leaving a
-// tombstone.
-func (l *leaderState) remove(kind int, id int64) {
+// remove drops an object and any key pointing at it. epoch is the
+// remover's migration epoch (0 when it has none: the owner died and a
+// survivor drops what is left). An epoch above the recorded owner's means
+// the chown of the handoff that made the remover owner is still on its
+// way, and outran keeps the ID until it lands. Otherwise nothing of the
+// object stays behind: IDs are never reused, so no later request can name
+// it again except to be told it is gone.
+func (l *leaderState) remove(kind int, id, epoch int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if o, ok := l.owners[kind][id]; ok && epoch > o.epoch {
+		l.outran[kind][id] = epoch
+	}
 	l.removeLocked(kind, id)
 }
 
 func (l *leaderState) removeLocked(kind int, id int64) {
-	if l.removed[kind] != nil {
-		l.removed[kind][id] = struct{}{}
-	}
 	if o, ok := l.owners[kind][id]; ok {
 		delete(l.owners[kind], id)
 		l.releaseLocked(o.addr)
@@ -322,8 +308,8 @@ func (l *leaderState) markDeparted(addr string) {
 
 // reap reclaims a crashed member's namespace state: its ID ranges (so PID
 // queries fail ESRCH instead of pointing at a ghost) and its owned System
-// V objects (tombstoned, exactly like an explicit remove, so parked
-// waiters and future lookups get EIDRM). Reports whether anything was
+// V objects (removed, exactly like an explicit remove, so parked waiters
+// and future lookups get EIDRM). Reports whether anything was
 // reclaimed — false for an address that departed gracefully, was already
 // reaped, or never held anything here.
 func (l *leaderState) reap(addr string) (reaped bool) {

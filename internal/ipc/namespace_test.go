@@ -2,13 +2,14 @@ package ipc
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"graphene/internal/api"
 )
 
 // TestLeaderStateIndexMatchesScan drives a leaderState through a seeded
-// mix of every table mutation — key resolve, reconcile register, chown,
+// mix of every table mutation — key resolve, recover report, chown,
 // remove, reap, range grant, claim and goodbye — and after each step
 // compares the id -> key index and the per-owner holdings count with a
 // brute-force recount of keys, owners and ranges (checkIndexLocked).
@@ -39,19 +40,22 @@ func TestLeaderStateIndexMatchesScan(t *testing.T) {
 				}
 				l.keyResolve(kind, key, flags, proposed, addr)
 			case 1:
-				op = "registerKey"
+				op = "installRecoverState"
 				id := pickID()
 				if rng.Intn(2) == 0 {
 					id = nextID
 					nextID++
 				}
-				l.registerKey(kind, key, id, addr)
+				l.installRecoverState(recoverPayload{
+					pids:    []pgMember{{PID: 1 + rng.Int63n(200), Addr: addrs[rng.Intn(len(addrs))]}},
+					objects: []recoverObject{{Kind: kind, ID: id, Key: key, Epoch: rng.Int63n(3)}},
+				}, addr)
 			case 2:
 				op = "chown"
 				l.chown(kind, pickID(), addr, rng.Int63n(3))
 			case 3:
 				op = "remove"
-				l.remove(kind, pickID())
+				l.remove(kind, pickID(), rng.Int63n(4))
 			case 4:
 				op = "reap"
 				l.reap(addr)
@@ -71,5 +75,73 @@ func TestLeaderStateIndexMatchesScan(t *testing.T) {
 			}
 			l.mu.RUnlock()
 		}
+	}
+}
+
+// leaderTableSizes counts the entries of every table a leaderState keeps
+// — each map and slice field, plus the maps and slices nested one level
+// in them — by field name, so a table added later is counted without a
+// change here.
+func leaderTableSizes(l *leaderState) map[string]int {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	sizes := make(map[string]int)
+	v := reflect.ValueOf(l).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() != reflect.Map && f.Kind() != reflect.Slice {
+			continue
+		}
+		n := f.Len()
+		if f.Kind() == reflect.Map {
+			for it := f.MapRange(); it.Next(); {
+				if e := it.Value(); e.Kind() == reflect.Map || e.Kind() == reflect.Slice {
+					n += e.Len()
+				}
+			}
+		}
+		sizes[v.Type().Field(i).Name] = n
+	}
+	return sizes
+}
+
+// TestLeaderStateFlatUnderRemovals: a member creates and removes 10,000
+// fresh keys, queues and semaphore sets in turn. The leader keeps nothing
+// of a removed object — IDs are never reused, so no record of the dead
+// ID is needed to refuse it — and no range for the System V ID batches
+// the churn consumes, so every table is the size it was before.
+func TestLeaderStateFlatUnderRemovals(t *testing.T) {
+	g := newTestGroup(t)
+	lh, lp := g.leader(newFakeService())
+	mh, _ := g.member(lp, lh.Addr, 2, newFakeService())
+	cycle := func(i int) {
+		key := int64(0x20000 + i)
+		if i%2 == 0 {
+			id, err := mh.Msgget(key, api.IPCCreat|api.IPCExcl)
+			if err == nil {
+				err = mh.MsgRmid(id)
+			}
+			if err != nil {
+				t.Fatalf("queue cycle %d: %v", i, err)
+			}
+			return
+		}
+		id, err := mh.Semget(key, 1, api.IPCCreat|api.IPCExcl)
+		if err == nil {
+			err = mh.SemRmid(id)
+		}
+		if err != nil {
+			t.Fatalf("set cycle %d: %v", i, err)
+		}
+	}
+	// The first cycle of each kind dials the leader and takes a batch.
+	cycle(0)
+	cycle(1)
+	before := leaderTableSizes(lh.leader)
+	for i := 2; i < 10_002; i++ {
+		cycle(i)
+	}
+	if after := leaderTableSizes(lh.leader); !reflect.DeepEqual(before, after) {
+		t.Fatalf("leader tables grew under create + rmid churn:\n before %v\n after  %v", before, after)
 	}
 }

@@ -166,10 +166,7 @@ func (h *Helper) SignalGroup(pgid int64, sig api.Signal) error {
 		if err != nil {
 			continue
 		}
-		// Deadline-bounded like every cross-helper RPC: one partitioned
-		// member must cost at most one timeout, not hang the whole group
-		// delivery loop.
-		if _, err := c.CallTimeout(Frame{Type: MsgSignal, A: m.PID, B: int64(sig)}, rpcCallTimeout); err == nil {
+		if _, err := c.Call(Frame{Type: MsgSignal, A: m.PID, B: int64(sig)}); err == nil {
 			delivered++
 		}
 	}

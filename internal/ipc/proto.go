@@ -50,7 +50,8 @@ const (
 	// MsgKeyChown: update ownership at the leader after a migration.
 	// A=kind, B=id, S=new owner address.
 	MsgKeyChown
-	// MsgKeyRemove: drop an ID at the leader. A=kind, B=id.
+	// MsgKeyRemove: drop an ID at the leader. A=kind, B=id, D=the
+	// remover's migration epoch (0 for a survivor dropping a dead owner's).
 	MsgKeyRemove
 
 	// MsgQSend: append to a remote queue. A=qid, B=mtype, Blob=payload.
@@ -98,12 +99,6 @@ const (
 	// Blob=recoverPayload.
 	MsgRecoverState
 
-	// MsgKeyRegister: re-record a locally owned object's key mapping at
-	// the leader after a leader change (reconcile). A=kind, B=key,
-	// C=id, S=owner address. Resp: A=the ID the key resolves to (0 when
-	// the object is tombstoned).
-	MsgKeyRegister
-
 	// MsgBye: graceful-departure marker, sent synchronously to the leader
 	// at the start of Shutdown. A member that said goodbye is never
 	// reaped; a member whose streams die without it is treated as crashed.
@@ -122,7 +117,7 @@ const (
 	// heard and reports it in MsgRecoverState. This is what lets a NEW
 	// leader's cursor clear IDs minted by a helper that cannot report —
 	// above all the old leader's own batch, whose grant otherwise lives
-	// only in the leaderState that died (or was partitioned away) with it.
+	// only in the leaderState that died with it.
 	MsgNSHwm
 
 	// MsgQRecvCancel: withdraw a parked blocking receive at the owner
@@ -162,8 +157,7 @@ var msgTypeNames = [...]string{
 	MsgWhoIsLeader: "MsgWhoIsLeader",
 	MsgPgJoin:      "MsgPgJoin", MsgPgLeave: "MsgPgLeave", MsgPgMembers: "MsgPgMembers",
 	MsgElection: "MsgElection", MsgNewLeader: "MsgNewLeader", MsgRecoverState: "MsgRecoverState",
-	MsgKeyRegister: "MsgKeyRegister",
-	MsgBye:         "MsgBye", MsgNSClaim: "MsgNSClaim", MsgNSHwm: "MsgNSHwm",
+	MsgBye: "MsgBye", MsgNSClaim: "MsgNSClaim", MsgNSHwm: "MsgNSHwm",
 	MsgQRecvCancel: "MsgQRecvCancel", MsgSemOpCancel: "MsgSemOpCancel",
 	MsgRingAttach: "MsgRingAttach", MsgRingDetach: "MsgRingDetach",
 }
@@ -196,17 +190,11 @@ type Frame struct {
 	Type MsgType
 	Seq  uint64
 	// ReqID is a per-sender idempotency token for non-idempotent requests
-	// (create/register/migrate). It survives transparent failover retries
+	// (create/batch grant/migrate). It survives transparent failover retries
 	// unchanged, so a receiver that already executed the request replays
 	// its recorded response instead of executing twice. 0 means "not
 	// tracked" (idempotent request or response frame).
 	ReqID uint64
-	// Epoch fences leader-side mutations: a request carries the sender's
-	// accepted election epoch, and a leader that sees a higher epoch than
-	// its own knows it has been deposed across a partition — it steps down
-	// instead of executing. 0 means "unfenced" (responses, broadcasts with
-	// their own epoch field, pre-election traffic).
-	Epoch int64
 	// From is the sender's helper address (for reply routing/caching).
 	From string
 
@@ -254,9 +242,8 @@ func (f *Frame) IsResponse() bool { return f.isResponse }
 const maxFrameSize = 1 << 20
 
 // minFrameBody is the fixed part of a frame body: 2 header + 8 seq +
-// 8 reqid + 8 epoch + 8 trace + 8 span + 4 errno + 32 scalars +
-// 3×4 length fields.
-const minFrameBody = 90
+// 8 reqid + 8 trace + 8 span + 4 errno + 32 scalars + 3×4 length fields.
+const minFrameBody = 82
 
 // frameBodySize returns the encoded body length of f (without the 4-byte
 // length prefix).
@@ -279,7 +266,6 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 	dst = append(dst, byte(f.Type), flags)
 	dst = binary.LittleEndian.AppendUint64(dst, f.Seq)
 	dst = binary.LittleEndian.AppendUint64(dst, f.ReqID)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Epoch))
 	dst = binary.LittleEndian.AppendUint64(dst, f.Trace)
 	dst = binary.LittleEndian.AppendUint64(dst, f.Span)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.Err))
@@ -360,8 +346,6 @@ func decodeFrameBody(body []byte, from *interner) (Frame, error) {
 	f.Seq = binary.LittleEndian.Uint64(body[off:])
 	off += 8
 	f.ReqID = binary.LittleEndian.Uint64(body[off:])
-	off += 8
-	f.Epoch = int64(binary.LittleEndian.Uint64(body[off:]))
 	off += 8
 	f.Trace = binary.LittleEndian.Uint64(body[off:])
 	off += 8

@@ -126,7 +126,7 @@ func (h *Helper) ringAttach(id int64, owner string) {
 	if err != nil {
 		return
 	}
-	resp, err := c.CallTimeout(Frame{Type: MsgRingAttach, A: id, C: int64(h.pal.Proc().ID)}, rpcCallTimeout)
+	resp, err := c.Call(Frame{Type: MsgRingAttach, A: id, C: int64(h.pal.Proc().ID)})
 	if err != nil || resp.A == 0 {
 		return
 	}
@@ -134,7 +134,7 @@ func (h *Helper) ringAttach(id int64, owner string) {
 	if err != nil {
 		// The monitor refused the mapping (e.g. a sandbox split landed
 		// between grant and map): tell the owner to reclaim.
-		_, _ = c.CallTimeout(Frame{Type: MsgRingDetach, A: id, D: resp.A}, rpcCallTimeout)
+		_, _ = c.Call(Frame{Type: MsgRingDetach, A: id, D: resp.A})
 		return
 	}
 	rs.mu.Lock()
@@ -180,7 +180,7 @@ func (h *Helper) ringShutdown() {
 	rs.mu.Unlock()
 	for id, rc := range clients {
 		if c, err := h.dial(rc.owner); err == nil {
-			_, _ = c.CallTimeout(Frame{Type: MsgRingDetach, A: id, D: int64(rc.send.ID)}, rpcCallTimeout)
+			_, _ = c.Call(Frame{Type: MsgRingDetach, A: id, D: int64(rc.send.ID)})
 		}
 	}
 }

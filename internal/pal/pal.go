@@ -928,6 +928,16 @@ func (p *PAL) BroadcastSend(data []byte) error {
 	return p.kernel.BroadcastOf(p.proc.SandboxID).Send(p.proc.ID, data)
 }
 
+// BroadcastSendAll sends a message on the sandbox's broadcast stream that
+// this picoprocess's own subscription receives too, at its place in the
+// order every subscriber sees.
+func (p *PAL) BroadcastSendAll(data []byte) error {
+	if err := p.gate(host.SysSendto); err != nil {
+		return err
+	}
+	return p.kernel.BroadcastOf(p.proc.SandboxID).SendAll(p.proc.ID, data)
+}
+
 // ABISurface returns the names of all PAL ABI functions, grouped per
 // Table 1 of the paper. Tests assert the counts match the paper.
 func ABISurface() map[string][]string {
