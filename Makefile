@@ -45,15 +45,17 @@ vet:
 
 # Chaos + invariant suites: crash-stop failover — a leader or owner killed
 # at a fault point, a torn reply stream, a crashed member reaped
-# (chaos_test.go and the fault-schedule determinism test) — and the host
-# partition primitives the fleet's quarantine test uses, under the race
-# detector. The schedules use fixed seeds, so -count=3 repeats the same
-# fault plans against fresh thread interleavings — flakes here mean a real
-# ordering bug, not test noise.
+# (chaos_test.go and the fault-schedule determinism test) — every test in
+# election_test.go (concurrent claims converge on the first, the winner's
+# tables rebuilt from every report, the claim read-back hold, the report
+# fold), and the host partition primitives the fleet's quarantine test uses,
+# under the race detector. The schedules use fixed seeds, so -count=3
+# repeats the same fault plans against fresh thread interleavings —
+# flakes here mean a real ordering bug, not test noise.
 # TestForkedChildMakesNoLeaderTraffic (libLinux) rides along: 400 children
 # of a non-leader parent must reach the leader's dispatcher zero times.
 chaos:
-	$(GO) test -race -count=3 -run 'Chaos|Partition|TestForkedChildMakesNoLeaderTraffic' ./internal/ipc/ ./internal/host/ ./internal/liblinux/
+	$(GO) test -race -count=3 -run 'Chaos|Elect|Claimant|Report|Recover|Partition|TestForkedChildMakesNoLeaderTraffic' ./internal/ipc/ ./internal/host/ ./internal/liblinux/
 
 # Kernel-bypass send ring under fault: the host ring protocol (seal
 # fence, revocation, concurrent produce/consume), the route rule (only

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"graphene/internal/host"
-	"graphene/internal/ipc"
 )
 
 // Live tests for the elastic scaler and the hot-standby master, on the
@@ -146,7 +145,7 @@ func TestFleetStandbyTakeoverUnderLoad(t *testing.T) {
 
 // TestFleetTakeoverWithinElectionWindow pins the detection-to-serving
 // budget: from the instant the primary dies to the standby's first
-// successful response must fit inside one election window plus the
+// successful response must fit inside 500 ms — the election, the
 // heartbeat interval and the respawn cost — the paper-level claim that a
 // hot standby makes master death a blip, not an outage.
 func TestFleetTakeoverWithinElectionWindow(t *testing.T) {
@@ -181,14 +180,15 @@ func TestFleetTakeoverWithinElectionWindow(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	// Budget: heartbeat EOF detection is immediate (pipe close), the
-	// election round is bounded by ipc.ElectionWindow, spawning 2 workers
-	// off the zygote cache is ~1 ms each; 500 ms is the acceptance
-	// ceiling with generous scheduler slack.
-	budget := ipc.ElectionWindow + 450*time.Millisecond
-	if gap := servedAt.Sub(killedAt); gap > budget {
-		t.Fatalf("takeover gap %v exceeds %v (election window %v)",
-			gap, budget, ipc.ElectionWindow)
+	// election is one broadcast claim read back, spawning 2 workers off
+	// the zygote cache is ~1 ms each; 500 ms is the acceptance ceiling
+	// with generous scheduler slack.
+	const budget = 500 * time.Millisecond
+	gap := servedAt.Sub(killedAt)
+	if gap > budget {
+		t.Fatalf("takeover gap %v exceeds %v", gap, budget)
 	}
+	t.Logf("takeover gap %v (budget %v)", gap, budget)
 	board := waitBoard(t, e, 5*time.Second, "takeover recorded", func(l string) bool {
 		return scoreboardField(l, "takeovers") == 1
 	})

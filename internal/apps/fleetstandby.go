@@ -25,8 +25,8 @@ import (
 // The dead primary's workers are not adopted: their dispatch pipes EOF
 // when the primary's descriptor table is torn down, so they exit on
 // their own and the new master spawns a fresh fleet from the zygote
-// cache. Handover cost is therefore one election window plus nworkers
-// sub-millisecond spawns.
+// cache. Handover cost is therefore one election (a broadcast claim,
+// read back) plus nworkers sub-millisecond spawns.
 
 // standbyArgv is the standby's command line: the primary's own arguments
 // verbatim — every knob, whatever gets added later — followed by the role

@@ -394,7 +394,7 @@ func BenchmarkFailoverAfterLeaderKill(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := newTestGroup(b)
 		lh, lp := g.leader(newFakeService())
-		g.member(lp, lh.Addr, 2, newFakeService()) // lowest PID: the next leader
+		g.member(lp, lh.Addr, 2, newFakeService()) // a bystander: it makes no call, so it never claims
 		owner, _ := g.member(lp, lh.Addr, 3, newFakeService())
 		looker, _ := g.member(lp, lh.Addr, 4, newFakeService())
 		creator, _ := g.member(lp, lh.Addr, 5, newFakeService())

@@ -152,6 +152,14 @@ type Conn struct {
 // NewConn wraps stream and starts its reader. handler services incoming
 // requests; onClose (may be nil) runs when the stream dies.
 func NewConn(stream *host.Stream, localAddr string, handler Handler, onClose func(*Conn)) *Conn {
+	c := newConn(stream, localAddr, handler, onClose)
+	c.start()
+	return c
+}
+
+// newConn wraps stream without starting its reader, so the owner can list
+// the conn before its first request is served.
+func newConn(stream *host.Stream, localAddr string, handler Handler, onClose func(*Conn)) *Conn {
 	c := &Conn{
 		stream:    stream,
 		localAddr: localAddr,
@@ -160,9 +168,11 @@ func NewConn(stream *host.Stream, localAddr string, handler Handler, onClose fun
 		onClose:   onClose,
 	}
 	c.wflush = sync.NewCond(&c.wmu)
-	go c.readLoop()
 	return c
 }
+
+// start runs the reader, which serves requests and delivers responses.
+func (c *Conn) start() { go c.readLoop() }
 
 func (c *Conn) readLoop() {
 	rd := newFrameReader(c.stream)

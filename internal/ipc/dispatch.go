@@ -263,18 +263,12 @@ func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
 		respond(f.Response(Frame{Blob: encodeMembers(leader.pgs.members(f.A))}))
 
 	case MsgRecoverState:
-		leader := h.ledState()
-		if leader == nil {
-			respond(f.ErrResponse(api.EPERM))
-			return
-		}
-		r, err := decodeRecover(f.Blob)
-		if err != nil {
-			respond(f.ErrResponse(api.EINVAL))
-			return
-		}
-		leader.installRecoverState(r, f.From)
-		respond(f.Response(Frame{}))
+		// A newly elected leader collecting this member's report, and the
+		// leader this member has accepted (see promote).
+		h.mu.Lock()
+		epoch, leader := h.leaderEpoch, h.leaderAddr
+		h.mu.Unlock()
+		respond(f.Response(Frame{A: epoch, S: leader, Blob: encodeRecover(h.collectRecoverState())}))
 
 	default:
 		respond(f.ErrResponse(api.ENOSYS))

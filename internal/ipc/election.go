@@ -2,8 +2,6 @@ package ipc
 
 import (
 	"encoding/binary"
-	"sync"
-	"time"
 
 	"graphene/internal/api"
 )
@@ -11,64 +9,24 @@ import (
 // Leader recovery (§4.2, "Leader Recovery"): the paper's prototype leaves
 // this unimplemented but sketches the design — detect leader failure by
 // RPC channel disconnection, run "a simple consensus algorithm over the
-// broadcast channel ... such as selecting the picoprocess with the lowest
-// process ID", and reconstruct leader state "by querying each picoprocess
-// in the sandbox". This file implements that sketch:
+// broadcast channel", and reconstruct leader state "by querying each
+// picoprocess in the sandbox". This file implements that sketch:
 //
-//  1. A helper whose leader RPC fails broadcasts MsgElection with its own
-//     guest PID; every live helper answers with its PID.
-//  2. After a settling window, the lowest PID claims the round with a
-//     MsgNewLeader. The broadcast stream is reliable and delivers in one
-//     order, the claimant's own copy included, so every helper takes the
-//     same first claim of the epoch as the winner, and the claimant
-//     promotes itself (a fresh leaderState) only if that claim is its own.
-//  3. Every member (including the new leader) re-registers its slice of
-//     the distributed state: locally known PID mappings, the high-water
-//     marks of its ID batches, owned System V objects, and its process
-//     group, via MsgRecoverState.
+//  1. A helper whose leader RPC fails, and whose incumbent refuses a dial,
+//     claims the next epoch with a MsgNewLeader. The broadcast stream is
+//     reliable and delivers in one order, the claimant's own copy
+//     included, so every helper takes the same first claim of the epoch as
+//     the winner, and the claimant promotes itself (a fresh leaderState)
+//     only if that claim is its own. The order is the consensus: where the
+//     paper suggests the lowest process ID, the first claim wins, so
+//     nobody waits for rival candidates to speak.
+//  2. Before it serves, the winner asks every helper in the sandbox for
+//     its slice of the distributed state (MsgRecoverState): locally known
+//     PID mappings, the high-water marks of its ID batches, owned System V
+//     objects, and its process group.
 //
 // All picoprocesses in a sandbox trust each other (§3), so the new leader
 // accepts members' reports verbatim, exactly as the paper assumes.
-
-// electionWindow is how long candidates collect peers' PIDs.
-const electionWindow = 50 * time.Millisecond
-
-// ElectionWindow exports the settling window so failover consumers (the
-// hot-standby fleet master, the bench harness) can state their budgets in
-// terms of it instead of hard-coding a copy that could drift.
-const ElectionWindow = electionWindow
-
-// electionState tracks one in-flight election round at a helper.
-type electionState struct {
-	mu      sync.Mutex
-	active  bool
-	epoch   int64 // the round's election epoch (see Helper.leaderEpoch)
-	lowest  int64
-	lowAddr string
-	// incumbent is the last leader this helper accepted before the round
-	// began ("" if none): a winner claims only once it has found it dead.
-	incumbent string
-	done      chan struct{}
-	// announced closes when a winner announcement for this round (same or
-	// newer epoch) is accepted, letting the settling window resolve early
-	// instead of hard-sleeping (and letting losers stop waiting the moment
-	// the winner speaks).
-	announced chan struct{}
-}
-
-// noteAnnouncement resolves an active round early: a MsgNewLeader at or
-// above the round's epoch was accepted.
-func (e *electionState) noteAnnouncement(epoch int64) {
-	e.mu.Lock()
-	if e.active && epoch >= e.epoch {
-		select {
-		case <-e.announced:
-		default:
-			close(e.announced)
-		}
-	}
-	e.mu.Unlock()
-}
 
 // recoverPayload is the per-member state report to the new leader.
 type recoverPayload struct {
@@ -255,63 +213,44 @@ func ownerClaimWins(epoch int64, addr string, cur ownerEntry) bool {
 	return addr < cur.addr
 }
 
-// ElectLeader runs the recovery protocol after the current leader became
-// unreachable. It returns the new leader's address (possibly this
-// helper's own). Concurrent elections converge: every participant
-// computes the same minimum over the broadcast exchange. Each round
-// carries an election epoch one above the last accepted leader's, so a
-// slow announcement from an earlier round can never clobber a newer
-// leader (see handleNewLeaderBroadcast).
+// ElectLeader replaces the leader this helper last accepted, which its
+// caller found dead, and returns the address of the leader that follows
+// it (possibly this helper's own).
 func (h *Helper) ElectLeader() (string, error) {
 	h.mu.Lock()
-	if h.election == nil {
-		h.election = &electionState{}
-	}
-	e := h.election
-	roundEpoch := h.leaderEpoch + 1
-	incumbent := h.lastLeader
+	seen := h.leaderEpoch
 	h.mu.Unlock()
-
-	e.mu.Lock()
-	if e.active {
-		done := e.done
-		e.mu.Unlock()
-		<-done
-		return h.awaitNewLeader(10 * electionWindow)
-	}
-	e.active = true
-	if roundEpoch > e.epoch {
-		e.epoch = roundEpoch
-	}
-	roundEpoch = e.epoch
-	e.lowest = h.GuestPID
-	e.lowAddr = h.Addr
-	e.incumbent = incumbent
-	e.done = make(chan struct{})
-	e.announced = make(chan struct{})
-	announced := e.announced
-	e.mu.Unlock()
-	// The old leader is thought dead; forget it so stale reads cannot win
-	// races.
-	h.mu.Lock()
-	if h.leader == nil {
-		h.leaderAddr = ""
-	}
-	h.mu.Unlock()
-
-	// Announce our candidacy; peers answer with their own (handled in
-	// handleElectionBroadcast, which also folds their PIDs into e).
-	f := Frame{Type: MsgElection, A: roundEpoch, B: h.GuestPID, From: h.Addr, S: h.Addr}
-	if err := h.pal.BroadcastSend(EncodeFrame(&f)); err != nil {
-		e.finish()
-		return "", err
-	}
-	h.electionWait(announced)
-	return h.settleElection(e)
+	return h.elect(seen)
 }
 
-// ElectEpoch runs one epoch-fenced election round and returns the epoch
-// the plane settled on. This is the standby-master takeover primitive: a
+// elect replaces the leader of epoch seen. A leader accepted since — the
+// election of another thread or helper that saw the same death — is the
+// answer; so is a live incumbent (a torn stream misread as a death), and
+// a leader never replaces itself. Otherwise the helper claims the next
+// epoch, so a slow claim made for an earlier death can never clobber a
+// newer leader (see handleNewLeaderBroadcast), and waits for the first
+// claim of that epoch, whoever made it: every helper and thread that saw
+// the death converges on it.
+func (h *Helper) elect(seen int64) (string, error) {
+	h.mu.Lock()
+	addr, incumbent := h.leaderAddr, h.lastLeader
+	decided := h.leaderEpoch > seen || h.leader != nil
+	h.mu.Unlock()
+	if decided {
+		return addr, nil
+	}
+	if incumbent != "" && incumbent != h.Addr && h.peerAlive(incumbent) {
+		return incumbent, nil
+	}
+	if err := h.claim(seen + 1); err != nil {
+		return "", err
+	}
+	return h.awaitLeaderAbove(seen)
+}
+
+// ElectEpoch runs ElectLeader and returns the epoch the plane settled on:
+// no lower than any accepted before the call, and higher when the
+// incumbent was dead. This is the standby-master takeover primitive: a
 // standby that detects its primary's death elects through the same
 // machinery as any dead-leader recovery, and uses the returned epoch to
 // fence its adoption of shared state (the scoreboard) — a stale primary's
@@ -325,70 +264,59 @@ func (h *Helper) ElectEpoch() (int64, error) {
 	return h.leaderEpoch, nil
 }
 
-// electionWait holds the settling window open, resolving early when a
-// winner announcement arrives — the loser side of an election no longer
-// hard-sleeps the full window.
-func (h *Helper) electionWait(announced chan struct{}) {
-	timer := time.NewTimer(electionWindow)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-announced:
+// claim puts this helper's claim to epoch on the broadcast stream with
+// BroadcastSendAll, so its own subscription reads the claim back at its
+// place in the order every helper sees; handleNewLeaderBroadcast promotes
+// the claimant only if the claim is the first of its epoch, and ledState
+// holds leader requests until then. A helper that has already accepted a
+// leader of the epoch claims nothing. A helper whose subscription is gone
+// promotes at once: a sandbox split left it alone in a new sandbox, where
+// nobody else can claim.
+func (h *Helper) claim(epoch int64) error {
+	h.mu.Lock()
+	if h.leaderEpoch >= epoch {
+		h.mu.Unlock()
+		return nil
 	}
+	deaf := h.deaf
+	if !deaf && h.claiming == nil {
+		h.claiming = make(chan struct{})
+	}
+	h.mu.Unlock()
+	if deaf {
+		h.promote(epoch) // alone in its sandbox: nobody took the epoch
+		return nil
+	}
+	nf := EncodeFrame(&Frame{Type: MsgNewLeader, A: epoch, From: h.Addr, S: h.Addr})
+	if err := h.pal.BroadcastSendAll(nf); err != nil {
+		h.endClaim()
+		return err
+	}
+	return nil
 }
 
-// settleElection resolves an election round after its settling window.
-// A helper that holds the lowest PID (and heard no winner first) claims
-// the round's epoch with a MsgNewLeader that its own subscription reads
-// back: the claim wins if it is the first of its epoch in the broadcast
-// order, which every helper sees alike, and handleNewLeaderBroadcast
-// promotes the claimant only then. So two candidates that both thought
-// themselves lowest cannot both lead. A winner whose incumbent is still
-// alive (a member misread a torn stream as a death) claims nothing: the
-// incumbent re-asserts itself on the round's election frames, and a
-// leader in the round keeps leading under its epoch.
-func (h *Helper) settleElection(e *electionState) (string, error) {
-	e.mu.Lock()
-	won := e.lowest == h.GuestPID
-	epoch := e.epoch
-	incumbent := e.incumbent
-	select {
-	case <-e.announced:
-		// Someone already won this (or a newer) round.
-		won = false
-	default:
-	}
-	e.mu.Unlock()
-
-	switch {
-	case h.isLeader():
-		h.promote(epoch)
-		nf := Frame{Type: MsgNewLeader, A: epoch, From: h.Addr, S: h.Addr}
-		_ = h.pal.BroadcastSend(EncodeFrame(&nf))
-	case !won:
-	case incumbent != "" && incumbent != h.Addr && h.peerAlive(incumbent):
-	default:
+// awaitLeaderAbove blocks until this helper accepts a leader elected after
+// epoch seen — its own claim read back first, or another's — and returns
+// that leader's address. Delivery is reliable, so no timer bounds the
+// wait; it ends without a leader only when the helper stops hearing
+// broadcasts (a sandbox split, its exit) or shuts down.
+func (h *Helper) awaitLeaderAbove(seen int64) (string, error) {
+	for {
 		h.mu.Lock()
-		deaf := h.deaf
-		if !deaf && h.claiming == nil {
-			h.claiming = make(chan struct{})
-		}
+		addr, epoch, deaf, ch := h.leaderAddr, h.leaderEpoch, h.deaf, h.leaderChange
 		h.mu.Unlock()
-		nf := Frame{Type: MsgNewLeader, A: epoch, From: h.Addr, S: h.Addr}
+		if epoch > seen {
+			return addr, nil
+		}
 		if deaf {
-			// No subscription to read a claim back on: a sandbox split
-			// left this helper alone in a new sandbox, where nobody else
-			// can claim.
-			h.promote(epoch)
-			_ = h.pal.BroadcastSend(EncodeFrame(&nf))
-		} else if h.pal.BroadcastSendAll(EncodeFrame(&nf)) != nil {
-			h.endClaim()
+			return "", api.EPIPE
+		}
+		select {
+		case <-ch:
+		case <-h.shutdownCh:
+			return "", api.EPIPE
 		}
 	}
-	// Wait for the winner: our own claim read back, or another's.
-	addr, err := h.awaitNewLeader(10 * electionWindow)
-	e.finish()
-	return addr, err
 }
 
 // endClaim marks this helper's claim resolved (read back, won or lost, or
@@ -404,199 +332,135 @@ func (h *Helper) endClaim() {
 
 // peerAlive reports whether the helper at addr still accepts connections.
 // Its picoprocess's exit closes its listener, so a refused dial is death.
+// The dial is a fresh one: a cached stream to a peer that has just exited
+// may not have seen its end yet. A full accept backlog is a live peer.
 func (h *Helper) peerAlive(addr string) bool {
-	_, err := h.dial(addr)
-	return err == nil
+	sh, err := h.pal.DkStreamOpen("pipe:"+addr, 0, 0)
+	if err == nil {
+		_ = h.pal.DkObjectClose(sh)
+	}
+	return err == nil || api.ToErrno(err) == api.EAGAIN
 }
 
-// awaitNewLeader blocks until the leader address is known (set by our own
-// promotion or a MsgNewLeader broadcast, both of which signal the
-// leader-change channel) or the deadline passes.
-func (h *Helper) awaitNewLeader(timeout time.Duration) (string, error) {
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for {
-		h.mu.Lock()
-		addr := h.leaderAddr
-		ch := h.leaderChange
-		h.mu.Unlock()
-		if addr != "" {
-			return addr, nil
+// promote turns this helper into the leader under the given election
+// epoch, with a fresh leaderState rebuilt before it is published: this
+// helper's own report first, then one asked of every other helper that
+// hears the sandbox's broadcast stream — a superset of everyone that heard
+// the claim, since a helper leaves the stream only by exiting or seceding.
+// A dead helper fails the call and has nothing left to report. A request
+// served before the reports are in would draw IDs from a cursor that has
+// not seen them, or answer ENOENT for a live key, so members' leader
+// requests wait in ledState meanwhile.
+//
+// Each answer also names the leader its member has accepted. One accepted
+// at this epoch or later, from someone else, means the epoch was taken
+// before this helper could hear it (a child forked after an election
+// knows its leader but not the epoch): promote then publishes nothing and
+// returns that leader, to be yielded to.
+func (h *Helper) promote(epoch int64) (taken Frame) {
+	l := newLeaderState()
+	l.installRecoverState(h.collectRecoverState(), h.Addr)
+	for _, pid := range h.pal.BroadcastMembers() {
+		addr := AddrForHostPID(pid)
+		if addr == h.Addr {
+			continue
 		}
-		select {
-		case <-ch:
-		case <-timer.C:
-			return "", api.ETIMEDOUT
+		r, led, ok := h.askReport(addr)
+		if !ok {
+			continue
+		}
+		l.installRecoverState(r, addr)
+		if led.S != "" && led.S != h.Addr && led.A >= epoch && led.A >= taken.A {
+			taken = led
 		}
 	}
-}
-
-func (e *electionState) finish() {
-	e.mu.Lock()
-	if e.active {
-		e.active = false
-		close(e.done)
+	if taken.S != "" {
+		return taken
 	}
-	e.mu.Unlock()
-}
-
-// promote turns this helper into the leader with a fresh, reconstructable
-// state, under the given election epoch. The fresh state takes this
-// helper's own slice before it is published: a request served before that
-// would draw IDs from a cursor that has not seen them.
-func (h *Helper) promote(epoch int64) {
-	self := h.collectRecoverState()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.leader != nil {
-		if epoch > h.leaderEpoch {
-			h.leaderEpoch = epoch
-		}
-		return
+		return Frame{}
 	}
-	l := newLeaderState()
-	l.installRecoverState(self, h.Addr)
 	h.leader = l
 	// A fresh leaderState starts a fresh dedup generation: replays minted
 	// against a previous incarnation's tables must re-execute here.
 	h.leaderStateEpoch = epoch
 	h.setLeaderLocked(h.Addr, epoch)
+	return Frame{}
 }
 
-// handleElectionBroadcast folds a peer's candidacy into any local round
-// and answers with our own PID so the peer's round sees us.
-func (h *Helper) handleElectionBroadcast(f Frame) {
+// yieldTo follows addr, the leader the sandbox accepted at epoch, in place
+// of this helper's own claim to that epoch; if that leader is dead too, the
+// helper claims the epoch after it.
+func (h *Helper) yieldTo(addr string, epoch int64) {
 	h.mu.Lock()
-	if h.election == nil {
-		h.election = &electionState{}
-	}
-	e := h.election
-	shutdown := h.shutdown
-	isLeader := h.leader != nil
-	curEpoch := h.leaderEpoch
-	haveLeader := h.leaderAddr != ""
-	incumbent := h.lastLeader
+	h.setLeaderLocked(addr, epoch)
 	h.mu.Unlock()
-	if shutdown {
-		return
+	if !h.peerAlive(addr) {
+		_ = h.claim(epoch + 1)
 	}
-	if isLeader {
-		// We are alive and leading: the sender's failure detection was
-		// wrong (a single torn stream, not a crash). Re-assert leadership,
-		// claiming the sender's round epoch so the round resolves to us.
-		h.mu.Lock()
-		if f.A > h.leaderEpoch {
-			h.leaderEpoch = f.A
-		}
-		epoch := h.leaderEpoch
-		h.mu.Unlock()
-		nf := Frame{Type: MsgNewLeader, A: epoch, From: h.Addr, S: h.Addr}
-		_ = h.pal.BroadcastSend(EncodeFrame(&nf))
-		return
+}
+
+// askReport asks the helper at addr for its recover report and the leader
+// it has accepted (MsgRecoverState). ok is false when nobody answers: the
+// helper is dead, or the subscriber runs no helper. The question travels
+// on a stream of its own that names no sender, so the member never picks
+// it for leader traffic: a leader request on it (a departing member's
+// MsgBye) would wait in ledState on this stream's reader, which the
+// answer needs. Its close reaps nothing (no dropConn): dropConn asks
+// ledState too, and this runs under the claim.
+func (h *Helper) askReport(addr string) (recoverPayload, Frame, bool) {
+	c, err := h.open(addr, "", nil)
+	if err != nil {
+		return recoverPayload{}, Frame{}, false
 	}
-	if f.A <= curEpoch && haveLeader {
-		// A stale round: the sender missed an announcement we already
-		// accepted. The (live) leader corrects it; we stay quiet.
-		return
+	defer c.Close()
+	resp, err := c.Call(Frame{Type: MsgRecoverState})
+	if err != nil {
+		return recoverPayload{}, Frame{}, false
 	}
-	e.mu.Lock()
-	joinRound := !e.active
-	if !e.active {
-		// A peer started an election: join it with our own candidacy.
-		e.active = true
-		e.epoch = f.A
-		if curEpoch+1 > e.epoch {
-			e.epoch = curEpoch + 1
-		}
-		e.lowest = h.GuestPID
-		e.lowAddr = h.Addr
-		e.incumbent = incumbent
-		e.done = make(chan struct{})
-		e.announced = make(chan struct{})
-	} else if f.A > e.epoch {
-		e.epoch = f.A
-	}
-	if f.B < e.lowest || (f.B == e.lowest && f.S < e.lowAddr) {
-		e.lowest = f.B
-		e.lowAddr = f.S
-	}
-	announced := e.announced
-	roundEpoch := e.epoch
-	e.mu.Unlock()
-	if joinRound {
-		h.mu.Lock()
-		if h.leader == nil {
-			h.leaderAddr = "" // the old leader is being replaced
-		}
-		h.mu.Unlock()
-		// Announce ourselves so the initiator sees us, then resolve the
-		// round on our side too.
-		go func() {
-			cf := Frame{Type: MsgElection, A: roundEpoch, B: h.GuestPID, From: h.Addr, S: h.Addr}
-			_ = h.pal.BroadcastSend(EncodeFrame(&cf))
-			h.electionWait(announced)
-			_, _ = h.settleElection(e)
-		}()
-	}
+	r, err := decodeRecover(resp.Blob)
+	return r, resp, err == nil
 }
 
 // handleNewLeaderBroadcast records the winner: the first claim of its
 // epoch in the broadcast order, which makes us leader when it is our own.
-// A stale announcement (no newer than the epoch of a leader we already
-// accepted) is dropped, so neither a slow earlier round nor a rival claim
-// that came second can clobber the leader; setLeaderLocked sends the
-// winner our recover-state report. A leader never yields to an
-// announcement: it leads until its picoprocess exits.
+// A stale claim (no newer than the epoch of a leader we already accepted)
+// is dropped, so neither a claim made for an earlier death nor a rival
+// claim that came second can clobber the leader. A leader never yields to
+// a claim: it leads until its picoprocess exits.
 func (h *Helper) handleNewLeaderBroadcast(f Frame) {
 	if f.S == "" {
 		return
 	}
-	if f.S == h.Addr {
-		defer h.endClaim()
-	}
 	h.mu.Lock()
-	if h.shutdown || h.leader != nil || (f.A == h.leaderEpoch && f.S == h.leaderAddr) {
+	switch {
+	case h.shutdown || h.leader != nil || (f.A == h.leaderEpoch && f.S == h.leaderAddr):
 		// Shutting down, leading, or a duplicate of a leader we already
-		// accepted (and reported to).
+		// accepted.
 		h.mu.Unlock()
-		return
-	}
-	if f.A <= h.leaderEpoch {
+	case f.A <= h.leaderEpoch:
 		// Older than the leader we accepted, or a rival that came second
 		// in its epoch (even if we have since lost the winner's address:
 		// discovery finds it again).
 		h.mu.Unlock()
 		statStaleAnnounces.Add(1)
-		return
-	}
-	e := h.election
-	if f.S == h.Addr {
-		// Our own claim, read back first of its epoch: we won.
+	case f.S == h.Addr:
+		// Our own claim, read back first of its epoch: we won. promote
+		// collects the members' reports before we serve, while the claim
+		// still holds their leader requests.
 		h.mu.Unlock()
-		h.promote(f.A)
-	} else {
+		if taken := h.promote(f.A); taken.S != "" {
+			h.endClaim()
+			h.yieldTo(taken.S, taken.A)
+			return
+		}
+	default:
 		h.setLeaderLocked(f.S, f.A)
 		h.mu.Unlock()
 	}
-	if e != nil {
-		e.noteAnnouncement(f.A)
-	}
-}
-
-// sendRecoverState reports this member's slice of distributed state to a
-// newly accepted leader, once: a live leader answers it, and a leader that
-// died before answering is replaced by a new round whose epoch brings its
-// own report. A report to a leader that has since been replaced is sent
-// all the same: the fold is a join, so a live leader takes it as harmless
-// news, and a dead one fails the call.
-func (h *Helper) sendRecoverState(to string) {
-	h.mu.Lock()
-	down := h.shutdown
-	h.mu.Unlock()
-	if down {
-		return
-	}
-	if c, err := h.dial(to); err == nil {
-		_, _ = c.Call(Frame{Type: MsgRecoverState, From: h.Addr, Blob: encodeRecover(h.collectRecoverState())})
+	if f.S == h.Addr {
+		h.endClaim()
 	}
 }

@@ -40,14 +40,14 @@ func TestLeaderElectionAfterCrash(t *testing.T) {
 
 	crashLeader(lh)
 
-	// m1 detects the failure and triggers an election; m1 has the lowest
-	// surviving PID and must win.
+	// m1 alone detects the failure and elects: its claim is the only one,
+	// so it leads.
 	newLeader, err := m1.ElectLeader()
 	if err != nil {
 		t.Fatalf("ElectLeader: %v", err)
 	}
 	if newLeader != m1.Addr {
-		t.Fatalf("winner = %q, want lowest-PID member %q", newLeader, m1.Addr)
+		t.Fatalf("winner = %q, want the detector %q", newLeader, m1.Addr)
 	}
 	if !m1.isLeader() {
 		t.Fatal("winner did not promote itself")
@@ -163,8 +163,16 @@ func TestConcurrentElectionsConverge(t *testing.T) {
 			t.Fatalf("split brain: %v", winners)
 		}
 	}
-	if winners[0] != m1.Addr {
-		t.Fatalf("winner = %q, want lowest pid %q", winners[0], m1.Addr)
+	// The first claim in broadcast order leads: exactly one of the three,
+	// the one every survivor follows.
+	var leaders []string
+	for _, m := range []*Helper{m1, m2, m3} {
+		if m.isLeader() {
+			leaders = append(leaders, m.Addr)
+		}
+	}
+	if len(leaders) != 1 || leaders[0] != winners[0] {
+		t.Fatalf("leading: %v, want exactly the winner %s", leaders, winners[0])
 	}
 }
 
@@ -214,6 +222,64 @@ func TestElectedLeaderClearsPIDsMintedBeforeJoin(t *testing.T) {
 	}
 }
 
+// TestElectedLeaderSkipsADepartingMember: a member that has begun its
+// Shutdown but not yet closed its listener hangs up on every new peer, so
+// the winner's request for its report fails at once instead of waiting on
+// a backlog nobody drains.
+func TestElectedLeaderSkipsADepartingMember(t *testing.T) {
+	g := newTestGroup(t)
+	lh, lp := g.leader(newFakeService())
+	m1, _ := g.member(lp, lh.Addr, 2, newFakeService())
+	m2, _ := g.member(lp, lh.Addr, 3, newFakeService())
+	m2.mu.Lock()
+	m2.shutdown = true
+	close(m2.shutdownCh)
+	m2.mu.Unlock()
+	if err := m1.Ping(m2.Addr); err == nil {
+		t.Fatal("a departing member answered a new peer")
+	}
+	lp.Proc().Exit(137)
+	done := make(chan error, 1)
+	go func() {
+		_, err := m1.ElectLeader()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("ElectLeader: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the winner is still waiting for a departing member's report")
+	}
+	if !m1.isLeader() {
+		t.Fatalf("the detector did not take over (leader %q)", m1.LeaderAddr())
+	}
+}
+
+// TestReportQuestionCarriesNoLeaderTraffic: the winner asks each member
+// for its report on a stream that names no sender, so the member never
+// takes that stream for one shared with its leader. A departing member's
+// goodbye sent there would wait in the winner's ledState on the reader
+// the answer needs, and the election would hang.
+func TestReportQuestionCarriesNoLeaderTraffic(t *testing.T) {
+	g := newTestGroup(t)
+	lh, lp := g.leader(newFakeService())
+	m1, _ := g.member(lp, lh.Addr, 2, newFakeService())
+	m2, _ := g.member(lp, lh.Addr, 3, newFakeService())
+	lp.Proc().Exit(137)
+	if addr, err := m1.ElectLeader(); err != nil || addr != m1.Addr {
+		t.Fatalf("ElectLeader = (%q, %v), want %q", addr, err, m1.Addr)
+	}
+	m2.mu.Lock()
+	defer m2.mu.Unlock()
+	for c := range m2.incoming {
+		if c.remote() == m1.Addr {
+			t.Fatal("the report question left m2 a stream that names the new leader")
+		}
+	}
+}
+
 // recoverTables is a leaderState's content in a form two folds can be
 // compared by: the PID ranges sorted, everything else copied as is.
 type recoverTables struct {
@@ -253,10 +319,10 @@ func dumpRecoverTables(l *leaderState) recoverTables {
 }
 
 // TestReportReachesALeaderLearnedByDiscovery: a member that learns the new
-// leader from a discovery answer before the announcement reaches it — a
-// guest call in the middle of the round — still sends that leader its
-// recover report, and the announcement, a duplicate by then, changes
-// nothing.
+// leader from a discovery answer before the winning claim reaches it — a
+// guest call that had lost the leader's address — finds its state at that
+// leader all the same (the winner asked for it before serving), and the
+// claim, a duplicate by then, changes nothing.
 func TestReportReachesALeaderLearnedByDiscovery(t *testing.T) {
 	g := newTestGroup(t)
 	lh, lp := g.leader(newFakeService())
@@ -268,8 +334,9 @@ func TestReportReachesALeaderLearnedByDiscovery(t *testing.T) {
 	}
 	lp.Proc().Exit(137)
 
-	// m1 wins and has not announced yet; m2's round has cleared the old
-	// leader, so its guest call asks by broadcast and m1 answers it.
+	// m1 leads and its claim has not reached m2 yet; m2 has lost the
+	// leader's address, so its guest call asks by broadcast and m1
+	// answers it.
 	m1.promote(1)
 	m2.mu.Lock()
 	m2.leaderAddr = ""
@@ -291,10 +358,11 @@ func TestReportReachesALeaderLearnedByDiscovery(t *testing.T) {
 }
 
 // TestClaimantHoldsLeaderRequestsUntilReadBack: a member that reads a
-// claim before its author does sends the claimant its recover report
-// while the claimant does not lead yet. The claimant holds the request
-// until it reads its own claim back, so the report lands instead of
-// being refused with EPERM.
+// claim before its author does sends the claimant leader requests while
+// the claimant does not lead yet. The claimant holds them until it has
+// read its own claim back and collected the members' reports, so a lookup
+// of the member's own key is answered with its ID — not refused with
+// EPERM, and not ENOENT from tables the report has not reached.
 func TestClaimantHoldsLeaderRequestsUntilReadBack(t *testing.T) {
 	g := newTestGroup(t)
 	lh, lp := g.leader(newFakeService())
@@ -311,18 +379,29 @@ func TestClaimantHoldsLeaderRequestsUntilReadBack(t *testing.T) {
 	m1.claiming = make(chan struct{})
 	m1.mu.Unlock()
 	m2.mu.Lock()
-	m2.setLeaderLocked(m1.Addr, 1) // sends m1 the report
+	m2.setLeaderLocked(m1.Addr, 1)
 	m2.mu.Unlock()
-	// Let the report reach m1 before m1 reads its claim back.
-	time.Sleep(20 * time.Millisecond)
+	type lookup struct {
+		id  int64
+		err error
+	}
+	got := make(chan lookup, 1)
+	go func() {
+		id, err := m2.Msgget(75776, 0)
+		got <- lookup{id, err}
+	}()
+	select {
+	case r := <-got:
+		t.Fatalf("the lookup was answered (%d, %v) before the claim was read back", r.id, r.err)
+	case <-time.After(20 * time.Millisecond):
+	}
 	m1.handleNewLeaderBroadcast(Frame{Type: MsgNewLeader, A: 1, From: m1.Addr, S: m1.Addr})
 	if !m1.isLeader() {
 		t.Fatal("the claim read back first of its epoch did not promote m1")
 	}
-	waitFor(t, failoverDeadline, "m2's queue to reach m1", func() bool {
-		got, err := m1.Msgget(75776, 0)
-		return err == nil && got == id
-	})
+	if r := <-got; r.err != nil || r.id != id {
+		t.Fatalf("held lookup answered (%d, %v), want %d", r.id, r.err, id)
+	}
 	if v := CheckInvariants([]*Helper{m1, m2}); len(v) != 0 {
 		t.Fatalf("invariants violated: %v", v)
 	}

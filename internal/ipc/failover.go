@@ -14,9 +14,9 @@ import (
 // answer, as a Linux caller waits on a process that is slow to reply. A
 // dead-leader error triggers the failover pipeline:
 //
-//  1. single-flight election: of all the guest threads that observe the
-//     same failure epoch, exactly one runs ElectLeader; the rest wait for
-//     it and then share its outcome,
+//  1. election keyed on the leader epoch the caller saw: every guest
+//     thread that observed the same death waits for the same next leader
+//     (elect), and one that arrives after it was accepted simply retries,
 //  2. re-resolution: the caller re-reads the (possibly new) leader address
 //     and transparently retries, bounded by failoverAttempts,
 //  3. replay dedup: non-idempotent requests carry a ReqID minted once per
@@ -41,8 +41,8 @@ var (
 
 // FailoverCounters is a snapshot of the failover pipeline's counters.
 type FailoverCounters struct {
-	// Failovers counts single-flight election runs triggered from the RPC
-	// path.
+	// Failovers counts leader calls that found the leader dead and ran an
+	// election (or waited for one) from the RPC path.
 	Failovers int64
 	// ReplaysDeduped counts non-idempotent requests answered from the
 	// replay cache instead of being executed a second time.
@@ -112,7 +112,7 @@ func needsReqID(f *Frame) bool {
 func leaderOnly(t MsgType) bool {
 	switch t {
 	case MsgNSAlloc, MsgNSClaim, MsgKeyGet, MsgKeyOwner, MsgKeyChown, MsgKeyRemove,
-		MsgPgJoin, MsgPgLeave, MsgPgMembers, MsgRecoverState:
+		MsgPgJoin, MsgPgLeave, MsgPgMembers:
 		return true
 	}
 	return false
@@ -133,7 +133,7 @@ func (h *Helper) callLeader(f Frame) (Frame, error) {
 		leaderAddr := h.leaderAddr
 		isLeader := h.leader != nil
 		down := h.shutdown
-		epoch := h.failEpoch
+		epoch := h.leaderEpoch
 		h.mu.Unlock()
 
 		if isLeader {
@@ -156,11 +156,7 @@ func (h *Helper) callLeader(f Frame) (Frame, error) {
 			addr, err := h.DiscoverLeader()
 			if err != nil {
 				lastErr = err
-				if down {
-					return Frame{}, err
-				}
-				h.traceElection(f.Trace, enclosing, epoch)
-				if ferr := h.failover(epoch); ferr != nil {
+				if ferr := h.failover(f.Trace, enclosing, epoch, down, err); ferr != nil {
 					return Frame{}, ferr
 				}
 				continue
@@ -193,52 +189,26 @@ func (h *Helper) callLeader(f Frame) (Frame, error) {
 		if !deadLeaderErr(err) {
 			return resp, err
 		}
-		if down {
-			// A helper that is itself shutting down does not elect; its
-			// cleanup RPCs are best-effort.
-			return Frame{}, err
-		}
-		h.traceElection(f.Trace, enclosing, epoch)
-		if ferr := h.failover(epoch); ferr != nil {
+		if ferr := h.failover(f.Trace, enclosing, epoch, down, err); ferr != nil {
 			return Frame{}, ferr
 		}
 	}
 	return Frame{}, lastErr
 }
 
-// failover runs the leader election exactly once per failure epoch.
-// observed is the epoch the caller read before its RPC failed: if the
-// epoch has already advanced past it, someone else completed failover for
-// this failure and the caller can simply retry. Otherwise one caller
-// becomes the runner and the rest block until it finishes.
-func (h *Helper) failover(observed int64) error {
-	h.mu.Lock()
-	for {
-		if h.failEpoch > observed {
-			h.mu.Unlock()
-			return nil
-		}
-		if !h.failActive {
-			break
-		}
-		done := h.failDone
-		h.mu.Unlock()
-		<-done
-		h.mu.Lock()
+// failover replaces the leader the caller found dead (err), inside the
+// caller's trace, and returns the error to surface or nil to retry.
+// observed is the leader epoch the caller read before its call, so every
+// guest thread that saw the same death waits for the same next leader. A
+// helper that is itself shutting down does not elect: its cleanup RPCs
+// are best-effort.
+func (h *Helper) failover(trace, enclosing uint64, observed int64, down bool, err error) error {
+	if down {
+		return err
 	}
-	h.failActive = true
-	done := make(chan struct{})
-	h.failDone = done
-	h.mu.Unlock()
-
+	h.traceElection(trace, enclosing, observed)
 	statFailovers.Add(1)
-	_, err := h.ElectLeader()
-
-	h.mu.Lock()
-	h.failEpoch++
-	h.failActive = false
-	h.mu.Unlock()
-	close(done)
+	_, err = h.elect(observed)
 	return err
 }
 

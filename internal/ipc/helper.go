@@ -78,28 +78,17 @@ type Helper struct {
 	leaderEpoch      int64
 	leaderStateEpoch int64
 	// lastLeader is the last leader this helper accepted (or was given at
-	// birth); unlike leaderAddr no round clears it, so a round knows
-	// whose death it must confirm before claiming.
+	// birth); unlike leaderAddr a stale-address EPERM does not clear it,
+	// so an election knows whose death it must confirm before claiming.
 	lastLeader string
-	// reportedEpoch is the epoch of the newest leader that has this
-	// helper's state: the one it joined under (epoch 0 for the sandbox's
-	// first leader), one it sent its recover report to, or its own.
-	reportedEpoch int64
 
-	// leaderChange is closed and replaced whenever leaderAddr changes.
+	// leaderChange is closed and replaced whenever leaderAddr changes, and
+	// when the broadcast subscription is lost.
 	leaderChange chan struct{}
 
-	// Single-flight failover state: failEpoch counts completed failovers,
-	// failActive/failDone collapse concurrent observers of a dead leader
-	// into one election.
-	failEpoch  int64
-	failActive bool
-	failDone   chan struct{}
-
-	election *electionState
-	// claiming is open while this helper's claim to a round is on the
-	// broadcast stream and not yet read back (see settleElection); deaf
-	// is set once the broadcast subscription is gone.
+	// claiming is open while this helper's claim to an epoch is on the
+	// broadcast stream and not yet read back (see claim); deaf is set
+	// once the broadcast subscription is gone.
 	claiming chan struct{}
 	deaf     bool
 
@@ -285,21 +274,25 @@ func (h *Helper) acceptLoop() {
 			return
 		}
 		stream := conn.Stream
-		c := NewConn(stream, h.Addr, func(f Frame, respond func(Frame)) {
+		c := newConn(stream, h.Addr, func(f Frame, respond func(Frame)) {
 			h.dispatchOn(stream, f, respond)
 		}, h.dropConn)
+		// List the conn before its reader runs: a peer whose first request
+		// has been answered is already counted by AcceptedConns, and a
+		// hang-up, which only the reader sees, cannot come before the
+		// listing that dropConn undoes. Once Shutdown has begun, a new
+		// peer is hung up on at once — until the listener closes, so a
+		// dial never waits on a backlog nobody drains (a newly elected
+		// leader asking a departing member for its report).
 		h.mu.Lock()
 		if h.shutdown {
 			h.mu.Unlock()
 			c.Close()
-			return
+			continue
 		}
-		// A peer that already hung up has been through dropConn (the conn
-		// is marked dead before dropConn runs): do not list it again.
-		if c.Alive() {
-			mapSet(&h.incoming, c, struct{}{})
-		}
+		mapSet(&h.incoming, c, struct{}{})
 		h.mu.Unlock()
+		c.start()
 	}
 }
 
@@ -308,9 +301,11 @@ func (h *Helper) broadcastLoop() {
 		msg, ok := h.bsub.Recv()
 		if !ok {
 			// Detached by a sandbox split or the process's exit. A claim
-			// not read back by now never will be.
+			// not read back by now never will be, and an election waiting
+			// for one must hear so.
 			h.mu.Lock()
 			h.deaf = true
+			h.leaderChangedLocked()
 			h.mu.Unlock()
 			h.endClaim()
 			return
@@ -337,8 +332,6 @@ func (h *Helper) broadcastLoop() {
 					}
 				}(f.From, epoch)
 			}
-		case MsgElection:
-			h.handleElectionBroadcast(f)
 		case MsgNewLeader:
 			h.handleNewLeaderBroadcast(f)
 		case MsgNSHwm:
@@ -397,6 +390,9 @@ func (h *Helper) ledState() *leaderState {
 	return h.leader
 }
 
+// discoverTimeout bounds DiscoverLeader's wait for an answer.
+const discoverTimeout = 500 * time.Millisecond
+
 // DiscoverLeader broadcasts a who-is-leader query and waits (bounded) for
 // the leader's point-to-point reply — the recovery path when a process
 // lost the leader's address. ETIMEDOUT means no live leader answered; the
@@ -413,26 +409,38 @@ func (h *Helper) DiscoverLeader() (string, error) {
 	if err := h.pal.BroadcastSend(EncodeFrame(&f)); err != nil {
 		return "", err
 	}
-	return h.awaitNewLeader(10 * electionWindow)
+	timer := time.NewTimer(discoverTimeout)
+	defer timer.Stop()
+	for {
+		h.mu.Lock()
+		addr := h.leaderAddr
+		ch := h.leaderChange
+		h.mu.Unlock()
+		if addr != "" {
+			return addr, nil
+		}
+		select {
+		case <-ch:
+		case <-timer.C:
+			return "", api.ETIMEDOUT
+		}
+	}
 }
 
-// setLeaderLocked records addr as the leader under epoch and wakes
-// awaitNewLeader waiters. A member that accepts a leader elected after the
-// newest one holding its state sends it its recover report, whichever way
-// it heard of the leader: the announcement, or a discovery answer that
-// came first (the announcement is then a duplicate). Caller holds h.mu.
+// setLeaderLocked records addr as the leader under epoch and wakes the
+// helper's waits for a leader. Caller holds h.mu.
 func (h *Helper) setLeaderLocked(addr string, epoch int64) {
 	h.leaderAddr = addr
 	h.lastLeader = addr
 	if epoch > h.leaderEpoch {
 		h.leaderEpoch = epoch
 	}
-	if epoch > h.reportedEpoch {
-		h.reportedEpoch = epoch
-		if addr != h.Addr {
-			go h.sendRecoverState(addr)
-		}
-	}
+	h.leaderChangedLocked()
+}
+
+// leaderChangedLocked wakes everything waiting on leaderChange. Caller
+// holds h.mu.
+func (h *Helper) leaderChangedLocked() {
 	close(h.leaderChange)
 	h.leaderChange = make(chan struct{})
 }
@@ -461,6 +469,18 @@ func (h *Helper) dial(addr string) (*Conn, error) {
 	if c, ok := h.conns.get(addr); ok && c.Alive() {
 		return c, nil
 	}
+	c, err := h.open(addr, h.Addr, h.dropConn)
+	if err != nil {
+		return nil, err
+	}
+	c.setRemote(addr)
+	h.conns.put(addr, c)
+	return c, nil
+}
+
+// open connects to the helper at addr over a fresh stream, uncached, whose
+// frames carry local as their sender ("" for none); onClose is NewConn's.
+func (h *Helper) open(addr, local string, onClose func(*Conn)) (*Conn, error) {
 	sh, err := h.pal.DkStreamOpen("pipe:"+addr, 0, 0)
 	for api.ToErrno(err) == api.EAGAIN {
 		// The peer is alive and its accept backlog is full (a whole
@@ -477,12 +497,9 @@ func (h *Helper) dial(addr string) (*Conn, error) {
 		return nil, err
 	}
 	stream := sh.Stream
-	c := NewConn(stream, h.Addr, func(f Frame, respond func(Frame)) {
+	return NewConn(stream, local, func(f Frame, respond func(Frame)) {
 		h.dispatchOn(stream, f, respond)
-	}, h.dropConn)
-	c.setRemote(addr)
-	h.conns.put(addr, c)
-	return c, nil
+	}, onClose), nil
 }
 
 // ============================================================

@@ -302,3 +302,52 @@ func TestChaosLeaderKilledBeforeForkedChildSpeaks(t *testing.T) {
 		})
 	}
 }
+
+// TestAcceptedConnCountedBeforeItsFirstAnswer: a peer whose first request
+// has been answered is already among the helper's accepted conns — the
+// conn is listed before its reader serves anything. The test holds the
+// helper's lock across the dial, so a conn that could be served before it
+// is listed is answered while the lock is still held.
+func TestAcceptedConnCountedBeforeItsFirstAnswer(t *testing.T) {
+	g := newTestGroup(t)
+	lh, lp := g.leader(newFakeService())
+	_, mp := g.member(lp, lh.Addr, 0, newFakeService())
+	for i := 0; i < 20; i++ {
+		before := lh.AcceptedConns()
+		lh.mu.Lock()
+		sh, err := mp.DkStreamOpen("pipe:"+lh.Addr, 0, 0)
+		if err != nil {
+			lh.mu.Unlock()
+			t.Fatal(err)
+		}
+		// No local address: the leader never learns who hung up, so the
+		// close below reaps nothing.
+		c := NewConn(sh.Stream, "", func(Frame, func(Frame)) {}, nil)
+		answered := make(chan error, 1)
+		go func() {
+			_, err := c.Call(Frame{Type: MsgPing})
+			answered <- err
+		}()
+		select {
+		case err = <-answered:
+			listed := len(lh.incoming)
+			lh.mu.Unlock()
+			if err == nil && listed != before+1 {
+				t.Fatalf("dial %d was answered while %d conns were listed, want %d", i, listed, before+1)
+			}
+		case <-time.After(20 * time.Millisecond):
+			lh.mu.Unlock()
+			err = <-answered
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := lh.AcceptedConns(); got != before+1 {
+			t.Fatalf("dial %d answered with %d accepted conns, want %d", i, got, before+1)
+		}
+		c.Close()
+		waitFor(t, 2*time.Second, "the leader to drop the closed conn", func() bool {
+			return lh.AcceptedConns() == before
+		})
+	}
+}

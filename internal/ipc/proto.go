@@ -89,14 +89,15 @@ const (
 	// Resp: Blob=encoded (pid, addr) pairs.
 	MsgPgMembers
 
-	// MsgElection: broadcast candidacy in a leader election. B=guest PID,
-	// S=candidate address.
-	MsgElection
-	// MsgNewLeader: broadcast announcement of the election winner.
-	// S=new leader address.
+	// A retired number: the checked-in fuzz corpora encode the numbers
+	// of the types after it.
+	_
+	// MsgNewLeader: broadcast claim to a leader epoch; the first claim of
+	// an epoch in the broadcast order leads. A=epoch, S=claimant address.
 	MsgNewLeader
-	// MsgRecoverState: a member's state report to the new leader.
-	// Blob=recoverPayload.
+	// MsgRecoverState: a newly elected leader asks a member for its state
+	// report. Resp: Blob=recoverPayload, A=epoch and S=address of the
+	// leader the member has accepted.
 	MsgRecoverState
 
 	// MsgBye: graceful-departure marker, sent synchronously to the leader
@@ -156,7 +157,7 @@ var msgTypeNames = [...]string{
 	MsgSemOp: "MsgSemOp", MsgSemDelete: "MsgSemDelete", MsgSemMigrate: "MsgSemMigrate",
 	MsgWhoIsLeader: "MsgWhoIsLeader",
 	MsgPgJoin:      "MsgPgJoin", MsgPgLeave: "MsgPgLeave", MsgPgMembers: "MsgPgMembers",
-	MsgElection: "MsgElection", MsgNewLeader: "MsgNewLeader", MsgRecoverState: "MsgRecoverState",
+	MsgNewLeader: "MsgNewLeader", MsgRecoverState: "MsgRecoverState",
 	MsgBye: "MsgBye", MsgNSClaim: "MsgNSClaim", MsgNSHwm: "MsgNSHwm",
 	MsgQRecvCancel: "MsgQRecvCancel", MsgSemOpCancel: "MsgSemOpCancel",
 	MsgRingAttach: "MsgRingAttach", MsgRingDetach: "MsgRingDetach",

@@ -938,6 +938,12 @@ func (p *PAL) BroadcastSendAll(data []byte) error {
 	return p.kernel.BroadcastOf(p.proc.SandboxID).SendAll(p.proc.ID, data)
 }
 
+// BroadcastMembers lists the host PIDs subscribed to the sandbox's
+// broadcast stream: every picoprocess that hears it.
+func (p *PAL) BroadcastMembers() []int {
+	return p.kernel.BroadcastOf(p.proc.SandboxID).Members()
+}
+
 // ABISurface returns the names of all PAL ABI functions, grouped per
 // Table 1 of the paper. Tests assert the counts match the paper.
 func ABISurface() map[string][]string {
