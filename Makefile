@@ -48,14 +48,13 @@ vet:
 # (chaos_test.go and the fault-schedule determinism test) — every test in
 # election_test.go (concurrent claims converge on the first, the winner's
 # tables rebuilt from every report, the claim read-back hold, the report
-# fold), and the host partition primitives the fleet's quarantine test uses,
-# under the race detector. The schedules use fixed seeds, so -count=3
+# fold), under the race detector. The schedules use fixed seeds, so -count=3
 # repeats the same fault plans against fresh thread interleavings —
 # flakes here mean a real ordering bug, not test noise.
 # TestForkedChildMakesNoLeaderTraffic (libLinux) rides along: 400 children
 # of a non-leader parent must reach the leader's dispatcher zero times.
 chaos:
-	$(GO) test -race -count=3 -run 'Chaos|Elect|Claimant|Report|Recover|Partition|TestForkedChildMakesNoLeaderTraffic' ./internal/ipc/ ./internal/host/ ./internal/liblinux/
+	$(GO) test -race -count=3 -run 'Chaos|Elect|Claimant|Report|Recover|TestForkedChildMakesNoLeaderTraffic' ./internal/ipc/ ./internal/host/ ./internal/liblinux/
 
 # Kernel-bypass send ring under fault: the host ring protocol (seal
 # fence, revocation, concurrent produce/consume), the route rule (only
@@ -71,7 +70,7 @@ chaos-ring:
 # timing, p2c placement properties, credit-before-pass and
 # exit-before-spawned orderings, scaler determinism under fault plans, zero
 # real sleeps), the live fleet on all three personalities (worker kills
-# mid-request, partitions around quarantined workers, sandbox secession,
+# mid-request, a wedged worker quarantined and killed, sandbox secession,
 # elastic scale-up/down, a master killed at a fault point with standby
 # takeover, the SLO run with a worker killed every 250 ms), and the
 # listener-handover conformance contract. -count=3 because the sim is

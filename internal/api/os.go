@@ -145,7 +145,7 @@ type ConnPasser interface {
 // evaluate points unconditionally.
 type FaultPointer interface {
 	// FaultPoint evaluates the named point against the active fault plan.
-	// Kill/Delay/Partition actions are applied by the host before this
+	// Kill/Delay actions are applied by the host before this
 	// returns; the returned code (the host's FaultAction value, 0 = none)
 	// lets the application apply caller-side actions such as Drop —
 	// suppress the decision the point guards — itself.
@@ -153,10 +153,12 @@ type FaultPointer interface {
 }
 
 // Elector is the optional takeover-election surface. A hot-standby master
-// that detects its primary's death runs one epoch-fenced election round
-// before adopting shared state; the returned epoch fences its writes
-// against any stale primary. Personalities without a coordination plane
-// back this with a kernel-global epoch counter.
+// that sees its primary exit runs one election round before adopting
+// shared state; the returned epoch labels the new master's term on the
+// scoreboard. Under crash-stop the primary that exited writes nothing
+// more, so there is no stale writer for the epoch to fence. Personalities
+// without a coordination plane back this with a kernel-global epoch
+// counter.
 type Elector interface {
 	ElectEpoch() (int64, error)
 }

@@ -25,8 +25,7 @@ import (
 //     answered with a fast "ERR 503" instead of queueing unboundedly;
 //   - workers report liveness over a status pipe; a worker holding
 //     requests without progress is quarantined (no new dispatch) and
-//     eventually killed and replaced, which also covers workers wedged
-//     behind a network partition;
+//     eventually killed and replaced;
 //   - shutdown drains: stop accepting, flush the queue, wait for
 //     in-flight requests, terminate and reap every worker.
 //
@@ -46,7 +45,6 @@ type fleetConfig struct {
 
 	wedgeUS     int64 // no-progress window before quarantine
 	killGraceUS int64 // quarantine age before the worker is killed
-	killRetryUS int64 // retry interval for kills that fail (partition)
 
 	minHealthyUS int64 // lifetime under which a crash counts as "fast"
 	breakerTrips int   // consecutive fast crashes that open the breaker
@@ -61,8 +59,7 @@ type fleetConfig struct {
 	downCooldownUS int64 // min gap between scale-down decisions
 	seed           int64 // p2c dispatch RNG seed (determinism gate)
 
-	standby bool  // run a hot-standby master
-	hbUS    int64 // primary→standby heartbeat interval
+	standby bool // run a hot-standby master
 
 	runUS      int64  // serve duration; 0 = until stop file appears
 	scoreboard string // scoreboard path; stop file is scoreboard+".stop"
@@ -74,7 +71,7 @@ type fleetConfig struct {
 
 	// Standby-role plumbing (set by the primary on the standby's argv).
 	role      string // "" = primary, "standby" = hot standby
-	hbFD      int    // standby: heartbeat pipe read end
+	watchFD   int    // standby: watch pipe read end ('q' or EOF)
 	ctlFD     int    // standby: control pipe read end (listener handover)
 	takeovers int    // takeover generation this master inherited
 	maxFDHint int    // standby: hygiene sweep bound (primary's maxFD)
@@ -95,7 +92,6 @@ func fleetConfigFrom(argv []string) (fleetConfig, bool) {
 		shedUS:         ms("shed_ms", 400),
 		wedgeUS:        ms("wedge_ms", 1000),
 		killGraceUS:    ms("kill_grace_ms", 300),
-		killRetryUS:    ms("kill_retry_ms", 500),
 		minHealthyUS:   ms("min_healthy_ms", 150),
 		breakerTrips:   kvInt(kv, "breaker", 3),
 		cooldownUS:     ms("cooldown_ms", 400),
@@ -108,12 +104,11 @@ func fleetConfigFrom(argv []string) (fleetConfig, bool) {
 		downCooldownUS: ms("down_cooldown_ms", 200),
 		seed:           int64(kvInt(kv, "seed", 1)),
 		standby:        kvInt(kv, "standby", 0) != 0,
-		hbUS:           ms("hb_ms", 20),
 		runUS:          ms("run_ms", 0),
 		scoreboard:     kv["sb"],
 		drainUS:        ms("drain_ms", 2000),
 		role:           kv["role"],
-		hbFD:           kvInt(kv, "hb", -1),
+		watchFD:        kvInt(kv, "watch", -1),
 		ctlFD:          kvInt(kv, "ctl", -1),
 		takeovers:      kvInt(kv, "takeover", 0),
 		maxFDHint:      kvInt(kv, "maxfd", 0),
@@ -135,7 +130,7 @@ type connItem struct {
 }
 
 // fleetMaster is the I/O shell around fleetCore: one thread per blocking
-// syscall (accept, dispatch, wait, kill, maintenance, one status read per
+// syscall (accept, dispatch, wait, maintenance, one status read per
 // worker), each doing lock → one core handler → unlock → the I/O it asked
 // for. It writes no slot or core field itself.
 type fleetMaster struct {
@@ -145,19 +140,18 @@ type fleetMaster struct {
 	sleep    *pollSleeper
 	cfg      fleetConfig
 
-	queue  chan connItem
-	killCh chan killReq
+	queue chan connItem
 
 	mu    sync.Mutex
 	core  *fleetCore
 	maxFD int
 	sbMu  sync.Mutex // one scoreboard publish at a time, see writeScoreboard
 
-	// Standby wiring: the heartbeat pipe write end (-1 = none; owned by the
+	// Standby wiring: the watch pipe write end (-1 = none; owned by the
 	// maintenance thread once it starts), the standby's PID so its reap is
 	// not taken for a worker's, and this master's takeover lineage — the
 	// election epoch its takeover ran under and the handover count.
-	hbW        int
+	watchW     int
 	standbyPID int
 	epoch      int64
 	takeovers  int
@@ -309,13 +303,13 @@ func fleetServe(p api.OS, sleep *pollSleeper, conn int, docroot string, buf []by
 //
 // Usage: httpd-fleet ADDR NWORKERS DOCROOT [key=value ...]
 //
-// Knobs: queue, cap, shed_ms, wedge_ms, kill_grace_ms, kill_retry_ms,
-// min_healthy_ms, breaker, cooldown_ms, backoff_ms, backoff_max_ms,
-// run_ms, drain_ms, sb (scoreboard path; "<sb>.stop" triggers drain);
-// elastic scaling: max (worker ceiling; > NWORKERS enables the scaler),
-// scale_up_queue, up_cooldown_ms, idle_ms, down_cooldown_ms, seed (p2c
-// dispatch RNG); standby=1 runs a hot-standby master that adopts the
-// listen socket and scoreboard when the primary dies (hb_ms heartbeat).
+// Knobs: queue, cap, shed_ms, wedge_ms, kill_grace_ms, min_healthy_ms,
+// breaker, cooldown_ms, backoff_ms, backoff_max_ms, run_ms, drain_ms, sb
+// (scoreboard path; "<sb>.stop" triggers drain); elastic scaling: max
+// (worker ceiling; > NWORKERS enables the scaler), scale_up_queue,
+// up_cooldown_ms, idle_ms, down_cooldown_ms, seed (p2c dispatch RNG);
+// standby=1 runs a hot-standby master that adopts the listen socket and
+// scoreboard when the primary exits.
 func FleetMain(p api.OS, argv []string) int {
 	cfg, ok := fleetConfigFrom(argv)
 	if !ok {
@@ -341,7 +335,7 @@ func FleetMain(p api.OS, argv []string) int {
 
 // runFleet is the master proper, entered by a fresh primary with the
 // listener it bound, or by a promoted standby with the listener it
-// adopted (and the election epoch fencing its takeover).
+// adopted (and the election epoch its takeover ran under).
 func runFleet(p api.OS, cfg fleetConfig, lfd int, epoch int64, takeovers int) int {
 	var fault func(string) int
 	if fp, ok := p.(api.FaultPointer); ok {
@@ -356,17 +350,15 @@ func runFleet(p api.OS, cfg fleetConfig, lfd int, epoch int64, takeovers int) in
 		bell:      newPollSleeper(p),
 		cfg:       cfg,
 		queue:     make(chan connItem, cfg.queueDepth),
-		killCh:    make(chan killReq, 64),
 		core:      newFleetCore(cfg, startUS, fault),
 		maxFD:     lfd,
-		hbW:       -1,
+		watchW:    -1,
 		epoch:     epoch,
 		takeovers: takeovers,
 		done:      make(chan struct{}),
 	}
-	// A heartbeat to a standby that has exited (one told 'q' exits at once,
-	// mid-drain) or a 503 to a client that has hung up is an EPIPE to
-	// handle, not a SIGPIPE to die of.
+	// A 'q' to a standby that has exited or a 503 to a client that has hung
+	// up is an EPIPE to handle, not a SIGPIPE to die of.
 	_ = p.Sigaction(api.SIGPIPE, nil, api.SigIgn)
 	// Parent configuration and module state, shared COW with workers.
 	touchHeap(p, 4<<20)
@@ -374,7 +366,7 @@ func runFleet(p api.OS, cfg fleetConfig, lfd int, epoch int64, takeovers int) in
 	if cfg.standby {
 		m.spawnStandby(lfd)
 	}
-	for _, thread := range []func(){m.supervisor, m.dispatcher, m.killer, func() { m.maintenance(startUS) }} {
+	for _, thread := range []func(){m.supervisor, m.dispatcher, func() { m.maintenance(startUS) }} {
 		if err := m.threader.SpawnThread(thread); err != nil {
 			return 1
 		}
@@ -529,11 +521,10 @@ func (m *fleetMaster) supervisor() {
 }
 
 // readStatus feeds one worker's liveness bytes to the core. One thread per
-// worker, because a read through a network partition parks until the
-// partition heals — a single shared reader would let one wedged link
-// starve every healthy worker's bookkeeping. The thread ends at EOF (worker
-// death or sandbox secession: the supervisor handles the slot), when the
-// pipe is closed under it, or when the core says the slot has moved on.
+// worker: a status read blocks until its own worker writes. The thread
+// ends at EOF (worker death or sandbox secession: the supervisor handles
+// the slot), when the pipe is closed under it, or when the core says the
+// slot has moved on.
 func (m *fleetMaster) readStatus(s *fleetSlot, pid, fd int) {
 	buf := make([]byte, 64)
 	for {
@@ -593,17 +584,11 @@ func (m *fleetMaster) awaitCredit(us int64) {
 	}
 }
 
-// killer performs worker kills on its own thread: a kill through a
-// partition blocks until the partition heals, and quarantine maintenance
-// must not stall behind it.
-func (m *fleetMaster) killer() {
-	for {
-		var req killReq
-		select {
-		case req = <-m.killCh:
-		case <-m.done:
-			return
-		}
+// kill sends each request the core still finds due, once. A signal to a
+// live picoprocess on one host is delivered; one whose target has already
+// exited is moot, and the supervisor reaps the exit.
+func (m *fleetMaster) kill(reqs []killReq) {
+	for _, req := range reqs {
 		m.mu.Lock()
 		due := m.core.killDue(req)
 		m.mu.Unlock()
@@ -662,11 +647,9 @@ func (m *fleetMaster) spawnWorker(slot int) (pid, dispatchW, statusR int, err er
 // maintenance is the master's periodic thread: it evaluates the
 // "fleet.master.kill" fault point, checks the drain triggers, feeds the
 // core one tick (scaler, breaker probes, wedge quarantine, spawn/kill
-// scheduling), applies the returned actions, heartbeats the standby, and
-// publishes the scoreboard.
+// scheduling), applies the returned actions and publishes the scoreboard.
 func (m *fleetMaster) maintenance(startUS int64) {
 	stopFile := m.cfg.scoreboard + ".stop"
-	hbEvery := max(1, int(m.cfg.hbUS/5000))
 	draining := false
 	for tick := 0; ; tick++ {
 		select {
@@ -695,15 +678,7 @@ func (m *fleetMaster) maintenance(startUS int64) {
 		for _, s := range acts.spawn {
 			m.spawnSlot(s)
 		}
-		for _, req := range acts.kill {
-			select {
-			case m.killCh <- req:
-			default:
-			}
-		}
-		if tick%hbEvery == 0 {
-			m.heartbeatStandby()
-		}
+		m.kill(acts.kill)
 		if tick%4 == 0 {
 			m.writeScoreboard()
 		}
@@ -719,8 +694,8 @@ func (m *fleetMaster) beginDrain() {
 	m.mu.Lock()
 	m.core.beginDrain()
 	m.mu.Unlock()
-	if m.hbW >= 0 {
-		_ = writeAll(m.p, m.hbW, []byte{'q'})
+	if m.watchW >= 0 {
+		_ = writeAll(m.p, m.watchW, []byte{'q'})
 	}
 	if fd, err := m.p.Connect(m.cfg.addr); err == nil {
 		_ = m.p.Close(fd)
@@ -736,18 +711,16 @@ func (m *fleetMaster) drain() {
 	m.mu.Lock()
 	live := m.core.terminateAll()
 	m.mu.Unlock()
-	for _, req := range live {
-		m.killCh <- req
-	}
+	m.kill(live)
 	// Wait for the supervisor to reap every death.
 	m.await(m.core.drained)
-	close(m.done) // killCh stays open: racing senders must never panic
+	close(m.done)
 	m.writeScoreboard()
 }
 
 // await polls cond under the master lock every 5 ms until it holds, drain_ms
-// pass (a kill lost to a partition must not wedge shutdown) or the clock
-// fails (a killed master's threads must not spin).
+// pass (a wedged worker holds its request no longer than that) or the
+// clock fails (a killed master's threads must not spin).
 func (m *fleetMaster) await(cond func() bool) {
 	deadline := nowUS(m.p) + m.cfg.drainUS
 	for {

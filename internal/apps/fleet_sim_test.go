@@ -227,7 +227,6 @@ func simConfig(nworkers, max int) fleetConfig {
 		shedUS:         400_000,
 		wedgeUS:        150_000,
 		killGraceUS:    100_000,
-		killRetryUS:    200_000,
 		minHealthyUS:   150_000,
 		breakerTrips:   3,
 		cooldownUS:     400_000,
@@ -330,7 +329,7 @@ func TestSimBreakerTripsHalfOpensAndCloses(t *testing.T) {
 	}
 	_ = openedAt
 
-	// Heal the slot; the next probe must survive and close the breaker.
+	// Cure the slot; the next probe must survive and close the breaker.
 	w.poisoned[0] = false
 	for s.breakerOpen || s.probing || !s.alive {
 		w.step()
@@ -419,6 +418,56 @@ func TestSimWedgeQuarantineKillReplace(t *testing.T) {
 	}
 	if w.core.crashes != 1 {
 		t.Fatalf("crashes=%d, want exactly 1", w.core.crashes)
+	}
+}
+
+// TestSimKillSentOnce: a kill goes out once. On one host a signal to a
+// live worker is delivered, so over the ticks after a quarantine comes due
+// the core asks for exactly one SIGKILL, and after a drained retirement
+// exactly one SIGTERM — here with neither worker's exit ever reaped, the
+// slowest a death can be. The window after the SIGKILL is 200 ticks (1 s
+// of virtual time), longer than any retry interval the core ever had.
+func TestSimKillSentOnce(t *testing.T) {
+	cfg := simConfig(2, 4)
+	w := newSimWorld(t, cfg)
+	now := w.nowUS
+	for id := 0; id < 3; id++ {
+		s := w.core.slots[id]
+		s.alive = true
+		s.pid = 900 + id
+		s.startedUS = now
+		s.lastProgressUS = now
+	}
+	w.core.target = 2
+	w.core.slots[0].inflight = 1 // slot 0 wedges; slot 2 is idle past the target
+
+	sent := map[int]int{} // slot id -> kills the shell sent
+	sigOf := map[int]api.Signal{}
+	killTick := -1
+	for tick := 0; killTick < 0 || tick <= killTick+200; tick++ {
+		if tick > 1000 {
+			t.Fatal("wedged worker never killed")
+		}
+		for _, req := range w.core.tick(w.nowUS, 0).kill {
+			if !w.core.killDue(req) {
+				continue
+			}
+			sent[req.slot.id]++
+			sigOf[req.slot.id] = req.sig
+			if req.slot.id == 0 && killTick < 0 {
+				killTick = tick
+			}
+		}
+		w.nowUS += simTickUS
+	}
+	if sent[0] != 1 || sigOf[0] != api.SIGKILL {
+		t.Fatalf("quarantined slot got %d kills (sig %d), want exactly one SIGKILL", sent[0], sigOf[0])
+	}
+	if sent[2] != 1 || sigOf[2] != api.SIGTERM {
+		t.Fatalf("retired slot got %d kills (sig %d), want exactly one SIGTERM", sent[2], sigOf[2])
+	}
+	if sent[1] != 0 {
+		t.Fatalf("healthy slot got %d kills", sent[1])
 	}
 }
 
@@ -517,12 +566,16 @@ func TestSimDrainBeforeRetire(t *testing.T) {
 		t.Fatalf("kill set %v, want slot 2 only", killedSlots)
 	}
 
-	// Credits drain: the next tick may retire slot 3.
+	// Credits drain: the next tick retires slot 3, and slot 2, whose
+	// SIGTERM went out on the first tick, is not signalled again.
 	w.core.slots[3].inflight = 0
-	w.nowUS += cfg.killRetryUS + simTickUS
+	w.nowUS += simTickUS
 	acts = w.core.tick(w.nowUS, 0)
 	found := false
 	for _, req := range acts.kill {
+		if req.slot.id == 2 {
+			t.Fatal("slot 2's SIGTERM was sent twice")
+		}
 		if req.slot.id == 3 && req.sig == api.SIGTERM {
 			found = true
 		}
@@ -532,7 +585,7 @@ func TestSimDrainBeforeRetire(t *testing.T) {
 	}
 
 	// Scale-up before the SIGTERM lands: the slot rejoins alive, no spawn,
-	// and the killer drops the SIGTERM it was still holding.
+	// and the shell drops the SIGTERM the core no longer finds due.
 	staleTerm := acts.kill
 	w.core.target = 4
 	acts = w.core.tick(w.nowUS, 0)

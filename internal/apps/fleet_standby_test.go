@@ -67,8 +67,8 @@ func TestFleetElasticScalesUpAndDown(t *testing.T) {
 
 // TestFleetStandbyTakeoverUnderLoad is the master-kill chaos scenario: a
 // FaultPlan kills the primary at its Nth maintenance tick, mid-load. The
-// hot standby must detect the death (heartbeat EOF), run one epoch-fenced
-// election round, adopt the co-held listen socket and the rename-swapped
+// hot standby must detect the death (watch pipe EOF), run one election
+// round, adopt the co-held listen socket and the rename-swapped
 // scoreboard, respawn the fleet, and resume serving — all while the load
 // generator keeps offering traffic.
 func TestFleetStandbyTakeoverUnderLoad(t *testing.T) {
@@ -76,7 +76,7 @@ func TestFleetStandbyTakeoverUnderLoad(t *testing.T) {
 	seedDocroot(t, e)
 	const nworkers = 2
 	_, _, err := e.startMaster(fleetArgs("127.0.0.1:8211", nworkers,
-		"standby=1", "hb_ms=20", "cap=4", "shed_ms=400"))
+		"standby=1", "cap=4", "shed_ms=400"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,14 +145,14 @@ func TestFleetStandbyTakeoverUnderLoad(t *testing.T) {
 
 // TestFleetTakeoverWithinElectionWindow pins the detection-to-serving
 // budget: from the instant the primary dies to the standby's first
-// successful response must fit inside 500 ms — the election, the
-// heartbeat interval and the respawn cost — the paper-level claim that a
+// successful response must fit inside 500 ms — the election and the
+// respawn cost — the paper-level claim that a
 // hot standby makes master death a blip, not an outage.
 func TestFleetTakeoverWithinElectionWindow(t *testing.T) {
 	e, g := grapheneFleet(t)
 	seedDocroot(t, e)
 	_, _, err := e.startMaster(fleetArgs("127.0.0.1:8212", 2,
-		"standby=1", "hb_ms=20"))
+		"standby=1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestFleetTakeoverWithinElectionWindow(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// Budget: heartbeat EOF detection is immediate (pipe close), the
+	// Budget: watch pipe EOF detection is immediate (pipe close), the
 	// election is one broadcast claim read back, spawning 2 workers off
 	// the zygote cache is ~1 ms each; 500 ms is the acceptance ceiling
 	// with generous scheduler slack.
@@ -203,16 +203,15 @@ func TestFleetTakeoverWithinElectionWindow(t *testing.T) {
 }
 
 // TestFleetStandbyDrainOutlivesHeartbeat: a planned drain tells the standby
-// 'q', the standby exits at once, and the drain itself may take far longer
-// than one heartbeat interval (here a wedged worker holds its request for
-// the whole drain_ms). The heartbeat into the exited standby's pipe is an
-// EPIPE the master shrugs off; it used to be a fatal SIGPIPE that killed
-// the master mid-drain, leaving a stale scoreboard as the fleet's last word.
+// 'q', the standby exits at once, and the drain itself runs on for the
+// whole drain_ms (a wedged worker holds its request). The master must
+// finish the drain and publish the final scoreboard as the fleet's last
+// word, with no standby left to take over.
 func TestFleetStandbyDrainOutlivesHeartbeat(t *testing.T) {
 	e, _ := grapheneFleet(t)
 	seedDocroot(t, e)
 	wait, _, err := e.startMaster(fleetArgs("127.0.0.1:8214", 1,
-		"standby=1", "hb_ms=5", "wedge_ms=10000", "drain_ms=300"))
+		"standby=1", "wedge_ms=10000", "drain_ms=300"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,12 +237,12 @@ func TestFleetStandbyDrainOutlivesHeartbeat(t *testing.T) {
 // fleetConfig field, so a knob added later cannot be left out of it.
 func TestFleetStandbyInheritsEveryKnob(t *testing.T) {
 	knobs := []string{
-		"queue=7", "cap=3", "shed_ms=41", "wedge_ms=42", "kill_grace_ms=43", "kill_retry_ms=44",
+		"queue=7", "cap=3", "shed_ms=41", "wedge_ms=42", "kill_grace_ms=43",
 		"min_healthy_ms=45", "breaker=5", "cooldown_ms=46", "backoff_ms=47", "backoff_max_ms=48",
 		"max=9", "scale_up_queue=6", "up_cooldown_ms=49", "idle_ms=50", "down_cooldown_ms=51",
-		"seed=99", "standby=1", "hb_ms=52", "run_ms=53", "sb=/elsewhere", "drain_ms=54",
+		"seed=99", "standby=1", "run_ms=53", "sb=/elsewhere", "drain_ms=54",
 	}
-	plumbing := map[string]bool{"knobs": true, "role": true, "hbFD": true, "ctlFD": true,
+	plumbing := map[string]bool{"knobs": true, "role": true, "watchFD": true, "ctlFD": true,
 		"takeovers": true, "maxFDHint": true}
 	base := []string{"httpd-fleet", "10.0.0.1:80", "3", "/docroot"}
 	defaults, _ := fleetConfigFrom([]string{"httpd-fleet", "", "4", ""})
@@ -265,13 +264,13 @@ func TestFleetStandbyInheritsEveryKnob(t *testing.T) {
 			t.Fatalf("%s: primary argv rejected", name)
 		}
 		standby, ok := fleetConfigFrom(standbyArgv(primary, 11, 12, 1, 40))
-		if !ok || standby.role != "standby" || standby.hbFD != 11 || standby.ctlFD != 12 ||
+		if !ok || standby.role != "standby" || standby.watchFD != 11 || standby.ctlFD != 12 ||
 			standby.takeovers != 1 || standby.maxFDHint != 40 {
 			t.Fatalf("%s: standby plumbing wrong: %+v", name, standby)
 		}
 		// A promoted standby spawns its own: the plumbing is last-wins.
 		chained, _ := fleetConfigFrom(standbyArgv(standby, 21, 22, 2, 50))
-		if chained.hbFD != 21 || chained.ctlFD != 22 || chained.takeovers != 2 || chained.maxFDHint != 50 {
+		if chained.watchFD != 21 || chained.ctlFD != 22 || chained.takeovers != 2 || chained.maxFDHint != 50 {
 			t.Fatalf("%s: chained standby plumbing wrong: %+v", name, chained)
 		}
 		want := fields(primary)

@@ -69,7 +69,7 @@ func getOnceProgram(p api.OS, argv []string) int {
 }
 
 // grapheneFleetHost bundles the host-level handles the Graphene-only
-// chaos tests (partition, fault plans) need alongside the env.
+// chaos tests (host kills, fault plans) need alongside the env.
 type grapheneFleetHost struct {
 	k  *host.Kernel
 	rt *liblinux.Runtime
@@ -490,59 +490,41 @@ func TestFleetShedsOverload(t *testing.T) {
 	drainFleet(t, e, wait)
 }
 
-// The wedge-quarantine lifecycle (quarantine after wedge_ms, kill after
-// kill_grace_ms, replacement) is timing policy, and timing policy is
-// tested on the virtual clock: TestSimWedgeQuarantineKillReplace asserts the
-// exact virtual timestamps of every transition with zero real sleeps. The
-// end-to-end /__wedge path stays covered by TestFleetShedsOverload and
-// TestFleetQuarantinePartitionHeals, which wait on events, not timers.
-
-// TestFleetQuarantinePartitionHeals: a master↔worker network partition
-// stalls the worker's liveness bytes while connection passing (and the
-// worker's own serving) continues, so the master quarantines it rather
-// than dispatching into the void; after the partition heals the fleet
-// converges back to full strength. Graphene-only: partitions are a
-// host-stream concept between picoprocesses.
-func TestFleetQuarantinePartitionHeals(t *testing.T) {
-	e, g := grapheneFleet(t)
-	seedDocroot(t, e)
-	wait, _, err := e.startMaster(fleetArgs("127.0.0.1:8205", 2,
-		"cap=2", "wedge_ms=150", "kill_grace_ms=150", "kill_retry_ms=200", "shed_ms=600"))
-	if err != nil {
-		t.Fatal(err)
+// TestFleetQuarantineKillsWedgedWorker: a live worker that stops making
+// progress is quarantined after wedge_ms, killed kill_grace_ms later and
+// replaced, on every personality. The wedged worker stays alive until the
+// master's one SIGKILL lands; left alone it would spin for 5 s and then
+// report, which lifts the quarantine with no respawn. The exact virtual
+// timestamps of each transition are TestSimWedgeQuarantineKillReplace's.
+func TestFleetQuarantineKillsWedgedWorker(t *testing.T) {
+	for _, e := range allFleetEnvs(t) {
+		e := e
+		t.Run(e.name, func(t *testing.T) {
+			seedDocroot(t, e)
+			wait, _, err := e.startMaster(fleetArgs("127.0.0.1:8205", 2,
+				"cap=2", "wedge_ms=150", "kill_grace_ms=150", "shed_ms=600", "drain_ms=300"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitBoard(t, e, 5*time.Second, "alive=2", func(l string) bool {
+				return scoreboardField(l, "alive") == 2
+			})
+			start := time.Now()
+			if _, err := e.launch("/bin/get1", []string{"get1", "127.0.0.1:8205", "/__wedge"}); err != nil {
+				t.Fatal(err)
+			}
+			waitBoard(t, e, 5*time.Second, "wedged worker quarantined", func(l string) bool {
+				return scoreboardField(l, "quarantined") >= 1
+			})
+			quarantined := time.Since(start)
+			waitBoard(t, e, 5*time.Second, "wedged worker killed and replaced", func(l string) bool {
+				return scoreboardField(l, "alive") == 2 && scoreboardField(l, "quarantined") == 0 &&
+					scoreboardField(l, "respawns") >= 1
+			})
+			t.Logf("quarantined after %v, replaced after %v", quarantined, time.Since(start))
+			drainFleet(t, e, wait)
+		})
 	}
-	waitBoard(t, e, 5*time.Second, "alive=2", func(l string) bool {
-		return scoreboardField(l, "alive") == 2
-	})
-	procs := g.workerProcs()
-	if len(procs) != 2 {
-		t.Fatalf("want 2 worker picoprocesses, got %d", len(procs))
-	}
-	part := procs[0]
-	g.k.Partition(part.ID, g.masterHostID)
-	// Offer load: dispatch into the partitioned worker still works (it
-	// serves its clients fine), but its completion bytes stall, so the
-	// master sees held credits without progress and quarantines it.
-	c := installSink(t, nil)
-	lg, err := e.launch("/bin/loadgen", []string{"loadgen", "127.0.0.1:8205", "/www-index", "0", "400", "4", "timeout_ms=500"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = lg(t)
-	waitBoard(t, e, 5*time.Second, "partitioned worker quarantined", func(l string) bool {
-		return scoreboardField(l, "quarantined") >= 1
-	})
-	if c.ok.Load() == 0 {
-		t.Fatal("healthy worker stopped serving during partition")
-	}
-	g.k.Heal(part.ID, g.masterHostID)
-	// After heal the master either sees resumed progress (and lifts the
-	// quarantine) or its retried kill lands (and the slot respawns);
-	// both converge to a whole, unquarantined fleet.
-	waitBoard(t, e, 10*time.Second, "fleet whole after heal", func(l string) bool {
-		return scoreboardField(l, "alive") == 2 && scoreboardField(l, "quarantined") == 0
-	})
-	drainFleet(t, e, wait)
 }
 
 // TestFleetSurvivesSandboxSplit: a worker seceding into its own sandbox

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"math"
 	"strconv"
 	"strings"
 
@@ -71,7 +72,7 @@ type fleetSlot struct {
 
 	quarantined     bool
 	quarantinedAtUS int64
-	nextKillUS      int64
+	nextKillUS      int64 // killSentUS once this worker's kill went out
 
 	// retiring marks a worker draining toward a scale-down SIGTERM: no
 	// new dispatch, terminated once its in-flight requests complete.
@@ -86,6 +87,10 @@ type fleetSlot struct {
 	probing        bool
 	nextSpawnUS    int64
 }
+
+// killSentUS is a slot's nextKillUS once its kill went out: a kill is
+// sent once, and only a new quarantine or retirement schedules another.
+const killSentUS = math.MaxInt64
 
 type killReq struct {
 	pid  int
@@ -461,8 +466,8 @@ func (c *fleetCore) onExit(s *fleetSlot, now int64) {
 	}
 }
 
-// killDue reports whether a kill the tick scheduled should still be sent
-// by the time the killer thread gets to it. A SIGTERM it lets out marks the
+// killDue reports whether a kill the tick or drain scheduled should still
+// be sent when the shell gets to it. A SIGTERM it lets out marks the
 // worker terminating, so no later scale-up can reclaim it.
 func (c *fleetCore) killDue(req killReq) bool {
 	s := req.slot
@@ -608,10 +613,9 @@ func (c *fleetCore) tick(now int64, queueLen int) coreActions {
 			s.spawning = true
 			acts.spawn = append(acts.spawn, s)
 		}
-		// Retiring worker fully drained: terminate it (retried, in case
-		// the signal RPC is lost to a partition).
+		// Retiring worker fully drained: terminate it.
 		if s.retiring && s.alive && s.inflight == 0 && now >= s.nextKillUS {
-			s.nextKillUS = now + c.cfg.killRetryUS
+			s.nextKillUS = killSentUS
 			acts.kill = append(acts.kill, killReq{pid: s.pid, sig: api.SIGTERM, slot: s})
 		}
 		// Wedge detection: requests held without progress.
@@ -620,16 +624,14 @@ func (c *fleetCore) tick(now int64, queueLen int) coreActions {
 			s.quarantinedAtUS = now
 			s.nextKillUS = now + c.cfg.killGraceUS
 		}
-		// Quarantine exit: progress resumed and credits returned
-		// (e.g. a healed partition delivered the backlog of status
-		// bytes) — rejoin without a kill.
+		// Quarantine exit: progress resumed and credits returned (a slow
+		// request finished) — rejoin without a kill.
 		if s.quarantined && s.alive && s.inflight == 0 && now-s.lastProgressUS < c.cfg.wedgeUS {
 			s.quarantined = false
 		}
-		// Overdue quarantined worker: kill (retried, since a partitioned
-		// worker's signal RPC times out).
+		// Overdue quarantined worker: kill it.
 		if s.quarantined && s.alive && now >= s.nextKillUS {
-			s.nextKillUS = now + c.cfg.killRetryUS
+			s.nextKillUS = killSentUS
 			acts.kill = append(acts.kill, killReq{pid: s.pid, sig: api.SIGKILL, slot: s})
 		}
 	}

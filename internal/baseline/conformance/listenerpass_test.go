@@ -348,3 +348,96 @@ func TestConformanceListenerMidHandoverConnExactlyOnce(t *testing.T) {
 		return 0
 	})
 }
+
+// TestConformanceListenerInFlightOutlivesSender: the sender passes its
+// listener and exits before the receiver has taken it. unix(7): a
+// descriptor in flight holds its open file description, so the socket
+// survives, and the receiver's first accept on it succeeds — the window a
+// hot standby is in between its spawn and its first receive.
+func TestConformanceListenerInFlightOutlivesSender(t *testing.T) {
+	runEverywhere(t, nil, func(p api.OS, argv []string) int {
+		cp, ok := p.(api.ConnPasser)
+		if !ok {
+			return 90
+		}
+		r, w, err := p.Pipe()
+		if err != nil {
+			return 1
+		}
+		pid, err := p.Fork(func(c api.OS) {
+			lfd, err := c.Listen("127.0.0.1:7806")
+			if err != nil {
+				c.Exit(11)
+			}
+			if err := c.(api.ConnPasser).PassConnection(w, lfd); err != nil {
+				c.Exit(12)
+			}
+			c.Exit(0)
+		})
+		if err != nil {
+			return 2
+		}
+		if res, err := p.Wait(pid); err != nil || res.ExitCode != 0 {
+			return 3
+		}
+		lfd, err := cp.ReceiveConnection(r)
+		if err != nil {
+			return 4
+		}
+		done := make(chan int, 1)
+		go func() {
+			cfd, err := p.Connect("127.0.0.1:7806")
+			if err != nil {
+				done <- 1
+				return
+			}
+			_ = p.Close(cfd)
+			done <- 0
+		}()
+		conn, err := p.Accept(lfd)
+		if err != nil {
+			return 5
+		}
+		_ = p.Close(conn)
+		return <-done
+	})
+}
+
+// TestConformanceListenerDroppedInFlightUnbinds: the sender passes its
+// listener and exits, and the receiver closes its end without taking it.
+// unix(7): descriptors still in flight when the receiving socket closes
+// are closed, so the last reference is gone and the address binds again.
+func TestConformanceListenerDroppedInFlightUnbinds(t *testing.T) {
+	runEverywhere(t, nil, func(p api.OS, argv []string) int {
+		r, w, err := p.Pipe()
+		if err != nil {
+			return 1
+		}
+		pid, err := p.Fork(func(c api.OS) {
+			lfd, err := c.Listen("127.0.0.1:7807")
+			if err != nil {
+				c.Exit(11)
+			}
+			if err := c.(api.ConnPasser).PassConnection(w, lfd); err != nil {
+				c.Exit(12)
+			}
+			c.Exit(0)
+		})
+		if err != nil {
+			return 2
+		}
+		if res, err := p.Wait(pid); err != nil || res.ExitCode != 0 {
+			return 3
+		}
+		_ = p.Close(w)
+		if err := p.Close(r); err != nil {
+			return 4
+		}
+		lfd, err := p.Listen("127.0.0.1:7807")
+		if err != nil {
+			return 5
+		}
+		_ = p.Close(lfd)
+		return 0
+	})
+}

@@ -34,7 +34,7 @@ type Kernel struct {
 
 	// takeoverEpoch backs api.Elector: native has no coordination plane to
 	// elect through, so a monotonic counter in the shared kernel provides
-	// the same fencing guarantee a real election round does on Graphene.
+	// the same handover label a real election round does on Graphene.
 	takeoverEpoch int64
 
 	sysv *sysvTables

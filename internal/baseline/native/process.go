@@ -68,7 +68,7 @@ func (p *Process) FaultPoint(string) int { return 0 }
 
 // ElectEpoch bumps the kernel-global takeover epoch (api.Elector). Native
 // has no coordination plane to run an election round through; a monotonic
-// counter in the shared kernel gives adopters the same fencing guarantee.
+// counter in the shared kernel gives adopters the same handover label.
 func (p *Process) ElectEpoch() (int64, error) {
 	if err := p.enter(host.SysPrctl); err != nil {
 		return 0, err
@@ -756,7 +756,7 @@ func (p *Process) ReceiveConnection(overFD int) (int, error) {
 		p.kernel.host.AdoptStream(p.pp, h.Stream)
 		return p.fds.Alloc(&posix.Desc{Kind: posix.Socket, Handle: h, Path: h.Stream.Name}), nil
 	case host.HandleListener:
-		p.kernel.host.AdoptListener(p.pp, h.Listener)
+		p.kernel.host.ReceiveListener(p.pp, h.Listener)
 		return p.fds.Alloc(&posix.Desc{Kind: posix.Listener, Handle: h, Path: h.Listener.Name}), nil
 	}
 	return 0, api.EINVAL

@@ -470,7 +470,7 @@ func HTTPDFailover(sc HTTPDScale) (HTTPDResult, error) {
 	res, err := ge.Runtime.Launch(ge.Manifest, "/bin/httpd-fleet", []string{
 		"httpd-fleet", addr, strconv.Itoa(sc.Workers), "/",
 		"sb=" + httpdSB, "cap=4", "queue=256", "shed_ms=400",
-		"standby=1", "hb_ms=20",
+		"standby=1",
 	})
 	if err != nil {
 		return HTTPDResult{}, err

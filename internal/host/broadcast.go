@@ -14,10 +14,6 @@ type BroadcastChannel struct {
 	mu     sync.Mutex
 	subs   map[int]*BroadcastSub // keyed by subscriber PID
 	closed bool
-	// part is the owning kernel's partition graph (nil when the channel is
-	// built standalone). Delivery between partitioned picoprocesses is
-	// dropped, not stalled: a partition cuts the pair apart.
-	part *partitionTable
 }
 
 // NewBroadcastChannel creates an empty broadcast channel.
@@ -84,12 +80,8 @@ func (b *BroadcastChannel) send(fromPID int, data []byte, self bool) error {
 		return api.EPIPE
 	}
 	msg := BroadcastMsg{FromPID: fromPID, Data: append([]byte(nil), data...)}
-	partitioned := b.part.any()
 	for pid, s := range b.subs {
 		if pid == fromPID && !self {
-			continue
-		}
-		if partitioned && b.part.Blocked(fromPID, pid) {
 			continue
 		}
 		s.deliver(msg)

@@ -21,8 +21,9 @@ const (
 	// FaultReset force-closes the stream at the fault point (the peer
 	// observes EOF/EPIPE, as if the connection was torn down mid-frame).
 	FaultReset
-	// FaultDrop swallows the write (or response) at the fault point: the
-	// caller believes it succeeded, the peer never sees it.
+	// FaultDrop tells an application decision point to suppress the
+	// decision it guards ("fleet.scale.up"). No host transport drops:
+	// between live picoprocesses every write arrives.
 	FaultDrop
 	// FaultDelay sleeps for the rule's Delay before proceeding normally.
 	FaultDelay
@@ -121,8 +122,9 @@ func (fp *FaultPlan) Fired() []string {
 
 // Fault evaluates the installed fault plan at a named point. FaultDelay is
 // absorbed here (the operation proceeds after the sleep); FaultKill exits
-// the picoprocess before returning. FaultReset and FaultDrop are returned
-// for the calling layer to apply to its own transport.
+// the picoprocess before returning. FaultReset is returned for the calling
+// layer to apply to its own transport, FaultDrop for an application to
+// suppress its decision.
 func (p *Picoprocess) Fault(point string) FaultAction {
 	fp := p.faults.Load()
 	if fp == nil {

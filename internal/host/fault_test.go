@@ -8,36 +8,6 @@ import (
 	"graphene/internal/api"
 )
 
-func TestFaultDropNthStreamWrite(t *testing.T) {
-	k := NewKernel()
-	p1, _ := k.CreateProcess(nil, false)
-	p2, _ := k.CreateProcess(nil, false)
-	s1, s2 := k.StreamPair(p1, p2)
-	plan := NewFaultPlan().Rule("stream.write", 2, FaultDrop)
-	p1.SetFaultPlan(plan)
-
-	for _, msg := range []string{"one", "two", "three"} {
-		if _, err := s1.Write([]byte(msg)); err != nil {
-			t.Fatalf("write %q: %v", msg, err)
-		}
-	}
-	buf := make([]byte, 64)
-	n, err := s2.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The second write was swallowed; only frames 1 and 3 arrive.
-	if got := string(buf[:n]); got != "onethree" {
-		t.Fatalf("peer read %q, want %q", got, "onethree")
-	}
-	if plan.Hits("stream.write") != 3 {
-		t.Fatalf("hits = %d, want 3", plan.Hits("stream.write"))
-	}
-	if fired := plan.Fired(); len(fired) != 1 || fired[0] != "stream.write" {
-		t.Fatalf("fired = %v, want [stream.write]", fired)
-	}
-}
-
 func TestFaultResetStreamWrite(t *testing.T) {
 	k := NewKernel()
 	p1, _ := k.CreateProcess(nil, false)

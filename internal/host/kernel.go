@@ -169,11 +169,6 @@ type Kernel struct {
 	console    *Console
 	broadcasts map[int]*BroadcastChannel // per-sandbox coordination channels
 
-	// partitions is the kernel-wide partition graph (chaos testing): every
-	// stream endpoint and broadcast channel the kernel hands out consults
-	// it, so Partition/Heal stall live traffic without tearing streams.
-	partitions *partitionTable
-
 	// syscallCount is a diagnostic counter of gate entries.
 	syscallCount atomic.Int64
 
@@ -220,7 +215,6 @@ func (k *Kernel) BroadcastOf(sandboxID int) *BroadcastChannel {
 	bc, ok := k.broadcasts[sandboxID]
 	if !ok {
 		bc = NewBroadcastChannel()
-		bc.part = k.partitions
 		k.broadcasts[sandboxID] = bc
 	}
 	return bc
@@ -228,7 +222,7 @@ func (k *Kernel) BroadcastOf(sandboxID int) *BroadcastChannel {
 
 // NewKernel creates a kernel with an empty file system and open policy.
 func NewKernel() *Kernel {
-	k := &Kernel{
+	return &Kernel{
 		FS:      NewFileSystem(),
 		policy:  openPolicy{},
 		streams: newStreamRegistry(),
@@ -236,9 +230,6 @@ func NewKernel() *Kernel {
 		stores:  make(map[int]*IPCStore),
 		rings:   make(map[int]*RingSegment),
 	}
-	k.partitions = newPartitionTable()
-	k.streams.part = k.partitions
-	return k
 }
 
 // SetPolicy installs the reference monitor. Must be called before any
@@ -329,8 +320,20 @@ func (k *Kernel) onProcessExit(p *Picoprocess) {
 	k.revokeRingsLocked(func(creator, client int) bool {
 		return creator != p.ID && client != p.ID
 	})
+	// A bulk-IPC store dies with its creator: a forked child waiting for
+	// the next batch of a parent that exited fails its restore instead of
+	// waiting for a commit that will never come.
+	var stores []*IPCStore
+	for _, st := range k.stores {
+		if st.CreatorPID == p.ID {
+			stores = append(stores, st)
+		}
+	}
 	bc := k.broadcasts[p.SandboxID]
 	k.mu.Unlock()
+	for _, st := range stores {
+		st.Close()
+	}
 	if bc != nil {
 		// A dead picoprocess stops hearing (and answering) sandbox
 		// coordination traffic; its receive loop unblocks and exits.
@@ -450,7 +453,6 @@ func (k *Kernel) StreamPair(a, b *Picoprocess) (*Stream, *Stream) {
 	name := fmt.Sprintf("pipe:%d", k.streams.nextAnon)
 	k.mu.Unlock()
 	sa, sb := NewStreamPair(name, a.ID, b.ID)
-	sa.part, sb.part = k.partitions, k.partitions
 	a.registerStream(sa)
 	b.registerStream(sb)
 	return sa, sb
@@ -475,7 +477,7 @@ func (k *Kernel) StreamClose(p *Picoprocess, s *Stream) {
 // close and process exit go through ReleaseListener instead.
 func (k *Kernel) RemoveListener(l *Listener) {
 	l.Close()
-	k.streams.remove(l.Name)
+	k.streams.remove(l)
 }
 
 // AdoptListener re-homes a received listener handle to p: p becomes a
@@ -485,6 +487,13 @@ func (k *Kernel) RemoveListener(l *Listener) {
 func (k *Kernel) AdoptListener(p *Picoprocess, l *Listener) {
 	l.addHolder(p.ID)
 	p.registerListener(l)
+}
+
+// ReceiveListener adopts a listener handle p received over a stream and
+// ends the pass that kept the socket open while the handle was in flight.
+func (k *Kernel) ReceiveListener(p *Picoprocess, l *Listener) {
+	k.AdoptListener(p, l)
+	l.pass(-1)
 }
 
 // ReleaseListener drops p's hold on l. The listener is torn down (pending
@@ -499,11 +508,11 @@ func (k *Kernel) ReleaseListener(p *Picoprocess, l *Listener) {
 }
 
 // AdoptStream re-homes a received stream endpoint to p (handle passing).
-// The peer endpoint's view must follow: partition gating and the sandbox
-// sever walk both key on it, and leaving it pointing at the original
-// owner would let a passed pipe tunnel through a partition between its
-// real endpoint owners. Checkpoint restores blanket-adopt endpoints the
-// parent also keeps; ClaimOwner on the I/O path re-corrects those labels.
+// The peer endpoint's view must follow: the sandbox sever walk keys on it,
+// and leaving it pointing at the original owner would let a passed pipe
+// survive a split between its real endpoint owners. Checkpoint restores
+// blanket-adopt endpoints the parent also keeps; ClaimOwner on the I/O
+// path re-corrects those labels.
 func (k *Kernel) AdoptStream(p *Picoprocess, s *Stream) {
 	s.ClaimOwner(p.ID)
 	p.registerStream(s)

@@ -230,6 +230,35 @@ func TestBulkIPCMapNextDeadline(t *testing.T) {
 	}
 }
 
+// TestIPCStoreClosesWithItsCreator: a store's creator exiting closes the
+// store, so a receiver blocked for the next batch — a forked child whose
+// parent died mid-fork — fails at once instead of waiting for a commit
+// that will never come.
+func TestIPCStoreClosesWithItsCreator(t *testing.T) {
+	k := NewKernel()
+	s, _ := k.CreateProcess(nil, false)
+	r, _ := k.CreateProcess(nil, false)
+	st, _ := k.CreateIPCStore(s)
+	target, _ := r.AS.Alloc(0, PageSize, api.ProtRead|api.ProtWrite)
+	mapped := make(chan error, 1)
+	go func() {
+		_, err := st.MapNext(r.AS, target, 0) // no deadline
+		mapped <- err
+	}()
+	s.Exit(137)
+	select {
+	case err := <-mapped:
+		if err != api.EBADF {
+			t.Fatalf("MapNext after the creator exited: %v, want EBADF", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("receiver still waiting for the batch of a creator that exited")
+	}
+	if got := k.Census().Stores; got != 0 {
+		t.Fatalf("census lists %d stores after the creator exited, want 0", got)
+	}
+}
+
 func TestSeverCrossSandboxStreams(t *testing.T) {
 	k := NewKernel()
 	p1, _ := k.CreateProcess(nil, false)

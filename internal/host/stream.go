@@ -1,7 +1,6 @@
 package host
 
 import (
-	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -162,25 +161,11 @@ func (q *byteQueue) write(p []byte) (int, error) {
 	return total, nil
 }
 
-// errReadGated aborts a ring read whose endpoints are partitioned: the
-// reader was already parked inside the data wait when the partition
-// installed, and consuming freshly arrived bytes would slip delivery
-// through the partition. The caller re-parks on the partition table.
-var errReadGated = errors.New("host: stream read gated by partition")
-
-func (q *byteQueue) read(p []byte, pt *partitionTable, from, to int) (int, error) {
+func (q *byteQueue) read(p []byte) (int, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.n == 0 && !q.closed {
 		q.notEmpty.Wait()
-	}
-	// Re-check the partition gate now that data (or EOF) is here: the
-	// entry-time check in Stream.Read cannot cover a reader that was
-	// already parked when the partition was installed. A closed queue is
-	// exempt — the endpoint died, not the link, and the reader must
-	// observe it.
-	if !q.closed && pt.any() && pt.Blocked(from, to) {
-		return 0, errReadGated
 	}
 	if q.n == 0 {
 		return 0, nil // EOF
@@ -211,14 +196,6 @@ func (q *byteQueue) read(p []byte, pt *partitionTable, from, to int) (int, error
 		q.pokeWaitersLocked()
 	}
 	return n, nil
-}
-
-// readClosed reports whether the queue was closed (EOF side); partition
-// stalls abort on it so a reader is never stranded behind a dead peer.
-func (q *byteQueue) readClosed() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.closed
 }
 
 // readable reports whether a read would not block (data buffered or EOF).
@@ -259,13 +236,13 @@ type Stream struct {
 	// Name is the stream's URI (e.g. "pipe:42") for GetName.
 	Name string
 	// localPID and remotePID identify the endpoint owners for the
-	// reference monitor's sandbox checks and the partition gate; 0 means
+	// reference monitor's sandbox checks and the sandbox sever walk; 0 means
 	// unowned (pre-accept server handle). With fork-style descriptor
 	// inheritance an endpoint can be co-held by several picoprocesses and
 	// a checkpoint restore blanket-adopts endpoints the parent keeps, so
 	// creation-time labels go stale; ClaimOwner refreshes them on the I/O
 	// path — ownership follows the process actually driving the endpoint.
-	// Atomic because claims race with the peer's gating reads.
+	// Atomic because claims race with the peer's sever walk.
 	localPID  atomic.Int64
 	remotePID atomic.Int64
 
@@ -280,11 +257,6 @@ type Stream struct {
 	// endpoint: the latest holder to register it that still holds it (nil
 	// for unowned and for closed endpoints).
 	faultOwner atomic.Pointer[Picoprocess]
-
-	// part is the kernel's partition graph (nil for standalone pairs built
-	// outside a kernel). Reads from a partitioned peer stall against it —
-	// delivery resumes on heal; nothing tears.
-	part *partitionTable
 
 	mu sync.Mutex
 	// refs counts holders of this endpoint: inheriting a pipe across fork
@@ -333,8 +305,8 @@ func (s *Stream) RemotePID() int { return int(s.remotePID.Load()) }
 // ClaimOwner relabels this endpoint as owned by pid, updating the peer's
 // view of its remote. Called from the host ABI's I/O entry points: the
 // process performing reads and writes on an endpoint is its owner for
-// partition gating and sandbox severing, whatever stale label descriptor
-// inheritance left behind.
+// sandbox severing, whatever stale label descriptor inheritance left
+// behind.
 func (s *Stream) ClaimOwner(pid int) {
 	if s == nil || pid <= 0 {
 		return
@@ -353,52 +325,17 @@ func (s *Stream) Ref() {
 }
 
 // Read reads up to len(p) bytes, blocking until data or EOF.
-//
-// A partition between the endpoint owners stalls the read exactly as if
-// the peer had gone silent: bytes already buffered stay buffered, nothing
-// tears, and delivery resumes when the partition heals. Writes are not
-// gated here — a writer into a partitioned link keeps succeeding until
-// the 64 KiB in-flight ring fills, then blocks on backpressure, the same
-// profile as a TCP sender whose peer stops draining.
 func (s *Stream) Read(p []byte) (int, error) {
-	for {
-		if s.closed.Load() {
-			return 0, api.EBADF
-		}
-		from, to := s.RemotePID(), s.LocalPID()
-		if s.part.any() {
-			// Partition gate. When the read actually stalls, record how long
-			// (partitions only exist under chaos, so the extra Blocked probe
-			// never runs on healthy-path reads).
-			stallStart := int64(0)
-			if TraceEnabled() && s.part.Blocked(from, to) {
-				stallStart = TraceNow()
-			}
-			s.part.waitUnblocked(from, to, func() bool {
-				return s.closed.Load() || s.in.readClosed()
-			})
-			if stallStart != 0 {
-				if owner := s.faultOwner.Load(); owner != nil {
-					owner.TraceRecord(TraceEvent{
-						TS: stallStart, Kind: EvPartitionStall,
-						Arg: uint64(from), Dur: TraceNow() - stallStart,
-					})
-				}
-			}
-		}
-		n, err := s.in.read(p, s.part, from, to)
-		if err != errReadGated {
-			if n > 0 && TraceVerboseEnabled() {
-				if owner := s.faultOwner.Load(); owner != nil {
-					owner.TraceRecord(TraceEvent{TS: TraceNow(), Kind: EvStreamRead, Arg: uint64(n)})
-				}
-			}
-			return n, err
-		}
-		// A partition was installed while this reader was parked waiting
-		// for data: loop back and stall on the partition table until the
-		// heal (or the endpoint's death) instead of consuming the bytes.
+	if s.closed.Load() {
+		return 0, api.EBADF
 	}
+	n, err := s.in.read(p)
+	if n > 0 && TraceVerboseEnabled() {
+		if owner := s.faultOwner.Load(); owner != nil {
+			owner.TraceRecord(TraceEvent{TS: TraceNow(), Kind: EvStreamRead, Arg: uint64(n)})
+		}
+	}
+	return n, err
 }
 
 // Write writes all of p, blocking on backpressure. Writing to a stream
@@ -412,9 +349,6 @@ func (s *Stream) Write(p []byte) (int, error) {
 		case FaultReset:
 			s.ForceClose()
 			return 0, api.ECONNRESET
-		case FaultDrop:
-			// Swallowed: the writer believes the frame went out.
-			return len(p), nil
 		case FaultKill:
 			// The owner just exited; this endpoint is closing underneath us.
 			return 0, api.EPIPE
@@ -501,12 +435,6 @@ func (s *Stream) closeRef(force bool) {
 	s.drainOOB()
 	s.out.close(false)
 	s.in.close(true)
-	// Wake readers stalled behind a partition so they observe the close.
-	// With no edge installed nobody is stalled: a reader parked on the
-	// table saw an edge, and the cut or heal that removed it woke it.
-	if s.part.any() {
-		s.part.poke()
-	}
 }
 
 // closedOOB is the handle queue of every endpoint that closed before it
@@ -568,15 +496,20 @@ func (s *Stream) dropHolder(p *Picoprocess) bool {
 // received. Each passed stream handle carries a transferred reference
 // (SendHandle), so dropping the queue without closing them would leave the
 // underlying connections half-open forever — the client behind a passed
-// connection would block on read instead of seeing EOF. Linux has the same
-// rule for SCM_RIGHTS: descriptors still in flight when the receiving
-// socket is closed are themselves closed (unix(7)). Racing receivers are
-// fine: channel receive is atomic, so a handle is either drained here or
-// delivered there, never both.
+// connection would block on read instead of seeing EOF. A passed listener
+// carries a pass (Listener.passes), which is dropped the same way. Linux
+// has the same rule for SCM_RIGHTS: descriptors still in flight when the
+// receiving socket is closed are themselves closed (unix(7)). Racing
+// receivers are fine: channel receive is atomic, so a handle is either
+// drained here or delivered there, never both.
 func (s *Stream) drainOOB() {
 	for h := range s.oob {
-		if h != nil && h.Kind == HandleStream && h.Stream != nil {
+		switch {
+		case h == nil:
+		case h.Kind == HandleStream && h.Stream != nil:
 			h.Stream.Close()
+		case h.Kind == HandleListener && h.Listener != nil:
+			h.Listener.pass(-1)
 		}
 	}
 }
@@ -606,11 +539,6 @@ func (s *Stream) SendHandle(h *Handle) error {
 		case FaultReset:
 			s.ForceClose()
 			return api.ECONNRESET
-		case FaultDrop:
-			// Swallowed in flight: the sender believes the pass went out.
-			// The handle's transferred reference was never taken, so the
-			// connection itself stays with the sender.
-			return nil
 		case FaultKill:
 			// The owner just exited; this endpoint is closing underneath us.
 			return api.EPIPE
@@ -625,12 +553,18 @@ func (s *Stream) SendHandle(h *Handle) error {
 	if h != nil && h.Kind == HandleStream && h.Stream != nil {
 		h.Stream.Ref()
 	}
+	if h != nil && h.Kind == HandleListener && h.Listener != nil {
+		h.Listener.pass(1)
+	}
 	select {
 	case peer.oobLocked() <- h:
 		return nil
 	default:
 		if h != nil && h.Kind == HandleStream && h.Stream != nil {
 			h.Stream.Close() // drop the transferred reference
+		}
+		if h != nil && h.Kind == HandleListener && h.Listener != nil {
+			h.Listener.pass(-1) // the sender still holds it
 		}
 		return api.EAGAIN
 	}
@@ -719,17 +653,25 @@ type Handle struct {
 // passing (SCM_RIGHTS-style) hands a second process a descriptor to the
 // same listening socket, exactly as a passed listen fd behaves on Linux
 // (unix(7): the descriptor refers to the same open file description).
-// The listener is torn down only when the last holder releases it, which
-// is what lets a hot-standby master adopt a primary's listen socket and
-// keep accepting after the primary dies.
+// The listener is torn down only when the last holder releases it and no
+// handle to it is in flight, which is what lets a hot-standby master adopt
+// a primary's listen socket and keep accepting after the primary dies,
+// even if the primary dies before the standby has received the socket.
 type Listener struct {
 	Name     string
 	OwnerPID int // primary holder; guarded by mu, read via Owner()
 
 	mu      sync.Mutex
 	holders map[int]struct{}
+	// passes counts handles to the listener sent over a stream and not yet
+	// received or dropped. Like a descriptor in flight under SCM_RIGHTS
+	// (unix(7)), each keeps the socket open.
+	passes  int
 	backlog chan *Stream
 	closed  bool
+	// reg is the registry that binds the name, which a listener whose last
+	// pass is dropped undelivered leaves.
+	reg *streamRegistry
 }
 
 func newListener(name string, owner int) *Listener {
@@ -748,11 +690,12 @@ func (l *Listener) Owner() int {
 	return l.OwnerPID
 }
 
-// addHolder records pid as a co-holder of the listening socket.
+// addHolder records pid as a co-holder of the listening socket, and as
+// its primary if the primary left while the socket was in flight.
 func (l *Listener) addHolder(pid int) {
 	l.mu.Lock()
-	if l.holders == nil {
-		l.holders = make(map[int]struct{})
+	if _, ok := l.holders[l.OwnerPID]; !ok {
+		l.OwnerPID = pid
 	}
 	l.holders[pid] = struct{}{}
 	l.mu.Unlock()
@@ -761,13 +704,14 @@ func (l *Listener) addHolder(pid int) {
 // dropHolder releases pid's hold. If pid was the primary and other holders
 // remain, the lowest surviving PID is promoted so connect-time policy
 // checks and stream owner labels track a live process. Returns true when
-// no holders remain and the listener should be torn down.
+// no holders remain, no pass is in flight, and the listener should be
+// torn down.
 func (l *Listener) dropHolder(pid int) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	delete(l.holders, pid)
 	if len(l.holders) == 0 {
-		return true
+		return l.passes == 0
 	}
 	if l.OwnerPID == pid {
 		next := -1
@@ -781,12 +725,17 @@ func (l *Listener) dropHolder(pid int) bool {
 	return false
 }
 
-// Holders returns the number of picoprocesses currently holding the
-// listening socket (diagnostics and tests).
-func (l *Listener) Holders() int {
+// pass adds n (1 or -1) to the handles in flight. A listener left with no
+// holder and no pass in flight leaves its registry and closes.
+func (l *Listener) pass(n int) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.holders)
+	l.passes += n
+	orphan := len(l.holders) == 0 && l.passes == 0
+	l.mu.Unlock()
+	if orphan {
+		l.Close()
+		l.reg.remove(l)
+	}
 }
 
 // Accept blocks for the next incoming connection.
@@ -834,9 +783,6 @@ type streamRegistry struct {
 	mu        sync.Mutex
 	listeners map[string]*Listener
 	nextAnon  int
-	// part is the owning kernel's partition graph, attached to every
-	// stream pair minted through connect so partitions gate named streams.
-	part *partitionTable
 }
 
 func newStreamRegistry() *streamRegistry {
@@ -850,6 +796,7 @@ func (r *streamRegistry) listen(name string, owner int) (*Listener, error) {
 		return nil, api.EADDRINUSE
 	}
 	l := newListener(name, owner)
+	l.reg = r
 	r.listeners[name] = l
 	return l, nil
 }
@@ -862,7 +809,6 @@ func (r *streamRegistry) connect(name string, clientPID int) (*Stream, error) {
 		return nil, api.ECONNREFUSED
 	}
 	client, server := NewStreamPair(name, clientPID, l.Owner())
-	client.part, server.part = r.part, r.part
 	if err := l.deliver(server); err != nil {
 		client.Close()
 		server.Close()
@@ -871,8 +817,12 @@ func (r *streamRegistry) connect(name string, clientPID int) (*Stream, error) {
 	return client, nil
 }
 
-func (r *streamRegistry) remove(name string) {
+// remove unbinds l's name, unless the name is already bound to another
+// listener.
+func (r *streamRegistry) remove(l *Listener) {
 	r.mu.Lock()
-	delete(r.listeners, name)
+	if r.listeners[l.Name] == l {
+		delete(r.listeners, l.Name)
+	}
 	r.mu.Unlock()
 }

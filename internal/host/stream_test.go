@@ -177,21 +177,6 @@ func TestFaultResetSendHandle(t *testing.T) {
 	}
 }
 
-func TestFaultDropSendHandle(t *testing.T) {
-	k := NewKernel()
-	p1, _ := k.CreateProcess(nil, false)
-	p2, _ := k.CreateProcess(nil, false)
-	s1, s2 := k.StreamPair(p1, p2)
-	conn, _ := NewStreamPair("pipe:fd", 1, 3)
-	p1.SetFaultPlan(NewFaultPlan().Rule("stream.sendhandle", 1, FaultDrop))
-	if err := s1.SendHandle(&Handle{Kind: HandleStream, Stream: conn}); err != nil {
-		t.Fatalf("dropped SendHandle must report success, got %v", err)
-	}
-	if _, ok := s2.TryReceiveHandle(); ok {
-		t.Fatal("dropped handle must not arrive")
-	}
-}
-
 func TestHandlePassing(t *testing.T) {
 	a, b := NewStreamPair("pipe:hp", 1, 2)
 	inner, _ := NewStreamPair("pipe:inner", 1, 3)

@@ -9,8 +9,8 @@ import (
 )
 
 // Flight recorder: a per-picoprocess ring buffer of recent host and guest
-// events — syscall entry/exit, RPC spans, fault-point fires, partition
-// stalls — kept always-on so a chaos failure or invariant violation can be
+// events — syscall entry/exit, RPC spans, fault-point fires, election
+// hops — kept always-on so a chaos failure or invariant violation can be
 // diagnosed from the recorded interleaving instead of reverse-engineered
 // from counters. The ring is bounded (oldest events overwritten) and sized
 // to its use: a picoprocess that records nothing holds no ring, its first
@@ -33,7 +33,7 @@ const (
 	// every instrumentation site bails on one atomic load).
 	TraceOff int32 = 0
 	// TraceOn (the default) records syscall shim entry/exit, RPC client and
-	// server spans, fault-point fires, partition stalls, and election hops.
+	// server spans, fault-point fires, and election hops.
 	TraceOn int32 = 1
 	// TraceVerbose additionally records host syscall-gate entries and
 	// per-stream read/write events — useful for replaying a transport-level
@@ -100,9 +100,6 @@ const (
 	// EvFault is a fault-plan rule firing: Arg=index into the recorder's
 	// point-name intern table (see FlightRecorder.PointName).
 	EvFault
-	// EvPartitionStall is a stream read stalled behind a partition:
-	// Arg=peer host PID, Dur=how long the stall lasted.
-	EvPartitionStall
 	// EvElection is a leader-failover hop on the RPC path: Arg=the failure
 	// epoch observed, Trace links it into the operation that rode through.
 	EvElection
@@ -116,8 +113,7 @@ var eventKindNames = [...]string{
 	EvSyscall: "syscall", EvGate: "gate",
 	EvRPCCall: "rpc-call", EvRPCServe: "rpc-serve",
 	EvStreamRead: "stream-read", EvStreamWrite: "stream-write",
-	EvFault: "fault", EvPartitionStall: "partition-stall",
-	EvElection: "election", EvRingBypass: "ring-bypass",
+	EvFault: "fault", EvElection: "election", EvRingBypass: "ring-bypass",
 }
 
 // String names the event kind.

@@ -247,7 +247,7 @@ func TestSyscallName(t *testing.T) {
 }
 
 func TestEventKindString(t *testing.T) {
-	if EvRPCCall.String() != "rpc-call" || EvPartitionStall.String() != "partition-stall" {
+	if EvRPCCall.String() != "rpc-call" || EvElection.String() != "election" {
 		t.Fatal("event kind names wrong")
 	}
 	if got := EventKind(200).String(); got != "EventKind(200)" {

@@ -117,8 +117,6 @@ func eventDetail(ev TraceEvent, rec *FlightRecorder) string {
 		fmt.Fprintf(&b, "bytes=%d", ev.Arg)
 	case EvFault:
 		fmt.Fprintf(&b, "point=%s", rec.PointName(ev.Arg))
-	case EvPartitionStall:
-		fmt.Fprintf(&b, "peer=%d", ev.Arg)
 	case EvElection:
 		fmt.Fprintf(&b, "epoch=%d", ev.Arg)
 	case EvRingBypass:

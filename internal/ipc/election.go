@@ -251,10 +251,9 @@ func (h *Helper) elect(seen int64) (string, error) {
 // ElectEpoch runs ElectLeader and returns the epoch the plane settled on:
 // no lower than any accepted before the call, and higher when the
 // incumbent was dead. This is the standby-master takeover primitive: a
-// standby that detects its primary's death elects through the same
-// machinery as any dead-leader recovery, and uses the returned epoch to
-// fence its adoption of shared state (the scoreboard) — a stale primary's
-// writes carry an older epoch and lose.
+// standby that sees its primary exit elects through the same machinery as
+// any dead-leader recovery, and publishes the returned epoch as its
+// handover label on the scoreboard.
 func (h *Helper) ElectEpoch() (int64, error) {
 	if _, err := h.ElectLeader(); err != nil {
 		return 0, err

@@ -1,8 +1,11 @@
 package liblinux
 
 import (
+	"bytes"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -926,4 +929,140 @@ func TestKillEndsAProcessBlockedInWait(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("a process killed in wait4 never ended")
 	}
+}
+
+// TestKillUnwindsAForkingThread lets the thread of a killed process call
+// Fork or Spawn: the call must unwind the thread as Exit does, not return
+// to the program, which would go on to its next call.
+func TestKillUnwindsAForkingThread(t *testing.T) {
+	for _, call := range []string{"fork", "spawn"} {
+		t.Run(call, func(t *testing.T) {
+			rt, man := testEnv(t)
+			if err := rt.RegisterProgram("/bin/child", func(api.OS, []string) int { return 0 }); err != nil {
+				t.Fatal(err)
+			}
+			parked := make(chan struct{})
+			release := make(chan struct{})
+			var returned atomic.Bool
+			if err := rt.RegisterProgram("/bin/test", func(p api.OS, _ []string) int {
+				close(parked)
+				<-release
+				if call == "fork" {
+					_, _ = p.Fork(func(api.OS) {})
+				} else {
+					_, _ = p.Spawn("/bin/child", []string{"child"})
+				}
+				returned.Store(true)
+				return 2
+			}); err != nil {
+				t.Fatal(err)
+			}
+			res, err := rt.Launch(man, "/bin/test", []string{"/bin/test"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-parked
+			if err := res.Process.Kill(res.Process.Getpid(), api.SIGKILL); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); !res.Process.PAL().Proc().Dead(); {
+				if time.Now().After(deadline) {
+					t.Fatal("SIGKILL did not end the picoprocess")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+			select {
+			case <-res.Done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the killed process never ended")
+			}
+			if code := res.ExitCode(); code != 128+int(api.SIGKILL) {
+				t.Fatalf("exit code %d, want %d", code, 128+int(api.SIGKILL))
+			}
+			if returned.Load() {
+				t.Fatalf("%s returned to the program of a killed process", call)
+			}
+		})
+	}
+}
+
+// TestChildOfAParentKilledMidForkFailsItsRestore kills a parent once it has
+// shipped every checkpoint section and its child's mapper is waiting in
+// IPCStore.MapNext for the first memory batch, which never comes: every
+// commit waits 5 s at the parent's write gate. The child must fail its
+// restore at once rather than wait out the commit, it must never run, and
+// the parent's Fork must unwind.
+func TestChildOfAParentKilledMidForkFailsItsRestore(t *testing.T) {
+	rt, man := testEnv(t)
+	var parent *Process
+	var killOnce sync.Once
+	rt.stageObs = func(stage string, _ time.Duration) {
+		if stage != "sections" {
+			return
+		}
+		killOnce.Do(func() {
+			for deadline := time.Now().Add(5 * time.Second); !waitingForABatch(); {
+				if time.Now().After(deadline) {
+					t.Error("the child's mapper never waited for a batch")
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			parent.deliver(api.SIGKILL)
+		})
+	}
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	var childRan, forkReturned atomic.Bool
+	if err := rt.RegisterProgram("/bin/test", func(p api.OS, _ []string) int {
+		parent = p.(*Process)
+		// An image to commit: with none the child has no batch to wait for.
+		if _, err := p.Mmap(0, 4*host.PageSize, api.ProtRead|api.ProtWrite); err != nil {
+			return 1
+		}
+		close(parked)
+		<-release
+		_, _ = p.Fork(func(api.OS) { childRan.Store(true) })
+		forkReturned.Store(true)
+		return 2
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := rt.Launch(man, "/bin/test", []string{"/bin/test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	res.Process.PAL().Proc().SetFaultPlan(host.NewFaultPlan().
+		DelayRule("sys."+strconv.Itoa(host.SysWrite), 0, 5*time.Second))
+	close(release)
+	select {
+	case <-res.Done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a parent killed mid-fork did not end while its memory commits were held back")
+	}
+	if code := res.ExitCode(); code != 128+int(api.SIGKILL) {
+		t.Fatalf("exit code %d, want %d", code, 128+int(api.SIGKILL))
+	}
+	if forkReturned.Load() {
+		t.Fatal("Fork returned to the program of a killed process")
+	}
+	for deadline := time.Now().Add(2 * time.Second); len(rt.Kernel().Processes()) != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the child of a parent killed mid-fork is still waiting")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if childRan.Load() {
+		t.Fatal("the child of a parent killed mid-fork ran")
+	}
+}
+
+// waitingForABatch reports whether a goroutine is inside IPCStore.MapNext,
+// read from a dump of every goroutine's stack.
+func waitingForABatch() bool {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	return bytes.Contains(buf[:n], []byte("(*IPCStore).MapNext"))
 }

@@ -115,10 +115,10 @@ func (p *Process) FaultPoint(name string) int {
 	return int(p.pal.Proc().Fault(name))
 }
 
-// ElectEpoch runs one epoch-fenced election round through this process's
-// IPC helper (api.Elector): the standby-master takeover path. The round
-// reuses the dead-leader recovery machinery, so a standby promoting itself
-// is indistinguishable, fencing-wise, from any other leader failover.
+// ElectEpoch runs one election round through this process's IPC helper
+// (api.Elector): the standby-master takeover path. The round reuses the
+// dead-leader recovery machinery, so a standby promoting itself is one
+// more leader failover; the epoch is the handover's label.
 func (p *Process) ElectEpoch() (int64, error) {
 	if p.helper == nil {
 		return 0, api.EAGAIN
@@ -243,7 +243,19 @@ func (p *Process) Fork(childFn func(api.OS)) (int, error) {
 		return 0
 	})
 	p.sysExit(start, host.SysFork, uint64(pid), err)
+	p.unwindIfDead(err)
 	return pid, err
+}
+
+// unwindIfDead unwinds the calling thread as Exit does when a fork or spawn
+// failed because this process is gone, killed while the call ran: the
+// thread must not go on to its next call. The host picoprocess is the
+// test, not sig.Killed, because the failure comes from the host exit,
+// which precedes the signal bookkeeping at the end of doExit.
+func (p *Process) unwindIfDead(err error) {
+	if err != nil && p.pal.Proc().Dead() {
+		panic(processExited{})
+	}
 }
 
 // Spawn is fork+exec of path in the child, the common shell pattern. It
@@ -252,6 +264,12 @@ func (p *Process) Fork(childFn func(api.OS)) (int, error) {
 // cached per-program template plus the fresh dynamic state (env, cwd,
 // descriptors, identity), which the regression tests pin as never-stale.
 func (p *Process) Spawn(path string, argv []string) (int, error) {
+	pid, err := p.spawn(path, argv)
+	p.unwindIfDead(err)
+	return pid, err
+}
+
+func (p *Process) spawn(path string, argv []string) (int, error) {
 	prog, ok := p.rt.lookupProgram(path)
 	if !ok {
 		return 0, api.ENOENT
@@ -532,7 +550,7 @@ func (p *Process) Kill(pid int, sig api.Signal) error {
 	if err == api.ETIMEDOUT {
 		// The timeout already dropped the cached route to the target, so a
 		// single retry re-resolves through the (possibly new) leader — the
-		// signal lands if the target moved or the partition healed. A second
+		// signal lands if the target moved or a new leader took over. A second
 		// timeout means the target really is unreachable; surface it rather
 		// than blocking the caller in an open-ended retry loop.
 		err = p.helper.SendSignal(int64(pid), sig)

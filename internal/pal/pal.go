@@ -778,7 +778,7 @@ func (p *PAL) DkReceiveHandle(over *host.Handle) (*host.Handle, error) {
 	case host.HandleStream:
 		p.kernel.AdoptStream(p.proc, h.Stream)
 	case host.HandleListener:
-		p.kernel.AdoptListener(p.proc, h.Listener)
+		p.kernel.ReceiveListener(p.proc, h.Listener)
 	}
 	return h, nil
 }
