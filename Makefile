@@ -44,8 +44,8 @@ vet:
 	@if grep -rn 'encoding/gob' --include='*.go' .; then echo 'encoding/gob is imported again' >&2; exit 1; fi
 
 # Chaos + invariant suites: crash-stop failover — a leader or owner killed
-# at a fault point, a torn reply stream, a crashed member reaped
-# (chaos_test.go and the fault-schedule determinism test) — every test in
+# at a fault point, a crashed member reaped (chaos_test.go and the
+# fault-schedule determinism test) — every test in
 # election_test.go (concurrent claims converge on the first, the winner's
 # tables rebuilt from every report, the claim read-back hold, the report
 # fold), under the race detector. The schedules use fixed seeds, so -count=3
@@ -148,7 +148,7 @@ bench:
 # observer compiling and running.
 bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkForkExitWait|BenchmarkForkCOW|BenchmarkCommitMap|BenchmarkTouchRangeImage|BenchmarkMapImage' -benchtime 1x ./internal/host/ ./internal/liblinux/
-	$(GO) test -run XXX -bench 'BenchmarkHelperMsgsndLocal|BenchmarkHelperSemopLocal|BenchmarkRingMsgsndRemote|BenchmarkRPCSemopRemote|BenchmarkRPCMsgsndRemote|BenchmarkRPCKeyLookupRemote|BenchmarkRPCKeyChurnRemote|BenchmarkLeaderKeyChurn|BenchmarkFailoverAfterLeaderKill' -benchtime 1x ./internal/ipc/
+	$(GO) test -run XXX -bench 'BenchmarkHelperMsgsndLocal|BenchmarkHelperSemopLocal|BenchmarkRingMsgsndRemote|BenchmarkRPCSemopRemote|BenchmarkRPCMsgsndRemote|BenchmarkRPCKeyLookupRemote|BenchmarkRPCKeyChurnRemote|BenchmarkLeaderKeyChurn|BenchmarkFailoverAfterLeaderKill' -benchmem -benchtime 1x ./internal/ipc/
 	$(GO) test -run XXX -bench 'BenchmarkStreamConnectCycle|BenchmarkFleetRequest' -benchmem -benchtime 1x ./internal/host/ ./internal/apps/
 
 # The paper's Figure 5 RPC ping-pong and related end-to-end benchmarks.

@@ -406,6 +406,10 @@ func runFleet(p api.OS, cfg fleetConfig, lfd int, epoch int64, takeovers int) in
 		close(m.done)
 		return 1
 	}
+	// A live master also gets here when an accept fails (its listening
+	// descriptor closed under the loop): that is a drain as well, and the
+	// standby must hear it as one rather than take over at this exit.
+	m.enterDrain()
 	m.drain()
 	return 0
 }
@@ -686,19 +690,25 @@ func (m *fleetMaster) maintenance(startUS int64) {
 	}
 }
 
-// beginDrain flips the fleet into drain mode, tells the standby this is a
-// planned shutdown rather than a death to take over from, and wakes the
-// accept loop with a self-connect (there is no way to interrupt a blocked
-// accept). Maintenance thread only.
+// beginDrain enters drain mode and wakes the accept loop with a
+// self-connect (there is no way to interrupt a blocked accept).
+// Maintenance thread only.
 func (m *fleetMaster) beginDrain() {
-	m.mu.Lock()
-	m.core.beginDrain()
-	m.mu.Unlock()
-	if m.watchW >= 0 {
-		_ = writeAll(m.p, m.watchW, []byte{'q'})
-	}
+	m.enterDrain()
 	if fd, err := m.p.Connect(m.cfg.addr); err == nil {
 		_ = m.p.Close(fd)
+	}
+}
+
+// enterDrain flips the fleet into drain mode and, the first time, tells the
+// standby this is a planned shutdown rather than a death to take over from.
+func (m *fleetMaster) enterDrain() {
+	m.mu.Lock()
+	first := !m.core.draining
+	m.core.beginDrain()
+	m.mu.Unlock()
+	if first && m.watchW >= 0 {
+		_ = writeAll(m.p, m.watchW, []byte{'q'})
 	}
 }
 

@@ -230,6 +230,52 @@ func TestFleetStandbyDrainOutlivesHeartbeat(t *testing.T) {
 	})
 }
 
+// TestFleetListenerLossDrainsWithoutTakeover: a live master whose accept
+// loop ends on an error — its listening descriptor closed under it — stops
+// as a planned drain. Its standby hears 'q' and exits, so the fleet
+// drains once and nobody takes over from a master that never died.
+func TestFleetListenerLossDrainsWithoutTakeover(t *testing.T) {
+	e, g := grapheneFleet(t)
+	seedDocroot(t, e)
+	const addr = "127.0.0.1:8215"
+	wait, _, err := e.startMaster(fleetArgs(addr, 1, "standby=1", "drain_ms=300"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitBoard(t, e, 5*time.Second, "alive=1", func(l string) bool {
+		return scoreboardField(l, "alive") == 1
+	})
+	lfd := -1
+	for fd := 0; fd < 16 && lfd < 0; fd++ {
+		if st, err := g.master.Fstat(fd); err == nil && st.Name == "tcp.srv:"+addr {
+			lfd = fd
+		}
+	}
+	if lfd < 0 {
+		t.Fatal("the master holds no listening descriptor")
+	}
+	if err := g.master.Close(lfd); err != nil {
+		t.Fatal(err)
+	}
+	// The accept already parked on the socket still returns the next
+	// connection, as on Linux; the loop's next accept fails with EBADF.
+	g1, err := e.launch("/bin/get1", []string{"get1", addr, "/www-index"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1(t)
+	if code := wait(t); code != 0 {
+		t.Fatalf("master exit = %d, want 0 (a drain)", code)
+	}
+	time.Sleep(300 * time.Millisecond) // give a standby that missed the drain time to take over
+	board := waitBoard(t, e, 2*time.Second, "final scoreboard", func(l string) bool {
+		return scoreboardField(l, "draining") == 1 && scoreboardField(l, "alive") == 0
+	})
+	if n := scoreboardField(board, "takeovers"); n != 0 {
+		t.Fatalf("a standby took over from a live master: takeovers=%d (%s)", n, board)
+	}
+}
+
 // TestFleetStandbyInheritsEveryKnob: a standby runs under the primary's
 // exact tuning. The handover is the primary's argv verbatim plus the role
 // plumbing, so for every key fleetConfigFrom reads, the standby's parsed

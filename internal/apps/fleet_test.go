@@ -73,7 +73,8 @@ func getOnceProgram(p api.OS, argv []string) int {
 type grapheneFleetHost struct {
 	k  *host.Kernel
 	rt *liblinux.Runtime
-	// masterHostID and masterProc are set by startMaster.
+	// master, masterHostID and masterProc are set by startMaster.
+	master       *liblinux.Process
 	masterHostID int
 	masterProc   *host.Picoprocess
 }
@@ -131,6 +132,7 @@ func grapheneFleet(t *testing.T) (fleetEnv, *grapheneFleetHost) {
 			if err != nil {
 				return nil, nil, err
 			}
+			g.master = res.Process
 			g.masterProc = res.Process.PAL().Proc()
 			g.masterHostID = g.masterProc.ID
 			wait := func(t *testing.T) int {

@@ -509,10 +509,8 @@ func (c *fleetCore) aliveCount() int {
 // stop counting as crashes.
 func (c *fleetCore) beginDrain() { c.draining = true }
 
-// terminateAll lists a SIGTERM for every live worker, for the end of drain
-// (entering drain mode if a failed accept got here without the trigger).
+// terminateAll lists a SIGTERM for every live worker, for the end of drain.
 func (c *fleetCore) terminateAll() []killReq {
-	c.draining = true
 	var out []killReq
 	for _, s := range c.slots {
 		if s.alive && s.pid > 0 {

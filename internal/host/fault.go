@@ -18,9 +18,6 @@ type FaultAction int
 // Fault actions. The zero value means "no fault".
 const (
 	faultNone FaultAction = iota
-	// FaultReset force-closes the stream at the fault point (the peer
-	// observes EOF/EPIPE, as if the connection was torn down mid-frame).
-	FaultReset
 	// FaultDrop tells an application decision point to suppress the
 	// decision it guards ("fleet.scale.up"). No host transport drops:
 	// between live picoprocesses every write arrives.
@@ -122,9 +119,8 @@ func (fp *FaultPlan) Fired() []string {
 
 // Fault evaluates the installed fault plan at a named point. FaultDelay is
 // absorbed here (the operation proceeds after the sleep); FaultKill exits
-// the picoprocess before returning. FaultReset is returned for the calling
-// layer to apply to its own transport, FaultDrop for an application to
-// suppress its decision.
+// the picoprocess before returning. FaultDrop is returned for an
+// application to suppress its decision.
 func (p *Picoprocess) Fault(point string) FaultAction {
 	fp := p.faults.Load()
 	if fp == nil {

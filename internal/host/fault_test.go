@@ -8,22 +8,6 @@ import (
 	"graphene/internal/api"
 )
 
-func TestFaultResetStreamWrite(t *testing.T) {
-	k := NewKernel()
-	p1, _ := k.CreateProcess(nil, false)
-	p2, _ := k.CreateProcess(nil, false)
-	s1, s2 := k.StreamPair(p1, p2)
-	p1.SetFaultPlan(NewFaultPlan().Rule("stream.write", 1, FaultReset))
-
-	if _, err := s1.Write([]byte("x")); err != api.ECONNRESET {
-		t.Fatalf("write err = %v, want ECONNRESET", err)
-	}
-	buf := make([]byte, 8)
-	if n, err := s2.Read(buf); n != 0 || err != nil {
-		t.Fatalf("peer read after reset: n=%d err=%v, want EOF", n, err)
-	}
-}
-
 func TestFaultKillAtSyscallGate(t *testing.T) {
 	k := NewKernel()
 	p, _ := k.CreateProcess(nil, false)

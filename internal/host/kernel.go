@@ -512,10 +512,14 @@ func (k *Kernel) ReleaseListener(p *Picoprocess, l *Listener) {
 // and leaving it pointing at the original owner would let a passed pipe
 // survive a split between its real endpoint owners. Checkpoint restores
 // blanket-adopt endpoints the parent also keeps; ClaimOwner on the I/O
-// path re-corrects those labels.
+// path re-corrects those labels. A picoprocess that exited while the
+// handle was on its way holds nothing: the reference the handle carried
+// is dropped, so the far end sees the close instead of waiting forever.
 func (k *Kernel) AdoptStream(p *Picoprocess, s *Stream) {
 	s.ClaimOwner(p.ID)
-	p.registerStream(s)
+	if !p.registerStream(s) && p.Dead() {
+		s.Close()
+	}
 }
 
 // SeverCrossSandboxStreams closes every stream endpoint bridging two

@@ -88,7 +88,7 @@ func (p *Picoprocess) Filter() SyscallFilter {
 // There is no unregister to forget: the endpoint's real close removes it
 // (Stream.closeRef), and a holder giving up a co-held endpoint goes through
 // Kernel.StreamClose.
-func (p *Picoprocess) registerStream(s *Stream) { s.addHolder(p) }
+func (p *Picoprocess) registerStream(s *Stream) bool { return s.addHolder(p) }
 
 // forgetStream drops s from the table and reports whether it was there;
 // only Stream's holder bookkeeping calls it.

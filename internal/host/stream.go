@@ -345,11 +345,7 @@ func (s *Stream) Write(p []byte) (int, error) {
 		return 0, api.EBADF
 	}
 	if owner := s.faultOwner.Load(); owner != nil && owner.HasFaultPlan() {
-		switch owner.Fault("stream.write") {
-		case FaultReset:
-			s.ForceClose()
-			return 0, api.ECONNRESET
-		case FaultKill:
+		if owner.Fault("stream.write") == FaultKill {
 			// The owner just exited; this endpoint is closing underneath us.
 			return 0, api.EPIPE
 		}
@@ -454,22 +450,26 @@ func (s *Stream) oobLocked() chan *Handle {
 	return s.oob
 }
 
-// addHolder lists the endpoint in p's stream table and makes p its fault
-// owner. A closed endpoint is listed nowhere. The table insert happens
-// under s.mu so that it is ordered against the real close's sweep.
-func (s *Stream) addHolder(p *Picoprocess) {
+// addHolder lists the endpoint in p's stream table, makes p its fault
+// owner, and reports whether it did. A closed endpoint is listed nowhere,
+// and nothing is listed in the table of an exited picoprocess, whose exit
+// has already closed what the table held. The insert happens under s.mu
+// and p.mu, so it is ordered against both the real close's sweep and the
+// exit's.
+func (s *Stream) addHolder(p *Picoprocess) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if s.closed.Load() || p.dead.Load() {
+		return false
 	}
 	if !slices.Contains(s.holders, p) {
 		s.holders = append(s.holders, p)
 	}
 	s.faultOwner.Store(p)
-	p.mu.Lock()
 	p.streams[s] = struct{}{}
-	p.mu.Unlock()
+	return true
 }
 
 // dropHolder undoes addHolder for one picoprocess that gives the endpoint
@@ -532,14 +532,10 @@ func (s *Stream) SendHandle(h *Handle) error {
 		return api.EBADF
 	}
 	// "stream.sendhandle" is the dispatch-path fault point: chaos plans
-	// target the Nth handle pass to kill or sever a prefork master's
-	// dispatch mid-flight (the conn-pass analogue of "stream.write").
+	// target the Nth handle pass to kill a prefork master's dispatch
+	// mid-flight (the conn-pass analogue of "stream.write").
 	if owner := s.faultOwner.Load(); owner != nil && owner.HasFaultPlan() {
-		switch owner.Fault("stream.sendhandle") {
-		case FaultReset:
-			s.ForceClose()
-			return api.ECONNRESET
-		case FaultKill:
+		if owner.Fault("stream.sendhandle") == FaultKill {
 			// The owner just exited; this endpoint is closing underneath us.
 			return api.EPIPE
 		}

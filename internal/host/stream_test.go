@@ -160,20 +160,22 @@ func TestForceCloseDrainsInFlightHandles(t *testing.T) {
 	}
 }
 
-func TestFaultResetSendHandle(t *testing.T) {
+// TestAdoptByExitedProcessReleasesTheStream: a passed connection whose
+// receiver exits between taking the handle and adopting it is closed, so
+// the client sees EOF; listed in the dead receiver's table it stayed open
+// forever (a fleet worker killed at drain left its client hanging).
+func TestAdoptByExitedProcessReleasesTheStream(t *testing.T) {
 	k := NewKernel()
-	p1, _ := k.CreateProcess(nil, false)
-	p2, _ := k.CreateProcess(nil, false)
-	s1, _ := k.StreamPair(p1, p2)
-	conn, _ := NewStreamPair("pipe:fp", 1, 3)
-	plan := NewFaultPlan().Rule("stream.sendhandle", 1, FaultReset)
-	p1.SetFaultPlan(plan)
-	err := s1.SendHandle(&Handle{Kind: HandleStream, Stream: conn})
-	if err != api.ECONNRESET {
-		t.Fatalf("SendHandle = %v, want ECONNRESET", err)
-	}
-	if !s1.Closed() {
-		t.Fatal("reset must sever the dispatch stream")
+	client, _ := k.CreateProcess(nil, false)
+	master, _ := k.CreateProcess(nil, false)
+	worker, _ := k.CreateProcess(nil, false)
+	_, conn := k.StreamPair(client, master)
+	conn.Ref()                  // the reference the passed handle carries
+	k.StreamClose(master, conn) // the master closes its descriptor after the pass
+	worker.Exit(0)
+	k.AdoptStream(worker, conn)
+	if !conn.Closed() {
+		t.Fatal("a stream adopted by an exited picoprocess stays open")
 	}
 }
 

@@ -330,7 +330,7 @@ func BenchmarkHelperSemopLocal(b *testing.B) {
 
 // BenchmarkRPCKeyLookupRemote is a member's msgget of a live key: one
 // MsgKeyGet round trip to the leader, which answers from its key
-// table. A lookup proposes no ID, so it carries no replay token.
+// table.
 func BenchmarkRPCKeyLookupRemote(b *testing.B) {
 	lh, mh := benchPair(b)
 	id, err := lh.Msgget(67, api.IPCCreat)
@@ -347,7 +347,7 @@ func BenchmarkRPCKeyLookupRemote(b *testing.B) {
 }
 
 // BenchmarkRPCKeyChurnRemote is a member's create + rmid of a fresh key:
-// a creating MsgKeyGet (with its replay token) that makes the member the
+// a creating MsgKeyGet that makes the member the
 // queue's owner, then the owner-local removal and its synchronous
 // MsgKeyRemove at the leader.
 func BenchmarkRPCKeyChurnRemote(b *testing.B) {

@@ -3,6 +3,7 @@ package ipc
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -25,8 +26,8 @@ import (
 func TestMain(m *testing.M) {
 	code := m.Run()
 	c := ReadFailoverCounters()
-	fmt.Printf("chaos teardown counters: failovers=%d replays_deduped=%d members_reaped=%d stale_announces_dropped=%d\n",
-		c.Failovers, c.ReplaysDeduped, c.MembersReaped, c.StaleAnnouncementsDropped)
+	fmt.Printf("chaos teardown counters: failovers=%d members_reaped=%d stale_announces_dropped=%d\n",
+		c.Failovers, c.MembersReaped, c.StaleAnnouncementsDropped)
 	os.Exit(code)
 }
 
@@ -35,7 +36,7 @@ func TestMain(m *testing.M) {
 const failoverDeadline = 500 * time.Millisecond
 
 // chaosRPCBudget bounds one logical operation that rides leader crashes
-// or a torn stream: its failoverAttempts retries, each behind an election.
+// through its failoverAttempts retries, each behind an election.
 const chaosRPCBudget = 1600 * time.Millisecond
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -52,14 +53,14 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // TestChaosKillLeaderMidKeyCreate kills the leader after it has executed
-// a member's key create but before the reply leaves — the worst spot:
-// the mapping is in the dead leader's table, the response is lost, and
-// the requester is in the dark. The requester must ride through the
-// election and complete the create against the new leader (itself, the
-// one survivor that noticed the death) within the latency budget, the
-// other survivor
-// must converge on the same mapping, and the new leader must map the key
-// to the object its creator owns.
+// a member's IPC_CREAT|IPC_EXCL create but before the reply leaves — the
+// worst spot: the mapping is in the dead leader's table, the response is
+// lost, and the requester is in the dark. The requester made no object,
+// so no report names the key, and its retried create is the first the
+// new leader (itself, the one survivor that noticed the death) sees: it
+// returns one ID, never EEXIST, within the latency budget. The other
+// survivor must look the key up to the same ID, and the new leader must
+// map the key to the object its creator owns.
 func TestChaosKillLeaderMidKeyCreate(t *testing.T) {
 	g := newTestGroup(t)
 	lh, lp := g.leader(newFakeService())
@@ -70,10 +71,10 @@ func TestChaosKillLeaderMidKeyCreate(t *testing.T) {
 	lp.Proc().SetFaultPlan(plan)
 
 	start := time.Now()
-	id, err := m1.Msgget(42, api.IPCCreat)
+	id, err := m1.Msgget(42, api.IPCCreat|api.IPCExcl)
 	elapsed := time.Since(start)
 	if err != nil {
-		t.Fatalf("msgget across leader crash: %v", err)
+		t.Fatalf("exclusive msgget across leader crash: %v; want one id", err)
 	}
 	if fired := plan.Fired(); len(fired) == 0 {
 		t.Fatal("fault plan never fired; the scenario did not exercise the crash")
@@ -138,88 +139,101 @@ func TestChaosKillLeaderMidPIDAlloc(t *testing.T) {
 	}
 }
 
-// TestChaosStreamResetReplayDedup destroys the leader's reply to a
-// non-idempotent request (batch allocation) while the leader stays alive:
-// the requester's retry — after an election that finds the incumbent
-// still accepting dials and claims nothing — reaches the same leader with
-// the same ReqID and must be answered from the replay cache, not executed
-// twice.
-func TestChaosStreamResetReplayDedup(t *testing.T) {
-	g := newTestGroup(t)
-	lh, lp := g.leader(newFakeService())
-	m1, _ := g.member(lp, lh.Addr, 2, newFakeService())
-
-	before := ReadFailoverCounters()
-	plan := host.NewFaultPlan().Rule("rpc.MsgNSAlloc.reply", 1, host.FaultReset)
-	lp.Proc().SetFaultPlan(plan)
-
-	pidA, err := m1.AllocPID(m1.Addr)
-	if err != nil {
-		t.Fatalf("alloc across reset: %v", err)
-	}
-	lp.Proc().SetFaultPlan(nil)
-	after := ReadFailoverCounters()
-	if d := after.ReplaysDeduped - before.ReplaysDeduped; d != 1 {
-		t.Fatalf("replays deduped = %d, want exactly 1", d)
-	}
-	if d := after.Failovers - before.Failovers; d < 1 {
-		t.Fatal("no failover ran despite the torn reply stream")
-	}
-	// The live leader kept leading: no usurper.
-	if got := m1.LeaderAddr(); got != lh.Addr {
-		t.Fatalf("leader after the torn stream = %q, want %q", got, lh.Addr)
-	}
-	// No hole in the namespace: the replayed (not re-executed) grant left
-	// the leader's cursor one past its batch, so PIDBatchSize more
-	// allocations drain the batch and take the next batch's first PID.
-	var pidB int64
-	for i := 0; i < PIDBatchSize; i++ {
-		if pidB, err = m1.AllocPID(m1.Addr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if pidB != pidA+PIDBatchSize {
-		t.Fatalf("first pid of the next batch = %d after a batch from %d; the deduped request leaked a batch", pidB, pidA)
-	}
-}
-
-// TestChaosDroppedLookupReplyReExecutes tears the stream under the live
-// leader's reply to a member's plain lookup. The call fails with EPIPE,
-// the election finds the leader alive and keeps it, and the retried lookup —
-// which carries no replay token — simply re-executes and answers the
-// right ID, with nothing answered from the replay cache.
-func TestChaosDroppedLookupReplyReExecutes(t *testing.T) {
+// TestChaosKillLeaderAfterPIDBatchGrant kills the leader after it granted
+// a member's PID batch and before the reply left: the grant is in the dead
+// leader's table only, and the member never learns it. The retried
+// AllocPID is served by the new leader's tables, rebuilt from the
+// members' reports, and must return a PID no other helper holds — not one
+// of the batch the other member was granted before the crash, which that
+// member keeps minting from.
+func TestChaosKillLeaderAfterPIDBatchGrant(t *testing.T) {
 	g := newTestGroup(t)
 	lh, lp := g.leader(newFakeService())
 	m1, _ := g.member(lp, lh.Addr, 2, newFakeService())
 	m2, _ := g.member(lp, lh.Addr, 3, newFakeService())
-	id, err := m1.Msgget(43, api.IPCCreat)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	before := ReadFailoverCounters()
-	plan := host.NewFaultPlan().Rule("rpc.MsgKeyGet.reply", 1, host.FaultReset)
+	minted := make(map[int64]string)
+	alloc := func(h *Helper) {
+		t.Helper()
+		pid, err := h.AllocPID(h.Addr)
+		if err != nil {
+			t.Fatalf("alloc pid at %s: %v", h.Addr, err)
+		}
+		if prev, ok := minted[pid]; ok {
+			t.Fatalf("pid %d minted by both %s and %s", pid, prev, h.Addr)
+		}
+		minted[pid] = h.Addr
+	}
+	alloc(m2) // m2 holds a batch granted before the crash
+	plan := host.NewFaultPlan().Rule("rpc.MsgNSAlloc.reply", 1, host.FaultKill)
 	lp.Proc().SetFaultPlan(plan)
-	start := time.Now()
-	got, err := m2.Msgget(43, 0)
-	elapsed := time.Since(start)
-	lp.Proc().SetFaultPlan(nil)
-	if err != nil || got != id {
-		t.Fatalf("lookup across a torn reply: id=%d err=%v, want %d", got, err, id)
+	alloc(m1) // granted, the answer lost with the leader, retried at the next
+	if len(plan.Fired()) == 0 || !lp.Proc().Dead() {
+		t.Fatal("the leader was not killed between its grant and its reply")
 	}
-	if len(plan.Fired()) == 0 {
-		t.Fatal("fault plan never fired; the lookup's reply was not lost")
+	if !m1.isLeader() {
+		t.Fatalf("the detector did not take over (leader %q)", m1.LeaderAddr())
 	}
-	after := ReadFailoverCounters()
-	if d := after.ReplaysDeduped - before.ReplaysDeduped; d != 0 {
-		t.Fatalf("replays deduped = %d, want 0: a lookup re-executes", d)
+	// Past the end of m2's batch on both sides: a new leader whose cursor
+	// missed that batch hands m1 the PIDs m2 mints next.
+	for i := 0; i < PIDBatchSize; i++ {
+		alloc(m1)
+		alloc(m2)
 	}
-	if elapsed > chaosRPCBudget {
-		t.Fatalf("lookup across a torn reply took %v, budget %v", elapsed, chaosRPCBudget)
+	if v := CheckInvariants([]*Helper{m1, m2}); len(v) != 0 {
+		t.Fatalf("invariants violated after the grant died with the leader: %v", v)
 	}
-	if got := m2.LeaderAddr(); got != lh.Addr {
-		t.Fatalf("leader after the retry = %q, want %q", got, lh.Addr)
+}
+
+// TestChaosOwnShutdownRetriesNothing: a helper's Shutdown closes every
+// stream it holds, among them the one a leader call of its own may be
+// waiting on. The EPIPE that call then gets is no death of the live
+// leader: failover surfaces it, with no election and no retry that would
+// execute the call at the same leader a second time, even though the call
+// began before the shutdown.
+func TestChaosOwnShutdownRetriesNothing(t *testing.T) {
+	g := newTestGroup(t)
+	lh, lp := g.leader(newFakeService())
+	m1, _ := g.member(lp, lh.Addr, 2, newFakeService())
+	m1.mu.Lock()
+	epoch := m1.leaderEpoch
+	m1.mu.Unlock()
+
+	m1.Shutdown()
+	before := ReadFailoverCounters()
+	if err := m1.failover(0, 0, epoch, api.EPIPE); err != api.EPIPE {
+		t.Fatalf("failover under the helper's own shutdown = %v, want EPIPE surfaced", err)
+	}
+	if d := ReadFailoverCounters().Failovers - before.Failovers; d != 0 {
+		t.Fatalf("%d failovers ran for a stream the helper closed itself", d)
+	}
+	if !lh.isLeader() {
+		t.Fatal("the live leader lost its place")
+	}
+}
+
+// TestChaosSecededMemberLeadsItsNewSandbox: a sandbox split moves a
+// member into a sandbox of its own, where its leader is out of reach. Its
+// next leader call must make it the new sandbox's leader, even when the
+// call runs before its broadcast loop has seen the old subscription end:
+// a claim sent then is never read back. GOMAXPROCS 1 keeps the loop from
+// running in between.
+func TestChaosSecededMemberLeadsItsNewSandbox(t *testing.T) {
+	g := newTestGroup(t)
+	lh, lp := g.leader(newFakeService())
+	m1, m1p := g.member(lp, lh.Addr, 2, newFakeService())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if _, err := g.m.Detach(m1p.Proc(), []string{"/"}); err != nil {
+		t.Fatalf("sandbox split: %v", err)
+	}
+	if _, err := m1.AllocPID(m1.Addr); err != nil {
+		t.Fatalf("first leader call after the split: %v", err)
+	}
+	if !m1.isLeader() {
+		t.Fatalf("the seceded member does not lead its sandbox (leader %q)", m1.LeaderAddr())
+	}
+	if !lh.isLeader() {
+		t.Fatal("the old sandbox lost its leader")
 	}
 }
 

@@ -5,58 +5,32 @@ import (
 	"graphene/internal/host"
 )
 
-// dispatch services an RPC request that did not arrive over a stream
-// (leader-local short-circuit, broadcast side channels).
-func (h *Helper) dispatch(f Frame, respond func(Frame)) {
-	h.dispatchOn(nil, f, respond)
-}
-
-// dispatchOn services one incoming RPC request from stream s (nil for
-// local dispatch). Per §4.1, handlers work from local state only and never
-// issue recursive RPCs; operations that need follow-up RPCs (migration,
-// deletion notification) run in separate goroutines after responding.
+// dispatch services one incoming RPC request, from a stream or from this
+// helper itself (the leader's local short-circuit). Per §4.1, handlers
+// work from local state only and never issue recursive RPCs; operations
+// that need follow-up RPCs (migration, deletion notification) run in
+// separate goroutines after responding.
 //
-// Two cross-cutting layers run before the type switch: deterministic
-// fault-point evaluation (".enter" before the handler mutates anything,
-// ".reply" between mutation and response delivery) and the replay-dedup
-// check for requests carrying a ReqID. Ordering matters — the dedup
-// recorder sits inside the reply fault wrapper, so a response destroyed
-// by an injected crash or reset is still recorded and the sender's retry
-// replays it instead of re-executing.
-func (h *Helper) dispatchOn(s *host.Stream, f Frame, respond func(Frame)) {
+// Fault points run before the type switch: ".enter" before the handler
+// mutates anything, ".reply" between mutation and response delivery, where
+// a kill leaves the request applied and its answer lost.
+func (h *Helper) dispatch(f Frame, respond func(Frame)) {
 	// Serve span first, before the fault layer: a dispatch killed by an
 	// injected crash still appears in the victim's flight recorder.
 	h.serveSpan(&f)
 	if p := h.pal.Proc(); p.HasFaultPlan() {
 		point := "rpc." + f.Type.String()
-		switch p.Fault(point + ".enter") {
-		case host.FaultKill:
+		if p.Fault(point+".enter") == host.FaultKill {
 			return // died before the handler ran; never respond
-		case host.FaultReset:
-			if s != nil {
-				s.ForceClose()
-			}
-			return
 		}
 		orig := respond
 		respond = func(r Frame) {
-			switch p.Fault(point + ".reply") {
-			case host.FaultKill:
+			if p.Fault(point+".reply") == host.FaultKill {
 				return // mutation applied, response lost
-			case host.FaultReset:
-				if s != nil {
-					s.ForceClose()
-				}
-				return
 			}
 			orig(r)
 		}
 	}
-	respond2, replayed := h.dedupCheck(&f, respond)
-	if replayed {
-		return
-	}
-	respond = respond2
 
 	switch f.Type {
 	case MsgPing:

@@ -225,12 +225,13 @@ func (h *Helper) ElectLeader() (string, error) {
 
 // elect replaces the leader of epoch seen. A leader accepted since — the
 // election of another thread or helper that saw the same death — is the
-// answer; so is a live incumbent (a torn stream misread as a death), and
-// a leader never replaces itself. Otherwise the helper claims the next
-// epoch, so a slow claim made for an earlier death can never clobber a
-// newer leader (see handleNewLeaderBroadcast), and waits for the first
-// claim of that epoch, whoever made it: every helper and thread that saw
-// the death converges on it.
+// answer; so is an incumbent that still accepts dials (its exit has closed
+// its streams but not yet its listener), and a leader never replaces
+// itself. Otherwise the helper claims the next epoch, so a slow claim made
+// for an earlier death can never clobber a newer leader (see
+// handleNewLeaderBroadcast), and waits for the first claim of that epoch,
+// whoever made it: every helper and thread that saw the death converges on
+// it.
 func (h *Helper) elect(seen int64) (string, error) {
 	h.mu.Lock()
 	addr, incumbent := h.leaderAddr, h.lastLeader
@@ -268,16 +269,19 @@ func (h *Helper) ElectEpoch() (int64, error) {
 // place in the order every helper sees; handleNewLeaderBroadcast promotes
 // the claimant only if the claim is the first of its epoch, and ledState
 // holds leader requests until then. A helper that has already accepted a
-// leader of the epoch claims nothing. A helper whose subscription is gone
-// promotes at once: a sandbox split left it alone in a new sandbox, where
-// nobody else can claim.
+// leader of the epoch claims nothing. A helper its sandbox's stream does
+// not reach promotes at once: a sandbox split left it alone in a new
+// sandbox, where nobody else can claim and its own claim would never be
+// read back. The kernel says so as soon as the split returns, before the
+// old subscription's end reaches broadcastLoop and sets deaf.
 func (h *Helper) claim(epoch int64) error {
+	alone := !h.hearsBroadcast()
 	h.mu.Lock()
 	if h.leaderEpoch >= epoch {
 		h.mu.Unlock()
 		return nil
 	}
-	deaf := h.deaf
+	deaf := h.deaf || alone
 	if !deaf && h.claiming == nil {
 		h.claiming = make(chan struct{})
 	}
@@ -292,6 +296,18 @@ func (h *Helper) claim(epoch int64) error {
 		return err
 	}
 	return nil
+}
+
+// hearsBroadcast reports whether this helper's picoprocess is subscribed
+// to its own sandbox's broadcast stream.
+func (h *Helper) hearsBroadcast() bool {
+	self := h.pal.Proc().ID
+	for _, pid := range h.pal.BroadcastMembers() {
+		if pid == self {
+			return true
+		}
+	}
+	return false
 }
 
 // awaitLeaderAbove blocks until this helper accepts a leader elected after
@@ -382,9 +398,6 @@ func (h *Helper) promote(epoch int64) (taken Frame) {
 		return Frame{}
 	}
 	h.leader = l
-	// A fresh leaderState starts a fresh dedup generation: replays minted
-	// against a previous incarnation's tables must re-execute here.
-	h.leaderStateEpoch = epoch
 	h.setLeaderLocked(h.Addr, epoch)
 	return Frame{}
 }

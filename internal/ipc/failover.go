@@ -7,22 +7,25 @@ import (
 )
 
 // Leader failover on the live RPC path (§4.2, "Leader Recovery"). Every
-// leader RPC funnels through callLeader below. Failure is crash-stop: a
-// leader is dead when its stream says so — the stream tore down mid-call,
-// or nobody is listening at the cached address, both of which a
-// picoprocess exit produces at once. A call to a live leader waits for its
-// answer, as a Linux caller waits on a process that is slow to reply. A
+// leader RPC funnels through callLeader below. Failure is crash-stop: an
+// EPIPE or ECONNREFUSED from the leader means it died. Within a sandbox
+// only an exit closes a stream a call waits on, and an exiting helper
+// hangs up on every dial, so a call to a live leader waits for its answer,
+// as a Linux caller waits on a process that is slow to reply. A
 // dead-leader error triggers the failover pipeline:
 //
 //  1. election keyed on the leader epoch the caller saw: every guest
 //     thread that observed the same death waits for the same next leader
 //     (elect), and one that arrives after it was accepted simply retries,
 //  2. re-resolution: the caller re-reads the (possibly new) leader address
-//     and transparently retries, bounded by failoverAttempts,
-//  3. replay dedup: non-idempotent requests carry a ReqID minted once per
-//     logical operation; a leader that already executed the request
-//     replays its recorded response instead of executing twice (the retry
-//     may reach the same, still-alive leader whose response was lost).
+//     and transparently retries, bounded by failoverAttempts.
+//
+// A retry is served only by a new leader, whose tables are rebuilt from
+// the members' reports and never saw the first attempt: a request the
+// dead leader executed but never answered executes there as if for the
+// first time. The caller's own exit retries nothing (its Shutdown closes
+// the stream under the call; see failover), and after a sandbox split the
+// seceded side cannot dial across and promotes itself (claim).
 
 // failoverAttempts bounds how many distinct leader failures one logical
 // RPC will ride through before surfacing the transport error.
@@ -32,7 +35,6 @@ const failoverAttempts = 3
 // snapshot deltas; they are diagnostics, not control state.
 var (
 	statFailovers      atomic.Int64
-	statReplaysDeduped atomic.Int64
 	statMembersReaped  atomic.Int64
 	statStaleAnnounces atomic.Int64
 	statRouteHits      atomic.Int64
@@ -44,9 +46,6 @@ type FailoverCounters struct {
 	// Failovers counts leader calls that found the leader dead and ran an
 	// election (or waited for one) from the RPC path.
 	Failovers int64
-	// ReplaysDeduped counts non-idempotent requests answered from the
-	// replay cache instead of being executed a second time.
-	ReplaysDeduped int64
 	// MembersReaped counts crashed (non-graceful) members whose namespace
 	// state the leader reclaimed.
 	MembersReaped int64
@@ -63,7 +62,6 @@ type FailoverCounters struct {
 func ReadFailoverCounters() FailoverCounters {
 	return FailoverCounters{
 		Failovers:                 statFailovers.Load(),
-		ReplaysDeduped:            statReplaysDeduped.Load(),
 		MembersReaped:             statMembersReaped.Load(),
 		StaleAnnouncementsDropped: statStaleAnnounces.Load(),
 		RouteHits:                 statRouteHits.Load(),
@@ -76,7 +74,6 @@ func ReadFailoverCounters() FailoverCounters {
 // what each run actually exercised without cross-test bleed.
 func ResetFailoverCounters() {
 	statFailovers.Store(0)
-	statReplaysDeduped.Store(0)
 	statMembersReaped.Store(0)
 	statStaleAnnounces.Store(0)
 	statRouteHits.Store(0)
@@ -88,22 +85,6 @@ func ResetFailoverCounters() {
 // listener answers the dial (ECONNREFUSED).
 func deadLeaderErr(err error) bool {
 	return err == api.EPIPE || err == api.ECONNREFUSED
-}
-
-// needsReqID marks the non-idempotent requests — creates, batch grants,
-// migrations — whose replay after a lost response must be deduplicated.
-// A MsgKeyGet may create exactly when it proposes an ID (D != 0): a create
-// or an IPC_PRIVATE get, which creates without IPC_CREAT. A plain lookup
-// proposes none and, like everything else, retries safely without a token:
-// it simply re-executes.
-func needsReqID(f *Frame) bool {
-	switch f.Type {
-	case MsgKeyGet:
-		return f.D != 0
-	case MsgNSAlloc, MsgQMigrate, MsgSemMigrate:
-		return true
-	}
-	return false
 }
 
 // leaderOnly marks request types only the leader serves. EPERM from one of
@@ -132,7 +113,6 @@ func (h *Helper) callLeader(f Frame) (Frame, error) {
 		h.mu.Lock()
 		leaderAddr := h.leaderAddr
 		isLeader := h.leader != nil
-		down := h.shutdown
 		epoch := h.leaderEpoch
 		h.mu.Unlock()
 
@@ -145,18 +125,13 @@ func (h *Helper) callLeader(f Frame) (Frame, error) {
 			}
 			return r, nil
 		}
-		// Mint the idempotency token once; retries of this logical request
-		// reuse it so the (possibly same) leader can deduplicate.
-		if f.ReqID == 0 && needsReqID(&f) {
-			f.ReqID = h.reqSeq.Add(1)
-		}
 		if leaderAddr == "" {
 			h.routeMisses.Add(1)
 			statRouteMisses.Add(1)
 			addr, err := h.DiscoverLeader()
 			if err != nil {
 				lastErr = err
-				if ferr := h.failover(f.Trace, enclosing, epoch, down, err); ferr != nil {
+				if ferr := h.failover(f.Trace, enclosing, epoch, err); ferr != nil {
 					return Frame{}, ferr
 				}
 				continue
@@ -189,7 +164,7 @@ func (h *Helper) callLeader(f Frame) (Frame, error) {
 		if !deadLeaderErr(err) {
 			return resp, err
 		}
-		if ferr := h.failover(f.Trace, enclosing, epoch, down, err); ferr != nil {
+		if ferr := h.failover(f.Trace, enclosing, epoch, err); ferr != nil {
 			return Frame{}, ferr
 		}
 	}
@@ -201,8 +176,13 @@ func (h *Helper) callLeader(f Frame) (Frame, error) {
 // observed is the leader epoch the caller read before its call, so every
 // guest thread that saw the same death waits for the same next leader. A
 // helper that is itself shutting down does not elect: its cleanup RPCs
-// are best-effort.
-func (h *Helper) failover(trace, enclosing uint64, observed int64, down bool, err error) error {
+// are best-effort, and its Shutdown, which closes every stream it holds,
+// may be what failed the call, with the leader alive. The flag is read
+// now, not when the call began, so that close never becomes a retry.
+func (h *Helper) failover(trace, enclosing uint64, observed int64, err error) error {
+	h.mu.Lock()
+	down := h.shutdown
+	h.mu.Unlock()
 	if down {
 		return err
 	}
@@ -210,58 +190,6 @@ func (h *Helper) failover(trace, enclosing uint64, observed int64, down bool, er
 	statFailovers.Add(1)
 	_, err = h.elect(observed)
 	return err
-}
-
-// dedupKey identifies a logical request across replays. gen is the
-// receiver's leader-state generation (the epoch at which its current
-// leaderState was created): a replay against the same state must hit the
-// cache, while a retry landing on a *fresh* leaderState — the helper was
-// promoted after the request's first attempt reached it as a member —
-// must re-execute there rather than replay a response minted against
-// tables that no longer exist.
-type dedupKey struct {
-	from string
-	id   uint64
-	gen  int64
-}
-
-// dedupCacheSize bounds the replay cache (FIFO eviction). Replays arrive
-// within one failover window of the original, so a shallow cache suffices.
-const dedupCacheSize = 1024
-
-// dedupCheck consults the replay cache for f. If the request was already
-// executed, it replays the recorded response through respond and reports
-// done=true. Otherwise it returns a respond wrapper that records the
-// response — before delivering it, so a replay arriving between execution
-// and delivery still cannot re-execute.
-func (h *Helper) dedupCheck(f *Frame, respond func(Frame)) (func(Frame), bool) {
-	if f.ReqID == 0 || f.From == "" || f.IsResponse() {
-		return respond, false
-	}
-	h.mu.Lock()
-	k := dedupKey{from: f.From, id: f.ReqID, gen: h.leaderStateEpoch}
-	if r, ok := h.dedup[k]; ok {
-		h.mu.Unlock()
-		statReplaysDeduped.Add(1)
-		respond(r)
-		return nil, true
-	}
-	h.mu.Unlock()
-	orig := respond
-	return func(r Frame) {
-		h.mu.Lock()
-		if h.dedup == nil {
-			h.dedup = make(map[dedupKey]Frame)
-		}
-		if len(h.dedupOrder) >= dedupCacheSize {
-			delete(h.dedup, h.dedupOrder[0])
-			h.dedupOrder = h.dedupOrder[1:]
-		}
-		h.dedup[k] = r
-		h.dedupOrder = append(h.dedupOrder, k)
-		h.mu.Unlock()
-		orig(r)
-	}, false
 }
 
 // reapMember reclaims a crashed member's slice of the distributed state

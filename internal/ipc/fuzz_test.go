@@ -11,7 +11,7 @@ import (
 // compared by content (the decoder leaves an empty blob nil).
 func fuzzFrameEqual(a, b *Frame) bool {
 	return a.Type == b.Type && a.isResponse == b.isResponse &&
-		a.Seq == b.Seq && a.ReqID == b.ReqID &&
+		a.Seq == b.Seq &&
 		a.Trace == b.Trace && a.Span == b.Span &&
 		a.Err == b.Err &&
 		a.A == b.A && a.B == b.B && a.C == b.C && a.D == b.D &&
@@ -21,22 +21,21 @@ func fuzzFrameEqual(a, b *Frame) bool {
 // FuzzFrameCodec round-trips arbitrary frames through AppendFrame and
 // decodeFrameBody: every field — the trace context included — must survive,
 // and the re-encoding must be byte-identical (the codec is a fixed point on
-// its own output, which is what lets the dedup layer replay recorded
-// responses verbatim).
+// its own output).
 func FuzzFrameCodec(f *testing.F) {
-	f.Add(byte(MsgPing), false, uint64(1), uint64(0), uint64(0), uint64(0), uint32(0),
+	f.Add(byte(MsgPing), false, uint64(1), uint64(0), uint64(0), uint32(0),
 		int64(0), int64(0), int64(0), int64(0), "", "", []byte(nil))
-	f.Add(byte(MsgKeyGet), false, uint64(7), uint64(99), uint64(0xCAFE), uint64(0xBEEF), uint32(0),
-		int64(NSSysVMsg), int64(0x5157), int64(api.IPCCreat), int64(0), "grp-1:2", "", []byte(nil))
-	f.Add(byte(MsgQSend), false, uint64(1<<40), uint64(1), uint64(1), uint64(2), uint32(uint32(api.EIDRM)),
+	f.Add(byte(MsgKeyGet), false, uint64(7), uint64(0xCAFE), uint64(0xBEEF), uint32(0),
+		int64(NSSysVMsg), int64(0x5157), int64(api.IPCCreat), int64(99), "grp-1:2", "", []byte(nil))
+	f.Add(byte(MsgQSend), false, uint64(1<<40), uint64(1), uint64(2), uint32(uint32(api.EIDRM)),
 		int64(12), int64(1), int64(1), int64(0), "grp-9:44", "payload-owner", []byte("queue payload"))
-	f.Add(byte(MsgRecoverState), true, ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint32(0),
+	f.Add(byte(MsgRecoverState), true, ^uint64(0), ^uint64(0), ^uint64(0), ^uint32(0),
 		int64(-1), int64(-1), int64(-1), int64(-1), "from\x00addr", "s\xffstring", bytes.Repeat([]byte{0xAB}, 300))
-	f.Fuzz(func(t *testing.T, typ byte, resp bool, seq, reqid uint64, trace, span uint64, errno uint32,
+	f.Fuzz(func(t *testing.T, typ byte, resp bool, seq, trace, span uint64, errno uint32,
 		a, b, c, d int64, from, s string, blob []byte) {
 		in := Frame{
 			Type: MsgType(typ), isResponse: resp,
-			Seq: seq, ReqID: reqid,
+			Seq:   seq,
 			Trace: trace, Span: span,
 			Err: api.Errno(errno),
 			A:   a, B: b, C: c, D: d,
@@ -65,7 +64,7 @@ func FuzzFrameCodec(f *testing.F) {
 func FuzzFrameDecode(f *testing.F) {
 	for _, fr := range []Frame{
 		{Type: MsgPing, Seq: 1},
-		{Type: MsgKeyGet, Seq: 2, ReqID: 3, Trace: 5, Span: 6,
+		{Type: MsgKeyGet, Seq: 2, Trace: 5, Span: 6,
 			A: 1, B: 2, C: 3, D: 4, From: "grp-1:1", S: "x", Blob: []byte("b")},
 		{Type: MsgNewLeader, isResponse: true, Err: api.EPERM, S: "grp-2:7"},
 	} {

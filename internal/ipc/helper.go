@@ -71,12 +71,10 @@ type Helper struct {
 
 	// leaderAddr is the believed leader address ("" = unknown); leader is
 	// non-nil when this helper IS the leader. leaderEpoch is the accepted
-	// election epoch, leaderStateEpoch the epoch at which the current
-	// leaderState was created (the replay cache's generation).
-	leaderAddr       string
-	leader           *leaderState
-	leaderEpoch      int64
-	leaderStateEpoch int64
+	// election epoch.
+	leaderAddr  string
+	leader      *leaderState
+	leaderEpoch int64
 	// lastLeader is the last leader this helper accepted (or was given at
 	// birth); unlike leaderAddr a stale-address EPERM does not clear it,
 	// so an election knows whose death it must confirm before claiming.
@@ -96,12 +94,6 @@ type Helper struct {
 	// leader address vs. ones that needed broadcast discovery.
 	routeHits   atomic.Uint64
 	routeMisses atomic.Uint64
-
-	// reqSeq mints ReqIDs for non-idempotent leader requests; dedup (with
-	// FIFO eviction order dedupOrder) is the leader-side replay cache.
-	reqSeq     atomic.Uint64
-	dedup      map[dedupKey]Frame
-	dedupOrder []dedupKey
 
 	// conns and pidOwner are the RPC hot path's caches — the point-to-point
 	// stream cache and the PID owner cache. They live outside h.mu in
@@ -273,10 +265,7 @@ func (h *Helper) acceptLoop() {
 		if err != nil {
 			return
 		}
-		stream := conn.Stream
-		c := newConn(stream, h.Addr, func(f Frame, respond func(Frame)) {
-			h.dispatchOn(stream, f, respond)
-		}, h.dropConn)
+		c := newConn(conn.Stream, h.Addr, h.dispatch, h.dropConn)
 		// List the conn before its reader runs: a peer whose first request
 		// has been answered is already counted by AcceptedConns, and a
 		// hang-up, which only the reader sees, cannot come before the
@@ -496,10 +485,7 @@ func (h *Helper) open(addr, local string, onClose func(*Conn)) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	stream := sh.Stream
-	return NewConn(stream, local, func(f Frame, respond func(Frame)) {
-		h.dispatchOn(stream, f, respond)
-	}, onClose), nil
+	return NewConn(sh.Stream, local, h.dispatch, onClose), nil
 }
 
 // ============================================================

@@ -443,8 +443,9 @@ func (h *Helper) migrate(kind int, id int64, to string) {
 		// dying and will evict the copy. Resurrecting ours could split
 		// ownership; instead forward it to the leader, where a dying
 		// receiver's eviction converges too.
-		// callLeader rides through a concurrent leader failover and mints
-		// a ReqID, so a replayed handoff cannot double-install.
+		// callLeader rides through a concurrent leader failover; a retry
+		// reaches a new leader, whose tables never saw the first attempt,
+		// and a copy the dead leader installed died with it.
 		if _, err := h.callLeader(f); err == nil {
 			if owner := h.LeaderAddr(); owner != "" && owner != h.Addr {
 				commit(owner)

@@ -190,12 +190,6 @@ const (
 type Frame struct {
 	Type MsgType
 	Seq  uint64
-	// ReqID is a per-sender idempotency token for non-idempotent requests
-	// (create/batch grant/migrate). It survives transparent failover retries
-	// unchanged, so a receiver that already executed the request replays
-	// its recorded response instead of executing twice. 0 means "not
-	// tracked" (idempotent request or response frame).
-	ReqID uint64
 	// From is the sender's helper address (for reply routing/caching).
 	From string
 
@@ -243,8 +237,8 @@ func (f *Frame) IsResponse() bool { return f.isResponse }
 const maxFrameSize = 1 << 20
 
 // minFrameBody is the fixed part of a frame body: 2 header + 8 seq +
-// 8 reqid + 8 trace + 8 span + 4 errno + 32 scalars + 3×4 length fields.
-const minFrameBody = 82
+// 8 trace + 8 span + 4 errno + 32 scalars + 3×4 length fields.
+const minFrameBody = 74
 
 // frameBodySize returns the encoded body length of f (without the 4-byte
 // length prefix).
@@ -266,7 +260,6 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(frameBodySize(f)))
 	dst = append(dst, byte(f.Type), flags)
 	dst = binary.LittleEndian.AppendUint64(dst, f.Seq)
-	dst = binary.LittleEndian.AppendUint64(dst, f.ReqID)
 	dst = binary.LittleEndian.AppendUint64(dst, f.Trace)
 	dst = binary.LittleEndian.AppendUint64(dst, f.Span)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.Err))
@@ -345,8 +338,6 @@ func decodeFrameBody(body []byte, from *interner) (Frame, error) {
 	f.isResponse = flags&flagResponse != 0
 	off := 2
 	f.Seq = binary.LittleEndian.Uint64(body[off:])
-	off += 8
-	f.ReqID = binary.LittleEndian.Uint64(body[off:])
 	off += 8
 	f.Trace = binary.LittleEndian.Uint64(body[off:])
 	off += 8

@@ -10,12 +10,11 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	in := Frame{
-		Type:  MsgQSend,
-		Seq:   12345,
-		ReqID: 777,
-		From:  "ipc.7",
-		Err:   api.ENOMSG,
-		A:     -1, B: 1 << 40, C: 0, D: 99,
+		Type: MsgQSend,
+		Seq:  12345,
+		From: "ipc.7",
+		Err:  api.ENOMSG,
+		A:    -1, B: 1 << 40, C: 0, D: 99,
 		S:    "some string",
 		Blob: []byte{0, 1, 2, 255},
 	}
@@ -24,7 +23,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Type != in.Type || out.Seq != in.Seq || out.ReqID != in.ReqID ||
+	if out.Type != in.Type || out.Seq != in.Seq ||
 		out.From != in.From ||
 		out.Err != in.Err || out.A != in.A || out.B != in.B || out.C != in.C ||
 		out.D != in.D || out.S != in.S || !bytes.Equal(out.Blob, in.Blob) ||
@@ -70,12 +69,12 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 
 // Property: encode/decode is the identity on frames.
 func TestPropertyFrameRoundTrip(t *testing.T) {
-	f := func(typ uint8, seq, reqID uint64, a, b, c, d int64, from, s string, blob []byte, isResp bool) bool {
+	f := func(typ uint8, seq uint64, a, b, c, d int64, from, s string, blob []byte, isResp bool) bool {
 		if typ == 0 {
 			typ = 1
 		}
 		in := Frame{
-			Type: MsgType(typ), Seq: seq, ReqID: reqID, From: from,
+			Type: MsgType(typ), Seq: seq, From: from,
 			A: a, B: b, C: c, D: d, S: s, Blob: blob, isResponse: isResp,
 		}
 		if len(blob)+len(s)+len(from) > maxFrameSize/2 {
@@ -85,7 +84,7 @@ func TestPropertyFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return out.Type == in.Type && out.Seq == in.Seq && out.ReqID == in.ReqID &&
+		return out.Type == in.Type && out.Seq == in.Seq &&
 			out.From == in.From &&
 			out.A == in.A && out.B == in.B && out.C == in.C && out.D == in.D &&
 			out.S == in.S && bytes.Equal(out.Blob, in.Blob) && out.IsResponse() == isResp

@@ -15,7 +15,7 @@ import (
 // and a root span (traceRoot). Every RPC hop stamps the outgoing frame
 // with a fresh span whose parent is the enclosing span (beginSpan), and
 // the receiving dispatcher records a serve span under the hop's span
-// (dispatchOn). Because frames carry the context, the hops of one msgget
+// (dispatch). Because frames carry the context, the hops of one msgget
 // — caller → leader, plus any election rides — reassemble into a
 // single tree across picoprocess rings (host.buildTraceTrees).
 //
@@ -111,7 +111,7 @@ func (h *Helper) endSpan(f *Frame, start int64, parent uint64, err error) {
 	rpcHist(f.Type).Observe(dur)
 }
 
-// serveSpan records the server side of a traced request in dispatchOn and
+// serveSpan records the server side of a traced request in dispatch and
 // re-points f.Span at the dispatch's own span, so any event the handler
 // records downstream nests under this hop.
 func (h *Helper) serveSpan(f *Frame) {
