@@ -23,7 +23,7 @@ test:
 	$(GO) test -shuffle=on $(PKGS)
 
 # Race-detect the concurrency-heavy packages (ring buffers, flush
-# combining, sharded caches, SysV migration, the chaos failover suite, the
+# combining, the broadcast log, SysV migration, the chaos failover suite, the
 # helper join race, and the fork/exit leak oracle).
 race:
 	$(GO) test -race -count=1 $(HOT_PKGS)
@@ -48,13 +48,16 @@ vet:
 # fault-schedule determinism test) — every test in
 # election_test.go (concurrent claims converge on the first, the winner's
 # tables rebuilt from every report, the claim read-back hold, the report
-# fold), under the race detector. The schedules use fixed seeds, so -count=3
+# fold), and the host broadcast log the election is ordered by (one order
+# for every subscriber under concurrent senders and joining and leaving
+# subscribers, nothing lost, nothing held once read), under the race
+# detector. The schedules use fixed seeds, so -count=3
 # repeats the same fault plans against fresh thread interleavings —
 # flakes here mean a real ordering bug, not test noise.
 # TestForkedChildMakesNoLeaderTraffic (libLinux) rides along: 400 children
 # of a non-leader parent must reach the leader's dispatcher zero times.
 chaos:
-	$(GO) test -race -count=3 -run 'Chaos|Elect|Claimant|Report|Recover|TestForkedChildMakesNoLeaderTraffic' ./internal/ipc/ ./internal/host/ ./internal/liblinux/
+	$(GO) test -race -count=3 -run 'Chaos|Elect|Claimant|Report|Recover|Broadcast|TestForkedChildMakesNoLeaderTraffic' ./internal/ipc/ ./internal/host/ ./internal/liblinux/
 
 # Kernel-bypass send ring under fault: the host ring protocol (seal
 # fence, revocation, concurrent produce/consume), the route rule (only
@@ -143,13 +146,14 @@ bench:
 # a create + rmid, and the same create + rmid at the leader itself; one
 # failover after a leader kill (to a lookup and a create); then a
 # served connection at the host ABI (connect, accept, request, reply, both
-# closes) and one GET through a 4-worker /bin/httpd-fleet, with their
+# closes), a broadcast subscription (subscribe, one message, unsubscribe)
+# and one GET through a 4-worker /bin/httpd-fleet, with their
 # allocations. No timing gate; it keeps the benchmarks and the per-stage
 # observer compiling and running.
 bench-smoke:
 	$(GO) test -run XXX -bench 'BenchmarkForkExitWait|BenchmarkForkCOW|BenchmarkCommitMap|BenchmarkTouchRangeImage|BenchmarkMapImage' -benchtime 1x ./internal/host/ ./internal/liblinux/
 	$(GO) test -run XXX -bench 'BenchmarkHelperMsgsndLocal|BenchmarkHelperSemopLocal|BenchmarkRingMsgsndRemote|BenchmarkRPCSemopRemote|BenchmarkRPCMsgsndRemote|BenchmarkRPCKeyLookupRemote|BenchmarkRPCKeyChurnRemote|BenchmarkLeaderKeyChurn|BenchmarkFailoverAfterLeaderKill' -benchmem -benchtime 1x ./internal/ipc/
-	$(GO) test -run XXX -bench 'BenchmarkStreamConnectCycle|BenchmarkFleetRequest' -benchmem -benchtime 1x ./internal/host/ ./internal/apps/
+	$(GO) test -run XXX -bench 'BenchmarkStreamConnectCycle|BenchmarkBroadcastSubscribe|BenchmarkFleetRequest' -benchmem -benchtime 1x ./internal/host/ ./internal/apps/
 
 # The paper's Figure 5 RPC ping-pong and related end-to-end benchmarks.
 bench-fig5:

@@ -29,16 +29,20 @@ type simSpawn struct {
 }
 
 // simWorld is the I/O side of fleetCore, simulated: spawns report after
-// spawnLag, poisoned slots crash 1 ms after starting, wedged slots hold dispatched requests without progress, and
-// every other worker completes a request serviceUS after dispatch.
+// spawnLag, poisoned slots crash poisonLagUS after starting (1 ms unless a
+// test says otherwise) without reporting ready, the others report ready
+// as they are spawned, wedged slots hold dispatched requests without
+// progress, and every other worker completes a request serviceUS after
+// dispatch.
 type simWorld struct {
 	t     *testing.T
 	nowUS int64
 	core  *fleetCore
 	cfg   fleetConfig
 
-	poisoned map[int]bool // slot id -> crash-loop on start
-	wedged   map[int]bool // slot id -> hold requests, no progress
+	poisoned    map[int]bool // slot id -> crash-loop on start
+	poisonLagUS int64
+	wedged      map[int]bool // slot id -> hold requests, no progress
 
 	serviceUS int64
 	spawnLag  func() int64 // spawn-completion latency; nil = same step
@@ -63,6 +67,7 @@ func newSimWorld(t *testing.T, cfg fleetConfig) *simWorld {
 		nowUS:       1_000_000,
 		cfg:         cfg,
 		poisoned:    map[int]bool{},
+		poisonLagUS: 1000,
 		wedged:      map[int]bool{},
 		serviceUS:   10_000,
 		nextPID:     100,
@@ -155,7 +160,7 @@ func (w *simWorld) step() {
 		}
 		w.live[sp.pid] = true
 		if w.poisoned[s.id] {
-			w.deaths[sp.pid] = now + 1000 // crashes 1 ms in: a "fast" crash
+			w.deaths[sp.pid] = now + w.poisonLagUS
 		}
 		w.pending = append(w.pending, sp)
 	}
@@ -177,7 +182,9 @@ func (w *simWorld) deliverSpawns(now int64) {
 	var waiting []simSpawn
 	for _, sp := range w.pending {
 		if now >= sp.readyUS {
-			w.core.spawned(sp.slot, sp.pid, -1, -1, now)
+			if w.core.spawned(sp.slot, sp.pid, -1, -1, now) && !w.poisoned[sp.slot.id] {
+				w.core.status(sp.slot, sp.pid, []byte{'r'}, now)
+			}
 		} else {
 			waiting = append(waiting, sp)
 		}
@@ -367,6 +374,37 @@ func TestSimProbeTakesNoTraffic(t *testing.T) {
 	}
 	if w.dispatched[0] == 0 {
 		t.Fatal("healthy slot served nothing")
+	}
+}
+
+// TestSimSlowProbeTakesNoTraffic: a poisoned worker that starts slower
+// than minHealthyUS (a loaded host) has not survived its probe when the
+// time is up, because it never reported ready: the breaker stays
+// half-open, dispatch keeps routing around it, and its crash re-opens the
+// breaker.
+func TestSimSlowProbeTakesNoTraffic(t *testing.T) {
+	cfg := simConfig(2, 2)
+	w := newSimWorld(t, cfg)
+	w.poisoned[1] = true
+	s := w.core.slots[1]
+
+	for !s.breakerOpen {
+		w.step()
+	}
+	w.poisonLagUS = cfg.minHealthyUS + 50_000
+	crashes := w.core.crashes
+	for i := 0; i < 400; i++ {
+		w.offer(2)
+		w.step()
+		if s.alive && !s.probing {
+			t.Fatalf("t=%d: the breaker closed on a probe that never reported ready", w.nowUS)
+		}
+	}
+	if w.dispatched[1] != 0 {
+		t.Fatalf("a slow probe of a poisoned slot served %d connections, want 0", w.dispatched[1])
+	}
+	if n := w.core.crashes - crashes; n < 2 {
+		t.Fatalf("%d probes crashed in 2 s of cooldowns, want at least 2", n)
 	}
 }
 

@@ -86,6 +86,9 @@ type fleetSlot struct {
 	breakerUntilUS int64
 	probing        bool
 	nextSpawnUS    int64
+	// ready says this worker has reported 'r': it is past its start-up,
+	// where a poisoned docroot makes it exit.
+	ready bool
 }
 
 // killSentUS is a slot's nextKillUS once its kill went out: a kill is
@@ -346,6 +349,7 @@ func (c *fleetCore) status(s *fleetSlot, pid int, bytes []byte, now int64) bool 
 			c.completed++
 			s.lastProgressUS = now
 		case 'r':
+			s.ready = true
 			s.lastProgressUS = now
 		}
 	}
@@ -371,6 +375,7 @@ func (c *fleetCore) spawned(s *fleetSlot, pid, dispatchW, statusR int, now int64
 	s.spawning = false
 	s.pid = pid
 	s.alive = true
+	s.ready = false
 	s.startedUS = now
 	s.lastProgressUS = now
 	c.spawns++
@@ -590,8 +595,11 @@ func (c *fleetCore) tick(now int64, queueLen int) coreActions {
 			s.probing = true
 			s.nextSpawnUS = now
 		}
-		// Probe survived long enough: close the breaker for real.
-		if s.probing && s.alive && now-s.startedUS >= c.cfg.minHealthyUS {
+		// Probe survived long enough: close the breaker for real. A probe
+		// that has not reported ready has not survived anything yet, however
+		// slowly it starts: it may still exit, with whatever the breaker's
+		// closing would have dispatched to it.
+		if s.probing && s.alive && s.ready && now-s.startedUS >= c.cfg.minHealthyUS {
 			s.probing = false
 			s.fastCrashes = 0
 		}

@@ -280,3 +280,24 @@ func BenchmarkStreamConnectCycle(b *testing.B) {
 		connectCycle(b, k, cli, srv, l, buf)
 	}
 }
+
+// BenchmarkBroadcastSubscribe is what a picoprocess pays to hear its
+// sandbox's broadcast stream: subscribe, receive one message, unsubscribe.
+func BenchmarkBroadcastSubscribe(b *testing.B) {
+	b.ReportAllocs()
+	bc := NewBroadcastChannel()
+	msg := make([]byte, 64)
+	for i := 0; i < b.N; i++ {
+		s, err := bc.Subscribe(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := bc.Send(2, msg); err != nil {
+			b.Fatal(err)
+		}
+		if _, ok := s.Recv(); !ok {
+			b.Fatal("subscription closed")
+		}
+		bc.Unsubscribe(1)
+	}
+}

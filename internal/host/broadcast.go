@@ -10,30 +10,40 @@ import (
 // global coordination (leader discovery, namespace queries). Unlike byte
 // streams it delivers whole messages, so concurrent writers need no framing
 // (§4.1 of the paper).
+//
+// It is one append-only log in send order, read by every subscriber
+// through its own cursor. An entry stays until the last subscriber it was
+// sent to has read it, so the log holds unread messages only and a
+// subscriber costs its cursor, not a queue.
 type BroadcastChannel struct {
-	mu     sync.Mutex
-	subs   map[int]*BroadcastSub // keyed by subscriber PID
-	closed bool
+	mu   sync.Mutex
+	more sync.Cond             // on mu; wakes readers on a send or a detach
+	subs map[int]*BroadcastSub // keyed by subscriber PID
+	log  []broadcastEntry
+	base int // sequence number of log[0]
+}
+
+// broadcastEntry is one sent message and how many of the subscribers it
+// was sent to have not read it yet.
+type broadcastEntry struct {
+	msg    BroadcastMsg
+	self   bool // SendAll: the sender reads it back
+	unread int
 }
 
 // NewBroadcastChannel creates an empty broadcast channel.
 func NewBroadcastChannel() *BroadcastChannel {
-	return &BroadcastChannel{subs: make(map[int]*BroadcastSub)}
+	b := &BroadcastChannel{subs: make(map[int]*BroadcastSub)}
+	b.more.L = &b.mu
+	return b
 }
 
-// BroadcastSub is one picoprocess's subscription endpoint.
+// BroadcastSub is one picoprocess's subscription endpoint: a cursor into
+// the channel's log, guarded by the channel's mu.
 type BroadcastSub struct {
 	PID  int
-	ch   chan BroadcastMsg
 	bc   *BroadcastChannel
-	mu   sync.Mutex
-	dead bool
-	// backlog holds, in order, what arrived while ch was full, and pumping
-	// says a goroutine is moving it into ch; gone closes on Unsubscribe to
-	// stop that goroutine, which then closes ch itself.
-	backlog []BroadcastMsg
-	pumping bool
-	gone    chan struct{}
+	next int // sequence number of the next entry to read
 }
 
 // BroadcastMsg is one message on the broadcast channel.
@@ -42,51 +52,50 @@ type BroadcastMsg struct {
 	Data    []byte
 }
 
-// Subscribe attaches pid to the channel and returns its endpoint.
+// Subscribe attaches pid to the channel and returns its endpoint, which
+// reads what is sent from now on.
 func (b *BroadcastChannel) Subscribe(pid int) (*BroadcastSub, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return nil, api.EBADF
-	}
 	if _, ok := b.subs[pid]; ok {
 		return nil, api.EEXIST
 	}
-	s := &BroadcastSub{PID: pid, ch: make(chan BroadcastMsg, 256), bc: b}
+	s := &BroadcastSub{PID: pid, bc: b, next: b.base + len(b.log)}
 	b.subs[pid] = s
 	return s, nil
 }
 
 // Send delivers data to every subscriber except the sender. Delivery is
 // reliable and in one order: every subscriber gets the messages it gets in
-// the order Send took b.mu, and a subscriber that falls behind queues them
-// rather than losing one — the coordination protocol has no retry to make
-// a lost election or announcement good.
+// the order Send took b.mu, and a subscriber that falls behind finds them
+// still in the log rather than losing one — the coordination protocol has
+// no retry to make a lost election or announcement good.
 func (b *BroadcastChannel) Send(fromPID int, data []byte) error {
-	return b.send(fromPID, data, false)
+	b.send(fromPID, data, false)
+	return nil
 }
 
 // SendAll delivers data like Send and to the sender too, which reads its
 // own message back at its place in the order every subscriber sees: what
 // it read before that is exactly what came first.
 func (b *BroadcastChannel) SendAll(fromPID int, data []byte) error {
-	return b.send(fromPID, data, true)
+	b.send(fromPID, data, true)
+	return nil
 }
 
-func (b *BroadcastChannel) send(fromPID int, data []byte, self bool) error {
+func (b *BroadcastChannel) send(fromPID int, data []byte, self bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return api.EPIPE
+	unread := len(b.subs)
+	if _, ok := b.subs[fromPID]; ok && !self {
+		unread--
+	}
+	if unread == 0 && len(b.log) == 0 {
+		return // nobody to read it: the entry would be dropped at once
 	}
 	msg := BroadcastMsg{FromPID: fromPID, Data: append([]byte(nil), data...)}
-	for pid, s := range b.subs {
-		if pid == fromPID && !self {
-			continue
-		}
-		s.deliver(msg)
-	}
-	return nil
+	b.log = append(b.log, broadcastEntry{msg: msg, self: self, unread: unread})
+	b.more.Broadcast()
 }
 
 // Members returns the subscribed PIDs.
@@ -100,81 +109,67 @@ func (b *BroadcastChannel) Members() []int {
 	return out
 }
 
-// Unsubscribe detaches pid (process exit or sandbox split).
+// Unsubscribe detaches pid (process exit or sandbox split). What it had
+// not read yet counts as read, and its Recv returns ok=false.
 func (b *BroadcastChannel) Unsubscribe(pid int) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	s := b.subs[pid]
-	delete(b.subs, pid)
-	b.mu.Unlock()
-	if s != nil {
-		s.mu.Lock()
-		if !s.dead {
-			s.dead = true
-			if s.pumping {
-				close(s.gone) // the pump closes ch on its way out
-			} else {
-				close(s.ch)
-			}
-		}
-		s.mu.Unlock()
-	}
-}
-
-// deliver queues m for the subscriber: straight into ch when it has room
-// and nothing is waiting ahead of m, else onto the backlog, which a pump
-// goroutine, started on the first overflow, moves into ch in order.
-func (s *BroadcastSub) deliver(m BroadcastMsg) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead {
+	if s == nil {
 		return
 	}
-	if !s.pumping {
-		select {
-		case s.ch <- m:
-			return
-		default:
-		}
-		s.pumping = true
-		s.gone = make(chan struct{})
-		go s.pump()
+	delete(b.subs, pid)
+	for e := s.nextLocked(); e != nil; e = s.nextLocked() {
+		e.unread--
 	}
-	s.backlog = append(s.backlog, m)
+	b.trimLocked()
+	b.more.Broadcast()
 }
 
-// pump feeds the backlog into ch until it is empty or the subscription
-// ends. Only the pump sends on ch while pumping is set, so the close after
-// Unsubscribe cannot race a send.
-func (s *BroadcastSub) pump() {
-	for {
-		s.mu.Lock()
-		if s.dead || len(s.backlog) == 0 {
-			s.pumping = false
-			s.backlog = nil
-			if s.dead {
-				close(s.ch)
-			}
-			s.mu.Unlock()
-			return
-		}
-		m := s.backlog[0]
-		s.mu.Unlock()
-		select {
-		case s.ch <- m:
-			s.mu.Lock()
-			s.backlog[0] = BroadcastMsg{}
-			s.backlog = s.backlog[1:]
-			s.mu.Unlock()
-		case <-s.gone:
+// trimLocked drops the log's leading entries that every subscriber they
+// were sent to has read.
+func (b *BroadcastChannel) trimLocked() {
+	n := 0
+	for n < len(b.log) && b.log[n].unread == 0 {
+		n++
+	}
+	clear(b.log[:n])
+	b.log = b.log[n:]
+	b.base += n
+	if len(b.log) == 0 {
+		b.log = nil
+	}
+}
+
+// nextLocked moves s's cursor past the next entry sent to s and returns
+// it, or nil at the log's end. Everything at or past the cursor was sent to
+// s except its own Sends, which it skips; a cursor behind the log's start
+// passed only those, since an entry sent to s stays until s reads it.
+func (s *BroadcastSub) nextLocked() *broadcastEntry {
+	b := s.bc
+	for s.next = max(s.next, b.base); s.next < b.base+len(b.log); {
+		e := &b.log[s.next-b.base]
+		s.next++
+		if e.self || e.msg.FromPID != s.PID {
+			return e
 		}
 	}
+	return nil
 }
 
 // Recv blocks for the next broadcast message; ok is false after detach.
 func (s *BroadcastSub) Recv() (BroadcastMsg, bool) {
-	m, ok := <-s.ch
-	return m, ok
+	b := s.bc
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for b.subs[s.PID] == s {
+		if e := s.nextLocked(); e != nil {
+			m := e.msg
+			e.unread--
+			b.trimLocked()
+			return m, true
+		}
+		b.more.Wait()
+	}
+	return BroadcastMsg{}, false
 }
-
-// Chan exposes the receive channel for select-based helpers.
-func (s *BroadcastSub) Chan() <-chan BroadcastMsg { return s.ch }

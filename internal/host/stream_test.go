@@ -251,6 +251,34 @@ func TestDuplicateListenerRejected(t *testing.T) {
 	}
 }
 
+// recvChan runs s.Recv on a goroutine and hands each message it reads to
+// the returned channel, for a test that selects on it with a timeout. The
+// channel closes when s is detached; the test's cleanup detaches s and
+// ends the goroutine.
+func recvChan(t *testing.T, s *BroadcastSub) <-chan BroadcastMsg {
+	ch := make(chan BroadcastMsg)
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		close(done)
+		s.bc.Unsubscribe(s.PID)
+	})
+	go func() {
+		defer close(ch)
+		for {
+			m, ok := s.Recv()
+			if !ok {
+				return
+			}
+			select {
+			case ch <- m:
+			case <-done:
+				return
+			}
+		}
+	}()
+	return ch
+}
+
 func TestBroadcastDelivery(t *testing.T) {
 	bc := NewBroadcastChannel()
 	s1, err := bc.Subscribe(1)
@@ -276,7 +304,7 @@ func TestBroadcastDelivery(t *testing.T) {
 	}
 	// Sender must not receive its own message.
 	select {
-	case m := <-s1.Chan():
+	case m := <-recvChan(t, s1):
 		t.Fatalf("sender received own broadcast: %+v", m)
 	case <-time.After(10 * time.Millisecond):
 	}
@@ -311,9 +339,10 @@ func TestBroadcastDeliversPastAFullQueue(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	c1 := recvChan(t, s1)
 	for i := 0; i < n; i++ {
 		select {
-		case m, ok := <-s1.Chan():
+		case m, ok := <-c1:
 			if !ok {
 				t.Fatalf("endpoint closed after %d of %d messages", i, n)
 			}
@@ -325,7 +354,7 @@ func TestBroadcastDeliversPastAFullQueue(t *testing.T) {
 		}
 	}
 	select {
-	case m := <-s1.Chan():
+	case m := <-c1:
 		t.Fatalf("extra message %+v", m)
 	default:
 	}

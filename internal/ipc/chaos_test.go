@@ -548,11 +548,11 @@ func TestChaosChildForkedAfterAnElectionClaimsATakenEpoch(t *testing.T) {
 }
 
 // TestChaosLeaderKilledUnderAnElectionHerd kills the leader of a sandbox
-// larger than a broadcast subscriber's 256-message queue, and every
-// member notices at once: each claims the next epoch, so every queue
-// takes hundreds of claims. The herd must settle on one leader — the
-// first claim in broadcast order — that every member accepts, and every
-// member's first call must go through.
+// of 300 members, and every member notices at once: each claims the next
+// epoch, so the broadcast log takes 300 claims that no reader has drained
+// yet. The herd must settle on one leader — the first claim in broadcast
+// order — that every member accepts, and every member's first call must
+// go through.
 func TestChaosLeaderKilledUnderAnElectionHerd(t *testing.T) {
 	const members = 300
 	g := newTestGroup(t)

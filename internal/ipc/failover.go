@@ -220,6 +220,10 @@ func (h *Helper) reapMember(addr string) {
 			}
 		}
 	}
+	for pid, a := range h.pidOwner {
+		if a == addr {
+			delete(h.pidOwner, pid)
+		}
+	}
 	h.mu.Unlock()
-	h.pidOwner.deleteValue(func(a string) bool { return a == addr })
 }

@@ -95,12 +95,11 @@ type Helper struct {
 	routeHits   atomic.Uint64
 	routeMisses atomic.Uint64
 
-	// conns and pidOwner are the RPC hot path's caches — the point-to-point
-	// stream cache and the PID owner cache. They live outside h.mu in
-	// lock-sharded maps so concurrent RPCs from many guest threads don't
-	// serialize on the helper's global mutex (Fig. 5 at 48 processes).
-	conns    shardedMap[*Conn]
-	pidOwner shardedIntMap[string] // cache: guest PID -> final helper address
+	// conns caches the point-to-point streams this helper dialled, by
+	// peer address; pidOwner caches where a guest PID's process lives
+	// (its final helper address).
+	conns    map[string]*Conn
+	pidOwner map[int64]string
 
 	// incoming holds the live accepted connections, for Shutdown to close;
 	// dropConn removes a conn when its peer hangs up.
@@ -221,6 +220,24 @@ func NewForkedMember(p *pal.PAL, svc Service, guestPID int64, leaderAddr string)
 	return h, nil
 }
 
+// mapSet stores m[k] = v, allocating the map on first use: a helper's
+// tables read correctly while nil, so a picoprocess that never caches an
+// owner, dials a peer or holds a queue never pays for them.
+func mapSet[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
+}
+
+// kindSet is mapSet for the helper's per-namespace-kind tables.
+func kindSet[V any](m *map[int]map[int64]V, kind int, k int64, v V) {
+	if (*m)[kind] == nil {
+		mapSet(m, kind, make(map[int64]V))
+	}
+	(*m)[kind][k] = v
+}
+
 // newHelper builds a helper with its listener bound and its broadcast
 // subscription open but no goroutine running: the constructor seeds the
 // leader fields it knows without the lock, then calls start. Seeding after
@@ -251,7 +268,7 @@ func newHelper(p *pal.PAL, svc Service, guestPID int64) (*Helper, error) {
 
 // start launches the helper's receive loops; connections and broadcasts
 // that arrived since newHelper wait in the listener's backlog and the
-// subscription's buffer.
+// subscription's log.
 func (h *Helper) start() {
 	if h.bsub != nil {
 		go h.broadcastLoop()
@@ -441,8 +458,12 @@ func (h *Helper) leaderChangedLocked() {
 // whose own picoprocess has died reaps nothing: its exit closes every
 // stream it holds, so each of those deaths is its own, not a member's.
 func (h *Helper) dropConn(c *Conn) {
-	h.conns.deleteValue(func(cc *Conn) bool { return cc == c })
 	h.mu.Lock()
+	for addr, cc := range h.conns {
+		if cc == c {
+			delete(h.conns, addr)
+		}
+	}
 	delete(h.incoming, c)
 	h.mu.Unlock()
 	addr := c.remote()
@@ -455,7 +476,10 @@ func (h *Helper) dropConn(c *Conn) {
 // dial returns a cached or fresh point-to-point stream to addr (§4.3,
 // "Lazy discovery and caching improve performance").
 func (h *Helper) dial(addr string) (*Conn, error) {
-	if c, ok := h.conns.get(addr); ok && c.Alive() {
+	h.mu.Lock()
+	c := h.conns[addr]
+	h.mu.Unlock()
+	if c != nil && c.Alive() {
 		return c, nil
 	}
 	c, err := h.open(addr, h.Addr, h.dropConn)
@@ -463,7 +487,9 @@ func (h *Helper) dial(addr string) (*Conn, error) {
 		return nil, err
 	}
 	c.setRemote(addr)
-	h.conns.put(addr, c)
+	h.mu.Lock()
+	mapSet(&h.conns, addr, c)
+	h.mu.Unlock()
 	return c, nil
 }
 
@@ -541,12 +567,12 @@ func (h *Helper) ForgetPID(pid int64) {
 // then the owner-discovery protocol through the leader, caching results.
 func (h *Helper) ResolvePID(pid int64) (string, error) {
 	h.mu.Lock()
-	if addr, ok := h.localPIDs[pid]; ok {
-		h.mu.Unlock()
-		return addr, nil
+	addr, ok := h.localPIDs[pid]
+	if !ok {
+		addr, ok = h.pidOwner[pid]
 	}
 	h.mu.Unlock()
-	if addr, ok := h.pidOwner.get(pid); ok {
+	if ok {
 		return addr, nil
 	}
 
@@ -556,7 +582,7 @@ func (h *Helper) ResolvePID(pid int64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	addr := resp.S
+	addr = resp.S
 	// The leader may point at the range owner rather than the process
 	// itself; follow one indirection.
 	for hop := 0; resp.A == 1 && hop < 3; hop++ {
@@ -579,13 +605,17 @@ func (h *Helper) ResolvePID(pid int64) (string, error) {
 	if addr == "" {
 		return "", api.ESRCH
 	}
-	h.pidOwner.put(pid, addr)
+	h.mu.Lock()
+	mapSet(&h.pidOwner, pid, addr)
+	h.mu.Unlock()
 	return addr, nil
 }
 
 // InvalidatePID drops a cached PID mapping (stale after process death).
 func (h *Helper) InvalidatePID(pid int64) {
-	h.pidOwner.delete(pid)
+	h.mu.Lock()
+	delete(h.pidOwner, pid)
+	h.mu.Unlock()
 }
 
 // SendSignal delivers sig to the process owning guest PID pid, locally or
@@ -735,8 +765,11 @@ func (h *Helper) Shutdown() {
 			}
 		}
 	}
-	conns := h.conns.values()
+	var conns []*Conn
 	h.mu.Lock()
+	for _, c := range h.conns {
+		conns = append(conns, c)
+	}
 	for c := range h.incoming {
 		conns = append(conns, c)
 	}

@@ -65,6 +65,24 @@ func TestNSHwmOnlyWhenCursorMoved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// msgs carries what sub reads, for a select with a timeout; the
+	// goroutine ends when the group's processes exit after the test.
+	msgs := make(chan host.BroadcastMsg)
+	done := make(chan struct{})
+	t.Cleanup(func() { close(done) })
+	go func() {
+		for {
+			msg, ok := sub.Recv()
+			if !ok {
+				return
+			}
+			select {
+			case msgs <- msg:
+			case <-done:
+				return
+			}
+		}
+	}()
 	// hwms drains the subscription and counts the cursor announcements,
 	// after one ping round trip per helper so that everything the claims
 	// caused has been sent.
@@ -74,7 +92,7 @@ func TestNSHwmOnlyWhenCursorMoved(t *testing.T) {
 		}
 		for {
 			select {
-			case msg := <-sub.Chan():
+			case msg := <-msgs:
 				if f, err := DecodeFrame(bytesReader(msg.Data)); err == nil && f.Type == MsgNSHwm {
 					n++
 				}
